@@ -12,7 +12,8 @@ import pytest
 
 from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES
 from repro.analysis.error_bounds import final_error_probability
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
+from repro.engine.vector import VectorSimulator
 
 RUNS_PER_SIZE = 2
 
@@ -24,8 +25,10 @@ def bench_accuracy_vs_population(benchmark, population_size):
     def run_accuracy_trials():
         errors = []
         for run_index in range(RUNS_PER_SIZE):
-            simulator = ArrayLogSizeSimulator(
-                population_size, params=PAPER_PARAMS, seed=7_000 + run_index
+            simulator = VectorSimulator(
+                LogSizeVectorProtocol(PAPER_PARAMS),
+                population_size,
+                seed=7_000 + run_index,
             )
             outcome = simulator.run_until_done(
                 max_parallel_time=4

@@ -9,7 +9,7 @@ be pushed: interactions per second of
 (d) the vector engine on the same epidemic (generic finite-state kernel over
     matching rounds),
 (e) the vector engine running the main protocol's bespoke kernel
-    (``ArrayLogSizeSimulator``), and
+    (``LogSizeVectorProtocol``), and
 (f) the batched engine through every *available* JIT array backend (numba,
     native) — the array-backend seam of ``repro.backend`` — recorded as a
     separate dimension of the artifact.
@@ -49,12 +49,13 @@ for _entry in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
 from benchmarks.conftest import PAPER_PARAMS
 from repro._version import __version__
 from repro.backend import backend_availability
-from repro.core.array_simulator import ArrayLogSizeSimulator
+from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.log_size_estimation import LogSizeEstimationProtocol
 from repro.core.parameters import ProtocolParameters
 from repro.engine.count_simulator import CountSimulator
 from repro.engine.selection import ENGINE_NAMES, build_engine
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.protocols.epidemic import EpidemicProtocol
 from repro.workloads.populations import sizes_from_env
 
@@ -357,7 +358,7 @@ def bench_batched_jit_backend_speedup(benchmark):
 def bench_array_engine_throughput(benchmark, population_size):
     """Vectorised engine: matching rounds per second at two population sizes."""
     rounds = 2_000
-    simulator = ArrayLogSizeSimulator(population_size, params=PAPER_PARAMS, seed=1)
+    simulator = VectorSimulator(LogSizeVectorProtocol(PAPER_PARAMS), population_size, seed=1)
 
     def run_rounds():
         for _ in range(rounds):

@@ -21,7 +21,8 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import FIGURE2_RUNS, FIGURE2_SIZES, PAPER_PARAMS
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
+from repro.engine.vector import VectorSimulator
 
 
 @pytest.mark.parametrize("population_size", FIGURE2_SIZES)
@@ -32,8 +33,10 @@ def bench_figure2_convergence_time(benchmark, population_size):
     def run_sweep():
         results = []
         for run_index in range(FIGURE2_RUNS):
-            simulator = ArrayLogSizeSimulator(
-                population_size, params=PAPER_PARAMS, seed=2019 + run_index
+            simulator = VectorSimulator(
+                LogSizeVectorProtocol(PAPER_PARAMS),
+                population_size,
+                seed=2019 + run_index,
             )
             results.append(
                 simulator.run_until_done(

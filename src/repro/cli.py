@@ -76,7 +76,7 @@ from repro.backend import (
     backend_availability,
     get_backend,
 )
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
 from repro.core.parameters import ProtocolParameters
 from repro.engine.scheduler import (
@@ -90,6 +90,7 @@ from repro.engine.selection import (
     build_engine,
     engine_scheduler_matrix,
 )
+from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.crn import (
     CRN,
@@ -98,7 +99,6 @@ from repro.crn import (
     compile_crn,
     get_crn_workload,
 )
-from repro.harness.cache import ResultCache
 from repro.harness.figures import reproduce_figure2
 from repro.harness.parallel import (
     VECTOR_WORKLOADS,
@@ -112,6 +112,7 @@ from repro.harness.parallel import (
 from repro.harness.reporting import format_key_values, format_table
 from repro.harness.results import SweepResult
 from repro.store import DEFAULT_LEASE_SECONDS, StoreError, open_store
+from repro.store.jsonl import JsonlStore
 from repro.harness.tables import accuracy_table, state_complexity_table
 from repro.protocols.leader_election import NonuniformCounterLeaderElection
 from repro.termination.definitions import TerminationSpec
@@ -125,25 +126,25 @@ def _parameters_from_args(args: argparse.Namespace) -> ProtocolParameters:
     return ProtocolParameters.paper()
 
 
-def _sweep_persistence_from_args(args: argparse.Namespace, name: str):
-    """Resolve ``--store`` / ``--cache-dir`` into ``(cache, store)``.
+def _sweep_store_from_args(args: argparse.Namespace, name: str):
+    """Resolve ``--store`` / ``--cache-dir`` into a result store (or ``None``).
 
     ``--store`` opens a shared result store (always resuming — shared
     stores are never cleared, since other drivers may own records in
-    them); ``--cache-dir`` keeps the historical local-JSONL behaviour,
-    including the clear-unless-``--resume`` rule.
+    them); ``--cache-dir`` opens the local JSONL store ``<DIR>/<name>.jsonl``
+    and clears it unless ``--resume`` is given.
     """
     if getattr(args, "store", None):
         if args.cache_dir:
             raise SimulationError("pass either --store or --cache-dir, not both")
         lease = getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS
-        return None, open_store(args.store, lease_seconds=lease, name=name)
-    cache = None
-    if args.cache_dir:
-        cache = ResultCache(args.cache_dir, name=name)
-        if not args.resume:
-            cache.clear()
-    return cache, None
+        return open_store(args.store, lease_seconds=lease, name=name)
+    if not args.cache_dir:
+        return None
+    store = JsonlStore(args.cache_dir, name=name)
+    if not args.resume:
+        store.clear()
+    return store
 
 
 def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
@@ -267,9 +268,7 @@ def _scheduler_label(
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     params = _parameters_from_args(args)
-    simulator = ArrayLogSizeSimulator(
-        population_size=args.n, params=params, seed=args.seed
-    )
+    simulator = VectorSimulator(LogSizeVectorProtocol(params), args.n, seed=args.seed)
     outcome = simulator.run_until_done(
         max_parallel_time=args.budget_factor
         * expected_convergence_time(args.n, params)
@@ -691,13 +690,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        cache, store = _sweep_persistence_from_args(
-            args, f"{args.protocol}-{args.engine}"
-        )
+        store = _sweep_store_from_args(args, f"{args.protocol}-{args.engine}")
         progress_view = _telemetry_from_args(args)
         try:
             outcome = run_trials(
-                specs, workers=args.workers, cache=cache, store=store,
+                specs, workers=args.workers, store=store,
                 lease_seconds=args.lease, progress=progress_view,
             )
         finally:
@@ -724,8 +721,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"trials: {len(specs)} total, {outcome.executed} executed, "
         f"{outcome.from_cache} from cache"
     )
-    if cache is not None:
-        print(f"cache: {cache.path}")
     if store is not None:
         print(f"store: {store.describe()}")
     print()
@@ -1112,13 +1107,11 @@ def _cmd_crn_sweep(args: argparse.Namespace) -> int:
         return 2
 
     try:
-        cache, store = _sweep_persistence_from_args(
-            args, f"crn-{args.crn}-{args.engine}"
-        )
+        store = _sweep_store_from_args(args, f"crn-{args.crn}-{args.engine}")
         progress_view = _telemetry_from_args(args)
         try:
             outcome = run_trials(
-                specs, workers=args.workers, cache=cache, store=store,
+                specs, workers=args.workers, store=store,
                 lease_seconds=args.lease, progress=progress_view,
             )
         finally:
@@ -1140,8 +1133,6 @@ def _cmd_crn_sweep(args: argparse.Namespace) -> int:
         f"trials: {len(specs)} total, {outcome.executed} executed, "
         f"{outcome.from_cache} from cache"
     )
-    if cache is not None:
-        print(f"cache: {cache.path}")
     if store is not None:
         print(f"store: {store.describe()}")
     print()

@@ -23,10 +23,10 @@ max-propagation with restart, epoch catch-up (worker-worker and
 storage-storage), ``Update-Sum`` deposits, per-epoch ``gr`` max-propagation,
 and output announcement/propagation.
 
-:class:`ArrayLogSizeSimulator` keeps the historical facade (``run_round`` /
-``run_until_done`` / :class:`ArraySimulationResult`) over the generic
-engine; the kernel itself (:class:`LogSizeVectorProtocol`) is reused by the
-leader-driven terminating variant in :mod:`repro.core.vector_leader`.
+Run it as ``VectorSimulator(LogSizeVectorProtocol(params), n, seed=...)``;
+``run_until_done`` then returns an :class:`ArraySimulationResult`.  The
+kernel is reused by the leader-driven terminating variant in
+:mod:`repro.core.vector_leader`.
 """
 
 from __future__ import annotations
@@ -434,114 +434,6 @@ class LogSizeVectorProtocol(VectorProtocol):
             log_size2=int(self.log_size2.max()),
             distinct_state_bound=self.distinct_state_bound(simulator.fields),
         )
-
-
-class ArrayLogSizeSimulator(VectorSimulator):
-    """Vectorised simulator of Protocol 1 over a population of ``n`` agents.
-
-    A thin facade over :class:`~repro.engine.vector.VectorSimulator` running
-    :class:`LogSizeVectorProtocol`, kept for the historical API
-    (``run_round`` / ``run_until_done`` / ``estimates`` /
-    ``max_additive_error`` / ``distinct_state_bound``).
-
-    Parameters
-    ----------
-    population_size:
-        Number of agents (at least 2).
-    params:
-        Protocol constants (defaults to the paper's values).
-    seed:
-        Seed of the numpy generator; runs are reproducible per seed.
-    scheduler:
-        Optional round-level scheduler (name, spec or instance), forwarded
-        to :class:`~repro.engine.vector.VectorSimulator`; defaults to the
-        uniform matching round.
-    """
-
-    def __init__(
-        self,
-        population_size: int,
-        params: ProtocolParameters | None = None,
-        seed: int | None = None,
-        scheduler=None,
-    ) -> None:
-        kernel = LogSizeVectorProtocol(params)
-        super().__init__(kernel, population_size, seed=seed, scheduler=scheduler)
-        self.params = kernel.params
-
-    # -- array views (historical attribute surface) --------------------------
-
-    @property
-    def role(self) -> np.ndarray:
-        return self.protocol.role
-
-    @property
-    def time(self) -> np.ndarray:
-        return self.protocol.time
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.protocol.total
-
-    @property
-    def epoch(self) -> np.ndarray:
-        return self.protocol.epoch
-
-    @property
-    def gr(self) -> np.ndarray:
-        return self.protocol.gr
-
-    @property
-    def log_size2(self) -> np.ndarray:
-        return self.protocol.log_size2
-
-    @property
-    def done(self) -> np.ndarray:
-        return self.protocol.done
-
-    @property
-    def updated(self) -> np.ndarray:
-        return self.protocol.updated
-
-    @property
-    def output(self) -> np.ndarray:
-        return self.protocol.output
-
-    # -- realised field ranges (state-complexity table) -----------------------
-
-    @property
-    def _max_time(self) -> int:
-        return self.fields.max_observed("time")
-
-    @property
-    def _max_epoch(self) -> int:
-        return self.fields.max_observed("epoch")
-
-    @property
-    def _max_gr(self) -> int:
-        return self.fields.max_observed("gr")
-
-    @property
-    def _max_total(self) -> int:
-        return self.fields.max_observed("total")
-
-    @property
-    def _max_log_size2(self) -> int:
-        return self.fields.max_observed("log_size2")
-
-    # -- queries --------------------------------------------------------------
-
-    def estimates(self) -> np.ndarray:
-        """Per-agent estimates currently reported (NaN where unavailable)."""
-        return self.protocol.estimates()
-
-    def max_additive_error(self) -> float:
-        """``max_agent |estimate - log2 n|`` over agents reporting an estimate."""
-        return self.protocol.max_additive_error(self.n)
-
-    def distinct_state_bound(self) -> int:
-        """Product of realised field ranges (the Lemma 3.9 style state count)."""
-        return self.protocol.distinct_state_bound(self.fields)
 
 
 def expected_convergence_time(population_size: int, params: ProtocolParameters) -> float:

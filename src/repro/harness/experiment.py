@@ -5,9 +5,9 @@ For the size-estimation protocol, two runners are provided, one per engine:
 * :func:`run_sequential_experiment` — the agent-level engine (exact paper
   scheduler), used for small populations and for cross-validating the
   vectorised engine;
-* :func:`run_array_experiment` — the vectorised engine
-  (:class:`~repro.core.array_simulator.ArrayLogSizeSimulator`), used for the
-  Figure 2 sweep at larger populations.
+* :func:`run_array_experiment` — the vector engine running the ``figure2``
+  workload (:class:`~repro.core.array_simulator.LogSizeVectorProtocol`), used
+  for the Figure 2 sweep at larger populations.
 
 For classic finite-state workloads (epidemic, majority, leader election,
 counter termination), :func:`run_finite_state_experiment` sweeps any
@@ -18,12 +18,11 @@ selectable engine (``"agent"``, ``"count"`` or ``"batched"`` — see
 All three runners expand their sweep into picklable
 :class:`~repro.harness.parallel.TrialSpec` lists and execute them through
 :func:`~repro.harness.parallel.run_trials`, so every sweep can fan out over a
-worker pool (``workers > 1``) and resume from an on-disk result cache
-(``cache=ResultCache(...)``) or any shared result store (``store=`` — a
-:mod:`repro.store` URL such as ``sqlite:PATH`` or ``http://HOST:PORT``, so
-several drivers on several hosts can cooperate on one sweep) — results are
-identical record-for-record to the serial ``workers=1`` path.  All runners
-return
+worker pool (``workers > 1``) and resume from a result store (``store=`` — a
+:mod:`repro.store` URL such as ``jsonl:DIR``, ``sqlite:PATH`` or
+``http://HOST:PORT``, so several drivers on several hosts can cooperate on
+one sweep) — results are identical record-for-record to the serial
+``workers=1`` path.  All runners return
 :class:`~repro.harness.results.RunRecord` lists so downstream figure/table
 builders do not care which engine produced the data.
 """
@@ -36,12 +35,11 @@ from typing import Callable, Sequence
 from repro.core.array_simulator import expected_convergence_time
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
-from repro.harness.cache import ResultCache
 from repro.harness.parallel import (
-    KIND_ARRAY,
     KIND_SEQUENTIAL,
     TrialSpec,
     build_finite_state_trials,
+    build_vector_trials,
     run_trials,
 )
 from repro.harness.results import SweepResult
@@ -126,13 +124,18 @@ def run_array_experiment(
     spec: ExperimentSpec,
     name: str = "figure2-array",
     workers: int = 1,
-    cache: ResultCache | None = None,
     store=None,
 ) -> SweepResult:
-    """Run the sweep on the vectorised engine and collect run records."""
-    outcome = run_trials(
-        spec.trials(KIND_ARRAY, "array"), workers=workers, cache=cache, store=store
+    """Run the sweep as ``figure2`` vector trials and collect run records."""
+    specs = build_vector_trials(
+        spec.population_sizes,
+        spec.runs_per_size,
+        protocol="figure2",
+        params=spec.params,
+        base_seed=spec.base_seed,
+        max_parallel_time=spec.budget_for,
     )
+    outcome = run_trials(specs, workers=workers, store=store)
     return SweepResult(name=name, records=outcome.records)
 
 
@@ -147,7 +150,6 @@ def run_finite_state_experiment(
     name: str | None = None,
     check_interval: int | None = None,
     workers: int = 1,
-    cache: ResultCache | None = None,
     store=None,
     scheduler: str | None = None,
     scheduler_options: dict | None = None,
@@ -163,23 +165,23 @@ def run_finite_state_experiment(
         :data:`repro.harness.parallel.WORKLOADS`), in which case
         ``predicate`` may be omitted.
     predicate:
-        Convergence predicate evaluated against the engine (all engines share
-        the count-level interface, so ``lambda sim: sim.count("S") == 0``
-        works on every engine).
+        Convergence predicate evaluated against the engine.  All engines
+        share the count-level interface, so a module-level
+        ``def no_susceptibles(sim): return sim.count("S") == 0`` works on
+        every engine.  Factory and predicate key the trials by
+        ``module:qualname``, so lambdas, closures and ``functools.partial``
+        objects are rejected.
     max_parallel_time:
         Per-run parallel-time budget; may be a callable ``n -> budget``.
     engine:
         One of :data:`repro.engine.selection.ENGINE_NAMES`.
     workers:
-        Worker processes; ``> 1`` requires picklable factory/predicate
-        (module-level functions or classes), which every registered workload
-        satisfies.
-    cache:
-        Optional :class:`ResultCache` for resumable, incremental sweeps.
+        Worker processes.
     store:
-        Alternative to ``cache``: a :class:`~repro.store.base.ResultStore`
-        instance or store URL (``jsonl:DIR`` / ``sqlite:PATH`` /
-        ``http://HOST:PORT``) shared safely by many concurrent drivers.
+        Optional :class:`~repro.store.base.ResultStore` instance or store
+        URL (``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``) for
+        resumable, incremental sweeps; sqlite and http stores are shared
+        safely by many concurrent drivers.
     scheduler / scheduler_options:
         Scheduling policy for every trial (a registered scheduler name plus
         options); ``None`` keeps the engine's default.  Participates in the
@@ -209,7 +211,7 @@ def run_finite_state_experiment(
         scheduler_options=scheduler_options,
         **engine_options,
     )
-    outcome = run_trials(specs, workers=workers, cache=cache, store=store)
+    outcome = run_trials(specs, workers=workers, store=store)
     return SweepResult(
         name=name or f"finite-state-{engine}", records=outcome.records
     )
@@ -220,14 +222,12 @@ def run_sequential_experiment(
     name: str = "figure2-sequential",
     track_states: bool = False,
     workers: int = 1,
-    cache: ResultCache | None = None,
     store=None,
 ) -> SweepResult:
     """Run the sweep on the agent-level engine and collect run records."""
     outcome = run_trials(
         spec.trials(KIND_SEQUENTIAL, "sequential", track_states=track_states),
         workers=workers,
-        cache=cache,
         store=store,
     )
     return SweepResult(name=name, records=outcome.records)

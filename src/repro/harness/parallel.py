@@ -5,10 +5,11 @@ fast.  A sweep — every Figure-2 / termination / cross-engine experiment — is
 a list of independent trials, one per ``(protocol, n, run, engine)``
 combination.  Each trial is described by a frozen, picklable
 :class:`TrialSpec`; :func:`run_trial` executes one spec to a
-:class:`~repro.harness.results.RunRecord`; :func:`run_trials` maps specs over
-a ``multiprocessing`` worker pool (or serially for ``workers=1``) and
-optionally through a :class:`~repro.harness.cache.ResultCache`, so
-interrupted sweeps resume without recomputing finished trials.
+:class:`~repro.harness.results.RunRecord`; :func:`run_trials` claims each
+spec from a result store (:mod:`repro.store`; in memory when the sweep has
+none), runs it serially for ``workers=1`` or on a ``multiprocessing`` worker
+pool, and appends its record, so interrupted sweeps resume without
+recomputing finished trials.
 
 Determinism
 -----------
@@ -32,24 +33,27 @@ pickle boundary.  CRN trials (``kind="crn"``,
 for their predicate but embed the *network itself* in the spec, so the full
 reaction system — every rate constant — participates in the cache key.
 Library callers may instead embed ``protocol_factory``/``predicate``
-callables in the spec; with ``workers > 1`` those callables must be
-picklable (module-level functions or classes, not lambdas or closures).
+callables in the spec.  Their ``module:qualname`` keys the trial, so they
+must be importable by that name (module-level functions or classes, not
+lambdas, closures or ``functools.partial`` objects) — the same rule pickle
+applies when ``workers > 1`` sends them to worker processes.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib
 import json
 import math
 import multiprocessing
 import time
 from collections import deque
+from queue import Empty, SimpleQueue
 from dataclasses import dataclass, field, fields
 from typing import Callable, Mapping, Sequence
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import ConvergenceError, SimulationError
-from repro.harness.cache import ResultCache
 from repro.harness.results import RunRecord
 from repro.obs.manifest import TELEMETRY_KEY, trial_manifest
 from repro.obs.progress import SweepProgress
@@ -58,7 +62,6 @@ from repro.protocols.base import FiniteStateProtocol
 from repro.rng import spawn_seed
 
 __all__ = [
-    "KIND_ARRAY",
     "KIND_CRN",
     "KIND_FINITE_STATE",
     "KIND_SEQUENTIAL",
@@ -82,11 +85,10 @@ __all__ = [
 
 #: Trial kinds understood by :func:`run_trial`.
 KIND_FINITE_STATE = "finite-state"
-KIND_ARRAY = "array"
 KIND_SEQUENTIAL = "sequential"
 KIND_VECTOR = "vector"
 KIND_CRN = "crn"
-_KINDS = (KIND_FINITE_STATE, KIND_ARRAY, KIND_SEQUENTIAL, KIND_VECTOR, KIND_CRN)
+_KINDS = (KIND_FINITE_STATE, KIND_SEQUENTIAL, KIND_VECTOR, KIND_CRN)
 
 
 # ---------------------------------------------------------------------------
@@ -327,11 +329,31 @@ _register_builtin_vector_workloads()
 
 
 def _callable_ref(value: Callable | None) -> str | None:
-    """Stable textual reference to a callable, for hashing into cache keys."""
+    """Stable textual reference to a callable, for hashing into cache keys.
+
+    The reference is ``module:qualname``, so it must import back to the
+    callable itself: a lambda, closure, bound method, callable instance or
+    ``functools.partial`` has no such name, and two different ones would
+    share one cache key (and replay each other's records).
+    """
     if value is None:
         return None
-    module = getattr(value, "__module__", type(value).__module__)
-    qualname = getattr(value, "__qualname__", type(value).__qualname__)
+    module = getattr(value, "__module__", None)
+    qualname = getattr(value, "__qualname__", None)
+    try:
+        target = importlib.import_module(module)
+        for part in qualname.split("."):
+            target = getattr(target, part)
+    except (AttributeError, ImportError, TypeError, ValueError):
+        target = None
+    if target is not value:
+        raise SimulationError(
+            f"{value!r} cannot key a sweep: its module:qualname does not "
+            f"import back to it (lambdas, closures, bound methods and "
+            f"functools.partial objects have no importable name); pass a "
+            f"module-level function or class instead, e.g. "
+            f"def factory(): return Protocol(option=...)"
+        )
     return f"{module}:{qualname}"
 
 
@@ -350,9 +372,9 @@ class TrialSpec:
     kind:
         ``"finite-state"`` (any registered/supplied finite-state protocol on
         a selectable engine), ``"vector"`` (a registered
-        :data:`VECTOR_WORKLOADS` kernel on the vector engine), ``"array"``
-        (vectorised ``Log-Size-Estimation``; the historical alias for the
-        ``"figure2"`` vector workload), or ``"sequential"`` (agent-level
+        :data:`VECTOR_WORKLOADS` kernel on the vector engine, e.g. the
+        ``"figure2"`` Log-Size-Estimation sweep), ``"crn"`` (a chemical
+        reaction network) or ``"sequential"`` (agent-level
         ``Log-Size-Estimation``).
     population_size / size_index / run_index / base_seed:
         Trial coordinates; the per-trial seed is
@@ -367,7 +389,9 @@ class TrialSpec:
         Name of a registered workload (preferred for cached sweeps), or
         ``None`` when ``protocol_factory``/``predicate`` are given directly.
     protocol_factory / predicate:
-        Direct callables (must be picklable for ``workers > 1``).
+        Direct callables.  Their ``module:qualname`` joins the cache key,
+        so it must import back to the callable (checked here; the same
+        rule pickle applies for ``workers > 1``).
     engine_options:
         Canonicalised ``(key, value)`` pairs forwarded to
         :func:`repro.engine.selection.build_engine`.
@@ -445,6 +469,8 @@ class TrialSpec:
             raise SimulationError(
                 f"population_size must be >= 2, got {self.population_size}"
             )
+        _callable_ref(self.protocol_factory)
+        _callable_ref(self.predicate)
         if self.size_index < 0 or self.run_index < 0:
             raise SimulationError(
                 f"size_index and run_index must be >= 0, got "
@@ -574,7 +600,6 @@ class TrialSpec:
     #: defer to the chosen engine's capability).
     _KIND_SCHEDULER_CAPABILITY = {
         KIND_VECTOR: "rounds",
-        KIND_ARRAY: "rounds",
         KIND_SEQUENTIAL: "pair",
     }
 
@@ -933,6 +958,22 @@ def build_crn_trials(
 # ---------------------------------------------------------------------------
 
 
+def _run_until(simulator, predicate, spec: TrialSpec) -> tuple[bool, float | None]:
+    """Run ``simulator`` until ``predicate`` holds or the spec's budget ends.
+
+    Returns ``(converged, convergence_time)``: an exhausted budget is
+    recorded as a non-converged trial, not raised.
+    """
+    try:
+        return True, simulator.run_until(
+            predicate,
+            max_parallel_time=spec.max_parallel_time,
+            check_interval=spec.check_interval,
+        )
+    except ConvergenceError:
+        return False, None
+
+
 def _run_finite_state_trial(spec: TrialSpec) -> RunRecord:
     from repro.engine.selection import build_engine
 
@@ -945,16 +986,7 @@ def _run_finite_state_trial(spec: TrialSpec) -> RunRecord:
         scheduler=spec.scheduler_spec(),
         **spec.engine_option_dict(),
     )
-    converged = True
-    convergence_time: float | None = None
-    try:
-        convergence_time = simulator.run_until(
-            predicate,
-            max_parallel_time=spec.max_parallel_time,
-            check_interval=spec.check_interval,
-        )
-    except ConvergenceError:
-        converged = False
+    converged, convergence_time = _run_until(simulator, predicate, spec)
     return RunRecord(
         population_size=spec.population_size,
         seed=spec.seed,
@@ -967,32 +999,6 @@ def _run_finite_state_trial(spec: TrialSpec) -> RunRecord:
                 str(output): int(count)
                 for output, count in simulator.outputs().items()
             },
-        },
-    )
-
-
-def _run_array_trial(spec: TrialSpec) -> RunRecord:
-    from repro.core.array_simulator import ArrayLogSizeSimulator
-
-    simulator = ArrayLogSizeSimulator(
-        population_size=spec.population_size,
-        params=spec.params,
-        seed=spec.seed,
-        scheduler=spec.scheduler_spec(),
-    )
-    outcome = simulator.run_until_done(max_parallel_time=spec.max_parallel_time)
-    return RunRecord(
-        population_size=spec.population_size,
-        seed=spec.seed,
-        converged=outcome.converged,
-        convergence_time=outcome.convergence_time,
-        max_additive_error=outcome.max_additive_error,
-        extra={
-            "engine": "array",
-            "log_size2": outcome.log_size2,
-            "interactions": outcome.interactions,
-            "distinct_state_bound": outcome.distinct_state_bound,
-            "final_estimate_mean": outcome.final_estimate_mean,
         },
     )
 
@@ -1013,14 +1019,7 @@ def _run_sequential_trial(spec: TrialSpec) -> RunRecord:
         scheduler=spec.scheduler_spec(),
         track_states=spec.track_states,
     )
-    converged = True
-    convergence_time: float | None = None
-    try:
-        convergence_time = simulation.run_until(
-            all_agents_done, max_parallel_time=spec.max_parallel_time
-        )
-    except ConvergenceError:
-        converged = False
+    converged, convergence_time = _run_until(simulation, all_agents_done, spec)
     try:
         error = estimate_error(simulation)["max_additive_error"]
     except ValueError:
@@ -1089,16 +1088,7 @@ def _run_crn_trial(spec: TrialSpec) -> RunRecord:
         seed=spec.seed,
         **spec.engine_option_dict(),
     )
-    converged = True
-    convergence_time: float | None = None
-    try:
-        convergence_time = simulator.run_until(
-            predicate,
-            max_parallel_time=spec.max_parallel_time,
-            check_interval=spec.check_interval,
-        )
-    except ConvergenceError:
-        converged = False
+    converged, convergence_time = _run_until(simulator, predicate, spec)
     extra = {
         "engine": spec.engine,
         "crn": spec.crn.name,
@@ -1131,7 +1121,6 @@ def _run_crn_trial(spec: TrialSpec) -> RunRecord:
 
 _TRIAL_RUNNERS = {
     KIND_FINITE_STATE: _run_finite_state_trial,
-    KIND_ARRAY: _run_array_trial,
     KIND_SEQUENTIAL: _run_sequential_trial,
     KIND_VECTOR: _run_vector_trial,
     KIND_CRN: _run_crn_trial,
@@ -1197,15 +1186,16 @@ class SweepOutcome:
         One :class:`RunRecord` per input spec, in input order — identical
         regardless of ``workers`` or how many drivers share the store.
     executed:
-        Trials actually simulated *by this driver* in this invocation.
+        Unique trials actually simulated *by this driver* in this
+        invocation (specs sharing a cache key run once).
     from_cache:
-        Trials replayed from the result store/cache (including trials
-        another concurrent driver finished while this one was running).
+        Trials replayed from the result store (including trials another
+        concurrent driver finished while this one was running).
     executed_keys:
         Store keys of the trials this driver simulated itself, in
-        completion order.  Empty when no store/cache is attached.  Lets
-        distributed tests assert exactly-once execution: two drivers
-        sharing a store must report *disjoint* key sets.
+        completion order.  Lets distributed tests assert exactly-once
+        execution: two drivers sharing a store must report *disjoint* key
+        sets.
     """
 
     records: list[RunRecord] = field(default_factory=list)
@@ -1217,7 +1207,6 @@ class SweepOutcome:
 def run_trials(
     specs: Sequence[TrialSpec],
     workers: int = 1,
-    cache: ResultCache | None = None,
     store=None,
     lease_seconds: float | None = None,
     owner: str | None = None,
@@ -1233,7 +1222,9 @@ def run_trials(
     hosts — can point at the same store and cooperate on one sweep: each
     trial executes exactly once, a crashed driver's leased trials are
     reclaimed after the lease expires, and the sweep resumes from any mix
-    of completed/leased/failed trials.
+    of completed/leased/failed trials.  Specs sharing a cache key run once
+    and every index gets the record.  If a trial raises, the driver
+    releases every lease it still holds and re-raises.
 
     Parameters
     ----------
@@ -1245,23 +1236,21 @@ def run_trials(
         (no pickling constraints); ``> 1`` runs them on a
         ``multiprocessing.Pool``, at most ``workers`` in flight.  Claims
         and appends always happen in the driver process.
-    cache:
-        Legacy keyword: a local :class:`ResultCache`, wrapped into a
-        single-driver :class:`~repro.store.jsonl.JsonlStore`.  Behaviour is
-        unchanged — hits replay without simulation, new records append as
-        they finish.  Mutually exclusive with ``store``.
     store:
         A :class:`~repro.store.base.ResultStore`, a parsed
         :class:`~repro.store.base.StoreSpec`, or a store URL
-        (``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``).
+        (``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``).  ``None``
+        claims from an in-memory :class:`~repro.store.jsonl.JsonlStore`
+        that writes no file.
     lease_seconds:
         Lease duration for each claim; ``None`` uses the store's default.
         Size it to comfortably exceed the slowest single trial.
     owner:
         Lease-owner identity; defaults to ``hostname:pid``.
     poll_interval:
-        Seconds to wait between claim passes when every remaining trial is
-        leased by other drivers (or in flight locally).
+        Seconds to wait between claim passes while other drivers hold the
+        leases of every remaining trial.  While this driver's own trials
+        are in flight it wakes on their completion instead.
     progress:
         Optional callback invoked with a
         :class:`~repro.obs.progress.SweepProgress` after every resolved
@@ -1276,63 +1265,18 @@ def run_trials(
         Records depend only on the specs — identical regardless of
         ``workers``, driver count, or which store served them.
     """
+    from repro.store import open_store
+    from repro.store.base import default_owner
+    from repro.store.jsonl import JsonlStore
+
     specs = list(specs)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
-    if store is not None and cache is not None:
-        raise SimulationError("pass either store= or cache=, not both")
+    resolved = JsonlStore() if store is None else open_store(store)
+    if owner is None:
+        owner = default_owner()
     records: list[RunRecord | None] = [None] * len(specs)
 
-    # Workers start with telemetry disabled; when the driver records, the
-    # pool initializer mirrors its enabled/spool state into each worker.
-    pool_kwargs: dict = (
-        {"initializer": _enable_worker_telemetry, "initargs": (_REC.spool_dir,)}
-        if _REC.enabled
-        else {}
-    )
-
-    def _emit_progress(total: int, done: int, executed: int, replayed: int) -> None:
-        if progress is not None:
-            progress(
-                SweepProgress(
-                    total=total, done=done, executed=executed, from_cache=replayed
-                )
-            )
-
-    if store is None and cache is None:
-        # No persistence: plain fan-out, no keys to compute or claim.
-        if workers == 1 or len(specs) <= 1:
-            for index, spec in enumerate(specs):
-                records[index] = run_trial(spec)
-                _emit_progress(len(specs), index + 1, index + 1, 0)
-        else:
-            with multiprocessing.get_context().Pool(
-                processes=min(workers, len(specs)), **pool_kwargs
-            ) as pool:
-                for index, record in enumerate(
-                    pool.imap(run_trial, specs, chunksize=1)
-                ):
-                    records[index] = record
-                    _emit_progress(len(specs), index + 1, index + 1, 0)
-        if _REC.enabled:
-            _REC.flush_spool()
-        return SweepOutcome(records=records, executed=len(specs), from_cache=0)
-
-    if cache is not None:
-        from repro.store.jsonl import JsonlStore
-
-        resolved = JsonlStore(cache=cache)
-    else:
-        from repro.store import open_store
-
-        resolved = open_store(store)
-    if owner is None:
-        from repro.store.base import default_owner
-
-        owner = default_owner()
-
-    # Several specs may share a key (identical trials); the store runs each
-    # unique trial once and every index gets the record.
     indices_by_key: dict[str, list[int]] = {}
     for index, spec in enumerate(specs):
         indices_by_key.setdefault(spec.cache_key(), []).append(index)
@@ -1342,20 +1286,30 @@ def run_trials(
     replayed_unique = 0
     total_unique = len(indices_by_key)
 
-    def _replay(key: str, record: RunRecord) -> None:
-        nonlocal from_cache, replayed_unique
+    def _resolve(key: str, record: RunRecord) -> None:
         for index in indices_by_key[key]:
             records[index] = record
+        if progress is not None:
+            progress(
+                SweepProgress(
+                    total=total_unique,
+                    done=replayed_unique + len(executed_keys),
+                    executed=len(executed_keys),
+                    from_cache=replayed_unique,
+                )
+            )
+
+    def _replay(key: str, record: RunRecord) -> None:
+        nonlocal from_cache, replayed_unique
         from_cache += len(indices_by_key[key])
         replayed_unique += 1
         if _REC.enabled:
             _REC.count("store.replays")
-        _emit_progress(
-            total_unique,
-            replayed_unique + len(executed_keys),
-            len(executed_keys),
-            replayed_unique,
-        )
+        _resolve(key, record)
+
+    # Keys this driver holds a lease on and has not appended yet: a pooled
+    # trial in flight, or the serial trial running right now.
+    in_flight: dict[str, object] = {}
 
     def _finish(key: str, record: RunRecord) -> None:
         if _REC.enabled:
@@ -1365,15 +1319,9 @@ def run_trials(
             _REC.count("store.appends")
         else:
             resolved.append(key, record)
-        for index in indices_by_key[key]:
-            records[index] = record
+        del in_flight[key]
         executed_keys.append(key)
-        _emit_progress(
-            total_unique,
-            replayed_unique + len(executed_keys),
-            len(executed_keys),
-            replayed_unique,
-        )
+        _resolve(key, record)
 
     # Replay everything already finished (batch query), then claim-loop
     # over the remainder.
@@ -1390,31 +1338,23 @@ def run_trials(
 
     queue = deque(key for key in unique_keys if key in missing)
     deferred: list[str] = []  # leased by another live driver; retry later
-    in_flight: dict[str, object] = {}  # key -> pool AsyncResult
+    completed: SimpleQueue[str] = SimpleQueue()  # pool completions, by key
     pool = None
     try:
         if workers > 1 and len(queue) > 1:
-            pool = multiprocessing.get_context().Pool(
-                processes=min(workers, len(queue)), **pool_kwargs
+            # Workers start with telemetry disabled; when the driver
+            # records, the initializer mirrors its state into each worker.
+            telemetry = (
+                {"initializer": _enable_worker_telemetry, "initargs": (_REC.spool_dir,)}
+                if _REC.enabled
+                else {}
             )
-        capacity = workers if pool is not None else 1
+            pool = multiprocessing.get_context().Pool(
+                processes=min(workers, len(queue)), **telemetry
+            )
         while queue or deferred or in_flight:
-            moved = False
-            # 1. Harvest finished pool trials.
-            for key in list(in_flight):
-                handle = in_flight[key]
-                if not handle.ready():
-                    continue
-                del in_flight[key]
-                try:
-                    record = handle.get()
-                except BaseException:
-                    resolved.release(key, owner=owner)
-                    raise
-                _finish(key, record)
-                moved = True
-            # 2. Claim and dispatch up to capacity.
-            while queue and len(in_flight) < capacity:
+            # 1. Claim and dispatch up to ``workers`` trials in flight.
+            while queue and len(in_flight) < workers:
                 key = queue.popleft()
                 if _REC.enabled:
                     t0 = _REC.now_ns()
@@ -1427,33 +1367,48 @@ def run_trials(
                     claim = resolved.claim(key, lease=lease_seconds, owner=owner)
                 if claim.done:
                     _replay(key, claim.record)
-                    moved = True
-                elif claim.acquired:
-                    spec = specs[indices_by_key[key][0]]
-                    if pool is not None:
-                        in_flight[key] = pool.apply_async(run_trial, (spec,))
-                    else:
-                        try:
-                            record = run_trial(spec)
-                        except BaseException:
-                            resolved.release(key, owner=owner)
-                            raise
-                        _finish(key, record)
-                    moved = True
-                else:
+                elif not claim.acquired:
                     deferred.append(key)
-            # 3. Nothing moved: wait for in-flight trials or foreign leases
-            #    (which either complete -> done, or expire -> acquired).
-            if not moved and (deferred or in_flight):
+                elif pool is None:
+                    in_flight[key] = None
+                    _finish(key, run_trial(specs[indices_by_key[key][0]]))
+                else:
+                    in_flight[key] = pool.apply_async(
+                        run_trial,
+                        (specs[indices_by_key[key][0]],),
+                        callback=lambda _result, key=key: completed.put(key),
+                        error_callback=lambda _error, key=key: completed.put(key),
+                    )
+            # 2. Wait for the next pool completion (re-polling deferred keys
+            #    every poll_interval), or, with nothing in flight, sleep
+            #    while foreign leases either complete or expire.
+            if in_flight:
+                try:
+                    key = completed.get(
+                        timeout=poll_interval if deferred else None
+                    )
+                except Empty:
+                    pass
+                else:
+                    _finish(key, in_flight[key].get())
+            elif deferred:
                 time.sleep(poll_interval)
+            if not queue:
                 queue.extend(deferred)
                 deferred.clear()
     finally:
-        if pool is not None:
-            pool.terminate()
-            pool.join()
-        if _REC.enabled:
-            _REC.flush_spool()
+        # Hand back the leases of trials that will never be appended (one
+        # raised, or the driver was interrupted), so a resumed sweep claims
+        # them at once instead of waiting out the lease.
+        try:
+            for key in in_flight:
+                resolved.release(key, owner=owner)
+        finally:
+            if pool is not None:
+                pool.terminate()
+                pool.join()
+            if _REC.enabled:
+                _REC.flush_spool()
 
     return SweepOutcome(
         records=records,

@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.analysis.error_bounds import final_error_probability
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.parameters import ProtocolParameters
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError
 from repro.harness.reporting import format_table
 from repro.protocols.approximate_counting import (
@@ -41,6 +42,16 @@ class TableResult:
     headers: tuple[str, ...]
     rows: tuple[tuple, ...]
     text: str
+
+
+def _run_log_size(population_size, params, seed, time_budget_factor):
+    """One Log-Size-Estimation run on the vector engine: ``(simulator, result)``."""
+    simulator = VectorSimulator(LogSizeVectorProtocol(params), population_size, seed=seed)
+    outcome = simulator.run_until_done(
+        max_parallel_time=time_budget_factor
+        * expected_convergence_time(population_size, params)
+    )
+    return simulator, outcome
 
 
 def accuracy_table(
@@ -64,14 +75,11 @@ def accuracy_table(
     for size_index, population_size in enumerate(population_sizes):
         errors = []
         for run_index in range(runs_per_size):
-            simulator = ArrayLogSizeSimulator(
-                population_size=population_size,
-                params=params,
-                seed=spawn_seed(base_seed, size_index, run_index),
-            )
-            outcome = simulator.run_until_done(
-                max_parallel_time=time_budget_factor
-                * expected_convergence_time(population_size, params)
+            _, outcome = _run_log_size(
+                population_size,
+                params,
+                spawn_seed(base_seed, size_index, run_index),
+                time_budget_factor,
             )
             if outcome.converged:
                 errors.append(outcome.max_additive_error)
@@ -108,23 +116,20 @@ def state_complexity_table(
     )
     rows = []
     for size_index, population_size in enumerate(population_sizes):
-        simulator = ArrayLogSizeSimulator(
-            population_size=population_size,
-            params=params,
-            seed=spawn_seed(base_seed, size_index),
-        )
-        simulator.run_until_done(
-            max_parallel_time=time_budget_factor
-            * expected_convergence_time(population_size, params)
+        simulator, outcome = _run_log_size(
+            population_size,
+            params,
+            spawn_seed(base_seed, size_index),
+            time_budget_factor,
         )
         rows.append(
             (
                 population_size,
-                simulator._max_log_size2,
-                simulator._max_epoch,
-                simulator._max_time,
-                simulator._max_gr,
-                simulator.distinct_state_bound(),
+                simulator.fields.max_observed("log_size2"),
+                simulator.fields.max_observed("epoch"),
+                simulator.fields.max_observed("time"),
+                simulator.fields.max_observed("gr"),
+                outcome.distinct_state_bound,
                 math.log2(population_size) ** 4,
             )
         )
@@ -179,14 +184,11 @@ def baseline_comparison_table(
         for run_index in range(runs_per_size):
             # Arm 1 of the comparison; the 4-part spawn key keeps the
             # baseline (arm 0) and paper-protocol streams disjoint.
-            simulator = ArrayLogSizeSimulator(
-                population_size=population_size,
-                params=params,
-                seed=spawn_seed(base_seed, size_index, run_index, 1),
-            )
-            outcome = simulator.run_until_done(
-                max_parallel_time=time_budget_factor
-                * expected_convergence_time(population_size, params)
+            _, outcome = _run_log_size(
+                population_size,
+                params,
+                spawn_seed(base_seed, size_index, run_index, 1),
+                time_budget_factor,
             )
             if outcome.converged:
                 paper_errors.append(outcome.max_additive_error)

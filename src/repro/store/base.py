@@ -1,8 +1,7 @@
 """The result-store abstraction: claim-based, resume-anywhere sweep storage.
 
-The sweep harness historically persisted finished trials in one local JSONL
-file (:class:`~repro.harness.cache.ResultCache`), written by a single driver
-process.  Distributed sweeps need the storage layer to do more: *many*
+A single driver can persist finished trials in one local JSONL file.
+Distributed sweeps need the storage layer to do more: *many*
 drivers on many hosts share one store, each repeatedly claiming the next
 unowned trial, running it, and appending the record — so duplicated work is
 structurally impossible rather than merely unlikely, and a sweep resumes
@@ -27,8 +26,8 @@ core operations:
     Point lookup and batch which-of-these-are-missing, used by drivers to
     replay finished trials without claiming them.
 
-Three implementations ship: :class:`~repro.store.jsonl.JsonlStore` (the
-backwards-compatible single-driver wrapper of ``ResultCache``),
+Three implementations ship: :class:`~repro.store.jsonl.JsonlStore` (one
+JSONL file per sweep, or memory alone, for a single driver),
 :class:`~repro.store.sqlite.SqliteStore` (WAL-mode SQLite, safe for many
 processes on one host) and :class:`~repro.store.http.HttpStore` (thin
 client of ``repro store serve``, for many hosts).
@@ -43,6 +42,7 @@ spec must hit regardless of which store serves it, so every
 from __future__ import annotations
 
 import abc
+import math
 import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -66,6 +66,8 @@ __all__ = [
     "WorkloadStats",
     "default_owner",
     "parse_store_url",
+    "record_from_dict",
+    "record_to_dict",
     "workload_label",
 ]
 
@@ -178,6 +180,67 @@ def workload_label(record: RunRecord) -> str:
     return str(engine)
 
 
+def _canonicalise(value):
+    """Make ``value`` strict-JSON-able: non-finite floats become ``None``.
+
+    Numpy scalars are unwrapped first (``.item()``), containers are walked
+    recursively, and anything else non-JSON-native is stringified.
+    """
+    item = getattr(value, "item", None)
+    if callable(item) and not isinstance(value, (int, float, str, bool)):
+        value = item()
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _canonicalise(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonicalise(entry) for entry in value]
+    if value is None or isinstance(value, (int, str, bool)):
+        return value
+    return str(value)
+
+
+def record_to_dict(record: RunRecord) -> dict:
+    """Serialise a :class:`RunRecord` to plain, strict-JSON-able data.
+
+    Every store persists records in this form.  Non-finite floats anywhere
+    in the record — the top-level ``max_additive_error`` (``NaN`` where not
+    applicable, ``inf`` for a non-converged trial with no estimates) as well
+    as values nested inside ``extra`` — are mapped to ``None``: the
+    ``Infinity`` / ``NaN`` tokens Python's ``json`` would otherwise emit are
+    not JSON and break strict parsers (``jq``, other languages).
+    """
+    return {
+        "population_size": int(record.population_size),
+        "seed": int(record.seed),
+        "converged": bool(record.converged),
+        "convergence_time": _canonicalise(
+            None if record.convergence_time is None else float(record.convergence_time)
+        ),
+        "max_additive_error": _canonicalise(record.max_additive_error),
+        "extra": _canonicalise(record.extra),
+    }
+
+
+def record_from_dict(payload: dict) -> RunRecord:
+    """Rebuild a :class:`RunRecord` from :func:`record_to_dict` output.
+
+    A ``null`` ``max_additive_error`` loads as ``NaN`` — that covers both
+    sources of a ``null`` on disk (a ``NaN`` "not applicable" and the ``inf``
+    of a non-converged trial; the distinction is recoverable from
+    ``converged``).  ``null`` values nested in ``extra`` stay ``None``.
+    """
+    error = payload.get("max_additive_error")
+    return RunRecord(
+        population_size=payload["population_size"],
+        seed=payload["seed"],
+        converged=payload["converged"],
+        convergence_time=payload["convergence_time"],
+        max_additive_error=math.nan if error is None else error,
+        extra=payload.get("extra", {}),
+    )
+
+
 def default_owner() -> str:
     """Host-unique worker identity used as the default lease owner."""
     return f"{os.uname().nodename}:{os.getpid()}"
@@ -281,7 +344,7 @@ class ResultStore(abc.ABC):
       (crashed worker); expiry makes the key claimable again, never lost.
     * Records are exactly the driver's :class:`RunRecord` values — the
       store layer neither inspects nor rewrites them beyond the JSON
-      canonicalisation the JSONL cache always applied.
+      canonicalisation of :func:`record_to_dict`.
     """
 
     #: Default lease duration for claims when the caller passes none.

@@ -2,7 +2,7 @@
 
 Every :class:`~repro.store.base.ResultStore` method maps to one request
 against the server in :mod:`repro.store.server`; records cross the wire in
-the exact :func:`record_to_dict` JSON the JSONL cache writes, so results
+the exact :func:`record_to_dict` JSON every store writes, so results
 fetched over HTTP are bit-identical to local ones.  The client holds no
 state beyond the base URL — all coordination lives in the server's
 SqliteStore — so any number of clients on any number of hosts are safe.
@@ -15,7 +15,6 @@ import urllib.error
 import urllib.request
 from urllib.parse import quote
 
-from repro.harness.cache import record_from_dict, record_to_dict
 from repro.harness.results import RunRecord
 from repro.obs.recorder import RECORDER as _REC
 from repro.store.base import (
@@ -27,6 +26,8 @@ from repro.store.base import (
     StoreStatus,
     WorkloadStats,
     default_owner,
+    record_from_dict,
+    record_to_dict,
 )
 
 __all__ = ["HttpStore"]

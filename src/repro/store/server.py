@@ -19,8 +19,8 @@ Endpoints::
     POST /release           {"key", "owner"?} -> {"ok": true}
     POST /pending           {"keys": [...]} -> {"pending": [...]}
 
-Records cross the wire in the exact :func:`record_to_dict` JSON form the
-JSONL cache writes, so an HTTP round-trip is bit-identical to a local one.
+Records cross the wire in the exact :func:`record_to_dict` JSON form every
+store writes, so an HTTP round-trip is bit-identical to a local one.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
-from repro.harness.cache import record_from_dict, record_to_dict
-from repro.store.base import DEFAULT_LEASE_SECONDS
+from repro.store.base import DEFAULT_LEASE_SECONDS, record_from_dict, record_to_dict
 from repro.store.sqlite import SqliteStore
 
 __all__ = ["StoreServer", "serve_store"]

@@ -4,7 +4,7 @@ One database file, two tables:
 
 ``results(key, record, workload, interactions, wall_seconds, appended_at)``
     Append-only finished trials.  ``record`` is the exact strict-JSON
-    serialisation the JSONL cache writes (:func:`record_to_dict`), so the
+    serialisation every store writes (:func:`record_to_dict`), so the
     record round-trips bit-identically; the remaining columns are *store
     metadata* (denormalised for status reports) and never flow back into
     the record.
@@ -33,7 +33,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.harness.cache import record_from_dict, record_to_dict
 from repro.harness.results import RunRecord
 from repro.obs.recorder import RECORDER as _REC
 from repro.store.base import (
@@ -47,6 +46,8 @@ from repro.store.base import (
     StoreError,
     StoreStatus,
     default_owner,
+    record_from_dict,
+    record_to_dict,
     workload_label,
 )
 

@@ -1,4 +1,5 @@
-"""Tests for the vectorised (numpy) simulator and its agreement with the reference engine."""
+"""Tests for the vectorised Log-Size-Estimation kernel on the vector engine,
+and its agreement with the reference engine."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import math
 import pytest
 
 from repro.core.array_simulator import (
-    ArrayLogSizeSimulator,
+    LogSizeVectorProtocol,
     expected_convergence_time,
 )
 from repro.core.log_size_estimation import (
@@ -17,16 +18,21 @@ from repro.core.log_size_estimation import (
 )
 from repro.core.parameters import ProtocolParameters
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError, SimulationError
+
+
+def log_size_simulator(n, params=None, seed=None):
+    return VectorSimulator(LogSizeVectorProtocol(params), n, seed=seed)
 
 
 class TestBasics:
     def test_rejects_tiny_population(self):
         with pytest.raises(SimulationError):
-            ArrayLogSizeSimulator(1)
+            log_size_simulator(1)
 
     def test_round_accounting(self, fast_params):
-        simulator = ArrayLogSizeSimulator(100, params=fast_params, seed=1)
+        simulator = log_size_simulator(100, params=fast_params, seed=1)
         for _ in range(10):
             simulator.run_round()
         assert simulator.rounds == 10
@@ -39,16 +45,16 @@ class TestBasics:
         )
 
     def test_timeout_behaviour(self, fast_params):
-        simulator = ArrayLogSizeSimulator(64, params=fast_params, seed=2)
+        simulator = log_size_simulator(64, params=fast_params, seed=2)
         result = simulator.run_until_done(max_parallel_time=1.0)
         assert not result.converged
         with pytest.raises(ConvergenceError):
-            ArrayLogSizeSimulator(64, params=fast_params, seed=2).run_until_done(
+            log_size_simulator(64, params=fast_params, seed=2).run_until_done(
                 max_parallel_time=1.0, raise_on_timeout=True
             )
 
     def test_result_dictionary_round_trip(self, fast_params):
-        simulator = ArrayLogSizeSimulator(64, params=fast_params, seed=3)
+        simulator = log_size_simulator(64, params=fast_params, seed=3)
         result = simulator.run_until_done(max_parallel_time=5_000)
         data = result.as_dict()
         assert data["population_size"] == 64
@@ -59,7 +65,7 @@ class TestConvergence:
     @pytest.fixture(scope="class")
     def result(self):
         params = ProtocolParameters.fast_test()
-        simulator = ArrayLogSizeSimulator(256, params=params, seed=5)
+        simulator = log_size_simulator(256, params=params, seed=5)
         return simulator.run_until_done(
             max_parallel_time=6 * expected_convergence_time(256, params)
         )
@@ -87,7 +93,7 @@ class TestConvergence:
         params = ProtocolParameters.fast_test()
         outcomes = []
         for _ in range(2):
-            simulator = ArrayLogSizeSimulator(128, params=params, seed=9)
+            simulator = log_size_simulator(128, params=params, seed=9)
             outcomes.append(
                 simulator.run_until_done(max_parallel_time=5_000).convergence_time
             )
@@ -107,7 +113,7 @@ class TestExactConvergenceDetection:
     def test_detection_is_exact_to_the_round(self, fast_params):
         n, seed = 96, 13
         # Ground truth: step round by round and record the first all-done round.
-        manual = ArrayLogSizeSimulator(n, params=fast_params, seed=seed)
+        manual = log_size_simulator(n, params=fast_params, seed=seed)
         while not manual.all_done():
             manual.run_round()
         exact_rounds = manual.rounds
@@ -115,7 +121,7 @@ class TestExactConvergenceDetection:
         # multiple of check_every_rounds (this seed converges at a round
         # that is not such a multiple, so quantised detection would differ).
         assert exact_rounds % 64 != 0
-        driver = ArrayLogSizeSimulator(n, params=fast_params, seed=seed)
+        driver = log_size_simulator(n, params=fast_params, seed=seed)
         result = driver.run_until_done(max_parallel_time=5_000, check_every_rounds=64)
         assert result.converged
         assert result.rounds == exact_rounds
@@ -126,7 +132,7 @@ class TestExactConvergenceDetection:
     def test_detection_independent_of_range_sampling_cadence(self, fast_params):
         times = []
         for cadence in (1, 7, 64, 1000):
-            simulator = ArrayLogSizeSimulator(64, params=fast_params, seed=3)
+            simulator = log_size_simulator(64, params=fast_params, seed=3)
             result = simulator.run_until_done(
                 max_parallel_time=5_000, check_every_rounds=cadence
             )
@@ -135,11 +141,11 @@ class TestExactConvergenceDetection:
         assert len(set(times)) == 1
 
     def test_ranges_still_sampled_for_state_table(self, fast_params):
-        simulator = ArrayLogSizeSimulator(64, params=fast_params, seed=3)
+        simulator = log_size_simulator(64, params=fast_params, seed=3)
         simulator.run_until_done(max_parallel_time=5_000)
-        assert simulator._max_log_size2 >= 1
-        assert simulator._max_time > 0
-        assert simulator.distinct_state_bound() > 1
+        assert simulator.fields.max_observed("log_size2") >= 1
+        assert simulator.fields.max_observed("time") > 0
+        assert simulator.protocol.distinct_state_bound(simulator.fields) > 1
 
 
 class TestCrossEngineAgreement:
@@ -149,7 +155,7 @@ class TestCrossEngineAgreement:
         params = ProtocolParameters.fast_test()
         n, seed = 96, 21
 
-        array_result = ArrayLogSizeSimulator(n, params=params, seed=seed).run_until_done(
+        array_result = log_size_simulator(n, params=params, seed=seed).run_until_done(
             max_parallel_time=5_000
         )
 
@@ -167,7 +173,7 @@ class TestCrossEngineAgreement:
         params = ProtocolParameters.fast_test()
         n = 96
         array_time = (
-            ArrayLogSizeSimulator(n, params=params, seed=31)
+            log_size_simulator(n, params=params, seed=31)
             .run_until_done(max_parallel_time=5_000)
             .convergence_time
         )
@@ -185,7 +191,7 @@ class TestCrossEngineAgreement:
         params = ProtocolParameters.fast_test()
         times = {}
         for n in (64, 1024):
-            result = ArrayLogSizeSimulator(n, params=params, seed=7).run_until_done(
+            result = log_size_simulator(n, params=params, seed=7).run_until_done(
                 max_parallel_time=8 * expected_convergence_time(n, params)
             )
             assert result.converged

@@ -49,7 +49,8 @@ class TestRunners:
         assert len(sweep.records) == 4
         assert sweep.population_sizes() == [64, 128]
         assert all(record.converged for record in sweep.records)
-        assert all(record.extra["engine"] == "array" for record in sweep.records)
+        assert all(record.extra["engine"] == "vector" for record in sweep.records)
+        assert all(record.extra["protocol"] == "figure2" for record in sweep.records)
 
     def test_sequential_experiment_produces_records(self):
         spec = ExperimentSpec(

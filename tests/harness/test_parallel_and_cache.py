@@ -1,8 +1,9 @@
-"""Tests for the parallel sweep driver, seed spawning and the result cache."""
+"""Tests for the parallel sweep driver, seed spawning and the JSONL store."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -10,7 +11,6 @@ import pytest
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
-from repro.harness.cache import ResultCache, record_from_dict, record_to_dict
 from repro.harness.experiment import (
     ExperimentSpec,
     run_array_experiment,
@@ -28,10 +28,28 @@ from repro.harness.parallel import (
 )
 from repro.harness.results import RunRecord, records_equal
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.protocols.leader_election import (
+    FiniteStateCounterTermination,
+    termination_signal_predicate,
+)
 from repro.rng import spawn_seed
 from repro.staticcheck.contracts import trial_spec_perturbations
+from repro.store.base import record_from_dict, record_to_dict
+from repro.store.jsonl import JsonlStore
 
 FAST = ProtocolParameters.fast_test()
+
+
+def never_converges(simulator) -> bool:
+    return False
+
+
+def counter_threshold_2():
+    return FiniteStateCounterTermination(counter_threshold=2)
+
+
+def counter_threshold_12():
+    return FiniteStateCounterTermination(counter_threshold=12)
 
 
 def epidemic_trials(sizes=(64, 128), runs=2, **overrides):
@@ -141,9 +159,6 @@ class TestTrialSpecValidation:
     def test_explicit_predicate_overrides_workload(self):
         # A workload name fills in missing callables but never shadows
         # explicitly supplied ones.
-        def never_converges(simulator) -> bool:
-            return False
-
         spec = TrialSpec(
             kind=KIND_FINITE_STATE,
             population_size=64,
@@ -157,6 +172,63 @@ class TestTrialSpecValidation:
         assert factory is EpidemicProtocol
         assert predicate is never_converges
         assert not run_trial(spec).converged
+
+
+class TestCallableKeys:
+    """Callables key a trial by ``module:qualname``, so that name must import
+    back to the callable: otherwise two different callables share a key and
+    one sweep replays the other's records."""
+
+    @pytest.mark.parametrize(
+        "factory",
+        [
+            functools.partial(FiniteStateCounterTermination, counter_threshold=2),
+            lambda: FiniteStateCounterTermination(counter_threshold=2),
+        ],
+        ids=["partial", "lambda"],
+    )
+    def test_factory_without_an_importable_name_is_rejected(self, factory):
+        with pytest.raises(SimulationError, match="does not import back"):
+            build_finite_state_trials(
+                [64],
+                1,
+                protocol_factory=factory,
+                predicate=termination_signal_predicate,
+            )
+
+    def test_closure_predicate_is_rejected(self):
+        def local_predicate(simulator) -> bool:
+            return False
+
+        with pytest.raises(SimulationError, match="module-level function"):
+            TrialSpec(
+                kind=KIND_FINITE_STATE,
+                population_size=64,
+                size_index=0,
+                run_index=0,
+                protocol="epidemic",
+                predicate=local_predicate,
+            )
+
+    def test_named_factories_do_not_share_records_through_a_store(self, tmp_path):
+        def sweep(factory):
+            return build_finite_state_trials(
+                [64],
+                1,
+                engine="count",
+                base_seed=3,
+                max_parallel_time=50.0,
+                protocol_factory=factory,
+                predicate=termination_signal_predicate,
+            )
+
+        store = JsonlStore(tmp_path)
+        low = run_trials(sweep(counter_threshold_2), store=store)
+        high = run_trials(sweep(counter_threshold_12), store=store)
+        alone = run_trials(sweep(counter_threshold_12))
+        assert (low.executed, high.executed) == (1, 1)
+        assert records_equal(high.records[0], alone.records[0])
+        assert high.records[0].convergence_time > low.records[0].convergence_time
 
 
 class TestParallelMatchesSerial:
@@ -228,16 +300,14 @@ class TestParallelMatchesSerial:
             run_trials(epidemic_trials(), workers=0)
 
 
-class TestResultCache:
+class TestJsonlResume:
     def test_round_trip_preserves_records(self, tmp_path):
         specs = epidemic_trials()
-        cache = ResultCache(tmp_path)
-        first = run_trials(specs, cache=cache)
+        first = run_trials(specs, store=JsonlStore(tmp_path))
         assert first.executed == len(specs)
         assert first.from_cache == 0
 
-        reloaded = ResultCache(tmp_path)
-        second = run_trials(specs, cache=reloaded)
+        second = run_trials(specs, store=JsonlStore(tmp_path))
         assert second.executed == 0
         assert second.from_cache == len(specs)
         assert all(
@@ -247,20 +317,20 @@ class TestResultCache:
 
     def test_killed_sweep_resumes_from_cache(self, tmp_path):
         specs = epidemic_trials()
-        cache = ResultCache(tmp_path)
-        full = run_trials(specs, cache=cache)
+        store = JsonlStore(tmp_path)
+        full = run_trials(specs, store=store)
 
         # Simulate a sweep killed after two finished trials: keep only the
-        # first two cache lines (plus a torn partial third line).
-        lines = cache.path.read_text(encoding="utf-8").splitlines()
-        cache.path.write_text(
+        # first two store lines (plus a torn partial third line).
+        lines = store.path.read_text(encoding="utf-8").splitlines()
+        store.path.write_text(
             "\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2],
             encoding="utf-8",
         )
 
-        resumed_cache = ResultCache(tmp_path)
-        assert len(resumed_cache) == 2
-        resumed = run_trials(specs, cache=resumed_cache)
+        resumed_store = JsonlStore(tmp_path)
+        assert resumed_store.status().completed == 2
+        resumed = run_trials(specs, store=resumed_store)
         assert resumed.from_cache == 2
         assert resumed.executed == len(specs) - 2
         assert all(
@@ -270,9 +340,8 @@ class TestResultCache:
 
     def test_parallel_resume_matches_serial(self, tmp_path):
         specs = epidemic_trials()
-        cache = ResultCache(tmp_path)
-        run_trials(specs[:1], cache=cache)
-        outcome = run_trials(specs, workers=4, cache=ResultCache(tmp_path))
+        run_trials(specs[:1], store=JsonlStore(tmp_path))
+        outcome = run_trials(specs, workers=4, store=JsonlStore(tmp_path))
         assert outcome.from_cache == 1
         assert outcome.executed == len(specs) - 1
         baseline = run_trials(specs)
@@ -296,20 +365,20 @@ class TestResultCache:
         assert records_equal(record, clone)
 
     def test_caches_are_shareable_across_sweeps(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_trials(epidemic_trials(sizes=[64], runs=1), cache=cache)
+        store = JsonlStore(tmp_path)
+        run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
         other = run_trials(
-            epidemic_trials(sizes=[64], runs=1, engine="batched"), cache=cache
+            epidemic_trials(sizes=[64], runs=1, engine="batched"), store=store
         )
         assert other.executed == 1  # different engine -> different key
 
     def test_clear_empties_store_and_file(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_trials(epidemic_trials(sizes=[64], runs=1), cache=cache)
-        assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert not cache.path.exists()
+        store = JsonlStore(tmp_path)
+        run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
+        assert store.status().completed == 1
+        store.clear()
+        assert store.status().completed == 0
+        assert not store.path.exists()
 
 
 class TestCacheKeys:
@@ -341,9 +410,11 @@ class TestCacheKeys:
         spec = ExperimentSpec(
             population_sizes=[48], runs_per_size=1, params=FAST, base_seed=3
         )
-        array_trial = spec.trials("array", "array")[0]
         sequential_trial = spec.trials("sequential", "sequential")[0]
-        assert array_trial.cache_key() != sequential_trial.cache_key()
+        vector_trial = dataclasses.replace(
+            sequential_trial, kind="vector", engine="vector", protocol="figure2"
+        )
+        assert vector_trial.cache_key() != sequential_trial.cache_key()
         moderate = ExperimentSpec(
             population_sizes=[48],
             runs_per_size=1,
@@ -351,8 +422,8 @@ class TestCacheKeys:
             base_seed=3,
         )
         assert (
-            moderate.trials("array", "array")[0].cache_key()
-            != array_trial.cache_key()
+            moderate.trials("sequential", "sequential")[0].cache_key()
+            != sequential_trial.cache_key()
         )
 
 
@@ -386,16 +457,14 @@ class TestNonFiniteSerialisation:
         assert payload["extra"]["ok"] == 3
         json.dumps(payload, allow_nan=False)  # must not raise
 
-    def test_non_converged_array_trial_round_trips_strict_json(self, tmp_path):
-        spec = TrialSpec(
-            kind="array",
-            population_size=64,
-            size_index=0,
-            run_index=0,
-            base_seed=1,
-            engine="array",
-            max_parallel_time=0.5,  # far too small: the trial cannot converge
+    def test_non_converged_figure2_trial_round_trips_strict_json(self, tmp_path):
+        (spec,) = build_vector_trials(
+            [64],
+            1,
+            protocol="figure2",
             params=FAST,
+            base_seed=1,
+            max_parallel_time=0.5,  # far too small: the trial cannot converge
         )
         record = run_trial(spec)
         assert not record.converged
@@ -405,15 +474,15 @@ class TestNonFiniteSerialisation:
         assert math.isinf(record.max_additive_error)
         assert math.isnan(record.extra["final_estimate_mean"])
 
-        cache = ResultCache(tmp_path, name="nonfinite")
-        cache.put(spec.cache_key(), record)
-        text = cache.path.read_text(encoding="utf-8")
+        store = JsonlStore(tmp_path, name="nonfinite")
+        store.append(spec.cache_key(), record)
+        text = store.path.read_text(encoding="utf-8")
         assert "Infinity" not in text
         assert "NaN" not in text
         for line in text.splitlines():
             json.loads(line, parse_constant=_reject_constant)  # strict parse
 
-        reloaded = ResultCache(tmp_path, name="nonfinite").get(spec.cache_key())
+        reloaded = JsonlStore(tmp_path, name="nonfinite").get(spec.cache_key())
         assert reloaded is not None
         assert reloaded.converged is False
         assert math.isnan(reloaded.max_additive_error)
@@ -425,10 +494,10 @@ class TestVectorSweeps:
         specs = build_vector_trials(
             [64], 2, protocol="figure2", params=FAST, base_seed=9
         )
-        first = run_trials(specs, cache=ResultCache(tmp_path, name="vec"))
+        first = run_trials(specs, store=JsonlStore(tmp_path, name="vec"))
         assert first.executed == 2
         assert all(record.converged for record in first.records)
-        second = run_trials(specs, cache=ResultCache(tmp_path, name="vec"))
+        second = run_trials(specs, store=JsonlStore(tmp_path, name="vec"))
         assert second.executed == 0
         assert second.from_cache == 2
         for live, cached in zip(first.records, second.records):
@@ -538,8 +607,7 @@ class TestSchedulerInSpecsAndCacheKeys:
         """A cache warmed by a uniform-scheduler sweep must execute (not
         replay) every trial of the same sweep under a non-uniform scheduler."""
         uniform = epidemic_trials(sizes=[64], runs=2, engine="agent")
-        cache = ResultCache(tmp_path)
-        first = run_trials(uniform, cache=cache)
+        first = run_trials(uniform, store=JsonlStore(tmp_path))
         assert first.executed == 2
 
         weighted = build_finite_state_trials(
@@ -553,11 +621,11 @@ class TestSchedulerInSpecsAndCacheKeys:
             scheduler="weighted",
             scheduler_options={"lazy_fraction": 0.5, "lazy_rate": 0.2},
         )
-        outcome = run_trials(weighted, cache=ResultCache(tmp_path))
+        outcome = run_trials(weighted, store=JsonlStore(tmp_path))
         assert outcome.from_cache == 0
         assert outcome.executed == 2
         # And the non-uniform results themselves replay on a second pass.
-        replay = run_trials(weighted, cache=ResultCache(tmp_path))
+        replay = run_trials(weighted, store=JsonlStore(tmp_path))
         assert replay.from_cache == 2
         for live, cached in zip(outcome.records, replay.records):
             assert records_equal(live, cached)
@@ -775,7 +843,7 @@ class TestCRNCacheKeys:
         )
 
     def test_cached_crn_trial_not_served_for_different_rate(self, tmp_path):
-        """End to end through the ResultCache: a cached slow-network trial
+        """End to end through the JSONL store: a cached slow-network trial
         must be re-executed, not replayed, when the rate constant changes."""
         from repro.harness.parallel import build_crn_trials
         from repro.crn import CRN
@@ -794,12 +862,12 @@ class TestCRNCacheKeys:
                 max_chemical_time=500.0,
             )
 
-        cache = ResultCache(tmp_path, name="crn-rates")
-        first = run_trials(trials(1.0), cache=cache)
+        store = JsonlStore(tmp_path, name="crn-rates")
+        first = run_trials(trials(1.0), store=store)
         assert (first.executed, first.from_cache) == (2, 0)
-        replay = run_trials(trials(1.0), cache=cache)
+        replay = run_trials(trials(1.0), store=store)
         assert (replay.executed, replay.from_cache) == (0, 2)
-        changed = run_trials(trials(2.0), cache=cache)
+        changed = run_trials(trials(2.0), store=store)
         assert (changed.executed, changed.from_cache) == (2, 0)
         # The single duel reaction normalises to per-interaction probability
         # 1 under either rate constant, so the parallel-time trajectory is
@@ -811,11 +879,11 @@ class TestCRNCacheKeys:
             )
 
     def test_crn_records_round_trip_through_the_cache_file(self, tmp_path):
-        cache = ResultCache(tmp_path, name="crn-roundtrip")
+        store = JsonlStore(tmp_path, name="crn-roundtrip")
         spec = self._leader_spec()
         record = run_trial(spec)
-        cache.put(spec.cache_key(), record)
-        reloaded = ResultCache(tmp_path, name="crn-roundtrip")
+        store.append(spec.cache_key(), record)
+        reloaded = JsonlStore(tmp_path, name="crn-roundtrip")
         cached = reloaded.get(spec.cache_key())
         assert records_equal(cached, record)
         assert cached.extra["counts"] == {"F": 59, "L": 1}

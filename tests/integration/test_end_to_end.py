@@ -13,7 +13,7 @@ import math
 
 import pytest
 
-from repro.core.array_simulator import ArrayLogSizeSimulator, expected_convergence_time
+from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.composition import RestartComposition, stage_signal_reached
 from repro.core.leader_terminating import (
     LeaderTerminatingSizeEstimation,
@@ -27,6 +27,7 @@ from repro.core.log_size_estimation import (
 from repro.core.parameters import ProtocolParameters
 from repro.core.synthetic_coin import SyntheticCoinLogSizeEstimation, all_workers_done
 from repro.engine.simulator import Simulation
+from repro.engine.vector import VectorSimulator
 from repro.protocols.approximate_counting import AlistarhApproximateCounting
 from repro.protocols.leader_election import NonuniformCounterLeaderElection
 from repro.termination.definitions import TerminationSpec
@@ -47,9 +48,9 @@ class TestAllVariantsAgree:
         simulation.run_until(all_agents_done, max_parallel_time=50_000)
         estimates["sequential"] = estimate_error(simulation)["mean_estimate"]
 
-        array_result = ArrayLogSizeSimulator(self.N, params=self.FAST, seed=1).run_until_done(
-            max_parallel_time=5_000
-        )
+        array_result = VectorSimulator(
+            LogSizeVectorProtocol(self.FAST), self.N, seed=1
+        ).run_until_done(max_parallel_time=5_000)
         estimates["array"] = array_result.final_estimate_mean
 
         coin = Simulation(SyntheticCoinLogSizeEstimation(self.FAST), self.N, seed=1)
@@ -151,7 +152,7 @@ class TestPaperConstants:
         """
         params = ProtocolParameters.paper()
         n = 512
-        simulator = ArrayLogSizeSimulator(n, params=params, seed=2019)
+        simulator = VectorSimulator(LogSizeVectorProtocol(params), n, seed=2019)
         result = simulator.run_until_done(
             max_parallel_time=4 * expected_convergence_time(n, params)
         )

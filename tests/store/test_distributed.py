@@ -54,6 +54,10 @@ class ProbedEpidemic(EpidemicProtocol):
                 os.close(descriptor)
 
 
+def exploding_protocol():
+    raise RuntimeError("trial failed on purpose")
+
+
 def probed_specs():
     return build_finite_state_trials(
         population_sizes=[30, 40, 50],
@@ -237,3 +241,30 @@ class TestPoolDriversShareStores:
             records_equal(left, right)
             for left, right in zip(serial.records, outcome.records)
         )
+
+
+class TestRaisingTrialReleasesLeases:
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_lease_outlives_the_raise(self, tmp_path, workers):
+        # The failing trial goes first, so with a pool it raises while the
+        # slower trial dispatched beside it is still running: the driver
+        # must hand back both leases, or a resumed sweep waits them out.
+        exploding = build_finite_state_trials(
+            population_sizes=[30],
+            runs_per_size=1,
+            protocol_factory=exploding_protocol,
+            predicate=epidemic_completion_predicate,
+            engine="count",
+        )
+        slow = build_finite_state_trials(
+            population_sizes=[5000],
+            runs_per_size=3,
+            protocol="epidemic",
+            engine="count",
+        )
+        db_path = tmp_path / "db.sqlite"
+        with pytest.raises(RuntimeError, match="on purpose"):
+            run_trials(exploding + slow, workers=workers, store=f"sqlite:{db_path}")
+        with SqliteStore(db_path) as store:
+            status = store.status()
+        assert status.leased == 0

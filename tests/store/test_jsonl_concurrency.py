@@ -1,11 +1,11 @@
-"""Concurrent-append safety of the JSONL cache (O_APPEND + advisory lock).
+"""Concurrent-append safety of the JSONL store (O_APPEND + advisory lock).
 
-The historical ``ResultCache.put`` buffered through a ``open(..., "a")``
-file object, so two processes appending simultaneously could interleave
-partial lines and corrupt *other* writers' records.  The rewritten append
-path emits each line in a single ``O_APPEND`` ``os.write`` under an
-advisory lock; this test hammers one shard file from many processes and
-requires every record to survive byte-exact.
+An append path that buffers through an ``open(..., "a")`` file object lets
+two processes appending simultaneously interleave partial lines and corrupt
+*other* writers' records.  :class:`JsonlStore` emits each line in a single
+``O_APPEND`` ``os.write`` under an advisory lock; this test hammers one
+shard file from many processes and requires every record to survive
+byte-exact.
 """
 
 from __future__ import annotations
@@ -13,15 +13,15 @@ from __future__ import annotations
 import json
 import multiprocessing
 
-from repro.harness.cache import ResultCache, append_jsonl_line
 from repro.harness.results import RunRecord
+from repro.store.jsonl import JsonlStore, append_jsonl_line
 
 WRITERS = 8
 RECORDS_PER_WRITER = 200
 
 
 def _hammer(directory: str, writer: int) -> None:
-    cache = ResultCache(directory, name="hammer")
+    store = JsonlStore(directory, name="hammer")
     for index in range(RECORDS_PER_WRITER):
         # A long-ish extra payload makes torn interleaved writes (the old
         # failure mode) overwhelmingly likely to corrupt JSON if the append
@@ -33,7 +33,7 @@ def _hammer(directory: str, writer: int) -> None:
             convergence_time=float(index),
             extra={"writer": writer, "blob": "x" * 500, "index": index},
         )
-        cache.put(f"w{writer}-r{index}", record)
+        store.append(f"w{writer}-r{index}", record)
 
 
 class TestConcurrentAppends:
@@ -59,9 +59,9 @@ class TestConcurrentAppends:
             assert payload["record"]["extra"]["blob"] == "x" * 500
         assert len(keys) == WRITERS * RECORDS_PER_WRITER
 
-        # And the cache loads every record back (no skipped torn lines).
-        reloaded = ResultCache(tmp_path, name="hammer")
-        assert len(reloaded) == WRITERS * RECORDS_PER_WRITER
+        # And the store loads every record back (no skipped torn lines).
+        reloaded = JsonlStore(tmp_path, name="hammer")
+        assert reloaded.status().completed == WRITERS * RECORDS_PER_WRITER
 
     def test_append_jsonl_line_appends_exactly_one_line(self, tmp_path):
         path = tmp_path / "lines.jsonl"

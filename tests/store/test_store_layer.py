@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.harness.cache import ResultCache
 from repro.harness.results import RunRecord, records_equal
 from repro.store import (
     CLAIM_ACQUIRED,
@@ -72,16 +71,24 @@ class TestStoreUrls:
 
 
 class TestJsonlStore:
-    def test_wraps_existing_cache_files(self, tmp_path):
-        # Records written through the legacy ResultCache are visible through
-        # the store, and vice versa — same file, same format.
-        cache = ResultCache(tmp_path, name="sweep")
-        cache.put("k1", make_record(seed=1))
+    def test_reopens_its_own_files(self, tmp_path):
+        # Records appended through one store instance are visible to the
+        # next one opened on the same directory — same file, same format.
+        JsonlStore(tmp_path, name="sweep").append("k1", make_record(seed=1))
         store = JsonlStore(tmp_path, name="sweep")
         assert records_equal(store.get("k1"), make_record(seed=1))
         store.append("k2", make_record(seed=2))
-        reloaded = ResultCache(tmp_path, name="sweep")
+        reloaded = JsonlStore(tmp_path, name="sweep")
         assert records_equal(reloaded.get("k2"), make_record(seed=2))
+
+    def test_in_memory_store_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        store = JsonlStore()
+        store.append("k", make_record())
+        assert records_equal(store.get("k"), make_record())
+        assert store.path is None
+        assert store.describe() == "jsonl:(memory)"
+        assert list(tmp_path.iterdir()) == []
 
     def test_claim_cycle(self, tmp_path):
         store = JsonlStore(tmp_path)
@@ -118,7 +125,7 @@ class TestSqliteStore:
             converged=False,
             convergence_time=None,
             max_additive_error=math.inf,
-            extra={"engine": "array", "final_estimate_mean": math.nan},
+            extra={"engine": "vector", "final_estimate_mean": math.nan},
         )
         store.append("k", record)
         loaded = store.get("k")
