@@ -18,7 +18,7 @@ Besides the pytest-benchmark entries, this module doubles as a script::
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py
 
-which sweeps the four finite-state engines over ``n = 10^3 .. 10^6``
+which sweeps the finite-state engines over ``n = 10^3 .. 10^6``
 (override with ``REPRO_ENGINE_BENCH_SIZES``) running the epidemic for
 ``REPRO_ENGINE_BENCH_TIME`` (default 20) units of parallel time each, and
 writes a ``BENCH_engines.json`` trajectory artifact so future changes can be
@@ -28,6 +28,11 @@ batched-vs-count speedup at the largest size (the PR-2 tentpole target is
 ratio to the numpy reference backend (the array-backend tentpole target is
 >= 10^8 interactions/s and >= 10x the pre-seam batched rate at
 ``n = 10^6``).
+
+Each entry times engine construction (``build_seconds``) apart from the run
+(``seconds``, the source of ``interactions_per_second``) and reports the
+end-to-end rate over both, so a construction cost cannot hide behind the
+kernel rate.
 """
 
 from __future__ import annotations
@@ -91,26 +96,32 @@ def time_epidemic_run(
     seed: int = 1,
     backend: str | None = None,
 ) -> dict:
-    """Run the epidemic for ``parallel_time`` units on ``engine``; time it.
+    """Build ``engine`` and run the epidemic for ``parallel_time`` units; time both.
 
-    Returns a JSON-friendly record with the wall-clock seconds, the executed
-    interaction count and the implied throughput.  ``backend`` selects an
-    array backend on the engines that have a backend seam (batched, vector).
+    Returns a JSON-friendly record with the engine construction seconds
+    (``build_seconds``), the run's wall-clock seconds (``seconds``), the
+    executed interaction count, the run's throughput and the end-to-end
+    throughput over construction plus run.  ``backend`` selects an array
+    backend on the engines that have a backend seam (batched, vector).
     """
+    started = time.perf_counter()
     simulator = build_engine(
         engine, EpidemicProtocol(), population_size, seed=seed, backend=backend
     )
-    started = time.perf_counter()
+    built = time.perf_counter()
     simulator.run_parallel_time(parallel_time)
-    elapsed = time.perf_counter() - started
+    finished = time.perf_counter()
+    elapsed = finished - built
     interactions = simulator.interactions
     record = {
         "engine": engine,
         "population_size": population_size,
         "parallel_time": parallel_time,
+        "build_seconds": built - started,
         "seconds": elapsed,
         "interactions": interactions,
         "interactions_per_second": interactions / elapsed if elapsed > 0 else None,
+        "end_to_end_interactions_per_second": interactions / (finished - started),
     }
     if engine in ("batched", "vector"):
         record["backend"] = simulator.backend.name
@@ -120,10 +131,21 @@ def time_epidemic_run(
     return record
 
 
+def _print_record(label: str, record: dict) -> None:
+    rate = record["interactions_per_second"]
+    rate_text = f"{rate:,.0f} interactions/s" if rate is not None else "n/a"
+    print(
+        f"  {label:>15} n={record['population_size']:>9,} : "
+        f"build {record['build_seconds']:7.3f}s, run {record['seconds']:8.3f}s "
+        f"({rate_text}; "
+        f"{record['end_to_end_interactions_per_second']:,.0f}/s end to end)"
+    )
+
+
 def run_engine_sweep(
     sizes=ENGINE_SWEEP_SIZES, parallel_time: float = PARALLEL_TIME_UNITS
 ) -> dict:
-    """Time all four finite-state engines across ``sizes``; build the artifact."""
+    """Time every finite-state engine across ``sizes``; build the artifact."""
     results = []
     jit_backends = jit_backend_names()
     for population_size in sizes:
@@ -132,25 +154,14 @@ def run_engine_sweep(
                 continue
             record = time_epidemic_run(engine, population_size, parallel_time)
             results.append(record)
-            rate = record["interactions_per_second"]
-            rate_text = f"{rate:,.0f} interactions/s" if rate is not None else "n/a"
-            print(
-                f"  {engine:>7} n={population_size:>9,} : {record['seconds']:8.3f}s "
-                f"({rate_text})"
-            )
+            _print_record(engine, record)
         # The backend dimension: the batched engine through each JIT backend.
         for backend in jit_backends:
             record = time_epidemic_run(
                 "batched", population_size, parallel_time, backend=backend
             )
             results.append(record)
-            rate = record["interactions_per_second"]
-            rate_text = f"{rate:,.0f} interactions/s" if rate is not None else "n/a"
-            label = f"batched[{backend}]"
-            print(
-                f"  {label:>15} n={population_size:>9,} : "
-                f"{record['seconds']:8.3f}s ({rate_text})"
-            )
+            _print_record(f"batched[{backend}]", record)
     by_key = {
         (r["engine"], r["population_size"], r.get("backend", "numpy")): r
         for r in results

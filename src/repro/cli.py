@@ -482,11 +482,13 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         engine_options["backend"] = args.backend
     try:
         scheduler, scheduler_options = _scheduler_from_args(args)
+        build_started = time.perf_counter()
         simulator = build_engine(
             args.engine, protocol, population_size, seed=args.seed,
             scheduler=scheduler, scheduler_options=scheduler_options,
             **engine_options,
         )
+        build_seconds = time.perf_counter() - build_started
     except SimulationError as error:
         print(f"repro profile: error: {error}", file=sys.stderr)
         return 2
@@ -519,6 +521,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
         "backend": backend_name,
         "population_size": population_size,
         "interactions": simulator.interactions,
+        "build_seconds": round(build_seconds, 4),
         "wall_seconds": round(elapsed, 4),
         "interactions_per_second": (
             round(simulator.interactions / elapsed) if elapsed > 0 else None

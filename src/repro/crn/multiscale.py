@@ -68,6 +68,7 @@ from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
     CountTracePoint,
+    initial_configuration_for,
     run_until_predicate,
     run_with_trace,
 )
@@ -107,9 +108,6 @@ _EXACT_MULTIPLE = 10.0
 _EXACT_BURST = 64
 #: Halve-and-redraw attempts before a failing leap falls back to exact.
 _MAX_LEAP_RETRIES = 8
-#: Populations above this must supply an explicit initial configuration
-#: (building one from per-agent ``initial_state`` calls would cost O(n)).
-_MAX_PER_AGENT_INIT = 10_000_000
 
 #: RK45 (Dormand–Prince) Butcher tableau.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -424,33 +422,11 @@ class MultiscaleSimulator:
             self._rng,
         )
 
-        if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
-            source = initial_configuration.counts
-        elif population_size <= _MAX_PER_AGENT_INIT:
-            source = Counter(
-                protocol.initial_state(agent_id)
-                for agent_id in range(population_size)
-            )
-        else:
-            raise SimulationError(
-                f"building an initial configuration from per-agent initial_state "
-                f"calls would cost O(n) at n={population_size}; pass "
-                f"initial_configuration explicitly (CompiledCRN.build does)"
-            )
         self._counts = np.zeros(self.system.num_species, dtype=np.float64)
-        for state, count in source.items():
-            try:
-                self._counts[self.system.index[state]] = count
-            except KeyError:
-                raise SimulationError(
-                    f"initial configuration contains state {state!r} outside "
-                    f"the protocol's state set"
-                ) from None
+        for state, count in initial_configuration_for(
+            protocol, population_size, initial_configuration, self.system.index
+        ).items():
+            self._counts[self.system.index[state]] = count
         self._seen = self._counts > 0.0
         self._ode_fractional = False
 

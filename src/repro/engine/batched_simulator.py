@@ -81,6 +81,7 @@ from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
     CountTracePoint,
+    initial_configuration_for,
     run_until_predicate,
     run_with_trace,
 )
@@ -106,9 +107,10 @@ class BatchedCountSimulator:
     seed:
         Seed for the numpy random generator; runs are reproducible per seed.
     initial_configuration:
-        Optional explicit starting configuration; its size must equal
-        ``population_size`` and every state must belong to the protocol's
-        declared state set.
+        Optional explicit starting configuration (default:
+        ``protocol.initial_configuration(population_size)``); its size must
+        equal ``population_size`` and every state must belong to the
+        protocol's declared state set.
     batch_size:
         Interactions per batch.  Defaults to ``max(1, round(sqrt(n)))``,
         which keeps the expected number of within-batch reactive collisions
@@ -155,30 +157,10 @@ class BatchedCountSimulator:
         self._rng = np.random.default_rng(seed)
         size = self.table.num_states
         self._counts = np.zeros(size, dtype=np.int64)
-        if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
-            for state, count in initial_configuration.items():
-                position = self.table.index.get(state)
-                if position is None:
-                    raise SimulationError(
-                        f"initial configuration contains state {state!r} outside "
-                        f"the protocol's state set"
-                    )
-                self._counts[position] = count
-        else:
-            for agent_id in range(population_size):
-                state = protocol.initial_state(agent_id)
-                position = self.table.index.get(state)
-                if position is None:
-                    raise SimulationError(
-                        f"protocol initial state {state!r} is outside its declared "
-                        f"state set"
-                    )
-                self._counts[position] += 1
+        for state, count in initial_configuration_for(
+            protocol, population_size, initial_configuration, self.table.index
+        ).items():
+            self._counts[self.table.index[state]] = count
         if batch_size is None:
             batch_size = max(1, round(math.sqrt(population_size)))
         elif batch_size < 1:

@@ -40,6 +40,7 @@ from typing import Callable, Hashable
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
     CountTracePoint,
+    initial_configuration_for,
     run_until_predicate,
     run_with_trace,
 )
@@ -60,14 +61,15 @@ class CountSimulator:
     protocol:
         The finite-state protocol to simulate.
     population_size:
-        Number of agents.  The initial configuration is built from
-        ``protocol.initial_state(agent_id)`` unless ``initial_configuration``
-        is supplied.
+        Number of agents.
     seed:
         Seed for the random source.
     initial_configuration:
-        Optional explicit starting configuration; its size must equal
-        ``population_size``.
+        Optional explicit starting configuration (default:
+        ``protocol.initial_configuration(population_size)``); its size must
+        equal ``population_size`` and every state must belong to the
+        protocol's declared state set.  Its key order is the order in which
+        states are sampled.
     scheduler:
         Count-level scheduling policy: a registered scheduler name or a
         :class:`~repro.engine.scheduler.SchedulerSpec`.  Defaults to
@@ -90,17 +92,9 @@ class CountSimulator:
         self.protocol = protocol
         self.population_size = population_size
         self.rng = RandomSource(seed=seed)
-        if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
-            self._counts: Counter = initial_configuration.to_counter()
-        else:
-            self._counts = Counter(
-                protocol.initial_state(agent_id) for agent_id in range(population_size)
-            )
+        self._counts: Counter = initial_configuration_for(
+            protocol, population_size, initial_configuration, set(protocol.states())
+        ).to_counter()
         self.scheduler_spec = SchedulerSpec.coerce(scheduler)
         # Raises SimulationError for per-agent policies, which cannot be
         # count-compressed; None means uniform (the exact integer fast path).

@@ -1,4 +1,4 @@
-"""Shared run-loop helpers for the count-level engines.
+"""Shared construction and run-loop helpers for the count-level engines.
 
 The three engines behind :func:`repro.engine.selection.build_engine` share a
 count-level interface (``population_size``, ``parallel_time``,
@@ -6,20 +6,28 @@ count-level interface (``population_size``, ``parallel_time``,
 ``run_until`` and the snapshot loop of ``run_with_trace`` are pure functions
 of that interface, so they live here once instead of being copied into every
 engine — a fix to the budget accounting or the snapshot boundaries applies
-to all engines at the same time.
+to all engines at the same time.  The same holds for the checked starting
+configuration (:func:`initial_configuration_for`) of the engines that store
+counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Container, Hashable
 
 from repro.engine.configuration import Configuration
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.obs.recorder import RECORDER as _REC
+from repro.protocols.base import FiniteStateProtocol
 from repro.types import interactions_for_time, snapshot_boundaries
 
-__all__ = ["CountTracePoint", "run_until_predicate", "run_with_trace"]
+__all__ = [
+    "CountTracePoint",
+    "initial_configuration_for",
+    "run_until_predicate",
+    "run_with_trace",
+]
 
 
 @dataclass
@@ -29,6 +37,40 @@ class CountTracePoint:
     interaction: int
     parallel_time: float
     configuration: Configuration
+
+
+def initial_configuration_for(
+    protocol: FiniteStateProtocol,
+    population_size: int,
+    initial_configuration: Configuration | None,
+    states: Container[Hashable],
+) -> Configuration:
+    """The starting configuration of a count-level engine, checked.
+
+    ``initial_configuration`` when given, else the protocol's own
+    ``initial_configuration(population_size)`` — ``O(|states|)`` for the
+    protocols with a closed form.  Both must hold exactly
+    ``population_size`` agents, every one in ``states``.
+
+    Raises
+    ------
+    SimulationError
+        On a size mismatch or a state outside ``states``.
+    """
+    if initial_configuration is None:
+        initial_configuration = protocol.initial_configuration(population_size)
+    if initial_configuration.size != population_size:
+        raise SimulationError(
+            f"initial configuration has size {initial_configuration.size}, "
+            f"expected {population_size}"
+        )
+    for state in initial_configuration:
+        if state not in states:
+            raise SimulationError(
+                f"initial configuration contains state {state!r} outside "
+                f"the protocol's state set"
+            )
+    return initial_configuration
 
 
 def _trace_point(simulator) -> CountTracePoint:

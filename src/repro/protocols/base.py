@@ -26,10 +26,23 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Callable, Generic, Hashable, Iterable, Mapping, Sequence, TypeVar
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Generic,
+    Hashable,
+    Iterable,
+    Mapping,
+    Sequence,
+    TypeVar,
+)
 
 from repro.exceptions import ProtocolError
 from repro.rng import RandomSource
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from repro.engine.configuration import Configuration
 
 StateT = TypeVar("StateT")
 HashableState = Hashable
@@ -122,6 +135,14 @@ class FiniteStateProtocol(ABC):
 
     is_uniform: bool = True
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # A closed-form initial_configuration describes its own class's
+        # initial_state, so a subclass that replaces initial_state alone
+        # gets the per-agent fold back.
+        if "initial_state" in vars(cls) and "initial_configuration" not in vars(cls):
+            cls.initial_configuration = FiniteStateProtocol.initial_configuration
+
     @abstractmethod
     def states(self) -> Sequence[Hashable]:
         """Return the full state set (finite)."""
@@ -129,6 +150,24 @@ class FiniteStateProtocol(ABC):
     @abstractmethod
     def initial_state(self, agent_id: int) -> Hashable:
         """Initial state of agent ``agent_id``."""
+
+    def initial_configuration(self, population_size: int) -> "Configuration":
+        """The initial configuration of ``population_size`` agents, as counts.
+
+        The count-level engines start from this.  The default folds the
+        per-agent :meth:`initial_state` calls in first-appearance order, the
+        order in which the count engine samples states, so it costs
+        ``O(n)``.  Protocols whose initial configuration has a closed form
+        override it with an ``O(|states|)`` construction that must equal
+        the default, key order included.  A subclass that replaces
+        :meth:`initial_state` without replacing this method falls back to
+        the default.
+        """
+        from repro.engine.configuration import Configuration
+
+        return Configuration.from_states(
+            self.initial_state(agent_id) for agent_id in range(population_size)
+        )
 
     @abstractmethod
     def transitions(

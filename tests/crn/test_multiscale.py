@@ -164,6 +164,19 @@ class TestConstruction:
                 "multiscale", EpidemicProtocol(), 64, seed=0, batch_size=32
             )
 
+    def test_builds_a_billion_agents_from_the_protocol(self):
+        # The epidemic's initial configuration has a closed form, so the
+        # engine needs neither an explicit configuration nor n initial_state
+        # calls at n = 10^9.
+        n = 1_000_000_000
+        engine = build_engine("multiscale", EpidemicProtocol(), n, seed=5)
+        assert engine.count(EpidemicState.INFECTED) == 1
+        engine.run_until(
+            lambda e: e.count(EpidemicState.SUSCEPTIBLE) == 0,
+            max_parallel_time=200.0,
+        )
+        assert engine.count(EpidemicState.INFECTED) == n
+
 
 class TestDeterminism:
     def test_same_seed_same_trajectory(self):

@@ -8,6 +8,7 @@ import pytest
 
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.configuration import Configuration
+from repro.engine.selection import build_engine
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.protocols.base import FunctionalFiniteStateProtocol
 from repro.protocols.epidemic import (
@@ -23,6 +24,13 @@ from repro.protocols.majority import (
     ApproximateMajorityProtocol,
     majority_consensus_predicate,
 )
+
+
+class _GhostEpidemic(EpidemicProtocol):
+    """Replaces only initial_state, under the epidemic's closed form."""
+
+    def initial_state(self, agent_id):
+        return "ghost"
 
 
 class TestConstruction:
@@ -47,12 +55,29 @@ class TestConstruction:
                 EpidemicProtocol(), 100, initial_configuration=configuration
             )
 
-    def test_initial_configuration_state_set_checked(self):
+    @pytest.mark.parametrize("engine", ["count", "batched", "multiscale"])
+    def test_initial_configuration_state_set_checked(self, engine):
         configuration = Configuration({EpidemicState.INFECTED: 50, "ghost": 50})
         with pytest.raises(SimulationError, match="outside"):
-            BatchedCountSimulator(
-                EpidemicProtocol(), 100, initial_configuration=configuration
+            build_engine(
+                engine, EpidemicProtocol(), 100,
+                initial_configuration=configuration,
             )
+
+    @pytest.mark.parametrize("engine", ["count", "batched", "multiscale"])
+    @pytest.mark.parametrize(
+        "protocol",
+        [
+            FunctionalFiniteStateProtocol(
+                ("A", "B"), {("A", "B"): [("A", "A", 1.0)]}, initial="Z"
+            ),
+            _GhostEpidemic(),
+        ],
+        ids=["functional", "subclass"],
+    )
+    def test_protocol_initial_configuration_is_checked_too(self, engine, protocol):
+        with pytest.raises(SimulationError, match="outside"):
+            build_engine(engine, protocol, 10)
 
     def test_rejects_tiny_population(self):
         with pytest.raises(SimulationError):

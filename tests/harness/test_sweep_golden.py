@@ -2,8 +2,13 @@
 
 The ``golden/*.jsonl`` fixtures were written at commit d8b7c96 by the JSONL
 cache class that :class:`~repro.store.jsonl.JsonlStore` absorbed, one small
-sweep per trial kind.  Each line holds a spec's cache key and its record,
-so the fixtures pin three contracts at once:
+sweep per trial kind.  The three ``finite-state-{termination-batched-numpy,
+leader-count,epidemic-multiscale-numpy}`` fixtures were written at commit
+f004624, while those engines still built their initial configuration from
+per-agent ``initial_state`` calls; they pin the closed-form
+``initial_configuration`` overrides that replaced them.  Each line holds a
+spec's cache key and its record, so the fixtures pin three contracts at
+once:
 
 * records do not change (compared field by field);
 * cache keys do not change, so a store written by that code replays with
@@ -59,6 +64,20 @@ def golden_sweep(name: str):
             [300, 600], 2, base_seed=12, engine="batched", protocol="majority",
             backend="numpy",
         )
+    if name == "finite-state-termination-batched-numpy":
+        return build_finite_state_trials(
+            [200, 500], 2, base_seed=17, engine="batched", protocol="termination",
+            backend="numpy",
+        )
+    if name == "finite-state-leader-count":
+        return build_finite_state_trials(
+            [20, 40], 2, base_seed=18, engine="count", protocol="leader",
+        )
+    if name == "finite-state-epidemic-multiscale-numpy":
+        return build_finite_state_trials(
+            [400, 3000], 2, base_seed=19, engine="multiscale", protocol="epidemic",
+            backend="numpy",
+        )
     if name == "vector-figure2":
         return build_vector_trials(
             [48, 80], 2, protocol="figure2", params=FAST, base_seed=13
@@ -78,6 +97,9 @@ SWEEPS = (
     "finite-state-count",
     "finite-state-callables",
     "finite-state-batched-numpy",
+    "finite-state-termination-batched-numpy",
+    "finite-state-leader-count",
+    "finite-state-epidemic-multiscale-numpy",
     "vector-figure2",
     "crn-multiscale",
     "sequential",

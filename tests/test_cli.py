@@ -847,6 +847,7 @@ class TestProfileCommand:
         assert code == 0
         output = capsys.readouterr().out
         assert "interactions_per_second" in output
+        assert "build_seconds" in output
         assert "top" in output and "cumulative time" in output
         assert "kernel breakdown" in output
         assert "repro/" in output  # kernel frames resolved to repo paths
