@@ -2,11 +2,11 @@
 
 A tiny-``n`` throughput check designed to run on every CI push (seconds, not
 minutes): it times the batched epidemic on the numpy reference backend and on
-every *available* JIT backend, then fails if any available backend falls more
-than 30% below the throughput the seam guarantees for it:
+every *available* compiled backend, then fails if any available backend falls
+more than 30% below the throughput the seam guarantees for it:
 
-* every JIT backend must stay at or above ``(1 - 0.3) x`` the numpy
-  reference — a JIT backend slower than interpreted numpy means its kernels
+* every compiled backend must stay at or above ``(1 - 0.3) x`` the numpy
+  reference — a compiled backend slower than numpy means its kernels
   silently stopped being used (a broken compile cache, an accidental
   fallback) or regressed outright;
 * the numpy backend itself must stay at or above ``(1 - 0.3) x`` a recorded
@@ -70,8 +70,8 @@ def measure_backend(backend: str, seed: int = 1) -> dict:
     simulator = build_engine(
         "batched", EpidemicProtocol(), SMOKE_N, seed=seed, backend=backend
     )
-    # Warm up outside the timed region: JIT compilation (numba) and the
-    # cffi module load (native) happen on the first batch.
+    # Warm up outside the timed region: the cffi module load (native)
+    # happens on the first batch.
     simulator.run_interactions(10_000)
     started = time.perf_counter()
     simulator.run_interactions(SMOKE_INTERACTIONS)

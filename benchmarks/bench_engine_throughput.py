@@ -10,8 +10,8 @@ be pushed: interactions per second of
     matching rounds),
 (e) the vector engine running the main protocol's bespoke kernel
     (``LogSizeVectorProtocol``), and
-(f) the batched engine through every *available* JIT array backend (numba,
-    native) — the array-backend seam of ``repro.backend`` — recorded as a
+(f) the batched engine through every *available* compiled array backend
+    (native) — the array-backend seam of ``repro.backend`` — recorded as a
     separate dimension of the artifact.
 
 Besides the pytest-benchmark entries, this module doubles as a script::
@@ -24,10 +24,10 @@ which sweeps the finite-state engines over ``n = 10^3 .. 10^6``
 writes a ``BENCH_engines.json`` trajectory artifact so future changes can be
 checked for throughput regressions.  The artifact records the
 batched-vs-count speedup at the largest size (the PR-2 tentpole target is
->= 20x at ``n = 10^6``) and, per JIT backend, the batched throughput and its
-ratio to the numpy reference backend (the array-backend tentpole target is
->= 10^8 interactions/s and >= 10x the pre-seam batched rate at
-``n = 10^6``).
+>= 20x at ``n = 10^6``) and, per compiled backend, the batched
+throughput and its ratio to the numpy reference backend (the array-backend
+tentpole target is >= 10^8 interactions/s and >= 10x the pre-seam batched
+rate at ``n = 10^6``).
 
 Each entry times engine construction (``build_seconds``) apart from the run
 (``seconds``, the source of ``interactions_per_second``) and reports the
@@ -316,7 +316,7 @@ def bench_batched_jit_backend_speedup(benchmark):
 
     At ``n = 10^6`` the fastest available JIT backend must sustain at least
     ``10^8`` interactions/s — >= 10x the batched rate recorded before the
-    seam existed.  On numpy-only environments (no numba, no C toolchain)
+    seam existed.  On numpy-only environments (no cffi or no C toolchain)
     there is nothing to measure and the benchmark skips.
     """
     backends = jit_backend_names()

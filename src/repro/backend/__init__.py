@@ -21,17 +21,12 @@ Backends
     rebuilds, cached per-pair outcome distributions, preallocated buffers),
     so the reference backend is itself faster than the inline code it
     replaced.
-``numba``
-    JIT-fused kernels (:mod:`repro.backend.numba_backend`) compiled with
-    `numba <https://numba.pydata.org>`_ when it is installed
-    (``pip install -e .[jit]``).  Distribution-identical to numpy — the
-    kernels draw from numba's own PRNG — and exercised interpreted (slow but
-    correct) on numpy-only installs by the test suite.
 ``native``
     A C kernel (:mod:`repro.backend.native_backend`) compiled at first use
     through ``cffi`` and the system C compiler; the fastest option for the
-    batched engine (>=10x the numpy backend at n >= 10^6).  Also
-    distribution-identical.
+    batched engine (>=10x the numpy backend at n >= 10^6).
+    Distribution-identical to numpy, not bitwise: the kernel draws from its
+    own generator, seeded from the engine's.
 
 Selecting an unavailable backend is never an error: :func:`resolve_backend`
 warns and falls back to numpy, so numpy-only installs stay fully functional
@@ -92,8 +87,8 @@ class ArrayBackend:
         vector (mutated in place), and a boolean ``seen`` array marking
         every state index that gained an agent at any point.  A backend may
         advance one batch per call (the numpy reference, preserving the
-        historical per-batch RNG stream) or everything in one call (the JIT
-        backends, eliminating per-batch Python dispatch).
+        historical per-batch RNG stream) or everything in one call (the
+        native backend, eliminating per-batch Python dispatch).
     ``finite_round_kernel(table)``
         Object with an ``apply(state, rec, sen, rng)`` method applying one
         matching round of a compiled finite-state protocol to the per-agent
@@ -118,8 +113,6 @@ class ArrayBackend:
 
     #: Registry key (``--backend <name>``).
     name: ClassVar[str] = ""
-    #: Whether the backend's kernels are JIT/AOT compiled (vs interpreted).
-    jit: ClassVar[bool] = False
 
     @classmethod
     def available(cls) -> bool:
@@ -246,7 +239,7 @@ def resolve_backend(
 
     ``None`` consults the ``REPRO_BACKEND`` environment variable and falls
     back to :data:`DEFAULT_BACKEND`.  A backend that is registered but not
-    available in this environment (numba or a C compiler missing) produces a
+    available in this environment (cffi or a C compiler missing) produces a
     :class:`UserWarning` and the numpy reference backend instead — numpy-only
     installs run every workload, just without the speedup.
 
@@ -279,7 +272,6 @@ def resolve_backend(
 # Import-time registration of the shipped backends.  The numpy backend must
 # register first: it is the fallback every other backend resolves to.
 from repro.backend import numpy_backend as _numpy_backend  # noqa: E402
-from repro.backend import numba_backend as _numba_backend  # noqa: E402
 from repro.backend import native_backend as _native_backend  # noqa: E402
 
 #: Registered backend names (import-time snapshot for CLI choices).

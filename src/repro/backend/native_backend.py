@@ -1,28 +1,30 @@
 """Native C backend: the batched hot loop compiled with cffi + the system cc.
 
-Where the numba backend needs an extra wheel, this backend needs only what
-most dev boxes and CI images already carry: ``cffi`` and a C compiler.  The
-batched draw→apply loop is a single C function — xoshiro256++ RNG,
-inverse-CDF pair sampling over the cumulative ``S^2`` weight table,
-consumption guard, outcome splitting and the exact sequential fallback —
-invoked once per ``run_interactions`` call, which removes *all* per-batch
-Python dispatch (~3–5 ns per interaction on commodity x86).
+This backend needs only what most dev boxes and CI images already carry:
+``cffi`` and a C compiler.  The batched draw→apply loop is a single C
+function — xoshiro256++ RNG, inverse-CDF pair sampling over the cumulative
+``S^2`` weight table, consumption guard, outcome splitting and the exact
+sequential fallback — invoked once per ``run_interactions`` call, which
+removes *all* per-batch Python dispatch (~3–5 ns per interaction on
+commodity x86).
 
 The extension module is compiled on first use and cached on disk keyed by a
 hash of the C source (``REPRO_NATIVE_CACHE`` overrides the cache directory;
-the default lives under the platform user-cache directory).  Compilation
-failures, a missing compiler or a missing cffi simply mark the backend
-unavailable — :func:`repro.backend.resolve_backend` then warns and falls
-back to numpy, so nothing ever hard-fails.
+the default is ``repro-native-cache`` under the system temporary
+directory).  Compilation failures, a missing compiler or a missing cffi
+simply mark the backend unavailable — :func:`repro.backend.resolve_backend`
+then warns and falls back to numpy, so nothing ever hard-fails.
 
 RNG-stream contract: the kernel's xoshiro stream is seeded once per kernel
 from the engine's generator, so runs are reproducible per seed but
-distribution-identical (not bitwise) to the numpy backend — same contract
-as the numba backend, pinned by the parity suite in ``tests/backend``.
+distribution-identical (not bitwise) to the numpy backend, pinned by the
+parity suite in ``tests/backend``.
 
-The vector-engine kernels are *not* overridden: this backend accelerates
-the batched engine and inherits the reference implementations for the rest
-(the seam's whole point — partial backends compose with the fallback).
+The vector-round and tau-leap kernels are *not* overridden: this backend
+accelerates the batched engine and inherits the numpy reference kernels for
+the rest (the seam's whole point — partial backends compose with the
+fallback), so vector and multiscale runs on ``native`` are bitwise the
+numpy runs.
 """
 
 from __future__ import annotations
@@ -411,8 +413,6 @@ def _find_built_module(cache: str, name: str):
 class NativeBatchedKernel:
     """Batched-engine kernel dispatching into the compiled C routine."""
 
-    jit = True
-
     def __init__(
         self,
         table: "CompiledTransitionTable",
@@ -496,7 +496,6 @@ class NativeBackend(ArrayBackend):
     """C backend: available when cffi plus a working C compiler are found."""
 
     name = "native"
-    jit = True
 
     @classmethod
     def available(cls) -> bool:

@@ -78,8 +78,6 @@ class NumpyBatchedKernel:
     ``state_rates=None`` selects the uniform scheduling policy.
     """
 
-    jit = False
-
     def __init__(
         self,
         table: "CompiledTransitionTable",
@@ -262,7 +260,7 @@ class NumpyBatchedKernel:
         The reference kernel deliberately advances a *single* batch per call
         — the engine's Python loop over batches is part of the historical
         RNG-stream contract (each batch draws its multinomial separately).
-        JIT backends advance all ``max_interactions`` in one call instead.
+        The native backend advances all ``max_interactions`` in one call.
         """
         batch = min(batch_size, max_interactions)
         if self._reactive_counts_small(counts):
@@ -448,8 +446,6 @@ class NumpyFiniteRoundKernel:
     so seeded vector runs are bitwise-reproducible across the refactor.
     """
 
-    jit = False
-
     def __init__(self, table: "CompiledTransitionTable") -> None:
         self.table = table
 
@@ -517,10 +513,6 @@ class NumpyTauLeapKernel:
         self.consumption = np.maximum(-stoich, 0).astype(np.float64)
         self._consumes = self.consumption > 0.0
 
-    @property
-    def jit(self) -> bool:
-        return False
-
     def propensities(self, counts: np.ndarray) -> np.ndarray:
         """Parallel-time channel rates at ``counts`` (clipped at 0)."""
         ca = counts[self.reactant_a]
@@ -577,7 +569,6 @@ class NumpyBackend(ArrayBackend):
     """The reference backend: always available, bitwise stream-preserving."""
 
     name = "numpy"
-    jit = False
 
     def describe(self) -> str:
         return "reference kernels on the engine RNG stream (always available)"

@@ -36,9 +36,9 @@ Subcommands
     the engine × scheduler compatibility matrix and ``DESIGN.md``,
     Schedulers, for the scenario semantics).
 ``repro simulate/sweep/crn ... --backend native``
-    Run the hot loops through a pluggable array backend (numpy reference,
-    numba JIT, cffi-compiled C); unavailable backends warn and fall back
-    to numpy (see ``DESIGN.md``, Array backends).
+    Run the hot loops through a pluggable array backend (numpy reference
+    or cffi-compiled C); an unavailable backend warns and falls back to
+    numpy (see ``DESIGN.md``, Array backends).
 ``repro profile --protocol epidemic --engine batched --backend native --interactions 2000000``
     cProfile one workload run on any engine × backend combination and
     print throughput plus a per-kernel timing breakdown.
@@ -168,11 +168,11 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
     """The shared ``--telemetry`` / ``--trace-spool`` / ``--progress`` flags."""
     parser.add_argument(
         "--telemetry", action="store_true",
-        help="enable the observability recorder: every trial's record gains "
-        "a run manifest (spec hash, seed lineage, engine/backend/scheduler "
-        "resolution, hot-path counters, timing breakdown) under the "
-        "'telemetry' key — excluded from cache keys, so records stay "
-        "interchangeable with plain runs",
+        help="emit telemetry: every trial's record gains a run manifest "
+        "(spec hash, seed lineage, engine/backend/scheduler resolution, "
+        "hot-path counters, timing breakdown) under the 'telemetry' key — "
+        "excluded from cache keys, so records stay interchangeable with "
+        "plain runs — and the sweep prints the driver-side totals",
     )
     parser.add_argument(
         "--trace-spool", default="", metavar="DIR",
@@ -188,8 +188,8 @@ def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _telemetry_from_args(args: argparse.Namespace):
-    """Resolve the telemetry flags: enable the recorder, build the progress
-    callback.  Returns ``(progress_view or None)``."""
+    """Resolve the telemetry flags: switch the recorder to emitting, build
+    the progress callback.  Returns ``(progress_view or None)``."""
     from repro.obs import ProgressView, set_telemetry
 
     spool = getattr(args, "trace_spool", "") or None
@@ -570,7 +570,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     if kernel_entries:
         print(format_table(headers, _rows(kernel_entries, args.top)))
     else:
-        # A fully fused run (JIT/native backend) spends its time inside
+        # A fully fused run (native backend) spends its time inside
         # compiled code, which cProfile cannot attribute to Python frames.
         print(
             "  (none recorded - the run stayed inside compiled kernels; "

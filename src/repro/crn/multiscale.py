@@ -530,37 +530,18 @@ class MultiscaleSimulator:
     # -- the regime loop ------------------------------------------------------
 
     def _advance_to(self, target: float) -> None:
-        if _REC.enabled:
-            # Mirror the per-regime work counters into the telemetry
-            # recorder as deltas around the advance; the regime loop itself
-            # stays clock-free (determinism: regime decisions depend only
-            # on counts and the RNG stream, never on telemetry).
-            t0 = _REC.now_ns()
-            exact0, leaps0 = self.exact_events, self.leaps
-            ode0, switches0 = self.ode_steps, self.controller.switches
-            try:
-                self._advance_to_inner(target)
-            finally:
-                _REC.add_time("multiscale.advance", _REC.now_ns() - t0)
-                _REC.count("multiscale.exact_events", self.exact_events - exact0)
-                _REC.count("multiscale.leaps", self.leaps - leaps0)
-                _REC.count("multiscale.ode_steps", self.ode_steps - ode0)
-                _REC.count(
-                    "multiscale.regime_switches",
-                    self.controller.switches - switches0,
-                )
-            return
-        self._advance_to_inner(target)
-
-    def _advance_to_inner(self, target: float) -> None:
+        # Telemetry is one block per advance, recorded after the regime loop:
+        # the loop itself stays clock-free (determinism: regime decisions
+        # depend only on counts and the RNG stream, never on telemetry).
+        t0 = _REC.now_ns()
+        before = self.regime_stats()
         guard = 1e-12 * max(1.0, abs(target))
         while self.parallel_time < target - guard:
             lam = self._kernel.propensities(self._counts)
             active = lam > 0.0
             if not active.any():
                 # Absorbed: nothing can ever fire again, jump the clock.
-                self.parallel_time = target
-                return
+                break
             regime, critical = self.controller.classify(
                 self.system.min_reactant(self._counts), active
             )
@@ -572,8 +553,7 @@ class MultiscaleSimulator:
                 lam = self._kernel.propensities(self._counts)
                 active = lam > 0.0
                 if not active.any():
-                    self.parallel_time = target
-                    return
+                    break
             noncritical = active & ~critical
             if not noncritical.any():
                 # Everything active is critical: plain exact SSA.
@@ -586,6 +566,9 @@ class MultiscaleSimulator:
                 continue
             self._leap(lam, noncritical, critical & active, tau1, target)
         self.parallel_time = target
+        _REC.add_time("multiscale.advance", _REC.now_ns() - t0)
+        for name, value in self.regime_stats().items():
+            _REC.count(f"multiscale.{name}", value - before[name])
 
     def _leave_ode_counts(self) -> None:
         """Round the state back to integers when leaving the ODE regime."""

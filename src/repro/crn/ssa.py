@@ -87,7 +87,7 @@ def simulate_ssa(
             f"sample_times must be non-empty, non-negative and ascending, "
             f"got {sample_times!r}"
         )
-    telemetry_t0 = _REC.now_ns() if _REC.enabled else 0
+    telemetry_t0 = _REC.now_ns()
     rng = np.random.default_rng(seed)
     species = crn.species()
     index = {name: position for position, name in enumerate(species)}
@@ -186,12 +186,11 @@ def simulate_ssa(
         samples.append(list(counts))
         cursor += 1
 
-    if _REC.enabled:
-        # Post-hoc accounting only: the event loop above never reads a
-        # clock, so the exact trajectory (and RNG stream) is telemetry-free.
-        _REC.add_time("ssa.simulate", _REC.now_ns() - telemetry_t0)
-        _REC.count("ssa.runs")
-        _REC.count("ssa.reactions_fired", fired)
+    # Post-hoc accounting only: the event loop above never reads a clock,
+    # so the exact trajectory (and RNG stream) is telemetry-free.
+    _REC.add_time("ssa.simulate", _REC.now_ns() - telemetry_t0)
+    _REC.count("ssa.runs")
+    _REC.count("ssa.reactions_fired", fired)
     return SSAResult(
         sample_times=tuple(times),
         counts={

@@ -31,8 +31,8 @@ The draw→apply loop itself lives behind the array-backend seam
 (:mod:`repro.backend`): the engine owns the counts, the accounting and the
 run interface, while a *fused kernel* built by the selected backend executes
 the interactions.  The default numpy backend reproduces the historical RNG
-stream bitwise; the numba and native backends run the whole loop in compiled
-code, an order of magnitude faster again (select with
+stream bitwise; the native backend runs the whole loop in compiled C code,
+an order of magnitude faster again (select with
 ``BatchedCountSimulator(..., backend="native")``, ``build_engine(...,
 backend=...)``, ``--backend`` on the CLI or ``REPRO_BACKEND``).  See
 ``DESIGN.md`` (Array backends) for the kernel contract and per-backend RNG
@@ -130,7 +130,7 @@ class BatchedCountSimulator:
         the exact fallback both honour the rates.
     backend:
         Array backend executing the hot loop: a registered name
-        (``"numpy"``, ``"numba"``, ``"native"``), an
+        (``"numpy"``, ``"native"``), an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
         process default (``REPRO_BACKEND`` or numpy).  An unavailable
         backend warns and falls back to numpy.
@@ -241,45 +241,31 @@ class BatchedCountSimulator:
         """Execute exactly ``count`` additional interactions.
 
         The fused draw→apply work happens in the backend kernel; this loop
-        only does the accounting.  The numpy reference kernel advances one
-        batch per call (preserving the historical per-batch RNG stream),
-        the JIT kernels advance everything in a single call.
+        only does the accounting, and records one telemetry block per call
+        (never per batch).  The numpy reference kernel advances one batch
+        per call (preserving the historical per-batch RNG stream), the
+        native kernel advances everything in a single call.
         """
         if count < 0:
             raise SimulationError(f"interaction count must be non-negative, got {count}")
+        t0 = _REC.now_ns()
+        batched_before, fallback_before = self.batched_batches, self.fallback_batches
         remaining = count
-        if _REC.enabled:
-            # Instrumented twin: time the fused backend kernel dispatch and
-            # mirror the batch counters into the recorder.  Guarded once per
-            # run_interactions call; the disabled branch below is the
-            # historical loop untouched.
-            t0 = _REC.now_ns()
-            advances = batched_delta = fallback_delta = 0
-            while remaining > 0:
-                done, batched, fallback = self._kernel.advance(
-                    self._counts, remaining, self.batch_size, self._rng
-                )
-                self.interactions += done
-                self.batched_batches += batched
-                self.fallback_batches += fallback
-                remaining -= done
-                advances += 1
-                batched_delta += batched
-                fallback_delta += fallback
-            _REC.add_time("backend.kernel_advance", _REC.now_ns() - t0)
-            _REC.count("backend.kernel_advances", advances)
-            _REC.count("engine.batched_batches", batched_delta)
-            _REC.count("engine.fallback_batches", fallback_delta)
-            _REC.count("engine.interactions", count)
-        else:
-            while remaining > 0:
-                done, batched, fallback = self._kernel.advance(
-                    self._counts, remaining, self.batch_size, self._rng
-                )
-                self.interactions += done
-                self.batched_batches += batched
-                self.fallback_batches += fallback
-                remaining -= done
+        advances = 0
+        while remaining > 0:
+            done, batched, fallback = self._kernel.advance(
+                self._counts, remaining, self.batch_size, self._rng
+            )
+            self.interactions += done
+            self.batched_batches += batched
+            self.fallback_batches += fallback
+            remaining -= done
+            advances += 1
+        _REC.add_time("backend.kernel_advance", _REC.now_ns() - t0)
+        _REC.count("backend.kernel_advances", advances)
+        _REC.count("engine.batched_batches", self.batched_batches - batched_before)
+        _REC.count("engine.fallback_batches", self.fallback_batches - fallback_before)
+        _REC.count("engine.interactions", count)
 
     def run_parallel_time(self, time: float) -> None:
         """Execute (at least) ``time`` additional units of parallel time."""

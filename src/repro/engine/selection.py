@@ -296,7 +296,7 @@ def build_engine(
         Options for a scheduler given by name (e.g. ``{"intra": 0.95}``).
     backend:
         Array backend for the hot kernels (:mod:`repro.backend`): a
-        registered name (``"numpy"``, ``"numba"``, ``"native"``), an
+        registered name (``"numpy"``, ``"native"``), an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
         process default (``REPRO_BACKEND`` or numpy).  Consumed by the
         batched, vector and multiscale engines; the per-interaction

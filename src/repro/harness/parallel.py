@@ -1303,8 +1303,7 @@ def run_trials(
         nonlocal from_cache, replayed_unique
         from_cache += len(indices_by_key[key])
         replayed_unique += 1
-        if _REC.enabled:
-            _REC.count("store.replays")
+        _REC.count("store.replays")
         _resolve(key, record)
 
     # Keys this driver holds a lease on and has not appended yet: a pooled
@@ -1312,13 +1311,10 @@ def run_trials(
     in_flight: dict[str, object] = {}
 
     def _finish(key: str, record: RunRecord) -> None:
-        if _REC.enabled:
-            t0 = _REC.now_ns()
-            resolved.append(key, record)
-            _REC.add_time("store.append", _REC.now_ns() - t0)
-            _REC.count("store.appends")
-        else:
-            resolved.append(key, record)
+        t0 = _REC.now_ns()
+        resolved.append(key, record)
+        _REC.add_time("store.append", _REC.now_ns() - t0)
+        _REC.count("store.appends")
         del in_flight[key]
         executed_keys.append(key)
         _resolve(key, record)
@@ -1356,15 +1352,12 @@ def run_trials(
             # 1. Claim and dispatch up to ``workers`` trials in flight.
             while queue and len(in_flight) < workers:
                 key = queue.popleft()
-                if _REC.enabled:
-                    t0 = _REC.now_ns()
-                    claim = resolved.claim(key, lease=lease_seconds, owner=owner)
-                    _REC.add_time("store.claim", _REC.now_ns() - t0)
-                    _REC.count("store.claims")
-                    if claim.acquired:
-                        _REC.count("store.claims_acquired")
-                else:
-                    claim = resolved.claim(key, lease=lease_seconds, owner=owner)
+                t0 = _REC.now_ns()
+                claim = resolved.claim(key, lease=lease_seconds, owner=owner)
+                _REC.add_time("store.claim", _REC.now_ns() - t0)
+                _REC.count("store.claims")
+                if claim.acquired:
+                    _REC.count("store.claims_acquired")
                 if claim.done:
                     _replay(key, claim.record)
                 elif not claim.acquired:

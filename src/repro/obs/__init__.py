@@ -1,13 +1,14 @@
 """``repro.obs`` — the unified telemetry subsystem.
 
-Structured metrics (counters, monotonic timers, histograms), span-style
-traces, per-trial run manifests, and live progress views, all behind one
-process-global default-off :class:`~repro.obs.recorder.Recorder` with a
-no-op fast path.  See DESIGN.md "Observability" for the architecture,
-the overhead contract (<0.5% disabled / <3% enabled on the batched
-epidemic hot path, gated by ``benchmarks/bench_obs_overhead.py``), and
-the determinism stance (no RNG, monotonic clocks only, D302-waivered,
-K406-audited out of every cache key).
+Structured metrics (counters, monotonic timers), span-style traces,
+per-trial run manifests, and live progress views, all behind one
+process-global :class:`~repro.obs.recorder.Recorder` whose default-off
+``enabled`` flag decides what is emitted.  See DESIGN.md "Observability"
+for the architecture, the overhead contract (<0.5% for the always-on
+blocks / <3% enabled on the batched epidemic hot path, gated by
+``benchmarks/bench_obs_overhead.py``), and the determinism stance (no RNG,
+monotonic clocks only, D302-waivered, K406-audited out of every cache
+key).
 """
 
 from repro.obs.manifest import (
@@ -26,10 +27,8 @@ from repro.obs.recorder import (
     RECORDER,
     Recorder,
     RecorderMark,
-    get_recorder,
     recording,
     set_telemetry,
-    telemetry_enabled,
 )
 from repro.obs.trace import (
     collect_spool_events,
@@ -42,10 +41,8 @@ __all__ = [
     "RECORDER",
     "Recorder",
     "RecorderMark",
-    "get_recorder",
     "recording",
     "set_telemetry",
-    "telemetry_enabled",
     "TELEMETRY_KEY",
     "MANIFEST_FIELDS",
     "MANIFEST_SCHEMA_VERSION",

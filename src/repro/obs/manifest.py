@@ -49,9 +49,10 @@ MANIFEST_FIELDS = (
 
 
 def _resolved_backend_name(spec: "TrialSpec") -> str | None:
-    """The array-backend name this spec resolves to (None for engines
-    that never touch the backend seam, e.g. the sequential simulator)."""
-    if spec.kind == "sequential":
+    """The array-backend name this spec resolves to (None for engines that
+    never touch the backend seam: the sequential simulator and the
+    per-interaction agent and count engines)."""
+    if spec.kind == "sequential" or spec.engine in ("agent", "count"):
         return None
     requested = dict(spec.engine_options).get("backend")
     try:

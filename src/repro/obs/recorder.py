@@ -1,15 +1,16 @@
-"""The process-global telemetry recorder: counters, timers, spans, histograms.
+"""The process-global telemetry recorder: counters, timers and spans.
 
 Design constraints (see DESIGN.md "Observability"):
 
-**Default off, near-zero when off.**  The singleton :data:`RECORDER` starts
-disabled; every instrumented hot path guards its telemetry block with a
-single ``if RECORDER.enabled:`` attribute test and takes the *identical*
-pre-instrumentation code path otherwise.  The disabled cost is one global
-load plus one attribute load per guarded block — placed at chunk/batch
-granularity, never per interaction — and
-``benchmarks/bench_obs_overhead.py`` gates it below 0.5% of the batched
-epidemic hot path.
+**Always accumulating, emitted on demand.**  Each hot loop has one path:
+chunk-level blocks (a ``run_interactions`` call, a convergence-check chunk,
+a multiscale advance, an SSA run, a store call) record counters and timers
+unconditionally, never per interaction.  The vector engine's per-round
+timing is the one exception and records only while the recorder is
+enabled.  :attr:`Recorder.enabled` (default off, ``--telemetry``) decides
+what is *emitted*: run manifests, spans, the trace spool and the CLI
+summary.  ``benchmarks/bench_obs_overhead.py`` gates the always-on blocks
+below 0.5% of the batched epidemic hot path.
 
 **Determinism.**  The recorder never draws randomness and never influences
 a simulation: it only *reads* monotonic clocks (``time.perf_counter_ns``,
@@ -41,9 +42,7 @@ __all__ = [
     "Recorder",
     "RecorderMark",
     "RECORDER",
-    "get_recorder",
     "set_telemetry",
-    "telemetry_enabled",
     "recording",
 ]
 
@@ -65,20 +64,18 @@ class RecorderMark:
 
 
 class Recorder:
-    """Accumulates counters, monotonic timings, histograms, and span events.
+    """Accumulates counters, monotonic timings, and span events.
 
-    All methods are cheap dict updates; the *callers* are responsible for
-    the ``if recorder.enabled:`` fast-path guard, so a disabled recorder
-    costs nothing beyond that test.  Methods remain safe to call while
-    disabled (they simply record), which keeps non-hot-path call sites
-    free to skip the guard.
+    All methods are cheap dict updates and record whether or not the
+    recorder is :attr:`enabled`; ``enabled`` only tells call sites whether
+    to emit (manifests, spans, spool) and the vector round whether to time
+    itself.
     """
 
     __slots__ = (
         "enabled",
         "counters",
         "timers_ns",
-        "histograms",
         "events",
         "spool_dir",
         "_origin_ns",
@@ -88,8 +85,6 @@ class Recorder:
         self.enabled = False
         self.counters: dict[str, int] = {}
         self.timers_ns: dict[str, int] = {}
-        #: name -> {bucket_exponent: count}; buckets are powers of two.
-        self.histograms: dict[str, dict[int, int]] = {}
         #: Pending Chrome trace events (phase "X"), flushed by flush_spool().
         self.events: list[dict] = []
         #: Directory for per-process trace spool files (None = keep in memory).
@@ -111,12 +106,6 @@ class Recorder:
     def add_time(self, name: str, elapsed_ns: int) -> None:
         """Accumulate ``elapsed_ns`` into the timer ``name``."""
         self.timers_ns[name] = self.timers_ns.get(name, 0) + elapsed_ns
-
-    def observe(self, name: str, value: float) -> None:
-        """Record ``value`` into the power-of-two histogram ``name``."""
-        bucket = max(0, int(value).bit_length()) if value >= 1 else 0
-        histogram = self.histograms.setdefault(name, {})
-        histogram[bucket] = histogram.get(bucket, 0) + 1
 
     # -- spans ---------------------------------------------------------------
 
@@ -186,10 +175,6 @@ class Recorder:
         return {
             "counters": dict(self.counters),
             "timing": {name: ns / 1e9 for name, ns in self.timers_ns.items()},
-            "histograms": {
-                name: {str(bucket): count for bucket, count in sorted(hist.items())}
-                for name, hist in self.histograms.items()
-            },
         }
 
     # -- spool ---------------------------------------------------------------
@@ -218,20 +203,14 @@ class Recorder:
         """Clear every accumulated metric and pending event."""
         self.counters.clear()
         self.timers_ns.clear()
-        self.histograms.clear()
         self.events.clear()
         self._origin_ns = time.perf_counter_ns()
 
 
 #: The process-global recorder.  The singleton is never replaced (call sites
-#: bind it at import time for the cheapest possible disabled check); state is
-#: toggled/cleared in place via set_telemetry() / reset().
+#: bind it at import time); state is toggled/cleared in place via
+#: set_telemetry() / reset().
 RECORDER = Recorder()
-
-
-def get_recorder() -> Recorder:
-    """The process-global recorder (one per process, created at import)."""
-    return RECORDER
 
 
 def set_telemetry(enabled: bool, spool_dir: str | None = None) -> Recorder:
@@ -240,11 +219,6 @@ def set_telemetry(enabled: bool, spool_dir: str | None = None) -> Recorder:
     if spool_dir is not None:
         RECORDER.spool_dir = spool_dir
     return RECORDER
-
-
-def telemetry_enabled() -> bool:
-    """Whether the process-global recorder is currently enabled."""
-    return RECORDER.enabled
 
 
 @contextmanager

@@ -14,15 +14,15 @@ justification* — the point is accountability, not silencing: waived
 diagnostics still appear in the output, marked with the justification, and
 an unused waiver is itself reported (rule ``W001``) so stale exceptions
 cannot accumulate.  Waivers match by exact rule id and by location prefix
-(so ``src/repro/backend/numba_backend.py`` waives every line in that file).
+(so ``src/repro/cli.py`` waives every line in that file).
 
 The committed waivers for this repository live in
 :mod:`repro.staticcheck.waivers`; ad-hoc ones can be supplied to
 ``repro check --waivers FILE`` as JSON::
 
-    {"waivers": [{"rule": "D301",
-                  "location": "src/repro/backend/numba_backend.py",
-                  "justification": "nopython kernels; seeded per call"}]}
+    {"waivers": [{"rule": "D302",
+                  "location": "src/repro/cli.py",
+                  "justification": "repro profile measures wall time"}]}
 """
 
 from __future__ import annotations

@@ -10,9 +10,7 @@ wall clock.  These rules make the convention machine-checked:
     or of a ``numpy.random`` *module-level* function (``np.random.seed``,
     ``np.random.random``, ...).  Constructing explicit generators is fine:
     ``default_rng``, ``Generator``, ``SeedSequence`` and the bit-generator
-    classes are allowed.  The numba backend's nopython kernels carry a
-    committed waiver — inside ``@njit`` the ``np.random`` module functions
-    *are* the per-thread generator API, and every kernel seeds explicitly.
+    classes are allowed.  Nothing in the tree is waived from this rule.
 ``D302`` wall clock
     Calls that read real time (``time.time``, ``time.perf_counter``,
     ``datetime.now``, ...).  Timing utilities that *measure* performance on

@@ -15,16 +15,6 @@ __all__ = ["BUILTIN_WAIVERS"]
 
 BUILTIN_WAIVERS: tuple[Waiver, ...] = (
     Waiver(
-        rule="D301",
-        location="src/repro/backend/numba_backend.py",
-        justification=(
-            "nopython kernels: inside @njit the np.random module functions "
-            "are numba's per-thread generator API; every kernel is seeded "
-            "explicitly via np.random.seed(seed) at entry, so runs stay "
-            "reproducible (see backend/numba_backend.py docstring)"
-        ),
-    ),
-    Waiver(
         rule="D302",
         location="src/repro/cli.py",
         justification=(

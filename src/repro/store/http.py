@@ -16,7 +16,6 @@ import urllib.request
 from urllib.parse import quote
 
 from repro.harness.results import RunRecord
-from repro.obs.recorder import RECORDER as _REC
 from repro.store.base import (
     Claim,
     DEFAULT_LEASE_SECONDS,
@@ -108,8 +107,6 @@ class HttpStore(ResultStore):
     def append(
         self, key: str, record: RunRecord, wall_seconds: float | None = None
     ) -> None:
-        if _REC.enabled:
-            _REC.count("store.http.appends")
         self._request(
             "/append",
             {
@@ -122,8 +119,6 @@ class HttpStore(ResultStore):
     def claim(
         self, key: str, lease: float | None = None, owner: str | None = None
     ) -> Claim:
-        if _REC.enabled:
-            _REC.count("store.http.claims")
         payload = self._request(
             "/claim",
             {

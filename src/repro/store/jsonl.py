@@ -37,7 +37,6 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
 
 from repro.harness.results import RunRecord
-from repro.obs.recorder import RECORDER as _REC
 from repro.store.base import (
     CLAIM_ACQUIRED,
     CLAIM_DONE,
@@ -145,8 +144,6 @@ class JsonlStore(ResultStore):
     def append(
         self, key: str, record: RunRecord, wall_seconds: float | None = None
     ) -> None:
-        if _REC.enabled:
-            _REC.count("store.jsonl.appends")
         self._records[key] = record
         self._leases.pop(key, None)
         if self.path is None:
@@ -164,8 +161,6 @@ class JsonlStore(ResultStore):
     def claim(
         self, key: str, lease: float | None = None, owner: str | None = None
     ) -> Claim:
-        if _REC.enabled:
-            _REC.count("store.jsonl.claims")
         record = self._records.get(key)
         if record is not None:
             return Claim(status=CLAIM_DONE, record=record)

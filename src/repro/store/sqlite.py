@@ -34,7 +34,6 @@ import time
 from pathlib import Path
 
 from repro.harness.results import RunRecord
-from repro.obs.recorder import RECORDER as _REC
 from repro.store.base import (
     CLAIM_ACQUIRED,
     CLAIM_DONE,
@@ -139,8 +138,6 @@ class SqliteStore(ResultStore):
     def append(
         self, key: str, record: RunRecord, wall_seconds: float | None = None
     ) -> None:
-        if _REC.enabled:
-            _REC.count("store.sqlite.appends")
         payload = json.dumps(
             record_to_dict(record), sort_keys=True, allow_nan=False
         )
@@ -183,8 +180,6 @@ class SqliteStore(ResultStore):
     def claim(
         self, key: str, lease: float | None = None, owner: str | None = None
     ) -> Claim:
-        if _REC.enabled:
-            _REC.count("store.sqlite.claims")
         owner = owner or default_owner()
         duration = self.lease_seconds if lease is None else float(lease)
         if duration <= 0:

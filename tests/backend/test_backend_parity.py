@@ -1,18 +1,15 @@
 """Cross-backend parity: every backend runs the same stochastic process.
 
 The numpy backend is the stream-preserving reference (pinned bitwise by
-``test_numpy_golden``).  The JIT backends draw from their own RNGs, so they
-are held to the *distribution*: trajectory statistics over many seeds must
-agree with the numpy reference within sampling noise, on every hot path the
-seam fuses — the batched multinomial draw→apply (uniform and state-weighted),
-the small-count and consumption-guard exact fallbacks, the vector matching
-round, and the CRN lowerings (checked against the exact Gillespie SSA).
-
-The numba kernels are exercised *interpreted* here when numba is not
-installed — ``NumbaBackend()`` is instantiated directly, bypassing the
-availability gate — so this suite validates the kernel logic on numpy-only
-installs too (slow path, same arithmetic).  The native backend participates
-whenever a C toolchain is present.
+``test_numpy_golden``).  The native backend's batched kernel draws from its
+own RNG, so it is held to the *distribution*: trajectory statistics over
+many seeds must agree with the numpy reference within sampling noise — the
+batched multinomial draw→apply (uniform and state-weighted), the
+small-count and consumption-guard exact fallbacks, and the CRN lowerings
+(checked against the exact Gillespie SSA).  Its vector-round and tau-leap
+kernels are the inherited numpy reference, so there the runs must agree
+bitwise.  Every parity case needs the native backend (cffi and a C
+toolchain) and is skipped without it.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ import pytest
 
 from repro.backend import ArrayBackend, get_backend
 from repro.backend.native_backend import NativeBackend
-from repro.backend.numba_backend import NumbaBackend
 from repro.crn import CRN, compile_crn, simulate_ssa
 from repro.crn.library import epidemic_extinct_predicate
 from repro.engine.selection import build_engine
@@ -41,10 +37,9 @@ from repro.protocols.majority import (
 
 def _parity_backends() -> list:
     """The non-reference backends runnable in this environment."""
-    backends = [pytest.param(NumbaBackend(), id="numba")]
     if NativeBackend.available():
-        backends.append(pytest.param(NativeBackend(), id="native"))
-    return backends
+        return [pytest.param(NativeBackend(), id="native")]
+    return []
 
 
 def _mean_std(values):
@@ -160,45 +155,42 @@ class TestBatchedDistributionParity:
         assert correct >= 14, (backend.name, correct)
 
 
-class TestVectorDistributionParity:
-    @pytest.mark.parametrize("backend", _parity_backends())
-    def test_vector_epidemic_round_kernel_matches_numpy(self, backend):
-        def times(chosen):
-            values = []
-            for run_index in range(RUNS):
-                simulator = build_engine(
-                    "vector",
-                    EpidemicProtocol(),
-                    EPIDEMIC_N,
-                    seed=2_000 + run_index,
-                    backend=chosen,
-                )
-                values.append(
-                    simulator.run_until(
-                        epidemic_completion_predicate,
-                        max_parallel_time=60 * math.log(EPIDEMIC_N),
-                    )
-                )
-            return values
+@pytest.mark.skipif(
+    not NativeBackend.available(), reason="native backend unavailable"
+)
+@pytest.mark.parametrize("engine", ["vector", "multiscale"])
+def test_inherited_kernels_run_the_numpy_stream_bitwise(engine):
+    """The native backend overrides only the batched kernel: a seeded vector
+    or multiscale run on it is the numpy run, snapshot for snapshot."""
+    workloads = (
+        (EpidemicProtocol, epidemic_completion_predicate),
+        (
+            lambda: ApproximateMajorityProtocol(x_fraction=0.7),
+            majority_consensus_predicate,
+        ),
+    )
 
-        z = _z_score(times(backend), times(None))
-        assert abs(z) < 4.0, (backend.name, z)
-
-    @pytest.mark.parametrize("backend", _parity_backends())
-    def test_vector_majority_consensus(self, backend):
+    def run(backend, factory, predicate, seed):
         simulator = build_engine(
-            "vector",
-            ApproximateMajorityProtocol(x_fraction=0.7),
-            300,
-            seed=11,
-            backend=backend,
+            engine, factory(), EPIDEMIC_N, seed=seed, backend=backend
         )
-        simulator.run_until(majority_consensus_predicate, max_parallel_time=500)
-        assert simulator.count(ApproximateMajorityProtocol.OPINION_Y) == 0
+        trace = [
+            (point.interaction, dict(point.configuration.items()))
+            for point in simulator.run_with_trace(4.0, 4)
+        ]
+        elapsed = simulator.run_until(predicate, max_parallel_time=500)
+        configuration = dict(simulator.configuration().items())
+        return trace, elapsed, simulator.interactions, configuration
+
+    for factory, predicate in workloads:
+        for seed in (2_001, 2_002, 2_003):
+            assert run("native", factory, predicate, seed) == run(
+                "numpy", factory, predicate, seed
+            ), (engine, seed)
 
 
 # ---------------------------------------------------------------------------
-# CRN lowerings vs the exact SSA, on the JIT backends
+# CRN lowerings vs the exact SSA, on the native backend
 # ---------------------------------------------------------------------------
 
 SIR = CRN.from_spec(

@@ -24,7 +24,6 @@ from repro.backend import (
     register_backend,
     resolve_backend,
 )
-from repro.backend.numba_backend import NUMBA_AVAILABLE
 from repro.backend.numpy_backend import NumpyBatchedKernel
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.selection import build_engine
@@ -34,7 +33,7 @@ from repro.protocols.epidemic import EpidemicProtocol
 
 class TestRegistry:
     def test_shipped_backends_are_registered(self):
-        assert BACKEND_NAMES == ("numpy", "numba", "native")
+        assert BACKEND_NAMES == ("numpy", "native")
 
     def test_numpy_backend_is_always_available(self):
         assert backend_availability()["numpy"] is None
@@ -50,6 +49,13 @@ class TestRegistry:
             get_backend("warp")
         with pytest.raises(SimulationError, match="unknown backend"):
             resolve_backend("warp")
+
+    def test_numba_is_not_a_backend(self):
+        # Naming numba is an error, not a warn-and-fall-back to numpy.
+        with pytest.raises(SimulationError, match="unknown backend 'numba'"):
+            get_backend("numba")
+        with pytest.raises(SimulationError, match="unknown backend 'numba'"):
+            resolve_backend("numba")
 
     def test_get_backend_memoises(self):
         assert get_backend("numpy") is get_backend("numpy")
@@ -80,6 +86,11 @@ class TestResolution:
     def test_unknown_environment_backend_raises(self, monkeypatch):
         monkeypatch.setenv(ENV_BACKEND, "warp")
         with pytest.raises(SimulationError, match="unknown backend"):
+            resolve_backend(None)
+
+    def test_numba_environment_backend_raises(self, monkeypatch):
+        monkeypatch.setenv(ENV_BACKEND, "numba")
+        with pytest.raises(SimulationError, match="unknown backend 'numba'"):
             resolve_backend(None)
 
     def test_instances_pass_through_unchanged(self):
@@ -129,15 +140,6 @@ class TestGracefulFallback:
         assert simulator.backend.name == "numpy"
         simulator.run_interactions(200)
         assert simulator.interactions == 200
-
-    @pytest.mark.skipif(
-        NUMBA_AVAILABLE, reason="numba is installed; no fallback to observe"
-    )
-    def test_numba_absent_fallback_names_the_extra(self):
-        """Numpy-only installs get a pointer at the [jit] extra, not a crash."""
-        with pytest.warns(UserWarning, match=r"pip install -e \.\[jit\]"):
-            resolved = resolve_backend("numba")
-        assert resolved.name == "numpy"
 
 
 class TestPartialBackendComposition:

@@ -280,23 +280,22 @@ class TestEngineSchedulerGrid:
 
 
 def _grid_backends() -> list:
-    """Non-reference array backends runnable here (numba runs interpreted
-    without the JIT installed; native needs a C toolchain)."""
+    """Non-reference array backends runnable here (native needs cffi and a
+    C toolchain)."""
     from repro.backend.native_backend import NativeBackend
-    from repro.backend.numba_backend import NumbaBackend
 
-    backends = [pytest.param(NumbaBackend(), id="numba")]
     if NativeBackend.available():
-        backends.append(pytest.param(NativeBackend(), id="native"))
-    return backends
+        return [pytest.param(NativeBackend(), id="native")]
+    return []
 
 
 class TestEngineSchedulerBackendGrid:
     """Every (engine, scheduler, backend) cell runs the same process.
 
-    The numpy backend is bitwise-pinned by ``tests/backend``; here the JIT
-    backends — which draw from their own RNG streams — are held to the same
-    statistical-agreement bar the engines hold each other to.
+    The numpy backend is bitwise-pinned by ``tests/backend``; here the
+    native backend — whose batched kernel draws from its own RNG stream — is
+    held to the same statistical-agreement bar the engines hold each other
+    to.
     """
 
     @pytest.mark.parametrize("backend", _grid_backends())
@@ -355,13 +354,10 @@ EXERCISED_CELLS = (
 
 EXERCISED_BACKEND_CELLS = (
     ("batched", "numpy"),
-    ("batched", "numba"),
     ("batched", "native"),
     ("vector", "numpy"),
-    ("vector", "numba"),
     ("vector", "native"),
     ("multiscale", "numpy"),
-    ("multiscale", "numba"),
     ("multiscale", "native"),
 )
 
@@ -408,8 +404,6 @@ class TestDeclaredCellCoverage:
         backend = get_backend(backend_name)
         if backend_name == "native" and not backend.available():
             pytest.skip(backend.unavailable_reason() or "native backend unavailable")
-        # The numba backend runs interpreted when the JIT is not installed,
-        # so it exercises the same kernel code either way.
         simulator = build_engine(
             engine, EpidemicProtocol(), 32, seed=9, backend=backend
         )

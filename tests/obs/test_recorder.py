@@ -8,27 +8,24 @@ import threading
 from repro.obs.recorder import (
     RECORDER,
     Recorder,
-    get_recorder,
     recording,
     set_telemetry,
-    telemetry_enabled,
 )
 
 
 class TestSingleton:
     def test_default_off(self):
-        # The process-global recorder starts disabled: instrumented hot
-        # paths must take their uninstrumented branch by default.
-        assert get_recorder() is RECORDER
-        assert telemetry_enabled() is False
+        # The process-global recorder starts disabled: nothing is emitted
+        # (no manifests, spans or spool) unless telemetry is switched on.
+        assert RECORDER.enabled is False
 
     def test_set_telemetry_toggles_in_place(self, tmp_path):
         returned = set_telemetry(True, spool_dir=str(tmp_path))
         assert returned is RECORDER
-        assert telemetry_enabled() is True
+        assert RECORDER.enabled is True
         assert RECORDER.spool_dir == str(tmp_path)
         set_telemetry(False)
-        assert telemetry_enabled() is False
+        assert RECORDER.enabled is False
         # spool_dir persists unless explicitly replaced.
         assert RECORDER.spool_dir == str(tmp_path)
 
@@ -57,13 +54,14 @@ class TestMetrics:
         assert recorder.timers_ns == {"t": 1_500}
         assert recorder.snapshot()["timing"]["t"] == 1_500 / 1e9
 
-    def test_histogram_buckets_are_powers_of_two(self):
+    def test_snapshot_holds_counters_and_timing(self):
         recorder = Recorder()
-        for value in (0, 1, 2, 3, 4, 1024):
-            recorder.observe("h", value)
-        histogram = recorder.histograms["h"]
-        # 0 -> bucket 0; 1 -> 1; 2,3 -> 2; 4 -> 3; 1024 -> 11.
-        assert histogram == {0: 1, 1: 1, 2: 2, 3: 1, 11: 1}
+        recorder.count("a", 2)
+        recorder.add_time("t", 3_000)
+        assert recorder.snapshot() == {
+            "counters": {"a": 2},
+            "timing": {"t": 3_000 / 1e9},
+        }
 
     def test_now_ns_is_monotonic(self):
         recorder = Recorder()
@@ -75,12 +73,10 @@ class TestMetrics:
         recorder = Recorder()
         recorder.count("a")
         recorder.add_time("t", 10)
-        recorder.observe("h", 2)
         recorder.add_span("s", 0, 10)
         recorder.reset()
         assert recorder.counters == {}
         assert recorder.timers_ns == {}
-        assert recorder.histograms == {}
         assert recorder.events == []
 
 

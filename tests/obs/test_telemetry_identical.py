@@ -1,13 +1,13 @@
 """Golden-stream guarantees: telemetry never changes a trajectory.
 
-The observability contract has two halves:
+Each hot loop has one path.  Its chunk-level telemetry blocks always run
+and only *read* monotonic clocks; the vector round times itself only while
+telemetry is on.  So:
 
-* **Off (default):** the instrumented hot paths take a branch that is the
-  pre-instrumentation code, byte for byte — records are ``records_equal``
-  to what the uninstrumented tree produced (pinned here by golden values).
-* **On:** the recorder only *reads* monotonic clocks, so enabling it must
-  still produce the identical trajectory; only ``extra["telemetry"]``
-  (and the recorder's own state) may differ.
+* **Off (default):** records are ``records_equal`` to the pinned golden
+  values (here, and in the engines' golden-stream tests).
+* **On:** the same trajectory again; only ``extra["telemetry"]`` (and the
+  recorder's own state) may differ.
 """
 
 from __future__ import annotations

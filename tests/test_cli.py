@@ -746,11 +746,26 @@ class TestBackendFlag:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--backend", "warp"])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate"],
+            ["sweep"],
+            ["profile"],
+            ["crn", "simulate"],
+            ["crn", "sweep", "--crn", "epidemic"],
+        ],
+    )
+    def test_numba_backend_rejected_at_parse_time(self, argv, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*argv, "--backend", "numba"])
+        assert "invalid choice: 'numba'" in capsys.readouterr().err
+
     def test_engines_reports_backend_availability(self, capsys):
         assert main(["engines"]) == 0
         output = capsys.readouterr().out
         assert "array backends" in output
-        for name in ("numpy", "numba", "native"):
+        for name in ("numpy", "native"):
             assert name in output
         assert "REPRO_BACKEND" in output
 
