@@ -183,7 +183,7 @@ def run_at_scale(workload_name: str, engine: str, mode: str, n: int = SCALE_N) -
     workload = get_crn_workload(workload_name)
     compiled = compile_crn(workload.crn, mode=mode)
     simulator = compiled.build(engine, n, seed=2019)
-    budget = compiled.rate_scale * workload.default_chemical_budget(n)
+    budget = compiled.rate_scale * workload.default_budget(n)
     started = time.perf_counter()
     converged = True
     convergence_time = None

@@ -173,7 +173,7 @@ def run_at_scale(workload_name: str, n: int) -> dict:
     workload = get_crn_workload(workload_name)
     compiled = compile_crn(workload.crn)
     simulator = compiled.build("multiscale", n, seed=2019)
-    budget = compiled.rate_scale * workload.default_chemical_budget(n)
+    budget = compiled.rate_scale * workload.default_budget(n)
     started = time.perf_counter()
     converged = True
     convergence_time = None

@@ -2,8 +2,6 @@
 
 Subcommands
 -----------
-``repro estimate --n 512``
-    Run one size-estimation simulation and print the outcome.
 ``repro figure2 --sizes 128,256,512,1024 --runs 3``
     Reproduce the Figure 2 sweep (vectorised engine) and print the table,
     the ASCII plot and optionally a CSV file.
@@ -17,31 +15,30 @@ Subcommands
 ``repro bounds --n 4096``
     Print the paper's claimed probability bounds for a population size.
 ``repro simulate --protocol epidemic --n 1000000 --engine batched``
-    Run a classic finite-state protocol to convergence on a selectable
-    engine (agent-level reference, count-based, or batched — see
-    ``DESIGN.md``, Engine selection).
+    Run one trial of any registered workload and print its record — the
+    record ``repro sweep --runs 1`` stores.  ``--protocol`` names a
+    finite-state protocol (any engine; see ``DESIGN.md``, Engine selection)
+    or a vector workload that is not finite-state (``figure2``:
+    ``Log-Size-Estimation`` to all-done, ``leader-terminating``: Theorem
+    3.13; ``--fast`` scales their constants down); ``--crn`` names a reaction
+    network.  ``--reaction "L+L -> L+F" --init L:1 --chem-time 5`` simulates
+    an ad-hoc network for a fixed chemical duration instead.  ``--telemetry``
+    adds the trial's run manifest (phase timings and counters).
 ``repro sweep --protocol majority --sizes 10000,100000 --runs 10 --workers 4 --cache-dir .repro-cache --resume``
-    Multi-size, multi-seed sweep of a finite-state workload through the
+    Multi-size, multi-seed sweep of any registered workload through the
     parallel sweep driver: trials fan out over a worker pool, finished
     trials are appended to an on-disk JSON-lines cache, and ``--resume``
     replays cached trials so interrupted or repeated sweeps only execute
-    what is missing (see ``DESIGN.md``, Sweep driver).
-``repro sweep --engine vector --protocol figure2 --sizes 100000,1000000``
-    The same sweep driver running the vector-engine workloads that are not
-    finite-state: ``figure2`` (``Log-Size-Estimation`` to all-done) and
-    ``leader-terminating`` (Theorem 3.13), at populations the agent engine
-    cannot touch.
+    what is missing (see ``DESIGN.md``, Sweep driver).  With ``--crn NAME``
+    the full network (every rate constant) participates in the cache key.
 ``repro simulate/sweep ... --scheduler two-block --scheduler-opt intra=0.95``
     Run under a non-uniform interaction scheduler (see ``repro engines`` for
     the engine × scheduler compatibility matrix and ``DESIGN.md``,
     Schedulers, for the scenario semantics).
-``repro simulate/sweep/crn ... --backend native``
+``repro simulate/sweep ... --backend native``
     Run the hot loops through a pluggable array backend (numpy reference
     or cffi-compiled C); an unavailable backend warns and falls back to
     numpy (see ``DESIGN.md``, Array backends).
-``repro profile --protocol epidemic --engine batched --backend native --interactions 2000000``
-    cProfile one workload run on any engine × backend combination and
-    print throughput plus a per-kernel timing breakdown.
 ``repro engines``
     Print the engine × scheduler compatibility matrix, one-line
     descriptions of every registered scheduler, and the array-backend
@@ -51,14 +48,8 @@ Subcommands
     its engine compatibility.
 ``repro crn info [--crn sir]``
     List the CRN workload library, or show one network's species,
-    reactions, rate scale and lowerings.
-``repro crn simulate --crn approximate-majority --n 1000000 --engine batched``
-    Compile a reaction network onto an engine and run it to convergence;
-    ``--reaction "L+L -> L+F" --init L:1 --chem-time 5`` simulates an
-    ad-hoc network for a fixed chemical duration instead.
-``repro crn sweep --crn sir --sizes 10000,100000 --runs 10 --workers 4``
-    Sweep a CRN workload through the parallel driver; the full network
-    (every rate constant) participates in the result-cache key.
+    reactions, rate scale and lowerings.  ``repro crn simulate`` and
+    ``repro crn sweep`` are ``repro simulate`` and ``repro sweep``.
 """
 
 from __future__ import annotations
@@ -76,22 +67,15 @@ from repro.backend import (
     backend_availability,
     get_backend,
 )
-from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
 from repro.core.parameters import ProtocolParameters
-from repro.engine.scheduler import (
-    SCHEDULER_NAMES,
-    SchedulerSpec,
-    get_scheduler_policy,
-)
+from repro.engine.scheduler import SCHEDULER_NAMES, get_scheduler_policy
 from repro.engine.selection import (
     DEFAULT_SCHEDULERS,
     ENGINE_NAMES,
-    build_engine,
     engine_scheduler_matrix,
 )
-from repro.engine.vector import VectorSimulator
-from repro.exceptions import ConvergenceError, SimulationError
+from repro.exceptions import SimulationError
 from repro.crn import (
     CRN,
     CRN_MODES,
@@ -101,22 +85,25 @@ from repro.crn import (
 )
 from repro.harness.figures import reproduce_figure2
 from repro.harness.parallel import (
-    VECTOR_WORKLOADS,
+    KIND_CRN,
+    KIND_FINITE_STATE,
+    KIND_VECTOR,
     WORKLOADS,
-    build_crn_trials,
-    build_finite_state_trials,
-    build_vector_trials,
+    TrialSpec,
     get_workload,
+    run_trial,
     run_trials,
 )
 from repro.harness.reporting import format_key_values, format_table
 from repro.harness.results import SweepResult
 from repro.store import DEFAULT_LEASE_SECONDS, StoreError, open_store
+from repro.store.base import record_to_dict
 from repro.store.jsonl import JsonlStore
 from repro.harness.tables import accuracy_table, state_complexity_table
 from repro.protocols.leader_election import NonuniformCounterLeaderElection
 from repro.termination.definitions import TerminationSpec
 from repro.termination.impossibility import termination_time_sweep
+from repro.types import Workload
 from repro.workloads.populations import parse_size_list
 
 
@@ -145,46 +132,6 @@ def _sweep_store_from_args(args: argparse.Namespace, name: str):
     if not args.resume:
         store.clear()
     return store
-
-
-def _add_store_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--store`` / ``--lease`` flags of the sweep commands."""
-    parser.add_argument(
-        "--store", default="",
-        help="shared result store URL: jsonl:DIR, sqlite:PATH or "
-        "http://HOST:PORT (a `repro store serve` daemon).  Many concurrent "
-        "drivers may point at one sqlite/http store and cooperate on the "
-        "sweep; always resumes, mutually exclusive with --cache-dir",
-    )
-    parser.add_argument(
-        "--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-        help="store claims only: seconds a claimed trial stays owned before "
-        "a crashed driver's claim is reclaimed (size it above the slowest "
-        f"single trial; default {DEFAULT_LEASE_SECONDS:g})",
-    )
-
-
-def _add_telemetry_arguments(parser: argparse.ArgumentParser) -> None:
-    """The shared ``--telemetry`` / ``--trace-spool`` / ``--progress`` flags."""
-    parser.add_argument(
-        "--telemetry", action="store_true",
-        help="emit telemetry: every trial's record gains a run manifest "
-        "(spec hash, seed lineage, engine/backend/scheduler resolution, "
-        "hot-path counters, timing breakdown) under the 'telemetry' key — "
-        "excluded from cache keys, so records stay interchangeable with "
-        "plain runs — and the sweep prints the driver-side totals",
-    )
-    parser.add_argument(
-        "--trace-spool", default="", metavar="DIR",
-        help="spool span-level trace events to per-process JSONL files in "
-        "DIR (implies --telemetry); merge into a Perfetto-loadable Chrome "
-        "trace with `repro trace export --spool DIR --out FILE`",
-    )
-    parser.add_argument(
-        "--progress", action="store_true",
-        help="render a live progress line on stderr while the sweep runs "
-        "(trials done/executed/cached, throughput, ETA)",
-    )
 
 
 def _telemetry_from_args(args: argparse.Namespace):
@@ -247,34 +194,6 @@ def _parse_scheduler_options(pairs: Sequence[str] | None) -> dict:
                 continue
         options[key] = value
     return options
-
-
-def _scheduler_from_args(args: argparse.Namespace) -> tuple[str | None, dict]:
-    scheduler = getattr(args, "scheduler", None)
-    options = _parse_scheduler_options(getattr(args, "scheduler_opt", None))
-    if scheduler is None and options:
-        raise SimulationError("--scheduler-opt requires --scheduler")
-    return scheduler, options
-
-
-def _scheduler_label(
-    engine: str, scheduler: str | None, scheduler_options: dict | None
-) -> str:
-    """Human-readable scheduler identity, e.g. ``two-block(intra=0.95)``."""
-    if scheduler is None:
-        return DEFAULT_SCHEDULERS[engine]
-    return SchedulerSpec.coerce(scheduler, options=scheduler_options or {}).label()
-
-
-def _cmd_estimate(args: argparse.Namespace) -> int:
-    params = _parameters_from_args(args)
-    simulator = VectorSimulator(LogSizeVectorProtocol(params), args.n, seed=args.seed)
-    outcome = simulator.run_until_done(
-        max_parallel_time=args.budget_factor
-        * expected_convergence_time(args.n, params)
-    )
-    print(format_key_values(outcome.as_dict()))
-    return 0 if outcome.converged else 1
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
@@ -385,198 +304,166 @@ def _cmd_termination(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Flags that only some workload kinds read (argparse dest -> those kinds).
+#: Every other check belongs to TrialSpec and the trial builders.
+_KIND_FLAGS = {
+    "fast": (KIND_VECTOR,),
+    "phase_count": (KIND_VECTOR,),
+    "max_time": (KIND_FINITE_STATE, KIND_VECTOR),
+    "scheduler": (KIND_FINITE_STATE, KIND_VECTOR),
+    "scheduler_opt": (KIND_FINITE_STATE, KIND_VECTOR),
+    "batch_size": (KIND_FINITE_STATE, KIND_CRN),
+    "check_interval": (KIND_FINITE_STATE, KIND_CRN),
+    "leap_eps": (KIND_CRN,),
+    "regime_thresholds": (KIND_CRN,),
+    "chem_time": (KIND_CRN,),
+    "mode": (KIND_CRN,),
+}
+
+
+def _engine_options(args: argparse.Namespace) -> dict:
+    """The given flags that reach the engine (for vector workloads, the kernel)."""
+    names = ("batch_size", "backend", "phase_count", "leap_eps", "regime_thresholds")
+    return {
+        name: getattr(args, name) for name in names if getattr(args, name) is not None
+    }
+
+
+def _check_kind_flags(args: argparse.Namespace, kind: str, name: str) -> None:
+    """Reject a flag that workloads of ``kind`` do not read."""
+    for dest, kinds in _KIND_FLAGS.items():
+        if getattr(args, dest) not in (None, False) and kind not in kinds:
+            flag = "--" + dest.replace("_", "-")
+            raise SimulationError(
+                f"{flag} does not apply to {kind} workloads such as {name!r} "
+                f"(it applies to: {', '.join(kinds)})"
+            )
+
+
+def _workload_from_args(args: argparse.Namespace) -> Workload:
+    """The entry ``--protocol`` or ``--crn`` names (default: epidemic)."""
+    if args.crn is None:
+        return get_workload(args.protocol or "epidemic")
+    if args.protocol is not None:
+        raise SimulationError("pass either --protocol or --crn, not both")
+    return get_crn_workload(args.crn)
+
+
+def _specs_from_args(
+    args: argparse.Namespace, workload: Workload, sizes: Sequence[int], runs: int
+) -> list[TrialSpec]:
+    """The trials ``repro simulate`` / ``repro sweep`` run for ``workload``."""
+    _check_kind_flags(args, workload.kind, workload.name)
+    if args.scheduler_opt and args.scheduler is None:
+        raise SimulationError("--scheduler-opt requires --scheduler")
+    options = {
+        "engine": args.engine,
+        "max_parallel_time": args.max_time,
+        "max_chemical_time": args.chem_time,
+        "check_interval": args.check_interval,
+        "mode": args.mode,
+        "params": ProtocolParameters.fast_test() if args.fast else None,
+        "scheduler": args.scheduler,
+        "scheduler_options": _parse_scheduler_options(args.scheduler_opt) or None,
+        **_engine_options(args),
+    }
+    given = {key: value for key, value in options.items() if value is not None}
+    return workload.trials(sizes, runs, base_seed=args.seed, **given)
+
+
+def _schedule_label(spec: TrialSpec) -> str:
+    """How a trial's interactions are drawn, e.g. ``matching scheduler``."""
+    if spec.kind == KIND_CRN:
+        return f"{spec.crn_mode} lowering"
+    scheduler = spec.scheduler_spec()
+    name = DEFAULT_SCHEDULERS[spec.engine] if scheduler is None else scheduler.label()
+    return f"{name} scheduler"
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    workload = get_workload(args.protocol)
-    protocol = workload.factory()
-    predicate = workload.predicate
-    population_size = (
-        args.n if args.n is not None else workload.default_population
-    )
-    max_time = (
-        args.max_time
-        if args.max_time is not None
-        else workload.default_budget(population_size)
-    )
-    engine_options = {}
-    if args.batch_size is not None:
-        engine_options["batch_size"] = args.batch_size
-    if args.backend is not None:
-        engine_options["backend"] = args.backend
     try:
-        scheduler, scheduler_options = _scheduler_from_args(args)
-        if scheduler is None and workload.scheduler is not None:
-            # The registry may bake a scheduler variant into the workload.
-            scheduler = workload.scheduler
-            if not scheduler_options:
-                scheduler_options = dict(workload.scheduler_options)
-        simulator = build_engine(
-            args.engine, protocol, population_size, seed=args.seed,
-            scheduler=scheduler, scheduler_options=scheduler_options,
-            **engine_options,
+        if args.reaction:
+            return _simulate_adhoc(args)
+        if args.init or args.seed_init or args.name != "adhoc":
+            raise SimulationError(
+                "--init, --seed-init and --name describe an ad-hoc --reaction "
+                "network; they cannot be combined with a registered workload"
+            )
+        workload = _workload_from_args(args)
+        population_size = (
+            workload.default_population if args.n is None else args.n
         )
+        (spec,) = _specs_from_args(args, workload, [population_size], 1)
+        _telemetry_from_args(args)
+        record = run_trial(spec)
     except SimulationError as error:
         print(f"repro simulate: error: {error}", file=sys.stderr)
         return 2
-    scheduler_label = _scheduler_label(args.engine, scheduler, scheduler_options)
     print(
-        f"{protocol.describe()} on the {args.engine} engine "
-        f"({scheduler_label} scheduler): {workload.description}"
+        f"{workload.kind} workload {workload.name!r} on the {spec.engine} engine "
+        f"({_schedule_label(spec)}), n={population_size}: {workload.description}"
     )
-    converged = True
-    convergence_time = None
-    try:
-        convergence_time = simulator.run_until(
-            predicate, max_parallel_time=max_time
-        )
-    except ConvergenceError:
-        converged = False
-    summary = {
-        "population_size": population_size,
-        "engine": args.engine,
-        "scheduler": scheduler_label,
-        "converged": converged,
-        "convergence_parallel_time": convergence_time,
-        "interactions": simulator.interactions,
-        "distinct_states_present": len(simulator.configuration()),
-    }
-    for output, count in sorted(
-        simulator.outputs().items(), key=lambda item: repr(item[0])
+    print(json.dumps(record_to_dict(record), indent=2, sort_keys=True))
+    return 0 if record.converged else 1
+
+
+def _simulate_adhoc(args: argparse.Namespace) -> int:
+    """Run an ad-hoc ``--reaction`` network for exactly ``--chem-time``.
+
+    No convergence predicate exists for an ad-hoc network, so no
+    "converged" claim is reported (the exit code only reflects successful
+    execution).
+    """
+    if args.protocol is not None:
+        raise SimulationError("pass either --protocol or --reaction, not both")
+    crn, _ = _crn_from_args(args)
+    _check_kind_flags(args, KIND_CRN, crn.name)
+    for flag, given in (
+        ("--check-interval", args.check_interval is not None),
+        ("--telemetry", args.telemetry),
     ):
-        summary[f"output[{output!r}]"] = count
-    print(format_key_values(summary))
-    return 0 if converged else 1
-
-
-def _profile_location(filename: str, lineno: int) -> str:
-    """Shorten a profile frame location to a repo-relative path."""
-    if filename.startswith("~") or filename.startswith("<"):
-        return "(builtin)"
-    filename = filename.replace("\\", "/")
-    marker = "/repro/"
-    index = filename.rfind(marker)
-    if index >= 0:
-        filename = "repro/" + filename[index + len(marker):]
-    return f"{filename}:{lineno}"
-
-
-def _cmd_profile(args: argparse.Namespace) -> int:
-    """Profile one workload run: cProfile totals plus a kernel breakdown."""
-    import cProfile
-    import pstats
-    import time
-
-    workload = get_workload(args.protocol)
-    protocol = workload.factory()
-    population_size = (
-        args.n if args.n is not None else workload.default_population
-    )
-    max_time = (
-        args.max_time
-        if args.max_time is not None
-        else workload.default_budget(population_size)
-    )
-    engine_options = {}
-    if args.batch_size is not None:
-        engine_options["batch_size"] = args.batch_size
-    if args.backend is not None:
-        engine_options["backend"] = args.backend
-    try:
-        scheduler, scheduler_options = _scheduler_from_args(args)
-        build_started = time.perf_counter()
-        simulator = build_engine(
-            args.engine, protocol, population_size, seed=args.seed,
-            scheduler=scheduler, scheduler_options=scheduler_options,
-            **engine_options,
-        )
-        build_seconds = time.perf_counter() - build_started
-    except SimulationError as error:
-        print(f"repro profile: error: {error}", file=sys.stderr)
-        return 2
-    backend_name = getattr(getattr(simulator, "backend", None), "name", "numpy")
-    print(
-        f"profiling {protocol.describe()} on the {args.engine} engine "
-        f"({backend_name} backend), n={population_size}"
-    )
-
-    profiler = cProfile.Profile()
-    converged = True
-    started = time.perf_counter()
-    profiler.enable()
-    try:
-        if args.interactions is not None:
-            simulator.run_interactions(args.interactions)
-        else:
-            try:
-                simulator.run_until(
-                    workload.predicate, max_parallel_time=max_time
-                )
-            except ConvergenceError:
-                converged = False
-    finally:
-        profiler.disable()
-    elapsed = time.perf_counter() - started
-
-    summary = {
-        "engine": args.engine,
-        "backend": backend_name,
-        "population_size": population_size,
-        "interactions": simulator.interactions,
-        "build_seconds": round(build_seconds, 4),
-        "wall_seconds": round(elapsed, 4),
-        "interactions_per_second": (
-            round(simulator.interactions / elapsed) if elapsed > 0 else None
-        ),
-    }
-    for counter in ("batched_batches", "fallback_batches", "rounds"):
-        value = getattr(simulator, counter, None)
-        if value is not None:
-            summary[counter] = value
-    if args.interactions is None:
-        summary["converged"] = converged
-    print(format_key_values(summary))
-
-    stats = pstats.Stats(profiler)
-    total_self = sum(entry[2] for entry in stats.stats.values())
-
-    def _rows(entries: list, limit: int) -> list:
-        entries.sort(key=lambda item: item[1][3], reverse=True)
-        rows = []
-        for (filename, lineno, name), (_, ncalls, tt, ct, _) in entries[:limit]:
-            rows.append(
-                [
-                    name,
-                    _profile_location(filename, lineno),
-                    ncalls,
-                    round(tt, 4),
-                    round(ct, 4),
-                    f"{100.0 * tt / total_self:.1f}%" if total_self else "-",
-                ]
+        if given:
+            raise SimulationError(
+                f"{flag} does not apply to an ad-hoc --reaction network: it "
+                f"runs for a fixed --chem-time, with no convergence check "
+                f"and no trial record"
             )
-        return rows
-
-    headers = ["function", "where", "calls", "tottime", "cumtime", "self%"]
-    print()
-    print(f"top {args.top} functions by cumulative time:")
-    print(format_table(headers, _rows(list(stats.stats.items()), args.top)))
-
-    kernel_entries = [
-        (func, data)
-        for func, data in stats.stats.items()
-        if "/repro/backend/" in func[0].replace("\\", "/")
-        or "/repro/engine/" in func[0].replace("\\", "/")
-    ]
-    print()
-    print("kernel breakdown (repro.backend and repro.engine frames):")
-    if kernel_entries:
-        print(format_table(headers, _rows(kernel_entries, args.top)))
-    else:
-        # A fully fused run (native backend) spends its time inside
-        # compiled code, which cProfile cannot attribute to Python frames.
-        print(
-            "  (none recorded - the run stayed inside compiled kernels; "
-            "see the builtin rows above)"
+    if args.mode == "thinned":
+        raise SimulationError(
+            "an ad-hoc network runs for a fixed --chem-time, which the "
+            "thinned lowering cannot honour (its event clock has no "
+            "constant mapping to chemical time); use --mode uniform, or "
+            "a registered workload with a convergence predicate"
         )
-    return 0 if converged else 1
+    if args.chem_time is None:
+        raise SimulationError(
+            "an ad-hoc network needs --chem-time (the chemical duration "
+            "to simulate); registered workloads carry a default budget"
+        )
+    compiled = compile_crn(crn)
+    engine = args.engine or "batched"
+    population_size = 10_000 if args.n is None else args.n
+    simulator = compiled.build(
+        engine, population_size, seed=args.seed, **_engine_options(args)
+    )
+    simulator.run_parallel_time(compiled.to_parallel_time(args.chem_time))
+    summary = {
+        "population_size": population_size,
+        "engine": engine,
+        "mode": "uniform",
+        "rate_scale": compiled.rate_scale,
+        "parallel_time": simulator.parallel_time,
+        "interactions": simulator.interactions,
+    }
+    if engine == "multiscale":
+        for key, value in simulator.regime_stats().items():
+            summary[f"regime[{key}]"] = value
+    summary["chemical_time"] = compiled.to_chemical_time(simulator.parallel_time)
+    for state, count in sorted(simulator.configuration().items()):
+        summary[f"count[{state}]"] = count
+    print(f"{compiled.protocol.describe()} on the {engine} engine")
+    print(format_key_values(summary))
+    return 0
 
 
 def _print_sweep_summary(result: SweepResult) -> None:
@@ -610,90 +497,44 @@ def _print_sweep_summary(result: SweepResult) -> None:
             rows,
         )
     )
+    # Multiscale trials carry per-regime work counters in their records
+    # (exact SSA events, tau-leaps, ODE steps, regime switches); aggregate
+    # them per population size so the sweep output shows where the engine
+    # actually spent its events.
+    by_size: dict[int, dict[str, int]] = {}
+    for record in result.records:
+        regime = record.extra.get("regime")
+        if regime:
+            totals = by_size.setdefault(record.population_size, {})
+            for name, value in regime.items():
+                totals[name] = totals.get(name, 0) + int(value)
+    if by_size:
+        print()
+        print("multiscale regime totals (summed over runs):")
+        print(
+            format_table(
+                ["n", "exact events", "leaps", "ode steps", "switches"],
+                [
+                    [
+                        size,
+                        by_size[size].get("exact_events", 0),
+                        by_size[size].get("leaps", 0),
+                        by_size[size].get("ode_steps", 0),
+                        by_size[size].get("regime_switches", 0),
+                    ]
+                    for size in sorted(by_size)
+                ],
+            )
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sizes = parse_size_list(args.sizes)
-    is_vector_workload = args.protocol in VECTOR_WORKLOADS
     try:
-        scheduler, scheduler_options = _scheduler_from_args(args)
-        if is_vector_workload:
-            if args.engine != "vector":
-                raise SimulationError(
-                    f"workload {args.protocol!r} runs on the vector engine; "
-                    f"pass --engine vector"
-                )
-            if args.batch_size is not None:
-                raise SimulationError(
-                    "--batch-size only applies to the batched engine, not to "
-                    "vector workloads"
-                )
-            if args.check_interval is not None:
-                raise SimulationError(
-                    "--check-interval does not apply to vector workloads "
-                    "(convergence is checked every round)"
-                )
-            engine_options = {}
-            if args.phase_count is not None:
-                if args.protocol != "leader-terminating":
-                    raise SimulationError(
-                        "--phase-count only applies to the leader-terminating "
-                        "workload"
-                    )
-                engine_options["phase_count"] = args.phase_count
-            if args.backend is not None:
-                engine_options["backend"] = args.backend
-            specs = build_vector_trials(
-                population_sizes=sizes,
-                runs_per_size=args.runs,
-                protocol=args.protocol,
-                params=_parameters_from_args(args),
-                base_seed=args.seed,
-                max_parallel_time=args.max_time,
-                scheduler=scheduler,
-                scheduler_options=scheduler_options,
-                **engine_options,
-            )
-        else:
-            if args.phase_count is not None:
-                raise SimulationError(
-                    "--phase-count only applies to the leader-terminating "
-                    "vector workload"
-                )
-            if args.fast:
-                raise SimulationError(
-                    "--fast only applies to vector workloads (finite-state "
-                    "workloads have no protocol constants to scale down)"
-                )
-            workload = get_workload(args.protocol)
-            budget = (
-                (lambda n: args.max_time)
-                if args.max_time is not None
-                else workload.default_budget
-            )
-            engine_options = {}
-            if args.batch_size is not None:
-                engine_options["batch_size"] = args.batch_size
-            if args.backend is not None:
-                engine_options["backend"] = args.backend
-            specs = build_finite_state_trials(
-                population_sizes=sizes,
-                runs_per_size=args.runs,
-                base_seed=args.seed,
-                engine=args.engine,
-                max_parallel_time=budget,
-                check_interval=args.check_interval,
-                protocol=args.protocol,
-                scheduler=scheduler,
-                scheduler_options=scheduler_options,
-                **engine_options,
-            )
-    except SimulationError as error:
-        print(f"repro sweep: error: {error}", file=sys.stderr)
-        return 2
-
-    try:
-        store = _sweep_store_from_args(args, f"{args.protocol}-{args.engine}")
+        workload = _workload_from_args(args)
+        specs = _specs_from_args(args, workload, sizes, args.runs)
+        name = f"{workload.store_prefix}{workload.name}-{specs[0].engine}"
+        store = _sweep_store_from_args(args, name)
         progress_view = _telemetry_from_args(args)
         try:
             outcome = run_trials(
@@ -707,18 +548,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         print(f"repro sweep: error: {error}", file=sys.stderr)
         return 2
 
-    result = SweepResult(
-        name=f"sweep-{args.protocol}-{args.engine}", records=outcome.records
-    )
-    # Label from the specs actually built, so a workload's registry-baked
-    # scheduler variant is reported correctly even without --scheduler.
-    scheduler_label = _scheduler_label(
-        args.engine, specs[0].scheduler, dict(specs[0].scheduler_options)
-    )
     print(
-        f"sweep of {args.protocol!r} on the {args.engine} engine "
-        f"({scheduler_label} scheduler; {len(sizes)} sizes x {args.runs} runs, "
-        f"workers={args.workers})"
+        f"sweep of {workload.kind} workload {workload.name!r} on the "
+        f"{specs[0].engine} engine ({_schedule_label(specs[0])}; {len(sizes)} "
+        f"sizes x {args.runs} runs, workers={args.workers})"
     )
     print(
         f"trials: {len(specs)} total, {outcome.executed} executed, "
@@ -727,7 +560,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if store is not None:
         print(f"store: {store.describe()}")
     print()
-    _print_sweep_summary(result)
+    _print_sweep_summary(SweepResult(name=f"sweep-{name}", records=outcome.records))
     _print_telemetry_summary(outcome)
     return 0 if all(record.converged for record in outcome.records) else 1
 
@@ -816,7 +649,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
             only=args.only or None,
             lint_paths=args.paths or None,
             waiver_file=args.waivers or None,
-            update_baseline=args.update_baseline,
         )
     except (ValueError, OSError) as error:
         print(f"repro check: error: {error}", file=sys.stderr)
@@ -828,24 +660,24 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_protocols(args: argparse.Namespace) -> int:
     """List every registered workload with its engine compatibility."""
-    all_engines = ",".join(ENGINE_NAMES)
-    rows = []
-    for name in sorted(WORKLOADS):
-        workload = WORKLOADS[name]
-        rows.append([name, "finite-state", all_engines, workload.description])
-    for name in sorted(VECTOR_WORKLOADS):
-        workload = VECTOR_WORKLOADS[name]
-        rows.append([name, "vector", "vector", workload.description])
-    for name in sorted(CRN_WORKLOADS):
-        workload = CRN_WORKLOADS[name]
-        rows.append([name, "crn", all_engines, workload.description])
+    rows = [
+        [
+            workload.name,
+            workload.kind,
+            ",".join(workload.engines),
+            workload.description,
+        ]
+        for workload in [
+            *sorted(WORKLOADS.values(), key=lambda entry: (entry.kind, entry.name)),
+            *sorted(CRN_WORKLOADS.values(), key=lambda entry: entry.name),
+        ]
+    ]
     print("registered workloads:")
     print(format_table(["name", "kind", "engines", "description"], rows))
     print()
     print(
-        "finite-state workloads run via `repro simulate/sweep --protocol NAME` "
-        "on any engine; vector workloads via `repro sweep --engine vector`; "
-        "CRN workloads via `repro crn simulate/sweep --crn NAME` (the thinned "
+        "run any of them with `repro simulate` or `repro sweep`: protocols "
+        "via --protocol NAME, CRN workloads via --crn NAME (the thinned "
         "lowering, --mode thinned, is count/batched only).  `repro engines` "
         "prints the engine x scheduler matrix."
     )
@@ -899,11 +731,6 @@ def _crn_from_args(args: argparse.Namespace) -> tuple[CRN, bool]:
     )
 
 
-def _crn_engines(mode: str) -> tuple[str, ...]:
-    """Engines a CRN lowering can build on."""
-    return ("count", "batched") if mode == "thinned" else tuple(ENGINE_NAMES)
-
-
 def _regime_thresholds_arg(text: str) -> tuple[float, float]:
     """Parse ``--regime-thresholds CRITICAL,ODE`` into a float pair."""
     parts = text.split(",")
@@ -918,22 +745,6 @@ def _regime_thresholds_arg(text: str) -> tuple[float, float]:
             f"expected CRITICAL,ODE (two comma-separated numbers), got {text!r}"
         ) from None
     return (critical, ode)
-
-
-def _multiscale_options_from_args(args: argparse.Namespace) -> dict:
-    """Collect --leap-eps/--regime-thresholds, rejecting them off-engine."""
-    options = {}
-    if args.leap_eps is not None:
-        options["leap_eps"] = args.leap_eps
-    if args.regime_thresholds is not None:
-        options["regime_thresholds"] = args.regime_thresholds
-    if options and args.engine != "multiscale":
-        raise SimulationError(
-            f"--leap-eps/--regime-thresholds tune the multiscale engine; "
-            f"the {args.engine} engine does not read them "
-            f"(add --engine multiscale)"
-        )
-    return options
 
 
 def _cmd_crn_info(args: argparse.Namespace) -> int:
@@ -952,8 +763,8 @@ def _cmd_crn_info(args: argparse.Namespace) -> int:
         print(format_table(["name", "species", "reactions", "default n", "description"], rows))
         print()
         print(
-            "`repro crn info --crn NAME` shows one network; `repro crn simulate"
-            " --reaction 'A + B -> C + D @ k' ...` runs an ad-hoc one."
+            "`repro crn info --crn NAME` shows one network; `repro simulate "
+            "--reaction 'A + B -> C + D @ k' ...` runs an ad-hoc one."
         )
         return 0
     try:
@@ -974,8 +785,8 @@ def _cmd_crn_info(args: argparse.Namespace) -> int:
         "seeds": ", ".join(f"{s}:{c}" for s, c in crn.seeds) or "-",
         "fractions": ", ".join(f"{s}:{w:g}" for s, w in crn.fractions),
         "rate_scale": uniform.rate_scale,
-        "uniform lowering engines": ",".join(_crn_engines("uniform")),
-        "thinned lowering engines": ",".join(_crn_engines("thinned")),
+        "uniform lowering engines": ",".join(ENGINE_NAMES),
+        "thinned lowering engines": "count,batched",
         "thinned activity rates": ", ".join(
             f"{s}:{r:g}" for s, r in thinned.state_rates
         ),
@@ -986,7 +797,7 @@ def _cmd_crn_info(args: argparse.Namespace) -> int:
         workload = get_crn_workload(args.crn)
         summary["workload"] = workload.description
         summary["default population"] = workload.default_population
-        summary["chemical budget at default n"] = workload.default_chemical_budget(
+        summary["chemical budget at default n"] = workload.default_budget(
             workload.default_population
         )
     print(format_key_values(summary))
@@ -996,185 +807,6 @@ def _cmd_crn_info(args: argparse.Namespace) -> int:
         "lowering (DESIGN.md, CRN front-end)."
     )
     return 0
-
-
-def _cmd_crn_simulate(args: argparse.Namespace) -> int:
-    try:
-        crn, registered = _crn_from_args(args)
-        compiled = compile_crn(crn, mode=args.mode)
-        if args.engine not in _crn_engines(args.mode):
-            raise SimulationError(
-                f"the {args.mode} lowering cannot run on the {args.engine} "
-                f"engine; supported: {', '.join(_crn_engines(args.mode))}"
-            )
-        workload = get_crn_workload(args.crn) if registered else None
-        if workload is None and args.mode == "thinned":
-            raise SimulationError(
-                "an ad-hoc network runs for a fixed --chem-time, which the "
-                "thinned lowering cannot honour (its event clock has no "
-                "constant mapping to chemical time); use --mode uniform, or "
-                "a registered workload with a convergence predicate"
-            )
-        population_size = (
-            args.n
-            if args.n is not None
-            else (workload.default_population if workload else 10_000)
-        )
-        if args.chem_time is not None:
-            chemical_budget = args.chem_time
-        elif workload is not None:
-            chemical_budget = workload.default_chemical_budget(population_size)
-        else:
-            raise SimulationError(
-                "an ad-hoc network needs --chem-time (the chemical duration "
-                "to simulate); registered workloads carry a default budget"
-            )
-        engine_options = _multiscale_options_from_args(args)
-        if args.batch_size is not None:
-            engine_options["batch_size"] = args.batch_size
-        if args.backend is not None:
-            engine_options["backend"] = args.backend
-        simulator = compiled.build(
-            args.engine, population_size, seed=args.seed, **engine_options
-        )
-    except SimulationError as error:
-        print(f"repro crn simulate: error: {error}", file=sys.stderr)
-        return 2
-    budget_parallel = compiled.rate_scale * chemical_budget
-    print(
-        f"{compiled.protocol.describe()} on the {args.engine} engine"
-        + (f": {workload.description}" if workload else "")
-    )
-    summary = {
-        "population_size": population_size,
-        "engine": args.engine,
-        "mode": args.mode,
-        "rate_scale": compiled.rate_scale,
-    }
-    converged = True
-    if workload is not None:
-        convergence_time = None
-        try:
-            convergence_time = simulator.run_until(
-                workload.predicate, max_parallel_time=budget_parallel
-            )
-        except ConvergenceError:
-            converged = False
-        summary["converged"] = converged
-        summary["parallel_time"] = convergence_time
-    else:
-        # No convergence predicate exists for an ad-hoc network: the run
-        # simply covers the requested duration, so no "converged" claim is
-        # reported (and the exit code only reflects successful execution).
-        simulator.run_parallel_time(budget_parallel)
-        convergence_time = simulator.parallel_time
-        summary["parallel_time"] = convergence_time
-    summary["interactions"] = simulator.interactions
-    if args.engine == "multiscale":
-        for key, value in simulator.regime_stats().items():
-            summary[f"regime[{key}]"] = value
-    if compiled.time_exact and convergence_time is not None:
-        summary["chemical_time"] = convergence_time / compiled.rate_scale
-    for state, count in sorted(simulator.configuration().items()):
-        summary[f"count[{state}]"] = count
-    print(format_key_values(summary))
-    return 0 if converged else 1
-
-
-def _cmd_crn_sweep(args: argparse.Namespace) -> int:
-    sizes = parse_size_list(args.sizes)
-    try:
-        if args.engine not in _crn_engines(args.mode):
-            raise SimulationError(
-                f"the {args.mode} lowering cannot run on the {args.engine} "
-                f"engine; supported: {', '.join(_crn_engines(args.mode))}"
-            )
-        engine_options = _multiscale_options_from_args(args)
-        if args.batch_size is not None:
-            engine_options["batch_size"] = args.batch_size
-        if args.backend is not None:
-            engine_options["backend"] = args.backend
-        specs = build_crn_trials(
-            population_sizes=sizes,
-            runs_per_size=args.runs,
-            crn=args.crn,
-            base_seed=args.seed,
-            engine=args.engine,
-            mode=args.mode,
-            max_chemical_time=args.chem_time,
-            check_interval=args.check_interval,
-            **engine_options,
-        )
-    except SimulationError as error:
-        print(f"repro crn sweep: error: {error}", file=sys.stderr)
-        return 2
-
-    try:
-        store = _sweep_store_from_args(args, f"crn-{args.crn}-{args.engine}")
-        progress_view = _telemetry_from_args(args)
-        try:
-            outcome = run_trials(
-                specs, workers=args.workers, store=store,
-                lease_seconds=args.lease, progress=progress_view,
-            )
-        finally:
-            if progress_view is not None:
-                progress_view.close()
-    except SimulationError as error:
-        print(f"repro crn sweep: error: {error}", file=sys.stderr)
-        return 2
-
-    result = SweepResult(
-        name=f"crn-sweep-{args.crn}-{args.engine}", records=outcome.records
-    )
-    print(
-        f"CRN sweep of {args.crn!r} on the {args.engine} engine "
-        f"({args.mode} lowering; {len(sizes)} sizes x {args.runs} runs, "
-        f"workers={args.workers})"
-    )
-    print(
-        f"trials: {len(specs)} total, {outcome.executed} executed, "
-        f"{outcome.from_cache} from cache"
-    )
-    if store is not None:
-        print(f"store: {store.describe()}")
-    print()
-    _print_sweep_summary(result)
-    # Multiscale trials carry per-regime work counters in their records
-    # (exact SSA events, tau-leaps, ODE steps, regime switches); aggregate
-    # them per population size so the sweep output shows where the engine
-    # actually spent its events — previously only `repro crn simulate`
-    # exposed this.
-    regime_rows = []
-    by_size: dict[int, dict[str, int]] = {}
-    for record in outcome.records:
-        regime = record.extra.get("regime")
-        if regime:
-            totals = by_size.setdefault(record.population_size, {})
-            for name, value in regime.items():
-                totals[name] = totals.get(name, 0) + int(value)
-    for size in sorted(by_size):
-        totals = by_size[size]
-        regime_rows.append(
-            [
-                size,
-                totals.get("exact_events", 0),
-                totals.get("leaps", 0),
-                totals.get("ode_steps", 0),
-                totals.get("regime_switches", 0),
-            ]
-        )
-    if regime_rows:
-        print()
-        print("multiscale regime totals (summed over runs):")
-        print(
-            format_table(
-                ["n", "exact events", "leaps", "ode steps", "switches"],
-                regime_rows,
-            )
-        )
-    _print_telemetry_summary(outcome)
-    return 0 if all(record.converged for record in outcome.records) else 1
 
 
 def _cmd_store_serve(args: argparse.Namespace) -> int:
@@ -1337,6 +969,195 @@ def _cmd_bounds(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_network_flags(parser: argparse.ArgumentParser, adhoc: bool) -> None:
+    """``--crn NAME`` and, with ``adhoc``, the ad-hoc network flags."""
+    parser.add_argument(
+        "--crn",
+        choices=sorted(CRN_WORKLOADS),
+        default=None,
+        help="registered CRN workload (see `repro crn info`)",
+    )
+    if not adhoc:
+        return
+    parser.add_argument(
+        "--reaction", action="append", default=None, metavar="SPEC",
+        help="ad-hoc reaction 'A + B -> C + D @ k', repeatable "
+        "(unimolecular: 'A -> B @ k')",
+    )
+    parser.add_argument(
+        "--init", default="", metavar="SPECIES:FRAC,...",
+        help="ad-hoc networks: relative initial fractions, e.g. "
+        "'A:0.52,B:0.48'",
+    )
+    parser.add_argument(
+        "--seed-init", default="", metavar="SPECIES:COUNT,...",
+        help="ad-hoc networks: exact seeded agent counts, e.g. 'I:1'",
+    )
+    parser.add_argument(
+        "--name", default="adhoc", help="name of an ad-hoc network"
+    )
+
+
+def _add_workload_arguments(parser: argparse.ArgumentParser, sweep: bool) -> None:
+    """The flags of ``repro simulate`` (``sweep=False``) and ``repro sweep``.
+
+    One parser serves every workload kind; a kind-specific flag given to a
+    workload of another kind is rejected when the trials are built.
+    """
+    parser.add_argument(
+        "--protocol",
+        choices=sorted(WORKLOADS),
+        default=None,
+        help="registered protocol workload (default: epidemic): a "
+        "finite-state protocol, or figure2 / leader-terminating on the "
+        "vector engine",
+    )
+    _add_network_flags(parser, adhoc=not sweep)
+    if sweep:
+        parser.add_argument(
+            "--sizes", default="1000,10000,100000",
+            help="comma-separated population sizes",
+        )
+        parser.add_argument(
+            "--runs", type=int, default=3, help="runs (seeds) per size"
+        )
+    else:
+        parser.add_argument(
+            "--n", type=int, default=None,
+            help="population size (default: the workload's, e.g. 100000, or "
+            "2000 for leader election; 10000 for an ad-hoc network)",
+        )
+    parser.add_argument(
+        "--engine",
+        choices=list(ENGINE_NAMES),
+        default=None,
+        help="simulation engine (default: vector for vector workloads, "
+        "batched otherwise; agent: exact reference; count: per-interaction "
+        "counts; batched: multinomial batches, fastest at large n; vector: "
+        "numpy matching rounds; multiscale: exact/tau-leap/ODE regimes)",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0,
+        help="sweep-level base seed; trial (n index i, run j) runs "
+        "spawn_seed(seed, i, j)",
+    )
+    parser.add_argument(
+        "--max-time", type=float, default=None,
+        help="per-trial parallel-time budget before a run counts as "
+        "non-converged (default: the workload's, e.g. 200 for polylog-time "
+        "protocols, 4n for leader election)",
+    )
+    parser.add_argument(
+        "--chem-time", type=float, default=None,
+        help="CRN workloads: chemical-time budget (default: the workload's; "
+        "an ad-hoc network runs for exactly this duration)",
+    )
+    parser.add_argument(
+        "--check-interval", type=int, default=None,
+        help="interactions between predicate checks (default: "
+        "engine-chosen; vector workloads check every round)",
+    )
+    parser.add_argument(
+        "--batch-size", type=int, default=None,
+        help="batched engine only: interactions per batch (default ~sqrt(n))",
+    )
+    parser.add_argument(
+        "--backend", choices=list(BACKEND_NAMES), default=None,
+        help="array backend for the hot-loop kernels (default: "
+        "$REPRO_BACKEND or numpy; unavailable backends fall back to numpy "
+        "with a warning — see `repro engines`; participates in the trial "
+        "cache keys)",
+    )
+    parser.add_argument(
+        "--fast", action="store_true",
+        help="vector workloads only: use scaled-down protocol constants",
+    )
+    parser.add_argument(
+        "--phase-count", type=int, default=None,
+        help="leader-terminating workload only: phases of the leader-driven "
+        "clock (paper: 289; small values terminate sooner)",
+    )
+    parser.add_argument(
+        "--scheduler",
+        choices=list(SCHEDULER_NAMES),
+        default=None,
+        help="interaction scheduler (default: the engine's own — sequential "
+        "for agent/count/batched, matching for vector; participates in the "
+        "trial cache keys; `repro engines` prints the compatibility matrix)",
+    )
+    parser.add_argument(
+        "--scheduler-opt", action="append", default=None, metavar="KEY=VALUE",
+        help="scheduler option, repeatable (e.g. --scheduler two-block "
+        "--scheduler-opt intra=0.95)",
+    )
+    parser.add_argument(
+        "--mode", choices=list(CRN_MODES), default=None,
+        help="CRN lowering: uniform (default; exact kinetics and times, any "
+        "engine) or thinned (exact reaction sequence via state-weighted "
+        "rates, fewer null interactions; count or batched engine)",
+    )
+    parser.add_argument(
+        "--leap-eps", type=float, default=None,
+        help="multiscale engine only: tau-leap relative-propensity "
+        "tolerance (Cao's epsilon; default 0.05, smaller = more exact)",
+    )
+    parser.add_argument(
+        "--regime-thresholds", type=_regime_thresholds_arg, default=None,
+        metavar="CRITICAL,ODE",
+        help="multiscale engine only: per-species count thresholds — below "
+        "CRITICAL a channel fires by exact SSA, above ODE the whole system "
+        "integrates deterministically (default 20,1e5)",
+    )
+    parser.add_argument(
+        "--telemetry", action="store_true",
+        help="emit telemetry: every trial's record gains a run manifest "
+        "(spec hash, seed lineage, engine/backend/scheduler resolution, "
+        "hot-path counters, timing breakdown) under the 'telemetry' key — "
+        "excluded from cache keys, so records stay interchangeable with "
+        "plain runs — and a sweep prints the driver-side totals",
+    )
+    parser.set_defaults(handler=_cmd_sweep if sweep else _cmd_simulate)
+    if not sweep:
+        return
+    parser.add_argument(
+        "--workers", type=int, default=1,
+        help="worker processes (1 = serial, same results either way)",
+    )
+    parser.add_argument(
+        "--cache-dir", default="",
+        help="directory of the JSON-lines result cache (empty: no cache)",
+    )
+    parser.add_argument(
+        "--resume", action="store_true",
+        help="replay trials already in the cache instead of recomputing "
+        "them (without this flag an existing cache file is cleared first)",
+    )
+    parser.add_argument(
+        "--store", default="",
+        help="shared result store URL: jsonl:DIR, sqlite:PATH or "
+        "http://HOST:PORT (a `repro store serve` daemon).  Many concurrent "
+        "drivers may point at one sqlite/http store and cooperate on the "
+        "sweep; always resumes, mutually exclusive with --cache-dir",
+    )
+    parser.add_argument(
+        "--lease", type=float, default=DEFAULT_LEASE_SECONDS,
+        help="store claims only: seconds a claimed trial stays owned before "
+        "a crashed driver's claim is reclaimed (size it above the slowest "
+        f"single trial; default {DEFAULT_LEASE_SECONDS:g})",
+    )
+    parser.add_argument(
+        "--trace-spool", default="", metavar="DIR",
+        help="spool span-level trace events to per-process JSONL files in "
+        "DIR (implies --telemetry); merge into a Perfetto-loadable Chrome "
+        "trace with `repro trace export --spool DIR --out FILE`",
+    )
+    parser.add_argument(
+        "--progress", action="store_true",
+        help="render a live progress line on stderr while the sweep runs "
+        "(trials done/executed/cached, throughput, ETA)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser (exposed for tests)."""
     parser = argparse.ArgumentParser(
@@ -1348,13 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"repro {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    estimate = subparsers.add_parser("estimate", help="run one size estimation")
-    estimate.add_argument("--n", type=int, default=512, help="population size")
-    estimate.add_argument("--seed", type=int, default=0)
-    estimate.add_argument("--budget-factor", type=float, default=4.0)
-    estimate.add_argument("--fast", action="store_true", help="use scaled-down constants")
-    estimate.set_defaults(handler=_cmd_estimate)
 
     figure2 = subparsers.add_parser("figure2", help="reproduce Figure 2")
     figure2.add_argument("--sizes", default="128,256,512,1024")
@@ -1412,7 +1226,7 @@ def build_parser() -> argparse.ArgumentParser:
     check = subparsers.add_parser(
         "check",
         help="static analysis: protocol/CRN semantics, determinism lint, "
-        "cache-key and capability-matrix contracts, typing ratchet",
+        "cache-key and capability-matrix contracts",
         description=(
             "Run the static analyzers (see DESIGN.md, 'Static analysis'). "
             "Exit 0 when every error-severity finding is waived, 1 "
@@ -1427,7 +1241,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     check.add_argument(
         "--only", action="append", default=None, metavar="FAMILY",
-        choices=("semantic", "lint", "contracts", "typing"),
+        choices=("semantic", "lint", "contracts"),
         help="run only this analyzer family (repeatable; default: all)",
     )
     check.add_argument(
@@ -1445,11 +1259,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="extra waivers as JSON: "
         '{"waivers": [{"rule": ..., "location": ..., "justification": ...}]}',
     )
-    check.add_argument(
-        "--update-baseline", action="store_true",
-        help="typing family: rewrite staticcheck_typing_baseline.json with "
-        "the current strict-mypy error counts",
-    )
     check.set_defaults(handler=_cmd_check)
 
     protocols = subparsers.add_parser(
@@ -1464,165 +1273,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     crn = subparsers.add_parser(
         "crn",
-        help="declarative CRN front-end: simulate/sweep reaction networks",
+        help="declarative CRN front-end: inspect, simulate and sweep networks",
         description=(
             "Specify a protocol as a chemical reaction network — a registered "
             "workload (--crn NAME) or ad-hoc reaction specs — compile it onto "
             "an engine, and simulate mass-action kinetics exactly (see "
-            "DESIGN.md, CRN front-end)."
+            "DESIGN.md, CRN front-end).  `crn simulate` and `crn sweep` are "
+            "`repro simulate` and `repro sweep`."
         ),
     )
     crn_sub = crn.add_subparsers(dest="crn_command", required=True)
-
-    def _add_network_flags(parser: argparse.ArgumentParser) -> None:
-        parser.add_argument(
-            "--crn",
-            choices=sorted(CRN_WORKLOADS),
-            default=None,
-            help="registered CRN workload (see `repro crn info`)",
-        )
-        parser.add_argument(
-            "--reaction", action="append", default=None, metavar="SPEC",
-            help="ad-hoc reaction 'A + B -> C + D @ k', repeatable "
-            "(unimolecular: 'A -> B @ k')",
-        )
-        parser.add_argument(
-            "--init", default="", metavar="SPECIES:FRAC,...",
-            help="ad-hoc networks: relative initial fractions, e.g. "
-            "'A:0.52,B:0.48'",
-        )
-        parser.add_argument(
-            "--seed-init", default="", metavar="SPECIES:COUNT,...",
-            help="ad-hoc networks: exact seeded agent counts, e.g. 'I:1'",
-        )
-        parser.add_argument(
-            "--name", default="adhoc", help="name of an ad-hoc network"
-        )
-
     crn_info = crn_sub.add_parser(
         "info", help="list CRN workloads or inspect one network"
     )
-    _add_network_flags(crn_info)
+    _add_network_flags(crn_info, adhoc=True)
     crn_info.set_defaults(handler=_cmd_crn_info)
-
-    crn_simulate = crn_sub.add_parser(
-        "simulate", help="compile a network onto an engine and run it"
+    _add_workload_arguments(
+        crn_sub.add_parser("simulate", help="same as `repro simulate`"), sweep=False
     )
-    _add_network_flags(crn_simulate)
-    crn_simulate.add_argument(
-        "--n", type=int, default=None,
-        help="population size (default: the workload's, or 10000 ad-hoc)",
+    _add_workload_arguments(
+        crn_sub.add_parser("sweep", help="same as `repro sweep`"), sweep=True
     )
-    crn_simulate.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="batched",
-        help="simulation engine (the thinned lowering needs count or batched)",
-    )
-    crn_simulate.add_argument(
-        "--mode", choices=list(CRN_MODES), default="uniform",
-        help="lowering mode: uniform (exact kinetics and times, any engine) "
-        "or thinned (exact reaction sequence via state-weighted rates, "
-        "fewer null interactions)",
-    )
-    crn_simulate.add_argument("--seed", type=int, default=0)
-    crn_simulate.add_argument(
-        "--chem-time", type=float, default=None,
-        help="chemical-time budget (registered workloads default to their "
-        "own; ad-hoc networks run for exactly this duration)",
-    )
-    crn_simulate.add_argument(
-        "--batch-size", type=int, default=None,
-        help="batched engine only: interactions per batch (default ~sqrt(n))",
-    )
-    crn_simulate.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="array backend for the hot-loop kernels (default: "
-        "$REPRO_BACKEND or numpy; see `repro engines`)",
-    )
-    crn_simulate.add_argument(
-        "--leap-eps", type=float, default=None,
-        help="multiscale engine only: tau-leap relative-propensity "
-        "tolerance (Cao's epsilon; default 0.05, smaller = more exact)",
-    )
-    crn_simulate.add_argument(
-        "--regime-thresholds", type=_regime_thresholds_arg, default=None,
-        metavar="CRITICAL,ODE",
-        help="multiscale engine only: per-species count thresholds — below "
-        "CRITICAL a channel fires by exact SSA, above ODE the whole system "
-        "integrates deterministically (default 20,1e5)",
-    )
-    crn_simulate.set_defaults(handler=_cmd_crn_simulate)
-
-    crn_sweep = crn_sub.add_parser(
-        "sweep",
-        help="multi-size, multi-seed CRN sweep (parallel workers, resumable cache)",
-        description=(
-            "Sweep a registered CRN workload through the parallel driver.  "
-            "The full network — every rate constant — participates in the "
-            "trial cache keys, so cached results are never replayed for a "
-            "modified network."
-        ),
-    )
-    crn_sweep.add_argument(
-        "--crn", choices=sorted(CRN_WORKLOADS), required=True,
-        help="registered CRN workload to sweep",
-    )
-    crn_sweep.add_argument(
-        "--sizes", default="1000,10000,100000",
-        help="comma-separated population sizes",
-    )
-    crn_sweep.add_argument("--runs", type=int, default=3, help="runs (seeds) per size")
-    crn_sweep.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="batched",
-        help="simulation engine for every trial",
-    )
-    crn_sweep.add_argument(
-        "--mode", choices=list(CRN_MODES), default="uniform",
-        help="lowering mode (thinned needs --engine count or batched)",
-    )
-    crn_sweep.add_argument("--seed", type=int, default=0, help="sweep-level base seed")
-    crn_sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial, same results either way)",
-    )
-    crn_sweep.add_argument(
-        "--cache-dir", default="",
-        help="directory of the JSON-lines result cache (empty: no cache)",
-    )
-    crn_sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay trials already in the cache instead of recomputing them",
-    )
-    crn_sweep.add_argument(
-        "--chem-time", type=float, default=None,
-        help="per-trial chemical-time budget (default: the workload's)",
-    )
-    crn_sweep.add_argument(
-        "--check-interval", type=int, default=None,
-        help="interactions between predicate checks (default: engine-chosen)",
-    )
-    crn_sweep.add_argument(
-        "--batch-size", type=int, default=None,
-        help="batched engine only: interactions per batch (default ~sqrt(n))",
-    )
-    crn_sweep.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="array backend for every trial (default: $REPRO_BACKEND or "
-        "numpy; participates in the trial cache keys)",
-    )
-    crn_sweep.add_argument(
-        "--leap-eps", type=float, default=None,
-        help="multiscale engine only: tau-leap relative-propensity "
-        "tolerance (participates in the trial cache keys)",
-    )
-    crn_sweep.add_argument(
-        "--regime-thresholds", type=_regime_thresholds_arg, default=None,
-        metavar="CRITICAL,ODE",
-        help="multiscale engine only: exact-SSA and ODE count thresholds "
-        "(participates in the trial cache keys)",
-    )
-    _add_store_arguments(crn_sweep)
-    _add_telemetry_arguments(crn_sweep)
-    crn_sweep.set_defaults(handler=_cmd_crn_sweep)
 
     store = subparsers.add_parser(
         "store",
@@ -1709,207 +1380,41 @@ def build_parser() -> argparse.ArgumentParser:
     trace_validate.add_argument("trace", help="trace JSON file to validate")
     trace_validate.set_defaults(handler=_cmd_trace_validate)
 
-    simulate = subparsers.add_parser(
-        "simulate", help="run a finite-state protocol on a selectable engine"
-    )
-    simulate.add_argument(
-        "--protocol",
-        choices=sorted(WORKLOADS),
-        default="epidemic",
-        help="which finite-state workload to run",
-    )
-    simulate.add_argument(
-        "--n", type=int, default=None,
-        help="population size (default: 100000; 2000 for leader election, "
-        "which needs Theta(n^2) interactions)",
-    )
-    simulate.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default="batched",
-        help="simulation engine (agent: exact reference; count: per-interaction "
-        "counts; batched: multinomial batches, fastest at large n; vector: "
-        "numpy matching rounds, exact per-round convergence measurement)",
-    )
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--max-time", type=float, default=None,
-        help="parallel-time budget before the run counts as non-converged "
-        "(default: 200 for polylog-time protocols, 4n for leader election)",
-    )
-    simulate.add_argument(
-        "--batch-size", type=int, default=None,
-        help="batched engine only: interactions per batch (default ~sqrt(n))",
-    )
-    simulate.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="array backend for the hot-loop kernels (default: "
-        "$REPRO_BACKEND or numpy; unavailable backends fall back to numpy "
-        "with a warning — see `repro engines`)",
-    )
-    simulate.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULER_NAMES),
-        default=None,
-        help="interaction scheduler (default: the engine's own — sequential "
-        "for agent/count/batched, matching for vector; `repro engines` "
-        "prints the compatibility matrix)",
-    )
-    simulate.add_argument(
-        "--scheduler-opt", action="append", default=None, metavar="KEY=VALUE",
-        help="scheduler option, repeatable (e.g. --scheduler two-block "
-        "--scheduler-opt intra=0.95)",
-    )
-    simulate.set_defaults(handler=_cmd_simulate)
 
-    profile = subparsers.add_parser(
-        "profile",
-        help="cProfile a workload run with a per-kernel timing breakdown",
-        description=(
-            "Run one finite-state workload under cProfile on any engine x "
-            "backend combination and print the run counters (throughput in "
-            "interactions/s), the top functions by cumulative time, and a "
-            "breakdown restricted to the repro.backend / repro.engine kernel "
-            "frames — the profile-guided view behind the array-backend seam "
-            "(DESIGN.md, Array backends)."
+    _add_workload_arguments(
+        subparsers.add_parser(
+            "simulate",
+            help="run one trial of any registered workload and print its record",
+            description=(
+                "Run one trial of a registered workload (--protocol NAME or "
+                "--crn NAME; `repro protocols` lists them) and print its "
+                "record: exactly the record `repro sweep --runs 1` stores for "
+                "the same --n and --seed.  An ad-hoc --reaction network runs "
+                "for a fixed --chem-time instead.  Exit 0 converged, 1 not "
+                "converged, 2 bad options."
+            ),
         ),
+        sweep=False,
     )
-    profile.add_argument(
-        "--protocol",
-        choices=sorted(WORKLOADS),
-        default="epidemic",
-        help="which finite-state workload to profile",
-    )
-    profile.add_argument(
-        "--n", type=int, default=None,
-        help="population size (default: the workload's)",
-    )
-    profile.add_argument(
-        "--engine", choices=list(ENGINE_NAMES), default="batched",
-        help="simulation engine to profile",
-    )
-    profile.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="array backend for the hot-loop kernels (default: "
-        "$REPRO_BACKEND or numpy)",
-    )
-    profile.add_argument("--seed", type=int, default=0)
-    profile.add_argument(
-        "--interactions", type=int, default=None,
-        help="profile exactly this many interactions instead of a "
-        "run-to-convergence (recommended for stable timings)",
-    )
-    profile.add_argument(
-        "--max-time", type=float, default=None,
-        help="parallel-time budget of a run-to-convergence profile "
-        "(default: the workload's budget; ignored with --interactions)",
-    )
-    profile.add_argument(
-        "--batch-size", type=int, default=None,
-        help="batched engine only: interactions per batch (default ~sqrt(n))",
-    )
-    profile.add_argument(
-        "--scheduler", choices=list(SCHEDULER_NAMES), default=None,
-        help="interaction scheduler (default: the engine's own)",
-    )
-    profile.add_argument(
-        "--scheduler-opt", action="append", default=None, metavar="KEY=VALUE",
-        help="scheduler option, repeatable",
-    )
-    profile.add_argument(
-        "--top", type=int, default=12,
-        help="rows per profile table (default: 12)",
-    )
-    profile.set_defaults(handler=_cmd_profile)
-
-    sweep = subparsers.add_parser(
-        "sweep",
-        help="multi-size, multi-seed sweep with parallel workers and a resumable cache",
-        description=(
-            "Sweep a finite-state workload over population sizes and seeds "
-            "through the parallel sweep driver.  Trials are independent and "
-            "deterministically seeded, so --workers N produces record-for-"
-            "record identical results to --workers 1.  With --cache-dir, "
-            "finished trials are appended to a JSON-lines cache keyed by a "
-            "hash of each trial spec; --resume replays cached trials so an "
-            "interrupted or repeated sweep executes only the missing ones."
+    _add_workload_arguments(
+        subparsers.add_parser(
+            "sweep",
+            help="multi-size, multi-seed sweep with parallel workers and a "
+            "resumable cache",
+            description=(
+                "Sweep a registered workload over population sizes and seeds "
+                "through the parallel sweep driver.  Trials are independent "
+                "and deterministically seeded, so --workers N produces "
+                "record-for-record identical results to --workers 1.  With "
+                "--cache-dir, finished trials are appended to a JSON-lines "
+                "cache keyed by a hash of each trial spec (for a CRN, the "
+                "full network, every rate constant); --resume replays cached "
+                "trials so an interrupted or repeated sweep executes only the "
+                "missing ones."
+            ),
         ),
+        sweep=True,
     )
-    sweep.add_argument(
-        "--protocol",
-        choices=sorted(WORKLOADS) + sorted(VECTOR_WORKLOADS),
-        default="epidemic",
-        help="which workload to sweep (finite-state workloads run on any "
-        "engine; figure2 and leader-terminating require --engine vector)",
-    )
-    sweep.add_argument(
-        "--sizes", default="1000,10000,100000",
-        help="comma-separated population sizes",
-    )
-    sweep.add_argument("--runs", type=int, default=3, help="runs (seeds) per size")
-    sweep.add_argument(
-        "--engine",
-        choices=list(ENGINE_NAMES),
-        default="batched",
-        help="simulation engine for every trial",
-    )
-    sweep.add_argument("--seed", type=int, default=0, help="sweep-level base seed")
-    sweep.add_argument(
-        "--workers", type=int, default=1,
-        help="worker processes (1 = serial, same results either way)",
-    )
-    sweep.add_argument(
-        "--cache-dir", default="",
-        help="directory of the JSON-lines result cache (empty: no cache)",
-    )
-    sweep.add_argument(
-        "--resume", action="store_true",
-        help="replay trials already in the cache instead of recomputing them "
-        "(without this flag an existing cache file is cleared first)",
-    )
-    sweep.add_argument(
-        "--max-time", type=float, default=None,
-        help="per-trial parallel-time budget (default: the workload's budget, "
-        "e.g. 200 for polylog-time protocols, 4n for leader election)",
-    )
-    sweep.add_argument(
-        "--check-interval", type=int, default=None,
-        help="interactions between predicate checks (default: engine-chosen)",
-    )
-    sweep.add_argument(
-        "--batch-size", type=int, default=None,
-        help="batched engine only: interactions per batch (default ~sqrt(n))",
-    )
-    sweep.add_argument(
-        "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="array backend for every trial (default: $REPRO_BACKEND or "
-        "numpy; participates in the trial cache keys)",
-    )
-    sweep.add_argument(
-        "--fast", action="store_true",
-        help="vector workloads only: use scaled-down protocol constants",
-    )
-    sweep.add_argument(
-        "--phase-count", type=int, default=None,
-        help="leader-terminating workload only: phases of the leader-driven "
-        "clock (paper: 289; small values terminate sooner)",
-    )
-    sweep.add_argument(
-        "--scheduler",
-        choices=list(SCHEDULER_NAMES),
-        default=None,
-        help="interaction scheduler for every trial (default: the engine's "
-        "own; participates in the trial cache keys, so cached uniform "
-        "results are never replayed for a non-uniform sweep)",
-    )
-    sweep.add_argument(
-        "--scheduler-opt", action="append", default=None, metavar="KEY=VALUE",
-        help="scheduler option, repeatable (e.g. --scheduler weighted "
-        "--scheduler-opt lazy_rate=0.25)",
-    )
-    _add_store_arguments(sweep)
-    _add_telemetry_arguments(sweep)
-    sweep.set_defaults(handler=_cmd_sweep)
 
     return parser
 

@@ -19,7 +19,7 @@ reference, and :mod:`repro.crn.library` for the shipped networks
 from repro.crn.compile import CRN_MODES, CompiledCRN, CRNProtocol, compile_crn
 from repro.crn.library import (
     CRN_WORKLOADS,
-    CRNWorkload,
+    NetworkWorkload,
     get_crn_workload,
     register_crn_workload,
 )
@@ -31,8 +31,8 @@ __all__ = [
     "CRN_MODES",
     "CRN_WORKLOADS",
     "CRNProtocol",
-    "CRNWorkload",
     "CompiledCRN",
+    "NetworkWorkload",
     "Reaction",
     "SSAResult",
     "compile_crn",

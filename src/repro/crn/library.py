@@ -1,11 +1,14 @@
 """Library of classic reaction networks and the ``CRN_WORKLOADS`` registry.
 
-Each :class:`CRNWorkload` pairs a :class:`~repro.crn.model.CRN` with a
+Each entry is a :class:`NetworkWorkload`, the :class:`~repro.types.Workload`
+of kind ``"crn"``: it pairs a :class:`~repro.crn.model.CRN` with a
 convergence predicate (over the count-level engine interface), a default
-population and a chemical-time budget, making it runnable by name through
-the sweep driver (``TrialSpec(kind="crn", ...)``), the CLI (``repro crn
-simulate/sweep/info``) and the benchmarks — the same shape as the
-finite-state :data:`~repro.harness.parallel.WORKLOADS` registry.
+population and a chemical-time budget, and runs a trial by compiling the
+network onto the trial's engine.  Entries run by name through the sweep
+driver (``TrialSpec(kind="crn", ...)``), the CLI (``repro simulate/sweep
+--crn NAME``, ``repro crn info``) and the benchmarks.  The registry is separate
+from :data:`~repro.harness.parallel.WORKLOADS` because ``epidemic`` and
+``leader`` name both a protocol and a network.
 
 Budgets are stated in *chemical* time; the trial builders convert them to
 parallel-time budgets through the compiled rate scale
@@ -38,14 +41,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, ClassVar
 
 from repro.crn.model import CRN
-from repro.exceptions import SimulationError
+from repro.types import KIND_CRN, Workload, lookup_workload
 
 __all__ = [
     "CRN_WORKLOADS",
-    "CRNWorkload",
+    "NetworkWorkload",
     "epidemic_extinct_predicate",
     "get_crn_workload",
     "majority_decided_predicate",
@@ -56,54 +59,76 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CRNWorkload:
-    """A named CRN workload runnable by the sweep driver, CLI and benchmarks.
+@dataclass(frozen=True, kw_only=True)
+class NetworkWorkload(Workload):
+    """A reaction network, its initial condition included, with a
+    convergence predicate.
 
-    Attributes
-    ----------
-    name:
-        Registry key (``repro crn simulate --crn <name>``).
-    crn:
-        The network, including its initial condition.
-    predicate:
-        Convergence predicate over the count-level engine interface (must be
-        a picklable module-level callable for parallel sweeps).
-    description:
-        One line for ``--help`` / ``repro protocols`` output.
-    default_population:
-        Default ``n`` for single-shot CLI runs.
-    default_chemical_budget:
-        Chemical-time budget as a function of ``n`` (converted to a
-        parallel-time budget through the compiled rate scale).
+    ``default_budget`` maps ``n`` to a *chemical*-time budget, which the
+    trial builder converts through the compiled rate scale.  A trial runs
+    the network its spec embeds (so every rate constant keys the cache),
+    under the spec's own predicate if it has one.
     """
 
-    name: str
-    crn: CRN
-    predicate: Callable[..., bool]
-    description: str
-    default_population: int
-    default_chemical_budget: Callable[[int], float]
+    kind: ClassVar[str] = KIND_CRN
+    store_prefix: ClassVar[str] = "crn-"
+    crn: CRN | None = None
+    predicate: Callable[..., bool] | None = None
+    default_budget: Callable[[int], float] | None = None
+
+    def trials(self, population_sizes, runs_per_size, **options) -> list:
+        from repro.harness.parallel import build_crn_trials
+
+        return build_crn_trials(
+            population_sizes, runs_per_size, crn=self.name, **options
+        )
+
+    def run(self, spec):
+        from repro.crn.compile import compile_crn
+
+        compiled = compile_crn(spec.crn, mode=spec.crn_mode)
+        simulator = compiled.build(
+            spec.engine, spec.population_size, seed=spec.seed,
+            **spec.engine_option_dict(),
+        )
+        converged, convergence_time = self._run_until(
+            simulator, spec.predicate or self.predicate, spec
+        )
+        extra = {
+            "engine": spec.engine,
+            "interactions": int(simulator.interactions),
+            "crn": spec.crn.name,
+            "crn_mode": spec.crn_mode,
+            "rate_scale": compiled.rate_scale,
+            "counts": {
+                str(state): int(count)
+                for state, count in sorted(simulator.configuration().items())
+            },
+        }
+        if compiled.time_exact and convergence_time is not None:
+            extra["chemical_time"] = compiled.to_chemical_time(convergence_time)
+        # Multiscale engines expose per-regime work counters (exact events,
+        # tau-leaps, ODE steps, switches); sweep summaries aggregate them.
+        regime_stats = getattr(simulator, "regime_stats", None)
+        if regime_stats is not None:
+            extra["regime"] = {
+                str(name): int(value) for name, value in regime_stats().items()
+            }
+        return self._record(spec, converged, convergence_time, extra)
 
 
-CRN_WORKLOADS: dict[str, CRNWorkload] = {}
+CRN_WORKLOADS: dict[str, NetworkWorkload] = {}
 
 
-def register_crn_workload(workload: CRNWorkload) -> CRNWorkload:
+def register_crn_workload(workload: NetworkWorkload) -> NetworkWorkload:
     """Register a named CRN workload (overwrites an existing entry)."""
     CRN_WORKLOADS[workload.name] = workload
     return workload
 
 
-def get_crn_workload(name: str) -> CRNWorkload:
+def get_crn_workload(name: str) -> NetworkWorkload:
     """Look up a registered CRN workload, raising :class:`SimulationError`."""
-    try:
-        return CRN_WORKLOADS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown CRN workload {name!r}; registered: "
-            f"{', '.join(sorted(CRN_WORKLOADS))}"
-        ) from None
+    return lookup_workload(CRN_WORKLOADS, name, "CRN workload")
 
 
 # -- predicates (module-level, picklable) ------------------------------------
@@ -140,7 +165,7 @@ def single_leader_predicate(simulator) -> bool:
 
 def _register_builtin_crn_workloads() -> None:
     register_crn_workload(
-        CRNWorkload(
+        NetworkWorkload(
             name="approximate-majority",
             crn=CRN.from_spec(
                 [
@@ -158,11 +183,11 @@ def _register_builtin_crn_workloads() -> None:
                 "a 52/48 split until consensus"
             ),
             default_population=100_000,
-            default_chemical_budget=lambda n: 16.0 * max(4.0, math.log2(n)),
+            default_budget=lambda n: 16.0 * max(4.0, math.log2(n)),
         )
     )
     register_crn_workload(
-        CRNWorkload(
+        NetworkWorkload(
             name="epidemic",
             crn=CRN.from_spec(
                 ["I + S -> I + I"],
@@ -173,11 +198,11 @@ def _register_builtin_crn_workloads() -> None:
             predicate=susceptibles_exhausted_predicate,
             description="one-way epidemic from a single infected agent",
             default_population=100_000,
-            default_chemical_budget=lambda n: 8.0 * max(4.0, math.log2(n)),
+            default_budget=lambda n: 8.0 * max(4.0, math.log2(n)),
         )
     )
     register_crn_workload(
-        CRNWorkload(
+        NetworkWorkload(
             name="sir",
             crn=CRN.from_spec(
                 [
@@ -194,11 +219,11 @@ def _register_builtin_crn_workloads() -> None:
                 "infection dies out"
             ),
             default_population=100_000,
-            default_chemical_budget=lambda n: 30.0 + 10.0 * max(4.0, math.log2(n)),
+            default_budget=lambda n: 30.0 + 10.0 * max(4.0, math.log2(n)),
         )
     )
     register_crn_workload(
-        CRNWorkload(
+        NetworkWorkload(
             name="predator-prey",
             crn=CRN.from_spec(
                 [
@@ -215,11 +240,11 @@ def _register_builtin_crn_workloads() -> None:
                 "'converges' only when a random extinction absorbs it"
             ),
             default_population=10_000,
-            default_chemical_budget=lambda n: 100.0,
+            default_budget=lambda n: 100.0,
         )
     )
     register_crn_workload(
-        CRNWorkload(
+        NetworkWorkload(
             name="leader",
             crn=CRN.from_spec(
                 ["L + L -> L + F"],
@@ -229,7 +254,7 @@ def _register_builtin_crn_workloads() -> None:
             predicate=single_leader_predicate,
             description="leader election by duel (L + L -> L + F) from all leaders",
             default_population=2_000,
-            default_chemical_budget=lambda n: 4.0 * n,
+            default_budget=lambda n: 4.0 * n,
         )
     )
 

@@ -34,10 +34,8 @@ from repro.harness.experiment import (
 from repro.harness.parallel import (
     SweepOutcome,
     TrialSpec,
-    VectorWorkload,
     build_finite_state_trials,
     build_vector_trials,
-    register_vector_workload,
     run_trial,
     run_trials,
 )
@@ -57,10 +55,8 @@ __all__ = [
     "summarize",
     "SweepOutcome",
     "TrialSpec",
-    "VectorWorkload",
     "build_finite_state_trials",
     "build_vector_trials",
-    "register_vector_workload",
     "run_trial",
     "run_trials",
     "ExperimentSpec",

@@ -22,16 +22,22 @@ to ``workers=1``.
 
 Workload registry
 -----------------
-Cached/parallel sweeps driven from the CLI reference protocols *by name*
-through :data:`WORKLOADS` (finite-state protocols, runnable on any engine of
-:data:`repro.engine.selection.ENGINE_NAMES`) or :data:`VECTOR_WORKLOADS`
-(bespoke vector-engine kernels for the non-finite-state paper protocols:
-``figure2``, ``leader-terminating``); worker processes re-import this
-module, so both registries are always available on the far side of the
-pickle boundary.  CRN trials (``kind="crn"``,
-:func:`build_crn_trials`) reference :data:`repro.crn.library.CRN_WORKLOADS`
-for their predicate but embed the *network itself* in the spec, so the full
-reaction system — every rate constant — participates in the cache key.
+Cached/parallel sweeps driven from the CLI reference workloads *by name*.
+Every named workload is a :class:`~repro.types.Workload` entry whose
+subclass builds, runs and records its trials, so :func:`run_trial` runs
+``spec.workload().run(spec)`` for every kind.  :data:`WORKLOADS` holds the
+protocols: :class:`ProtocolWorkload` entries, finite-state protocols
+runnable on any engine of :data:`repro.engine.selection.ENGINE_NAMES`, and
+:class:`KernelWorkload` entries, the vector-engine kernels of the paper
+protocols that are not finite-state (``figure2``, ``leader-terminating``).
+:data:`repro.crn.library.CRN_WORKLOADS` holds the reaction networks.
+Worker processes re-import both modules, so both registries are available
+on the far side of the pickle boundary.  A spec's name is resolved when the
+spec is built, so an unknown or wrong-kind name fails before any trial
+runs; a spec naming none runs on its kind's unnamed entry.  CRN trials
+(``kind="crn"``, :func:`build_crn_trials`) embed the *network itself* in
+the spec, so the full reaction system — every rate constant — participates
+in the cache key.
 Library callers may instead embed ``protocol_factory``/``predicate``
 callables in the spec.  Their ``module:qualname`` keys the trial, so they
 must be importable by that name (module-level functions or classes, not
@@ -50,110 +56,240 @@ import time
 from collections import deque
 from queue import Empty, SimpleQueue
 from dataclasses import dataclass, field, fields
-from typing import Callable, Mapping, Sequence
+from typing import Callable, ClassVar, Mapping, Sequence
 
 from repro.core.parameters import ProtocolParameters
-from repro.exceptions import ConvergenceError, SimulationError
+from repro.exceptions import SimulationError
 from repro.harness.results import RunRecord
 from repro.obs.manifest import TELEMETRY_KEY, trial_manifest
 from repro.obs.progress import SweepProgress
 from repro.obs.recorder import RECORDER as _REC
 from repro.protocols.base import FiniteStateProtocol
 from repro.rng import spawn_seed
+from repro.types import (
+    KIND_CRN,
+    KIND_FINITE_STATE,
+    KIND_SEQUENTIAL,
+    KIND_VECTOR,
+    Workload,
+    lookup_workload,
+)
 
 __all__ = [
     "KIND_CRN",
     "KIND_FINITE_STATE",
     "KIND_SEQUENTIAL",
     "KIND_VECTOR",
-    "VECTOR_WORKLOADS",
     "WORKLOADS",
-    "FiniteStateWorkload",
+    "KernelWorkload",
+    "ProtocolWorkload",
     "SweepOutcome",
     "TrialSpec",
-    "VectorWorkload",
     "build_crn_trials",
     "build_finite_state_trials",
     "build_vector_trials",
-    "get_vector_workload",
     "get_workload",
-    "register_vector_workload",
     "register_workload",
     "run_trial",
     "run_trials",
 ]
 
 #: Trial kinds understood by :func:`run_trial`.
-KIND_FINITE_STATE = "finite-state"
-KIND_SEQUENTIAL = "sequential"
-KIND_VECTOR = "vector"
-KIND_CRN = "crn"
 _KINDS = (KIND_FINITE_STATE, KIND_SEQUENTIAL, KIND_VECTOR, KIND_CRN)
 
 
 # ---------------------------------------------------------------------------
-# Workload registry (finite-state protocols referenced by name)
+# Workload registry (protocols referenced by name)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiniteStateWorkload:
-    """A named finite-state workload runnable by the sweep driver and CLI.
+@dataclass(frozen=True, kw_only=True)
+class ProtocolWorkload(Workload):
+    """A finite-state protocol, runnable on every engine.
 
-    Attributes
-    ----------
-    name:
-        Registry key (``repro sweep --protocol <name>``).
-    factory:
-        Zero-argument callable building a fresh protocol per trial.
-    predicate:
-        Convergence predicate over the count-level engine interface.
-    description:
-        One line for ``--help`` output.
-    default_population:
-        Default ``n`` for single-shot CLI runs.
-    default_budget:
-        Parallel-time budget as a function of ``n``.
-    scheduler / scheduler_options:
-        Optional scheduler variant baked into the workload (used when a
-        trial does not choose a scheduler explicitly), so registries can
-        carry e.g. a two-block flavour of an existing workload as its own
-        named entry.
+    ``factory`` builds a fresh protocol per trial and ``predicate`` (over
+    the count-level engine interface) says when it has converged; both must
+    be module-level callables so parallel sweeps can pickle them.
+    ``default_budget`` maps ``n`` to a parallel-time budget.  A spec's own
+    ``protocol_factory`` and ``predicate`` take the place of the entry's.
     """
 
-    name: str
-    factory: Callable[[], FiniteStateProtocol]
-    predicate: Callable[..., bool]
-    description: str
-    default_population: int
-    default_budget: Callable[[int], float]
-    scheduler: str | None = None
-    scheduler_options: tuple[tuple[str, object], ...] = ()
+    kind: ClassVar[str] = KIND_FINITE_STATE
+    factory: Callable[[], FiniteStateProtocol] | None = None
+    predicate: Callable[..., bool] | None = None
+    default_budget: Callable[[int], float] | None = None
+
+    def trials(self, population_sizes, runs_per_size, *, engine="batched",
+               max_parallel_time=None, **options) -> list[TrialSpec]:
+        if max_parallel_time is None:
+            max_parallel_time = self.default_budget
+        return build_finite_state_trials(
+            population_sizes, runs_per_size, engine=engine, protocol=self.name,
+            max_parallel_time=max_parallel_time, **options,
+        )
+
+    def run(self, spec: TrialSpec) -> RunRecord:
+        from repro.engine.selection import build_engine
+
+        simulator = build_engine(
+            spec.engine, (spec.protocol_factory or self.factory)(),
+            spec.population_size, seed=spec.seed,
+            scheduler=spec.scheduler_spec(), **spec.engine_option_dict(),
+        )
+        converged, convergence_time = self._run_until(
+            simulator, spec.predicate or self.predicate, spec
+        )
+        return self._record(spec, converged, convergence_time, {
+            "engine": spec.engine,
+            "interactions": int(simulator.interactions),
+            "outputs": {
+                str(output): int(count)
+                for output, count in simulator.outputs().items()
+            },
+        })
 
 
-WORKLOADS: dict[str, FiniteStateWorkload] = {}
+@dataclass(frozen=True, kw_only=True)
+class KernelWorkload(Workload):
+    """A paper protocol that is not finite-state, as a vector-engine kernel.
+
+    ``factory(params, **options)`` builds the kernel, which carries its own
+    convergence condition; ``default_budget(n, params, **options)`` is the
+    parallel-time budget for those constants and options.
+    """
+
+    kind: ClassVar[str] = KIND_VECTOR
+    factory: Callable[..., object] | None = None
+    default_budget: Callable[..., float] | None = None
+
+    @property
+    def engines(self) -> tuple[str, ...]:
+        return ("vector",)
+
+    def trials(self, population_sizes, runs_per_size, *, engine="vector",
+               params=None, **options) -> list[TrialSpec]:
+        if engine != "vector":
+            raise SimulationError(
+                f"workload {self.name!r} runs on the vector engine; "
+                f"pass --engine vector"
+            )
+        return build_vector_trials(
+            population_sizes, runs_per_size, protocol=self.name,
+            params=params or ProtocolParameters.paper(), **options,
+        )
+
+    def run(self, spec: TrialSpec) -> RunRecord:
+        from repro.engine.vector import VectorSimulator
+
+        options = dict(spec.engine_options)
+        backend = options.pop("backend", None)
+        simulator = VectorSimulator(
+            self.factory(spec.params, **options), spec.population_size,
+            seed=spec.seed, scheduler=spec.scheduler_spec(), backend=backend,
+        )
+        outcome = simulator.run_until_done(max_parallel_time=spec.max_parallel_time)
+        extra = {
+            "engine": "vector",
+            "protocol": spec.protocol,
+            "interactions": outcome.interactions,
+        }
+        # Estimation-style result fields, absent on a plain VectorRunResult
+        # from a custom registered workload.
+        for name in ("log_size2", "distinct_state_bound", "final_estimate_mean"):
+            value = getattr(outcome, name, None)
+            if value is not None:
+                extra[name] = value
+        error = getattr(outcome, "max_additive_error", math.nan)
+        return self._record(
+            spec, outcome.converged, outcome.convergence_time, extra, error
+        )
 
 
-def register_workload(workload: FiniteStateWorkload) -> FiniteStateWorkload:
+@dataclass(frozen=True, kw_only=True)
+class ReferenceWorkload(Workload):
+    """Agent-level ``Log-Size-Estimation`` to all-done: the unnamed entry of
+    the sequential kind, the reference the vector engine is tested against."""
+
+    kind: ClassVar[str] = KIND_SEQUENTIAL
+
+    def run(self, spec: TrialSpec) -> RunRecord:
+        from repro.core.log_size_estimation import (
+            LogSizeEstimationProtocol,
+            all_agents_done,
+            estimate_error,
+        )
+        from repro.engine.simulator import Simulation
+
+        simulator = Simulation(
+            protocol=LogSizeEstimationProtocol(spec.params),
+            population_size=spec.population_size, seed=spec.seed,
+            scheduler=spec.scheduler_spec(), track_states=spec.track_states,
+        )
+        converged, convergence_time = self._run_until(
+            simulator, all_agents_done, spec
+        )
+        try:
+            error = estimate_error(simulator)["max_additive_error"]
+        except ValueError:
+            error = math.nan
+        return self._record(spec, converged, convergence_time, {
+            "engine": "sequential",
+            "interactions": simulator.metrics.interactions,
+            "distinct_states": simulator.metrics.distinct_states,
+        }, error)
+
+
+#: Named protocol workloads: finite-state protocols and vector kernels.
+WORKLOADS: dict[str, Workload] = {}
+
+
+def register_workload(workload: Workload) -> Workload:
     """Register a named workload (overwrites an existing entry)."""
     WORKLOADS[workload.name] = workload
     return workload
 
 
-def get_workload(name: str) -> FiniteStateWorkload:
+def get_workload(name: str) -> Workload:
     """Look up a registered workload, raising :class:`SimulationError` if absent."""
-    try:
-        return WORKLOADS[name]
-    except KeyError:
+    return lookup_workload(WORKLOADS, name)
+
+
+def _workload(name: str | None, kind: str) -> Workload:
+    """The entry ``name`` registers for ``kind`` (CRNs resolve in
+    ``CRN_WORKLOADS``), or for ``None`` the kind's unnamed entry."""
+    if kind == KIND_CRN:
+        from repro.crn.library import NetworkWorkload, get_crn_workload
+
+        return NetworkWorkload(name=None) if name is None else get_crn_workload(name)
+    if name is None:
+        if kind == KIND_VECTOR:
+            raise SimulationError(
+                "a vector trial needs a registered vector workload name "
+                "(protocol=...)"
+            )
+        entry = {KIND_FINITE_STATE: ProtocolWorkload, KIND_SEQUENTIAL: ReferenceWorkload}
+        return entry[kind](name=None)
+    workload = get_workload(name)
+    if workload.kind != kind:
         raise SimulationError(
-            f"unknown workload {name!r}; registered: {', '.join(sorted(WORKLOADS))}"
-        ) from None
+            f"workload {name!r} is a {workload.kind} workload; a {kind} trial "
+            f"cannot run it"
+        )
+    return workload
 
 
 def _register_builtin_workloads() -> None:
     # Imported lazily so importing the harness does not pull every protocol
     # module at module-import time in a fixed order; the worker side re-runs
     # this at import, so name lookups succeed in any start method.
+    from repro.core.array_simulator import (
+        LogSizeVectorProtocol,
+        expected_convergence_time,
+    )
+    from repro.core.vector_leader import (
+        LeaderTerminatingVectorProtocol,
+        expected_termination_time,
+    )
     from repro.protocols.epidemic import (
         EpidemicProtocol,
         epidemic_completion_predicate,
@@ -169,28 +305,30 @@ def _register_builtin_workloads() -> None:
         majority_consensus_predicate,
     )
 
-    register_workload(
-        FiniteStateWorkload(
+    def _figure2_budget(population_size, params, **_options):
+        return 4.0 * expected_convergence_time(population_size, params)
+
+    def _leader_budget(population_size, params, **options):
+        return 4.0 * expected_termination_time(population_size, params, **options)
+
+    for workload in (
+        ProtocolWorkload(
             name="epidemic",
             factory=EpidemicProtocol,
             predicate=epidemic_completion_predicate,
             description="one-way epidemic until the whole population is infected",
             default_population=100_000,
             default_budget=lambda n: 200.0,
-        )
-    )
-    register_workload(
-        FiniteStateWorkload(
+        ),
+        ProtocolWorkload(
             name="majority",
             factory=ApproximateMajorityProtocol,
             predicate=majority_consensus_predicate,
             description="3-state approximate majority until consensus",
             default_population=100_000,
             default_budget=lambda n: 200.0,
-        )
-    )
-    register_workload(
-        FiniteStateWorkload(
+        ),
+        ProtocolWorkload(
             name="leader",
             factory=FiniteStatePairwiseElimination,
             predicate=unique_leader_predicate,
@@ -198,129 +336,40 @@ def _register_builtin_workloads() -> None:
             default_population=2_000,
             # The election needs Theta(n) parallel time (Theta(n^2) interactions).
             default_budget=lambda n: 4.0 * n,
-        )
-    )
-    register_workload(
-        FiniteStateWorkload(
+        ),
+        ProtocolWorkload(
             name="termination",
             factory=lambda: FiniteStateCounterTermination(counter_threshold=8),
             predicate=termination_signal_predicate,
             description="Figure-1 counter protocol until the first termination signal",
             default_population=100_000,
             default_budget=lambda n: 200.0,
-        )
-    )
-
-
-_register_builtin_workloads()
-
-
-# ---------------------------------------------------------------------------
-# Vector workloads (non-finite-state protocols on the vector engine)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class VectorWorkload:
-    """A named vector-engine workload runnable by the sweep driver and CLI.
-
-    These cover the paper protocols that are *not* finite-state (their agents
-    carry unbounded integer fields) and therefore run as bespoke
-    :class:`~repro.engine.vector.VectorProtocol` kernels rather than through
-    :func:`repro.engine.selection.build_engine`.
-
-    Attributes
-    ----------
-    name:
-        Registry key (``repro sweep --engine vector --protocol <name>``).
-    kernel_factory:
-        Callable ``(params, **options) -> VectorProtocol`` building a fresh
-        kernel per trial (options come from ``TrialSpec.engine_options``,
-        e.g. ``phase_count`` for the leader-terminating protocol).
-    description:
-        One line for ``--help`` output.
-    default_population:
-        Default ``n`` for single-shot CLI runs.
-    default_budget:
-        Parallel-time budget as ``(n, params, **options) -> float``.
-    scheduler / scheduler_options:
-        Optional round-scheduler variant baked into the workload (used when
-        a trial does not choose a scheduler explicitly).
-    """
-
-    name: str
-    kernel_factory: Callable[..., object]
-    description: str
-    default_population: int
-    default_budget: Callable[..., float]
-    scheduler: str | None = None
-    scheduler_options: tuple[tuple[str, object], ...] = ()
-
-
-VECTOR_WORKLOADS: dict[str, VectorWorkload] = {}
-
-
-def register_vector_workload(workload: VectorWorkload) -> VectorWorkload:
-    """Register a named vector workload (overwrites an existing entry)."""
-    VECTOR_WORKLOADS[workload.name] = workload
-    return workload
-
-
-def get_vector_workload(name: str) -> VectorWorkload:
-    """Look up a registered vector workload, raising :class:`SimulationError`."""
-    try:
-        return VECTOR_WORKLOADS[name]
-    except KeyError:
-        raise SimulationError(
-            f"unknown vector workload {name!r}; registered: "
-            f"{', '.join(sorted(VECTOR_WORKLOADS))}"
-        ) from None
-
-
-def _register_builtin_vector_workloads() -> None:
-    # Imported lazily for the same reason as the finite-state registry.
-    from repro.core.array_simulator import (
-        LogSizeVectorProtocol,
-        expected_convergence_time,
-    )
-    from repro.core.vector_leader import (
-        LeaderTerminatingVectorProtocol,
-        expected_termination_time,
-    )
-
-    def _figure2_budget(population_size, params, **_options):
-        return 4.0 * expected_convergence_time(population_size, params)
-
-    def _leader_budget(population_size, params, **options):
-        return 4.0 * expected_termination_time(population_size, params, **options)
-
-    register_vector_workload(
-        VectorWorkload(
+        ),
+        KernelWorkload(
             name="figure2",
-            kernel_factory=LogSizeVectorProtocol,
+            factory=LogSizeVectorProtocol,
             description=(
                 "Log-Size-Estimation until every agent is done (the Figure 2 "
                 "convergence sweep)"
             ),
             default_population=100_000,
             default_budget=_figure2_budget,
-        )
-    )
-    register_vector_workload(
-        VectorWorkload(
+        ),
+        KernelWorkload(
             name="leader-terminating",
-            kernel_factory=LeaderTerminatingVectorProtocol,
+            factory=LeaderTerminatingVectorProtocol,
             description=(
                 "Theorem 3.13 leader-driven terminating size estimation until "
                 "the termination signal reaches every agent"
             ),
             default_population=100_000,
             default_budget=_leader_budget,
-        )
-    )
+        ),
+    ):
+        register_workload(workload)
 
 
-_register_builtin_vector_workloads()
+_register_builtin_workloads()
 
 
 # ---------------------------------------------------------------------------
@@ -371,11 +420,11 @@ class TrialSpec:
     ----------
     kind:
         ``"finite-state"`` (any registered/supplied finite-state protocol on
-        a selectable engine), ``"vector"`` (a registered
-        :data:`VECTOR_WORKLOADS` kernel on the vector engine, e.g. the
-        ``"figure2"`` Log-Size-Estimation sweep), ``"crn"`` (a chemical
-        reaction network) or ``"sequential"`` (agent-level
-        ``Log-Size-Estimation``).
+        a selectable engine), ``"vector"`` (a registered vector kernel on
+        the vector engine, e.g. the ``"figure2"`` Log-Size-Estimation
+        sweep), ``"crn"`` (a chemical reaction network) or ``"sequential"``
+        (agent-level ``Log-Size-Estimation``, the reference the vector
+        engine is tested against).
     population_size / size_index / run_index / base_seed:
         Trial coordinates; the per-trial seed is
         ``spawn_seed(base_seed, size_index, run_index)``.
@@ -386,8 +435,10 @@ class TrialSpec:
     max_parallel_time:
         Budget before the trial is recorded as non-converged.
     protocol:
-        Name of a registered workload (preferred for cached sweeps), or
-        ``None`` when ``protocol_factory``/``predicate`` are given directly.
+        Name of a registered workload of the spec's kind (preferred for
+        cached sweeps; CRN names resolve in ``CRN_WORKLOADS``), checked at
+        construction, or ``None`` when ``protocol_factory``/``predicate``
+        are given directly.  The sequential kind reads no name.
     protocol_factory / predicate:
         Direct callables.  Their ``module:qualname`` joins the cache key,
         so it must import back to the callable (checked here; the same
@@ -495,16 +546,6 @@ class TrialSpec:
                     f"unknown engine {self.engine!r}; expected one of "
                     f"{', '.join(ENGINE_NAMES)}"
                 )
-        elif self.kind == KIND_VECTOR:
-            if self.protocol is None:
-                raise SimulationError(
-                    "a vector trial needs a registered vector workload name "
-                    "(protocol=...)"
-                )
-            if self.params is None:
-                raise SimulationError(
-                    f"{self.kind} trials need ProtocolParameters (params=...)"
-                )
         elif self.kind == KIND_CRN:
             self._validate_crn()
         elif self.params is None:
@@ -515,6 +556,8 @@ class TrialSpec:
             raise SimulationError(
                 f"{self.kind} trials do not take a CRN (crn=...); use kind='crn'"
             )
+        # An unknown or wrong-kind name fails here, not inside a worker.
+        self.workload()
         if self.scheduler is not None:
             self._validate_scheduler()
         elif self.scheduler_options:
@@ -715,20 +758,49 @@ class TrialSpec:
             options["regime_thresholds"] = self.regime_thresholds
         return options
 
-    def resolve_workload(self) -> tuple[Callable[[], FiniteStateProtocol], Callable]:
-        """Resolve the protocol factory and predicate for a finite-state trial.
+    def workload(self) -> Workload:
+        """The entry that runs this trial.
 
-        Explicit callables take precedence; a registered workload name fills
-        in whichever of the two was not supplied (so a caller can e.g. sweep
-        the ``"epidemic"`` workload under a custom stopping predicate).
+        ``protocol`` names a registered workload of the spec's kind (an
+        unknown or wrong-kind name raises :class:`SimulationError`); a spec
+        naming none, and every sequential spec, runs on its kind's unnamed
+        entry, which the spec's own callables or network fill in.
         """
-        factory = self.protocol_factory
-        predicate = self.predicate
-        if self.protocol is not None:
-            workload = get_workload(self.protocol)
-            factory = factory or workload.factory
-            predicate = predicate or workload.predicate
-        return factory, predicate
+        name = None if self.kind == KIND_SEQUENTIAL else self.protocol
+        return _workload(name, self.kind)
+
+
+def _as_budget(budget: float | Callable[[int], float]) -> Callable[[int], float]:
+    """A budget given as a constant or a callable ``n -> budget``, as a callable."""
+    if callable(budget):
+        return budget
+    constant = float(budget)
+    return lambda n: constant
+
+
+def _expand(
+    population_sizes: Sequence[int],
+    runs_per_size: int,
+    budget: Callable[[int], float],
+    **spec_fields,
+) -> list[TrialSpec]:
+    """One :class:`TrialSpec` per (size, run); ``budget`` maps ``n`` to the
+    parallel-time budget."""
+    if not population_sizes:
+        raise SimulationError("population_sizes must be non-empty")
+    if runs_per_size < 1:
+        raise SimulationError(f"runs_per_size must be >= 1, got {runs_per_size}")
+    return [
+        TrialSpec(
+            population_size=population_size,
+            size_index=size_index,
+            run_index=run_index,
+            max_parallel_time=budget(population_size),
+            **spec_fields,
+        )
+        for size_index, population_size in enumerate(population_sizes)
+        for run_index in range(runs_per_size)
+    ]
 
 
 def build_finite_state_trials(
@@ -750,46 +822,23 @@ def build_finite_state_trials(
     ``max_parallel_time`` may be a callable ``n -> budget`` for workloads
     whose budget scales with the population (e.g. leader election's ``4n``).
     ``scheduler`` (with ``scheduler_options``) selects a scheduling policy
-    for every trial; ``None`` falls back to the workload's registered
-    scheduler variant, if any, else the engine default.
+    for every trial; ``None`` keeps the engine default.
     """
-    if not population_sizes:
-        raise SimulationError("population_sizes must be non-empty")
-    if runs_per_size < 1:
-        raise SimulationError(f"runs_per_size must be >= 1, got {runs_per_size}")
-    budget = (
-        max_parallel_time
-        if callable(max_parallel_time)
-        else (lambda n: float(max_parallel_time))
+    return _expand(
+        population_sizes,
+        runs_per_size,
+        _as_budget(max_parallel_time),
+        kind=KIND_FINITE_STATE,
+        base_seed=base_seed,
+        engine=engine,
+        check_interval=check_interval,
+        protocol=protocol,
+        protocol_factory=protocol_factory,
+        predicate=predicate,
+        engine_options=tuple(sorted(engine_options.items())),
+        scheduler=scheduler,
+        scheduler_options=tuple(sorted((scheduler_options or {}).items())),
     )
-    if scheduler is None and protocol is not None:
-        workload = get_workload(protocol)
-        scheduler = workload.scheduler
-        # The workload's baked options accompany its baked scheduler unless
-        # the caller supplies explicit (non-empty) options of their own —
-        # the CLI always passes {} when no --scheduler-opt flag is given.
-        if scheduler is not None and not scheduler_options:
-            scheduler_options = dict(workload.scheduler_options)
-    return [
-        TrialSpec(
-            kind=KIND_FINITE_STATE,
-            population_size=population_size,
-            size_index=size_index,
-            run_index=run_index,
-            base_seed=base_seed,
-            engine=engine,
-            max_parallel_time=budget(population_size),
-            check_interval=check_interval,
-            protocol=protocol,
-            protocol_factory=protocol_factory,
-            predicate=predicate,
-            engine_options=tuple(sorted(engine_options.items())),
-            scheduler=scheduler,
-            scheduler_options=tuple(sorted((scheduler_options or {}).items())),
-        )
-        for size_index, population_size in enumerate(population_sizes)
-        for run_index in range(runs_per_size)
-    ]
 
 
 def build_vector_trials(
@@ -808,18 +857,9 @@ def build_vector_trials(
     ``max_parallel_time`` may be a constant, a callable ``n -> budget``, or
     ``None`` to use the workload's default budget (which accounts for the
     protocol constants and any ``engine_options``, e.g. ``phase_count``).
-    ``scheduler`` selects the round scheduler (default: the workload's
-    registered variant, else uniform matching).
+    ``scheduler`` selects the round scheduler (default: uniform matching).
     """
-    if not population_sizes:
-        raise SimulationError("population_sizes must be non-empty")
-    if runs_per_size < 1:
-        raise SimulationError(f"runs_per_size must be >= 1, got {runs_per_size}")
-    workload = get_vector_workload(protocol)
-    if scheduler is None:
-        scheduler = workload.scheduler
-        if scheduler is not None and not scheduler_options:
-            scheduler_options = dict(workload.scheduler_options)
+    workload = _workload(protocol, KIND_VECTOR)
     # "backend" addresses the VectorSimulator, not the protocol kernel: it
     # must not reach the kernel factory or the budget computation.
     kernel_options = {
@@ -830,7 +870,7 @@ def build_vector_trials(
     # sweep.  Kernel construction is cheap (arrays are allocated later, in
     # init_fields); parameter-validation errors (ProtocolError) propagate.
     try:
-        workload.kernel_factory(params, **kernel_options)
+        workload.factory(params, **kernel_options)
     except TypeError as error:
         raise SimulationError(
             f"vector workload {protocol!r} does not accept options "
@@ -838,28 +878,21 @@ def build_vector_trials(
         ) from None
     if max_parallel_time is None:
         budget = lambda n: workload.default_budget(n, params, **kernel_options)
-    elif callable(max_parallel_time):
-        budget = max_parallel_time
     else:
-        budget = lambda n: float(max_parallel_time)
-    return [
-        TrialSpec(
-            kind=KIND_VECTOR,
-            population_size=population_size,
-            size_index=size_index,
-            run_index=run_index,
-            base_seed=base_seed,
-            engine="vector",
-            max_parallel_time=budget(population_size),
-            protocol=protocol,
-            params=params,
-            engine_options=tuple(sorted(engine_options.items())),
-            scheduler=scheduler,
-            scheduler_options=tuple(sorted((scheduler_options or {}).items())),
-        )
-        for size_index, population_size in enumerate(population_sizes)
-        for run_index in range(runs_per_size)
-    ]
+        budget = _as_budget(max_parallel_time)
+    return _expand(
+        population_sizes,
+        runs_per_size,
+        budget,
+        kind=KIND_VECTOR,
+        base_seed=base_seed,
+        engine="vector",
+        protocol=protocol,
+        params=params,
+        engine_options=tuple(sorted(engine_options.items())),
+        scheduler=scheduler,
+        scheduler_options=tuple(sorted((scheduler_options or {}).items())),
+    )
 
 
 def build_crn_trials(
@@ -889,22 +922,17 @@ def build_crn_trials(
     tune the multiscale engine (see :class:`TrialSpec`).
     """
     from repro.crn.compile import compile_crn
-    from repro.crn.library import get_crn_workload
     from repro.crn.model import CRN
 
-    if not population_sizes:
-        raise SimulationError("population_sizes must be non-empty")
-    if runs_per_size < 1:
-        raise SimulationError(f"runs_per_size must be >= 1, got {runs_per_size}")
     protocol_name = None
     if isinstance(crn, str):
-        workload = get_crn_workload(crn)
+        workload = _workload(crn, KIND_CRN)
         protocol_name = workload.name
         network = workload.crn
         chemical_budget = (
             max_chemical_time
             if max_chemical_time is not None
-            else workload.default_chemical_budget
+            else workload.default_budget
         )
     elif isinstance(crn, CRN):
         network = crn
@@ -923,208 +951,32 @@ def build_crn_trials(
         raise SimulationError(
             f"crn must be a registered workload name or a CRN, got {crn!r}"
         )
-    if not callable(chemical_budget):
-        constant = float(chemical_budget)
-        chemical_budget = lambda n: constant
+    chemical_budget = _as_budget(chemical_budget)
     # Compiling here fails fast on a bad mode/network before any worker;
     # rate_scale is the uniform Gamma in either mode (in thinned mode it is
     # the budget heuristic — see DESIGN.md, CRN front-end).
     rate_scale = compile_crn(network, mode=mode).rate_scale
-    return [
-        TrialSpec(
-            kind=KIND_CRN,
-            population_size=population_size,
-            size_index=size_index,
-            run_index=run_index,
-            base_seed=base_seed,
-            engine=engine,
-            max_parallel_time=rate_scale * chemical_budget(population_size),
-            check_interval=check_interval,
-            protocol=protocol_name,
-            predicate=predicate,
-            engine_options=tuple(sorted(engine_options.items())),
-            crn=network,
-            crn_mode=mode,
-            leap_eps=leap_eps,
-            regime_thresholds=regime_thresholds,
-        )
-        for size_index, population_size in enumerate(population_sizes)
-        for run_index in range(runs_per_size)
-    ]
+    return _expand(
+        population_sizes,
+        runs_per_size,
+        lambda n: rate_scale * chemical_budget(n),
+        kind=KIND_CRN,
+        base_seed=base_seed,
+        engine=engine,
+        check_interval=check_interval,
+        protocol=protocol_name,
+        predicate=predicate,
+        engine_options=tuple(sorted(engine_options.items())),
+        crn=network,
+        crn_mode=mode,
+        leap_eps=leap_eps,
+        regime_thresholds=regime_thresholds,
+    )
 
 
 # ---------------------------------------------------------------------------
 # Trial execution (runs inside worker processes)
 # ---------------------------------------------------------------------------
-
-
-def _run_until(simulator, predicate, spec: TrialSpec) -> tuple[bool, float | None]:
-    """Run ``simulator`` until ``predicate`` holds or the spec's budget ends.
-
-    Returns ``(converged, convergence_time)``: an exhausted budget is
-    recorded as a non-converged trial, not raised.
-    """
-    try:
-        return True, simulator.run_until(
-            predicate,
-            max_parallel_time=spec.max_parallel_time,
-            check_interval=spec.check_interval,
-        )
-    except ConvergenceError:
-        return False, None
-
-
-def _run_finite_state_trial(spec: TrialSpec) -> RunRecord:
-    from repro.engine.selection import build_engine
-
-    factory, predicate = spec.resolve_workload()
-    simulator = build_engine(
-        spec.engine,
-        factory(),
-        spec.population_size,
-        seed=spec.seed,
-        scheduler=spec.scheduler_spec(),
-        **spec.engine_option_dict(),
-    )
-    converged, convergence_time = _run_until(simulator, predicate, spec)
-    return RunRecord(
-        population_size=spec.population_size,
-        seed=spec.seed,
-        converged=converged,
-        convergence_time=convergence_time,
-        extra={
-            "engine": spec.engine,
-            "interactions": int(simulator.interactions),
-            "outputs": {
-                str(output): int(count)
-                for output, count in simulator.outputs().items()
-            },
-        },
-    )
-
-
-def _run_sequential_trial(spec: TrialSpec) -> RunRecord:
-    from repro.core.log_size_estimation import (
-        LogSizeEstimationProtocol,
-        all_agents_done,
-        estimate_error,
-    )
-    from repro.engine.simulator import Simulation
-
-    protocol = LogSizeEstimationProtocol(spec.params)
-    simulation = Simulation(
-        protocol=protocol,
-        population_size=spec.population_size,
-        seed=spec.seed,
-        scheduler=spec.scheduler_spec(),
-        track_states=spec.track_states,
-    )
-    converged, convergence_time = _run_until(simulation, all_agents_done, spec)
-    try:
-        error = estimate_error(simulation)["max_additive_error"]
-    except ValueError:
-        error = math.nan
-    return RunRecord(
-        population_size=spec.population_size,
-        seed=spec.seed,
-        converged=converged,
-        convergence_time=convergence_time,
-        max_additive_error=error,
-        extra={
-            "engine": "sequential",
-            "interactions": simulation.metrics.interactions,
-            "distinct_states": simulation.metrics.distinct_states,
-        },
-    )
-
-
-def _run_vector_trial(spec: TrialSpec) -> RunRecord:
-    from repro.engine.vector import VectorSimulator
-
-    workload = get_vector_workload(spec.protocol)
-    options = dict(spec.engine_options)
-    backend = options.pop("backend", None)
-    kernel = workload.kernel_factory(spec.params, **options)
-    simulator = VectorSimulator(
-        kernel,
-        spec.population_size,
-        seed=spec.seed,
-        scheduler=spec.scheduler_spec(),
-        backend=backend,
-    )
-    outcome = simulator.run_until_done(max_parallel_time=spec.max_parallel_time)
-    extra = {
-        "engine": "vector",
-        "protocol": spec.protocol,
-        "interactions": outcome.interactions,
-    }
-    # Estimation-style result fields, absent on a plain VectorRunResult from
-    # a custom registered workload.
-    for name in ("log_size2", "distinct_state_bound", "final_estimate_mean"):
-        value = getattr(outcome, name, None)
-        if value is not None:
-            extra[name] = value
-    return RunRecord(
-        population_size=spec.population_size,
-        seed=spec.seed,
-        converged=outcome.converged,
-        convergence_time=outcome.convergence_time,
-        max_additive_error=getattr(outcome, "max_additive_error", math.nan),
-        extra=extra,
-    )
-
-
-def _run_crn_trial(spec: TrialSpec) -> RunRecord:
-    from repro.crn.compile import compile_crn
-    from repro.crn.library import get_crn_workload
-
-    predicate = spec.predicate
-    if predicate is None:
-        predicate = get_crn_workload(spec.protocol).predicate
-    compiled = compile_crn(spec.crn, mode=spec.crn_mode)
-    simulator = compiled.build(
-        spec.engine,
-        spec.population_size,
-        seed=spec.seed,
-        **spec.engine_option_dict(),
-    )
-    converged, convergence_time = _run_until(simulator, predicate, spec)
-    extra = {
-        "engine": spec.engine,
-        "crn": spec.crn.name,
-        "crn_mode": spec.crn_mode,
-        "rate_scale": compiled.rate_scale,
-        "interactions": int(simulator.interactions),
-        "counts": {
-            str(state): int(count)
-            for state, count in sorted(simulator.configuration().items())
-        },
-    }
-    if compiled.time_exact and convergence_time is not None:
-        extra["chemical_time"] = compiled.to_chemical_time(convergence_time)
-    # Multiscale engines expose per-regime work counters; persist them so
-    # sweep records (and `repro crn sweep` output) carry the exact/leap/ODE
-    # breakdown that was previously visible only via `repro crn simulate`.
-    regime_stats = getattr(simulator, "regime_stats", None)
-    if regime_stats is not None:
-        extra["regime"] = {
-            str(name): int(value) for name, value in regime_stats().items()
-        }
-    return RunRecord(
-        population_size=spec.population_size,
-        seed=spec.seed,
-        converged=converged,
-        convergence_time=convergence_time,
-        extra=extra,
-    )
-
-
-_TRIAL_RUNNERS = {
-    KIND_FINITE_STATE: _run_finite_state_trial,
-    KIND_SEQUENTIAL: _run_sequential_trial,
-    KIND_VECTOR: _run_vector_trial,
-    KIND_CRN: _run_crn_trial,
-}
 
 
 def run_trial(spec: TrialSpec) -> RunRecord:
@@ -1139,9 +991,9 @@ def run_trial(spec: TrialSpec) -> RunRecord:
     only observes.
     """
     if not _REC.enabled:
-        return _TRIAL_RUNNERS[spec.kind](spec)
+        return spec.workload().run(spec)
     mark = _REC.mark()
-    record = _TRIAL_RUNNERS[spec.kind](spec)
+    record = spec.workload().run(spec)
     end_ns = _REC.now_ns()
     delta = _REC.since(mark)
     _REC.add_span(

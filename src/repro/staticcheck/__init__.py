@@ -1,6 +1,6 @@
 """Static analysis for the reproduction: ``repro check``.
 
-Four analyzer families turn the repository's correctness conventions into
+Three analyzer families turn the repository's correctness conventions into
 machine-checked contracts (see ``DESIGN.md``, "Static analysis"):
 
 * :mod:`repro.staticcheck.semantic` — producibility-based protocol/CRN
@@ -9,8 +9,7 @@ machine-checked contracts (see ``DESIGN.md``, "Static analysis"):
 * :mod:`repro.staticcheck.lint` — AST determinism lint (no global RNG, no
   wall clock on simulation paths);
 * :mod:`repro.staticcheck.contracts` — cache-key completeness by
-  perturbation and capability-matrix test coverage;
-* :mod:`repro.staticcheck.typing_ratchet` — strict-mypy baseline ratchet.
+  perturbation and capability-matrix test coverage.
 
 Entry point: :func:`repro.staticcheck.runner.run_check` (the ``repro check``
 subcommand).  Committed exceptions: :mod:`repro.staticcheck.waivers`.

@@ -14,15 +14,15 @@ justification* — the point is accountability, not silencing: waived
 diagnostics still appear in the output, marked with the justification, and
 an unused waiver is itself reported (rule ``W001``) so stale exceptions
 cannot accumulate.  Waivers match by exact rule id and by location prefix
-(so ``src/repro/cli.py`` waives every line in that file).
+(so ``src/repro/store/`` waives every file under that directory).
 
 The committed waivers for this repository live in
 :mod:`repro.staticcheck.waivers`; ad-hoc ones can be supplied to
 ``repro check --waivers FILE`` as JSON::
 
     {"waivers": [{"rule": "D302",
-                  "location": "src/repro/cli.py",
-                  "justification": "repro profile measures wall time"}]}
+                  "location": "benchmarks/",
+                  "justification": "benchmarks measure wall time"}]}
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ class Diagnostic:
     rule:
         Stable rule id (``P1xx`` protocol semantics, ``C2xx`` CRN semantics,
         ``D3xx`` determinism lint, ``K4xx`` cache-key contracts, ``M5xx``
-        capability matrix, ``T6xx`` typing ratchet, ``W0xx`` meta).
+        capability matrix, ``W0xx`` meta).
     severity:
         ``"error"`` fails the check (unless waived), ``"warning"`` and
         ``"info"`` never do.

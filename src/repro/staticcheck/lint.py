@@ -13,10 +13,9 @@ wall clock.  These rules make the convention machine-checked:
     classes are allowed.  Nothing in the tree is waived from this rule.
 ``D302`` wall clock
     Calls that read real time (``time.time``, ``time.perf_counter``,
-    ``datetime.now``, ...).  Timing utilities that *measure* performance on
-    purpose (``repro profile``, the benchmark harness) carry waivers; the
-    simulation and harness paths must stay clock-free so reruns are
-    bit-identical.
+    ``datetime.now``, ...).  Code that reads the clock on purpose (store
+    leases, the telemetry recorder) carries waivers; the simulation and
+    harness paths must stay clock-free so reruns are bit-identical.
 
 The lint is intentionally syntactic: it flags names, not data flow, so it
 can run with zero third-party dependencies and zero imports of the checked

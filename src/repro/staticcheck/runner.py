@@ -1,6 +1,6 @@
 """Orchestration for ``repro check``: run analyzer families, apply waivers.
 
-The four families are independently selectable (``--only``):
+The three families are independently selectable (``--only``):
 
 ``semantic``
     Protocol/CRN analysis over every registered workload (``P1xx``/``C2xx``).
@@ -8,8 +8,6 @@ The four families are independently selectable (``--only``):
     The AST determinism lint over ``src/repro`` (``D3xx``).
 ``contracts``
     Cache-key completeness and capability-matrix coverage (``K4xx``/``M5xx``).
-``typing``
-    The strict-mypy ratchet (``T6xx``).
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from repro.staticcheck.waivers import BUILTIN_WAIVERS
 
 __all__ = ["FAMILIES", "run_check"]
 
-FAMILIES = ("semantic", "lint", "contracts", "typing")
+FAMILIES = ("semantic", "lint", "contracts")
 
 #: What the determinism lint scans when no explicit paths are given.
 DEFAULT_LINT_PATHS = ("src/repro",)
@@ -39,7 +37,6 @@ def run_check(
     only: Sequence[str] | None = None,
     lint_paths: Sequence[str] | None = None,
     waiver_file: str | Path | None = None,
-    update_baseline: bool = False,
 ) -> tuple[list[Diagnostic], int]:
     """Run the selected analyzer families; return (diagnostics, exit code)."""
     root = Path(root)
@@ -65,12 +62,6 @@ def run_check(
         from repro.staticcheck.contracts import contract_diagnostics
 
         diagnostics.extend(contract_diagnostics(root))
-    if "typing" in families:
-        from repro.staticcheck.typing_ratchet import typing_diagnostics
-
-        diagnostics.extend(
-            typing_diagnostics(root, update_baseline=update_baseline)
-        )
     waivers: tuple[Waiver, ...] = BUILTIN_WAIVERS
     if waiver_file is not None:
         waivers = waivers + load_waiver_file(waiver_file)
@@ -81,7 +72,6 @@ def run_check(
         "semantic": ("P", "C"),
         "lint": ("D",),
         "contracts": ("K", "M"),
-        "typing": ("T",),
     }
     active = tuple(prefix for family in families for prefix in prefixes[family])
     waivers = tuple(w for w in waivers if w.rule.startswith(active))

@@ -440,10 +440,12 @@ def analyze_crn(crn, location: str) -> list[Diagnostic]:
 def analyze_registries() -> list[Diagnostic]:
     """Analyze every registered finite-state workload and CRN workload."""
     from repro.crn.library import CRN_WORKLOADS
-    from repro.harness.parallel import WORKLOADS
+    from repro.harness.parallel import KIND_FINITE_STATE, WORKLOADS
 
     diagnostics: list[Diagnostic] = []
     for name, workload in sorted(WORKLOADS.items()):
+        if workload.kind != KIND_FINITE_STATE:
+            continue  # vector kernels have no finite transition table
         try:
             protocol = workload.factory()
         except Exception as error:

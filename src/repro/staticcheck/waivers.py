@@ -16,15 +16,6 @@ __all__ = ["BUILTIN_WAIVERS"]
 BUILTIN_WAIVERS: tuple[Waiver, ...] = (
     Waiver(
         rule="D302",
-        location="src/repro/cli.py",
-        justification=(
-            "`repro profile` exists to measure wall-clock throughput; "
-            "time.perf_counter here is the feature, not a hazard — no "
-            "simulation result depends on it"
-        ),
-    ),
-    Waiver(
-        rule="D302",
         location="src/repro/store/",
         justification=(
             "lease expiry is *about* wall-clock time: claims record "

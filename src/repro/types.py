@@ -5,13 +5,20 @@ The population-protocol model of the paper measures time in *parallel time*
 of the library need to convert between interaction counts and parallel time,
 and to talk about agents, states and population sizes in a uniform way; the
 aliases and helpers here keep those conversions explicit and tested in one
-place.
+place.  :class:`Workload` is the base of every registry entry the sweep
+driver, the CLI and the benchmarks run by name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Hashable, TypeVar
+from typing import TYPE_CHECKING, ClassVar, Hashable, Mapping, TypeVar
+
+from repro.exceptions import ConvergenceError, SimulationError
+
+if TYPE_CHECKING:
+    from repro.harness.results import RunRecord
 
 #: Index of an agent within the population, in ``range(n)``.
 AgentId = int
@@ -124,3 +131,100 @@ class InteractionPair:
     def as_tuple(self) -> tuple[int, int]:
         """Return ``(receiver, sender)`` as a plain tuple."""
         return (self.receiver, self.sender)
+
+
+#: Trial kinds: which engine path runs a trial (``TrialSpec.kind``) and, for
+#: all but the sequential reference, which kind of workload a registry entry is.
+KIND_FINITE_STATE = "finite-state"
+KIND_SEQUENTIAL = "sequential"
+KIND_VECTOR = "vector"
+KIND_CRN = "crn"
+
+
+@dataclass(frozen=True, kw_only=True)
+class Workload:
+    """A workload the sweep driver, the CLI and the benchmarks run by name.
+
+    One subclass per kind (``ProtocolWorkload``, ``KernelWorkload`` and
+    ``ReferenceWorkload`` in :mod:`repro.harness.parallel`,
+    ``NetworkWorkload`` in :mod:`repro.crn.library`) holds the kind's fields
+    and behaviour, so callers use only this interface: :meth:`trials`
+    expands a sweep into specs with the workload's default engine and
+    budget, and :meth:`run` builds the engine for one spec's ``(n, seed)``,
+    runs it to the predicate or the budget and records the kind's extras.
+
+    Attributes
+    ----------
+    name:
+        Registry key (``repro simulate --protocol NAME`` or ``--crn NAME``);
+        ``None`` for the unnamed entry a spec's own callables fill in.
+    description:
+        One line for ``--help`` and ``repro protocols`` output.
+    default_population:
+        Default ``n`` for single-shot CLI runs.
+    kind:
+        Class attribute: the ``TrialSpec.kind`` of the workload's trials.
+    store_prefix:
+        Class attribute: a sweep stores to ``<store_prefix><name>-<engine>``.
+    """
+
+    name: str | None
+    description: str = ""
+    default_population: int = 0
+
+    kind: ClassVar[str]
+    store_prefix: ClassVar[str] = ""
+
+    @property
+    def engines(self) -> tuple[str, ...]:
+        """The engines the workload runs on."""
+        from repro.engine.selection import ENGINE_NAMES
+
+        return ENGINE_NAMES
+
+    def trials(self, population_sizes, runs_per_size, **options) -> list:
+        """One ``TrialSpec`` per (size, run), through the kind's builder."""
+        raise NotImplementedError
+
+    def run(self, spec) -> RunRecord:
+        """Build, run and record one trial; an exhausted budget is recorded
+        as a non-converged trial, not raised."""
+        raise NotImplementedError
+
+    @staticmethod
+    def _run_until(simulator, predicate, spec) -> tuple[bool, float | None]:
+        """``(converged, convergence_time)`` of ``simulator`` run to
+        ``predicate`` within the spec's budget."""
+        try:
+            return True, simulator.run_until(
+                predicate,
+                max_parallel_time=spec.max_parallel_time,
+                check_interval=spec.check_interval,
+            )
+        except ConvergenceError:
+            return False, None
+
+    @staticmethod
+    def _record(spec, converged, convergence_time, extra, error=math.nan) -> RunRecord:
+        from repro.harness.results import RunRecord
+
+        return RunRecord(
+            population_size=spec.population_size,
+            seed=spec.seed,
+            converged=converged,
+            convergence_time=convergence_time,
+            max_additive_error=error,
+            extra=extra,
+        )
+
+
+def lookup_workload(
+    registry: Mapping[str, Workload], name: str, label: str = "workload"
+) -> Workload:
+    """``registry[name]``, or a :class:`SimulationError` naming the entries."""
+    try:
+        return registry[name]
+    except KeyError:
+        raise SimulationError(
+            f"unknown {label} {name!r}; registered: {', '.join(sorted(registry))}"
+        ) from None

@@ -39,7 +39,7 @@ class TestLibrary:
         assert workload.crn.is_conserved(
             {species: 1 for species in workload.crn.species()}
         )
-        assert workload.default_chemical_budget(workload.default_population) > 0
+        assert workload.default_budget(workload.default_population) > 0
 
     @pytest.mark.parametrize("name", ["approximate-majority", "epidemic", "leader"])
     def test_workloads_converge_at_small_n(self, name):
@@ -49,7 +49,7 @@ class TestLibrary:
         simulator.run_until(
             workload.predicate,
             max_parallel_time=compiled.to_parallel_time(
-                workload.default_chemical_budget(100)
+                workload.default_budget(100)
             ),
         )
         assert workload.predicate(simulator)

@@ -135,16 +135,37 @@ class TestTrialSpecValidation:
                 run_index=0,
             )
 
-    def test_unknown_workload_name_raises_on_run(self):
-        spec = TrialSpec(
-            kind=KIND_FINITE_STATE,
-            population_size=64,
-            size_index=0,
-            run_index=0,
-            protocol="no-such-workload",
-        )
-        with pytest.raises(SimulationError):
-            run_trial(spec)
+    def test_unknown_workload_name_rejected_at_construction(self):
+        with pytest.raises(SimulationError, match="unknown workload"):
+            TrialSpec(
+                kind=KIND_FINITE_STATE,
+                population_size=64,
+                size_index=0,
+                run_index=0,
+                protocol="no-such-workload",
+            )
+
+    def test_unknown_workload_name_rejected_with_a_scheduler(self):
+        # Resolving the name used to hinge on looking up a registry-baked
+        # scheduler: with an explicit one, the sweep built and failed only
+        # inside the trial, after the store claim.
+        with pytest.raises(SimulationError, match="unknown workload"):
+            build_finite_state_trials(
+                [100], 2, protocol="nope", scheduler="sequential", engine="count"
+            )
+
+    def test_wrong_kind_workload_name_rejected(self):
+        with pytest.raises(SimulationError, match="finite-state workload"):
+            TrialSpec(
+                kind="vector",
+                population_size=64,
+                size_index=0,
+                run_index=0,
+                protocol="epidemic",
+                params=FAST,
+            )
+        with pytest.raises(SimulationError, match="vector workload"):
+            epidemic_trials(protocol="figure2")
 
     def test_empty_sweep_rejected(self):
         with pytest.raises(SimulationError):
@@ -168,9 +189,9 @@ class TestTrialSpecValidation:
             predicate=never_converges,
             max_parallel_time=5.0,
         )
-        factory, predicate = spec.resolve_workload()
-        assert factory is EpidemicProtocol
-        assert predicate is never_converges
+        # The registered entry runs the trial (its factory builds the
+        # protocol); the spec's predicate decides when it has converged.
+        assert spec.workload() is get_workload("epidemic")
         assert not run_trial(spec).converged
 
 
@@ -532,17 +553,16 @@ class TestVectorSweeps:
                 protocol="figure2",
             )
 
-    def test_unknown_vector_workload_raises_on_run(self):
-        spec = TrialSpec(
-            kind="vector",
-            population_size=64,
-            size_index=0,
-            run_index=0,
-            protocol="no-such-workload",
-            params=FAST,
-        )
-        with pytest.raises(SimulationError):
-            run_trial(spec)
+    def test_unknown_vector_workload_rejected_at_construction(self):
+        with pytest.raises(SimulationError, match="unknown workload"):
+            TrialSpec(
+                kind="vector",
+                population_size=64,
+                size_index=0,
+                run_index=0,
+                protocol="no-such-workload",
+                params=FAST,
+            )
 
     def test_unsupported_engine_options_rejected_at_build_time(self):
         # figure2's kernel takes no options: the sweep must fail up front
@@ -659,77 +679,9 @@ class TestSchedulerInSpecsAndCacheKeys:
         record = run_trial(specs[0])
         assert record.converged
 
-    def test_workload_registry_accepts_scheduler_variants(self):
-        from repro.harness.parallel import (
-            FiniteStateWorkload,
-            WORKLOADS,
-            register_workload,
-        )
-        from repro.protocols.epidemic import EpidemicProtocol as Epidemic
-
-        variant = FiniteStateWorkload(
-            name="epidemic-two-block",
-            factory=Epidemic,
-            predicate=epidemic_completion_predicate,
-            description="epidemic inside a nearly-partitioned population",
-            default_population=1_000,
-            default_budget=lambda n: 400.0,
-            scheduler="two-block",
-            scheduler_options=(("intra", 0.95),),
-        )
-        register_workload(variant)
-        try:
-            specs = build_finite_state_trials(
-                population_sizes=[64],
-                runs_per_size=1,
-                engine="agent",
-                max_parallel_time=400.0,
-                protocol="epidemic-two-block",
-            )
-            assert specs[0].scheduler == "two-block"
-            assert specs[0].scheduler_options == (("intra", 0.95),)
-            assert run_trial(specs[0]).converged
-        finally:
-            del WORKLOADS["epidemic-two-block"]
-
 
 class TestSchedulerOptionPlumbing:
-    """Regressions: workload-baked options and dangling scheduler options."""
-
-    def test_workload_baked_options_survive_empty_cli_options(self):
-        # The CLI always passes {} when no --scheduler-opt flag is given; a
-        # workload's baked options must still apply.
-        from repro.harness.parallel import (
-            FiniteStateWorkload,
-            WORKLOADS,
-            register_workload,
-        )
-
-        register_workload(
-            FiniteStateWorkload(
-                name="epidemic-two-block-opts",
-                factory=EpidemicProtocol,
-                predicate=epidemic_completion_predicate,
-                description="variant with baked scheduler options",
-                default_population=1_000,
-                default_budget=lambda n: 400.0,
-                scheduler="two-block",
-                scheduler_options=(("intra", 0.95),),
-            )
-        )
-        try:
-            specs = build_finite_state_trials(
-                population_sizes=[64],
-                runs_per_size=1,
-                engine="agent",
-                max_parallel_time=400.0,
-                protocol="epidemic-two-block-opts",
-                scheduler_options={},  # what the CLI passes
-            )
-            assert specs[0].scheduler == "two-block"
-            assert specs[0].scheduler_options == (("intra", 0.95),)
-        finally:
-            del WORKLOADS["epidemic-two-block-opts"]
+    """Regression: dangling scheduler options."""
 
     def test_dangling_scheduler_options_rejected(self):
         with pytest.raises(SimulationError, match="without a scheduler"):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from contextlib import contextmanager
 
 import pytest
@@ -104,6 +105,19 @@ class TestTrialManifest:
         with recording():
             key_on = spec.cache_key()
         assert key_on == key_off
+
+    def test_simulate_telemetry_prints_the_manifest(self, capsys):
+        from repro.cli import main
+
+        argv = ["simulate", "--protocol", "epidemic", "--n", "2000",
+                "--engine", "batched", "--backend", "numpy", "--telemetry"]
+        assert main(argv) == 0
+        record = json.loads(capsys.readouterr().out.split("\n", 1)[1])
+        manifest = record["extra"][TELEMETRY_KEY]
+        for phase in ("engine.step", "backend.kernel_advance",
+                      "engine.convergence_check"):
+            assert manifest["timing"][phase] > 0
+        assert manifest["counters"]["engine.convergence_checks"] > 0
 
 
 def run_store_sweep(store):

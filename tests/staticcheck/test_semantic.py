@@ -11,7 +11,7 @@ import pytest
 
 from repro.crn.library import CRN_WORKLOADS
 from repro.crn.model import CRN, Reaction
-from repro.harness.parallel import WORKLOADS
+from repro.harness.parallel import KIND_FINITE_STATE, WORKLOADS
 from repro.protocols.base import FunctionalFiniteStateProtocol
 from repro.staticcheck.semantic import (
     analyze_crn,
@@ -41,7 +41,14 @@ def _rules(diagnostics):
 
 
 class TestRegistrySweep:
-    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    @pytest.mark.parametrize(
+        "name",
+        sorted(
+            name
+            for name, workload in WORKLOADS.items()
+            if workload.kind == KIND_FINITE_STATE
+        ),
+    )
     def test_registered_protocol_clean_or_expected(self, name):
         protocol = WORKLOADS[name].factory()
         diagnostics = analyze_protocol(protocol, location=f"protocol:{name}")

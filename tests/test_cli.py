@@ -7,6 +7,13 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
+from repro.crn.library import CRN_WORKLOADS
+from repro.harness.parallel import KIND_VECTOR, WORKLOADS
+
+
+def printed_record(output: str) -> dict:
+    """The record `repro simulate` prints after its one-line header."""
+    return json.loads(output.split("\n", 1)[1])
 
 
 class TestParser:
@@ -22,7 +29,6 @@ class TestParser:
     def test_all_subcommands_registered(self):
         parser = build_parser()
         for command in (
-            "estimate",
             "figure2",
             "accuracy",
             "states",
@@ -54,11 +60,17 @@ class TestCommands:
         assert payload["population"] == 512
         assert payload["additive_error_claim"] == 5.7
 
-    def test_estimate_fast(self, capsys):
-        assert main(["estimate", "--n", "96", "--fast", "--seed", "1"]) == 0
+    def test_simulate_figure2_fast(self, capsys):
+        code = main(
+            ["simulate", "--protocol", "figure2", "--n", "96", "--fast", "--seed", "1"]
+        )
+        assert code == 0
         output = capsys.readouterr().out
-        assert "converged" in output
-        assert "max_additive_error" in output
+        assert "'figure2' on the vector engine" in output
+        record = printed_record(output)
+        assert record["converged"] is True
+        assert record["max_additive_error"] < 5.7
+        assert record["extra"]["protocol"] == "figure2"
 
     def test_figure2_fast(self, capsys, tmp_path):
         csv_path = tmp_path / "fig2.csv"
@@ -105,10 +117,10 @@ class TestCommands:
             ]
         )
         assert code == 0
-        output = capsys.readouterr().out
-        assert f"engine                    : {engine}" in output
-        assert "converged                 : True" in output
-        assert "output[True]              : 300" in output
+        record = printed_record(capsys.readouterr().out)
+        assert record["extra"]["engine"] == engine
+        assert record["converged"] is True
+        assert record["extra"]["outputs"] == {"True": 300}
 
     def test_simulate_majority_batched(self, capsys):
         code = main(
@@ -116,8 +128,8 @@ class TestCommands:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "ApproximateMajority" in output
-        assert "converged                 : True" in output
+        assert "'majority' on the batched engine" in output
+        assert printed_record(output)["converged"] is True
 
     def test_simulate_termination_signal(self, capsys):
         code = main(
@@ -134,7 +146,7 @@ class TestCommands:
             ]
         )
         assert code == 0
-        assert "FiniteStateCounterTermination" in capsys.readouterr().out
+        assert "'termination' on the batched engine" in capsys.readouterr().out
 
     def test_simulate_non_convergence_exit_code(self, capsys):
         # Leader election needs Theta(n) time; a tiny budget cannot finish.
@@ -152,7 +164,7 @@ class TestCommands:
             ]
         )
         assert code == 1
-        assert "converged                 : False" in capsys.readouterr().out
+        assert printed_record(capsys.readouterr().out)["converged"] is False
 
     def test_sweep_serial(self, capsys):
         code = main(
@@ -338,7 +350,7 @@ class TestCommands:
             ]
         )
         assert code == 2
-        assert "leader-terminating" in capsys.readouterr().err
+        assert "phase_count" in capsys.readouterr().err
 
     def test_sweep_finite_state_rejects_vector_only_flags(self, capsys):
         base = ["sweep", "--protocol", "epidemic", "--engine", "count",
@@ -369,6 +381,109 @@ class TestCommands:
         assert "Theorem 4.1" in output
         assert "uniform dense protocol" in output
         assert "leader-driven" in output
+
+
+class TestOneWorkloadModel:
+    """`simulate` and `sweep` serve every registered workload on one path."""
+
+    @pytest.mark.parametrize(
+        "selector",
+        [("--protocol", name) for name in sorted(WORKLOADS)]
+        + [("--crn", name) for name in sorted(CRN_WORKLOADS)],
+    )
+    def test_simulate_runs_every_registry_entry(self, selector, capsys):
+        flag, name = selector
+        argv = ["simulate", flag, name, "--n", "64", "--seed", "2"]
+        if flag == "--protocol" and WORKLOADS[name].kind == KIND_VECTOR:
+            argv.append("--fast")
+        if name == "leader-terminating":
+            argv += ["--phase-count", "8"]
+        assert main(argv) in (0, 1)
+        output = capsys.readouterr().out
+        assert f"{name!r} on the" in output
+        record = printed_record(output)
+        assert record["population_size"] == 64
+        assert record["extra"]["interactions"] > 0
+
+    @pytest.mark.parametrize(
+        "workload",
+        [
+            ["--protocol", "epidemic", "--engine", "count"],
+            ["--protocol", "figure2", "--fast"],
+            ["--crn", "sir"],
+        ],
+    )
+    def test_simulate_prints_the_record_a_one_run_sweep_stores(
+        self, workload, capsys, tmp_path
+    ):
+        assert main(["simulate", *workload, "--n", "200", "--seed", "5"]) == 0
+        printed = printed_record(capsys.readouterr().out)
+        sweep = ["sweep", *workload, "--sizes", "200", "--runs", "1", "--seed", "5"]
+        assert main([*sweep, "--cache-dir", str(tmp_path)]) == 0
+        (store_file,) = tmp_path.glob("*.jsonl")
+        (line,) = store_file.read_text(encoding="utf-8").splitlines()
+        assert json.loads(line)["record"] == printed
+
+    def test_crn_sweep_and_sweep_write_the_same_store(self, capsys, tmp_path):
+        argv = ["--crn", "sir", "--sizes", "300", "--runs", "2", "--engine",
+                "multiscale"]
+        assert main(["crn", "sweep", *argv, "--cache-dir", str(tmp_path / "a")]) == 0
+        assert main(["sweep", *argv, "--cache-dir", str(tmp_path / "b")]) == 0
+        written = [
+            (tmp_path / side / "crn-sir-multiscale.jsonl").read_bytes()
+            for side in ("a", "b")
+        ]
+        assert written[0] == written[1]
+
+    def test_crn_verbs_are_the_top_level_verbs(self):
+        parser = build_parser()
+        for verb in ("simulate", "sweep"):
+            crn_args = parser.parse_args(["crn", verb])
+            assert crn_args.handler is parser.parse_args([verb]).handler
+
+    def test_protocol_and_crn_are_exclusive(self, capsys):
+        code = main(["simulate", "--protocol", "epidemic", "--crn", "sir"])
+        assert code == 2
+        assert "not both" in capsys.readouterr().err
+
+    def test_kind_flags_are_rejected_for_other_kinds(self, capsys):
+        code = main(["simulate", "--crn", "sir", "--n", "100", "--scheduler",
+                     "sequential"])
+        assert code == 2
+        assert "--scheduler does not apply to crn workloads" in capsys.readouterr().err
+        code = main(["simulate", "--protocol", "epidemic", "--n", "100",
+                     "--chem-time", "5"])
+        assert code == 2
+        assert "--chem-time" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--leap-eps 0.02", "--regime-thresholds 10,1000"])
+    @pytest.mark.parametrize("verb", ["simulate", "sweep"])
+    def test_multiscale_knobs_are_crn_only(self, verb, flag, capsys):
+        sizes = ["--n", "100"] if verb == "simulate" else ["--sizes", "100", "--runs", "1"]
+        code = main([verb, "--protocol", "epidemic", "--engine", "multiscale",
+                     *sizes, *flag.split()])
+        assert code == 2
+        error = capsys.readouterr().err
+        assert f"{flag.split()[0]} does not apply to finite-state workloads" in error
+
+    @pytest.mark.parametrize("selector", ["--crn sir", "--protocol epidemic"])
+    @pytest.mark.parametrize(
+        "adhoc_flag", ["--init S:0.9,I:0.1", "--seed-init I:1", "--name mine"]
+    )
+    def test_adhoc_network_flags_rejected_for_registered_workloads(
+        self, selector, adhoc_flag, capsys
+    ):
+        code = main(["simulate", *selector.split(), "--n", "100",
+                     *adhoc_flag.split()])
+        assert code == 2
+        assert "cannot be combined" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--telemetry", "--check-interval 10"])
+    def test_adhoc_network_rejects_flags_it_does_not_read(self, flag, capsys):
+        code = main(["simulate", "--reaction", "L + L -> L + F", "--init", "L:1",
+                     "--n", "100", "--chem-time", "1", *flag.split()])
+        assert code == 2
+        assert f"{flag.split()[0]} does not apply to an ad-hoc" in capsys.readouterr().err
 
 
 class TestSchedulerCli:
@@ -586,9 +701,9 @@ class TestCRNCommands:
             ]
         )
         assert code == 0
-        output = capsys.readouterr().out
-        assert "converged       : True" in output
-        assert "count[I]        : 200" in output
+        record = printed_record(capsys.readouterr().out)
+        assert record["converged"] is True
+        assert record["extra"]["counts"] == {"I": 200}
 
     def test_simulate_thinned_mode(self, capsys):
         code = main(
@@ -606,9 +721,9 @@ class TestCRNCommands:
             ]
         )
         assert code == 0
-        output = capsys.readouterr().out
-        assert "mode            : thinned" in output
-        assert "count[L]        : 1" in output
+        record = printed_record(capsys.readouterr().out)
+        assert record["extra"]["crn_mode"] == "thinned"
+        assert record["extra"]["counts"]["L"] == 1
 
     def test_simulate_thinned_rejects_agent_engine(self, capsys):
         code = main(
@@ -734,7 +849,6 @@ class TestBackendFlag:
         [
             ["simulate", "--backend", "numpy"],
             ["sweep", "--backend", "numpy"],
-            ["profile", "--backend", "numpy"],
             ["crn", "simulate", "--backend", "numpy"],
             ["crn", "sweep", "--crn", "epidemic", "--backend", "numpy"],
         ],
@@ -751,7 +865,6 @@ class TestBackendFlag:
         [
             ["simulate"],
             ["sweep"],
-            ["profile"],
             ["crn", "simulate"],
             ["crn", "sweep", "--crn", "epidemic"],
         ],
@@ -842,83 +955,6 @@ class TestBackendFlag:
         )
         assert code == 0
         assert "converged" in capsys.readouterr().out
-
-
-class TestProfileCommand:
-    def test_profile_fixed_interactions(self, capsys):
-        code = main(
-            [
-                "profile",
-                "--protocol",
-                "epidemic",
-                "--n",
-                "2000",
-                "--engine",
-                "batched",
-                "--interactions",
-                "20000",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "interactions_per_second" in output
-        assert "build_seconds" in output
-        assert "top" in output and "cumulative time" in output
-        assert "kernel breakdown" in output
-        assert "repro/" in output  # kernel frames resolved to repo paths
-
-    def test_profile_run_to_convergence(self, capsys):
-        code = main(
-            [
-                "profile",
-                "--protocol",
-                "epidemic",
-                "--n",
-                "1000",
-                "--engine",
-                "count",
-                "--max-time",
-                "60",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "converged" in output
-        assert "kernel breakdown" in output
-
-    def test_profile_vector_engine(self, capsys):
-        code = main(
-            [
-                "profile",
-                "--protocol",
-                "epidemic",
-                "--n",
-                "1000",
-                "--engine",
-                "vector",
-                "--interactions",
-                "10000",
-                "--top",
-                "5",
-            ]
-        )
-        assert code == 0
-        assert "vector engine" in capsys.readouterr().out
-
-    def test_profile_reports_engine_errors_cleanly(self, capsys):
-        code = main(
-            [
-                "profile",
-                "--protocol",
-                "epidemic",
-                "--engine",
-                "vector",
-                "--batch-size",
-                "32",
-            ]
-        )
-        assert code == 2
-        assert "error" in capsys.readouterr().err
 
 
 class TestStoreCli:
