@@ -14,18 +14,26 @@ emitted.  The layer promises that this is
 Both gates drive the batched epidemic at ``REPRO_OBS_N`` agents (default
 1,000,000 — the acceptance scale) through ``run_until`` with the sweep
 driver's default check interval (``n`` interactions) for
-``REPRO_OBS_INTERACTIONS`` interactions, best-of-``REPRO_OBS_ROUNDS`` to
-shed scheduler noise; each round runs both sides, alternating which goes
-first, so machine drift and run order hit both sides alike.
+``REPRO_OBS_INTERACTIONS`` interactions per side (default 12,000,000:
+twelve chunks at the default ``n``, about half a second on a 2-vCPU VM).
+The enabled gate runs ``REPRO_OBS_ROUNDS`` alternating pairs (default 11).
+In a pair, a telemetry-off and a telemetry-on engine take turns one
+``run_until`` chunk at a time, swapping which side goes first at every
+chunk and every pair, so machine noise and run order land on both sides
+alike.  The gate judges the median of the per-pair on/off time ratios: the
+two sides run the same code path, so best-of runs of each side mostly
+measure noise on a shared machine, while the paired median ignores the odd
+pair that a busy neighbour distorts.
 
 The no-op gate cannot diff against a tree without the blocks (they are
 permanently in the code), so it bounds their cost from first principles:
 time a tight loop of the recorder calls one chunk makes, read how
-many chunks the disabled run recorded (``engine.convergence_checks``, which
+many chunks the disabled side recorded (``engine.convergence_checks``, which
 the recorder keeps with telemetry off), and project
-``chunk_cost x chunk_count / baseline_runtime``.  That projection is an
-overestimate (the measured loop includes its own loop overhead), which is
-the conservative direction for a gate.
+``chunk_cost x chunk_count / baseline_runtime``, the baseline being the
+median disabled run.  That projection is an overestimate (the measured loop
+includes its own loop overhead), which is the conservative direction for a
+gate.
 
 Also a script::
 
@@ -38,6 +46,7 @@ what the CI perf-regression job runs.
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -52,35 +61,46 @@ from repro.obs.recorder import RECORDER
 from repro.protocols.epidemic import EpidemicProtocol
 
 OBS_N = int(os.environ.get("REPRO_OBS_N", "1000000"))
-OBS_INTERACTIONS = int(os.environ.get("REPRO_OBS_INTERACTIONS", "4000000"))
-OBS_ROUNDS = int(os.environ.get("REPRO_OBS_ROUNDS", "5"))
+OBS_INTERACTIONS = int(os.environ.get("REPRO_OBS_INTERACTIONS", "12000000"))
+OBS_ROUNDS = int(os.environ.get("REPRO_OBS_ROUNDS", "11"))
 
 #: Gate thresholds from the telemetry design contract.
 ENABLED_OVERHEAD_LIMIT = 0.03
 NOOP_OVERHEAD_LIMIT = 0.005
 
 
-def _timed_round(enabled: bool, seed: int = 3) -> tuple[float, dict]:
-    """Wall time and recorder counter delta of one batched epidemic run."""
-    prior = RECORDER.enabled
-    try:
-        RECORDER.enabled = enabled
-        simulator = build_engine(
+def _timed_pair(first_enabled: bool, seed: int = 3) -> tuple[dict, int]:
+    """Seconds each side of one pair spent in ``run_until``, keyed by the
+    telemetry flag, and the convergence checks the off side recorded."""
+    engines = {}
+    for enabled in (False, True):
+        engines[enabled] = build_engine(
             "batched", EpidemicProtocol(), OBS_N, seed=seed, backend="numpy"
         )
-        simulator.run_interactions(10_000)  # warm-up outside timed region
-        stop = simulator.interactions + OBS_INTERACTIONS
-        mark = RECORDER.mark()
-        started = time.perf_counter()
-        simulator.run_until(
-            lambda sim: sim.interactions >= stop,
-            max_parallel_time=OBS_INTERACTIONS / OBS_N + 1.0,
-        )
-        elapsed = time.perf_counter() - started
-        return elapsed, RECORDER.since(mark)["counters"]
+        engines[enabled].run_interactions(10_000)  # warm-up outside timed region
+    elapsed = {False: 0.0, True: 0.0}
+    checks = 0
+    order = (first_enabled, not first_enabled)
+    prior = RECORDER.enabled
+    try:
+        for _ in range(max(1, OBS_INTERACTIONS // OBS_N)):
+            for enabled in order:
+                simulator = engines[enabled]
+                stop = simulator.interactions + OBS_N
+                RECORDER.enabled = enabled
+                before = RECORDER.counters.get("engine.convergence_checks", 0)
+                started = time.perf_counter()
+                simulator.run_until(
+                    lambda sim: sim.interactions >= stop, max_parallel_time=1.0
+                )
+                elapsed[enabled] += time.perf_counter() - started
+                if not enabled:
+                    checks += RECORDER.counters["engine.convergence_checks"] - before
+            order = order[::-1]
     finally:
         RECORDER.enabled = prior
         RECORDER.reset()
+    return elapsed, checks
 
 
 def _chunk_recording_cost_seconds(evaluations: int = 200_000) -> float:
@@ -112,25 +132,30 @@ def run_overhead_gate() -> tuple[dict, list[str]]:
     """Measure both overheads; return (report, gate failures)."""
     failures: list[str] = []
 
-    best = {False: float("inf"), True: float("inf")}
-    counters: dict = {}
+    ratios: list[float] = []
+    baseline_runs: list[float] = []
+    enabled_runs: list[float] = []
     for round_index in range(OBS_ROUNDS):
-        # Alternate which side runs first, so neither always runs second.
-        for enabled in (False, True) if round_index % 2 == 0 else (True, False):
-            elapsed, delta = _timed_round(enabled)
-            best[enabled] = min(best[enabled], elapsed)
-            if not enabled:
-                counters = delta
-    baseline_seconds, enabled_seconds = best[False], best[True]
+        elapsed, chunk_count = _timed_pair(first_enabled=round_index % 2 == 1)
+        baseline_runs.append(elapsed[False])
+        enabled_runs.append(elapsed[True])
+        ratios.append(elapsed[True] / elapsed[False])
+    baseline_seconds = statistics.median(baseline_runs)
+    enabled_seconds = statistics.median(enabled_runs)
+    ratio_q1, _, ratio_q3 = (
+        statistics.quantiles(ratios, n=4, method="inclusive")
+        if len(ratios) > 1 else ratios * 3
+    )
 
-    enabled_overhead = enabled_seconds / baseline_seconds - 1.0
+    enabled_overhead = statistics.median(ratios) - 1.0
     if enabled_overhead > ENABLED_OVERHEAD_LIMIT:
         failures.append(
-            f"enabled telemetry costs {enabled_overhead:+.2%} on the batched "
-            f"epidemic hot path (limit {ENABLED_OVERHEAD_LIMIT:.1%})"
+            f"enabled telemetry costs {enabled_overhead:+.2%} (median of "
+            f"{OBS_ROUNDS} alternating pairs) on the batched epidemic hot path "
+            f"(limit {ENABLED_OVERHEAD_LIMIT:.1%})"
         )
 
-    chunk_count = max(1, counters.get("engine.convergence_checks", 0))
+    chunk_count = max(1, chunk_count)
     chunk_seconds = _chunk_recording_cost_seconds()
     noop_overhead = chunk_seconds * chunk_count / baseline_seconds
     if noop_overhead > NOOP_OVERHEAD_LIMIT:
@@ -147,6 +172,7 @@ def run_overhead_gate() -> tuple[dict, list[str]]:
         "baseline_seconds": baseline_seconds,
         "enabled_seconds": enabled_seconds,
         "enabled_overhead": enabled_overhead,
+        "overhead_quartiles": (ratio_q1 - 1.0, ratio_q3 - 1.0),
         "chunk_count": chunk_count,
         "chunk_ns": chunk_seconds * 1e9,
         "noop_overhead": noop_overhead,
@@ -167,15 +193,15 @@ def bench_obs_overhead_gate():
 def main() -> int:
     print(
         f"telemetry overhead: batched epidemic, n={OBS_N:,}, "
-        f"{OBS_INTERACTIONS:,} interactions, best of {OBS_ROUNDS}"
+        f"{OBS_INTERACTIONS:,} interactions, {OBS_ROUNDS} alternating pairs"
     )
     report, failures = run_overhead_gate()
+    low, high = report["overhead_quartiles"]
+    print(f"  telemetry off : {report['baseline_seconds']:7.3f}s (median)")
+    print(f"  telemetry on  : {report['enabled_seconds']:7.3f}s (median)")
     print(
-        f"  telemetry off : {report['baseline_seconds']:7.3f}s"
-    )
-    print(
-        f"  telemetry on  : {report['enabled_seconds']:7.3f}s "
-        f"({report['enabled_overhead']:+.2%}, limit {ENABLED_OVERHEAD_LIMIT:.1%})"
+        f"  paired on/off : {report['enabled_overhead']:+.2%} median, "
+        f"quartiles {low:+.2%} / {high:+.2%} (limit {ENABLED_OVERHEAD_LIMIT:.1%})"
     )
     print(
         f"  always-on     : {report['chunk_count']} chunks x "

@@ -75,7 +75,7 @@ from repro.engine.selection import (
     ENGINE_NAMES,
     engine_scheduler_matrix,
 )
-from repro.exceptions import SimulationError
+from repro.exceptions import ReproError, SimulationError
 from repro.crn import (
     CRN,
     CRN_MODES,
@@ -381,24 +381,20 @@ def _schedule_label(spec: TrialSpec) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    try:
-        if args.reaction:
-            return _simulate_adhoc(args)
-        if args.init or args.seed_init or args.name != "adhoc":
-            raise SimulationError(
-                "--init, --seed-init and --name describe an ad-hoc --reaction "
-                "network; they cannot be combined with a registered workload"
-            )
-        workload = _workload_from_args(args)
-        population_size = (
-            workload.default_population if args.n is None else args.n
+    if args.reaction:
+        return _simulate_adhoc(args)
+    if args.init or args.seed_init or args.name != "adhoc":
+        raise SimulationError(
+            "--init, --seed-init and --name describe an ad-hoc --reaction "
+            "network; they cannot be combined with a registered workload"
         )
-        (spec,) = _specs_from_args(args, workload, [population_size], 1)
-        _telemetry_from_args(args)
-        record = run_trial(spec)
-    except SimulationError as error:
-        print(f"repro simulate: error: {error}", file=sys.stderr)
-        return 2
+    workload = _workload_from_args(args)
+    population_size = (
+        workload.default_population if args.n is None else args.n
+    )
+    (spec,) = _specs_from_args(args, workload, [population_size], 1)
+    _telemetry_from_args(args)
+    record = run_trial(spec)
     print(
         f"{workload.kind} workload {workload.name!r} on the {spec.engine} engine "
         f"({_schedule_label(spec)}), n={population_size}: {workload.description}"
@@ -530,23 +526,19 @@ def _print_sweep_summary(result: SweepResult) -> None:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     sizes = parse_size_list(args.sizes)
+    workload = _workload_from_args(args)
+    specs = _specs_from_args(args, workload, sizes, args.runs)
+    name = f"{workload.store_prefix}{workload.name}-{specs[0].engine}"
+    store = _sweep_store_from_args(args, name)
+    progress_view = _telemetry_from_args(args)
     try:
-        workload = _workload_from_args(args)
-        specs = _specs_from_args(args, workload, sizes, args.runs)
-        name = f"{workload.store_prefix}{workload.name}-{specs[0].engine}"
-        store = _sweep_store_from_args(args, name)
-        progress_view = _telemetry_from_args(args)
-        try:
-            outcome = run_trials(
-                specs, workers=args.workers, store=store,
-                lease_seconds=args.lease, progress=progress_view,
-            )
-        finally:
-            if progress_view is not None:
-                progress_view.close()
-    except SimulationError as error:
-        print(f"repro sweep: error: {error}", file=sys.stderr)
-        return 2
+        outcome = run_trials(
+            specs, workers=args.workers, store=store,
+            lease_seconds=args.lease, progress=progress_view,
+        )
+    finally:
+        if progress_view is not None:
+            progress_view.close()
 
     print(
         f"sweep of {workload.kind} workload {workload.name!r} on the "
@@ -767,13 +759,9 @@ def _cmd_crn_info(args: argparse.Namespace) -> int:
             "--reaction 'A + B -> C + D @ k' ...` runs an ad-hoc one."
         )
         return 0
-    try:
-        crn, registered = _crn_from_args(args)
-        uniform = compile_crn(crn)
-        thinned = compile_crn(crn, mode="thinned")
-    except SimulationError as error:
-        print(f"repro crn info: error: {error}", file=sys.stderr)
-        return 2
+    crn, registered = _crn_from_args(args)
+    uniform = compile_crn(crn)
+    thinned = compile_crn(crn, mode="thinned")
     print(crn.describe())
     print()
     print("reactions:")
@@ -861,19 +849,15 @@ def _watch_store_status(store, interval: float, iterations: int | None) -> int:
 
 
 def _cmd_store_status(args: argparse.Namespace) -> int:
-    try:
-        store = open_store(args.store)
-        if getattr(args, "watch", False):
-            try:
-                return _watch_store_status(
-                    store, args.interval, args.iterations
-                )
-            finally:
-                store.close()
-        status = store.status()
-    except SimulationError as error:
-        print(f"repro store status: error: {error}", file=sys.stderr)
-        return 2
+    store = open_store(args.store)
+    if getattr(args, "watch", False):
+        try:
+            return _watch_store_status(
+                store, args.interval, args.iterations
+            )
+        finally:
+            store.close()
+    status = store.status()
     print(f"store: {store.describe()}")
     print(
         format_key_values(
@@ -1420,10 +1404,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """CLI entry point."""
+    """CLI entry point.
+
+    A library error (:class:`~repro.exceptions.ReproError`) raised by any
+    verb is bad input: it prints one ``repro <verb>: error: ...`` line on
+    stderr and exits 2, distinct from exit 1 ("not converged").
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.handler(args)
+    try:
+        return args.handler(args)
+    except ReproError as error:
+        verb = " ".join(
+            getattr(args, dest)
+            for dest in ("command", "crn_command", "store_command", "trace_command")
+            if getattr(args, dest, None)
+        )
+        print(f"repro {verb}: error: {error}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

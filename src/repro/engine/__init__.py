@@ -1,6 +1,6 @@
 """Simulation engines for population protocols.
 
-Two engines are provided:
+Five engines are provided:
 
 * :class:`repro.engine.simulator.Simulation` — the *agent-level* engine.  It
   stores one state object per agent and applies the protocol's transition to
@@ -30,27 +30,24 @@ Two engines are provided:
   :class:`~repro.engine.vector.VectorFiniteStateSimulator`, any finite-state
   protocol behind the count-level interface.
 
-:func:`repro.engine.selection.build_engine` constructs any of the four
+* :class:`repro.crn.multiscale.MultiscaleSimulator` — the *multiscale*
+  engine: adaptive exact-SSA / tau-leap / mean-field-ODE regime switching
+  over a finite-state protocol's compiled channels, approximate but
+  count-bound, for ``n`` up to ``10^12``.
+
+:func:`repro.engine.selection.build_engine` constructs any of the five
 behind a shared count-level interface; see ``DESIGN.md`` (Engine selection).
 
 Supporting pieces: the interaction schedulers
 (:mod:`repro.engine.scheduler`), configuration multisets
-(:mod:`repro.engine.configuration`), convergence detectors
-(:mod:`repro.engine.convergence`), metric collection
-(:mod:`repro.engine.metrics`), event hooks (:mod:`repro.engine.events`) and
-execution traces (:mod:`repro.engine.trace`).
+(:mod:`repro.engine.configuration`), metric collection
+(:mod:`repro.engine.metrics`) and the run loops every engine shares
+(:mod:`repro.engine.running`).
 """
 
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.configuration import Configuration
-from repro.engine.convergence import (
-    ConvergenceDetector,
-    all_agents_satisfy,
-    output_within_tolerance,
-    stable_for,
-)
 from repro.engine.count_simulator import CountSimulator
-from repro.engine.events import EventLog, InteractionEvent, PeriodicProbe
 from repro.engine.running import CountTracePoint
 from repro.engine.selection import (
     ENGINE_NAMES,
@@ -71,8 +68,7 @@ from repro.engine.scheduler import (
     draw_matching_arrays,
     scheduler_names,
 )
-from repro.engine.simulator import Simulation, SimulationReport
-from repro.engine.trace import ExecutionTrace, TraceRecorder
+from repro.engine.simulator import Simulation
 from repro.engine.vector import (
     FiniteStateVectorProtocol,
     VectorFields,
@@ -89,14 +85,7 @@ __all__ = [
     "CountingSimulationAdapter",
     "ENGINE_NAMES",
     "build_engine",
-    "ConvergenceDetector",
-    "all_agents_satisfy",
-    "output_within_tolerance",
-    "stable_for",
     "CountSimulator",
-    "EventLog",
-    "InteractionEvent",
-    "PeriodicProbe",
     "SimulationMetrics",
     "StateUsageTracker",
     "InteractionScheduler",
@@ -111,9 +100,6 @@ __all__ = [
     "scheduler_names",
     "schedulers_for_engine",
     "Simulation",
-    "SimulationReport",
-    "ExecutionTrace",
-    "TraceRecorder",
     "FiniteStateVectorProtocol",
     "VectorFields",
     "VectorFiniteStateSimulator",

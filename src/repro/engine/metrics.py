@@ -51,9 +51,6 @@ class SimulationMetrics:
     null_interactions:
         Interactions in which neither agent changed state (useful when
         checking silence/stability empirically).
-    convergence_interaction:
-        Interaction index at which the convergence predicate first held and
-        kept holding until the end of the run, or ``None``.
     state_usage:
         Tracker of distinct states, when enabled.
     """
@@ -61,20 +58,12 @@ class SimulationMetrics:
     population_size: int
     interactions: int = 0
     null_interactions: int = 0
-    convergence_interaction: int | None = None
     state_usage: StateUsageTracker | None = None
 
     @property
     def parallel_time(self) -> float:
         """Parallel time elapsed so far."""
         return self.interactions / self.population_size
-
-    @property
-    def convergence_time(self) -> float | None:
-        """Parallel time at which the run converged, or ``None``."""
-        if self.convergence_interaction is None:
-            return None
-        return self.convergence_interaction / self.population_size
 
     @property
     def distinct_states(self) -> int | None:
@@ -94,15 +83,3 @@ class SimulationMetrics:
         self.interactions += 1
         if not changed:
             self.null_interactions += 1
-
-    def summary(self) -> dict:
-        """Return a JSON-friendly summary of the run metrics."""
-        return {
-            "population_size": self.population_size,
-            "interactions": self.interactions,
-            "parallel_time": self.parallel_time,
-            "null_interactions": self.null_interactions,
-            "convergence_interaction": self.convergence_interaction,
-            "convergence_time": self.convergence_time,
-            "distinct_states": self.distinct_states,
-        }

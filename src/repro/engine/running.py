@@ -1,7 +1,8 @@
-"""Shared construction and run-loop helpers for the count-level engines.
+"""Shared construction and run-loop helpers for the engines.
 
-The three engines behind :func:`repro.engine.selection.build_engine` share a
-count-level interface (``population_size``, ``parallel_time``,
+The engines behind :func:`repro.engine.selection.build_engine` and the
+agent-level :class:`~repro.engine.simulator.Simulation` share an interface
+(``population_size``, ``interactions``, ``parallel_time``,
 ``run_interactions``, ``configuration``).  The predicate loop of
 ``run_until`` and the snapshot loop of ``run_with_trace`` are pure functions
 of that interface, so they live here once instead of being copied into every

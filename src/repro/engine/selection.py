@@ -225,12 +225,12 @@ class CountingSimulationAdapter:
     @property
     def interactions(self) -> int:
         """Interactions executed so far."""
-        return self.simulation.metrics.interactions
+        return self.simulation.interactions
 
     @property
     def parallel_time(self) -> float:
         """Parallel time elapsed so far."""
-        return self.simulation.metrics.parallel_time
+        return self.simulation.parallel_time
 
     def configuration(self) -> Configuration:
         """Return the current configuration multiset."""

@@ -5,60 +5,32 @@ model: a population of ``n`` agents, each holding a protocol-defined state
 object, interacting in uniformly random ordered pairs.  It supports
 
 * running for a fixed number of interactions or amount of parallel time,
-* running until a predicate holds (with an interaction budget),
-* periodic probes (convergence detectors, trajectory recorders),
+* running until a predicate holds (with an interaction budget), through the
+  run loop every engine shares (:mod:`repro.engine.running`),
 * optional tracking of the distinct states used (space complexity), and
 * snapshots of the population as :class:`~repro.engine.configuration.Configuration`
   multisets.
 
 The engine never mutates state objects in place; protocols return fresh state
-values from their transition, which keeps snapshots and traces meaningful.
+values from their transition, which keeps snapshots meaningful.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from repro.engine.configuration import Configuration
-from repro.engine.convergence import ConvergenceDetector
-from repro.engine.events import EventLog, InteractionEvent, PeriodicProbe
 from repro.engine.metrics import SimulationMetrics, StateUsageTracker
+from repro.engine.running import run_until_predicate
 from repro.engine.scheduler import (
     InteractionScheduler,
     SchedulerSpec,
     SequentialScheduler,
 )
-from repro.exceptions import ConvergenceError, SimulationError
+from repro.exceptions import SimulationError
 from repro.protocols.base import AgentProtocol
 from repro.rng import RandomSource
 from repro.types import interactions_for_time
-
-
-@dataclass
-class SimulationReport:
-    """Summary of a completed (or stopped) simulation run."""
-
-    population_size: int
-    interactions: int
-    parallel_time: float
-    converged: bool
-    convergence_interaction: int | None
-    convergence_time: float | None
-    distinct_states: int | None
-    outputs: list[Any]
-
-    def as_dict(self) -> dict:
-        """Return a JSON-friendly dictionary view of the report."""
-        return {
-            "population_size": self.population_size,
-            "interactions": self.interactions,
-            "parallel_time": self.parallel_time,
-            "converged": self.converged,
-            "convergence_interaction": self.convergence_interaction,
-            "convergence_time": self.convergence_time,
-            "distinct_states": self.distinct_states,
-        }
 
 
 class Simulation:
@@ -87,9 +59,6 @@ class Simulation:
     initial_states:
         Optional explicit list of initial states, overriding
         ``protocol.initial_state``.  Must have length ``population_size``.
-    event_log_capacity:
-        When not ``None``, keep an :class:`~repro.engine.events.EventLog` of
-        the most recent interactions (for debugging / trace tests).
     """
 
     def __init__(
@@ -100,7 +69,6 @@ class Simulation:
         scheduler: InteractionScheduler | SchedulerSpec | str | None = None,
         track_states: bool = False,
         initial_states: Sequence[Any] | None = None,
-        event_log_capacity: int | None = None,
     ) -> None:
         if population_size < 2:
             raise SimulationError(
@@ -141,52 +109,21 @@ class Simulation:
         self.metrics = SimulationMetrics(
             population_size=population_size, state_usage=tracker
         )
-        self.event_log = (
-            EventLog(capacity=event_log_capacity) if event_log_capacity is not None else None
-        )
-        self._probes: list[tuple[PeriodicProbe, int]] = []
 
-    # -- probes ----------------------------------------------------------------
+    @property
+    def interactions(self) -> int:
+        """Interactions executed so far."""
+        return self.metrics.interactions
 
-    def add_probe(
-        self,
-        callback: Callable[["Simulation"], None],
-        interval: int | None = None,
-        name: str = "",
-    ) -> PeriodicProbe:
-        """Register a callback invoked every ``interval`` interactions.
-
-        The default interval is once per ``n`` interactions (once per unit of
-        parallel time).  Returns the :class:`PeriodicProbe` so callers can
-        keep a handle on stateful probes such as convergence detectors.
-        """
-        probe = PeriodicProbe(callback=callback, interval=interval, name=name)
-        self._probes.append((probe, probe.resolve_interval(self.population_size)))
-        return probe
-
-    def add_convergence_detector(
-        self, predicate: Callable[["Simulation"], bool], interval: int | None = None
-    ) -> ConvergenceDetector:
-        """Attach a :class:`ConvergenceDetector` probe and return it."""
-        detector = ConvergenceDetector(predicate=predicate)
-        self.add_probe(detector, interval=interval, name="convergence")
-        return detector
-
-    def _fire_probes(self) -> None:
-        interactions = self.metrics.interactions
-        for probe, interval in self._probes:
-            if interactions % interval == 0:
-                probe.callback(self)
+    @property
+    def parallel_time(self) -> float:
+        """Parallel time elapsed so far."""
+        return self.metrics.parallel_time
 
     # -- stepping ----------------------------------------------------------------
 
-    def _step_core(self) -> tuple[int, int, Any, Any, Any, Any]:
-        """Advance one interaction; return the raw before/after facts.
-
-        Shared by :meth:`step` (which wraps the facts in an
-        :class:`InteractionEvent`) and the event-free fast path of
-        :meth:`run_interactions`.
-        """
+    def step(self) -> None:
+        """Execute a single interaction."""
         pair = self.scheduler.next_pair()
         receiver_id, sender_id = pair.receiver, pair.sender
         receiver_before = self.states[receiver_id]
@@ -203,58 +140,13 @@ class Simulation:
                 self.protocol.state_signature(receiver_after)
             )
             self.metrics.state_usage.observe(self.protocol.state_signature(sender_after))
-        return (
-            receiver_id,
-            sender_id,
-            receiver_before,
-            sender_before,
-            receiver_after,
-            sender_after,
-        )
-
-    def step(self) -> InteractionEvent:
-        """Execute a single interaction and return its event record."""
-        (
-            receiver_id,
-            sender_id,
-            receiver_before,
-            sender_before,
-            receiver_after,
-            sender_after,
-        ) = self._step_core()
-        event = InteractionEvent(
-            index=self.metrics.interactions,
-            receiver=receiver_id,
-            sender=sender_id,
-            receiver_before=receiver_before,
-            sender_before=sender_before,
-            receiver_after=receiver_after,
-            sender_after=sender_after,
-        )
-        if self.event_log is not None:
-            self.event_log.append(event)
-        if self._probes:
-            self._fire_probes()
-        return event
 
     def run_interactions(self, count: int) -> None:
-        """Execute exactly ``count`` additional interactions.
-
-        When no event log is attached, interactions are driven through an
-        event-free fast path: building an :class:`InteractionEvent` per step
-        only to drop it costs a measurable fraction of the per-interaction
-        budget at large interaction counts.
-        """
+        """Execute exactly ``count`` additional interactions."""
         if count < 0:
             raise SimulationError(f"interaction count must be non-negative, got {count}")
-        if self.event_log is not None:
-            for _ in range(count):
-                self.step()
-            return
         for _ in range(count):
-            self._step_core()
-            if self._probes:
-                self._fire_probes()
+            self.step()
 
     def run_parallel_time(self, time: float) -> None:
         """Execute (at least) ``time`` additional units of parallel time."""
@@ -266,7 +158,7 @@ class Simulation:
         max_parallel_time: float,
         check_interval: int | None = None,
     ) -> float:
-        """Run until ``predicate`` holds; return the parallel time at that point.
+        """Run until ``predicate(self)`` holds; return the parallel time reached.
 
         The predicate is evaluated every ``check_interval`` interactions
         (default: every ``n`` interactions, i.e. once per unit of parallel
@@ -277,23 +169,7 @@ class Simulation:
         ConvergenceError
             If the predicate never holds within ``max_parallel_time``.
         """
-        interval = check_interval if check_interval is not None else self.population_size
-        if interval <= 0:
-            raise SimulationError("check_interval must be positive")
-        budget = interactions_for_time(max_parallel_time, self.population_size)
-        executed = 0
-        if predicate(self):
-            return self.metrics.parallel_time
-        while executed < budget:
-            chunk = min(interval, budget - executed)
-            self.run_interactions(chunk)
-            executed += chunk
-            if predicate(self):
-                return self.metrics.parallel_time
-        raise ConvergenceError(
-            f"predicate did not hold within {max_parallel_time} units of parallel time "
-            f"(n={self.population_size}, interactions={self.metrics.interactions})"
-        )
+        return run_until_predicate(self, predicate, max_parallel_time, check_interval)
 
     # -- inspection ----------------------------------------------------------------
 
@@ -312,61 +188,6 @@ class Simulation:
             self.protocol.state_signature(state) for state in self.states
         )
 
-    def agent_state(self, agent_id: int) -> Any:
-        """Return the current state of one agent."""
-        if not 0 <= agent_id < self.population_size:
-            raise SimulationError(
-                f"agent id {agent_id} out of range for population {self.population_size}"
-            )
-        return self.states[agent_id]
-
     def count_where(self, condition: Callable[[Any], bool]) -> int:
         """Count agents whose state satisfies ``condition``."""
         return sum(1 for state in self.states if condition(state))
-
-    def report(
-        self, detector: ConvergenceDetector | None = None
-    ) -> SimulationReport:
-        """Build a :class:`SimulationReport` from the current run state."""
-        convergence_interaction = (
-            detector.convergence_interaction if detector is not None else None
-        )
-        converged = detector.converged if detector is not None else False
-        convergence_time = (
-            convergence_interaction / self.population_size
-            if convergence_interaction is not None
-            else None
-        )
-        return SimulationReport(
-            population_size=self.population_size,
-            interactions=self.metrics.interactions,
-            parallel_time=self.metrics.parallel_time,
-            converged=converged,
-            convergence_interaction=convergence_interaction,
-            convergence_time=convergence_time,
-            distinct_states=self.metrics.distinct_states,
-            outputs=self.outputs(),
-        )
-
-
-def run_protocol(
-    protocol: AgentProtocol,
-    population_size: int,
-    predicate: Callable[[Simulation], bool],
-    max_parallel_time: float,
-    seed: int | None = None,
-    track_states: bool = False,
-) -> tuple[Simulation, float]:
-    """Convenience wrapper: build a simulation and run it until ``predicate``.
-
-    Returns the simulation object (for inspection of final states/outputs) and
-    the parallel time at which the predicate first held.
-    """
-    simulation = Simulation(
-        protocol=protocol,
-        population_size=population_size,
-        seed=seed,
-        track_states=track_states,
-    )
-    elapsed = simulation.run_until(predicate, max_parallel_time=max_parallel_time)
-    return simulation, elapsed

@@ -26,7 +26,7 @@ from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergen
 from repro.core.parameters import ProtocolParameters
 from repro.engine.simulator import Simulation
 from repro.engine.vector import VectorSimulator
-from repro.exceptions import ConvergenceError
+from repro.exceptions import ConvergenceError, SimulationError
 from repro.harness.reporting import format_table
 from repro.protocols.approximate_counting import (
     AlistarhApproximateCounting,
@@ -62,6 +62,8 @@ def accuracy_table(
     time_budget_factor: float = 4.0,
 ) -> TableResult:
     """Observed additive error vs the claimed bound, per population size."""
+    if runs_per_size < 1:
+        raise SimulationError(f"runs_per_size must be >= 1, got {runs_per_size}")
     params = params or ProtocolParameters.paper()
     headers = (
         "n",

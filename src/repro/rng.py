@@ -64,9 +64,10 @@ def spawn_seed(base_seed: int, *spawn_key: int) -> int:
     disjoint domains, so e.g. ``spawn_seed(s, i, j)`` and
     ``spawn_seed(s, i, j, arm)`` never alias.
 
-    Every sweep runner (finite-state, array, sequential, termination,
-    tables) derives its per-trial seeds through this one function, so serial
-    and parallel execution of the same sweep see identical seeds.
+    Every sweep (each workload kind: finite-state, vector, sequential, CRN)
+    and the termination and table experiments derive their per-trial seeds
+    through this one function, so serial and parallel execution of the same
+    sweep see identical seeds.
 
     Parameters
     ----------

@@ -16,6 +16,7 @@ from repro.core.parameters import ProtocolParameters
 from repro.crn.library import CRN_WORKLOADS
 from repro.crn.ssa import simulate_ssa
 from repro.engine.selection import build_engine
+from repro.engine.simulator import Simulation
 from repro.harness.parallel import (
     build_crn_trials,
     build_finite_state_trials,
@@ -25,7 +26,11 @@ from repro.harness.parallel import (
 )
 from repro.obs.manifest import TELEMETRY_KEY
 from repro.obs.recorder import RECORDER, recording
-from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.protocols.epidemic import (
+    EpidemicProtocol,
+    EpidemicState,
+    epidemic_completion_predicate,
+)
 from repro.store.server import StoreServer
 
 FAST = ProtocolParameters.fast_test()
@@ -50,6 +55,21 @@ def _predicate_chunks():
     )
 
 
+def _agent_predicate_chunks():
+    # The agent engine runs the same predicate loop: one check per chunk.
+    simulation = Simulation(EpidemicProtocol().as_agent_protocol(), 64, seed=3)
+    simulation.run_until(
+        lambda sim: sim.count_where(lambda state: state == EpidemicState.INFECTED)
+        == 64,
+        max_parallel_time=200.0,
+        check_interval=16,
+    )
+    return {"engine.convergence_checks": simulation.interactions // 16}, (
+        "engine.step",
+        "engine.convergence_check",
+    )
+
+
 def _multiscale_advance():
     (spec,) = build_crn_trials([300], 1, "epidemic", engine="multiscale", base_seed=5)
     record = run_trial(spec)
@@ -67,8 +87,14 @@ def _ssa_run():
 
 @pytest.mark.parametrize(
     "block",
-    [_batched_chunk, _predicate_chunks, _multiscale_advance, _ssa_run],
-    ids=["batched", "predicate", "multiscale", "ssa"],
+    [
+        _batched_chunk,
+        _predicate_chunks,
+        _agent_predicate_chunks,
+        _multiscale_advance,
+        _ssa_run,
+    ],
+    ids=["batched", "predicate", "agent", "multiscale", "ssa"],
 )
 def test_chunk_level_block_records_with_telemetry_off(block):
     assert RECORDER.enabled is False

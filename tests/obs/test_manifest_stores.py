@@ -8,6 +8,8 @@ from contextlib import contextmanager
 import pytest
 
 from repro.backend import resolve_backend
+from repro.core.parameters import ProtocolParameters
+from repro.harness.experiment import ExperimentSpec
 from repro.harness.parallel import (
     build_crn_trials,
     build_finite_state_trials,
@@ -105,6 +107,19 @@ class TestTrialManifest:
         with recording():
             key_on = spec.cache_key()
         assert key_on == key_off
+
+    def test_sequential_trial_attributes_its_time_to_engine_phases(self):
+        # The agent engine runs the shared run_until loop, so its steps and
+        # predicate checks land in the manifest, not only in ``total``.
+        (spec,) = ExperimentSpec(
+            [48], runs_per_size=1, params=ProtocolParameters.fast_test(),
+            base_seed=15,
+        ).trials("sequential", "sequential")
+        with recording():
+            record = run_trial(spec)
+        timing = record.extra[TELEMETRY_KEY]["timing"]
+        attributed = timing["engine.step"] + timing["engine.convergence_check"]
+        assert attributed >= 0.9 * timing["total"]
 
     def test_simulate_telemetry_prints_the_manifest(self, capsys):
         from repro.cli import main

@@ -47,6 +47,34 @@ class TestParser:
             build_parser().parse_args(["simulate", "--engine", "warp"])
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sweep --protocol epidemic --sizes 1 --runs 1",
+            "figure2 --fast --sizes abc",
+            "termination --sizes 16 --runs 0",
+            "simulate --protocol epidemic --n 1",
+            "accuracy --fast --sizes 1",
+            "accuracy --fast --sizes 16 --runs 0",
+            "states --fast --sizes 1",
+            "bounds --n 2",
+            "crn simulate --crn epidemic --n 1",
+            "crn sweep --crn epidemic --sizes 1 --runs 1",
+            "store status --store warp://x",
+        ],
+    )
+    def test_library_error_exits_2_with_one_error_line(self, argv, capsys):
+        words = argv.split()
+        # The message names the verb path, subcommand included.
+        verb = " ".join(words[:2] if words[0] in ("crn", "store") else words[:1])
+        assert main(words) == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        (line,) = error.splitlines()
+        assert line.startswith(f"repro {verb}: error: ")
+
+
 class TestCommands:
     def test_bounds_text(self, capsys):
         assert main(["bounds", "--n", "1024"]) == 0
