@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES
+from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES, run_to_done
 from repro.analysis.error_bounds import final_error_probability
 from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.engine.vector import VectorSimulator
@@ -30,12 +30,11 @@ def bench_accuracy_vs_population(benchmark, population_size):
                 population_size,
                 seed=7_000 + run_index,
             )
-            outcome = simulator.run_until_done(
-                max_parallel_time=4
-                * expected_convergence_time(population_size, PAPER_PARAMS)
+            outcome = run_to_done(
+                simulator, 4 * expected_convergence_time(population_size, PAPER_PARAMS)
             )
-            if outcome.converged:
-                errors.append(outcome.max_additive_error)
+            if outcome["convergence_time"] is not None:
+                errors.append(outcome["max_additive_error"])
         collected["errors"] = errors
         return errors
 

@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES
+from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES, run_to_done
 from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.engine.simulator import Simulation
 from repro.engine.vector import VectorSimulator
@@ -38,18 +38,18 @@ def bench_baseline_vs_paper_protocol(benchmark, population_size):
         )
         baseline_value = float(baseline_protocol.output(baseline.states[0]))
 
-        paper = VectorSimulator(
-            LogSizeVectorProtocol(PAPER_PARAMS), population_size, seed=23
-        ).run_until_done(
-            max_parallel_time=4
-            * expected_convergence_time(population_size, PAPER_PARAMS)
+        paper = run_to_done(
+            VectorSimulator(
+                LogSizeVectorProtocol(PAPER_PARAMS), population_size, seed=23
+            ),
+            4 * expected_convergence_time(population_size, PAPER_PARAMS),
         )
 
         holder.update(
             baseline_time=baseline_time,
             baseline_error=abs(baseline_value - target),
-            paper_time=paper.convergence_time,
-            paper_error=paper.max_additive_error,
+            paper_time=paper["convergence_time"],
+            paper_error=paper["max_additive_error"],
         )
         return holder
 

@@ -26,6 +26,7 @@ import math
 
 import pytest
 
+from benchmarks.conftest import run_to_done
 from repro.core.leader_terminating import (
     LeaderTerminatingSizeEstimation,
     all_agents_terminated,
@@ -102,19 +103,20 @@ def bench_leader_terminating_vector(benchmark, population_size):
             termination_rounds_factor=VECTOR_K2,
         )
         simulator = VectorSimulator(kernel, population_size, seed=5)
-        holder["result"] = simulator.run_until_done(max_parallel_time=budget)
-        return holder["result"].convergence_time
+        holder["simulator"] = simulator
+        holder["result"] = run_to_done(simulator, budget)
+        return holder["result"]["convergence_time"]
 
     benchmark.pedantic(run_to_termination, rounds=1, iterations=1)
 
-    result = holder["result"]
+    simulator, result = holder["simulator"], holder["result"]
     benchmark.extra_info["population_size"] = population_size
     benchmark.extra_info["budget_parallel_time"] = budget
-    benchmark.extra_info["termination_parallel_time"] = result.convergence_time
-    benchmark.extra_info["rounds"] = result.rounds
-    benchmark.extra_info["interactions"] = result.interactions
-    benchmark.extra_info["max_additive_error"] = result.max_additive_error
-    assert result.converged, (
+    benchmark.extra_info["termination_parallel_time"] = result["convergence_time"]
+    benchmark.extra_info["rounds"] = simulator.rounds
+    benchmark.extra_info["interactions"] = simulator.interactions
+    benchmark.extra_info["max_additive_error"] = result["max_additive_error"]
+    assert result["convergence_time"] is not None, (
         f"vector leader-terminating trial at n={population_size} did not "
         f"finish within its budget of {budget} parallel time"
     )

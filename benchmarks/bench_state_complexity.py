@@ -14,7 +14,7 @@ import math
 
 import pytest
 
-from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES
+from benchmarks.conftest import PAPER_PARAMS, TABLE_SIZES, run_to_done
 from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.engine.vector import VectorSimulator
 
@@ -27,9 +27,8 @@ def bench_state_complexity(benchmark, population_size):
         simulator = VectorSimulator(
             LogSizeVectorProtocol(PAPER_PARAMS), population_size, seed=11
         )
-        simulator.run_until_done(
-            max_parallel_time=4
-            * expected_convergence_time(population_size, PAPER_PARAMS)
+        run_to_done(
+            simulator, 4 * expected_convergence_time(population_size, PAPER_PARAMS)
         )
         holder["simulator"] = simulator
         return simulator

@@ -37,6 +37,8 @@ import os
 import pytest
 
 from repro.core.parameters import ProtocolParameters
+from repro.engine.vector import VectorSimulator
+from repro.exceptions import ConvergenceError
 from repro.workloads.populations import sizes_from_env
 
 
@@ -68,3 +70,19 @@ PAPER_PARAMS = ProtocolParameters.paper()
 def paper_params() -> ProtocolParameters:
     """The paper's constants (clock 95, epochs 5)."""
     return PAPER_PARAMS
+
+
+def run_to_done(simulator: VectorSimulator, max_parallel_time: float) -> dict:
+    """Run a vector-engine kernel to its own convergence condition.
+
+    Returns the kernel's ``result_extra`` plus ``convergence_time``
+    (``None`` when the budget ran out).
+    """
+    try:
+        time = simulator.run_until(VectorSimulator.all_done, max_parallel_time)
+    except ConvergenceError:
+        time = None
+    return {
+        "convergence_time": time,
+        **simulator.protocol.result_extra(simulator.fields),
+    }

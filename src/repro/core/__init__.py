@@ -49,7 +49,7 @@ from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
 from repro.core.probability_one import ProbabilityOneUpperBoundProtocol
 from repro.core.phase_clock import LeaderDrivenPhaseClock, LeaderlessPhaseClock
 from repro.core.composition import RestartComposition, StagedComposition
-from repro.core.array_simulator import ArraySimulationResult, LogSizeVectorProtocol
+from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.vector_leader import (
     LeaderTerminatingVectorProtocol,
     expected_termination_time,
@@ -70,7 +70,6 @@ __all__ = [
     "LeaderlessPhaseClock",
     "RestartComposition",
     "StagedComposition",
-    "ArraySimulationResult",
     "LogSizeVectorProtocol",
     "LeaderTerminatingVectorProtocol",
     "expected_termination_time",

@@ -23,84 +23,27 @@ max-propagation with restart, epoch catch-up (worker-worker and
 storage-storage), ``Update-Sum`` deposits, per-epoch ``gr`` max-propagation,
 and output announcement/propagation.
 
-Run it as ``VectorSimulator(LogSizeVectorProtocol(params), n, seed=...)``;
-``run_until_done`` then returns an :class:`ArraySimulationResult`.  The
-kernel is reused by the leader-driven terminating variant in
-:mod:`repro.core.vector_leader`.
+Run it as ``VectorSimulator(LogSizeVectorProtocol(params), n, seed=...)``,
+then ``simulator.run_until(VectorSimulator.all_done, max_parallel_time)``
+(which raises :class:`~repro.exceptions.ConvergenceError` when the budget
+runs out); :meth:`LogSizeVectorProtocol.result_extra` reports the estimates
+and state counts.  The kernel is reused by the leader-driven terminating
+variant in :mod:`repro.core.vector_leader`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.parameters import ProtocolParameters
-from repro.engine.vector import VectorFields, VectorProtocol, VectorSimulator
+from repro.engine.vector import VectorFields, VectorProtocol
 
 # Role encoding in the arrays.
 ROLE_UNASSIGNED = 0
 ROLE_WORKER = 1
 ROLE_STORAGE = 2
-
-
-@dataclass(frozen=True)
-class ArraySimulationResult:
-    """Outcome of one vectorised run.
-
-    Attributes
-    ----------
-    population_size:
-        Number of agents simulated.
-    converged:
-        Whether the protocol's convergence condition was met within the
-        budget (for Figure 2: every agent finished all epochs).
-    convergence_time:
-        Parallel time at which the convergence condition was first observed
-        — exact to the matching round — or ``None``.
-    rounds:
-        Number of matching rounds executed.
-    interactions:
-        Total interactions executed (``rounds * floor(n / 2)``).
-    final_estimate_mean / final_estimate_min / final_estimate_max:
-        Statistics of the per-agent estimates at the end of the run.
-    max_additive_error:
-        ``max_agent |estimate - log2 n|`` at the end of the run.
-    log_size2:
-        The (common) final value of the weak estimate ``logSize2``.
-    distinct_state_bound:
-        Product of the realised field ranges — the quantity Lemma 3.9 bounds
-        by ``O(log^4 n)`` (reported for the state-complexity table).
-    """
-
-    population_size: int
-    converged: bool
-    convergence_time: float | None
-    rounds: int
-    interactions: int
-    final_estimate_mean: float
-    final_estimate_min: float
-    final_estimate_max: float
-    max_additive_error: float
-    log_size2: int
-    distinct_state_bound: int
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view (used by the harness and the CLI)."""
-        return {
-            "population_size": self.population_size,
-            "converged": self.converged,
-            "convergence_time": self.convergence_time,
-            "rounds": self.rounds,
-            "interactions": self.interactions,
-            "final_estimate_mean": self.final_estimate_mean,
-            "final_estimate_min": self.final_estimate_min,
-            "final_estimate_max": self.final_estimate_max,
-            "max_additive_error": self.max_additive_error,
-            "log_size2": self.log_size2,
-            "distinct_state_bound": self.distinct_state_bound,
-        }
 
 
 class LogSizeVectorProtocol(VectorProtocol):
@@ -410,9 +353,15 @@ class LogSizeVectorProtocol(VectorProtocol):
             * (fields.max_observed("epoch") + 1)
         )
 
-    def build_result(
-        self, simulator: VectorSimulator, convergence_time: float | None
-    ) -> ArraySimulationResult:
+    def result_extra(self, fields: VectorFields) -> dict:
+        """The run's result fields.
+
+        ``final_estimate_mean`` / ``_min`` / ``_max`` summarise the per-agent
+        estimates (NaN while none is reported); ``max_additive_error`` is
+        ``max_agent |estimate - log2 n|``; ``log_size2`` is the (common)
+        final weak estimate; ``distinct_state_bound`` is the product of the
+        realised field ranges that Lemma 3.9 bounds by ``O(log^4 n)``.
+        """
         reported = self.estimates()
         reported = reported[~np.isnan(reported)]
         if reported.size:
@@ -421,19 +370,14 @@ class LogSizeVectorProtocol(VectorProtocol):
             max_estimate = float(reported.max())
         else:
             mean_estimate = min_estimate = max_estimate = math.nan
-        return ArraySimulationResult(
-            population_size=simulator.n,
-            converged=convergence_time is not None,
-            convergence_time=convergence_time,
-            rounds=simulator.rounds,
-            interactions=simulator.interactions,
-            final_estimate_mean=mean_estimate,
-            final_estimate_min=min_estimate,
-            final_estimate_max=max_estimate,
-            max_additive_error=self.max_additive_error(simulator.n),
-            log_size2=int(self.log_size2.max()),
-            distinct_state_bound=self.distinct_state_bound(simulator.fields),
-        )
+        return {
+            "final_estimate_mean": mean_estimate,
+            "final_estimate_min": min_estimate,
+            "final_estimate_max": max_estimate,
+            "max_additive_error": self.max_additive_error(fields.n),
+            "log_size2": int(self.log_size2.max()),
+            "distinct_state_bound": self.distinct_state_bound(fields),
+        }
 
 
 def expected_convergence_time(population_size: int, params: ProtocolParameters) -> float:

@@ -28,7 +28,8 @@ Five engines are provided:
   ``Log-Size-Estimation`` and leader-terminating paper protocols, whose
   unbounded per-agent fields rule out count compression) and, through
   :class:`~repro.engine.vector.VectorFiniteStateSimulator`, any finite-state
-  protocol behind the count-level interface.
+  protocol with the count queries of the other engines.  It runs the
+  shared run loops of :mod:`repro.engine.running`.
 
 * :class:`repro.crn.multiscale.MultiscaleSimulator` — the *multiscale*
   engine: adaptive exact-SSA / tau-leap / mean-field-ODE regime switching
@@ -74,7 +75,6 @@ from repro.engine.vector import (
     VectorFields,
     VectorFiniteStateSimulator,
     VectorProtocol,
-    VectorRunResult,
     VectorSimulator,
 )
 
@@ -104,6 +104,5 @@ __all__ = [
     "VectorFields",
     "VectorFiniteStateSimulator",
     "VectorProtocol",
-    "VectorRunResult",
     "VectorSimulator",
 ]

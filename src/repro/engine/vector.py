@@ -21,8 +21,8 @@ Three kinds of protocol run on it:
 * any :class:`~repro.protocols.base.FiniteStateProtocol`, through the
   generic :class:`FiniteStateVectorProtocol` kernel compiled from the same
   transition tables as the batched engine.  :class:`VectorFiniteStateSimulator`
-  wraps that kernel behind the count-level interface shared by the other
-  engines, so ``build_engine("vector", ...)`` is a drop-in fourth engine.
+  adds the count queries of the other engines to that kernel's simulator,
+  so ``build_engine("vector", ...)`` is a drop-in fourth engine.
 
 Scheduling is pluggable at the *round* level: the engine consumes any
 :class:`~repro.engine.scheduler.RoundScheduler` (default: the shared
@@ -37,35 +37,36 @@ round still advances the parallel-time clock by its nominal
 ``floor(n/2) / n`` tick (idle agents cost time, so lazy or starved
 populations converge later — consistent with the per-pair realisations of
 the same scenarios), while ``interactions`` reports the pairs actually
-executed.  Convergence is measured *exactly*: the convergence condition is
-evaluated after every round (an ``O(n)`` reduction, negligible next to the
-round itself), never on a coarser grid — see
-:meth:`VectorSimulator.run_until_done`.
+executed.  :class:`VectorSimulator` runs the shared run loops of
+:mod:`repro.engine.running` on that clock.  Convergence is measured
+*exactly*: by default the convergence condition is evaluated after every
+round (an ``O(n)`` reduction, negligible next to the round itself), never
+on a coarser grid — see :meth:`VectorSimulator.run_until`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
+from repro.engine.running import CountTracePoint, run_until_predicate, run_with_trace
 from repro.engine.scheduler import RoundScheduler, SchedulerSpec
-from repro.exceptions import ConvergenceError, SimulationError
+from repro.exceptions import SimulationError
 from repro.obs.recorder import RECORDER as _REC
 from repro.protocols.base import FiniteStateProtocol
 from repro.protocols.compiled import CompiledTransitionTable, compile_transition_table
+from repro.types import interactions_for_time
 
 __all__ = [
     "FiniteStateVectorProtocol",
     "VectorFields",
     "VectorFiniteStateSimulator",
     "VectorProtocol",
-    "VectorRunResult",
     "VectorSimulator",
 ]
 
@@ -128,35 +129,6 @@ class VectorFields:
         return self._observed_max[name]
 
 
-@dataclass(frozen=True)
-class VectorRunResult:
-    """Generic outcome of one vector-engine run.
-
-    Protocol-specific result types (e.g.
-    :class:`~repro.core.array_simulator.ArraySimulationResult`) carry richer
-    fields; this is the default produced by
-    :meth:`VectorProtocol.build_result`.
-    """
-
-    population_size: int
-    converged: bool
-    convergence_time: float | None
-    rounds: int
-    interactions: int
-    extra: dict
-
-    def as_dict(self) -> dict:
-        """JSON-friendly view (used by the harness and the CLI)."""
-        return {
-            "population_size": self.population_size,
-            "converged": self.converged,
-            "convergence_time": self.convergence_time,
-            "rounds": self.rounds,
-            "interactions": self.interactions,
-            **self.extra,
-        }
-
-
 class VectorProtocol(ABC):
     """A protocol expressed as vectorised transition kernels.
 
@@ -197,25 +169,20 @@ class VectorProtocol(ABC):
         return False
 
     def result_extra(self, fields: VectorFields) -> dict:
-        """Protocol-specific entries folded into :class:`VectorRunResult`."""
+        """Protocol-specific result fields at the end of a run."""
         return {}
-
-    def build_result(
-        self, simulator: "VectorSimulator", convergence_time: float | None
-    ):
-        """Build the run result (override to return a richer result type)."""
-        return VectorRunResult(
-            population_size=simulator.n,
-            converged=convergence_time is not None,
-            convergence_time=convergence_time,
-            rounds=simulator.rounds,
-            interactions=simulator.interactions,
-            extra=self.result_extra(simulator.fields),
-        )
 
 
 class VectorSimulator:
     """Drive a :class:`VectorProtocol` over synchronous random-matching rounds.
+
+    The engine has the count-level run interface of the other engines
+    (``population_size``, ``interactions``, ``parallel_time``,
+    ``run_interactions``, ``run_parallel_time``, ``run_until``,
+    ``run_with_trace``); the predicate and snapshot loops are the shared ones
+    of :mod:`repro.engine.running`.  All of them read one clock in nominal
+    interactions, which :meth:`run_round` advances by ``floor(n/2)`` per
+    round, so every run stops at a round boundary.
 
     Parameters
     ----------
@@ -243,12 +210,16 @@ class VectorSimulator:
 
     #: Consecutive empty rounds tolerated before the engine concludes the
     #: scheduler cannot make progress (e.g. a weighted policy whose active
-    #: set keeps drawing fewer than two agents) and raises instead of
-    #: spinning forever.  Time-budgeted loops terminate on their own (every
-    #: round advances the clock by its nominal tick); the guard protects the
-    #: executed-interaction-count loops (``run_interactions`` and friends),
-    #: whose targets an empty round never approaches.
+    #: set keeps drawing fewer than two agents) and raises.  Every round
+    #: advances the clock, so every run loop ends within its budget anyway;
+    #: the guard turns a scheduler that has stopped emitting pairs into an
+    #: error instead of a run that idles through the rest of its budget.
     MAX_CONSECUTIVE_EMPTY_ROUNDS = 10_000
+
+    #: Rounds between samples of the tracked field ranges (each sample is
+    #: one pass over every tracked array); :meth:`run_until` takes a last
+    #: sample when it returns.
+    RANGE_SAMPLE_ROUNDS = 64
 
     def __init__(
         self,
@@ -259,7 +230,7 @@ class VectorSimulator:
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
         self.protocol = protocol
-        self.n = population_size
+        self.population_size = population_size
         self.rng = np.random.default_rng(seed)
         self.backend = resolve_backend(backend)
         if isinstance(scheduler, RoundScheduler):
@@ -273,6 +244,7 @@ class VectorSimulator:
             self.scheduler = spec.build_policy().make_round_scheduler(population_size)
         self.scheduler.bind_backend(self.backend)
         self.rounds = 0
+        self._clock = 0
         self._interactions = 0
         self._empty_rounds = 0
         self.fields = VectorFields(population_size)
@@ -304,7 +276,7 @@ class VectorSimulator:
         Under the default matching scheduler this coincides exactly with
         ``interactions / n``.
         """
-        return self.rounds * (self.n // 2) / self.n
+        return self._clock / self.population_size
 
     def run_round(self) -> None:
         """Execute one synchronous round of scheduler-matched pairs."""
@@ -330,72 +302,75 @@ class VectorSimulator:
             if self._empty_rounds >= self.MAX_CONSECUTIVE_EMPTY_ROUNDS:
                 raise SimulationError(
                     f"round scheduler emitted no pairs for "
-                    f"{self._empty_rounds} consecutive rounds (n={self.n})"
+                    f"{self._empty_rounds} consecutive rounds "
+                    f"(n={self.population_size})"
                 )
         self.rounds += 1
+        self._clock += self.population_size // 2
         self._interactions += int(rec.size)
+        if self.rounds % self.RANGE_SAMPLE_ROUNDS == 0:
+            self.fields.sample_ranges()
 
     def all_done(self) -> bool:
         """Whether the protocol's convergence condition currently holds."""
         return self.protocol.all_done(self.fields)
 
-    def run_until_done(
-        self,
-        max_parallel_time: float,
-        check_every_rounds: int = 64,
-        raise_on_timeout: bool = False,
-    ):
-        """Run until the protocol reports convergence (or the budget runs out).
+    # -- run loops -----------------------------------------------------------
 
-        The convergence condition is evaluated after **every** round, so the
-        reported ``convergence_time`` is exact to the round.  (An earlier
-        version only checked every ``check_every_rounds`` rounds, overstating
-        every Figure 2 time by up to ``check_every_rounds - 1`` rounds —
-        ~32 units of parallel time at the paper's default, the same order as
-        the quantity being plotted.)  ``check_every_rounds`` now only
-        throttles the sampling of tracked field ranges, which costs one pass
-        over every tracked array.
-
-        Parameters
-        ----------
-        max_parallel_time:
-            Budget in parallel time.
-        check_every_rounds:
-            How often (in rounds) the tracked field ranges are sampled.
-        raise_on_timeout:
-            When ``True`` a :class:`~repro.exceptions.ConvergenceError` is
-            raised if the budget is exhausted; otherwise a result with
-            ``converged=False`` is returned.
-        """
-        if check_every_rounds < 1:
-            raise SimulationError("check_every_rounds must be positive")
-        # Budget in nominal interactions (rounds * floor(n/2), the quantity
-        # behind :attr:`parallel_time`); for the default matching round this
-        # executes exactly the historical int(t * n / floor(n/2)) + 1 rounds.
-        budget = int(max_parallel_time * self.n)
-        half = self.n // 2
-        convergence_time: float | None = None
-        recording = _REC.enabled
-        while self.rounds * half <= budget:
-            self.run_round()
-            if recording:
-                t0 = _REC.now_ns()
-            if self.rounds % check_every_rounds == 0:
-                self.fields.sample_ranges()
-            done = self.protocol.all_done(self.fields)
-            if recording:
-                _REC.add_time("engine.convergence_check", _REC.now_ns() - t0)
-                _REC.count("engine.convergence_checks")
-            if done:
-                convergence_time = self.parallel_time
-                break
-        self.fields.sample_ranges()
-        if convergence_time is None and raise_on_timeout:
-            raise ConvergenceError(
-                f"vectorised run did not converge within {max_parallel_time} time "
-                f"(n={self.n})"
+    def run_interactions(self, count: int) -> None:
+        """Run whole rounds until the clock advanced ``count`` nominal
+        interactions (``count / n`` parallel time) or more."""
+        if count < 0:
+            raise SimulationError(
+                f"interaction count must be non-negative, got {count}"
             )
-        return self.protocol.build_result(self, convergence_time)
+        target = self._clock + count
+        while self._clock < target:
+            self.run_round()
+
+    def run_parallel_time(self, time: float) -> None:
+        """Run whole rounds until ``time`` more units of parallel time passed."""
+        self.run_interactions(interactions_for_time(time, self.population_size))
+
+    def run_until(
+        self,
+        predicate: Callable[["VectorSimulator"], bool],
+        max_parallel_time: float,
+        check_interval: int | None = None,
+    ) -> float:
+        """Run until ``predicate(self)`` holds; return the parallel time reached.
+
+        The predicate is checked after every round (default), so the time
+        returned is exact to the round, or every ``ceil(check_interval /
+        floor(n/2))`` rounds.  The run stops at the round that crosses
+        ``floor(max_parallel_time * n)`` nominal interactions.  The tracked
+        field ranges are sampled once more on return.
+
+        Raises
+        ------
+        ConvergenceError
+            If the predicate does not hold within ``max_parallel_time``.
+        """
+        try:
+            return run_until_predicate(
+                self, predicate, max_parallel_time,
+                1 if check_interval is None else check_interval,
+                budget=int(max_parallel_time * self.population_size) + 1,
+            )
+        finally:
+            self.fields.sample_ranges()
+
+    def run_with_trace(
+        self, total_parallel_time: float, samples: int
+    ) -> list[CountTracePoint]:
+        """Run for ``total_parallel_time``; return evenly spaced snapshots.
+
+        See :func:`repro.engine.running.run_with_trace`: each snapshot lands
+        on the first round boundary at or after its exact boundary.  A
+        snapshot holds a ``configuration()``, which the count-level
+        :class:`VectorFiniteStateSimulator` provides.
+        """
+        return run_with_trace(self, total_parallel_time, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +443,18 @@ class FiniteStateVectorProtocol(VectorProtocol):
         return np.bincount(self.state, minlength=self.table.num_states)
 
 
-class VectorFiniteStateSimulator:
+class VectorFiniteStateSimulator(VectorSimulator):
     """Run a finite-state protocol on the vector engine behind the count API.
 
-    Exposes the configuration-level interface shared by
-    :class:`~repro.engine.count_simulator.CountSimulator` and friends
-    (``count`` / ``configuration`` / ``outputs`` / ``run_until`` /
-    ``run_with_trace``), so engine-generic harness code, the CLI and the
-    sweep driver treat ``"vector"`` as just another engine name.
-
-    Granularity note: the engine advances whole matching rounds
-    (``floor(n/2)`` interactions), so ``run_interactions`` / trace snapshots
-    land on the next round boundary at or after the requested count;
-    ``run_until`` evaluates its predicate after every round, which is the
-    finest granule the scheduler has.
+    The generic :class:`FiniteStateVectorProtocol` kernel plus the count
+    queries of :class:`~repro.engine.count_simulator.CountSimulator` and
+    friends (``configuration`` / ``count`` / ``outputs``); the clock and
+    the run loops are :class:`VectorSimulator`'s.  Engine-generic harness
+    code, the CLI and the sweep driver therefore treat ``"vector"`` as just
+    another engine name.
     """
+
+    protocol: FiniteStateVectorProtocol
 
     def __init__(
         self,
@@ -493,9 +465,7 @@ class VectorFiniteStateSimulator:
         scheduler: "RoundScheduler | SchedulerSpec | str | None" = None,
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
-        self.protocol = protocol
-        self.population_size = population_size
-        self.backend = resolve_backend(backend)
+        backend = resolve_backend(backend)
         initial_states = None
         if initial_configuration is not None:
             if initial_configuration.size != population_size:
@@ -510,42 +480,24 @@ class VectorFiniteStateSimulator:
                 )
                 for _ in range(count)
             ]
-        self.kernel = FiniteStateVectorProtocol(
-            protocol, initial_states=initial_states, backend=self.backend
-        )
-        self.simulator = VectorSimulator(
-            self.kernel,
+        super().__init__(
+            FiniteStateVectorProtocol(
+                protocol, initial_states=initial_states, backend=backend
+            ),
             population_size,
             seed=seed,
             scheduler=scheduler,
-            backend=self.backend,
+            backend=backend,
         )
-
-    # -- accounting ----------------------------------------------------------
-
-    @property
-    def interactions(self) -> int:
-        """Interactions executed so far."""
-        return self.simulator.interactions
-
-    @property
-    def parallel_time(self) -> float:
-        """Parallel time elapsed so far."""
-        return self.simulator.parallel_time
-
-    @property
-    def rounds(self) -> int:
-        """Matching rounds executed so far."""
-        return self.simulator.rounds
 
     # -- configuration queries ----------------------------------------------
 
     def configuration(self) -> Configuration:
         """Return the current configuration multiset."""
-        counts = self.kernel.state_counts()
+        counts = self.protocol.state_counts()
         return Configuration(
             {
-                self.kernel.table.states[index]: int(count)
+                self.protocol.table.states[index]: int(count)
                 for index, count in enumerate(counts)
                 if count
             }
@@ -553,117 +505,18 @@ class VectorFiniteStateSimulator:
 
     def count(self, state: Hashable) -> int:
         """Return the number of agents currently in ``state``."""
-        index = self.kernel.table.index.get(state)
+        index = self.protocol.table.index.get(state)
         if index is None:
             return 0
-        return int((self.kernel.state == index).sum())
+        return int((self.protocol.state == index).sum())
 
     def outputs(self) -> Counter:
         """Histogram of outputs over the population."""
+        kernel = self.protocol
         histogram: Counter = Counter()
-        counts = self.kernel.state_counts()
-        for index, count in enumerate(counts):
+        for index, count in enumerate(kernel.state_counts()):
             if count:
-                histogram[self.protocol.output(self.kernel.table.states[index])] += int(
+                histogram[kernel.protocol.output(kernel.table.states[index])] += int(
                     count
                 )
         return histogram
-
-    # -- run loops -----------------------------------------------------------
-
-    def run_round(self) -> None:
-        """Execute one matching round."""
-        self.simulator.run_round()
-
-    def run_interactions(self, count: int) -> None:
-        """Run whole rounds until at least ``count`` more interactions ran."""
-        if count < 0:
-            raise SimulationError(f"count must be non-negative, got {count}")
-        target = self.interactions + count
-        while self.interactions < target:
-            self.simulator.run_round()
-
-    def run_parallel_time(self, time: float) -> None:
-        """Run whole rounds until ``time`` more units of parallel time passed."""
-        target = self.parallel_time + time
-        while self.parallel_time < target:
-            self.simulator.run_round()
-
-    def run_until(
-        self,
-        predicate: Callable[["VectorFiniteStateSimulator"], bool],
-        max_parallel_time: float,
-        check_interval: int | None = None,
-    ) -> float:
-        """Run until ``predicate(self)`` holds; return the parallel time reached.
-
-        The predicate is checked every ``ceil(check_interval / floor(n/2))``
-        rounds (default: every round — exact convergence measurement).
-
-        Raises
-        ------
-        ConvergenceError
-            If the predicate does not hold within ``max_parallel_time``.
-        """
-        if check_interval is not None and check_interval <= 0:
-            raise SimulationError("check_interval must be positive")
-        half = max(1, self.population_size // 2)
-        rounds_between = 1 if check_interval is None else max(
-            1, -(-check_interval // half)
-        )
-        # Budget in nominal interactions (rounds * floor(n/2), the quantity
-        # behind parallel_time); a check chunk stops at the round that
-        # crosses the budget, so the run never exceeds it by more than one
-        # round — exactly the historical int(t*n/half)+1 rounds, for any
-        # check_interval.
-        budget = int(max_parallel_time * self.population_size)
-        if predicate(self):
-            return self.parallel_time
-        while self.simulator.rounds * half <= budget:
-            for _ in range(rounds_between):
-                self.simulator.run_round()
-                if self.simulator.rounds * half > budget:
-                    break
-            if predicate(self):
-                return self.parallel_time
-        raise ConvergenceError(
-            f"predicate did not hold within {max_parallel_time} units of parallel "
-            f"time (n={self.population_size})"
-        )
-
-    def run_with_trace(self, total_parallel_time: float, samples: int):
-        """Run for ``total_parallel_time``; return evenly spaced snapshots.
-
-        Each snapshot lands on the first round boundary at or after its
-        exact interaction boundary (snapshots never drift by more than one
-        round; see the class granularity note), and each
-        :class:`~repro.engine.running.CountTracePoint` records the true
-        interaction count of its snapshot.
-        """
-        from repro.engine.running import CountTracePoint
-        from repro.types import interactions_for_time, snapshot_boundaries
-
-        if samples < 1:
-            raise SimulationError("samples must be at least 1")
-
-        def _point() -> CountTracePoint:
-            return CountTracePoint(
-                interaction=self.interactions,
-                parallel_time=self.parallel_time,
-                configuration=self.configuration(),
-            )
-
-        half = max(1, self.population_size // 2)
-        start = self.simulator.rounds * half
-        total_interactions = interactions_for_time(
-            total_parallel_time, self.population_size
-        )
-        trace = [_point()]
-        for boundary in snapshot_boundaries(total_interactions, samples):
-            # Absolute targets in nominal interactions (rounds * floor(n/2),
-            # the parallel-time clock): a round's overshoot past one boundary
-            # is not re-added to the next chunk.
-            while self.simulator.rounds * half < start + boundary:
-                self.simulator.run_round()
-            trace.append(_point())
-        return trace

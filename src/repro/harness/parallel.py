@@ -187,22 +187,22 @@ class KernelWorkload(Workload):
             self.factory(spec.params, **options), spec.population_size,
             seed=spec.seed, scheduler=spec.scheduler_spec(), backend=backend,
         )
-        outcome = simulator.run_until_done(max_parallel_time=spec.max_parallel_time)
+        converged, convergence_time = self._run_until(
+            simulator, VectorSimulator.all_done, spec
+        )
+        fields = simulator.protocol.result_extra(simulator.fields)
         extra = {
             "engine": "vector",
             "protocol": spec.protocol,
-            "interactions": outcome.interactions,
+            "interactions": simulator.interactions,
         }
-        # Estimation-style result fields, absent on a plain VectorRunResult
-        # from a custom registered workload.
+        # Estimation-style result fields, absent from a custom registered
+        # kernel's result_extra.
         for name in ("log_size2", "distinct_state_bound", "final_estimate_mean"):
-            value = getattr(outcome, name, None)
-            if value is not None:
-                extra[name] = value
-        error = getattr(outcome, "max_additive_error", math.nan)
-        return self._record(
-            spec, outcome.converged, outcome.convergence_time, extra, error
-        )
+            if name in fields:
+                extra[name] = fields[name]
+        error = fields.get("max_additive_error", math.nan)
+        return self._record(spec, converged, convergence_time, extra, error)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -45,13 +45,18 @@ class TableResult:
 
 
 def _run_log_size(population_size, params, seed, time_budget_factor):
-    """One Log-Size-Estimation run on the vector engine: ``(simulator, result)``."""
+    """One Log-Size-Estimation run on the vector engine, to all-done or the
+    budget; ``simulator.all_done()`` then says which."""
     simulator = VectorSimulator(LogSizeVectorProtocol(params), population_size, seed=seed)
-    outcome = simulator.run_until_done(
-        max_parallel_time=time_budget_factor
-        * expected_convergence_time(population_size, params)
-    )
-    return simulator, outcome
+    try:
+        simulator.run_until(
+            VectorSimulator.all_done,
+            max_parallel_time=time_budget_factor
+            * expected_convergence_time(population_size, params),
+        )
+    except ConvergenceError:
+        pass
+    return simulator
 
 
 def accuracy_table(
@@ -77,14 +82,14 @@ def accuracy_table(
     for size_index, population_size in enumerate(population_sizes):
         errors = []
         for run_index in range(runs_per_size):
-            _, outcome = _run_log_size(
+            simulator = _run_log_size(
                 population_size,
                 params,
                 spawn_seed(base_seed, size_index, run_index),
                 time_budget_factor,
             )
-            if outcome.converged:
-                errors.append(outcome.max_additive_error)
+            if simulator.all_done():
+                errors.append(simulator.protocol.max_additive_error(population_size))
         if errors:
             rows.append(
                 (
@@ -118,7 +123,7 @@ def state_complexity_table(
     )
     rows = []
     for size_index, population_size in enumerate(population_sizes):
-        simulator, outcome = _run_log_size(
+        simulator = _run_log_size(
             population_size,
             params,
             spawn_seed(base_seed, size_index),
@@ -131,7 +136,7 @@ def state_complexity_table(
                 simulator.fields.max_observed("epoch"),
                 simulator.fields.max_observed("time"),
                 simulator.fields.max_observed("gr"),
-                outcome.distinct_state_bound,
+                simulator.protocol.distinct_state_bound(simulator.fields),
                 math.log2(population_size) ** 4,
             )
         )
@@ -186,14 +191,16 @@ def baseline_comparison_table(
         for run_index in range(runs_per_size):
             # Arm 1 of the comparison; the 4-part spawn key keeps the
             # baseline (arm 0) and paper-protocol streams disjoint.
-            _, outcome = _run_log_size(
+            simulator = _run_log_size(
                 population_size,
                 params,
                 spawn_seed(base_seed, size_index, run_index, 1),
                 time_budget_factor,
             )
-            if outcome.converged:
-                paper_errors.append(outcome.max_additive_error)
+            if simulator.all_done():
+                paper_errors.append(
+                    simulator.protocol.max_additive_error(population_size)
+                )
 
         rows.append(
             (

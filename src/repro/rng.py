@@ -11,10 +11,8 @@ on that randomness:
 
 Appendix B of the paper shows how to remove the explicit random bits and use
 the *synthetic coin* given by the scheduler's symmetric choice of
-sender/receiver.  The :class:`SyntheticCoin` helper mirrors that construction:
-an ``A`` agent builds a geometric random variable incrementally, one coin flip
-per interaction with an ``F`` agent, where the flip outcome is whether the
-``A`` agent was the sender or the receiver.
+sender/receiver; that variant (:mod:`repro.core.synthetic_coin`) builds its
+geometric random variables from those flips itself.
 
 All randomness in the library flows through :class:`RandomSource`, which wraps
 a single :class:`numpy.random.Generator` so that entire simulations are
@@ -34,7 +32,6 @@ import numpy as np
 
 __all__ = [
     "RandomSource",
-    "SyntheticCoin",
     "UniformSampler",
     "geometric",
     "max_of_geometrics",
@@ -208,61 +205,6 @@ class RandomSource:
     def raw(self) -> np.random.Generator:
         """Expose the underlying generator (escape hatch for numpy bridging)."""
         return self._rng
-
-
-@dataclass
-class SyntheticCoin:
-    """Incremental geometric-variable generator with no explicit random bits.
-
-    Appendix B of the paper replaces the random tape with the *synthetic coin*
-    implicit in the scheduler: when an ``A`` agent interacts with an ``F``
-    agent, whether the ``A`` agent is the sender or the receiver is a fair,
-    independent coin flip.  ``Generate-Clock`` / ``Generate-G.R.V`` increment
-    a counter while the flips come up "sender" and finish on the first
-    "receiver" flip.
-
-    This helper tracks one in-progress geometric variable for one agent.  The
-    simulation feeds it one observation per A–F interaction.
-
-    Attributes
-    ----------
-    value:
-        Current value of the variable being generated (starts at 1, per the
-        pseudocode's initial ``gr = 1`` / ``logSize2 = 1``).
-    complete:
-        ``True`` once the terminating "heads" flip has been observed.
-    """
-
-    value: int = 1
-    complete: bool = False
-
-    def observe(self, agent_was_sender: bool) -> bool:
-        """Record one synthetic coin flip.
-
-        Parameters
-        ----------
-        agent_was_sender:
-            ``True`` if the generating agent was the sender in this A–F
-            interaction ("tails": keep counting), ``False`` if it was the
-            receiver ("heads": stop).
-
-        Returns
-        -------
-        bool
-            ``True`` if the geometric variable is now complete.
-        """
-        if self.complete:
-            raise ValueError("geometric variable already complete; reset() first")
-        if agent_was_sender:
-            self.value += 1
-        else:
-            self.complete = True
-        return self.complete
-
-    def reset(self, initial: int = 1) -> None:
-        """Start generating a fresh geometric variable."""
-        self.value = initial
-        self.complete = False
 
 
 def stream_of_geometrics(

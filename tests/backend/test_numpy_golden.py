@@ -108,7 +108,7 @@ def test_vector_engine_reproduces_golden_stream(case, golden):
     assert snapshot["configuration"] == checkpoint["configuration"], case
     assert snapshot["interactions"] == checkpoint["interactions"], case
     assert (
-        int(simulator.simulator.rng.integers(0, 2**32)) == checkpoint["rng_next"]
+        int(simulator.rng.integers(0, 2**32)) == checkpoint["rng_next"]
     ), case
 
 

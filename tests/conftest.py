@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.parameters import ProtocolParameters
+from repro.engine.vector import VectorSimulator
+from repro.exceptions import ConvergenceError
 from repro.rng import RandomSource
 
 
@@ -30,3 +32,23 @@ def paper_params() -> ProtocolParameters:
 def rng() -> RandomSource:
     """A seeded random source."""
     return RandomSource(seed=12345)
+
+
+@pytest.fixture(scope="session")
+def run_to_done():
+    """``run_to_done(simulator, max_parallel_time)`` runs a vector-engine
+    kernel to its own convergence condition and returns the kernel's
+    ``result_extra`` plus ``convergence_time`` (``None`` when the budget ran
+    out)."""
+
+    def run(simulator: VectorSimulator, max_parallel_time: float) -> dict:
+        try:
+            time = simulator.run_until(VectorSimulator.all_done, max_parallel_time)
+        except ConvergenceError:
+            time = None
+        return {
+            "convergence_time": time,
+            **simulator.protocol.result_extra(simulator.fields),
+        }
+
+    return run

@@ -3,6 +3,7 @@ and its agreement with the reference engine."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
@@ -20,6 +21,9 @@ from repro.core.parameters import ProtocolParameters
 from repro.engine.simulator import Simulation
 from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError, SimulationError
+from repro.harness.parallel import build_vector_trials, run_trial
+from repro.harness.results import records_equal
+from repro.store.base import record_from_dict, record_to_dict
 
 
 def log_size_simulator(n, params=None, seed=None):
@@ -44,70 +48,77 @@ class TestBasics:
             100, paper_params
         )
 
-    def test_timeout_behaviour(self, fast_params):
+    def test_timeout_behaviour(self, fast_params, run_to_done):
         simulator = log_size_simulator(64, params=fast_params, seed=2)
-        result = simulator.run_until_done(max_parallel_time=1.0)
-        assert not result.converged
+        assert run_to_done(simulator, 1.0)["convergence_time"] is None
         with pytest.raises(ConvergenceError):
-            log_size_simulator(64, params=fast_params, seed=2).run_until_done(
-                max_parallel_time=1.0, raise_on_timeout=True
+            log_size_simulator(64, params=fast_params, seed=2).run_until(
+                VectorSimulator.all_done, max_parallel_time=1.0
             )
 
     def test_result_dictionary_round_trip(self, fast_params):
-        simulator = log_size_simulator(64, params=fast_params, seed=3)
-        result = simulator.run_until_done(max_parallel_time=5_000)
-        data = result.as_dict()
+        # The kernel's result fields reach the trial record, and the record
+        # survives the stores' JSON form unchanged.
+        (spec,) = build_vector_trials(
+            [64], 1, protocol="figure2", params=fast_params, base_seed=3,
+            max_parallel_time=5_000,
+        )
+        record = run_trial(spec)
+        data = record_to_dict(record)
         assert data["population_size"] == 64
-        assert data["converged"] == result.converged
+        assert data["converged"] == record.converged
+        assert data["extra"]["log_size2"] == record.extra["log_size2"]
+        assert records_equal(record_from_dict(json.loads(json.dumps(data))), record)
 
 
 class TestConvergence:
     @pytest.fixture(scope="class")
-    def result(self):
+    def result(self, run_to_done):
         params = ProtocolParameters.fast_test()
         simulator = log_size_simulator(256, params=params, seed=5)
-        return simulator.run_until_done(
-            max_parallel_time=6 * expected_convergence_time(256, params)
-        )
+        return run_to_done(simulator, 6 * expected_convergence_time(256, params))
 
     def test_converges(self, result):
-        assert result.converged
-        assert result.convergence_time is not None and result.convergence_time > 0
+        assert result["convergence_time"] is not None
+        assert result["convergence_time"] > 0
 
     def test_estimate_accuracy(self, result):
-        assert result.max_additive_error < 4.0
+        assert result["max_additive_error"] < 4.0
 
     def test_all_agents_report(self, result):
-        assert not math.isnan(result.final_estimate_mean)
-        assert result.final_estimate_min <= result.final_estimate_mean <= result.final_estimate_max
+        assert not math.isnan(result["final_estimate_mean"])
+        assert (
+            result["final_estimate_min"]
+            <= result["final_estimate_mean"]
+            <= result["final_estimate_max"]
+        )
 
     def test_log_size2_in_weak_range(self, result):
-        n = result.population_size
-        assert result.log_size2 >= math.log2(n) - math.log2(math.log(n)) - 1
-        assert result.log_size2 <= 2 * math.log2(n) + 3
+        n = 256
+        assert result["log_size2"] >= math.log2(n) - math.log2(math.log(n)) - 1
+        assert result["log_size2"] <= 2 * math.log2(n) + 3
 
     def test_state_bound_tracked(self, result):
-        assert result.distinct_state_bound > 0
+        assert result["distinct_state_bound"] > 0
 
-    def test_reproducible(self):
+    def test_reproducible(self, run_to_done):
         params = ProtocolParameters.fast_test()
         outcomes = []
         for _ in range(2):
             simulator = log_size_simulator(128, params=params, seed=9)
-            outcomes.append(
-                simulator.run_until_done(max_parallel_time=5_000).convergence_time
-            )
+            outcomes.append(run_to_done(simulator, 5_000)["convergence_time"])
         assert outcomes[0] == outcomes[1]
 
 
 class TestExactConvergenceDetection:
     """Regression tests for the convergence-time quantisation bug.
 
-    ``run_until_done`` used to evaluate the convergence condition only every
-    ``check_every_rounds`` (default 64) rounds, overstating every reported
-    Figure 2 time by up to 63 rounds (~32 units of parallel time at n=100 —
-    the same order as the quantity being plotted).  Detection must be exact
-    to the round; ``check_every_rounds`` only throttles field-range sampling.
+    The vector run loop used to evaluate the convergence condition only
+    every 64 rounds, overstating every reported Figure 2 time by up to 63
+    rounds (~32 units of parallel time at n=100 — the same order as the
+    quantity being plotted).  Detection must be exact to the round; the
+    field ranges are still sampled only every
+    ``VectorSimulator.RANGE_SAMPLE_ROUNDS`` rounds.
     """
 
     def test_detection_is_exact_to_the_round(self, fast_params):
@@ -117,32 +128,30 @@ class TestExactConvergenceDetection:
         while not manual.all_done():
             manual.run_round()
         exact_rounds = manual.rounds
-        # The driver must stop at exactly that round, not at the next
-        # multiple of check_every_rounds (this seed converges at a round
-        # that is not such a multiple, so quantised detection would differ).
-        assert exact_rounds % 64 != 0
+        # The run must stop at exactly that round, not at the next multiple
+        # of the range-sampling cadence (this seed converges at a round that
+        # is not such a multiple, so quantised detection would differ).
+        assert exact_rounds % VectorSimulator.RANGE_SAMPLE_ROUNDS != 0
         driver = log_size_simulator(n, params=fast_params, seed=seed)
-        result = driver.run_until_done(max_parallel_time=5_000, check_every_rounds=64)
-        assert result.converged
-        assert result.rounds == exact_rounds
-        assert result.convergence_time == pytest.approx(
-            exact_rounds * (n // 2) / n
-        )
+        elapsed = driver.run_until(VectorSimulator.all_done, max_parallel_time=5_000)
+        assert driver.rounds == exact_rounds
+        assert elapsed == pytest.approx(exact_rounds * (n // 2) / n)
 
-    def test_detection_independent_of_range_sampling_cadence(self, fast_params):
+    def test_detection_independent_of_range_sampling_cadence(
+        self, fast_params, monkeypatch
+    ):
         times = []
         for cadence in (1, 7, 64, 1000):
+            monkeypatch.setattr(VectorSimulator, "RANGE_SAMPLE_ROUNDS", cadence)
             simulator = log_size_simulator(64, params=fast_params, seed=3)
-            result = simulator.run_until_done(
-                max_parallel_time=5_000, check_every_rounds=cadence
+            times.append(
+                simulator.run_until(VectorSimulator.all_done, max_parallel_time=5_000)
             )
-            assert result.converged
-            times.append(result.convergence_time)
         assert len(set(times)) == 1
 
-    def test_ranges_still_sampled_for_state_table(self, fast_params):
+    def test_ranges_still_sampled_for_state_table(self, fast_params, run_to_done):
         simulator = log_size_simulator(64, params=fast_params, seed=3)
-        simulator.run_until_done(max_parallel_time=5_000)
+        run_to_done(simulator, 5_000)
         assert simulator.fields.max_observed("log_size2") >= 1
         assert simulator.fields.max_observed("time") > 0
         assert simulator.protocol.distinct_state_bound(simulator.fields) > 1
@@ -151,12 +160,12 @@ class TestExactConvergenceDetection:
 class TestCrossEngineAgreement:
     """The vectorised engine must agree with the reference engine on behaviour."""
 
-    def test_accuracy_agreement(self):
+    def test_accuracy_agreement(self, run_to_done):
         params = ProtocolParameters.fast_test()
         n, seed = 96, 21
 
-        array_result = log_size_simulator(n, params=params, seed=seed).run_until_done(
-            max_parallel_time=5_000
+        array_result = run_to_done(
+            log_size_simulator(n, params=params, seed=seed), 5_000
         )
 
         protocol = LogSizeEstimationProtocol(params)
@@ -164,19 +173,17 @@ class TestCrossEngineAgreement:
         simulation.run_until(all_agents_done, max_parallel_time=50_000)
         sequential_error = estimate_error(simulation)["max_additive_error"]
 
-        assert array_result.converged
+        assert array_result["convergence_time"] is not None
         # Both engines estimate log2(96) ~ 6.58 within a small additive error.
-        assert array_result.max_additive_error < 4.0
+        assert array_result["max_additive_error"] < 4.0
         assert sequential_error < 4.0
 
-    def test_convergence_time_same_order_of_magnitude(self):
+    def test_convergence_time_same_order_of_magnitude(self, run_to_done):
         params = ProtocolParameters.fast_test()
         n = 96
-        array_time = (
-            log_size_simulator(n, params=params, seed=31)
-            .run_until_done(max_parallel_time=5_000)
-            .convergence_time
-        )
+        array_time = run_to_done(log_size_simulator(n, params=params, seed=31), 5_000)[
+            "convergence_time"
+        ]
         protocol = LogSizeEstimationProtocol(params)
         simulation = Simulation(protocol, n, seed=31)
         sequential_time = simulation.run_until(all_agents_done, max_parallel_time=50_000)
@@ -186,16 +193,16 @@ class TestCrossEngineAgreement:
         ratio = sequential_time / array_time
         assert 1 / 3 < ratio < 3
 
-    def test_growth_shape_is_superlinear_in_log_n(self):
+    def test_growth_shape_is_superlinear_in_log_n(self, run_to_done):
         """Convergence time grows roughly like log^2 n (Figure 2's shape)."""
         params = ProtocolParameters.fast_test()
         times = {}
         for n in (64, 1024):
-            result = log_size_simulator(n, params=params, seed=7).run_until_done(
-                max_parallel_time=8 * expected_convergence_time(n, params)
-            )
-            assert result.converged
-            times[n] = result.convergence_time
+            times[n] = run_to_done(
+                log_size_simulator(n, params=params, seed=7),
+                8 * expected_convergence_time(n, params),
+            )["convergence_time"]
+            assert times[n] is not None
         # log2^2(1024)/log2^2(64) = 100/36 ~ 2.8; the measured ratio should be
         # clearly above 1 (growth) and not wildly above the predicted ~2.8.
         ratio = times[1024] / times[64]

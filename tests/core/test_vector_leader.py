@@ -26,7 +26,9 @@ PHASES = 16
 K2 = 2
 
 
-def run_vector(population_size, seed, phase_count=PHASES, budget_factor=4.0):
+def run_vector(
+    run_to_done, population_size, seed, phase_count=PHASES, budget_factor=4.0
+):
     kernel = LeaderTerminatingVectorProtocol(
         FAST, phase_count=phase_count, termination_rounds_factor=K2
     )
@@ -34,7 +36,7 @@ def run_vector(population_size, seed, phase_count=PHASES, budget_factor=4.0):
     budget = budget_factor * expected_termination_time(
         population_size, FAST, phase_count, K2
     )
-    return simulator.run_until_done(max_parallel_time=budget), kernel
+    return run_to_done(simulator, budget), kernel
 
 
 class TestValidation:
@@ -49,13 +51,13 @@ class TestValidation:
 
 class TestTermination:
     @pytest.fixture(scope="class")
-    def outcome(self):
-        return run_vector(128, seed=11)
+    def outcome(self, run_to_done):
+        return run_vector(run_to_done, 128, seed=11)
 
     def test_terminates_within_budget(self, outcome):
         result, _ = outcome
-        assert result.converged
-        assert result.convergence_time is not None and result.convergence_time > 0
+        assert result["convergence_time"] is not None
+        assert result["convergence_time"] > 0
 
     def test_every_agent_terminated(self, outcome):
         _, kernel = outcome
@@ -66,21 +68,24 @@ class TestTermination:
         result, _ = outcome
         # Theorem 3.1's additive-error bound carries over to the announced
         # estimate when the clock fires after the underlying convergence.
-        assert result.max_additive_error < 5.7
+        assert result["max_additive_error"] < 5.7
 
-    def test_reproducible_per_seed(self):
-        times = [run_vector(96, seed=17)[0].convergence_time for _ in range(2)]
+    def test_reproducible_per_seed(self, run_to_done):
+        times = [
+            run_vector(run_to_done, 96, seed=17)[0]["convergence_time"]
+            for _ in range(2)
+        ]
         assert times[0] == times[1]
 
-    def test_state_bound_includes_clock_fields(self):
+    def test_state_bound_includes_clock_fields(self, run_to_done):
         kernel = LeaderTerminatingVectorProtocol(
             FAST, phase_count=PHASES, termination_rounds_factor=K2
         )
         simulator = VectorSimulator(kernel, 96, seed=7)
-        result = simulator.run_until_done(
-            max_parallel_time=4 * expected_termination_time(96, FAST, PHASES, K2)
+        result = run_to_done(
+            simulator, 4 * expected_termination_time(96, FAST, PHASES, K2)
         )
-        assert result.converged
+        assert result["convergence_time"] is not None
         fields = simulator.fields
         base = (
             (fields.max_observed("log_size2") + 1)
@@ -96,25 +101,22 @@ class TestTermination:
         # The bound must multiply the leader clock and termination flag into
         # the inherited log-size product, not silently report the smaller
         # base-protocol state machine.
-        assert result.distinct_state_bound == base * clock
+        assert result["distinct_state_bound"] == base * clock
         # Every phase value was realised across the run's many clock wraps.
         assert fields.max_observed("clock_phase") == PHASES - 1
 
-    def test_timeout_reports_non_converged(self):
+    def test_timeout_reports_non_converged(self, run_to_done):
         kernel = LeaderTerminatingVectorProtocol(
             FAST, phase_count=PHASES, termination_rounds_factor=K2
         )
-        result = VectorSimulator(kernel, 64, seed=1).run_until_done(
-            max_parallel_time=1.0
-        )
-        assert not result.converged
-        assert result.convergence_time is None
+        result = run_to_done(VectorSimulator(kernel, 64, seed=1), 1.0)
+        assert result["convergence_time"] is None
 
 
 class TestCrossEngineAgreement:
     """The vector port must agree with the agent-level reference protocol."""
 
-    def test_termination_time_same_order_of_magnitude(self):
+    def test_termination_time_same_order_of_magnitude(self, run_to_done):
         n = 64
         agent_times = []
         for seed in range(3):
@@ -131,18 +133,19 @@ class TestCrossEngineAgreement:
                 )
             )
         vector_times = [
-            run_vector(n, seed=seed)[0].convergence_time for seed in range(3)
+            run_vector(run_to_done, n, seed=seed)[0]["convergence_time"]
+            for seed in range(3)
         ]
         ratio = statistics.fmean(agent_times) / statistics.fmean(vector_times)
         # The matching-round scheduler preserves the signal time up to a
         # constant factor (measured ~0.94 at these settings).
         assert 1 / 3 < ratio < 3, (agent_times, vector_times)
 
-    def test_accuracy_agreement(self):
+    def test_accuracy_agreement(self, run_to_done):
         n = 96
-        result, _ = run_vector(n, seed=23)
-        assert result.converged
-        assert result.max_additive_error < 5.7
+        result, _ = run_vector(run_to_done, n, seed=23)
+        assert result["convergence_time"] is not None
+        assert result["max_additive_error"] < 5.7
 
         simulation = Simulation(
             LeaderTerminatingSizeEstimation(
@@ -160,7 +163,7 @@ class TestCrossEngineAgreement:
         )
         assert agent_error < 5.7
 
-    def test_termination_time_grows_with_n(self):
+    def test_termination_time_grows_with_n(self, run_to_done):
         """Theorem 3.13's qualitative claim: the signal time grows with n.
 
         (The uniform dense protocols of Theorem 4.1 terminate in O(1) time;
@@ -169,7 +172,8 @@ class TestCrossEngineAgreement:
         means = {}
         for n in (64, 4096):
             times = [
-                run_vector(n, seed=seed)[0].convergence_time for seed in (0, 2)
+                run_vector(run_to_done, n, seed=seed)[0]["convergence_time"]
+                for seed in (0, 2)
             ]
             means[n] = statistics.fmean(times)
         # Measured ratio ~4.3 at these settings; any clear growth suffices.

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.core.parameters import ProtocolParameters
 from repro.engine.configuration import Configuration
 from repro.engine.scheduler import SchedulerSpec
 from repro.engine.selection import ENGINE_NAMES, build_engine
@@ -16,6 +17,11 @@ from repro.engine.vector import (
     VectorSimulator,
 )
 from repro.exceptions import ConvergenceError, SimulationError
+from repro.harness.parallel import (
+    build_finite_state_trials,
+    build_vector_trials,
+    run_trial,
+)
 from repro.protocols.base import FiniteStateProtocol, RandomizedTransition
 from repro.protocols.epidemic import (
     EpidemicProtocol,
@@ -23,6 +29,7 @@ from repro.protocols.epidemic import (
     epidemic_completion_predicate,
 )
 from repro.protocols.majority import ApproximateMajorityProtocol
+from repro.store.base import record_to_dict
 
 
 class CoinFlipProtocol(FiniteStateProtocol):
@@ -205,34 +212,56 @@ class TestEngineSelection:
 
 
 class TestVectorSimulatorDriver:
-    def test_check_every_rounds_validated(self):
+    def test_predicate_free_kernel_runs_out_its_budget(self):
+        # A finite-state kernel has no intrinsic done condition: the run
+        # exhausts its budget and the kernel reports no result fields.
+        kernel = FiniteStateVectorProtocol(EpidemicProtocol())
+        simulator = VectorSimulator(kernel, 50, seed=0)
+        with pytest.raises(ConvergenceError):
+            simulator.run_until(VectorSimulator.all_done, max_parallel_time=2.0)
+        assert simulator.rounds == int(2.0 * 50 / 25) + 1
+        assert simulator.interactions == simulator.rounds * 25
+        assert kernel.result_extra(simulator.fields) == {}
+
+    def test_check_interval_validated(self):
         kernel = FiniteStateVectorProtocol(EpidemicProtocol())
         simulator = VectorSimulator(kernel, 50, seed=0)
         with pytest.raises(SimulationError):
-            simulator.run_until_done(max_parallel_time=1.0, check_every_rounds=0)
+            simulator.run_until(
+                VectorSimulator.all_done, max_parallel_time=1.0, check_interval=0
+            )
+        assert simulator.rounds == 0
 
-    def test_generic_result_for_predicate_free_kernel(self):
-        # A finite-state kernel has no intrinsic done condition: the run
-        # exhausts its budget and reports a generic non-converged result.
-        kernel = FiniteStateVectorProtocol(EpidemicProtocol())
-        simulator = VectorSimulator(kernel, 50, seed=0)
-        result = simulator.run_until_done(max_parallel_time=2.0)
-        assert not result.converged
-        assert result.convergence_time is None
-        assert result.interactions == result.rounds * 25
-        with pytest.raises(ConvergenceError):
-            VectorSimulator(
-                FiniteStateVectorProtocol(EpidemicProtocol()), 50, seed=0
-            ).run_until_done(max_parallel_time=2.0, raise_on_timeout=True)
+    def test_coarse_check_interval_checks_every_whole_rounds(self):
+        # check_interval=120 at floor(100/2) = 50 interactions per round:
+        # the predicate is checked every ceil(120 / 50) = 3 rounds.
+        simulator = VectorSimulator(
+            FiniteStateVectorProtocol(EpidemicProtocol()), 100, seed=0
+        )
+        checked = []
+
+        def predicate(sim):
+            checked.append(sim.rounds)
+            return sim.rounds >= 4
+
+        elapsed = simulator.run_until(
+            predicate, max_parallel_time=100.0, check_interval=120
+        )
+        assert checked == [0, 3, 6]
+        assert simulator.rounds == 6
+        assert elapsed == pytest.approx(6 * 50 / 100)
 
     def test_result_as_dict(self):
-        kernel = FiniteStateVectorProtocol(EpidemicProtocol())
-        simulator = VectorSimulator(kernel, 50, seed=0)
-        result = simulator.run_until_done(max_parallel_time=1.0)
-        data = result.as_dict()
+        # A finite-state protocol on the vector engine, recorded by the
+        # harness: three rounds of 25 cross the budget of 1.0 * 50.
+        (spec,) = build_finite_state_trials(
+            [50], 1, engine="vector", protocol="epidemic", max_parallel_time=1.0
+        )
+        data = record_to_dict(run_trial(spec))
         assert data["population_size"] == 50
         assert data["converged"] is False
-        assert math.isfinite(data["interactions"])
+        assert math.isfinite(data["extra"]["interactions"])
+        assert data["extra"]["interactions"] == 3 * 25
 
 
 class TestVectorSchedulers:
@@ -256,6 +285,26 @@ class TestVectorSchedulers:
             epidemic_completion_predicate, max_parallel_time=200
         )
         assert simulator.count("S") == 0
+
+    def test_run_interactions_advances_the_clock_not_the_emitted_pairs(self):
+        """Regression: ``run_interactions(k)`` used to count emitted pairs,
+        so under a thinning scheduler it ran about twice the parallel time
+        that ``run_parallel_time(k / n)`` did."""
+        weighted = SchedulerSpec(
+            "weighted", (("lazy_fraction", 0.5), ("lazy_rate", 0.1))
+        )
+        by_count, by_time = (
+            VectorFiniteStateSimulator(
+                EpidemicProtocol(), 200, seed=5, scheduler=weighted
+            )
+            for _ in range(2)
+        )
+        by_count.run_interactions(1_000)
+        by_time.run_parallel_time(5.0)
+        assert by_count.rounds == by_time.rounds == 10
+        assert by_count.parallel_time == by_time.parallel_time == 5.0
+        # ``interactions`` still reports the pairs actually emitted.
+        assert by_count.interactions == by_time.interactions < 1_000
 
     def test_weighted_rounds_emit_fewer_interactions(self):
         simulator = VectorFiniteStateSimulator(
@@ -328,6 +377,21 @@ class TestRunUntilBudgetExact:
                 lambda sim: False, max_parallel_time=10.0, check_interval=500
             )
         assert simulator.rounds == int(10.0 * 100 / 50) + 1
+
+
+class TestKernelBudgetEdge:
+    def test_kernel_trial_stops_at_the_round_that_crosses_the_budget(self):
+        # t*n = 50 * 200 = 10_000 is a multiple of floor(n/2) = 100: the
+        # run stops after the round that crosses it, round 101.
+        specs = build_vector_trials(
+            [200], 2, protocol="figure2", params=ProtocolParameters.fast_test(),
+            base_seed=0, max_parallel_time=50.0,
+        )
+        for spec in specs:
+            record = run_trial(spec)
+            assert not record.converged
+            assert record.convergence_time is None
+            assert record.extra["interactions"] == 10_100
 
 
 class TestNominalTimeSemantics:

@@ -40,7 +40,7 @@ class TestAllVariantsAgree:
     N = 96
     FAST = ProtocolParameters.fast_test()
 
-    def test_estimates_agree_across_variants(self):
+    def test_estimates_agree_across_variants(self, run_to_done):
         target = math.log2(self.N)
         estimates = {}
 
@@ -48,10 +48,10 @@ class TestAllVariantsAgree:
         simulation.run_until(all_agents_done, max_parallel_time=50_000)
         estimates["sequential"] = estimate_error(simulation)["mean_estimate"]
 
-        array_result = VectorSimulator(
-            LogSizeVectorProtocol(self.FAST), self.N, seed=1
-        ).run_until_done(max_parallel_time=5_000)
-        estimates["array"] = array_result.final_estimate_mean
+        array_result = run_to_done(
+            VectorSimulator(LogSizeVectorProtocol(self.FAST), self.N, seed=1), 5_000
+        )
+        estimates["array"] = array_result["final_estimate_mean"]
 
         coin = Simulation(SyntheticCoinLogSizeEstimation(self.FAST), self.N, seed=1)
         coin.run_until(all_workers_done, max_parallel_time=50_000)
@@ -144,7 +144,7 @@ class TestTerminationContrast:
 
 class TestPaperConstants:
     @pytest.mark.slow
-    def test_paper_constants_at_moderate_population(self):
+    def test_paper_constants_at_moderate_population(self, run_to_done):
         """One run with the paper's constants (clock 95, epochs 5).
 
         Uses the vectorised engine; checks the Figure 2 convergence criterion
@@ -153,11 +153,9 @@ class TestPaperConstants:
         params = ProtocolParameters.paper()
         n = 512
         simulator = VectorSimulator(LogSizeVectorProtocol(params), n, seed=2019)
-        result = simulator.run_until_done(
-            max_parallel_time=4 * expected_convergence_time(n, params)
-        )
-        assert result.converged
-        assert result.max_additive_error <= 2.5
+        result = run_to_done(simulator, 4 * expected_convergence_time(n, params))
+        assert result["convergence_time"] is not None
+        assert result["max_additive_error"] <= 2.5
         # O(log^2 n) with the paper's constants: the convergence time should be
         # within a small factor of the a-priori estimate.
-        assert result.convergence_time < 2 * expected_convergence_time(n, params)
+        assert result["convergence_time"] < 2 * expected_convergence_time(n, params)

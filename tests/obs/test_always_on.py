@@ -4,8 +4,8 @@ Each hot loop has one path.  Its chunk-level blocks (a ``run_interactions``
 call, a convergence-check chunk, a multiscale advance, an SSA run, a store
 call) record counters and timers whether or not telemetry is on, and
 ``RECORDER.enabled`` decides only what is *emitted*: manifests, spans and
-the spool.  The vector round is the one exception and records only while
-telemetry is on.
+the spool.  The vector round's draw/apply split is the one exception and
+records only while telemetry is on.
 """
 
 from __future__ import annotations
@@ -70,6 +70,15 @@ def _agent_predicate_chunks():
     )
 
 
+def _vector_predicate_chunks():
+    # The vector engine runs the same predicate loop: one check per round.
+    record = run_trial(_figure2_spec())
+    return {"engine.convergence_checks": record.extra["interactions"] // (48 // 2)}, (
+        "engine.step",
+        "engine.convergence_check",
+    )
+
+
 def _multiscale_advance():
     (spec,) = build_crn_trials([300], 1, "epidemic", engine="multiscale", base_seed=5)
     record = run_trial(spec)
@@ -91,10 +100,11 @@ def _ssa_run():
         _batched_chunk,
         _predicate_chunks,
         _agent_predicate_chunks,
+        _vector_predicate_chunks,
         _multiscale_advance,
         _ssa_run,
     ],
-    ids=["batched", "predicate", "agent", "multiscale", "ssa"],
+    ids=["batched", "predicate", "agent", "vector", "multiscale", "ssa"],
 )
 def test_chunk_level_block_records_with_telemetry_off(block):
     assert RECORDER.enabled is False
@@ -164,8 +174,11 @@ def _figure2_spec():
 
 def test_vector_round_is_silent_with_telemetry_off():
     run_trial(_figure2_spec())
-    assert RECORDER.counters == {}
-    assert RECORDER.timers_ns == {}
+    # The shared run loop's chunk blocks record (see above); the round's
+    # draw/apply split does not.
+    recorded = set(RECORDER.counters) | set(RECORDER.timers_ns)
+    assert not [name for name in recorded if name.startswith("scheduler.")]
+    assert "engine.apply_round" not in recorded
 
 
 def test_vector_round_times_itself_with_telemetry_on():

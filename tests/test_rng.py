@@ -9,7 +9,6 @@ import pytest
 
 from repro.rng import (
     RandomSource,
-    SyntheticCoin,
     empirical_maximum_distribution,
     geometric,
     max_of_geometrics,
@@ -105,29 +104,6 @@ class TestRandomSource:
         parent = RandomSource(seed=10)
         child = parent.spawn()
         assert child.seed != parent.seed
-
-
-class TestSyntheticCoin:
-    def test_counts_sender_flips_until_receiver(self):
-        coin = SyntheticCoin()
-        assert not coin.observe(agent_was_sender=True)
-        assert not coin.observe(agent_was_sender=True)
-        assert coin.observe(agent_was_sender=False)
-        assert coin.value == 3
-        assert coin.complete
-
-    def test_observe_after_complete_raises(self):
-        coin = SyntheticCoin()
-        coin.observe(agent_was_sender=False)
-        with pytest.raises(ValueError):
-            coin.observe(agent_was_sender=True)
-
-    def test_reset(self):
-        coin = SyntheticCoin()
-        coin.observe(agent_was_sender=False)
-        coin.reset()
-        assert coin.value == 1
-        assert not coin.complete
 
 
 class TestStreams:
