@@ -1,14 +1,19 @@
 """T-BACKEND-SMOKE — fast regression gate for the array-backend seam.
 
 A tiny-``n`` throughput check designed to run on every CI push (seconds, not
-minutes): it times the batched epidemic on the numpy reference backend and on
-every *available* compiled backend, then fails if any available backend falls
-more than 30% below the throughput the seam guarantees for it:
+minutes): it times the batched epidemic and a fast-constant Figure 2 trial
+(``Log-Size-Estimation`` on the vector engine, n = 1000, run to all-done) on
+the numpy reference backend and on every *available* compiled backend, then
+fails if any available backend falls below what the seam guarantees for it:
 
 * every compiled backend must stay at or above ``(1 - 0.3) x`` the numpy
-  reference — a compiled backend slower than numpy means its kernels
-  silently stopped being used (a broken compile cache, an accidental
-  fallback) or regressed outright;
+  reference's batched throughput — a compiled backend slower than numpy
+  means its kernels silently stopped being used (a broken compile cache, an
+  accidental fallback) or regressed outright;
+* the native backend's Figure 2 round must be at least 1.5x faster than
+  numpy's (measured 4.1–4.7x on a 2-vCPU VM): a vector kernel that silently
+  stopped being bound runs at numpy speed, which the 0.7x batched floor
+  would pass;
 * the numpy backend itself must stay at or above ``(1 - 0.3) x`` a recorded
   per-interaction floor, scaled by a calibration loop so the gate tracks
   machine speed instead of hard-coding wall-clock numbers.
@@ -37,7 +42,10 @@ for _entry in (str(_REPO_ROOT), str(_REPO_ROOT / "src")):
 import numpy as np
 
 from repro.backend import backend_availability
+from repro.core.array_simulator import LogSizeVectorProtocol
+from repro.core.parameters import ProtocolParameters
 from repro.engine.selection import build_engine
+from repro.engine.vector import VectorSimulator
 from repro.protocols.epidemic import EpidemicProtocol
 
 SMOKE_N = int(os.environ.get("REPRO_SMOKE_N", "50000"))
@@ -49,6 +57,10 @@ REGRESSION_TOLERANCE = 0.30
 #: ~0.027x calibration at the default smoke scale; 0.008 leaves >3x slack
 #: for runner noise while still catching an order-of-magnitude regression.
 NUMPY_FLOOR_PER_CALIBRATION = 0.008
+#: Population of the Figure 2 trial, and the per-round speedup the native
+#: backend must keep over numpy on it.
+FIGURE2_N = 1000
+NATIVE_FIGURE2_MIN_SPEEDUP = 1.5
 
 
 def _calibration_rate() -> float:
@@ -85,6 +97,27 @@ def measure_backend(backend: str, seed: int = 1) -> dict:
     }
 
 
+def measure_figure2_round(backend: str, seed: int = 1) -> dict:
+    """Seconds per round of a fast Figure 2 trial at n=1000 on one backend."""
+    simulator = VectorSimulator(
+        LogSizeVectorProtocol(ProtocolParameters.fast_test()),
+        FIGURE2_N,
+        seed=seed,
+        backend=backend,
+    )
+    # The native module loaded when the simulator resolved its backend.
+    started = time.perf_counter()
+    simulator.run_until(VectorSimulator.all_done, max_parallel_time=10_000.0)
+    elapsed = time.perf_counter() - started
+    return {
+        "backend": backend,
+        "population_size": FIGURE2_N,
+        "rounds": simulator.rounds,
+        "seconds": elapsed,
+        "seconds_per_round": elapsed / simulator.rounds,
+    }
+
+
 def run_smoke() -> tuple[list[dict], list[str]]:
     """Measure every available backend; return (records, gate failures)."""
     failures: list[str] = []
@@ -93,6 +126,8 @@ def run_smoke() -> tuple[list[dict], list[str]]:
     ]
     records = [measure_backend(name) for name in available]
     by_name = {record["backend"]: record for record in records}
+    for name in available:
+        by_name[name]["figure2"] = measure_figure2_round(name)
 
     numpy_rate = by_name["numpy"]["interactions_per_second"]
     floor = NUMPY_FLOOR_PER_CALIBRATION * _calibration_rate() * (
@@ -116,6 +151,17 @@ def run_smoke() -> tuple[list[dict], list[str]]:
                 f"reference (allowed: >= {1.0 - REGRESSION_TOLERANCE:.2f}x); "
                 f"its kernels regressed or silently stopped being used"
             )
+    if "native" in by_name:
+        speedup = (
+            by_name["numpy"]["figure2"]["seconds_per_round"]
+            / by_name["native"]["figure2"]["seconds_per_round"]
+        )
+        if speedup < NATIVE_FIGURE2_MIN_SPEEDUP:
+            failures.append(
+                f"native Figure 2 rounds run at {speedup:.2f}x numpy's "
+                f"(required: >= {NATIVE_FIGURE2_MIN_SPEEDUP:.1f}x); its vector "
+                f"kernels regressed or silently stopped being bound"
+            )
     return records, failures
 
 
@@ -136,9 +182,13 @@ def main() -> int:
     )
     records, failures = run_smoke()
     for record in records:
+        figure2 = record["figure2"]
         print(
             f"  {record['backend']:>7}: {record['seconds']:7.3f}s "
-            f"({record['interactions_per_second']:,.0f} interactions/s)"
+            f"({record['interactions_per_second']:,.0f} interactions/s); "
+            f"figure2 n={figure2['population_size']}: "
+            f"{figure2['seconds_per_round'] * 1e6:,.0f} us/round over "
+            f"{figure2['rounds']} rounds"
         )
     for name, reason in backend_availability().items():
         if reason is not None:
@@ -147,7 +197,10 @@ def main() -> int:
         for failure in failures:
             print(f"GATE FAILURE: {failure}", file=sys.stderr)
         return 1
-    print("gate: ok (no backend regressed by more than 30%)")
+    print(
+        "gate: ok (no backend regressed by more than 30%; native figure2 "
+        f"rounds >= {NATIVE_FIGURE2_MIN_SPEEDUP}x numpy where available)"
+    )
     return 0
 
 

@@ -22,11 +22,11 @@ Backends
     so the reference backend is itself faster than the inline code it
     replaced.
 ``native``
-    A C kernel (:mod:`repro.backend.native_backend`) compiled at first use
-    through ``cffi`` and the system C compiler; the fastest option for the
-    batched engine (>=10x the numpy backend at n >= 10^6).
-    Distribution-identical to numpy, not bitwise: the kernel draws from its
-    own generator, seeded from the engine's.
+    C kernels (:mod:`repro.backend.native_backend`) compiled at first use
+    through ``cffi`` and the system C compiler.  The batched kernel (>=10x
+    numpy at n >= 10^6) draws from its own generator, seeded from the
+    engine's: distribution-identical, not bitwise.  The vector engine's
+    matching and ``Log-Size-Estimation`` round are bitwise the numpy runs.
 
 Selecting an unavailable backend is never an error: :func:`resolve_backend`
 warns and falls back to numpy, so numpy-only installs stay fully functional
@@ -48,6 +48,7 @@ import numpy as np
 from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.array_simulator import LogSizeVectorProtocol
     from repro.protocols.compiled import CompiledTransitionTable
 
 __all__ = [
@@ -75,8 +76,8 @@ class ArrayBackend:
     through.  The base class implements every kernel with the reference
     numpy code path, so a subclass only overrides the kernels it actually
     accelerates — anything it leaves alone transparently runs the reference
-    implementation (e.g. the native backend accelerates the batched engine
-    and inherits the vector round kernel).
+    implementation (e.g. the native backend inherits the finite-state round
+    and tau-leap kernels).
 
     Kernel contract
     ---------------
@@ -109,6 +110,9 @@ class ArrayBackend:
     ``draw_matching_arrays(members, rng)`` / ``thin_members(rates, rng)``
         The vector engine's round draws: the shared uniform matching and the
         per-agent rate thinning of the weighted round scheduler.
+    ``log_size_round_kernel(protocol)``
+        A callable ``(rec, sen)`` applying one ``Log-Size-Estimation`` round
+        to the protocol's fields, or ``None`` for its numpy sub-steps.
     """
 
     #: Registry key (``--backend <name>``).
@@ -168,6 +172,11 @@ class ArrayBackend:
     ) -> np.ndarray:
         """Rate-thinned member selection for weighted matching rounds."""
         return np.nonzero(rng.random(rates.size) < rates)[0]
+
+    def log_size_round_kernel(self, protocol: "LogSizeVectorProtocol"):
+        """Build the vector engine's ``Log-Size-Estimation`` round, or ``None``
+        to keep the protocol's numpy sub-steps."""
+        return None
 
     def tau_leap_kernel(
         self,

@@ -1,35 +1,41 @@
-"""Native C backend: the batched hot loop compiled with cffi + the system cc.
+"""Native C backend: the batched and vector hot loops compiled with cffi + cc.
 
 This backend needs only what most dev boxes and CI images already carry:
-``cffi`` and a C compiler.  The batched draw→apply loop is a single C
-function — xoshiro256++ RNG, inverse-CDF pair sampling over the cumulative
+``cffi`` and a C compiler.  Its one C module holds the batched draw→apply
+loop — xoshiro256++ RNG, inverse-CDF pair sampling over the cumulative
 ``S^2`` weight table, consumption guard, outcome splitting and the exact
-sequential fallback — invoked once per ``run_interactions`` call, which
+sequential fallback, invoked once per ``run_interactions`` call, which
 removes *all* per-batch Python dispatch (~3–5 ns per interaction on
-commodity x86).
+commodity x86) — and two vector-engine kernels: the matching draw
+(:meth:`NativeBackend.draw_matching_arrays`) and the ``Log-Size-Estimation``
+round (:class:`NativeLogSizeRound`).
 
 The extension module is compiled on first use and cached on disk keyed by a
-hash of the C source (``REPRO_NATIVE_CACHE`` overrides the cache directory;
-the default is ``repro-native-cache`` under the system temporary
-directory).  Compilation failures, a missing compiler or a missing cffi
-simply mark the backend unavailable — :func:`repro.backend.resolve_backend`
-then warns and falls back to numpy, so nothing ever hard-fails.
+hash of the C source and of ``numpy.__version__`` (``REPRO_NATIVE_CACHE``
+overrides the cache directory; the default is ``repro-native-cache`` under
+the system temporary directory).  Compilation failures, a missing compiler
+or a missing cffi simply mark the backend unavailable —
+:func:`repro.backend.resolve_backend` then warns and falls back to numpy, so
+nothing ever hard-fails.
 
-RNG-stream contract: the kernel's xoshiro stream is seeded once per kernel
-from the engine's generator, so runs are reproducible per seed but
-distribution-identical (not bitwise) to the numpy backend, pinned by the
-parity suite in ``tests/backend``.
-
-The vector-round and tau-leap kernels are *not* overridden: this backend
-accelerates the batched engine and inherits the numpy reference kernels for
-the rest (the seam's whole point — partial backends compose with the
-fallback), so vector and multiscale runs on ``native`` are bitwise the
-numpy runs.
+RNG-stream contract: the batched kernel's xoshiro stream is seeded once per
+kernel from the engine's generator, so batched runs are reproducible per
+seed but distribution-identical (not bitwise) to the numpy backend, pinned
+by the parity suite in ``tests/backend``.  The vector kernels draw on the
+engine generator's own ``bitgen_t`` through numpy's ``random_interval``,
+``random_standard_uniform`` and ``random_geometric`` (from the
+``libnpyrandom`` static library numpy ships, linked in: hence the numpy
+version in the cache name), in the numpy reference's order, so vector runs
+on ``native`` are the numpy runs bit for bit.  ``Generator.permutation``'s
+shuffle loop, which the matching repeats, is numpy-internal, not exported
+API; ``tests/backend/test_native_vector.py`` pins it.  Multiscale runs use
+the inherited numpy tau-leap kernel, bitwise.
 """
 
 from __future__ import annotations
 
 import hashlib
+import importlib.machinery
 import importlib.util
 import os
 import sys
@@ -42,14 +48,31 @@ from repro.backend import ArrayBackend, register_backend
 from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.core.array_simulator import LogSizeVectorProtocol
     from repro.protocols.compiled import CompiledTransitionTable
 
-__all__ = ["ENV_NATIVE_CACHE", "NativeBackend", "NativeBatchedKernel"]
+__all__ = [
+    "ENV_NATIVE_CACHE", "NativeBackend", "NativeBatchedKernel", "NativeLogSizeRound",
+]
 
 #: Environment variable overriding where compiled kernels are cached.
 ENV_NATIVE_CACHE = "REPRO_NATIVE_CACHE"
 
-_CDEF = """
+#: State of one Log-Size-Estimation round kernel: the nine field arrays, the
+#: constants, the counts the kernel keeps, and the generator's ``bitgen_t``.
+_LOG_SIZE_STRUCT = """
+typedef struct {
+    int8_t *role;
+    int64_t *time, *total, *epoch, *gr, *log_size2;
+    uint8_t *done, *updated;
+    double *output;
+    int64_t n, unassigned, done_count, log_size2_offset;
+    double clock_threshold_factor, epochs_factor, output_offset, p;
+    void *bitgen;
+} repro_log_size;
+"""
+
+_CDEF = _LOG_SIZE_STRUCT + """
 long long repro_batched_advance(
     long long *counts, long long size, long long kmax,
     const long long *receiver_out, const long long *sender_out,
@@ -58,11 +81,18 @@ long long repro_batched_advance(
     long long population, long long total_interactions, long long batch_size,
     long long small_threshold, unsigned long long *rng_state,
     unsigned char *seen, long long *stats);
+void repro_draw_matching(
+    const int64_t *members, int64_t m, int64_t *order, void *bitgen);
+int repro_log_size_round(
+    repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs);
 """
 
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include "numpy/random/distributions.h"
+""" + _LOG_SIZE_STRUCT + r"""
 
 /* xoshiro256++ (Blackman & Vigna, public domain reference implementation
  * structure): a small, fast generator with 2^256-1 period; ample for
@@ -336,6 +366,183 @@ out:
     free(per_state);
     return code;
 }
+
+/* ---- Vector engine: both kernels draw on the engine generator's bitgen_t
+ * through numpy's own distribution functions, in the numpy reference's
+ * order, so their runs are the numpy runs bit for bit. */
+
+/* repro.engine.scheduler.draw_matching_arrays: Generator.permutation's
+ * Fisher-Yates from the top over `members` (NULL: 0..m-1), then one uniform
+ * per pair; u >= 0.5 swaps receiver order[k] and sender order[half + k]. */
+void repro_draw_matching(
+    const int64_t *members, int64_t m, int64_t *order, void *bitgen)
+{
+    bitgen_t *state = (bitgen_t *)bitgen;
+    int64_t half = m / 2, swap;
+    for (int64_t i = 0; i < m; i++) order[i] = members ? members[i] : i;
+    for (int64_t i = m - 1; i > 0; i--) {
+        int64_t j = (int64_t)random_interval(state, (uint64_t)i);
+        swap = order[i]; order[i] = order[j]; order[j] = swap;
+    }
+    for (int64_t k = 0; k < half; k++)
+        if (!(random_standard_uniform(state) < 0.5)) {
+            swap = order[k]; order[k] = order[half + k]; order[half + k] = swap;
+        }
+}
+
+/* One round of repro.core.array_simulator.LogSizeVectorProtocol, a pass per
+ * numpy sub-step in its order.  Matched pairs are disjoint, so a pass
+ * touches each pair's own two agents only; drawing passes visit receivers,
+ * then senders, in pair order, as the numpy fancy-index draws do.  Role
+ * tests are branch-free; only rare events (draws, deposits) branch. */
+enum { UNASSIGNED = 0, WORKER = 1, STORAGE = 2 };
+
+static inline int64_t geometric(repro_log_size *s) {
+    return random_geometric((bitgen_t *)s->bitgen, s->p);
+}
+
+static inline void mark_done(repro_log_size *s, int64_t a) {
+    if (!s->done[a]) { s->done[a] = 1; s->done_count++; }
+}
+
+static inline int epochs_finished(const repro_log_size *s, int64_t a) {
+    return (double)s->epoch[a] >= s->epochs_factor * (double)s->log_size2[a];
+}
+
+static inline int timer_done(const repro_log_size *s, int64_t a) {
+    return (double)s->time[a]
+        >= s->clock_threshold_factor * (double)s->log_size2[a];
+}
+
+static void assign(repro_log_size *s, int64_t a, int role) {
+    s->role[a] = role;
+    if (role == WORKER) s->log_size2[a] = geometric(s) + s->log_size2_offset;
+    s->unassigned--;
+}
+
+/* Move-to-Next-G.R.V, then the done test of a worker that advanced. */
+static void next_epoch(repro_log_size *s, int64_t a, int64_t epoch) {
+    s->epoch[a] = epoch;
+    s->time[a] = 0;
+    s->gr[a] = geometric(s);
+    s->updated[a] = 0;
+    if (epochs_finished(s, a)) mark_done(s, a);
+}
+
+/* Phase-clock tick plus Check-if-Timer-Done-and-Increment-Epoch. */
+static inline void tick(repro_log_size *s, int64_t a) {
+    int worker = s->role[a] == WORKER;
+    s->time[a] += worker;
+    if (worker & !s->done[a] & s->updated[a] & timer_done(s, a))
+        next_epoch(s, a, s->epoch[a] + 1);
+}
+
+/* logSize2 max-propagation with Restart. */
+static inline void adopt_log_size2(repro_log_size *s, int64_t a, int64_t from) {
+    if (s->log_size2[a] >= s->log_size2[from]) return;
+    s->log_size2[a] = s->log_size2[from];
+    s->time[a] = s->total[a] = s->epoch[a] = 0;
+    s->gr[a] = geometric(s);
+    if (s->done[a]) { s->done[a] = 0; s->done_count--; }
+    s->updated[a] = 0;
+    s->output[a] = NAN;
+}
+
+static inline void worker_catch_up(repro_log_size *s, int64_t a, int64_t from) {
+    if ((s->role[a] == WORKER) & (s->role[from] == WORKER)
+        & (s->epoch[a] < s->epoch[from]))
+        next_epoch(s, a, s->epoch[from]);
+}
+
+/* Mark a storage agent done and (re)compute its announced estimate. */
+static void finish_storage(repro_log_size *s, int64_t a) {
+    if (s->epoch[a] <= 0) return;
+    if (epochs_finished(s, a)) mark_done(s, a);
+    if (s->done[a])
+        s->output[a] = (double)s->total[a] / (double)s->epoch[a]
+            + s->output_offset;
+}
+
+static void storage_catch_up(repro_log_size *s, int64_t r, int64_t q) {
+    int64_t ahead = s->epoch[r] >= s->epoch[q] ? r : q, total = s->total[ahead];
+    if (s->epoch[r] == s->epoch[q] && s->total[r] > total) total = s->total[r];
+    if (s->epoch[r] == s->epoch[q] && s->total[q] > total) total = s->total[q];
+    s->epoch[r] = s->epoch[q] = s->epoch[ahead];
+    s->total[r] = s->total[q] = total;
+    finish_storage(s, r);
+    finish_storage(s, q);
+}
+
+static void update_sum(repro_log_size *s, int64_t worker, int64_t storage) {
+    if (s->done[worker]) return;
+    if ((s->epoch[worker] == s->epoch[storage]) & timer_done(s, worker)) {
+        s->epoch[storage]++;
+        s->total[storage] += s->gr[worker];
+        s->updated[worker] = 1;
+        finish_storage(s, storage);
+    } else if (s->epoch[worker] < s->epoch[storage]) {
+        s->updated[worker] = 1;
+    }
+}
+
+static inline void propagate_output(repro_log_size *s, int64_t r, int64_t q) {
+    double out_r = s->output[r], out_s = s->output[q];
+    int keep_r = (s->role[r] == STORAGE) & s->done[r];
+    int keep_s = (s->role[q] == STORAGE) & s->done[q];
+    double new_r = (keep_s & !isnan(out_s) & !keep_r) ? out_s : out_r;
+    double new_s = (keep_r & !isnan(out_r) & !keep_s) ? out_r : out_s;
+    /* Second-hand propagation: fill empty outputs from any non-empty one. */
+    s->output[r] = (!!isnan(new_r) & !isnan(out_s)) ? out_s : new_r;
+    s->output[q] = (!!isnan(new_s) & !isnan(out_r)) ? out_r : new_s;
+}
+
+/* Returns 1, before touching any field, if an index is outside [0, n). */
+int repro_log_size_round(
+    repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs)
+{
+    const int8_t *role = s->role;
+    uint64_t outside = 0, n = (uint64_t)s->n;
+    for (int64_t k = 0; k < pairs; k++)
+        outside |= ((uint64_t)rec[k] >= n) | ((uint64_t)sen[k] >= n);
+    if (outside) return 1;
+    if (s->unassigned > 0) {
+        for (int64_t k = 0; k < pairs; k++)
+            if (role[rec[k]] == UNASSIGNED && role[sen[k]] == UNASSIGNED) {
+                assign(s, sen[k], WORKER);
+                assign(s, rec[k], STORAGE);
+            }
+        for (int64_t k = 0; k < pairs; k++)
+            if (role[rec[k]] == UNASSIGNED && role[sen[k]] != UNASSIGNED)
+                assign(s, rec[k], role[sen[k]] == WORKER ? STORAGE : WORKER);
+        for (int64_t k = 0; k < pairs; k++)
+            if (role[sen[k]] == UNASSIGNED && role[rec[k]] != UNASSIGNED)
+                assign(s, sen[k], role[rec[k]] == WORKER ? STORAGE : WORKER);
+    }
+    for (int64_t k = 0; k < pairs; k++) tick(s, rec[k]);
+    for (int64_t k = 0; k < pairs; k++) tick(s, sen[k]);
+    for (int64_t k = 0; k < pairs; k++) adopt_log_size2(s, rec[k], sen[k]);
+    for (int64_t k = 0; k < pairs; k++) adopt_log_size2(s, sen[k], rec[k]);
+    for (int64_t k = 0; k < pairs; k++) worker_catch_up(s, rec[k], sen[k]);
+    for (int64_t k = 0; k < pairs; k++) worker_catch_up(s, sen[k], rec[k]);
+    /* Storage catch-up, Update-Sum and gr draw nothing and each applies to
+     * one kind of pair, so one pass does all three. */
+    for (int64_t k = 0; k < pairs; k++) {
+        int64_t r = rec[k], q = sen[k];
+        int kinds = role[r] << 2 | role[q];
+        if (kinds == (STORAGE << 2 | STORAGE)) storage_catch_up(s, r, q);
+        else if (kinds == (WORKER << 2 | STORAGE)) update_sum(s, r, q);
+        else if (kinds == (STORAGE << 2 | WORKER)) update_sum(s, q, r);
+        else if (kinds == (WORKER << 2 | WORKER)) {
+            int64_t gr = s->gr[r] > s->gr[q] ? s->gr[r] : s->gr[q];
+            int same_epoch = s->epoch[r] == s->epoch[q];
+            s->gr[r] = same_epoch ? gr : s->gr[r];
+            s->gr[q] = same_epoch ? gr : s->gr[q];
+        }
+    }
+    if (s->done_count > 0)
+        for (int64_t k = 0; k < pairs; k++) propagate_output(s, rec[k], sen[k]);
+    return 0;
+}
 """
 
 # Compilation state: None = not yet attempted, else (lib, ffi) or the cached
@@ -355,7 +562,11 @@ def _cache_dir() -> str:
 
 
 def _module_name() -> str:
-    digest = hashlib.sha256((_CDEF + _SOURCE).encode()).hexdigest()[:12]
+    # The module links numpy's distribution functions in statically: a build
+    # must never outlive the numpy whose draws it reproduces.
+    digest = hashlib.sha256(
+        (_CDEF + _SOURCE + np.__version__).encode()
+    ).hexdigest()[:12]
     return f"_repro_native_{digest}"
 
 
@@ -381,7 +592,14 @@ def _load_compiled():
             ffi_builder = FFI()
             ffi_builder.cdef(_CDEF)
             ffi_builder.set_source(
-                name, _SOURCE, extra_compile_args=["-O3"]
+                name,
+                _SOURCE,
+                include_dirs=[np.get_include()],
+                library_dirs=[
+                    os.path.join(os.path.dirname(np.__file__), "random", "lib")
+                ],
+                libraries=["npyrandom"] + (["m"] if os.name == "posix" else []),
+                extra_compile_args=["-O3"],
             )
             ffi_builder.compile(tmpdir=cache, verbose=False)
             module = _find_built_module(cache, name)
@@ -395,18 +613,19 @@ def _load_compiled():
 
 
 def _find_built_module(cache: str, name: str):
-    """Import the built extension from the cache directory, if present."""
-    for entry in sorted(os.listdir(cache)):
-        if entry.startswith(name) and entry.endswith((".so", ".pyd", ".dylib")):
-            spec = importlib.util.spec_from_file_location(
-                name, os.path.join(cache, entry)
-            )
-            if spec is None or spec.loader is None:
-                return None
-            module = importlib.util.module_from_spec(spec)
-            sys.modules.setdefault(name, module)
-            spec.loader.exec_module(module)
-            return module
+    """Import this interpreter's build of the extension from the cache (the
+    default cache is shared by every interpreter of a user)."""
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        path = os.path.join(cache, name + suffix)
+        if not os.path.exists(path):
+            continue
+        spec = importlib.util.spec_from_file_location(name, path)
+        if spec is None or spec.loader is None:
+            return None
+        module = importlib.util.module_from_spec(spec)
+        sys.modules.setdefault(name, module)
+        spec.loader.exec_module(module)
+        return module
     return None
 
 
@@ -491,6 +710,84 @@ class NativeBatchedKernel:
         )
 
 
+def _is_index_array(array) -> bool:
+    return (
+        isinstance(array, np.ndarray)
+        and array.dtype == np.int64
+        and array.ndim == 1
+        and array.flags.c_contiguous
+    )
+
+
+def _bitgen(ffi, rng: np.random.Generator):
+    """The ``bitgen_t *`` of ``rng``'s bit generator."""
+    return ffi.cast("void *", rng.bit_generator.ctypes.bit_generator.value)
+
+
+#: The nine fields of ``LogSizeVectorProtocol.init_fields``, by dtype.
+_LOG_SIZE_FIELDS = {
+    "role": np.int8, "time": np.int64, "total": np.int64, "epoch": np.int64,
+    "gr": np.int64, "log_size2": np.int64, "done": np.bool_,
+    "updated": np.bool_, "output": np.float64,
+}
+
+
+class NativeLogSizeRound:
+    """One ``Log-Size-Estimation`` round in C, bitwise the numpy sub-steps.
+
+    Bound to one protocol's nine field arrays and generator, a call with a
+    round's ``(rec, sen)`` pairs does what the numpy sub-steps of
+    :class:`~repro.core.array_simulator.LogSizeVectorProtocol` do, drawing
+    through numpy's ``random_geometric`` on the same ``bitgen_t`` in the
+    same order.  The kernel counts the unassigned and the done agents, so a
+    round costs O(pairs) once the partition is complete; it therefore owns
+    ``role`` and ``done``, which nothing else may write after binding.  It
+    draws without ``Generator.lock``: a simulator's generator is used from
+    one thread only.
+    """
+
+    def __init__(self, protocol: "LogSizeVectorProtocol") -> None:
+        self._lib, self._ffi = _load_compiled()
+        state = self._state = self._ffi.new("repro_log_size *")
+        state.n = n = protocol.role.size
+        # The C side keeps raw pointers: hold every field's buffer, and the
+        # generator, for as long as the kernel lives.
+        self._buffers = []
+        for name, dtype in _LOG_SIZE_FIELDS.items():
+            array = getattr(protocol, name)
+            if not (array.dtype == dtype and array.shape == (n,)
+                    and array.flags.c_contiguous):
+                raise SimulationError(
+                    f"field {name!r} must be a contiguous {np.dtype(dtype)} "
+                    f"array of {n} agents"
+                )
+            self._buffers.append(self._ffi.from_buffer(array, require_writable=True))
+            setattr(state, name, self._ffi.cast("void *", self._buffers[-1]))
+        state.unassigned = int(np.count_nonzero(protocol.role == 0))
+        state.done_count = int(np.count_nonzero(protocol.done))
+        params = protocol.params
+        for name in ("clock_threshold_factor", "epochs_factor", "output_offset"):
+            setattr(state, name, getattr(params, name))
+        state.log_size2_offset = int(params.log_size2_offset)
+        state.p = params.geometric_success_probability
+        self._rng = protocol.rng
+        state.bitgen = _bitgen(self._ffi, self._rng)
+
+    def __call__(self, rec: np.ndarray, sen: np.ndarray) -> None:
+        if not (_is_index_array(rec) and _is_index_array(sen)) or rec.size != sen.size:
+            raise SimulationError(
+                "matched pairs must be contiguous int64 arrays of equal length"
+            )
+        rec_buffer = self._ffi.from_buffer("int64_t[]", rec)
+        sen_buffer = self._ffi.from_buffer("int64_t[]", sen)
+        if self._lib.repro_log_size_round(
+            self._state, rec_buffer, sen_buffer, rec.size
+        ):
+            raise SimulationError(
+                f"a matched pair names an agent outside [0, {self._state.n})"
+            )
+
+
 @register_backend
 class NativeBackend(ArrayBackend):
     """C backend: available when cffi plus a working C compiler are found."""
@@ -523,7 +820,34 @@ class NativeBackend(ArrayBackend):
             table, state_rates, population_size, small_count_threshold, rng
         )
 
+    def draw_matching_arrays(
+        self, members: "int | np.ndarray", rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The reference's matching, drawn in C on ``rng``'s stream (integer
+        or contiguous int64 members; anything else runs the reference)."""
+        lib, ffi = _load_compiled()
+        if isinstance(members, (int, np.integer)):
+            source, count = ffi.NULL, max(int(members), 0)
+        elif _is_index_array(members):
+            source, count = ffi.from_buffer("int64_t[]", members), members.size
+        else:
+            count = None
+        if count is None or not isinstance(rng, np.random.Generator):
+            return super().draw_matching_arrays(members, rng)
+        order = np.empty(count, dtype=np.int64)
+        lib.repro_draw_matching(
+            source, count, ffi.from_buffer("int64_t[]", order), _bitgen(ffi, rng)
+        )
+        half = count // 2
+        return order[:half], order[half : 2 * half]
+
+    def log_size_round_kernel(
+        self, protocol: "LogSizeVectorProtocol"
+    ) -> NativeLogSizeRound:
+        return NativeLogSizeRound(protocol)
+
     def describe(self) -> str:
         if self.available():
-            return "cffi-compiled C kernels (distribution-identical to numpy)"
+            return ("cffi-compiled C kernels (batched: distribution-identical "
+                    "to numpy; vector rounds: bitwise numpy)")
         return f"cffi-compiled C kernels (unavailable: {_FAILURE or 'no toolchain'})"

@@ -37,6 +37,7 @@ import math
 
 import numpy as np
 
+from repro.backend import ArrayBackend
 from repro.core.parameters import ProtocolParameters
 from repro.engine.vector import VectorFields, VectorProtocol
 
@@ -60,6 +61,7 @@ class LogSizeVectorProtocol(VectorProtocol):
     def __init__(self, params: ProtocolParameters | None = None) -> None:
         self.params = params or ProtocolParameters.paper()
         self._partition_complete = False
+        self._compiled_round = None
 
     def describe(self) -> str:
         return f"VectorLogSizeEstimation({self.params.describe()})"
@@ -310,6 +312,11 @@ class LogSizeVectorProtocol(VectorProtocol):
 
     # -- VectorProtocol interface --------------------------------------------
 
+    def bind_backend(self, backend: ArrayBackend) -> None:
+        """Run rounds through ``backend``'s compiled round, if it has one;
+        otherwise through the numpy sub-steps above (the reference)."""
+        self._compiled_round = backend.log_size_round_kernel(self)
+
     def apply_round(
         self,
         fields: VectorFields,
@@ -317,6 +324,9 @@ class LogSizeVectorProtocol(VectorProtocol):
         sen: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
+        if self._compiled_round is not None:
+            self._compiled_round(rec, sen)
+            return
         if not self._partition_complete:
             self._partition(rec, sen)
         self._tick_clocks(rec, sen)

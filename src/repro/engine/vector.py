@@ -159,6 +159,10 @@ class VectorProtocol(ABC):
     ) -> None:
         """Apply one matching round to the matched pairs ``(rec[i], sen[i])``."""
 
+    def bind_backend(self, backend: ArrayBackend) -> None:
+        """Take the round kernels from ``backend`` (called after
+        :meth:`init_fields`; default: none)."""
+
     def all_done(self, fields: VectorFields) -> bool:
         """The protocol's intrinsic convergence condition (default: none).
 
@@ -200,12 +204,11 @@ class VectorSimulator:
         :class:`~repro.engine.scheduler.RoundScheduler`.  Defaults to the
         uniform matching round.
     backend:
-        Array backend for the round draws (a registered name, an
+        Array backend for the round kernels (a registered name, an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
-        process default).  The scheduler's matching/thinning draws are bound
-        to the backend's kernels; protocols that accept a backend receive it
-        separately at construction (see
-        :class:`VectorFiniteStateSimulator`).
+        process default).  The scheduler's matching/thinning draws and the
+        protocol's round kernel (:meth:`VectorProtocol.bind_backend`) are
+        bound to the backend's kernels.
     """
 
     #: Consecutive empty rounds tolerated before the engine concludes the
@@ -249,6 +252,7 @@ class VectorSimulator:
         self._empty_rounds = 0
         self.fields = VectorFields(population_size)
         protocol.init_fields(self.fields, self.rng)
+        protocol.bind_backend(self.backend)
         self.fields.track(*protocol.tracked_fields)
 
     # -- round / time accounting --------------------------------------------
@@ -390,22 +394,24 @@ class FiniteStateVectorProtocol(VectorProtocol):
     perfect matching, so the scatter is collision-free.
 
     The gather→sample→scatter body is a backend kernel
-    (:meth:`repro.backend.ArrayBackend.finite_round_kernel`); every shipped
-    backend runs the numpy reference, which preserves the historical RNG
-    stream.
+    (:meth:`repro.backend.ArrayBackend.finite_round_kernel`), bound by the
+    simulator through :meth:`bind_backend`; every shipped backend runs the
+    numpy reference, which preserves the historical RNG stream.
     """
 
     def __init__(
         self,
         protocol: FiniteStateProtocol,
         initial_states: Sequence[Hashable] | None = None,
-        backend: "ArrayBackend | str | None" = None,
     ) -> None:
         self.protocol = protocol
         self.table: CompiledTransitionTable = compile_transition_table(protocol)
         self._initial_states = initial_states
         self.state: np.ndarray | None = None
-        self._round_kernel = resolve_backend(backend).finite_round_kernel(self.table)
+        self._round_kernel = None
+
+    def bind_backend(self, backend: ArrayBackend) -> None:
+        self._round_kernel = backend.finite_round_kernel(self.table)
 
     def describe(self) -> str:
         return f"Vector({self.protocol.describe()})"
@@ -465,7 +471,6 @@ class VectorFiniteStateSimulator(VectorSimulator):
         scheduler: "RoundScheduler | SchedulerSpec | str | None" = None,
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
-        backend = resolve_backend(backend)
         initial_states = None
         if initial_configuration is not None:
             if initial_configuration.size != population_size:
@@ -481,9 +486,7 @@ class VectorFiniteStateSimulator(VectorSimulator):
                 for _ in range(count)
             ]
         super().__init__(
-            FiniteStateVectorProtocol(
-                protocol, initial_states=initial_states, backend=backend
-            ),
+            FiniteStateVectorProtocol(protocol, initial_states=initial_states),
             population_size,
             seed=seed,
             scheduler=scheduler,

@@ -6,10 +6,11 @@ own RNG, so it is held to the *distribution*: trajectory statistics over
 many seeds must agree with the numpy reference within sampling noise — the
 batched multinomial draw→apply (uniform and state-weighted), the
 small-count and consumption-guard exact fallbacks, and the CRN lowerings
-(checked against the exact Gillespie SSA).  Its vector-round and tau-leap
-kernels are the inherited numpy reference, so there the runs must agree
-bitwise.  Every parity case needs the native backend (cffi and a C
-toolchain) and is skipped without it.
+(checked against the exact Gillespie SSA).  Its vector kernels draw on the
+engine's generator in the numpy order (``test_native_vector`` compares them
+round by round) and its tau-leap kernel is the inherited numpy reference,
+so vector and multiscale runs must agree bitwise.  Every parity case needs
+the native backend (cffi and a C toolchain) and is skipped without it.
 """
 
 from __future__ import annotations
@@ -21,9 +22,13 @@ import pytest
 
 from repro.backend import ArrayBackend, get_backend
 from repro.backend.native_backend import NativeBackend
+from repro.core.array_simulator import LogSizeVectorProtocol
+from repro.core.parameters import ProtocolParameters
+from repro.core.vector_leader import LeaderTerminatingVectorProtocol
 from repro.crn import CRN, compile_crn, simulate_ssa
 from repro.crn.library import epidemic_extinct_predicate
 from repro.engine.selection import build_engine
+from repro.engine.vector import VectorSimulator
 from repro.protocols.epidemic import (
     EpidemicProtocol,
     epidemic_completion_predicate,
@@ -155,22 +160,16 @@ class TestBatchedDistributionParity:
         assert correct >= 14, (backend.name, correct)
 
 
-@pytest.mark.skipif(
-    not NativeBackend.available(), reason="native backend unavailable"
-)
-@pytest.mark.parametrize("engine", ["vector", "multiscale"])
-def test_inherited_kernels_run_the_numpy_stream_bitwise(engine):
-    """The native backend overrides only the batched kernel: a seeded vector
-    or multiscale run on it is the numpy run, snapshot for snapshot."""
-    workloads = (
+def _finite_state_run(engine, backend, seed):
+    """Epidemic and majority runs with a trace, as snapshots to compare."""
+    runs = []
+    for factory, predicate in (
         (EpidemicProtocol, epidemic_completion_predicate),
         (
             lambda: ApproximateMajorityProtocol(x_fraction=0.7),
             majority_consensus_predicate,
         ),
-    )
-
-    def run(backend, factory, predicate, seed):
+    ):
         simulator = build_engine(
             engine, factory(), EPIDEMIC_N, seed=seed, backend=backend
         )
@@ -180,13 +179,51 @@ def test_inherited_kernels_run_the_numpy_stream_bitwise(engine):
         ]
         elapsed = simulator.run_until(predicate, max_parallel_time=500)
         configuration = dict(simulator.configuration().items())
-        return trace, elapsed, simulator.interactions, configuration
+        runs.append((trace, elapsed, simulator.interactions, configuration))
+    return runs
 
-    for factory, predicate in workloads:
-        for seed in (2_001, 2_002, 2_003):
-            assert run("native", factory, predicate, seed) == run(
-                "numpy", factory, predicate, seed
-            ), (engine, seed)
+
+def _kernel_run(kernel, backend, seed):
+    """A paper kernel run to all-done: its fields and generator position."""
+    simulator = VectorSimulator(kernel, 96, seed=seed, backend=backend)
+    elapsed = simulator.run_until(VectorSimulator.all_done, 10_000.0)
+    fields = simulator.fields
+    return (
+        elapsed,
+        simulator.interactions,
+        {name: fields[name].tobytes() for name in fields.names()},
+        simulator.rng.bit_generator.state,
+    )
+
+
+FAST = ProtocolParameters.fast_test()
+BITWISE_RUNS = {
+    "vector": lambda backend, seed: _finite_state_run("vector", backend, seed),
+    "multiscale": lambda backend, seed: _finite_state_run(
+        "multiscale", backend, seed
+    ),
+    "figure2": lambda backend, seed: _kernel_run(
+        LogSizeVectorProtocol(FAST), backend, seed
+    ),
+    "leader-terminating": lambda backend, seed: _kernel_run(
+        LeaderTerminatingVectorProtocol(FAST, phase_count=8), backend, seed
+    ),
+}
+
+
+@pytest.mark.skipif(
+    not NativeBackend.available(), reason="native backend unavailable"
+)
+@pytest.mark.parametrize("workload", list(BITWISE_RUNS))
+def test_vector_and_multiscale_runs_are_the_numpy_stream_bitwise(workload):
+    """Only the batched kernel draws from its own stream.  A seeded vector or
+    multiscale run on native is the numpy run, snapshot for snapshot: the
+    finite-state kernels on the native matching, Figure 2's
+    Log-Size-Estimation round in C, the Theorem 3.13 kernel that inherits
+    it, and the inherited tau-leap kernel."""
+    run = BITWISE_RUNS[workload]
+    for seed in (2_001, 2_002, 2_003):
+        assert run("native", seed) == run("numpy", seed), (workload, seed)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,9 @@ once:
 
 ``array-figure2.jsonl`` holds the records of the retired ``kind="array"``
 trials; the ``figure2`` vector workload must reproduce them, differing only
-in ``extra["engine"]`` and the added ``extra["protocol"]``.
+in ``extra["engine"]`` and the added ``extra["protocol"]``.  Both figure2
+fixtures are reproduced on the native backend too, whose vector kernels
+are bitwise the numpy ones.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.harness import parallel
 from repro.harness.experiment import ExperimentSpec, run_array_experiment
@@ -160,6 +163,47 @@ class TestFigure2OnTheVectorWorkload:
     def test_records_differ_from_the_array_kind_only_in_labels(self):
         sweep = run_array_experiment(self.SPEC)
         for record, line in zip(sweep.records, read_golden("array-figure2")):
+            payload = record_to_dict(record)
+            expected = line["record"]
+            assert expected["extra"].pop("engine") == "array"
+            assert payload["extra"].pop("engine") == "vector"
+            assert payload["extra"].pop("protocol") == "figure2"
+            assert payload == expected
+
+
+@pytest.mark.skipif(
+    not NativeBackend.available(), reason="native backend unavailable"
+)
+class TestNativeReproducesTheFigure2Records:
+    """The native backend's vector kernels are bitwise the numpy ones, so its
+    runs reproduce the golden records.  Only the keys differ: the backend is
+    part of the key."""
+
+    def test_vector_figure2(self):
+        golden = read_golden("vector-figure2")
+        specs = build_vector_trials(
+            [48, 80], 2, protocol="figure2", params=FAST, base_seed=13,
+            backend="native",
+        )
+        assert all(
+            spec.cache_key() != line["key"] for spec, line in zip(specs, golden)
+        )
+        outcome = run_trials(specs)
+        assert [record_to_dict(record) for record in outcome.records] == [
+            line["record"] for line in golden
+        ]
+
+    def test_array_figure2(self):
+        spec = TestFigure2OnTheVectorWorkload.SPEC
+        specs = build_vector_trials(
+            spec.population_sizes, spec.runs_per_size, protocol="figure2",
+            params=spec.params, base_seed=spec.base_seed,
+            max_parallel_time=spec.budget_for, backend="native",
+        )
+        outcome = run_trials(specs)
+        golden = read_golden("array-figure2")
+        assert len(outcome.records) == len(golden)
+        for record, line in zip(outcome.records, golden):
             payload = record_to_dict(record)
             expected = line["record"]
             assert expected["extra"].pop("engine") == "array"
