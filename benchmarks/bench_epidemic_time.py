@@ -23,7 +23,7 @@ from benchmarks.conftest import SWEEP_WORKERS
 from repro.analysis.epidemic_theory import expected_epidemic_time
 from repro.engine.configuration import Configuration
 from repro.engine.count_simulator import CountSimulator
-from repro.harness.experiment import run_finite_state_experiment
+from repro.harness.parallel import get_workload, run_trials
 from repro.protocols.epidemic import EpidemicProtocol, EpidemicState
 
 POPULATIONS = [1_000, 10_000, 100_000]
@@ -36,15 +36,14 @@ def bench_full_population_epidemic(benchmark, population_size, engine):
     holder = {"times": []}
 
     def run_epidemics():
-        sweep = run_finite_state_experiment(
-            "epidemic",
-            population_sizes=[population_size],
-            runs_per_size=RUNS,
+        specs = get_workload("epidemic").trials(
+            [population_size],
+            RUNS,
             max_parallel_time=50 * math.log(population_size),
             engine=engine,
             base_seed=0,
-            workers=SWEEP_WORKERS,
         )
+        sweep = run_trials(specs, workers=SWEEP_WORKERS)
         assert all(record.converged for record in sweep.records)
         holder["times"] = [record.convergence_time for record in sweep.records]
         return holder["times"]

@@ -4,7 +4,7 @@ Approximate majority and pairwise-elimination leader election are the two
 classic constant-state baselines the paper's introduction positions the
 polylog-time literature against.  This benchmark runs both on the count and
 batched engines through the sweep driver
-(:func:`repro.harness.experiment.run_finite_state_experiment`;
+(:func:`repro.harness.parallel.run_trials`;
 ``REPRO_SWEEP_WORKERS`` parallelises the runs), recording consensus /
 election times alongside wall-clock throughput so engine regressions on
 *reactive-dense* protocols (where most pairs change state, unlike the
@@ -18,7 +18,7 @@ import statistics
 import pytest
 
 from benchmarks.conftest import SWEEP_WORKERS
-from repro.harness.experiment import run_finite_state_experiment
+from repro.harness.parallel import build_finite_state_trials, run_trials
 from repro.protocols.leader_election import FiniteStatePairwiseElimination
 from repro.protocols.majority import (
     ApproximateMajorityProtocol,
@@ -46,7 +46,7 @@ def bench_majority_consensus(benchmark, population_size, engine):
     holder = {"times": [], "correct": 0}
 
     def run_majority():
-        sweep = run_finite_state_experiment(
+        specs = build_finite_state_trials(
             protocol_factory=seventy_thirty_majority,
             predicate=majority_consensus_predicate,
             population_sizes=[population_size],
@@ -54,8 +54,8 @@ def bench_majority_consensus(benchmark, population_size, engine):
             max_parallel_time=400.0,
             engine=engine,
             base_seed=31,
-            workers=SWEEP_WORKERS,
         )
+        sweep = run_trials(specs, workers=SWEEP_WORKERS)
         assert all(record.converged for record in sweep.records)
         holder["times"] = [record.convergence_time for record in sweep.records]
         holder["correct"] = sum(
@@ -87,7 +87,7 @@ def bench_leader_election_time(benchmark, population_size, engine):
     holder = {"times": []}
 
     def run_elections():
-        sweep = run_finite_state_experiment(
+        specs = build_finite_state_trials(
             protocol_factory=FiniteStatePairwiseElimination,
             predicate=at_most_target_leaders,
             population_sizes=[population_size],
@@ -95,8 +95,8 @@ def bench_leader_election_time(benchmark, population_size, engine):
             max_parallel_time=4.0 * population_size,
             engine=engine,
             base_seed=7,
-            workers=SWEEP_WORKERS,
         )
+        sweep = run_trials(specs, workers=SWEEP_WORKERS)
         assert all(record.converged for record in sweep.records)
         holder["times"] = [record.convergence_time for record in sweep.records]
         return holder["times"]

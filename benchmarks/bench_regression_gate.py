@@ -109,17 +109,19 @@ def slice_engines() -> dict:
 
 
 def slice_schedulers(baseline: dict) -> dict:
-    """BENCH_schedulers slice: size estimation under a non-default scheduler.
+    """BENCH_schedulers slice: size estimation under the default matching
+    round scheduler.
 
     Accuracy criteria: every run converges and the worst additive error of
     the log2(n) estimate stays within the committed bound.
     """
-    from repro.harness.experiment import ExperimentSpec, run_array_experiment
+    from repro.harness.parallel import get_workload, run_trials
 
-    spec = ExperimentSpec(
-        population_sizes=SCHED_SIZES, runs_per_size=SCHED_RUNS, base_seed=11
+    result, elapsed = _timed(
+        lambda: run_trials(
+            get_workload("figure2").trials(SCHED_SIZES, SCHED_RUNS, base_seed=11)
+        )
     )
-    result, elapsed = _timed(lambda: run_array_experiment(spec))
     failures = []
     interactions = 0
     worst = 0.0

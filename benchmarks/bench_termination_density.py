@@ -16,7 +16,7 @@ import statistics
 import pytest
 
 from benchmarks.conftest import SWEEP_WORKERS, TERMINATION_SIZES
-from repro.harness.experiment import run_finite_state_experiment
+from repro.harness.parallel import build_finite_state_trials, run_trials
 from repro.protocols.leader_election import (
     FiniteStateCounterTermination,
     NonuniformCounterLeaderElection,
@@ -82,7 +82,7 @@ def bench_uniform_dense_termination_batched(benchmark, population_size):
     holder = {"times": []}
 
     def run_sweep():
-        sweep = run_finite_state_experiment(
+        specs = build_finite_state_trials(
             protocol_factory=counter_termination_protocol,
             predicate=termination_signal_predicate,
             population_sizes=[population_size],
@@ -91,8 +91,8 @@ def bench_uniform_dense_termination_batched(benchmark, population_size):
             engine="batched",
             base_seed=17,
             check_interval=max(population_size // 16, 256),
-            workers=SWEEP_WORKERS,
         )
+        sweep = run_trials(specs, workers=SWEEP_WORKERS)
         assert all(record.converged for record in sweep.records)
         holder["times"] = [record.convergence_time for record in sweep.records]
         return holder["times"]

@@ -24,7 +24,7 @@ Variable                    Effect
 
 Benchmarks built on the sweep driver (epidemic, majority/leader,
 termination) run their trials through
-:func:`repro.harness.experiment.run_finite_state_experiment`; setting
+:func:`repro.harness.parallel.run_trials`; setting
 ``REPRO_SWEEP_WORKERS > 1`` fans the trials out over a worker pool with
 bit-identical results (wall-clock numbers then measure the parallel
 harness, not a single engine).

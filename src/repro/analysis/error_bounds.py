@@ -102,7 +102,7 @@ def state_bound_probability(population: int) -> float:
 def theorem_3_1_summary(population: int, sample_count: int | None = None) -> dict:
     """All of Theorem 3.1's claimed bounds for a given population size.
 
-    Convenient for the EXPERIMENTS.md "claimed vs measured" tables.
+    Convenient for "claimed vs measured" comparisons.
 
     Parameters
     ----------

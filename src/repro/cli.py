@@ -145,7 +145,7 @@ def _telemetry_from_args(args: argparse.Namespace):
     return ProgressView() if getattr(args, "progress", False) else None
 
 
-def _print_telemetry_summary(outcome) -> None:
+def _print_telemetry_summary() -> None:
     """One-screen driver-side metrics after a ``--telemetry`` sweep."""
     from repro.obs import RECORDER
 
@@ -532,7 +532,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     store = _sweep_store_from_args(args, name)
     progress_view = _telemetry_from_args(args)
     try:
-        outcome = run_trials(
+        result = run_trials(
             specs, workers=args.workers, store=store,
             lease_seconds=args.lease, progress=progress_view,
         )
@@ -546,15 +546,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"sizes x {args.runs} runs, workers={args.workers})"
     )
     print(
-        f"trials: {len(specs)} total, {outcome.executed} executed, "
-        f"{outcome.from_cache} from cache"
+        f"trials: {len(specs)} total, {result.executed} executed, "
+        f"{result.from_cache} from cache"
     )
     if store is not None:
         print(f"store: {store.describe()}")
     print()
-    _print_sweep_summary(SweepResult(name=f"sweep-{name}", records=outcome.records))
-    _print_telemetry_summary(outcome)
-    return 0 if all(record.converged for record in outcome.records) else 1
+    _print_sweep_summary(result)
+    _print_telemetry_summary()
+    return 0 if all(record.converged for record in result.records) else 1
 
 
 def _cmd_engines(args: argparse.Namespace) -> int:

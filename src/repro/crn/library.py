@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from typing import Callable, ClassVar
 
 from repro.crn.model import CRN
+from repro.exceptions import SimulationError
 from repro.types import KIND_CRN, Workload, lookup_workload
 
 __all__ = [
@@ -82,6 +83,37 @@ class NetworkWorkload(Workload):
         return build_crn_trials(
             population_sizes, runs_per_size, crn=self.name, **options
         )
+
+    def check(self, spec) -> None:
+        from repro.crn.compile import CRN_MODES
+
+        if not isinstance(spec.crn, CRN):
+            raise SimulationError(
+                "a crn trial needs the network itself (crn=CRN(...)); the full "
+                "spec travels in the trial so it can key the result cache"
+            )
+        self._check_engine(spec)
+        if spec.crn_mode not in CRN_MODES:
+            raise SimulationError(
+                f"unknown CRN lowering mode {spec.crn_mode!r}; expected one of "
+                f"{', '.join(CRN_MODES)}"
+            )
+        if spec.crn_mode == "thinned" and spec.engine not in ("count", "batched"):
+            raise SimulationError(
+                f"the thinned CRN lowering targets the state-weighted scheduler, "
+                f"which the {spec.engine} engine cannot run; use the count or "
+                f"batched engine (or mode='uniform')"
+            )
+        if spec.scheduler is not None:
+            raise SimulationError(
+                "crn trials derive their scheduler from the lowering mode; "
+                "pass crn_mode='thinned' instead of scheduler=..."
+            )
+        if spec.protocol is None and spec.predicate is None:
+            raise SimulationError(
+                "a crn trial needs a convergence predicate: either a registered "
+                "CRN workload name (protocol=...) or an explicit predicate"
+            )
 
     def run(self, spec):
         from repro.crn.compile import compile_crn

@@ -3,19 +3,19 @@
 The harness turns the simulators into the artefacts the paper reports:
 
 * :mod:`repro.harness.results` — result records and summary statistics;
-* :mod:`repro.harness.experiment` — repeatable experiment runners (one
-  protocol, several seeds) for both engines;
-* :mod:`repro.harness.parallel` — the sweep driver: picklable
-  :class:`TrialSpec` per trial, deterministic seed spawning, and a claim
-  loop over a result store (:mod:`repro.store`, keyed by trial-spec hashes)
-  with a ``multiprocessing`` worker pool behind ``workers=N``, making
-  interrupted sweeps resumable and repeated invocations incremental;
+* :mod:`repro.harness.parallel` — the workload registry and the sweep
+  driver: picklable :class:`TrialSpec` per trial, deterministic seed
+  spawning, and :func:`run_trials`, a claim loop over a result store
+  (:mod:`repro.store`, keyed by trial-spec hashes) with a
+  ``multiprocessing`` worker pool behind ``workers=N``, making interrupted
+  sweeps resumable and repeated invocations incremental.  A sweep is
+  ``run_trials(get_workload(name).trials(sizes, runs, ...))``;
 * :mod:`repro.harness.figures` — the Figure 2 reproduction (convergence time
   vs population size) as data series plus an ASCII rendering and CSV export;
 * :mod:`repro.harness.tables` — the theorem-level tables (accuracy, state
-  complexity, termination times, baseline comparison);
+  complexity, baseline comparison);
 * :mod:`repro.harness.reporting` — plain-text table formatting used by the
-  CLI, the benchmarks and EXPERIMENTS.md.
+  CLI and the benchmarks.
 """
 
 from repro.harness.results import (
@@ -25,17 +25,11 @@ from repro.harness.results import (
     records_equal,
     summarize,
 )
-from repro.harness.experiment import (
-    ExperimentSpec,
-    run_array_experiment,
-    run_finite_state_experiment,
-    run_sequential_experiment,
-)
 from repro.harness.parallel import (
-    SweepOutcome,
     TrialSpec,
     build_finite_state_trials,
     build_vector_trials,
+    get_workload,
     run_trial,
     run_trials,
 )
@@ -53,16 +47,12 @@ __all__ = [
     "SweepResult",
     "records_equal",
     "summarize",
-    "SweepOutcome",
     "TrialSpec",
     "build_finite_state_trials",
     "build_vector_trials",
+    "get_workload",
     "run_trial",
     "run_trials",
-    "ExperimentSpec",
-    "run_array_experiment",
-    "run_finite_state_experiment",
-    "run_sequential_experiment",
     "Figure2Point",
     "Figure2Result",
     "reproduce_figure2",

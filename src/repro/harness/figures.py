@@ -6,10 +6,11 @@ Figure 2 of the paper (Appendix C) plots, for population sizes
 error 2 of ``log2 n`` in every run.  The population axis is logarithmic, so
 the ``O(log^2 n)`` bound appears as a gently super-linear curve.
 
-:func:`reproduce_figure2` runs the same sweep on the vectorised engine (the
-sequential engine is too slow beyond ~10^3 agents in pure Python; see
-``DESIGN.md``), returning per-size statistics plus the raw points, a CSV
-export and an ASCII rendering of the scatter.
+:func:`reproduce_figure2` runs the same sweep as the ``figure2`` workload's
+trials on the vectorised engine (the sequential engine is too slow beyond
+~10^3 agents in pure Python; see ``DESIGN.md``), returning per-size
+statistics plus the raw points, a CSV export and an ASCII rendering of the
+scatter.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.array_simulator import expected_convergence_time
 from repro.core.parameters import ProtocolParameters
-from repro.harness.experiment import ExperimentSpec, run_array_experiment
+from repro.harness.parallel import get_workload, run_trials
 from repro.harness.reporting import (
     PHASE_ORDER,
     format_table,
@@ -253,15 +255,14 @@ def reproduce_figure2(
     time_budget_factor:
         Safety factor over the a-priori convergence-time estimate.
     """
-    spec = ExperimentSpec(
-        population_sizes=list(population_sizes),
-        runs_per_size=runs_per_size,
-        params=params or ProtocolParameters.paper(),
-        base_seed=base_seed,
-        time_budget_factor=time_budget_factor,
+    params = params or ProtocolParameters.paper()
+    specs = get_workload("figure2").trials(
+        population_sizes, runs_per_size, params=params, base_seed=base_seed,
+        max_parallel_time=lambda n: (
+            time_budget_factor * expected_convergence_time(n, params)
+        ),
     )
-    sweep = run_array_experiment(spec, name="figure2")
-    return figure2_from_sweep(sweep, spec.params)
+    return figure2_from_sweep(run_trials(specs), params)
 
 
 def figure2_from_sweep(sweep: SweepResult, params: ProtocolParameters) -> Figure2Result:

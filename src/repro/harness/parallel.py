@@ -33,8 +33,9 @@ protocols that are not finite-state (``figure2``, ``leader-terminating``).
 :data:`repro.crn.library.CRN_WORKLOADS` holds the reaction networks.
 Worker processes re-import both modules, so both registries are available
 on the far side of the pickle boundary.  A spec's name is resolved when the
-spec is built, so an unknown or wrong-kind name fails before any trial
-runs; a spec naming none runs on its kind's unnamed entry.  CRN trials
+spec is built, and the entry checks the spec (:meth:`Workload.check`), so an
+unknown or wrong-kind name or a spec the entry cannot run fails before any
+trial runs; a spec naming none runs on its kind's unnamed entry.  CRN trials
 (``kind="crn"``, :func:`build_crn_trials`) embed the *network itself* in
 the spec, so the full reaction system — every rate constant — participates
 in the cache key.
@@ -55,12 +56,12 @@ import multiprocessing
 import time
 from collections import deque
 from queue import Empty, SimpleQueue
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Mapping, Sequence
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
-from repro.harness.results import RunRecord
+from repro.harness.results import RunRecord, SweepResult
 from repro.obs.manifest import TELEMETRY_KEY, trial_manifest
 from repro.obs.progress import SweepProgress
 from repro.obs.recorder import RECORDER as _REC
@@ -83,7 +84,7 @@ __all__ = [
     "WORKLOADS",
     "KernelWorkload",
     "ProtocolWorkload",
-    "SweepOutcome",
+    "ReferenceWorkload",
     "TrialSpec",
     "build_crn_trials",
     "build_finite_state_trials",
@@ -93,10 +94,6 @@ __all__ = [
     "run_trial",
     "run_trials",
 ]
-
-#: Trial kinds understood by :func:`run_trial`.
-_KINDS = (KIND_FINITE_STATE, KIND_SEQUENTIAL, KIND_VECTOR, KIND_CRN)
-
 
 # ---------------------------------------------------------------------------
 # Workload registry (protocols referenced by name)
@@ -127,6 +124,17 @@ class ProtocolWorkload(Workload):
             population_sizes, runs_per_size, engine=engine, protocol=self.name,
             max_parallel_time=max_parallel_time, **options,
         )
+
+    def check(self, spec: TrialSpec) -> None:
+        if spec.protocol is None and (
+            spec.protocol_factory is None or spec.predicate is None
+        ):
+            raise SimulationError(
+                "a finite-state trial needs either a registered workload name "
+                "(protocol=...) or explicit protocol_factory and predicate"
+            )
+        self._check_engine(spec)
+        super().check(spec)
 
     def run(self, spec: TrialSpec) -> RunRecord:
         from repro.engine.selection import build_engine
@@ -178,6 +186,15 @@ class KernelWorkload(Workload):
             params=params or ProtocolParameters.paper(), **options,
         )
 
+    def check(self, spec: TrialSpec) -> None:
+        _check_params(spec)
+        if spec.engine != "vector":
+            raise SimulationError(
+                f"workload {self.name!r} runs on the vector engine; its trials "
+                f"need engine='vector', got {spec.engine!r}"
+            )
+        super().check(spec)
+
     def run(self, spec: TrialSpec) -> RunRecord:
         from repro.engine.vector import VectorSimulator
 
@@ -211,6 +228,29 @@ class ReferenceWorkload(Workload):
     the sequential kind, the reference the vector engine is tested against."""
 
     kind: ClassVar[str] = KIND_SEQUENTIAL
+
+    def trials(self, population_sizes, runs_per_size, *, params=None,
+               max_parallel_time=None, **spec_fields) -> list[TrialSpec]:
+        """``spec_fields`` are further :class:`TrialSpec` fields
+        (``base_seed``, ``track_states``, ...); the default budget is the
+        ``figure2`` workload's."""
+        params = params or ProtocolParameters.paper()
+        if max_parallel_time is None:
+            figure2 = get_workload("figure2")
+            budget = lambda n: figure2.default_budget(n, params)
+        else:
+            budget = _as_budget(max_parallel_time)
+        return _expand(
+            population_sizes, runs_per_size, budget, kind=KIND_SEQUENTIAL,
+            engine="sequential", params=params, **spec_fields,
+        )
+
+    def scheduler_capability(self, spec: TrialSpec) -> str:
+        return "pair"
+
+    def check(self, spec: TrialSpec) -> None:
+        _check_params(spec)
+        super().check(spec)
 
     def run(self, spec: TrialSpec) -> RunRecord:
         from repro.core.log_size_estimation import (
@@ -254,6 +294,14 @@ def get_workload(name: str) -> Workload:
     return lookup_workload(WORKLOADS, name)
 
 
+#: The unnamed entry of each kind that has one, which a spec's own callables
+#: fill in; a vector trial names its kernel.
+_UNNAMED: dict[str, Workload] = {
+    KIND_FINITE_STATE: ProtocolWorkload(name=None),
+    KIND_SEQUENTIAL: ReferenceWorkload(name=None),
+}
+
+
 def _workload(name: str | None, kind: str) -> Workload:
     """The entry ``name`` registers for ``kind`` (CRNs resolve in
     ``CRN_WORKLOADS``), or for ``None`` the kind's unnamed entry."""
@@ -262,13 +310,13 @@ def _workload(name: str | None, kind: str) -> Workload:
 
         return NetworkWorkload(name=None) if name is None else get_crn_workload(name)
     if name is None:
-        if kind == KIND_VECTOR:
+        try:
+            return _UNNAMED[kind]
+        except KeyError:
             raise SimulationError(
-                "a vector trial needs a registered vector workload name "
-                "(protocol=...)"
-            )
-        entry = {KIND_FINITE_STATE: ProtocolWorkload, KIND_SEQUENTIAL: ReferenceWorkload}
-        return entry[kind](name=None)
+                f"a {kind} trial needs a registered {kind} workload name "
+                f"(protocol=...)"
+            ) from None
     workload = get_workload(name)
     if workload.kind != kind:
         raise SimulationError(
@@ -276,6 +324,13 @@ def _workload(name: str | None, kind: str) -> Workload:
             f"cannot run it"
         )
     return workload
+
+
+def _check_params(spec: TrialSpec) -> None:
+    if spec.params is None:
+        raise SimulationError(
+            f"{spec.kind} trials need ProtocolParameters (params=...)"
+        )
 
 
 def _register_builtin_workloads() -> None:
@@ -429,16 +484,16 @@ class TrialSpec:
         Trial coordinates; the per-trial seed is
         ``spawn_seed(base_seed, size_index, run_index)``.
     engine:
-        Engine name for finite-state trials (one of
-        :data:`repro.engine.selection.ENGINE_NAMES`); informational for the
-        estimation kinds.
+        Engine name for finite-state and CRN trials (one of
+        :data:`repro.engine.selection.ENGINE_NAMES`); ``"vector"`` for
+        vector trials; informational for the sequential kind.
     max_parallel_time:
         Budget before the trial is recorded as non-converged.
     protocol:
         Name of a registered workload of the spec's kind (preferred for
         cached sweeps; CRN names resolve in ``CRN_WORKLOADS``), checked at
         construction, or ``None`` when ``protocol_factory``/``predicate``
-        are given directly.  The sequential kind reads no name.
+        are given directly.  A sequential spec names none.
     protocol_factory / predicate:
         Direct callables.  Their ``module:qualname`` joins the cache key,
         so it must import back to the callable (checked here; the same
@@ -512,10 +567,6 @@ class TrialSpec:
             object.__setattr__(
                 self, "engine_options", tuple(sorted(options.items()))
             )
-        if self.kind not in _KINDS:
-            raise SimulationError(
-                f"unknown trial kind {self.kind!r}; expected one of {', '.join(_KINDS)}"
-            )
         if self.population_size < 2:
             raise SimulationError(
                 f"population_size must be >= 2, got {self.population_size}"
@@ -531,41 +582,15 @@ class TrialSpec:
             raise SimulationError(
                 f"max_parallel_time must be positive, got {self.max_parallel_time}"
             )
-        if self.kind == KIND_FINITE_STATE:
-            if self.protocol is None and (
-                self.protocol_factory is None or self.predicate is None
-            ):
-                raise SimulationError(
-                    "a finite-state trial needs either a registered workload name "
-                    "(protocol=...) or explicit protocol_factory and predicate"
-                )
-            from repro.engine.selection import ENGINE_NAMES
-
-            if self.engine not in ENGINE_NAMES:
-                raise SimulationError(
-                    f"unknown engine {self.engine!r}; expected one of "
-                    f"{', '.join(ENGINE_NAMES)}"
-                )
-        elif self.kind == KIND_CRN:
-            self._validate_crn()
-        elif self.params is None:
-            raise SimulationError(
-                f"{self.kind} trials need ProtocolParameters (params=...)"
-            )
-        if self.kind != KIND_CRN and self.crn is not None:
-            raise SimulationError(
-                f"{self.kind} trials do not take a CRN (crn=...); use kind='crn'"
-            )
-        # An unknown or wrong-kind name fails here, not inside a worker.
-        self.workload()
-        if self.scheduler is not None:
-            self._validate_scheduler()
-        elif self.scheduler_options:
+        if self.scheduler is None and self.scheduler_options:
             raise SimulationError(
                 "scheduler_options were given without a scheduler; they would "
                 "be silently ignored (set scheduler=... as well)"
             )
         self._validate_multiscale_knobs()
+        # An unknown or wrong-kind name, or a spec its entry cannot run,
+        # fails here, not inside a worker.
+        self.workload().check(self)
 
     def _validate_multiscale_knobs(self) -> None:
         """Fail fast on tau-leap/regime knobs (build time, not mid-sweep)."""
@@ -600,71 +625,6 @@ class TrialSpec:
                     f"got ({critical}, {ode})"
                 )
             object.__setattr__(self, "regime_thresholds", (critical, ode))
-
-    def _validate_crn(self) -> None:
-        """Fail fast on malformed CRN trials (build time, not mid-sweep)."""
-        from repro.crn.compile import CRN_MODES
-        from repro.crn.model import CRN
-        from repro.engine.selection import ENGINE_NAMES
-
-        if not isinstance(self.crn, CRN):
-            raise SimulationError(
-                "a crn trial needs the network itself (crn=CRN(...)); the full "
-                "spec travels in the trial so it can key the result cache"
-            )
-        if self.engine not in ENGINE_NAMES:
-            raise SimulationError(
-                f"unknown engine {self.engine!r}; expected one of "
-                f"{', '.join(ENGINE_NAMES)}"
-            )
-        if self.crn_mode not in CRN_MODES:
-            raise SimulationError(
-                f"unknown CRN lowering mode {self.crn_mode!r}; expected one of "
-                f"{', '.join(CRN_MODES)}"
-            )
-        if self.crn_mode == "thinned" and self.engine not in ("count", "batched"):
-            raise SimulationError(
-                f"the thinned CRN lowering targets the state-weighted scheduler, "
-                f"which the {self.engine} engine cannot run; use the count or "
-                f"batched engine (or mode='uniform')"
-            )
-        if self.scheduler is not None:
-            raise SimulationError(
-                "crn trials derive their scheduler from the lowering mode; "
-                "pass crn_mode='thinned' instead of scheduler=..."
-            )
-        if self.protocol is None and self.predicate is None:
-            raise SimulationError(
-                "a crn trial needs a convergence predicate: either a registered "
-                "CRN workload name (protocol=...) or an explicit predicate"
-            )
-
-    #: Scheduler capability each trial kind consumes (finite-state trials
-    #: defer to the chosen engine's capability).
-    _KIND_SCHEDULER_CAPABILITY = {
-        KIND_VECTOR: "rounds",
-        KIND_SEQUENTIAL: "pair",
-    }
-
-    def _validate_scheduler(self) -> None:
-        """Fail fast on unknown/incompatible schedulers or bad options."""
-        from repro.engine.scheduler import get_scheduler_policy
-        from repro.engine.selection import ENGINE_SCHEDULER_CAPABILITY
-
-        policy_cls = get_scheduler_policy(self.scheduler)
-        if self.kind == KIND_FINITE_STATE:
-            capability = ENGINE_SCHEDULER_CAPABILITY[self.engine]
-        else:
-            capability = self._KIND_SCHEDULER_CAPABILITY[self.kind]
-        if capability not in policy_cls.capabilities:
-            raise SimulationError(
-                f"scheduler {self.scheduler!r} is not compatible with "
-                f"{self.kind} trials on the {self.engine} engine "
-                f"(needs the {capability!r} capability; see `repro engines`)"
-            )
-        # Instantiate once so malformed options surface at build time, not
-        # inside a worker process mid-sweep.
-        self.scheduler_spec().build_policy()
 
     def scheduler_spec(self):
         """The trial's scheduler as a :class:`SchedulerSpec` (or ``None``).
@@ -763,11 +723,10 @@ class TrialSpec:
 
         ``protocol`` names a registered workload of the spec's kind (an
         unknown or wrong-kind name raises :class:`SimulationError`); a spec
-        naming none, and every sequential spec, runs on its kind's unnamed
-        entry, which the spec's own callables or network fill in.
+        naming none runs on its kind's unnamed entry, which the spec's own
+        callables or network fill in.
         """
-        name = None if self.kind == KIND_SEQUENTIAL else self.protocol
-        return _workload(name, self.kind)
+        return _workload(self.protocol, self.kind)
 
 
 def _as_budget(budget: float | Callable[[int], float]) -> Callable[[int], float]:
@@ -1028,34 +987,6 @@ def _enable_worker_telemetry(spool_dir: str | None) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SweepOutcome:
-    """Result of :func:`run_trials`: records in spec order plus provenance.
-
-    Attributes
-    ----------
-    records:
-        One :class:`RunRecord` per input spec, in input order — identical
-        regardless of ``workers`` or how many drivers share the store.
-    executed:
-        Unique trials actually simulated *by this driver* in this
-        invocation (specs sharing a cache key run once).
-    from_cache:
-        Trials replayed from the result store (including trials another
-        concurrent driver finished while this one was running).
-    executed_keys:
-        Store keys of the trials this driver simulated itself, in
-        completion order.  Lets distributed tests assert exactly-once
-        execution: two drivers sharing a store must report *disjoint* key
-        sets.
-    """
-
-    records: list[RunRecord] = field(default_factory=list)
-    executed: int = 0
-    from_cache: int = 0
-    executed_keys: list[str] = field(default_factory=list)
-
-
 def run_trials(
     specs: Sequence[TrialSpec],
     workers: int = 1,
@@ -1064,7 +995,7 @@ def run_trials(
     owner: str | None = None,
     poll_interval: float = 0.05,
     progress: Callable[[SweepProgress], None] | None = None,
-) -> SweepOutcome:
+) -> SweepResult:
     """Run a sweep of trials through a claim-loop over a result store.
 
     The driver repeatedly *claims* the next unowned spec from the store,
@@ -1081,8 +1012,9 @@ def run_trials(
     Parameters
     ----------
     specs:
-        The trials, typically from :func:`build_finite_state_trials` or the
-        :mod:`repro.harness.experiment` runners.
+        The trials, typically from a workload entry's ``trials`` (e.g.
+        ``get_workload("epidemic").trials(...)``) or one of the
+        ``build_*_trials`` builders.
     workers:
         Worker processes.  ``1`` runs claimed trials serially in-process
         (no pickling constraints); ``> 1`` runs them on a
@@ -1112,7 +1044,7 @@ def run_trials(
 
     Returns
     -------
-    SweepOutcome
+    SweepResult
         Records in spec order plus executed / from-cache provenance.
         Records depend only on the specs — identical regardless of
         ``workers``, driver count, or which store served them.
@@ -1255,7 +1187,7 @@ def run_trials(
             if _REC.enabled:
                 _REC.flush_spool()
 
-    return SweepOutcome(
+    return SweepResult(
         records=records,
         executed=len(executed_keys),
         from_cache=from_cache,

@@ -3,7 +3,7 @@
 Everything the harness reports is plain text (no plotting dependencies are
 available offline), rendered either as aligned tables or as a coarse ASCII
 scatter/line chart — enough to eyeball Figure 2's shape directly in a
-terminal or in EXPERIMENTS.md.
+terminal.
 """
 
 from __future__ import annotations
@@ -119,8 +119,7 @@ def render_ascii_series(
 ) -> str:
     """Render a coarse ASCII scatter of ``ys`` against ``xs``.
 
-    Used by the CLI and EXPERIMENTS.md to show the Figure 2 shape without a
-    plotting library.  ``log_x=True`` reproduces the paper's logarithmic
+    Used by the CLI to show the Figure 2 shape without a plotting library.  ``log_x=True`` reproduces the paper's logarithmic
     population-size axis.
     """
     if len(xs) != len(ys) or not xs:

@@ -63,14 +63,31 @@ class SeriesSummary:
 
 @dataclass
 class SweepResult:
-    """All run records of a sweep, grouped by population size."""
+    """What :func:`~repro.harness.parallel.run_trials` returns: the sweep's
+    records plus their provenance, with summaries by population size.
 
-    name: str
+    Attributes
+    ----------
+    records:
+        One :class:`RunRecord` per input spec, in input order — identical
+        regardless of ``workers`` or how many drivers share the store.
+    executed:
+        Unique trials actually simulated *by this driver* in this
+        invocation (specs sharing a cache key run once).
+    from_cache:
+        Trials replayed from the result store (including trials another
+        concurrent driver finished while this one was running).
+    executed_keys:
+        Store keys of the trials this driver simulated itself, in
+        completion order.  Lets distributed tests assert exactly-once
+        execution: two drivers sharing a store must report *disjoint* key
+        sets.
+    """
+
     records: list[RunRecord] = field(default_factory=list)
-
-    def add(self, record: RunRecord) -> None:
-        """Append one run record."""
-        self.records.append(record)
+    executed: int = 0
+    from_cache: int = 0
+    executed_keys: list[str] = field(default_factory=list)
 
     def population_sizes(self) -> list[int]:
         """Distinct population sizes in ascending order."""

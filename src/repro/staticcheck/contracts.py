@@ -220,8 +220,16 @@ def trial_spec_perturbations() -> tuple[Mapping[str, object], list[FieldPerturba
     # when set, and only the multiscale engine accepts them), so their
     # perturbations run on a multiscale CRN baseline.
     multiscale_base = dict(crn_base, engine="multiscale")
+    # A sequential spec names no workload, so the kind flips on a spec that
+    # carries its own callables.
+    sequential_base = {
+        "params": ProtocolParameters(),
+        "protocol": None,
+        "protocol_factory": EpidemicProtocol,
+        "predicate": epidemic_completion_predicate,
+    }
     perturbations = [
-        FieldPerturbation("kind", "sequential", base={"params": ProtocolParameters()}),
+        FieldPerturbation("kind", "sequential", base=sequential_base),
         FieldPerturbation("population_size", 65),
         FieldPerturbation("size_index", 1),
         FieldPerturbation("run_index", 1),

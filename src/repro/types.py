@@ -150,8 +150,9 @@ class Workload:
     ``NetworkWorkload`` in :mod:`repro.crn.library`) holds the kind's fields
     and behaviour, so callers use only this interface: :meth:`trials`
     expands a sweep into specs with the workload's default engine and
-    budget, and :meth:`run` builds the engine for one spec's ``(n, seed)``,
-    runs it to the predicate or the budget and records the kind's extras.
+    budget, :meth:`check` rejects a spec the entry cannot run, and
+    :meth:`run` builds the engine for one spec's ``(n, seed)``, runs it to
+    the predicate or the budget and records the kind's extras.
 
     Attributes
     ----------
@@ -185,6 +186,45 @@ class Workload:
     def trials(self, population_sizes, runs_per_size, **options) -> list:
         """One ``TrialSpec`` per (size, run), through the kind's builder."""
         raise NotImplementedError
+
+    def scheduler_capability(self, spec) -> str:
+        """The scheduler capability the spec's trial consumes: its engine's."""
+        from repro.engine.selection import ENGINE_SCHEDULER_CAPABILITY
+
+        return ENGINE_SCHEDULER_CAPABILITY[spec.engine]
+
+    def check(self, spec) -> None:
+        """Fail fast on a spec this entry cannot run (build time, not inside
+        a worker mid-sweep).  The base rejects a network and checks an
+        explicit scheduler against :meth:`scheduler_capability`."""
+        if spec.crn is not None:
+            raise SimulationError(
+                f"{spec.kind} trials do not take a CRN (crn=...); use kind='crn'"
+            )
+        if spec.scheduler is None:
+            return
+        from repro.engine.scheduler import get_scheduler_policy
+
+        policy_cls = get_scheduler_policy(spec.scheduler)
+        capability = self.scheduler_capability(spec)
+        if capability not in policy_cls.capabilities:
+            raise SimulationError(
+                f"scheduler {spec.scheduler!r} is not compatible with "
+                f"{spec.kind} trials on the {spec.engine} engine "
+                f"(needs the {capability!r} capability; see `repro engines`)"
+            )
+        # Instantiate once so malformed options surface now as well.
+        spec.scheduler_spec().build_policy()
+
+    @staticmethod
+    def _check_engine(spec) -> None:
+        from repro.engine.selection import ENGINE_NAMES
+
+        if spec.engine not in ENGINE_NAMES:
+            raise SimulationError(
+                f"unknown engine {spec.engine!r}; expected one of "
+                f"{', '.join(ENGINE_NAMES)}"
+            )
 
     def run(self, spec) -> RunRecord:
         """Build, run and record one trial; an exhausted budget is recorded

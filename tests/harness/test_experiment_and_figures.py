@@ -1,4 +1,4 @@
-"""Tests for the experiment runners, the Figure 2 builder and the tables."""
+"""Tests for sweeps of the paper workloads, the Figure 2 builder and the tables."""
 
 from __future__ import annotations
 
@@ -7,11 +7,12 @@ import math
 import pytest
 
 from repro.core.parameters import ProtocolParameters
-from repro.harness.experiment import (
-    ExperimentSpec,
-    run_array_experiment,
-    run_finite_state_experiment,
-    run_sequential_experiment,
+from repro.exceptions import SimulationError
+from repro.harness.parallel import (
+    ReferenceWorkload,
+    build_finite_state_trials,
+    get_workload,
+    run_trials,
 )
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
 from repro.harness.figures import figure2_from_sweep, reproduce_figure2
@@ -25,38 +26,25 @@ from repro.harness.tables import (
 FAST = ProtocolParameters.fast_test()
 
 
-class TestExperimentSpec:
-    def test_seed_derivation_is_distinct(self):
-        spec = ExperimentSpec(population_sizes=[16, 32], runs_per_size=3, base_seed=5)
-        seeds = {
-            spec.seed_for(size_index, run_index)
-            for size_index in range(2)
-            for run_index in range(3)
-        }
-        assert len(seeds) == 6
-
-    def test_budget_grows_with_population(self):
-        spec = ExperimentSpec(population_sizes=[16], params=FAST)
-        assert spec.budget_for(4_096) > spec.budget_for(64)
+def figure2_sweep(sizes, runs, **options):
+    """The ``figure2`` workload's trials at fast constants, run serially."""
+    specs = get_workload("figure2").trials(sizes, runs, params=FAST, **options)
+    return run_trials(specs)
 
 
-class TestRunners:
-    def test_array_experiment_produces_records(self):
-        spec = ExperimentSpec(
-            population_sizes=[64, 128], runs_per_size=2, params=FAST, base_seed=1
-        )
-        sweep = run_array_experiment(spec)
+class TestPaperWorkloadSweeps:
+    def test_figure2_trials_produce_records(self):
+        sweep = figure2_sweep([64, 128], 2, base_seed=1)
         assert len(sweep.records) == 4
         assert sweep.population_sizes() == [64, 128]
         assert all(record.converged for record in sweep.records)
         assert all(record.extra["engine"] == "vector" for record in sweep.records)
         assert all(record.extra["protocol"] == "figure2" for record in sweep.records)
 
-    def test_sequential_experiment_produces_records(self):
-        spec = ExperimentSpec(
-            population_sizes=[48], runs_per_size=2, params=FAST, base_seed=2
+    def test_sequential_trials_produce_records(self):
+        sweep = run_trials(
+            ReferenceWorkload(name=None).trials([48], 2, params=FAST, base_seed=2)
         )
-        sweep = run_sequential_experiment(spec)
         assert len(sweep.records) == 2
         assert all(record.converged for record in sweep.records)
         assert all(record.max_additive_error < 5.7 for record in sweep.records)
@@ -65,7 +53,7 @@ class TestRunners:
 class TestFiniteStateExperiment:
     @pytest.mark.parametrize("engine", ["agent", "count", "batched"])
     def test_runs_on_every_engine(self, engine):
-        sweep = run_finite_state_experiment(
+        sweep = run_trials(build_finite_state_trials(
             protocol_factory=EpidemicProtocol,
             predicate=epidemic_completion_predicate,
             population_sizes=[64, 128],
@@ -73,7 +61,7 @@ class TestFiniteStateExperiment:
             max_parallel_time=200.0,
             engine=engine,
             base_seed=9,
-        )
+        ))
         assert len(sweep.records) == 4
         assert all(record.converged for record in sweep.records)
         assert all(record.extra["engine"] == engine for record in sweep.records)
@@ -81,24 +69,23 @@ class TestFiniteStateExperiment:
                    for record in sweep.records)
 
     def test_engine_options_forwarded_to_batched(self):
-        sweep = run_finite_state_experiment(
+        sweep = run_trials(build_finite_state_trials(
             protocol_factory=EpidemicProtocol,
             predicate=epidemic_completion_predicate,
             population_sizes=[100],
             runs_per_size=1,
             engine="batched",
             batch_size=5,
-        )
+        ))
         assert sweep.records[0].converged
 
     def test_unknown_engine_raises(self):
-        from repro.exceptions import SimulationError
-
         with pytest.raises(SimulationError):
-            run_finite_state_experiment(
+            build_finite_state_trials(
                 protocol_factory=EpidemicProtocol,
                 predicate=epidemic_completion_predicate,
                 population_sizes=[32],
+                runs_per_size=1,
                 engine="warp",
             )
 
@@ -142,8 +129,7 @@ class TestFigure2:
         assert slope > 0
 
     def test_figure2_from_sweep_counts_failures(self):
-        spec = ExperimentSpec(population_sizes=[64], runs_per_size=1, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64], 1)
         sweep.records[0] = type(sweep.records[0])(
             population_size=64,
             seed=0,
@@ -156,8 +142,7 @@ class TestFigure2:
     def test_non_converged_runs_reported_per_size_not_dropped(self):
         """Regression: non-converged runs used to silently shrink the table's
         ``runs`` column below the requested runs_per_size."""
-        spec = ExperimentSpec(population_sizes=[64, 96], runs_per_size=2, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64, 96], 2)
         # Mark one of the two n=96 runs as budget-exhausted.
         failed_index = next(
             index
@@ -190,8 +175,7 @@ class TestFigure2:
         assert failed_rows[0].endswith(",")
 
     def test_all_runs_failed_at_a_size_keeps_the_size_visible(self):
-        spec = ExperimentSpec(population_sizes=[64], runs_per_size=1, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64], 1)
         sweep.records[0] = type(sweep.records[0])(
             population_size=64,
             seed=0,
@@ -205,8 +189,7 @@ class TestFigure2:
         assert "no converged runs" in result.ascii_plot()
 
     def test_growth_exponent_skips_sizes_with_no_converged_runs(self):
-        spec = ExperimentSpec(population_sizes=[64, 96], runs_per_size=1, params=FAST)
-        sweep = run_array_experiment(spec)
+        sweep = figure2_sweep([64, 96], 1)
         failed_index = next(
             index
             for index, record in enumerate(sweep.records)
@@ -228,8 +211,19 @@ class TestTables:
         table = accuracy_table([64, 128], runs_per_size=1, params=FAST, base_seed=4)
         assert table.headers[0] == "n"
         assert len(table.rows) == 2
-        assert all(row[3] < 5.7 for row in table.rows)  # max |err| below the claim
+        assert all(row[4] < 5.7 for row in table.rows)  # max |err| below the claim
         assert "claimed bound" in table.text
+
+    def test_accuracy_table_keeps_sizes_where_runs_did_not_converge(self):
+        """Regression: the table counted only converged runs, and a size
+        where no run converged lost its row."""
+        table = accuracy_table(
+            [64, 128], runs_per_size=3, params=FAST, time_budget_factor=0.6
+        )
+        assert table.headers[1:3] == ("runs", "non-conv")
+        assert [row[:3] for row in table.rows] == [(64, 1, 2), (128, 0, 3)]
+        assert table.rows[0][4] < 5.7
+        assert math.isnan(table.rows[1][3]) and math.isnan(table.rows[1][4])
 
     def test_state_complexity_table(self):
         table = state_complexity_table([64, 128], params=FAST, base_seed=5)
@@ -335,7 +329,7 @@ class TestTimingBreakdown:
             max_additive_error=0.3,
             extra={"telemetry": {"timing": {"engine.step": 0.5, "total": 0.6}}},
         )
-        sweep = SweepResult(name="t", records=[record])
+        sweep = SweepResult(records=[record])
         result = figure2_from_sweep(sweep, FAST)
         assert result.points[0].timing == {"engine.step": 0.5, "total": 0.6}
         assert result.timing_phases() == ["apply", "total"]

@@ -11,14 +11,9 @@ import pytest
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
-from repro.harness.experiment import (
-    ExperimentSpec,
-    run_array_experiment,
-    run_finite_state_experiment,
-    run_sequential_experiment,
-)
 from repro.harness.parallel import (
     KIND_FINITE_STATE,
+    ReferenceWorkload,
     TrialSpec,
     build_finite_state_trials,
     build_vector_trials,
@@ -66,6 +61,26 @@ def epidemic_trials(sizes=(64, 128), runs=2, **overrides):
     return build_finite_state_trials(**options)
 
 
+def figure2_trials(sizes=(64,), runs=1, **options):
+    return build_vector_trials(
+        list(sizes), runs, protocol="figure2", params=FAST, **options
+    )
+
+
+def sequential_trials(sizes=(64,), runs=1, **options):
+    return ReferenceWorkload(name=None).trials(
+        list(sizes), runs, params=FAST, **options
+    )
+
+
+#: One builder per trial kind whose sweep expansion is checked alike.
+SWEEP_BUILDERS = {
+    "finite-state": epidemic_trials,
+    "vector": figure2_trials,
+    "sequential": sequential_trials,
+}
+
+
 class TestSpawnSeed:
     def test_deterministic(self):
         assert spawn_seed(7, 1, 2) == spawn_seed(7, 1, 2)
@@ -90,27 +105,15 @@ class TestSpawnSeed:
         with pytest.raises(ValueError):
             spawn_seed(0, -1)
 
-
-class TestExperimentSpecValidation:
-    def test_empty_sizes_rejected(self):
-        with pytest.raises(SimulationError):
-            ExperimentSpec(population_sizes=[])
-
-    def test_tiny_population_rejected(self):
-        with pytest.raises(SimulationError):
-            ExperimentSpec(population_sizes=[64, 1])
-
-    def test_nonpositive_runs_rejected(self):
-        with pytest.raises(SimulationError):
-            ExperimentSpec(population_sizes=[64], runs_per_size=0)
-
-    def test_nonpositive_budget_factor_rejected(self):
-        with pytest.raises(SimulationError):
-            ExperimentSpec(population_sizes=[64], time_budget_factor=0.0)
-
-    def test_valid_spec_accepted(self):
-        spec = ExperimentSpec(population_sizes=[64], runs_per_size=2, params=FAST)
-        assert spec.seed_for(0, 0) != spec.seed_for(0, 1)
+    @pytest.mark.parametrize("kind", SWEEP_BUILDERS)
+    def test_every_size_and_run_gets_its_own_seed(self, kind):
+        specs = SWEEP_BUILDERS[kind](sizes=[16, 32], runs=3, base_seed=5)
+        assert [spec.seed for spec in specs] == [
+            spawn_seed(5, size_index, run_index)
+            for size_index in range(2)
+            for run_index in range(3)
+        ]
+        assert len({spec.seed for spec in specs}) == 6
 
 
 class TestTrialSpecValidation:
@@ -118,9 +121,27 @@ class TestTrialSpecValidation:
         with pytest.raises(SimulationError):
             TrialSpec(kind="warp", population_size=64, size_index=0, run_index=0)
 
-    def test_small_population_rejected(self):
-        with pytest.raises(SimulationError):
-            epidemic_trials(sizes=[1])
+    @pytest.mark.parametrize("kind", SWEEP_BUILDERS)
+    @pytest.mark.parametrize("sizes", [[1], [64, 1]])
+    def test_small_population_rejected(self, kind, sizes):
+        with pytest.raises(SimulationError, match="population_size must be >= 2"):
+            SWEEP_BUILDERS[kind](sizes=sizes)
+
+    @pytest.mark.parametrize("kind", SWEEP_BUILDERS)
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_nonpositive_budget_rejected(self, kind, budget):
+        with pytest.raises(SimulationError, match="max_parallel_time must be positive"):
+            SWEEP_BUILDERS[kind](max_parallel_time=budget)
+
+    @pytest.mark.parametrize("workload", ["figure2", "sequential"])
+    def test_default_budget_grows_with_population(self, workload):
+        entry = (
+            ReferenceWorkload(name=None)
+            if workload == "sequential"
+            else get_workload(workload)
+        )
+        small, large = entry.trials([64, 4096], 1, params=FAST)
+        assert large.max_parallel_time > small.max_parallel_time
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
@@ -167,11 +188,26 @@ class TestTrialSpecValidation:
         with pytest.raises(SimulationError, match="vector workload"):
             epidemic_trials(protocol="figure2")
 
-    def test_empty_sweep_rejected(self):
-        with pytest.raises(SimulationError):
-            epidemic_trials(sizes=[])
-        with pytest.raises(SimulationError):
-            epidemic_trials(runs=0)
+    @pytest.mark.parametrize("name", ["figure2", "epidemic"])
+    def test_sequential_spec_names_no_workload(self, name):
+        # The sequential kind runs only its unnamed reference entry; a name
+        # used to be ignored while still changing the key.
+        with pytest.raises(SimulationError, match="a sequential trial cannot run it"):
+            TrialSpec(
+                kind="sequential",
+                population_size=64,
+                size_index=0,
+                run_index=0,
+                protocol=name,
+                params=FAST,
+            )
+
+    @pytest.mark.parametrize("kind", SWEEP_BUILDERS)
+    def test_empty_sweep_rejected(self, kind):
+        with pytest.raises(SimulationError, match="non-empty"):
+            SWEEP_BUILDERS[kind](sizes=[])
+        with pytest.raises(SimulationError, match="runs_per_size must be >= 1"):
+            SWEEP_BUILDERS[kind](runs=0)
 
     def test_registered_workload_resolves(self):
         workload = get_workload("epidemic")
@@ -275,42 +311,37 @@ class TestParallelMatchesSerial:
             engine=engine,
             base_seed=9,
         )
-        serial = run_finite_state_experiment(**common, workers=1)
-        parallel = run_finite_state_experiment(**common, workers=2)
+        specs = build_finite_state_trials(**common)
+        serial = run_trials(specs, workers=1)
+        parallel = run_trials(specs, workers=2)
         assert all(
             records_equal(left, right)
             for left, right in zip(serial.records, parallel.records)
         )
 
     def test_workload_by_name(self):
-        sweep = run_finite_state_experiment(
-            "epidemic",
-            population_sizes=[64],
-            runs_per_size=2,
-            max_parallel_time=200.0,
-            engine="count",
+        sweep = run_trials(
+            get_workload("epidemic").trials(
+                [64], 2, max_parallel_time=200.0, engine="count"
+            ),
             workers=2,
         )
         assert len(sweep.records) == 2
         assert all(record.converged for record in sweep.records)
 
-    def test_array_experiment_parallel(self):
-        spec = ExperimentSpec(
-            population_sizes=[48, 64], runs_per_size=2, params=FAST, base_seed=1
-        )
-        serial = run_array_experiment(spec)
-        parallel = run_array_experiment(spec, workers=3)
+    def test_figure2_parallel(self):
+        specs = figure2_trials(sizes=[48, 64], runs=2, base_seed=1)
+        serial = run_trials(specs)
+        parallel = run_trials(specs, workers=3)
         assert all(
             records_equal(left, right)
             for left, right in zip(serial.records, parallel.records)
         )
 
-    def test_sequential_experiment_parallel(self):
-        spec = ExperimentSpec(
-            population_sizes=[48], runs_per_size=2, params=FAST, base_seed=2
-        )
-        serial = run_sequential_experiment(spec)
-        parallel = run_sequential_experiment(spec, workers=2)
+    def test_sequential_parallel(self):
+        specs = sequential_trials(sizes=[48], runs=2, base_seed=2)
+        serial = run_trials(specs)
+        parallel = run_trials(specs, workers=2)
         assert all(
             records_equal(left, right)
             for left, right in zip(serial.records, parallel.records)
@@ -428,24 +459,15 @@ class TestCacheKeys:
         assert changed.cache_key() != base.cache_key()
 
     def test_params_and_kind_affect_key(self):
-        spec = ExperimentSpec(
-            population_sizes=[48], runs_per_size=1, params=FAST, base_seed=3
-        )
-        sequential_trial = spec.trials("sequential", "sequential")[0]
+        (sequential_trial,) = sequential_trials(sizes=[48], base_seed=3)
         vector_trial = dataclasses.replace(
             sequential_trial, kind="vector", engine="vector", protocol="figure2"
         )
         assert vector_trial.cache_key() != sequential_trial.cache_key()
-        moderate = ExperimentSpec(
-            population_sizes=[48],
-            runs_per_size=1,
-            params=ProtocolParameters.moderate(),
-            base_seed=3,
+        (moderate,) = ReferenceWorkload(name=None).trials(
+            [48], 1, params=ProtocolParameters.moderate(), base_seed=3
         )
-        assert (
-            moderate.trials("sequential", "sequential")[0].cache_key()
-            != sequential_trial.cache_key()
-        )
+        assert moderate.cache_key() != sequential_trial.cache_key()
 
 
 def _reject_constant(text):
@@ -543,13 +565,31 @@ class TestVectorSweeps:
                 params=FAST,
             )
 
-    def test_vector_spec_requires_params(self):
-        with pytest.raises(SimulationError):
+    @pytest.mark.parametrize("engine", [None, "count", "batched", "agent"])
+    def test_vector_spec_requires_the_vector_engine(self, engine):
+        # Regression: the dataclass default engine="count" was accepted, and
+        # keyed (and labelled in manifests) a trial that ran on the vector
+        # engine, so it never replayed the builders' spec for that trial.
+        options = {} if engine is None else {"engine": engine}
+        with pytest.raises(SimulationError, match="runs on the vector engine"):
             TrialSpec(
                 kind="vector",
                 population_size=64,
                 size_index=0,
                 run_index=0,
+                protocol="figure2",
+                params=FAST,
+                **options,
+            )
+
+    def test_vector_spec_requires_params(self):
+        with pytest.raises(SimulationError, match="params"):
+            TrialSpec(
+                kind="vector",
+                population_size=64,
+                size_index=0,
+                run_index=0,
+                engine="vector",
                 protocol="figure2",
             )
 
@@ -560,6 +600,7 @@ class TestVectorSweeps:
                 population_size=64,
                 size_index=0,
                 run_index=0,
+                engine="vector",
                 protocol="no-such-workload",
                 params=FAST,
             )

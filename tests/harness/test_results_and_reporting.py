@@ -46,12 +46,14 @@ class TestSeriesSummary:
 
 class TestSweepResult:
     def _sweep(self) -> SweepResult:
-        sweep = SweepResult(name="demo")
-        sweep.add(_record(100, 0, 10.0, error=1.0))
-        sweep.add(_record(100, 1, 12.0, error=2.0))
-        sweep.add(_record(100, 2, None, error=math.nan))
-        sweep.add(_record(200, 0, 20.0, error=0.5))
-        return sweep
+        return SweepResult(
+            records=[
+                _record(100, 0, 10.0, error=1.0),
+                _record(100, 1, 12.0, error=2.0),
+                _record(100, 2, None, error=math.nan),
+                _record(200, 0, 20.0, error=0.5),
+            ]
+        )
 
     def test_population_sizes_sorted(self):
         assert self._sweep().population_sizes() == [100, 200]

@@ -33,12 +33,13 @@ import pytest
 from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.harness import parallel
-from repro.harness.experiment import ExperimentSpec, run_array_experiment
 from repro.harness.figures import reproduce_figure2
 from repro.harness.parallel import (
+    ReferenceWorkload,
     build_crn_trials,
     build_finite_state_trials,
     build_vector_trials,
+    get_workload,
     run_trials,
 )
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
@@ -91,9 +92,9 @@ def golden_sweep(name: str):
             backend="numpy",
         )
     assert name == "sequential"
-    return ExperimentSpec(
-        [12, 20], runs_per_size=2, params=FAST, base_seed=15
-    ).trials("sequential", "sequential")
+    return ReferenceWorkload(name=None).trials(
+        [12, 20], 2, params=FAST, base_seed=15
+    )
 
 
 SWEEPS = (
@@ -141,9 +142,14 @@ class TestGoldenSweeps:
             assert record_to_dict(record) == line["record"]
 
 
-class TestFigure2OnTheVectorWorkload:
-    SPEC = ExperimentSpec([48, 80], runs_per_size=2, params=FAST, base_seed=2019)
+def array_figure2_sweep(**options):
+    """The Figure 2 sweep behind ``golden/array-figure2.jsonl``."""
+    return get_workload("figure2").trials(
+        [48, 80], 2, params=FAST, base_seed=2019, **options
+    )
 
+
+class TestFigure2OnTheVectorWorkload:
     def test_reproduce_figure2_points_match_the_array_records(self):
         golden = [line["record"] for line in read_golden("array-figure2")]
         assert all(record["converged"] for record in golden)
@@ -161,7 +167,7 @@ class TestFigure2OnTheVectorWorkload:
         ]
 
     def test_records_differ_from_the_array_kind_only_in_labels(self):
-        sweep = run_array_experiment(self.SPEC)
+        sweep = run_trials(array_figure2_sweep())
         for record, line in zip(sweep.records, read_golden("array-figure2")):
             payload = record_to_dict(record)
             expected = line["record"]
@@ -194,13 +200,7 @@ class TestNativeReproducesTheFigure2Records:
         ]
 
     def test_array_figure2(self):
-        spec = TestFigure2OnTheVectorWorkload.SPEC
-        specs = build_vector_trials(
-            spec.population_sizes, spec.runs_per_size, protocol="figure2",
-            params=spec.params, base_seed=spec.base_seed,
-            max_parallel_time=spec.budget_for, backend="native",
-        )
-        outcome = run_trials(specs)
+        outcome = run_trials(array_figure2_sweep(backend="native"))
         golden = read_golden("array-figure2")
         assert len(outcome.records) == len(golden)
         for record, line in zip(outcome.records, golden):

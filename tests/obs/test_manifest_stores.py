@@ -9,8 +9,8 @@ import pytest
 
 from repro.backend import resolve_backend
 from repro.core.parameters import ProtocolParameters
-from repro.harness.experiment import ExperimentSpec
 from repro.harness.parallel import (
+    ReferenceWorkload,
     build_crn_trials,
     build_finite_state_trials,
     run_trial,
@@ -111,10 +111,9 @@ class TestTrialManifest:
     def test_sequential_trial_attributes_its_time_to_engine_phases(self):
         # The agent engine runs the shared run_until loop, so its steps and
         # predicate checks land in the manifest, not only in ``total``.
-        (spec,) = ExperimentSpec(
-            [48], runs_per_size=1, params=ProtocolParameters.fast_test(),
-            base_seed=15,
-        ).trials("sequential", "sequential")
+        (spec,) = ReferenceWorkload(name=None).trials(
+            [48], 1, params=ProtocolParameters.fast_test(), base_seed=15
+        )
         with recording():
             record = run_trial(spec)
         timing = record.extra[TELEMETRY_KEY]["timing"]
