@@ -56,6 +56,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -96,7 +97,7 @@ from repro.harness.parallel import (
 )
 from repro.harness.reporting import format_key_values, format_table
 from repro.harness.results import SweepResult
-from repro.store import DEFAULT_LEASE_SECONDS, StoreError, open_store
+from repro.store import DEFAULT_LEASE_SECONDS, StoreError, open_store, parse_store_url
 from repro.store.base import record_to_dict
 from repro.store.jsonl import JsonlStore
 from repro.harness.tables import accuracy_table, state_complexity_table
@@ -848,8 +849,23 @@ def _watch_store_status(store, interval: float, iterations: int | None) -> int:
     return 0
 
 
+def _open_status_store(url: str):
+    """Open the store ``repro store status`` reports on, creating nothing.
+
+    A local store (``jsonl:DIR``, ``sqlite:PATH``) must already exist: a
+    mistyped path is an error, not an empty store left behind.
+    ``jsonl:DIR`` reads every shard in the directory.
+    """
+    spec = parse_store_url(url)
+    if spec.scheme in ("jsonl", "sqlite") and not os.path.exists(spec.location):
+        raise StoreError(f"no {spec.scheme} store at {spec.location}")
+    if spec.scheme == "jsonl":
+        return JsonlStore.read_shards(spec.location)
+    return open_store(spec)
+
+
 def _cmd_store_status(args: argparse.Namespace) -> int:
-    store = open_store(args.store)
+    store = _open_status_store(args.store)
     if getattr(args, "watch", False):
         try:
             return _watch_store_status(
@@ -1317,7 +1333,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_status.add_argument(
         "--store", required=True,
-        help="store URL: jsonl:DIR, sqlite:PATH or http://HOST:PORT",
+        help="store URL: jsonl:DIR (every *.jsonl shard in DIR), "
+        "sqlite:PATH or http://HOST:PORT; a local store must already exist",
     )
     store_status.add_argument(
         "--watch", action="store_true",

@@ -59,18 +59,16 @@ match the SSA reference (``benchmarks/bench_multiscale.py``).
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
-    CountTracePoint,
+    CountArrayEngine,
+    check_population_size,
     initial_configuration_for,
-    run_until_predicate,
-    run_with_trace,
 )
 from repro.engine.scheduler import SchedulerSpec
 from repro.exceptions import SimulationError
@@ -335,17 +333,17 @@ class RegimeController:
         return ("ode" if self._ode else "stochastic"), self._critical
 
 
-class MultiscaleSimulator:
+class MultiscaleSimulator(CountArrayEngine):
     """Count-level engine advancing a protocol through adaptive regimes.
 
-    Implements the same interface as the other count-level engines
-    (``count`` / ``configuration`` / ``run_interactions`` / ``run_until`` /
-    ``run_with_trace``), so harness code, predicates and the CLI treat it as
-    ``engine="multiscale"``.  ``run_interactions(k)`` advances ``k / n``
-    units of parallel time; ``interactions`` reports the *effective*
-    interaction count ``round(parallel_time * n)`` — the work an
-    interaction-bound engine would have spent to get here, which is what
-    makes "effective interactions/s" comparable across BENCH files.
+    A :class:`~repro.engine.running.CountArrayEngine` like the batched
+    engine, so harness code, predicates and the CLI treat it as
+    ``engine="multiscale"``.  Its clock is continuous:
+    ``run_interactions(k)`` advances ``k / n`` units of parallel time,
+    :meth:`run_parallel_time` exactly ``time``, and ``interactions`` reports
+    the *effective* interaction count ``round(parallel_time * n)`` — the
+    work an interaction-bound engine would have spent to get here, which is
+    what makes "effective interactions/s" comparable across BENCH files.
 
     Parameters
     ----------
@@ -376,10 +374,7 @@ class MultiscaleSimulator:
         leap_eps: float = DEFAULT_LEAP_EPS,
         regime_thresholds: tuple[float, float] | None = None,
     ) -> None:
-        if population_size < 2:
-            raise SimulationError(
-                f"population must contain at least 2 agents, got {population_size}"
-            )
+        check_population_size(population_size)
         if not 0.0 < leap_eps <= 0.5:
             raise SimulationError(
                 f"leap_eps must be in (0, 0.5], got {leap_eps}"
@@ -409,6 +404,8 @@ class MultiscaleSimulator:
         self.regime_thresholds = (critical, ode)
 
         self.system = ReactionSystem(protocol, population_size)
+        self._states = self.system.states
+        self._state_index = self.system.index
         self.controller = RegimeController(
             self.system.num_channels, critical=critical, ode=ode
         )
@@ -457,28 +454,11 @@ class MultiscaleSimulator:
             "regime_switches": self.controller.switches,
         }
 
-    def _integer_snapshot(self) -> np.ndarray:
+    def _state_counts(self) -> np.ndarray:
+        """The counts, rounded (sum preserved) while in the ODE regime."""
         if self._ode_fractional:
             return integer_counts(self._counts, self.population_size)
         return self._counts
-
-    def configuration(self) -> Configuration:
-        """The current configuration (ODE counts rounded, sum preserved)."""
-        snapshot = self._integer_snapshot()
-        return Configuration(
-            {
-                state: int(snapshot[position])
-                for position, state in enumerate(self.system.states)
-                if snapshot[position] > 0
-            }
-        )
-
-    def count(self, state: Hashable) -> int:
-        """Current count of ``state`` (rounded while in the ODE regime)."""
-        position = self.system.index.get(state)
-        if position is None:
-            return 0
-        return int(self._integer_snapshot()[position])
 
     def states_seen(self) -> frozenset[Hashable]:
         """All states that have had positive count at any point of the run."""
@@ -487,16 +467,6 @@ class MultiscaleSimulator:
             for position, state in enumerate(self.system.states)
             if self._seen[position]
         )
-
-    def outputs(self) -> Counter:
-        """Histogram of outputs over the population."""
-        snapshot = self._integer_snapshot()
-        histogram: Counter = Counter()
-        for position, state in enumerate(self.system.states):
-            count = int(snapshot[position])
-            if count:
-                histogram[self.protocol.output(state)] += count
-        return histogram
 
     # -- stepping -------------------------------------------------------------
 
@@ -507,25 +477,15 @@ class MultiscaleSimulator:
         self._advance_to(self.parallel_time + count / self.population_size)
 
     def run_parallel_time(self, time: float) -> None:
-        """Advance ``time`` further units of parallel time."""
+        """Advance exactly ``time`` further units of parallel time.
+
+        Overrides the shared ``ceil(time * n) / n`` rounding: the clock is
+        continuous, and an ad-hoc ``--reaction`` run reports the chemical
+        time it reached.
+        """
         if time < 0:
-            raise SimulationError(f"parallel time must be >= 0, got {time}")
+            raise SimulationError(f"parallel time must be non-negative, got {time}")
         self._advance_to(self.parallel_time + time)
-
-    def run_until(
-        self,
-        predicate: Callable[["MultiscaleSimulator"], bool],
-        max_parallel_time: float,
-        check_interval: int | None = None,
-    ) -> float:
-        """Run until ``predicate(self)`` holds; return the parallel time."""
-        return run_until_predicate(self, predicate, max_parallel_time, check_interval)
-
-    def run_with_trace(
-        self, total_parallel_time: float, samples: int
-    ) -> list[CountTracePoint]:
-        """Run for ``total_parallel_time``; return evenly spaced snapshots."""
-        return run_with_trace(self, total_parallel_time, samples)
 
     # -- the regime loop ------------------------------------------------------
 

@@ -28,28 +28,31 @@ Five engines are provided:
   ``Log-Size-Estimation`` and leader-terminating paper protocols, whose
   unbounded per-agent fields rule out count compression) and, through
   :class:`~repro.engine.vector.VectorFiniteStateSimulator`, any finite-state
-  protocol with the count queries of the other engines.  It runs the
-  shared run loops of :mod:`repro.engine.running`.
+  protocol with the count queries of the other engines.
 
 * :class:`repro.crn.multiscale.MultiscaleSimulator` — the *multiscale*
   engine: adaptive exact-SSA / tau-leap / mean-field-ODE regime switching
   over a finite-state protocol's compiled channels, approximate but
   count-bound, for ``n`` up to ``10^12``.
 
-:func:`repro.engine.selection.build_engine` constructs any of the five
-behind a shared count-level interface; see ``DESIGN.md`` (Engine selection).
+Every engine derives from :class:`repro.engine.running.Engine`, which
+holds the interface they share (``run_parallel_time``, ``run_until``,
+``run_with_trace``, ``outputs``); the engines that keep one count per
+compiled state also share ``configuration`` and ``count`` through
+:class:`~repro.engine.running.CountArrayEngine`.
+:func:`repro.engine.selection.build_engine` constructs any of the five by
+one lookup in its engine table; see ``DESIGN.md`` (Engine selection).
 
 Supporting pieces: the interaction schedulers
 (:mod:`repro.engine.scheduler`), configuration multisets
-(:mod:`repro.engine.configuration`), metric collection
-(:mod:`repro.engine.metrics`) and the run loops every engine shares
-(:mod:`repro.engine.running`).
+(:mod:`repro.engine.configuration`) and metric collection
+(:mod:`repro.engine.metrics`).
 """
 
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.configuration import Configuration
 from repro.engine.count_simulator import CountSimulator
-from repro.engine.running import CountTracePoint
+from repro.engine.running import CountArrayEngine, CountTracePoint, Engine
 from repro.engine.selection import (
     ENGINE_NAMES,
     CountingSimulationAdapter,
@@ -81,9 +84,11 @@ from repro.engine.vector import (
 __all__ = [
     "BatchedCountSimulator",
     "Configuration",
+    "CountArrayEngine",
     "CountTracePoint",
     "CountingSimulationAdapter",
     "ENGINE_NAMES",
+    "Engine",
     "build_engine",
     "CountSimulator",
     "SimulationMetrics",

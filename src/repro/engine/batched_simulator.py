@@ -72,30 +72,27 @@ engines agree in distribution, not draw-for-draw).
 from __future__ import annotations
 
 import math
-from collections import Counter
-from typing import Callable, Hashable
+from typing import Hashable
 
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
-    CountTracePoint,
+    CountArrayEngine,
+    check_population_size,
     initial_configuration_for,
-    run_until_predicate,
-    run_with_trace,
 )
 from repro.engine.scheduler import SchedulerSpec
 from repro.exceptions import SimulationError
 from repro.obs.recorder import RECORDER as _REC
 from repro.protocols.base import FiniteStateProtocol
 from repro.protocols.compiled import CompiledTransitionTable, compile_transition_table
-from repro.types import interactions_for_time
 
 __all__ = ["BatchedCountSimulator"]
 
 
-class BatchedCountSimulator:
+class BatchedCountSimulator(CountArrayEngine):
     """Simulate a :class:`FiniteStateProtocol` by counts, many interactions at a time.
 
     Parameters
@@ -147,13 +144,12 @@ class BatchedCountSimulator:
         scheduler: "SchedulerSpec | str | None" = None,
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
-        if population_size < 2:
-            raise SimulationError(
-                f"population must contain at least 2 agents, got {population_size}"
-            )
+        check_population_size(population_size)
         self.protocol = protocol
         self.population_size = population_size
         self.table: CompiledTransitionTable = compile_transition_table(protocol)
+        self._states = self.table.states
+        self._state_index = self.table.index
         self._rng = np.random.default_rng(seed)
         size = self.table.num_states
         self._counts = np.zeros(size, dtype=np.int64)
@@ -201,22 +197,8 @@ class BatchedCountSimulator:
         """Parallel time elapsed so far."""
         return self.interactions / self.population_size
 
-    def configuration(self) -> Configuration:
-        """Return the current configuration (immutable copy)."""
-        return Configuration(
-            {
-                self.table.states[position]: int(count)
-                for position, count in enumerate(self._counts)
-                if count > 0
-            }
-        )
-
-    def count(self, state: Hashable) -> int:
-        """Return the current count of ``state`` (0 for unknown states)."""
-        position = self.table.index.get(state)
-        if position is None:
-            return 0
-        return int(self._counts[position])
+    def _state_counts(self) -> np.ndarray:
+        return self._counts
 
     def states_seen(self) -> frozenset[Hashable]:
         """All states that have had positive count at any point of the run."""
@@ -227,15 +209,7 @@ class BatchedCountSimulator:
         )
         return frozenset(seen)
 
-    def outputs(self) -> Counter:
-        """Histogram of outputs over the population."""
-        histogram: Counter = Counter()
-        for position, count in enumerate(self._counts):
-            if count > 0:
-                histogram[self.protocol.output(self.table.states[position])] += int(count)
-        return histogram
-
-    # -- public running interface (mirrors CountSimulator) ---------------------
+    # -- stepping -------------------------------------------------------------
 
     def run_interactions(self, count: int) -> None:
         """Execute exactly ``count`` additional interactions.
@@ -266,37 +240,3 @@ class BatchedCountSimulator:
         _REC.count("engine.batched_batches", self.batched_batches - batched_before)
         _REC.count("engine.fallback_batches", self.fallback_batches - fallback_before)
         _REC.count("engine.interactions", count)
-
-    def run_parallel_time(self, time: float) -> None:
-        """Execute (at least) ``time`` additional units of parallel time."""
-        self.run_interactions(interactions_for_time(time, self.population_size))
-
-    def run_until(
-        self,
-        predicate: Callable[["BatchedCountSimulator"], bool],
-        max_parallel_time: float,
-        check_interval: int | None = None,
-    ) -> float:
-        """Run until ``predicate(self)`` holds; return the parallel time reached.
-
-        The predicate is evaluated every ``check_interval`` interactions
-        (default: every ``n`` interactions, i.e. once per unit of parallel
-        time).
-
-        Raises
-        ------
-        ConvergenceError
-            If the predicate does not hold within ``max_parallel_time``.
-        """
-        return run_until_predicate(self, predicate, max_parallel_time, check_interval)
-
-    def run_with_trace(
-        self, total_parallel_time: float, samples: int
-    ) -> list[CountTracePoint]:
-        """Run for ``total_parallel_time``; return evenly spaced snapshots.
-
-        See :func:`repro.engine.running.run_with_trace`: the initial
-        configuration plus the exact checkpoints of
-        :func:`repro.types.snapshot_boundaries`.
-        """
-        return run_with_trace(self, total_parallel_time, samples)

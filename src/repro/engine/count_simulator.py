@@ -35,25 +35,24 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from collections import Counter
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
     CountTracePoint,
+    Engine,
+    check_population_size,
     initial_configuration_for,
-    run_until_predicate,
-    run_with_trace,
 )
 from repro.engine.scheduler import SchedulerSpec
 from repro.exceptions import SimulationError
 from repro.protocols.base import FiniteStateProtocol
 from repro.rng import RandomSource
-from repro.types import interactions_for_time
 
 __all__ = ["CountSimulator", "CountTracePoint"]
 
 
-class CountSimulator:
+class CountSimulator(Engine):
     """Simulate a :class:`~repro.protocols.base.FiniteStateProtocol` by counts.
 
     Parameters
@@ -85,10 +84,7 @@ class CountSimulator:
         initial_configuration: Configuration | None = None,
         scheduler: "SchedulerSpec | str | None" = None,
     ) -> None:
-        if population_size < 2:
-            raise SimulationError(
-                f"population must contain at least 2 agents, got {population_size}"
-            )
+        check_population_size(population_size)
         self.protocol = protocol
         self.population_size = population_size
         self.rng = RandomSource(seed=seed)
@@ -135,13 +131,6 @@ class CountSimulator:
     def states_seen(self) -> frozenset[Hashable]:
         """All states that have had positive count at any point of the run."""
         return frozenset(self._states_seen)
-
-    def outputs(self) -> Counter:
-        """Histogram of outputs over the population."""
-        histogram: Counter = Counter()
-        for state, count in self._counts.items():
-            histogram[self.protocol.output(state)] += count
-        return histogram
 
     # -- stepping -----------------------------------------------------------------
 
@@ -256,28 +245,18 @@ class CountSimulator:
     def step(self) -> None:
         """Execute one interaction."""
         receiver_state, sender_state = self._sample_ordered_state_pair()
-        outcomes = self.protocol.transitions(receiver_state, sender_state)
         self.interactions += 1
-        if not outcomes:
-            return
-        draw = self.rng.random()
-        cumulative = 0.0
-        chosen = None
-        for outcome in outcomes:
-            cumulative += outcome.probability
-            if draw < cumulative:
-                chosen = outcome
-                break
-        if chosen is None:
-            return  # residual mass = null transition
-        if (chosen.receiver_out, chosen.sender_out) == (receiver_state, sender_state):
+        receiver_out, sender_out = self.protocol.sample_outcome(
+            receiver_state, sender_state, self.rng
+        )
+        if (receiver_out, sender_out) == (receiver_state, sender_state):
             return
         self._counts[receiver_state] -= 1
         self._counts[sender_state] -= 1
-        self._counts[chosen.receiver_out] += 1
-        self._counts[chosen.sender_out] += 1
-        self._states_seen.add(chosen.receiver_out)
-        self._states_seen.add(chosen.sender_out)
+        self._counts[receiver_out] += 1
+        self._counts[sender_out] += 1
+        self._states_seen.add(receiver_out)
+        self._states_seen.add(sender_out)
         for state in (receiver_state, sender_state):
             if self._counts[state] == 0:
                 del self._counts[state]
@@ -289,36 +268,3 @@ class CountSimulator:
             raise SimulationError(f"interaction count must be non-negative, got {count}")
         for _ in range(count):
             self.step()
-
-    def run_parallel_time(self, time: float) -> None:
-        """Execute (at least) ``time`` additional units of parallel time."""
-        self.run_interactions(interactions_for_time(time, self.population_size))
-
-    def run_until(
-        self,
-        predicate: Callable[["CountSimulator"], bool],
-        max_parallel_time: float,
-        check_interval: int | None = None,
-    ) -> float:
-        """Run until ``predicate(self)`` holds; return the parallel time reached.
-
-        Raises
-        ------
-        ConvergenceError
-            If the predicate does not hold within ``max_parallel_time``.
-        """
-        return run_until_predicate(self, predicate, max_parallel_time, check_interval)
-
-    def run_with_trace(
-        self, total_parallel_time: float, samples: int
-    ) -> list[CountTracePoint]:
-        """Run for ``total_parallel_time``; return evenly spaced snapshots.
-
-        See :func:`repro.engine.running.run_with_trace`: the initial
-        configuration plus exactly ``samples`` checkpoints at the exact
-        boundaries of :func:`repro.types.snapshot_boundaries` whenever the
-        run is at least ``samples`` interactions long (chunking by
-        ``total // samples``, as this method once did, could return far more
-        or fewer snapshots than requested).
-        """
-        return run_with_trace(self, total_parallel_time, samples)

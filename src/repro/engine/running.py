@@ -1,26 +1,27 @@
-"""Shared construction and run-loop helpers for the engines.
+"""The engine interface, and the run loops every engine shares.
 
-The engines behind :func:`repro.engine.selection.build_engine`, the
-agent-level :class:`~repro.engine.simulator.Simulation` and the vector
-engine's :class:`~repro.engine.vector.VectorSimulator` share an interface
-(``population_size``, ``interactions``, ``parallel_time``,
-``run_interactions``, ``configuration``).  The predicate loop of
-``run_until`` and the snapshot loop of ``run_with_trace`` are pure functions
-of that interface, so they live here once instead of being copied into every
-engine — a fix to the budget accounting or the snapshot boundaries applies
-to all engines at the same time.  The same holds for the checked starting
-configuration (:func:`initial_configuration_for`) of the engines that store
-counts.
+Every engine derives from :class:`Engine`.  An engine provides only what
+differs: its constructor, its clock (``population_size``, ``interactions``,
+``parallel_time``), ``run_interactions``, its count representation
+(``configuration``) and ``states_seen``.  :class:`Engine` derives
+``run_parallel_time``, ``run_until``, ``run_with_trace`` and ``outputs``
+from those, and :class:`CountArrayEngine` adds ``configuration`` and
+``count`` for the engines that keep one count per compiled state, so a fix
+to the budget accounting or an argument check applies to every engine.
 
-Both loops measure progress on the engine's own clock (``parallel_time``),
-not by the chunk sizes they asked for, so an engine that can only stop at
-round boundaries overshoots a chunk without the overshoot adding up.
+The predicate loop (:func:`run_until_predicate`) and the snapshot loop
+(:func:`run_with_trace`) measure progress on the engine's own clock, not by
+the chunk sizes they asked for, so an engine that can only stop at round
+boundaries overshoots a chunk without the overshoot adding up.  The
+construction checks the engines share live here too.
 """
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Container, Hashable
+from typing import Any, Callable, Container, Hashable, Mapping
 
 from repro.engine.configuration import Configuration
 from repro.exceptions import ConvergenceError, SimulationError
@@ -29,8 +30,12 @@ from repro.protocols.base import FiniteStateProtocol
 from repro.types import interactions_for_time, snapshot_boundaries
 
 __all__ = [
+    "CountArrayEngine",
     "CountTracePoint",
+    "Engine",
+    "check_population_size",
     "initial_configuration_for",
+    "initial_states_for",
     "run_until_predicate",
     "run_with_trace",
 ]
@@ -43,6 +48,85 @@ class CountTracePoint:
     interaction: int
     parallel_time: float
     configuration: Configuration
+
+
+class Engine(ABC):
+    """The interface every simulation engine shares.
+
+    Three engines override one method each: ``VectorSimulator.run_until``
+    (checks every round, round-aligned budget),
+    ``MultiscaleSimulator.run_parallel_time`` (advances exactly ``time``)
+    and ``Simulation.outputs`` (the per-agent list).
+    """
+
+    protocol: Any
+    population_size: int
+
+    @abstractmethod
+    def run_interactions(self, count: int) -> None:
+        """Execute ``count`` additional interactions on the engine's clock."""
+
+    def run_parallel_time(self, time: float) -> None:
+        """Execute (at least) ``time`` additional units of parallel time."""
+        if time < 0:
+            raise SimulationError(f"parallel time must be non-negative, got {time}")
+        self.run_interactions(interactions_for_time(time, self.population_size))
+
+    def run_until(
+        self,
+        predicate: Callable[[Any], bool],
+        max_parallel_time: float,
+        check_interval: int | None = None,
+    ) -> float:
+        """Run until ``predicate(self)`` holds; return the parallel time
+        reached (see :func:`run_until_predicate`)."""
+        return run_until_predicate(self, predicate, max_parallel_time, check_interval)
+
+    def run_with_trace(
+        self, total_parallel_time: float, samples: int
+    ) -> list[CountTracePoint]:
+        """Run for ``total_parallel_time``; return evenly spaced snapshots
+        (see :func:`run_with_trace`)."""
+        return run_with_trace(self, total_parallel_time, samples)
+
+    def outputs(self) -> Counter:
+        """Histogram of outputs over the population."""
+        histogram: Counter = Counter()
+        for state, count in self.configuration().items():
+            histogram[self.protocol.output(state)] += count
+        return histogram
+
+
+class CountArrayEngine(Engine):
+    """An engine that keeps one count per compiled state: subclasses set
+    ``_states`` (table order) and ``_state_index`` (state → position)."""
+
+    _states: tuple[Hashable, ...]
+    _state_index: Mapping[Hashable, int]
+
+    @abstractmethod
+    def _state_counts(self):
+        """The current integer count of every state, indexed like ``_states``."""
+
+    def configuration(self) -> Configuration:
+        """Return the current configuration (immutable copy)."""
+        pairs = zip(self._states, self._state_counts())
+        return Configuration({state: int(count) for state, count in pairs if count > 0})
+
+    def count(self, state: Hashable) -> int:
+        """Return the current count of ``state`` (0 for unknown states)."""
+        position = self._state_index.get(state)
+        if position is None:
+            return 0
+        return int(self._state_counts()[position])
+
+
+def check_population_size(population_size: int) -> None:
+    """Reject populations of fewer than two agents (no pair can interact)."""
+    if population_size < 2:
+        raise SimulationError(
+            f"population must contain at least 2 agents, got {population_size}"
+        )
 
 
 def initial_configuration_for(
@@ -65,11 +149,7 @@ def initial_configuration_for(
     """
     if initial_configuration is None:
         initial_configuration = protocol.initial_configuration(population_size)
-    if initial_configuration.size != population_size:
-        raise SimulationError(
-            f"initial configuration has size {initial_configuration.size}, "
-            f"expected {population_size}"
-        )
+    _check_size(initial_configuration, population_size)
     for state in initial_configuration:
         if state not in states:
             raise SimulationError(
@@ -77,6 +157,32 @@ def initial_configuration_for(
                 f"the protocol's state set"
             )
     return initial_configuration
+
+
+def initial_states_for(
+    initial_configuration: Configuration | None, population_size: int
+) -> list[Hashable] | None:
+    """The per-agent layout of a configuration (``None`` passes through),
+    state by state in ``repr`` order, so the agent engines' RNG streams do
+    not depend on the configuration's key order."""
+    if initial_configuration is None:
+        return None
+    _check_size(initial_configuration, population_size)
+    return [
+        state
+        for state, count in sorted(
+            initial_configuration.items(), key=lambda item: repr(item[0])
+        )
+        for _ in range(count)
+    ]
+
+
+def _check_size(configuration: Configuration, population_size: int) -> None:
+    if configuration.size != population_size:
+        raise SimulationError(
+            f"initial configuration has size {configuration.size}, "
+            f"expected {population_size}"
+        )
 
 
 def _trace_point(simulator) -> CountTracePoint:

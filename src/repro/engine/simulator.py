@@ -5,8 +5,9 @@ model: a population of ``n`` agents, each holding a protocol-defined state
 object, interacting in uniformly random ordered pairs.  It supports
 
 * running for a fixed number of interactions or amount of parallel time,
-* running until a predicate holds (with an interaction budget), through the
-  run loop every engine shares (:mod:`repro.engine.running`),
+  until a predicate holds (with an interaction budget), or with evenly
+  spaced snapshots, through the interface every engine shares
+  (:class:`repro.engine.running.Engine`),
 * optional tracking of the distinct states used (space complexity), and
 * snapshots of the population as :class:`~repro.engine.configuration.Configuration`
   multisets.
@@ -21,19 +22,14 @@ from typing import Any, Callable, Sequence
 
 from repro.engine.configuration import Configuration
 from repro.engine.metrics import SimulationMetrics, StateUsageTracker
-from repro.engine.running import run_until_predicate
-from repro.engine.scheduler import (
-    InteractionScheduler,
-    SchedulerSpec,
-    SequentialScheduler,
-)
+from repro.engine.running import Engine, check_population_size
+from repro.engine.scheduler import InteractionScheduler, SchedulerSpec
 from repro.exceptions import SimulationError
 from repro.protocols.base import AgentProtocol
 from repro.rng import RandomSource
-from repro.types import interactions_for_time
 
 
-class Simulation:
+class Simulation(Engine):
     """Drive an :class:`~repro.protocols.base.AgentProtocol` on ``n`` agents.
 
     Parameters
@@ -70,17 +66,12 @@ class Simulation:
         track_states: bool = False,
         initial_states: Sequence[Any] | None = None,
     ) -> None:
-        if population_size < 2:
-            raise SimulationError(
-                f"population must contain at least 2 agents, got {population_size}"
-            )
+        check_population_size(population_size)
         self.protocol = protocol
         self.population_size = population_size
         self.rng = RandomSource(seed=seed)
         if isinstance(scheduler, InteractionScheduler):
             self.scheduler = scheduler
-        elif scheduler is None:
-            self.scheduler = SequentialScheduler(population_size, self.rng)
         else:
             spec = SchedulerSpec.coerce(scheduler)
             self.scheduler = spec.build_policy().make_pair_scheduler(
@@ -148,33 +139,14 @@ class Simulation:
         for _ in range(count):
             self.step()
 
-    def run_parallel_time(self, time: float) -> None:
-        """Execute (at least) ``time`` additional units of parallel time."""
-        self.run_interactions(interactions_for_time(time, self.population_size))
-
-    def run_until(
-        self,
-        predicate: Callable[["Simulation"], bool],
-        max_parallel_time: float,
-        check_interval: int | None = None,
-    ) -> float:
-        """Run until ``predicate(self)`` holds; return the parallel time reached.
-
-        The predicate is evaluated every ``check_interval`` interactions
-        (default: every ``n`` interactions, i.e. once per unit of parallel
-        time).
-
-        Raises
-        ------
-        ConvergenceError
-            If the predicate never holds within ``max_parallel_time``.
-        """
-        return run_until_predicate(self, predicate, max_parallel_time, check_interval)
-
     # -- inspection ----------------------------------------------------------------
 
     def outputs(self) -> list[Any]:
-        """Return the per-agent outputs as computed by the protocol."""
+        """Return the per-agent outputs as computed by the protocol.
+
+        Unlike the other engines' histogram, a list: an agent-level
+        protocol's outputs (per-agent estimates) are read agent by agent.
+        """
         return [self.protocol.output(state) for state in self.states]
 
     def configuration(self) -> Configuration:

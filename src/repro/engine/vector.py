@@ -22,7 +22,7 @@ Three kinds of protocol run on it:
   generic :class:`FiniteStateVectorProtocol` kernel compiled from the same
   transition tables as the batched engine.  :class:`VectorFiniteStateSimulator`
   adds the count queries of the other engines to that kernel's simulator,
-  so ``build_engine("vector", ...)`` is a drop-in fourth engine.
+  so ``build_engine("vector", ...)`` is a drop-in engine like the others.
 
 Scheduling is pluggable at the *round* level: the engine consumes any
 :class:`~repro.engine.scheduler.RoundScheduler` (default: the shared
@@ -37,8 +37,8 @@ round still advances the parallel-time clock by its nominal
 ``floor(n/2) / n`` tick (idle agents cost time, so lazy or starved
 populations converge later — consistent with the per-pair realisations of
 the same scenarios), while ``interactions`` reports the pairs actually
-executed.  :class:`VectorSimulator` runs the shared run loops of
-:mod:`repro.engine.running` on that clock.  Convergence is measured
+executed.  :class:`VectorSimulator` is an
+:class:`~repro.engine.running.Engine` on that clock.  Convergence is measured
 *exactly*: by default the convergence condition is evaluated after every
 round (an ``O(n)`` reduction, negligible next to the round itself), never
 on a coarser grid — see :meth:`VectorSimulator.run_until`.
@@ -47,20 +47,24 @@ on a coarser grid — see :meth:`VectorSimulator.run_until`.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from collections import Counter
 from typing import Callable, Hashable, Sequence
 
 import numpy as np
 
 from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
-from repro.engine.running import CountTracePoint, run_until_predicate, run_with_trace
+from repro.engine.running import (
+    CountArrayEngine,
+    Engine,
+    check_population_size,
+    initial_states_for,
+    run_until_predicate,
+)
 from repro.engine.scheduler import RoundScheduler, SchedulerSpec
 from repro.exceptions import SimulationError
 from repro.obs.recorder import RECORDER as _REC
-from repro.protocols.base import FiniteStateProtocol
+from repro.protocols.base import FiniteStateProtocol, ProtocolOutput
 from repro.protocols.compiled import CompiledTransitionTable, compile_transition_table
-from repro.types import interactions_for_time
 
 __all__ = [
     "FiniteStateVectorProtocol",
@@ -82,10 +86,7 @@ class VectorFields:
     """
 
     def __init__(self, population_size: int) -> None:
-        if population_size < 2:
-            raise SimulationError(
-                f"population must contain at least 2 agents, got {population_size}"
-            )
+        check_population_size(population_size)
         self.n = population_size
         self._arrays: dict[str, np.ndarray] = {}
         self._observed_max: dict[str, int] = {}
@@ -177,16 +178,14 @@ class VectorProtocol(ABC):
         return {}
 
 
-class VectorSimulator:
+class VectorSimulator(Engine):
     """Drive a :class:`VectorProtocol` over synchronous random-matching rounds.
 
-    The engine has the count-level run interface of the other engines
-    (``population_size``, ``interactions``, ``parallel_time``,
-    ``run_interactions``, ``run_parallel_time``, ``run_until``,
-    ``run_with_trace``); the predicate and snapshot loops are the shared ones
-    of :mod:`repro.engine.running`.  All of them read one clock in nominal
-    interactions, which :meth:`run_round` advances by ``floor(n/2)`` per
-    round, so every run stops at a round boundary.
+    An :class:`~repro.engine.running.Engine`: ``run_parallel_time`` and
+    ``run_with_trace`` are the shared ones, and :meth:`run_until` is the
+    shared predicate loop with a round-aligned budget.  All of them read one
+    clock in nominal interactions, which :meth:`run_round` advances by
+    ``floor(n/2)`` per round, so every run stops at a round boundary.
 
     Parameters
     ----------
@@ -332,10 +331,6 @@ class VectorSimulator:
         while self._clock < target:
             self.run_round()
 
-    def run_parallel_time(self, time: float) -> None:
-        """Run whole rounds until ``time`` more units of parallel time passed."""
-        self.run_interactions(interactions_for_time(time, self.population_size))
-
     def run_until(
         self,
         predicate: Callable[["VectorSimulator"], bool],
@@ -344,7 +339,8 @@ class VectorSimulator:
     ) -> float:
         """Run until ``predicate(self)`` holds; return the parallel time reached.
 
-        The predicate is checked after every round (default), so the time
+        The shared predicate loop, with two vector-engine defaults: the
+        predicate is checked after every round (default), so the time
         returned is exact to the round, or every ``ceil(check_interval /
         floor(n/2))`` rounds.  The run stops at the round that crosses
         ``floor(max_parallel_time * n)`` nominal interactions.  The tracked
@@ -363,18 +359,6 @@ class VectorSimulator:
             )
         finally:
             self.fields.sample_ranges()
-
-    def run_with_trace(
-        self, total_parallel_time: float, samples: int
-    ) -> list[CountTracePoint]:
-        """Run for ``total_parallel_time``; return evenly spaced snapshots.
-
-        See :func:`repro.engine.running.run_with_trace`: each snapshot lands
-        on the first round boundary at or after its exact boundary.  A
-        snapshot holds a ``configuration()``, which the count-level
-        :class:`VectorFiniteStateSimulator` provides.
-        """
-        return run_with_trace(self, total_parallel_time, samples)
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +400,10 @@ class FiniteStateVectorProtocol(VectorProtocol):
     def describe(self) -> str:
         return f"Vector({self.protocol.describe()})"
 
+    def output(self, state: Hashable) -> ProtocolOutput:
+        """The finite-state protocol's output of ``state``."""
+        return self.protocol.output(state)
+
     def init_fields(self, fields: VectorFields, rng: np.random.Generator) -> None:
         state = fields.add("state", np.int64)
         if self._initial_states is not None:
@@ -444,19 +432,15 @@ class FiniteStateVectorProtocol(VectorProtocol):
     ) -> None:
         self._round_kernel.apply(self.state, rec, sen, rng)
 
-    def state_counts(self) -> np.ndarray:
-        """Per-state agent counts, indexed like ``table.states``."""
-        return np.bincount(self.state, minlength=self.table.num_states)
 
-
-class VectorFiniteStateSimulator(VectorSimulator):
+class VectorFiniteStateSimulator(VectorSimulator, CountArrayEngine):
     """Run a finite-state protocol on the vector engine behind the count API.
 
     The generic :class:`FiniteStateVectorProtocol` kernel plus the count
-    queries of :class:`~repro.engine.count_simulator.CountSimulator` and
-    friends (``configuration`` / ``count`` / ``outputs``); the clock and
-    the run loops are :class:`VectorSimulator`'s.  Engine-generic harness
-    code, the CLI and the sweep driver therefore treat ``"vector"`` as just
+    queries of :class:`~repro.engine.running.CountArrayEngine`
+    (``configuration`` / ``count``, and so ``outputs``); the clock and the
+    run loops are :class:`VectorSimulator`'s.  Engine-generic harness code,
+    the CLI and the sweep driver therefore treat ``"vector"`` as just
     another engine name.
     """
 
@@ -471,55 +455,20 @@ class VectorFiniteStateSimulator(VectorSimulator):
         scheduler: "RoundScheduler | SchedulerSpec | str | None" = None,
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
-        initial_states = None
-        if initial_configuration is not None:
-            if initial_configuration.size != population_size:
-                raise SimulationError(
-                    f"initial configuration has size {initial_configuration.size}, "
-                    f"expected {population_size}"
-                )
-            initial_states = [
-                state
-                for state, count in sorted(
-                    initial_configuration.items(), key=lambda item: repr(item[0])
-                )
-                for _ in range(count)
-            ]
         super().__init__(
-            FiniteStateVectorProtocol(protocol, initial_states=initial_states),
+            FiniteStateVectorProtocol(
+                protocol,
+                initial_states=initial_states_for(
+                    initial_configuration, population_size
+                ),
+            ),
             population_size,
             seed=seed,
             scheduler=scheduler,
             backend=backend,
         )
+        self._states = self.protocol.table.states
+        self._state_index = self.protocol.table.index
 
-    # -- configuration queries ----------------------------------------------
-
-    def configuration(self) -> Configuration:
-        """Return the current configuration multiset."""
-        counts = self.protocol.state_counts()
-        return Configuration(
-            {
-                self.protocol.table.states[index]: int(count)
-                for index, count in enumerate(counts)
-                if count
-            }
-        )
-
-    def count(self, state: Hashable) -> int:
-        """Return the number of agents currently in ``state``."""
-        index = self.protocol.table.index.get(state)
-        if index is None:
-            return 0
-        return int((self.protocol.state == index).sum())
-
-    def outputs(self) -> Counter:
-        """Histogram of outputs over the population."""
-        kernel = self.protocol
-        histogram: Counter = Counter()
-        for index, count in enumerate(kernel.state_counts()):
-            if count:
-                histogram[kernel.protocol.output(kernel.table.states[index])] += int(
-                    count
-                )
-        return histogram
+    def _state_counts(self) -> np.ndarray:
+        return np.bincount(self.protocol.state, minlength=len(self._states))

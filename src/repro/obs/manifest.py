@@ -49,10 +49,13 @@ MANIFEST_FIELDS = (
 
 
 def _resolved_backend_name(spec: "TrialSpec") -> str | None:
-    """The array-backend name this spec resolves to (None for engines that
-    never touch the backend seam: the sequential simulator and the
-    per-interaction agent and count engines)."""
-    if spec.kind == "sequential" or spec.engine in ("agent", "count"):
+    """The array-backend name this spec resolves to, or None for a trial
+    that never touches the backend seam: a sequential reference trial, or
+    one on an engine the engine table does not list in
+    ``ARRAY_ENGINE_NAMES`` (the per-interaction agent and count engines)."""
+    from repro.engine.selection import ARRAY_ENGINE_NAMES
+
+    if spec.kind == "sequential" or spec.engine not in ARRAY_ENGINE_NAMES:
         return None
     requested = dict(spec.engine_options).get("backend")
     try:

@@ -181,6 +181,25 @@ class FiniteStateProtocol(ABC):
 
     # -- derived helpers -----------------------------------------------------
 
+    def sample_outcome(
+        self, receiver: Hashable, sender: Hashable, rng: RandomSource
+    ) -> tuple[Hashable, Hashable]:
+        """Draw the post-interaction states ``(receiver', sender')``.
+
+        One ``rng.random()`` call per pair with outcomes, none for a null
+        pair; the residual probability mass is the null transition, which
+        returns the input states.
+        """
+        outcomes = self.transitions(receiver, sender)
+        if outcomes:
+            draw = rng.random()
+            cumulative = 0.0
+            for outcome in outcomes:
+                cumulative += outcome.probability
+                if draw < cumulative:
+                    return outcome.receiver_out, outcome.sender_out
+        return receiver, sender
+
     def transition_table(self) -> Mapping[tuple[Hashable, Hashable], Sequence[RandomizedTransition]]:
         """Materialise the full transition table over ``states() x states()``.
 
@@ -272,17 +291,7 @@ class FiniteStateAgentAdapter(AgentProtocol[Hashable]):
     def transition(
         self, receiver: Hashable, sender: Hashable, rng: RandomSource
     ) -> tuple[Hashable, Hashable]:
-        outcomes = self._protocol.transitions(receiver, sender)
-        if not outcomes:
-            return receiver, sender
-        draw = rng.random()
-        cumulative = 0.0
-        for outcome in outcomes:
-            cumulative += outcome.probability
-            if draw < cumulative:
-                return outcome.receiver_out, outcome.sender_out
-        # Residual probability mass corresponds to the null transition.
-        return receiver, sender
+        return self._protocol.sample_outcome(receiver, sender, rng)
 
     def output(self, state: Hashable) -> ProtocolOutput:
         return self._protocol.output(state)

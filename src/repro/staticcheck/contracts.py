@@ -69,9 +69,6 @@ __all__ = [
     "trial_spec_perturbations",
 ]
 
-#: Engines that consume the array-backend seam (agent/count are pure Python).
-ARRAY_ENGINE_NAMES = ("batched", "vector", "multiscale")
-
 #: Where the cross-engine grid declares its coverage.
 GRID_TEST_PATH = Path("tests/engine/test_cross_engine.py")
 
@@ -498,6 +495,7 @@ def declared_scheduler_cells() -> set[tuple[str, str]]:
 def declared_backend_cells() -> set[tuple[str, str]]:
     """Every (array-engine, backend) cell the backend registry declares."""
     from repro.backend import BACKEND_NAMES
+    from repro.engine.selection import ARRAY_ENGINE_NAMES
 
     return {
         (engine, backend)

@@ -113,15 +113,32 @@ class JsonlStore(ResultStore):
         self.lease_seconds = float(lease_seconds)
         self._records: dict[str, RunRecord] = {}
         self._leases: dict[str, str] = {}
+        self._source = "(memory)"
         if directory is not None:
             Path(directory).mkdir(parents=True, exist_ok=True)
             self.path = Path(directory) / f"{name}.jsonl"
-            self._load()
+            self._source = str(self.path)
+            self._load(self.path)
 
-    def _load(self) -> None:
-        if not self.path.exists():
+    @classmethod
+    def read_shards(cls, directory: str | Path) -> "JsonlStore":
+        """Every ``*.jsonl`` shard of ``directory``, merged in memory.
+
+        A sweep writes one shard per workload and engine
+        (``<workload>-<engine>.jsonl``), so no single shard stands for the
+        directory; this view of all of them is what ``repro store status
+        --store jsonl:DIR`` reports on.  It creates and writes no file.
+        """
+        store = cls()
+        store._source = str(Path(directory) / "*.jsonl")
+        for shard in sorted(Path(directory).glob("*.jsonl")):
+            store._load(shard)
+        return store
+
+    def _load(self, path: Path) -> None:
+        if not path.exists():
             return
-        with open(self.path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -136,7 +153,7 @@ class JsonlStore(ResultStore):
                 self._records[key] = record
 
     def describe(self) -> str:
-        return f"jsonl:{self.path if self.path is not None else '(memory)'}"
+        return f"jsonl:{self._source}"
 
     def get(self, key: str) -> RunRecord | None:
         return self._records.get(key)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -27,6 +28,7 @@ from repro.engine.selection import (
     SEQUENTIAL_ENGINE_NAMES,
     build_engine,
 )
+from repro.exceptions import SimulationError
 from repro.protocols.epidemic import (
     EpidemicProtocol,
     EpidemicState,
@@ -384,9 +386,10 @@ class TestDeclaredCellCoverage:
 
     @pytest.mark.parametrize("engine,scheduler", EXERCISED_CELLS)
     def test_scheduler_cell_runs(self, engine, scheduler):
+        protocol = EpidemicProtocol()
         simulator = build_engine(
             engine,
-            EpidemicProtocol(),
+            protocol,
             32,
             seed=9,
             scheduler=scheduler,
@@ -396,6 +399,16 @@ class TestDeclaredCellCoverage:
             epidemic_completion_predicate, max_parallel_time=400, check_interval=8
         )
         assert elapsed > 0
+        # The shared interface: outputs() is the configuration's histogram
+        # through the protocol's output, and a negative run length is a
+        # library error that leaves the clock where it was.
+        expected: Counter = Counter()
+        for state, count in simulator.configuration().items():
+            expected[protocol.output(state)] += count
+        assert simulator.outputs() == expected
+        with pytest.raises(SimulationError):
+            simulator.run_parallel_time(-1)
+        assert simulator.parallel_time == elapsed
 
     @pytest.mark.parametrize("engine,backend_name", EXERCISED_BACKEND_CELLS)
     def test_backend_cell_runs(self, engine, backend_name):

@@ -305,11 +305,16 @@ class TestTrace:
         assert trace[-1].configuration == simulation.configuration()
         holders = [point.configuration.count(19) for point in trace]
         assert holders == sorted(holders)
+        # The engine method is the same loop on the same stream.
+        method = Simulation(protocol, 20, seed=2)
+        assert method.run_with_trace(total_parallel_time=5.0, samples=4) == trace
 
     def test_run_with_trace_rejects_zero_samples(self):
         simulation = Simulation(TouchCounting(), 8, seed=1)
         with pytest.raises(SimulationError, match="samples"):
             run_with_trace(simulation, total_parallel_time=1.0, samples=0)
+        with pytest.raises(SimulationError, match="samples"):
+            simulation.run_with_trace(total_parallel_time=1.0, samples=0)
 
     def test_trace_continues_from_the_current_position(self):
         simulation = Simulation(TouchCounting(), 10, seed=3)

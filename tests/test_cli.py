@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.crn.library import CRN_WORKLOADS
+from repro.engine.selection import ENGINE_NAMES
 from repro.harness.parallel import KIND_VECTOR, WORKLOADS
 
 
@@ -62,6 +64,12 @@ class TestBadInput:
             "crn simulate --crn epidemic --n 1",
             "crn sweep --crn epidemic --sizes 1 --runs 1",
             "store status --store warp://x",
+            # A negative run length, on every engine.
+            *(
+                "simulate --reaction A+B->B+B --init A:0.5,B:0.5 "
+                f"--chem-time -1 --n 100 --engine {engine}"
+                for engine in ENGINE_NAMES
+            ),
         ],
     )
     def test_library_error_exits_2_with_one_error_line(self, argv, capsys):
@@ -1113,6 +1121,37 @@ class TestStoreCli:
         # Finite-state records carry no protocol name, so the workload label
         # degrades to the engine name.
         assert "count" in output
+
+    def test_store_status_reads_every_jsonl_shard(self, capsys, tmp_path):
+        # A sweep writes the shard <workload>-<engine>.jsonl, through
+        # --cache-dir and --store jsonl: alike; status reads all of them.
+        cache = tmp_path / "cache"
+        assert main([
+            "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs", "1",
+            "--engine", "count", "--cache-dir", str(cache),
+        ]) == 0
+        assert main([
+            "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs", "2",
+            "--engine", "batched", "--store", f"jsonl:{cache}",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["store", "status", "--store", f"jsonl:{cache}"]) == 0
+        output = capsys.readouterr().out
+        assert re.search(r"completed trials +: 3\n", output)
+        assert "batched" in output and "count" in output
+
+    @pytest.mark.parametrize(
+        "url", ["sqlite:{root}/missing/none.sqlite", "jsonl:{root}/missing/cache"]
+    )
+    def test_store_status_of_a_missing_store_creates_nothing(
+        self, url, capsys, tmp_path
+    ):
+        assert main(["store", "status", "--store", url.format(root=tmp_path)]) == 2
+        error = capsys.readouterr().err
+        assert "Traceback" not in error
+        (line,) = error.splitlines()
+        assert line.startswith("repro store status: error: ")
+        assert not (tmp_path / "missing").exists()
 
     def test_store_status_rejects_bad_url(self, capsys):
         assert main(["store", "status", "--store", "warp:x"]) == 2
