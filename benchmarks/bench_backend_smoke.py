@@ -11,7 +11,7 @@ fails if any available backend falls below what the seam guarantees for it:
   means its kernels silently stopped being used (a broken compile cache, an
   accidental fallback) or regressed outright;
 * the native backend's Figure 2 round must be at least 1.5x faster than
-  numpy's (measured 4.1–4.7x on a 2-vCPU VM): a vector kernel that silently
+  numpy's (measured 4.7–9.5x in three runs on a 2-vCPU VM): a vector kernel that silently
   stopped being bound runs at numpy speed, which the 0.7x batched floor
   would pass;
 * the numpy backend itself must stay at or above ``(1 - 0.3) x`` a recorded

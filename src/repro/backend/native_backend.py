@@ -6,9 +6,12 @@ loop — xoshiro256++ RNG, inverse-CDF pair sampling over the cumulative
 ``S^2`` weight table, consumption guard, outcome splitting and the exact
 sequential fallback, invoked once per ``run_interactions`` call, which
 removes *all* per-batch Python dispatch (~3–5 ns per interaction on
-commodity x86) — and two vector-engine kernels: the matching draw
-(:meth:`NativeBackend.draw_matching_arrays`) and the ``Log-Size-Estimation``
-round (:class:`NativeLogSizeRound`).
+commodity x86) — and the vector-engine kernels: the matching draw
+(:meth:`NativeBackend.draw_matching_arrays`), the ``Log-Size-Estimation``
+round (:class:`NativeLogSizeRound`), and a run loop that repeats the two
+under the uniform matching scheduler
+(:meth:`NativeLogSizeRound.run`), so a Figure 2 run to all-done makes one
+C call per 64 rounds instead of two per round.
 
 The extension module is compiled on first use and cached on disk keyed by a
 hash of the C source and of ``numpy.__version__`` (``REPRO_NATIVE_CACHE``
@@ -85,12 +88,16 @@ void repro_draw_matching(
     const int64_t *members, int64_t m, int64_t *order, void *bitgen);
 int repro_log_size_round(
     repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs);
+int64_t repro_log_size_run(
+    repro_log_size *s, int64_t *order, int64_t max_rounds, int stop_when_done,
+    int64_t *tallies);
 """
 
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <time.h>
 #include "numpy/random/distributions.h"
 """ + _LOG_SIZE_STRUCT + r"""
 
@@ -373,7 +380,9 @@ out:
 
 /* repro.engine.scheduler.draw_matching_arrays: Generator.permutation's
  * Fisher-Yates from the top over `members` (NULL: 0..m-1), then one uniform
- * per pair; u >= 0.5 swaps receiver order[k] and sender order[half + k]. */
+ * per pair; u >= 0.5 swaps receiver order[k] and sender order[half + k].
+ * The swap goes through a mask, not a branch: the coin would mispredict
+ * half the time. */
 void repro_draw_matching(
     const int64_t *members, int64_t m, int64_t *order, void *bitgen)
 {
@@ -384,10 +393,12 @@ void repro_draw_matching(
         int64_t j = (int64_t)random_interval(state, (uint64_t)i);
         swap = order[i]; order[i] = order[j]; order[j] = swap;
     }
-    for (int64_t k = 0; k < half; k++)
-        if (!(random_standard_uniform(state) < 0.5)) {
-            swap = order[k]; order[k] = order[half + k]; order[half + k] = swap;
-        }
+    for (int64_t k = 0; k < half; k++) {
+        int64_t mask = -(int64_t)!(random_standard_uniform(state) < 0.5);
+        swap = (order[k] ^ order[half + k]) & mask;
+        order[k] ^= swap;
+        order[half + k] ^= swap;
+    }
 }
 
 /* One round of repro.core.array_simulator.LogSizeVectorProtocol, a pass per
@@ -496,15 +507,10 @@ static inline void propagate_output(repro_log_size *s, int64_t r, int64_t q) {
     s->output[q] = (!!isnan(new_s) & !isnan(out_r)) ? out_r : new_s;
 }
 
-/* Returns 1, before touching any field, if an index is outside [0, n). */
-int repro_log_size_round(
+static void log_size_round(
     repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs)
 {
     const int8_t *role = s->role;
-    uint64_t outside = 0, n = (uint64_t)s->n;
-    for (int64_t k = 0; k < pairs; k++)
-        outside |= ((uint64_t)rec[k] >= n) | ((uint64_t)sen[k] >= n);
-    if (outside) return 1;
     if (s->unassigned > 0) {
         for (int64_t k = 0; k < pairs; k++)
             if (role[rec[k]] == UNASSIGNED && role[sen[k]] == UNASSIGNED) {
@@ -541,7 +547,55 @@ int repro_log_size_round(
     }
     if (s->done_count > 0)
         for (int64_t k = 0; k < pairs; k++) propagate_output(s, rec[k], sen[k]);
+}
+
+/* Returns 1, before touching any field, if an index is outside [0, n). */
+int repro_log_size_round(
+    repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs)
+{
+    uint64_t outside = 0, n = (uint64_t)s->n;
+    for (int64_t k = 0; k < pairs; k++)
+        outside |= ((uint64_t)rec[k] >= n) | ((uint64_t)sen[k] >= n);
+    if (outside) return 1;
+    log_size_round(s, rec, sen, pairs);
     return 0;
+}
+
+/* time.perf_counter_ns's clock (0 where the platform lacks it). */
+static inline int64_t now_ns(void) {
+#ifdef CLOCK_MONOTONIC
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (int64_t)t.tv_sec * 1000000000 + t.tv_nsec;
+#else
+    return 0;
+#endif
+}
+
+/* VectorSimulator's rounds under the uniform matching scheduler, back to
+ * back: draw the matching of all n agents into `order` (n entries), apply
+ * the round to its pairs, and stop after `max_rounds` rounds or, with
+ * `stop_when_done`, after the first round that leaves every agent done.
+ * With `tallies`, adds the nanoseconds spent drawing and applying to
+ * tallies[0] and tallies[1].  Returns the rounds run. */
+int64_t repro_log_size_run(
+    repro_log_size *s, int64_t *order, int64_t max_rounds, int stop_when_done,
+    int64_t *tallies)
+{
+    int64_t half = s->n / 2, rounds = 0;
+    while (rounds < max_rounds) {
+        int64_t t0 = tallies ? now_ns() : 0;
+        repro_draw_matching(NULL, s->n, order, s->bitgen);
+        int64_t t1 = tallies ? now_ns() : 0;
+        log_size_round(s, order, order + half, half);
+        if (tallies) {
+            tallies[0] += t1 - t0;
+            tallies[1] += now_ns() - t1;
+        }
+        rounds++;
+        if (stop_when_done && s->done_count == s->n) break;
+    }
+    return rounds;
 }
 """
 
@@ -739,11 +793,12 @@ class NativeLogSizeRound:
     round's ``(rec, sen)`` pairs does what the numpy sub-steps of
     :class:`~repro.core.array_simulator.LogSizeVectorProtocol` do, drawing
     through numpy's ``random_geometric`` on the same ``bitgen_t`` in the
-    same order.  The kernel counts the unassigned and the done agents, so a
-    round costs O(pairs) once the partition is complete; it therefore owns
-    ``role`` and ``done``, which nothing else may write after binding.  It
-    draws without ``Generator.lock``: a simulator's generator is used from
-    one thread only.
+    same order.  :meth:`run` repeats the uniform matching draw and the round
+    in one call.  The kernel counts the unassigned and the done agents, so a
+    round costs O(pairs) once the partition is complete and :meth:`all_done`
+    costs O(1); it therefore owns ``role`` and ``done``, which nothing else
+    may write after binding.  It draws without ``Generator.lock``: a
+    simulator's generator is used from one thread only.
     """
 
     def __init__(self, protocol: "LogSizeVectorProtocol") -> None:
@@ -772,6 +827,7 @@ class NativeLogSizeRound:
         state.p = params.geometric_success_probability
         self._rng = protocol.rng
         state.bitgen = _bitgen(self._ffi, self._rng)
+        self._order = self._ffi.new("int64_t[]", n)
 
     def __call__(self, rec: np.ndarray, sen: np.ndarray) -> None:
         if not (_is_index_array(rec) and _is_index_array(sen)) or rec.size != sen.size:
@@ -786,6 +842,29 @@ class NativeLogSizeRound:
             raise SimulationError(
                 f"a matched pair names an agent outside [0, {self._state.n})"
             )
+
+    def run(
+        self, rounds: int, stop_when_done: bool, tallies: np.ndarray | None = None
+    ) -> int:
+        """Run up to ``rounds`` rounds, each drawing the uniform matching of
+        all ``n`` agents (:func:`~repro.engine.scheduler.draw_matching_arrays`
+        on the bound generator) and applying the round to it; with
+        ``stop_when_done``, stop after the first round that leaves every
+        agent done.  Adds the nanoseconds spent drawing and applying to
+        ``tallies[0]`` and ``tallies[1]`` (an int64 array) when given.
+        Returns the rounds run."""
+        counters = self._ffi.NULL
+        if tallies is not None:
+            if not (_is_index_array(tallies) and tallies.size >= 2):
+                raise SimulationError("tallies must be a contiguous int64 array of 2")
+            counters = self._ffi.from_buffer("int64_t[]", tallies, require_writable=True)
+        return self._lib.repro_log_size_run(
+            self._state, self._order, rounds, stop_when_done, counters
+        )
+
+    def all_done(self) -> bool:
+        """Whether every agent is done, from the kernel's count."""
+        return self._state.done_count == self._state.n
 
 
 @register_backend

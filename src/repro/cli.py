@@ -331,9 +331,11 @@ def _engine_options(args: argparse.Namespace) -> dict:
 
 
 def _check_kind_flags(args: argparse.Namespace, kind: str, name: str) -> None:
-    """Reject a flag that workloads of ``kind`` do not read."""
+    """Reject a flag that workloads of ``kind`` do not read (a flag is given
+    when it is not ``None`` or ``False``; ``0`` and ``0.0`` count as given)."""
     for dest, kinds in _KIND_FLAGS.items():
-        if getattr(args, dest) not in (None, False) and kind not in kinds:
+        value = getattr(args, dest)
+        if value is not None and value is not False and kind not in kinds:
             flag = "--" + dest.replace("_", "-")
             raise SimulationError(
                 f"{flag} does not apply to {kind} workloads such as {name!r} "

@@ -317,6 +317,14 @@ class LogSizeVectorProtocol(VectorProtocol):
         otherwise through the numpy sub-steps above (the reference)."""
         self._compiled_round = backend.log_size_round_kernel(self)
 
+    def matching_loop(self):
+        """The compiled round's run loop.  It applies this class's round
+        only, so a subclass that adds steps to a round (the
+        leader-terminating protocol) runs round by round."""
+        if type(self) is LogSizeVectorProtocol:
+            return self._compiled_round
+        return None
+
     def apply_round(
         self,
         fields: VectorFields,
@@ -337,7 +345,10 @@ class LogSizeVectorProtocol(VectorProtocol):
         self._propagate_output(rec, sen)
 
     def all_done(self, fields: VectorFields) -> bool:
-        """Figure 2's convergence condition: every agent finished all epochs."""
+        """Figure 2's convergence condition: every agent finished all epochs
+        (the compiled round's O(1) count when one is bound)."""
+        if self._compiled_round is not None:
+            return self._compiled_round.all_done()
         return bool(self.done.all())
 
     # -- estimates and result building ---------------------------------------

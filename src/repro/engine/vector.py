@@ -40,8 +40,14 @@ the same scenarios), while ``interactions`` reports the pairs actually
 executed.  :class:`VectorSimulator` is an
 :class:`~repro.engine.running.Engine` on that clock.  Convergence is measured
 *exactly*: by default the convergence condition is evaluated after every
-round (an ``O(n)`` reduction, negligible next to the round itself), never
-on a coarser grid — see :meth:`VectorSimulator.run_until`.
+round, never on a coarser grid — see :meth:`VectorSimulator.run_until`.
+
+A protocol may bind a compiled run loop (:meth:`VectorProtocol.matching_loop`:
+the native ``Log-Size-Estimation`` kernel has one).  Under the uniform
+matching scheduler the engine then runs whole stretches of rounds, draw and
+apply, in one C call, and checks its own :meth:`VectorSimulator.all_done`
+there, with the same rounds, range samples, budget and telemetry counters
+as round by round; every other case draws and applies each round itself.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ from repro.engine.running import (
     initial_states_for,
     run_until_predicate,
 )
-from repro.engine.scheduler import RoundScheduler, SchedulerSpec
-from repro.exceptions import SimulationError
+from repro.engine.scheduler import MatchingRoundScheduler, RoundScheduler, SchedulerSpec
+from repro.exceptions import ConvergenceError, SimulationError
 from repro.obs.recorder import RECORDER as _REC
 from repro.protocols.base import FiniteStateProtocol, ProtocolOutput
 from repro.protocols.compiled import CompiledTransitionTable, compile_transition_table
@@ -164,6 +170,18 @@ class VectorProtocol(ABC):
         """Take the round kernels from ``backend`` (called after
         :meth:`init_fields`; default: none)."""
 
+    def matching_loop(self):
+        """A compiled loop of whole rounds under the uniform matching
+        scheduler, or ``None`` (default).
+
+        The loop's ``run(rounds, stop_when_done, tallies)`` draws each
+        round's matching on the generator given to :meth:`init_fields` and
+        applies the round, exactly as :meth:`VectorSimulator.run_round` would
+        (see :class:`~repro.backend.native_backend.NativeLogSizeRound`), and
+        its ``all_done()`` is :meth:`all_done`.
+        """
+        return None
+
     def all_done(self, fields: VectorFields) -> bool:
         """The protocol's intrinsic convergence condition (default: none).
 
@@ -183,9 +201,10 @@ class VectorSimulator(Engine):
 
     An :class:`~repro.engine.running.Engine`: ``run_parallel_time`` and
     ``run_with_trace`` are the shared ones, and :meth:`run_until` is the
-    shared predicate loop with a round-aligned budget.  All of them read one
-    clock in nominal interactions, which :meth:`run_round` advances by
-    ``floor(n/2)`` per round, so every run stops at a round boundary.
+    shared predicate loop with a round-aligned budget (or, to
+    :meth:`all_done` through a compiled run loop, one loop call).  All of
+    them read one clock in nominal interactions, which every round advances
+    by ``floor(n/2)``, so every run stops at a round boundary.
 
     Parameters
     ----------
@@ -253,6 +272,13 @@ class VectorSimulator(Engine):
         protocol.init_fields(self.fields, self.rng)
         protocol.bind_backend(self.backend)
         self.fields.track(*protocol.tracked_fields)
+        # Uniform matching rounds run in the protocol's compiled loop when it
+        # binds one; every other scheduler draws round by round.
+        self._loop = (
+            protocol.matching_loop()
+            if type(self.scheduler) is MatchingRoundScheduler
+            else None
+        )
 
     # -- round / time accounting --------------------------------------------
 
@@ -314,6 +340,35 @@ class VectorSimulator(Engine):
         if self.rounds % self.RANGE_SAMPLE_ROUNDS == 0:
             self.fields.sample_ranges()
 
+    def _run_rounds(self, rounds: int, stop_when_done: bool = False) -> int:
+        """Run up to ``rounds`` rounds in the protocol's compiled loop, in
+        calls that end at each range-sample boundary; with
+        ``stop_when_done``, stop after the first round that leaves every
+        agent done.  The clock, the range samples and the round telemetry
+        are :meth:`run_round`'s.  Returns the rounds run."""
+        tallies = np.zeros(2, dtype=np.int64) if _REC.enabled else None
+        half = self.population_size // 2
+        ran = 0
+        while ran < rounds:
+            chunk = min(
+                rounds - ran,
+                self.RANGE_SAMPLE_ROUNDS - self.rounds % self.RANGE_SAMPLE_ROUNDS,
+            )
+            step = self._loop.run(chunk, stop_when_done, tallies)
+            ran += step
+            self.rounds += step
+            self._clock += step * half
+            self._interactions += step * half
+            if self.rounds % self.RANGE_SAMPLE_ROUNDS == 0:
+                self.fields.sample_ranges()
+            if stop_when_done and self._loop.all_done():
+                break
+        if tallies is not None:
+            _REC.count("scheduler.rounds", ran)
+            _REC.add_time("scheduler.draw_round", int(tallies[0]))
+            _REC.add_time("engine.apply_round", int(tallies[1]))
+        return ran
+
     def all_done(self) -> bool:
         """Whether the protocol's convergence condition currently holds."""
         return self.protocol.all_done(self.fields)
@@ -327,6 +382,9 @@ class VectorSimulator(Engine):
             raise SimulationError(
                 f"interaction count must be non-negative, got {count}"
             )
+        if self._loop is not None:
+            self._run_rounds(-(-count // (self.population_size // 2)))
+            return
         target = self._clock + count
         while self._clock < target:
             self.run_round()
@@ -346,17 +404,43 @@ class VectorSimulator(Engine):
         ``floor(max_parallel_time * n)`` nominal interactions.  The tracked
         field ranges are sampled once more on return.
 
+        Under the protocol's compiled loop (see :meth:`run_interactions`),
+        a run to :meth:`all_done` checked after every round is one call of
+        that loop, which checks it in C and stops on the same round as the
+        shared loop, with the same telemetry counters.
+
         Raises
         ------
         ConvergenceError
             If the predicate does not hold within ``max_parallel_time``.
         """
+        interval = 1 if check_interval is None else check_interval
+        budget = int(max_parallel_time * self.population_size) + 1
+        half = self.population_size // 2
         try:
-            return run_until_predicate(
-                self, predicate, max_parallel_time,
-                1 if check_interval is None else check_interval,
-                budget=int(max_parallel_time * self.population_size) + 1,
-            )
+            if not (
+                self._loop is not None
+                and predicate is VectorSimulator.all_done
+                and 0 < interval <= half
+            ):
+                return run_until_predicate(
+                    self, predicate, max_parallel_time, interval, budget=budget
+                )
+            if self.all_done():
+                return self.parallel_time
+            t0 = _REC.now_ns()
+            ran = self._run_rounds(-(-budget // half), stop_when_done=True)
+            t1 = _REC.now_ns()
+            hit = self.all_done()
+            _REC.add_time("engine.step", t1 - t0)
+            _REC.add_time("engine.convergence_check", _REC.now_ns() - t1)
+            _REC.count("engine.convergence_checks", ran)
+            if not hit:
+                raise ConvergenceError(
+                    f"predicate did not hold within {max_parallel_time} units of "
+                    f"parallel time (n={self.population_size})"
+                )
+            return self.parallel_time
         finally:
             self.fields.sample_ranges()
 

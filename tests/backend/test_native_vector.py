@@ -2,9 +2,11 @@
 
 The native backend draws the vector engine's matching and applies the
 ``Log-Size-Estimation`` round in C, on the engine generator's own
-``bitgen_t`` through numpy's distribution functions.  That is a bitwise
-contract, not a distributional one: after every round, every protocol field
-and the generator state must equal the numpy run's.  The matching
+``bitgen_t`` through numpy's distribution functions, and under the uniform
+matching scheduler runs those rounds back to back in one C loop.  That is a
+bitwise contract, not a distributional one: after every round, every
+protocol field and the generator state must equal the numpy run's, and a
+run through the loop must stop on the numpy run's round.  The matching
 reproduces ``Generator.permutation``'s shuffle loop, which is numpy-internal
 rather than exported API, so these direct comparisons are what notice a
 numpy release that changes it.  The native cases are skipped without the
@@ -27,13 +29,14 @@ from repro.backend.native_backend import NativeBackend
 from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.parameters import ProtocolParameters
 from repro.core.vector_leader import LeaderTerminatingVectorProtocol
+from repro.engine.configuration import Configuration
 from repro.engine.scheduler import draw_matching_arrays
 from repro.engine.vector import (
     FiniteStateVectorProtocol,
     VectorFields,
     VectorSimulator,
 )
-from repro.exceptions import SimulationError
+from repro.exceptions import ConvergenceError, SimulationError
 from repro.protocols.epidemic import EpidemicProtocol
 
 needs_native = pytest.mark.skipif(
@@ -70,8 +73,9 @@ def _assert_rounds_match(factory, n, seed, scheduler=None, max_rounds=1_500):
         reference.run_round()
         native.run_round()
         assert _snapshot(native) == _snapshot(reference), (n, seed, round_index)
+        # The native all-done reads the kernel's count, numpy scans ``done``.
+        assert native.all_done() == reference.all_done(), (n, seed, round_index)
         if reference.all_done():
-            assert native.all_done()
             return round_index + 1
     return max_rounds
 
@@ -135,6 +139,154 @@ class TestLogSizeRoundIsBitwise:
             return {name: fields[name].tobytes() for name in fields.names()}
 
         assert one_round("native") == one_round("numpy")
+
+
+class _Traced(VectorSimulator):
+    """A Log-Size-Estimation run with a configuration (the role histogram),
+    so the shared ``run_with_trace`` can snapshot it."""
+
+    def configuration(self):
+        return Configuration.from_states(self.fields["role"].tolist())
+
+
+def _run_state(simulator: VectorSimulator) -> tuple:
+    """Everything a run leaves behind: fields, generator, clock and the
+    sampled field ranges."""
+    return _snapshot(simulator) + (
+        simulator.rounds,
+        simulator.interactions,
+        simulator.parallel_time,
+        {
+            name: simulator.fields.max_observed(name)
+            for name in simulator.protocol.tracked_fields
+        },
+    )
+
+
+def _both(n, params, seed, run, simulator=VectorSimulator):
+    """``run(simulator)`` on numpy and on native: for each, what it returned
+    (or the ``ConvergenceError`` message) and the run state it left."""
+    outcomes = []
+    for backend in ("numpy", "native"):
+        engine = simulator(LogSizeVectorProtocol(params), n, seed=seed, backend=backend)
+        try:
+            returned = run(engine)
+        except ConvergenceError as error:
+            returned = ("ConvergenceError", str(error))
+        outcomes.append((returned, _run_state(engine)))
+    return outcomes
+
+
+@needs_native
+class TestFusedRunIsBitwise:
+    """Under the matching scheduler a native run goes through the C run loop,
+    which must stop on the numpy run's round with the numpy run's state."""
+
+    @pytest.mark.parametrize("every_round", [True, False], ids=["every-round", "interval"])
+    @pytest.mark.parametrize(
+        "params", [PAPER, FAST, INVERSION], ids=["paper", "fast", "inversion"]
+    )
+    @pytest.mark.parametrize("n", [2, 3, 7, 48, 1001])
+    def test_run_until_all_done_equals_numpy(self, n, params, every_round):
+        check_interval = None if every_round else 3 * (n // 2) + 1
+        # Fast constants converge within this budget; paper and inversion
+        # constants run it out at the larger sizes.
+        budget = 1_500.0 if params is FAST else 400.0
+        outcomes = []
+        for seed in (1, 2):
+            reference, native = _both(
+                n, params, seed,
+                lambda engine: engine.run_until(
+                    VectorSimulator.all_done, budget, check_interval=check_interval
+                ),
+            )
+            assert native == reference, (n, seed)
+            outcomes.append(reference[0])
+        if params is FAST:
+            assert all(isinstance(returned, float) for returned in outcomes)
+
+    @pytest.mark.parametrize("check_interval", [None, 2 * 500 + 1])
+    def test_a_budget_that_runs_out_mid_chunk(self, check_interval):
+        # 100 rounds: neither a multiple of the 64-round range samples nor
+        # of the 3-round check grid.
+        budget = 99.5 * 500 / 1001
+        reference, native = _both(
+            1001, FAST, 3,
+            lambda engine: engine.run_until(
+                VectorSimulator.all_done, budget, check_interval=check_interval
+            ),
+        )
+        assert native == reference
+        assert reference[0][0] == "ConvergenceError"
+        assert reference[1][2] == 100
+
+    @pytest.mark.parametrize("count", [0, 1, 499, 500, 501, 64 * 500, 77_777])
+    def test_run_interactions_equals_numpy(self, count):
+        reference, native = _both(1001, FAST, 4, lambda engine: engine.run_interactions(count))
+        assert native == reference
+        assert reference[1][3] == 500 * -(-count // 500)
+
+    def test_run_with_trace_equals_numpy(self):
+        def trace(engine):
+            return [
+                (point.interaction, point.parallel_time, point.configuration)
+                for point in engine.run_with_trace(300.0, 7)
+            ]
+
+        reference, native = _both(1001, FAST, 5, trace, simulator=_Traced)
+        assert native == reference
+        assert len(reference[0]) == 8
+
+    def test_runs_after_convergence_stay_bitwise(self):
+        def run_on(engine):
+            first = engine.run_until(VectorSimulator.all_done, 1_500.0)
+            engine.run_interactions(3_000)
+            return first, engine.run_until(VectorSimulator.all_done, 1_500.0)
+
+        reference, native = _both(201, FAST, 6, run_on)
+        assert native == reference
+
+    def test_a_native_matching_run_never_runs_round_by_round(self, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a round ran outside the C run loop")
+
+        monkeypatch.setattr(VectorSimulator, "run_round", refuse)
+        simulator = VectorSimulator(
+            LogSizeVectorProtocol(FAST), 1001, seed=7, backend="native"
+        )
+        simulator.run_until(VectorSimulator.all_done, 1_500.0)
+        simulator.run_interactions(5_000)
+        assert simulator.all_done()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: VectorSimulator(
+                LogSizeVectorProtocol(FAST), 60, seed=1, backend="numpy"
+            ),
+            lambda: VectorSimulator(
+                LogSizeVectorProtocol(FAST), 60, seed=1, scheduler="quiescing",
+                backend="native",
+            ),
+            lambda: VectorSimulator(
+                LeaderTerminatingVectorProtocol(FAST, phase_count=8), 60, seed=1,
+                backend="native",
+            ),
+        ],
+        ids=["numpy", "other-scheduler", "leader-terminating"],
+    )
+    def test_other_runs_keep_the_round_loop(self, build, monkeypatch):
+        simulator = build()
+        calls = []
+        run_round = VectorSimulator.run_round
+
+        def counting(self):
+            calls.append(self)
+            run_round(self)
+
+        monkeypatch.setattr(VectorSimulator, "run_round", counting)
+        simulator.run_interactions(10 * 30)
+        assert len(calls) == 10
 
 
 @needs_native
@@ -204,6 +356,19 @@ class TestNativeRoundGuards:
                 np.array([3, bad, 5]),
                 simulator.rng,
             )
+        assert _snapshot(simulator) == before
+
+    @pytest.mark.parametrize(
+        "tallies",
+        [np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int32),
+         np.zeros(4, dtype=np.int64)[::2]],
+        ids=["short", "int32", "strided"],
+    )
+    def test_run_loop_rejects_malformed_tallies(self, tallies):
+        simulator = self._simulator()
+        before = _snapshot(simulator)
+        with pytest.raises(SimulationError, match="tallies"):
+            simulator.protocol.matching_loop().run(1, False, tallies)
         assert _snapshot(simulator) == before
 
     def test_binding_checks_field_dtypes(self):

@@ -5,13 +5,17 @@ call, a convergence-check chunk, a multiscale advance, an SSA run, a store
 call) record counters and timers whether or not telemetry is on, and
 ``RECORDER.enabled`` decides only what is *emitted*: manifests, spans and
 the spool.  The vector round's draw/apply split is the one exception and
-records only while telemetry is on.
+records only while telemetry is on.  The vector cases run on numpy and on
+the native backend, whose C run loop keeps the same blocks and counters.
 """
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.crn.library import CRN_WORKLOADS
 from repro.crn.ssa import simulate_ssa
@@ -34,6 +38,11 @@ from repro.protocols.epidemic import (
 from repro.store.server import StoreServer
 
 FAST = ProtocolParameters.fast_test()
+
+needs_native = pytest.mark.skipif(
+    not NativeBackend.available(), reason="native backend unavailable"
+)
+BACKENDS = ["numpy", pytest.param("native", marks=needs_native)]
 
 
 # Each block runs one hot path and returns the counters it must have left
@@ -70,9 +79,9 @@ def _agent_predicate_chunks():
     )
 
 
-def _vector_predicate_chunks():
+def _vector_predicate_chunks(backend="numpy"):
     # The vector engine runs the same predicate loop: one check per round.
-    record = run_trial(_figure2_spec())
+    record = run_trial(_figure2_spec(backend))
     return {"engine.convergence_checks": record.extra["interactions"] // (48 // 2)}, (
         "engine.step",
         "engine.convergence_check",
@@ -101,10 +110,13 @@ def _ssa_run():
         _predicate_chunks,
         _agent_predicate_chunks,
         _vector_predicate_chunks,
+        pytest.param(
+            functools.partial(_vector_predicate_chunks, "native"), marks=needs_native
+        ),
         _multiscale_advance,
         _ssa_run,
     ],
-    ids=["batched", "predicate", "agent", "vector", "multiscale", "ssa"],
+    ids=["batched", "predicate", "agent", "vector", "vector-native", "multiscale", "ssa"],
 )
 def test_chunk_level_block_records_with_telemetry_off(block):
     assert RECORDER.enabled is False
@@ -167,13 +179,16 @@ def test_disabled_recorder_emits_no_manifest_spans_or_spool(tmp_path):
     assert RECORDER.counters["engine.interactions"] == record.extra["interactions"]
 
 
-def _figure2_spec():
-    (spec,) = build_vector_trials([48], 1, protocol="figure2", params=FAST, base_seed=9)
+def _figure2_spec(backend):
+    (spec,) = build_vector_trials(
+        [48], 1, protocol="figure2", params=FAST, base_seed=9, backend=backend
+    )
     return spec
 
 
-def test_vector_round_is_silent_with_telemetry_off():
-    run_trial(_figure2_spec())
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_vector_round_is_silent_with_telemetry_off(backend):
+    run_trial(_figure2_spec(backend))
     # The shared run loop's chunk blocks record (see above); the round's
     # draw/apply split does not.
     recorded = set(RECORDER.counters) | set(RECORDER.timers_ns)
@@ -181,9 +196,10 @@ def test_vector_round_is_silent_with_telemetry_off():
     assert "engine.apply_round" not in recorded
 
 
-def test_vector_round_times_itself_with_telemetry_on():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_vector_round_times_itself_with_telemetry_on(backend):
     with recording():
-        record = run_trial(_figure2_spec())
+        record = run_trial(_figure2_spec(backend))
     counters = record.extra[TELEMETRY_KEY]["counters"]
     timing = record.extra[TELEMETRY_KEY]["timing"]
     # The matching scheduler emits floor(n/2) pairs every round, and the

@@ -13,9 +13,11 @@ telemetry is on.  So:
 from __future__ import annotations
 
 import dataclasses
+import json
 
 import pytest
 
+from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.harness.parallel import (
     build_crn_trials,
@@ -27,6 +29,7 @@ from repro.harness.results import records_equal
 from repro.obs.manifest import TELEMETRY_KEY
 from repro.obs.recorder import recording
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.store.base import record_to_dict
 
 FAST = ProtocolParameters.fast_test()
 
@@ -79,6 +82,22 @@ def test_enabling_telemetry_leaves_the_trajectory_bit_identical(spec):
     assert records_equal(strip_telemetry(observed), baseline)
     rerun = run_trial(spec)  # telemetry off again: still the golden stream
     assert records_equal(rerun, baseline)
+
+
+@pytest.mark.skipif(not NativeBackend.available(), reason="native backend unavailable")
+def test_native_vector_record_is_byte_identical_with_telemetry():
+    # The native backend runs these rounds in its C run loop, which times its
+    # draw and apply only while telemetry is on.
+    (spec,) = build_vector_trials(
+        [48], 1, protocol="figure2", params=FAST, base_seed=9, backend="native"
+    )
+    baseline = run_trial(spec)
+    with recording():
+        observed = run_trial(spec)
+    assert TELEMETRY_KEY in observed.extra
+    assert json.dumps(record_to_dict(strip_telemetry(observed))) == json.dumps(
+        record_to_dict(baseline)
+    )
 
 
 def test_off_path_matches_pinned_golden_ssa_stream():

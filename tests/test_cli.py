@@ -482,15 +482,31 @@ class TestOneWorkloadModel:
         assert code == 2
         assert "not both" in capsys.readouterr().err
 
-    def test_kind_flags_are_rejected_for_other_kinds(self, capsys):
-        code = main(["simulate", "--crn", "sir", "--n", "100", "--scheduler",
-                     "sequential"])
-        assert code == 2
-        assert "--scheduler does not apply to crn workloads" in capsys.readouterr().err
-        code = main(["simulate", "--protocol", "epidemic", "--n", "100",
-                     "--chem-time", "5"])
-        assert code == 2
-        assert "--chem-time" in capsys.readouterr().err
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--crn sir --scheduler sequential",
+             "--scheduler does not apply to crn workloads"),
+            ("--protocol epidemic --chem-time 5",
+             "--chem-time does not apply to finite-state workloads"),
+            # A zero value is a given flag, not an unset one.
+            ("--protocol figure2 --check-interval 0",
+             "--check-interval does not apply to vector workloads"),
+            ("--protocol figure2 --batch-size 0",
+             "--batch-size does not apply to vector workloads"),
+            ("--protocol epidemic --phase-count 0",
+             "--phase-count does not apply to finite-state workloads"),
+            ("--protocol epidemic --leap-eps 0",
+             "--leap-eps does not apply to finite-state workloads"),
+            ("--crn sir --max-time 0", "--max-time does not apply to crn workloads"),
+        ],
+        ids=["scheduler-crn", "chem-time-finite-state", "check-interval-0-vector",
+             "batch-size-0-vector", "phase-count-0-finite-state",
+             "leap-eps-0-finite-state", "max-time-0-crn"],
+    )
+    def test_kind_flags_are_rejected_for_other_kinds(self, argv, message, capsys):
+        assert main(["simulate", "--n", "100", *argv.split()]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--leap-eps 0.02", "--regime-thresholds 10,1000"])
     @pytest.mark.parametrize("verb", ["simulate", "sweep"])
