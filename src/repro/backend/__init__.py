@@ -1,14 +1,15 @@
 """Pluggable array backends: one seam, several implementations of the hot loops.
 
-Every engine of :mod:`repro.engine` used to carry its hot loops inline —
-the batched engine's multinomial draw→apply, the vector engine's matching
-rounds, the state-weighted pair-weight computation the CRN "thinned" mode
-leans on.  BENCH_engines.json showed all of them saturating near 10^7
-interactions/s, dominated by per-batch Python dispatch rather than by the
-arithmetic.  This package makes the kernel implementation a *backend* chosen
-at engine construction time (``build_engine(..., backend=...)``,
-``--backend`` on the CLI, or the ``REPRO_BACKEND`` environment variable), so
-an engine is never forked to go faster.
+Three hot loops have a compiled version: the batched engine's multinomial
+draw→apply, and the vector engine's matching draw and
+``Log-Size-Estimation`` round.  BENCH_engines.json showed their inline numpy
+forms saturating near 10^7 interactions/s, dominated by per-batch Python
+dispatch rather than by the arithmetic.  This package makes the
+implementation of those three kernels a *backend* chosen at engine
+construction time (``build_engine(..., backend=...)``, ``--backend`` on the
+CLI, or the ``REPRO_BACKEND`` environment variable), so an engine is never
+forked to go faster.  A hot loop with only a numpy version lives in the
+engine that runs it.
 
 Backends
 --------
@@ -76,8 +77,7 @@ class ArrayBackend:
     through.  The base class implements every kernel with the reference
     numpy code path, so a subclass only overrides the kernels it actually
     accelerates — anything it leaves alone transparently runs the reference
-    implementation (e.g. the native backend inherits the finite-state round
-    and tau-leap kernels).
+    implementation.  Every kernel here has a native version.
 
     Kernel contract
     ---------------
@@ -90,26 +90,9 @@ class ArrayBackend:
         advance one batch per call (the numpy reference, preserving the
         historical per-batch RNG stream) or everything in one call (the
         native backend, eliminating per-batch Python dispatch).
-    ``finite_round_kernel(table)``
-        Object with an ``apply(state, rec, sen, rng)`` method applying one
-        matching round of a compiled finite-state protocol to the per-agent
-        state array.
-    ``pair_weights(counts, rates)``
-        The state-weighted ordered-pair weight matrix ``(r_i c_i)(r_j c_j)``
-        (diagonal ``(r_i c_i) r_i (c_i - 1)``; ``rates=None`` is the uniform
-        policy) — the count-level scheduling computation shared by the
-        batched multinomial and the CRN thinned lowering.
-    ``tau_leap_kernel(reactant_a, reactant_b, rate_coeff, stoich, rng)``
-        The multiscale engine's hot kernel over per-channel reaction arrays:
-        ``propensities(counts)`` evaluates the parallel-time channel rates,
-        and ``leap(counts, mask, tau, rng) -> (ok, new_counts)`` fuses the
-        propensity evaluation, Poisson draws (binomial-clamped near a
-        channel's firing headroom) and the stoichiometry apply for one leap,
-        reporting ``ok=False`` when a draw would drive a count negative so
-        the engine can halve ``tau`` and redraw.
-    ``draw_matching_arrays(members, rng)`` / ``thin_members(rates, rng)``
-        The vector engine's round draws: the shared uniform matching and the
-        per-agent rate thinning of the weighted round scheduler.
+    ``draw_matching_arrays(members, rng)``
+        The vector engine's round draw: one uniform matching of ``members``
+        with uniformly oriented pairs, shared by every round scheduler.
     ``log_size_round_kernel(protocol)``
         A callable ``(rec, sen)`` applying one ``Log-Size-Estimation`` round
         to the protocol's fields, or ``None`` for its numpy sub-steps.
@@ -145,20 +128,6 @@ class ArrayBackend:
             table, state_rates, population_size, small_count_threshold
         )
 
-    def finite_round_kernel(self, table: "CompiledTransitionTable"):
-        """Build the vector engine's fused matching-round kernel."""
-        from repro.backend.numpy_backend import NumpyFiniteRoundKernel
-
-        return NumpyFiniteRoundKernel(table)
-
-    def pair_weights(
-        self, counts: np.ndarray, rates: np.ndarray | None
-    ) -> np.ndarray:
-        """Ordered state-pair selection weights at the given counts."""
-        from repro.backend.numpy_backend import pair_weight_matrix
-
-        return pair_weight_matrix(counts, rates)
-
     def draw_matching_arrays(
         self, members: "int | np.ndarray", rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -167,29 +136,10 @@ class ArrayBackend:
 
         return draw_matching_arrays(members, rng)
 
-    def thin_members(
-        self, rates: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Rate-thinned member selection for weighted matching rounds."""
-        return np.nonzero(rng.random(rates.size) < rates)[0]
-
     def log_size_round_kernel(self, protocol: "LogSizeVectorProtocol"):
         """Build the vector engine's ``Log-Size-Estimation`` round, or ``None``
         to keep the protocol's numpy sub-steps."""
         return None
-
-    def tau_leap_kernel(
-        self,
-        reactant_a: np.ndarray,
-        reactant_b: np.ndarray,
-        rate_coeff: np.ndarray,
-        stoich: np.ndarray,
-        rng: np.random.Generator,
-    ):
-        """Build the multiscale engine's fused tau-leap kernel."""
-        from repro.backend.numpy_backend import NumpyTauLeapKernel
-
-        return NumpyTauLeapKernel(reactant_a, reactant_b, rate_coeff, stoich)
 
     def describe(self) -> str:
         """One-line description for ``repro engines`` output."""

@@ -31,8 +31,7 @@ engine generator's own ``bitgen_t`` through numpy's ``random_interval``,
 version in the cache name), in the numpy reference's order, so vector runs
 on ``native`` are the numpy runs bit for bit.  ``Generator.permutation``'s
 shuffle loop, which the matching repeats, is numpy-internal, not exported
-API; ``tests/backend/test_native_vector.py`` pins it.  Multiscale runs use
-the inherited numpy tau-leap kernel, bitwise.
+API; ``tests/backend/test_native_vector.py`` pins it.
 """
 
 from __future__ import annotations

@@ -1,13 +1,13 @@
 """Reference numpy backend: the stream-preserving implementation of the seam.
 
 This module is the behavioural specification of the fused kernels.  Every
-draw made by :class:`NumpyBatchedKernel` and :class:`NumpyFiniteRoundKernel`
-happens against the *engine's* ``numpy.random.Generator`` in exactly the
-call sequence the pre-seam inline engine code used, so a seeded run through
-the numpy backend reproduces historical trajectories bitwise (pinned against
-recorded fixtures by ``tests/backend/test_numpy_golden.py``).
+draw made by :class:`NumpyBatchedKernel` happens against the *engine's*
+``numpy.random.Generator`` in exactly the call sequence the pre-seam inline
+engine code used, so a seeded run through the numpy backend reproduces
+historical trajectories bitwise (pinned against recorded fixtures by
+``tests/backend/test_numpy_golden.py``).
 
-The kernels are nevertheless faster than the code they replaced, by hoisting
+The kernel is nevertheless faster than the code it replaced, by hoisting
 everything that does not depend on the current batch out of the batch loop:
 
 * the ``S x S`` pair-weight matrix is kept allocated across batches and only
@@ -39,8 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "NumpyBackend",
     "NumpyBatchedKernel",
-    "NumpyFiniteRoundKernel",
-    "NumpyTauLeapKernel",
     "pair_weight_matrix",
 ]
 
@@ -436,129 +434,6 @@ class NumpyBatchedKernel:
             seen[sender_out] = True
             cumulative, total, positive_agents = _cumulative()
         counts_array[:] = counts
-
-
-class NumpyFiniteRoundKernel:
-    """Fused gather→sample→scatter matching-round kernel (reference path).
-
-    Verbatim port of the pre-seam ``FiniteStateVectorProtocol.apply_round``
-    body: same operations against the caller's generator in the same order,
-    so seeded vector runs are bitwise-reproducible across the refactor.
-    """
-
-    def __init__(self, table: "CompiledTransitionTable") -> None:
-        self.table = table
-
-    def apply(
-        self,
-        state: np.ndarray,
-        rec: np.ndarray,
-        sen: np.ndarray,
-        rng: np.random.Generator,
-    ) -> None:
-        """Apply one matching round to the per-agent state array in place."""
-        table = self.table
-        state_r = state[rec]
-        state_s = state[sen]
-        reactive = ~table.is_null[state_r, state_s]
-        if not reactive.any():
-            return
-        rec = rec[reactive]
-        sen = sen[reactive]
-        i = state_r[reactive]
-        j = state_s[reactive]
-        # Sample one outcome per reactive pair: u falls either inside the
-        # cumulative explicit-outcome mass (outcome k fires) or beyond it
-        # (the residual null mass; the pair is left unchanged).
-        cumulative = np.cumsum(table.outcome_probability[i, j], axis=1)
-        u = rng.random(i.size)
-        fired = u < cumulative[:, -1]
-        if not fired.any():
-            return
-        outcome = (u[:, None] < cumulative).argmax(axis=1)[fired]
-        i = i[fired]
-        j = j[fired]
-        state[rec[fired]] = table.outcome_receiver[i, j, outcome]
-        state[sen[fired]] = table.outcome_sender[i, j, outcome]
-
-
-class NumpyTauLeapKernel:
-    """Reference tau-leap kernel of the multiscale engine.
-
-    ``propensities`` evaluates the parallel-time channel rates at float
-    counts; ``leap`` draws one Poisson tau-leap over the masked channels and
-    applies the stoichiometry, drawing against the *engine's* generator (the
-    reference-backend convention).  Draws whose mean exceeds 10% of a
-    channel's firing headroom ``L`` (the largest count of firings the
-    consumed species allow) are clamped to ``Binomial(L, mean/L)`` — same
-    mean, support bounded by the headroom — so a single channel can never
-    overdraw its own reactants; cross-channel competition for a shared
-    species is caught by the non-negativity check and reported as
-    ``ok=False`` for the engine's halve-and-redraw loop.
-    """
-
-    def __init__(
-        self,
-        reactant_a: np.ndarray,
-        reactant_b: np.ndarray,
-        rate_coeff: np.ndarray,
-        stoich: np.ndarray,
-    ) -> None:
-        self.reactant_a = reactant_a
-        self.reactant_b = reactant_b
-        self.rate_coeff = rate_coeff
-        self.stoich = stoich
-        self.is_diagonal = reactant_a == reactant_b
-        #: Per-channel consumption coefficients (``max(-stoich, 0)``).
-        self.consumption = np.maximum(-stoich, 0).astype(np.float64)
-        self._consumes = self.consumption > 0.0
-
-    def propensities(self, counts: np.ndarray) -> np.ndarray:
-        """Parallel-time channel rates at ``counts`` (clipped at 0)."""
-        ca = counts[self.reactant_a]
-        cb = np.where(self.is_diagonal, ca - 1.0, counts[self.reactant_b])
-        return self.rate_coeff * np.maximum(ca, 0.0) * np.maximum(cb, 0.0)
-
-    def _headroom(self, counts: np.ndarray) -> np.ndarray:
-        """Largest number of firings each channel's consumed species allow."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            caps = np.where(
-                self._consumes,
-                np.floor(counts[:, None] / self.consumption),
-                np.inf,
-            )
-        return caps.min(axis=0)
-
-    def leap(
-        self,
-        counts: np.ndarray,
-        mask: np.ndarray,
-        tau: float,
-        rng: np.random.Generator,
-    ) -> tuple[bool, np.ndarray]:
-        """One fused leap: propensities → clamped draws → apply.
-
-        Returns ``(ok, new_counts)``; ``ok=False`` means some count went
-        negative and the caller should halve ``tau`` and call again.
-        """
-        lam = self.propensities(counts)
-        active = mask & (lam > 0.0)
-        draws = np.zeros(lam.size, dtype=np.int64)
-        if active.any():
-            means = lam[active] * tau
-            headroom = self._headroom(counts)[active]
-            clamp = means > 0.1 * headroom
-            fired = np.zeros(means.size, dtype=np.int64)
-            if clamp.any():
-                trials = headroom[clamp].astype(np.int64)
-                fired[clamp] = rng.binomial(
-                    trials, np.minimum(means[clamp] / headroom[clamp], 1.0)
-                )
-            if (~clamp).any():
-                fired[~clamp] = rng.poisson(means[~clamp])
-            draws[active] = fired
-        new_counts = counts + self.stoich @ draws
-        return bool((new_counts >= 0.0).all()), new_counts
 
 
 from repro.backend import ArrayBackend, register_backend  # noqa: E402

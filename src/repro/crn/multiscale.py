@@ -50,11 +50,12 @@ quiescing scenario changes the pair distribution per agent identity, which
 a count-level mean-field treatment cannot express (see ``DESIGN.md``,
 Multiscale CRN engine).
 
-Determinism is per ``(seed, leap_eps, regime_thresholds, backend)``: a run
-is exactly reproducible from its seed, but trajectories are *not* bitwise
-comparable across engines (the approximation changes the sampled process,
-not just the stream).  Validation is distributional — tau-leap moments must
-match the SSA reference (``benchmarks/bench_multiscale.py``).
+Determinism is per ``(seed, leap_eps, regime_thresholds)``: a run is exactly
+reproducible from its seed on any backend (every regime runs in numpy), but
+trajectories are *not* bitwise comparable across engines (the approximation
+changes the sampled process, not just the stream).  Validation is
+distributional — tau-leap moments must match the SSA reference
+(``benchmarks/bench_multiscale.py``).
 """
 
 from __future__ import annotations
@@ -212,6 +213,9 @@ class ReactionSystem:
             else np.zeros((size, 0), dtype=np.int64)
         )
         self.is_diagonal = self.reactant_a == self.reactant_b
+        #: Per-channel consumption coefficients (``max(-stoich, 0)``).
+        self.consumption = np.maximum(-self.stoich, 0).astype(np.float64)
+        self._consumes = self.consumption > 0.0
         # Cao's g-factors: every channel is a pair interaction, so reactant
         # species get order 2; species some channel consumes twice get the
         # count-dependent 2 + 1/(c-1) correction at runtime.
@@ -227,6 +231,8 @@ class ReactionSystem:
             self.rate_coeff,
             self.stoich,
             self.is_diagonal,
+            self.consumption,
+            self._consumes,
             self.is_reactant,
             self.needs_two,
         ):
@@ -253,6 +259,52 @@ class ReactionSystem:
     def derivative(self, counts: np.ndarray) -> np.ndarray:
         """Mean-field ODE right-hand side (counts per unit parallel time)."""
         return self.stoich @ self.propensities(counts)
+
+    def _headroom(self, counts: np.ndarray) -> np.ndarray:
+        """Largest number of firings each channel's consumed species allow."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            caps = np.where(
+                self._consumes,
+                np.floor(counts[:, None] / self.consumption),
+                np.inf,
+            )
+        return caps.min(axis=0)
+
+    def leap(
+        self,
+        counts: np.ndarray,
+        mask: np.ndarray,
+        tau: float,
+        rng: np.random.Generator,
+    ) -> tuple[bool, np.ndarray]:
+        """One Poisson tau-leap over the ``mask`` channels, drawn on ``rng``.
+
+        Draws whose mean exceeds 10% of a channel's firing headroom ``L``
+        (the largest count of firings the consumed species allow) are
+        clamped to ``Binomial(L, mean/L)`` — same mean, support bounded by
+        the headroom — so a single channel can never overdraw its own
+        reactants.  Returns ``(ok, new_counts)``; ``ok=False`` means
+        channels competing for a shared species drove some count negative,
+        and the caller should halve ``tau`` and call again.
+        """
+        lam = self.propensities(counts)
+        active = mask & (lam > 0.0)
+        draws = np.zeros(lam.size, dtype=np.int64)
+        if active.any():
+            means = lam[active] * tau
+            headroom = self._headroom(counts)[active]
+            clamp = means > 0.1 * headroom
+            fired = np.zeros(means.size, dtype=np.int64)
+            if clamp.any():
+                trials = headroom[clamp].astype(np.int64)
+                fired[clamp] = rng.binomial(
+                    trials, np.minimum(means[clamp] / headroom[clamp], 1.0)
+                )
+            if (~clamp).any():
+                fired[~clamp] = rng.poisson(means[~clamp])
+            draws[active] = fired
+        new_counts = counts + self.stoich @ draws
+        return bool((new_counts >= 0.0).all()), new_counts
 
 
 class RegimeController:
@@ -355,8 +407,10 @@ class MultiscaleSimulator(CountArrayEngine):
         ``(critical, ode)`` count thresholds of the
         :class:`RegimeController`.  ``None`` uses the defaults.
     backend:
-        Array backend supplying the fused tau-leap kernel
-        (:meth:`repro.backend.ArrayBackend.tau_leap_kernel`).
+        Array backend: resolved like every engine's (an unavailable one
+        warns and falls back to numpy) and reported in the run manifest.
+        No backend has a kernel for this engine, so every regime runs the
+        same numpy code whatever it names.
     scheduler:
         Accepted for interface parity; only the uniform ``"sequential"``
         policy is valid — the propensity model *is* uniform mixing (see the
@@ -411,13 +465,6 @@ class MultiscaleSimulator(CountArrayEngine):
         )
         self.backend = resolve_backend(backend)
         self._rng = np.random.default_rng(seed)
-        self._kernel = self.backend.tau_leap_kernel(
-            self.system.reactant_a,
-            self.system.reactant_b,
-            self.system.rate_coeff,
-            self.system.stoich,
-            self._rng,
-        )
 
         self._counts = np.zeros(self.system.num_species, dtype=np.float64)
         for state, count in initial_configuration_for(
@@ -497,7 +544,7 @@ class MultiscaleSimulator(CountArrayEngine):
         before = self.regime_stats()
         guard = 1e-12 * max(1.0, abs(target))
         while self.parallel_time < target - guard:
-            lam = self._kernel.propensities(self._counts)
+            lam = self.system.propensities(self._counts)
             active = lam > 0.0
             if not active.any():
                 # Absorbed: nothing can ever fire again, jump the clock.
@@ -510,7 +557,7 @@ class MultiscaleSimulator(CountArrayEngine):
                 continue
             if self._ode_fractional:
                 self._leave_ode_counts()
-                lam = self._kernel.propensities(self._counts)
+                lam = self.system.propensities(self._counts)
                 active = lam > 0.0
                 if not active.any():
                     break
@@ -564,7 +611,7 @@ class MultiscaleSimulator(CountArrayEngine):
         """A burst of exact CTMC events (the SSA fallback regime)."""
         system = self.system
         for _ in range(_EXACT_BURST):
-            lam = self._kernel.propensities(self._counts)
+            lam = system.propensities(self._counts)
             total = float(lam.sum())
             if total <= 0.0:
                 self.parallel_time = target
@@ -601,9 +648,7 @@ class MultiscaleSimulator(CountArrayEngine):
         )
         tau = min(tau1, tau2, remaining)
         for _ in range(_MAX_LEAP_RETRIES):
-            ok, new_counts = self._kernel.leap(
-                self._counts, noncritical, tau, self._rng
-            )
+            ok, new_counts = system.leap(self._counts, noncritical, tau, self._rng)
             if ok and tau2 <= tau and a_critical > 0.0:
                 cumulative = np.cumsum(np.where(critical_active, lam, 0.0))
                 channel = int(

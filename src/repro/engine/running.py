@@ -57,6 +57,14 @@ class Engine(ABC):
     (checks every round, round-aligned budget),
     ``MultiscaleSimulator.run_parallel_time`` (advances exactly ``time``)
     and ``Simulation.outputs`` (the per-agent list).
+
+    ``run_with_trace`` and ``outputs`` read ``configuration``, which the
+    agent and count engines and every :class:`CountArrayEngine` (batched,
+    multiscale, vector finite-state) have.  A plain
+    :class:`~repro.engine.vector.VectorSimulator` of a per-agent-field
+    protocol (``Log-Size-Estimation``, the leader-terminating protocol) has
+    none, and both methods raise :class:`SimulationError` there before the
+    clock moves.
     """
 
     protocol: Any
@@ -88,6 +96,13 @@ class Engine(ABC):
         """Run for ``total_parallel_time``; return evenly spaced snapshots
         (see :func:`run_with_trace`)."""
         return run_with_trace(self, total_parallel_time, samples)
+
+    def configuration(self) -> Configuration:
+        """The current configuration; an engine without one raises."""
+        raise SimulationError(
+            f"{type(self.protocol).__name__} has no count configuration, "
+            f"which run_with_trace and outputs need"
+        )
 
     def outputs(self) -> Counter:
         """Histogram of outputs over the population."""

@@ -428,30 +428,21 @@ class RoundScheduler(ABC):
         if n < 2:
             raise SimulationError(f"population must contain at least 2 agents, got {n}")
         self.n = n
-        # Round-draw kernels, rebindable onto an array backend: the vector
-        # engine calls :meth:`bind_backend` once at construction so the
-        # matching and thinning draws run on the selected backend's
-        # implementations.  The defaults are the reference numpy paths.
+        # The matching draw, rebindable onto an array backend: the vector
+        # engine calls :meth:`bind_backend` once at construction so it runs
+        # on the selected backend's implementation.  The default is the
+        # reference numpy path.
         self._draw_matching = draw_matching_arrays
-        self._thin_members = _thin_members_reference
 
     def bind_backend(self, backend) -> None:
-        """Route this scheduler's round draws through ``backend``'s kernels."""
+        """Route this scheduler's matching draws through ``backend``."""
         self._draw_matching = backend.draw_matching_arrays
-        self._thin_members = backend.thin_members
 
     @abstractmethod
     def draw_round(
         self, rng: np.random.Generator, parallel_time: float
     ) -> tuple[np.ndarray, np.ndarray]:
         """Draw the matched (receiver, sender) pairs of one round."""
-
-
-def _thin_members_reference(
-    rates: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Reference rate-thinning: agent ``i`` joins with probability ``rates[i]``."""
-    return np.nonzero(rng.random(rates.size) < rates)[0]
 
 
 class MatchingRoundScheduler(RoundScheduler):
@@ -491,7 +482,7 @@ class WeightedMatchingRoundScheduler(RoundScheduler):
     def draw_round(
         self, rng: np.random.Generator, parallel_time: float
     ) -> tuple[np.ndarray, np.ndarray]:
-        available = self._thin_members(self.rates, rng)
+        available = np.nonzero(rng.random(self.rates.size) < self.rates)[0]
         if available.size < 2:
             empty = np.empty(0, dtype=np.int64)
             return empty, empty

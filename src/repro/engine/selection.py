@@ -254,10 +254,12 @@ def build_engine(
         Array backend for the hot kernels (:mod:`repro.backend`): a
         registered name (``"numpy"``, ``"native"``), an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
-        process default (``REPRO_BACKEND`` or numpy).  Consumed by the
-        batched, vector and multiscale engines; the per-interaction
-        reference engines (agent, count) always run plain Python/numpy and
-        warn if a non-default backend is requested for them.
+        process default (``REPRO_BACKEND`` or numpy).  The batched engine
+        takes its count advance from it, and the vector engine its matching
+        draw and ``Log-Size-Estimation`` round; the multiscale engine
+        resolves it but has no kernel on it.  The per-interaction reference
+        engines (agent, count) always run plain Python/numpy and warn if a
+        non-default backend is requested for them.
     engine_options:
         Extra keyword arguments forwarded to the engine constructor (the
         batched engine takes ``batch_size`` / ``small_count_threshold``, the

@@ -224,9 +224,9 @@ class VectorSimulator(Engine):
     backend:
         Array backend for the round kernels (a registered name, an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
-        process default).  The scheduler's matching/thinning draws and the
-        protocol's round kernel (:meth:`VectorProtocol.bind_backend`) are
-        bound to the backend's kernels.
+        process default).  The scheduler's matching draw and, where the
+        protocol takes one (:meth:`VectorProtocol.bind_backend`), its round
+        kernel come from the backend.
     """
 
     #: Consecutive empty rounds tolerated before the engine concludes the
@@ -459,12 +459,8 @@ class FiniteStateVectorProtocol(VectorProtocol):
     gathers the state pair of every matched pair, samples one outcome per
     reactive pair from the compiled distributions, and scatters the new
     states back.  Both participants of a pair are distinct agents of a
-    perfect matching, so the scatter is collision-free.
-
-    The gather→sample→scatter body is a backend kernel
-    (:meth:`repro.backend.ArrayBackend.finite_round_kernel`), bound by the
-    simulator through :meth:`bind_backend`; every shipped backend runs the
-    numpy reference, which preserves the historical RNG stream.
+    perfect matching, so the scatter is collision-free.  The round runs in
+    numpy whatever the simulator's backend, on the historical RNG stream.
     """
 
     def __init__(
@@ -476,10 +472,6 @@ class FiniteStateVectorProtocol(VectorProtocol):
         self.table: CompiledTransitionTable = compile_transition_table(protocol)
         self._initial_states = initial_states
         self.state: np.ndarray | None = None
-        self._round_kernel = None
-
-    def bind_backend(self, backend: ArrayBackend) -> None:
-        self._round_kernel = backend.finite_round_kernel(self.table)
 
     def describe(self) -> str:
         return f"Vector({self.protocol.describe()})"
@@ -514,7 +506,30 @@ class FiniteStateVectorProtocol(VectorProtocol):
         sen: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        self._round_kernel.apply(self.state, rec, sen, rng)
+        table = self.table
+        state = self.state
+        state_r = state[rec]
+        state_s = state[sen]
+        reactive = ~table.is_null[state_r, state_s]
+        if not reactive.any():
+            return
+        rec = rec[reactive]
+        sen = sen[reactive]
+        i = state_r[reactive]
+        j = state_s[reactive]
+        # Sample one outcome per reactive pair: u falls either inside the
+        # cumulative explicit-outcome mass (outcome k fires) or beyond it
+        # (the residual null mass; the pair is left unchanged).
+        cumulative = np.cumsum(table.outcome_probability[i, j], axis=1)
+        u = rng.random(i.size)
+        fired = u < cumulative[:, -1]
+        if not fired.any():
+            return
+        outcome = (u[:, None] < cumulative).argmax(axis=1)[fired]
+        i = i[fired]
+        j = j[fired]
+        state[rec[fired]] = table.outcome_receiver[i, j, outcome]
+        state[sen[fired]] = table.outcome_sender[i, j, outcome]
 
 
 class VectorFiniteStateSimulator(VectorSimulator, CountArrayEngine):

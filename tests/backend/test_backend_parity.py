@@ -8,9 +8,10 @@ batched multinomial draw→apply (uniform and state-weighted), the
 small-count and consumption-guard exact fallbacks, and the CRN lowerings
 (checked against the exact Gillespie SSA).  Its vector kernels draw on the
 engine's generator in the numpy order (``test_native_vector`` compares them
-round by round) and its tau-leap kernel is the inherited numpy reference,
-so vector and multiscale runs must agree bitwise.  Every parity case needs
-the native backend (cffi and a C toolchain) and is skipped without it.
+round by round) and the multiscale engine has no kernel on the seam (it
+runs numpy on every backend), so vector and multiscale runs must agree
+bitwise.  Every parity case needs the native backend (cffi and a C
+toolchain) and is skipped without it.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ def test_vector_and_multiscale_runs_are_the_numpy_stream_bitwise(workload):
     multiscale run on native is the numpy run, snapshot for snapshot: the
     finite-state kernels on the native matching, Figure 2's
     Log-Size-Estimation round in C, the Theorem 3.13 kernel that inherits
-    it, and the inherited tau-leap kernel."""
+    it, and the multiscale engine's numpy tau-leap."""
     run = BITWISE_RUNS[workload]
     for seed in (2_001, 2_002, 2_003):
         assert run("native", seed) == run("numpy", seed), (workload, seed)

@@ -23,7 +23,7 @@ import sys
 import numpy as np
 import pytest
 
-from repro.backend import ArrayBackend, get_backend
+from repro.backend import get_backend
 from repro.backend import native_backend
 from repro.backend.native_backend import NativeBackend
 from repro.core.array_simulator import LogSizeVectorProtocol
@@ -31,13 +31,8 @@ from repro.core.parameters import ProtocolParameters
 from repro.core.vector_leader import LeaderTerminatingVectorProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.scheduler import draw_matching_arrays
-from repro.engine.vector import (
-    FiniteStateVectorProtocol,
-    VectorFields,
-    VectorSimulator,
-)
+from repro.engine.vector import VectorFields, VectorSimulator
 from repro.exceptions import ConvergenceError, SimulationError
-from repro.protocols.epidemic import EpidemicProtocol
 
 needs_native = pytest.mark.skipif(
     not NativeBackend.available(), reason="native backend unavailable"
@@ -379,23 +374,6 @@ class TestNativeRoundGuards:
 
         with pytest.raises(SimulationError, match="'time'.*int64"):
             VectorSimulator(WrongDtype(FAST), 10, seed=0, backend="native")
-
-
-class TestKernelBinding:
-    def test_finite_state_kernel_comes_from_the_simulators_backend(self):
-        built = []
-
-        class Recording(ArrayBackend):
-            name = "recording-for-test"
-
-            def finite_round_kernel(self, table):
-                built.append(table)
-                return super().finite_round_kernel(table)
-
-        protocol = FiniteStateVectorProtocol(EpidemicProtocol())
-        simulator = VectorSimulator(protocol, 30, seed=0, backend=Recording())
-        assert built == [protocol.table]
-        simulator.run_round()
 
 
 @needs_native

@@ -11,7 +11,11 @@ a single draw fails here.
 The cases deliberately cover every kernel code path: pure batched runs, the
 small-count exact fallback, the consumption-guard fallback, disabled
 thresholds and the state-weighted (rate-scaled) policy, plus vector-engine
-matching rounds.
+rounds.  The vector runs under the ``weighted`` (rate thinning),
+``two-block`` and ``quiescing`` round schedulers and the multiscale run
+(exact events and tau-leaps) were captured later, before the finite-state
+round, the thinning draw and the tau-leap moved out of the backends into
+the engines that run them.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import pathlib
 
 import pytest
 
+from repro.crn.multiscale import MultiscaleSimulator
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.scheduler import SchedulerSpec
 from repro.engine.vector import VectorFiniteStateSimulator
@@ -52,8 +57,17 @@ BATCHED_CASES = {
 }
 
 VECTOR_CASES = {
-    "vector_epidemic_n500_seed7": (EpidemicProtocol, 500, 7),
-    "vector_majority_n300_seed9": (ApproximateMajorityProtocol, 300, 9),
+    "vector_epidemic_n500_seed7": (EpidemicProtocol, 500, 7, "matching"),
+    "vector_majority_n300_seed9": (ApproximateMajorityProtocol, 300, 9, "matching"),
+    "vector_epidemic_weighted_n500_seed7": (EpidemicProtocol, 500, 7, "weighted"),
+    "vector_majority_twoblock_n300_seed9": (
+        ApproximateMajorityProtocol, 300, 9, "two-block",
+    ),
+    "vector_epidemic_quiescing_n500_seed5": (EpidemicProtocol, 500, 5, "quiescing"),
+}
+
+MULTISCALE_CASES = {
+    "multiscale_epidemic_n2000_seed3": (EpidemicProtocol, 2000, 3),
 }
 
 
@@ -97,12 +111,13 @@ def test_batched_engine_reproduces_golden_stream(case, golden):
 
 @pytest.mark.parametrize("case", sorted(VECTOR_CASES))
 def test_vector_engine_reproduces_golden_stream(case, golden):
-    protocol_cls, n, seed = VECTOR_CASES[case]
+    protocol_cls, n, seed, scheduler = VECTOR_CASES[case]
     simulator = VectorFiniteStateSimulator(
-        protocol_cls(), n, seed=seed, backend="numpy"
+        protocol_cls(), n, seed=seed, scheduler=scheduler, backend="numpy"
     )
     [checkpoint] = golden[case]["checkpoints"]
-    simulator.run_interactions(checkpoint["interactions"])
+    # Every round advances the clock by floor(n/2), whatever it executed.
+    simulator.run_interactions(checkpoint["rounds"] * (n // 2))
     assert simulator.rounds == checkpoint["rounds"], case
     snapshot = _snapshot(simulator)
     assert snapshot["configuration"] == checkpoint["configuration"], case
@@ -110,6 +125,21 @@ def test_vector_engine_reproduces_golden_stream(case, golden):
     assert (
         int(simulator.rng.integers(0, 2**32)) == checkpoint["rng_next"]
     ), case
+
+
+@pytest.mark.parametrize("case", sorted(MULTISCALE_CASES))
+def test_multiscale_engine_reproduces_golden_stream(case, golden):
+    protocol_cls, n, seed = MULTISCALE_CASES[case]
+    simulator = MultiscaleSimulator(protocol_cls(), n, seed=seed, backend="numpy")
+    for checkpoint in golden[case]["checkpoints"]:
+        simulator.run_interactions(checkpoint["interactions"] - simulator.interactions)
+        snapshot = _snapshot(simulator)
+        for key, value in snapshot.items():
+            assert value == checkpoint[key], (case, checkpoint["interactions"], key)
+        assert simulator.regime_stats() == checkpoint["regime_stats"], case
+    assert simulator.leaps > 0, case
+    final = golden[case]["checkpoints"][-1]
+    assert int(simulator._rng.integers(0, 2**32)) == final["rng_next"], case
 
 
 def test_default_backend_is_the_golden_one(golden):

@@ -10,6 +10,8 @@ implementations for everything else.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,11 @@ from repro.backend import (
     register_backend,
     resolve_backend,
 )
+from repro.backend import numpy_backend
+from repro.backend.native_backend import NativeBackend
 from repro.backend.numpy_backend import NumpyBatchedKernel
+from repro.core.array_simulator import LogSizeVectorProtocol
+from repro.core.parameters import ProtocolParameters
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.selection import build_engine
 from repro.exceptions import SimulationError
@@ -160,19 +166,28 @@ class TestPartialBackendComposition:
             10, np.random.default_rng(1)
         )
         assert receivers.size == senders.size == 5
-        thinned = backend.thin_members(
-            np.ones(6), np.random.default_rng(2)
-        )
-        assert list(thinned) == [0, 1, 2, 3, 4, 5]
+        assert backend.log_size_round_kernel(
+            LogSizeVectorProtocol(ProtocolParameters.fast_test())
+        ) is None
 
     def test_pair_weights_reference(self):
-        backend = get_backend("numpy")
         counts = np.array([3, 2, 0])
-        uniform = backend.pair_weights(counts, None)
+        uniform = numpy_backend.pair_weight_matrix(counts, None)
         assert uniform[0, 1] == 6 and uniform[0, 0] == 6 and uniform[2, 2] == 0
         rates = np.array([1.0, 0.5, 1.0])
-        weighted = backend.pair_weights(counts, rates)
+        weighted = numpy_backend.pair_weight_matrix(counts, rates)
         assert weighted[0, 1] == 3.0 and weighted[1, 1] == 0.5
+
+    def test_every_kernel_has_a_native_version(self):
+        # The seam holds only kernels with a compiled version; a hot loop
+        # with a single implementation belongs in the engine that runs it.
+        kernels = {
+            name
+            for name, value in vars(ArrayBackend).items()
+            if inspect.isfunction(value) and not name.startswith("_")
+        } - {"describe"}
+        assert kernels
+        assert sorted(kernels - set(vars(NativeBackend))) == []
 
 
 class TestEngineBackendThreading:

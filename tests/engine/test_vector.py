@@ -6,7 +6,9 @@ import math
 
 import pytest
 
+from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.parameters import ProtocolParameters
+from repro.core.vector_leader import LeaderTerminatingVectorProtocol
 from repro.engine.configuration import Configuration
 from repro.engine.scheduler import SchedulerSpec
 from repro.engine.selection import ENGINE_NAMES, build_engine
@@ -250,6 +252,26 @@ class TestVectorSimulatorDriver:
         assert checked == [0, 3, 6]
         assert simulator.rounds == 6
         assert elapsed == pytest.approx(6 * 50 / 100)
+
+    @pytest.mark.parametrize(
+        "method, args", [("run_with_trace", (10.0, 3)), ("outputs", ())],
+        ids=["run_with_trace", "outputs"],
+    )
+    @pytest.mark.parametrize(
+        "kernel", [LogSizeVectorProtocol, LeaderTerminatingVectorProtocol]
+    )
+    def test_field_protocols_have_no_configuration(self, kernel, method, args):
+        # Per-agent-field protocols keep no count configuration: tracing and
+        # the output histogram raise one error, before the clock moves.
+        simulator = VectorSimulator(
+            kernel(ProtocolParameters.fast_test()), 50, seed=1
+        )
+        with pytest.raises(
+            SimulationError, match=f"^{kernel.__name__} has no count configuration"
+        ):
+            getattr(simulator, method)(*args)
+        assert simulator.rounds == 0
+        assert simulator.interactions == 0
 
     def test_result_as_dict(self):
         # A finite-state protocol on the vector engine, recorded by the
