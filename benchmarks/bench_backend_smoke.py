@@ -10,6 +10,12 @@ fails if any available backend falls below what the seam guarantees for it:
   reference's batched throughput — a compiled backend slower than numpy
   means its kernels silently stopped being used (a broken compile cache, an
   accidental fallback) or regressed outright;
+* the native backend's batched epidemic must run at least 40x numpy's
+  (measured 169–189x in four runs on a 2-vCPU VM: 1.4–1.8e9 against
+  8.0–9.6e6 interactions/s): its kernel draws one multinomial per batch,
+  O(S^2) work, whereas a kernel that draws once per interaction, like the
+  one it replaced (1.4–1.6e8/s, 16–18x numpy, same VM), stays far below
+  the floor;
 * the native backend's Figure 2 round must be at least 1.5x faster than
   numpy's (measured 4.7–9.5x in three runs on a 2-vCPU VM): a vector kernel that silently
   stopped being bound runs at numpy speed, which the 0.7x batched floor
@@ -61,6 +67,8 @@ NUMPY_FLOOR_PER_CALIBRATION = 0.008
 #: backend must keep over numpy on it.
 FIGURE2_N = 1000
 NATIVE_FIGURE2_MIN_SPEEDUP = 1.5
+#: Batched-epidemic throughput the native backend must keep over numpy.
+NATIVE_BATCHED_MIN_SPEEDUP = 40.0
 
 
 def _calibration_rate() -> float:
@@ -152,6 +160,13 @@ def run_smoke() -> tuple[list[dict], list[str]]:
                 f"its kernels regressed or silently stopped being used"
             )
     if "native" in by_name:
+        batched = by_name["native"]["interactions_per_second"] / numpy_rate
+        if batched < NATIVE_BATCHED_MIN_SPEEDUP:
+            failures.append(
+                f"native batched epidemic runs at {batched:.1f}x numpy's "
+                f"(required: >= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x); its kernel "
+                f"costs more than one multinomial per batch"
+            )
         speedup = (
             by_name["numpy"]["figure2"]["seconds_per_round"]
             / by_name["native"]["figure2"]["seconds_per_round"]
@@ -198,8 +213,9 @@ def main() -> int:
             print(f"GATE FAILURE: {failure}", file=sys.stderr)
         return 1
     print(
-        "gate: ok (no backend regressed by more than 30%; native figure2 "
-        f"rounds >= {NATIVE_FIGURE2_MIN_SPEEDUP}x numpy where available)"
+        "gate: ok (no backend regressed by more than 30%; native batched "
+        f">= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x and figure2 rounds >= "
+        f"{NATIVE_FIGURE2_MIN_SPEEDUP}x numpy where available)"
     )
     return 0
 

@@ -24,10 +24,11 @@ Backends
     replaced.
 ``native``
     C kernels (:mod:`repro.backend.native_backend`) compiled at first use
-    through ``cffi`` and the system C compiler.  The batched kernel (>=10x
-    numpy at n >= 10^6) draws from its own generator, seeded from the
-    engine's: distribution-identical, not bitwise.  The vector engine's
-    matching and ``Log-Size-Estimation`` round are bitwise the numpy runs.
+    through ``cffi`` and the system C compiler.  Each makes the numpy
+    kernel's draws, in its order, on the engine's generator, so native runs
+    are the numpy runs bit for bit: the batched advance (one C call per
+    ``run_interactions``, about two orders of magnitude faster than numpy)
+    and the vector engine's matching and ``Log-Size-Estimation`` round.
 
 Selecting an unavailable backend is never an error: :func:`resolve_backend`
 warns and falls back to numpy, so numpy-only installs stay fully functional
@@ -81,15 +82,17 @@ class ArrayBackend:
 
     Kernel contract
     ---------------
-    ``batched_kernel(table, state_rates, population_size, small_count_threshold, rng)``
+    ``batched_kernel(table, state_rates, population_size, small_count_threshold)``
         Object with an ``advance(counts, max_interactions, batch_size, rng)
         -> (done, batched_batches, fallback_batches)`` method executing up
         to ``max_interactions`` interactions against the caller's count
-        vector (mutated in place), and a boolean ``seen`` array marking
-        every state index that gained an agent at any point.  A backend may
-        advance one batch per call (the numpy reference, preserving the
-        historical per-batch RNG stream) or everything in one call (the
-        native backend, eliminating per-batch Python dispatch).
+        vector (mutated in place) with draws on ``rng``, and a boolean
+        ``seen`` array marking every state index that gained an agent at
+        any point.  A backend may advance one batch per call (the numpy
+        reference) or everything in one call (the native backend,
+        eliminating per-batch Python dispatch); a batch that fails leaves
+        the counts as it found them, and is raised only after the batches
+        before it are returned.
     ``draw_matching_arrays(members, rng)``
         The vector engine's round draw: one uniform matching of ``members``
         with uniformly oriented pairs, shared by every round scheduler.
@@ -119,7 +122,6 @@ class ArrayBackend:
         state_rates: np.ndarray | None,
         population_size: int,
         small_count_threshold: int,
-        rng: np.random.Generator,
     ):
         """Build the batched engine's fused draw→apply kernel."""
         from repro.backend.numpy_backend import NumpyBatchedKernel

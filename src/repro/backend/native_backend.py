@@ -1,37 +1,38 @@
 """Native C backend: the batched and vector hot loops compiled with cffi + cc.
 
 This backend needs only what most dev boxes and CI images already carry:
-``cffi`` and a C compiler.  Its one C module holds the batched draw→apply
-loop — xoshiro256++ RNG, inverse-CDF pair sampling over the cumulative
-``S^2`` weight table, consumption guard, outcome splitting and the exact
-sequential fallback, invoked once per ``run_interactions`` call, which
-removes *all* per-batch Python dispatch (~3–5 ns per interaction on
-commodity x86) — and the vector-engine kernels: the matching draw
-(:meth:`NativeBackend.draw_matching_arrays`), the ``Log-Size-Estimation``
-round (:class:`NativeLogSizeRound`), and a run loop that repeats the two
-under the uniform matching scheduler
+``cffi`` and a C compiler.  Its one C module holds the batched engine's
+advance (:class:`NativeBatchedKernel`: the pair multinomial, consumption
+guard, outcome splits and exact fallbacks of
+:class:`~repro.backend.numpy_backend.NumpyBatchedKernel`, every batch of a
+``run_interactions`` call in one C call, so a batch costs O(S^2) binomial
+draws and no Python dispatch) and the vector-engine kernels: the matching
+draw (:meth:`NativeBackend.draw_matching_arrays`), the
+``Log-Size-Estimation`` round (:class:`NativeLogSizeRound`), and a run loop
+that repeats the two under the uniform matching scheduler
 (:meth:`NativeLogSizeRound.run`), so a Figure 2 run to all-done makes one
 C call per 64 rounds instead of two per round.
 
 The extension module is compiled on first use and cached on disk keyed by a
-hash of the C source and of ``numpy.__version__`` (``REPRO_NATIVE_CACHE``
-overrides the cache directory; the default is ``repro-native-cache`` under
-the system temporary directory).  Compilation failures, a missing compiler
-or a missing cffi simply mark the backend unavailable —
-:func:`repro.backend.resolve_backend` then warns and falls back to numpy, so
-nothing ever hard-fails.
+hash of the C source, the compiler flags and ``numpy.__version__``
+(``REPRO_NATIVE_CACHE`` overrides the cache directory; the default is
+``repro-native-cache`` under the system temporary directory).  Compilation
+failures, a missing compiler or a missing cffi simply mark the backend
+unavailable — :func:`repro.backend.resolve_backend` then warns and falls
+back to numpy, so nothing ever hard-fails.
 
-RNG-stream contract: the batched kernel's xoshiro stream is seeded once per
-kernel from the engine's generator, so batched runs are reproducible per
-seed but distribution-identical (not bitwise) to the numpy backend, pinned
-by the parity suite in ``tests/backend``.  The vector kernels draw on the
-engine generator's own ``bitgen_t`` through numpy's ``random_interval``,
-``random_standard_uniform`` and ``random_geometric`` (from the
-``libnpyrandom`` static library numpy ships, linked in: hence the numpy
-version in the cache name), in the numpy reference's order, so vector runs
-on ``native`` are the numpy runs bit for bit.  ``Generator.permutation``'s
-shuffle loop, which the matching repeats, is numpy-internal, not exported
-API; ``tests/backend/test_native_vector.py`` pins it.
+RNG-stream contract: every kernel draws on the engine generator's own
+``bitgen_t`` through numpy's distribution functions
+(``random_multinomial``, ``random_bounded_uint64_fill``,
+``random_interval``, ``random_standard_uniform``, ``random_geometric``, from
+the ``libnpyrandom`` static library numpy ships, linked in: hence the numpy
+version in the cache name), in the numpy reference's order and on its
+float64 arithmetic (``-ffp-contract=off`` keeps products and sums unfused),
+so batched and vector runs on ``native`` are the numpy runs bit for bit.
+Two things they repeat are numpy-internal, not exported API: the pairwise
+summation order of ``ndarray.sum``, which normalises the pair weights, and
+``Generator.permutation``'s shuffle loop, which the matching repeats;
+``tests/backend`` pins both.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.backend import ArrayBackend, register_backend
+from repro.backend.numpy_backend import outcome_split_pvals
 from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -74,15 +76,31 @@ typedef struct {
 } repro_log_size;
 """
 
-_CDEF = _LOG_SIZE_STRUCT + """
-long long repro_batched_advance(
-    long long *counts, long long size, long long kmax,
-    const long long *receiver_out, const long long *sender_out,
-    const double *probability, const long long *outcome_count,
-    const double *null_probability, const double *rates, int uniform,
-    long long population, long long total_interactions, long long batch_size,
-    long long small_threshold, unsigned long long *rng_state,
-    unsigned char *seen, long long *stats);
+#: One batched kernel: the compiled transition tables, the normalised
+#: outcome-split ``pvals``, the rates (``NULL`` for the uniform policy), the
+#: ``seen`` marks and the generator's ``bitgen_t``.
+_BATCHED_STRUCT = """
+typedef struct {
+    int64_t size, kmax, population, small_threshold;
+    const int64_t *outcome_count, *receiver_out, *sender_out;
+    const double *probability, *null_probability, *split_pvals, *rates;
+    uint8_t *seen;
+    void *bitgen;
+    /* Work space, allocated per call: the S^2 pair weights and pair counts,
+     * per-state masses (scaled counts, then cumulative rates) and tallies
+     * (consumed agents, then the counts an exact batch started from), one
+     * outcome split, and the exact fallback's 2 * batch integer draws. */
+    double *weights, *masses;
+    int64_t *pair_counts, *tally, *split;
+    uint64_t *draws;
+} repro_batched;
+"""
+
+_CDEF = _LOG_SIZE_STRUCT + _BATCHED_STRUCT + """
+double repro_pairwise_sum(const double *a, int64_t n);
+int repro_batched_advance(
+    repro_batched *k, int64_t *counts, int64_t interactions,
+    int64_t batch_size, int64_t *progress);
 void repro_draw_matching(
     const int64_t *members, int64_t m, int64_t *order, void *bitgen);
 int repro_log_size_round(
@@ -98,278 +116,260 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <time.h>
 #include "numpy/random/distributions.h"
-""" + _LOG_SIZE_STRUCT + r"""
+""" + _LOG_SIZE_STRUCT + _BATCHED_STRUCT + r"""
 
-/* xoshiro256++ (Blackman & Vigna, public domain reference implementation
- * structure): a small, fast generator with 2^256-1 period; ample for
- * simulation draws. */
-static inline uint64_t rotl64(const uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-}
+/* ---- Batched engine: NumpyBatchedKernel.advance in C.  It draws on the
+ * engine generator's bitgen_t through numpy's random_multinomial,
+ * random_bounded_uint64_fill and random_standard_uniform, in the reference's
+ * order and on the same float64 arithmetic, so its runs are the numpy runs
+ * bit for bit. */
 
-static inline uint64_t xo_next(uint64_t *s) {
-    const uint64_t result = rotl64(s[0] + s[3], 23) + s[0];
-    const uint64_t t = s[1] << 17;
-    s[2] ^= s[0];
-    s[3] ^= s[1];
-    s[1] ^= s[2];
-    s[0] ^= s[3];
-    s[2] ^= t;
-    s[3] = rotl64(s[3], 45);
-    return result;
-}
-
-/* Uniform double in [0, 1) with 53 random bits. */
-static inline double xo_double(uint64_t *s) {
-    return (double)(xo_next(s) >> 11) * (1.0 / 9007199254740992.0);
-}
-
-/* One exact interaction loop: `batch` sequential steps on the counts.
- * Returns 0, or 2 for the degenerate weighted configuration. */
-static long long exact_interactions(
-    long long *counts, long long size, long long kmax,
-    const long long *receiver_out, const long long *sender_out,
-    const double *probability, const long long *outcome_count,
-    const double *null_probability, const double *rates, int uniform,
-    long long population, long long batch, uint64_t *rng,
-    unsigned char *seen)
-{
-    for (long long step = 0; step < batch; step++) {
-        long long receiver = size - 1, sender = size - 1;
-        if (uniform) {
-            long long threshold = (long long)(xo_double(rng) * (double)population);
-            if (threshold >= population) threshold = population - 1;
-            long long co_threshold =
-                (long long)(xo_double(rng) * (double)(population - 1));
-            if (co_threshold >= population - 1) co_threshold = population - 2;
-            long long cum = 0, receiver_cum = population;
-            for (long long i = 0; i < size; i++) {
-                cum += counts[i];
-                if (threshold < cum) { receiver = i; receiver_cum = cum; break; }
-            }
-            if (co_threshold >= receiver_cum - 1) co_threshold += 1;
-            cum = 0;
-            for (long long j = 0; j < size; j++) {
-                cum += counts[j];
-                if (co_threshold < cum) { sender = j; break; }
-            }
-        } else {
-            double total = 0.0;
-            long long positive_agents = 0;
-            for (long long i = 0; i < size; i++) {
-                total += rates[i] * (double)counts[i];
-                if (rates[i] > 0.0) positive_agents += counts[i];
-            }
-            if (total <= 0.0 || positive_agents < 2) return 2;
-            for (;;) {
-                double u = xo_double(rng) * total, mass = 0.0;
-                receiver = size - 1;
-                for (long long i = 0; i < size; i++) {
-                    mass += rates[i] * (double)counts[i];
-                    if (u < mass) { receiver = i; break; }
-                }
-                u = xo_double(rng) * total; mass = 0.0;
-                sender = size - 1;
-                for (long long j = 0; j < size; j++) {
-                    mass += rates[j] * (double)counts[j];
-                    if (u < mass) { sender = j; break; }
-                }
-                if (receiver != sender) break;
-                /* Same-state draw: same agent with probability 1/c, else a
-                 * valid distinct ordered pair. */
-                if (counts[receiver] >= 2 &&
-                    xo_double(rng) * (double)counts[receiver] >= 1.0) break;
-            }
-        }
-        long long pair_outcomes = outcome_count[receiver * size + sender];
-        if (pair_outcomes == 0) continue;
-        const double *pair_probability =
-            probability + (receiver * size + sender) * kmax;
-        long long chosen = 0;
-        int fired = 1;
-        if (pair_outcomes > 1 ||
-            null_probability[receiver * size + sender] > 0.0) {
-            double u = xo_double(rng), mass = 0.0;
-            fired = 0;
-            for (long long k = 0; k < pair_outcomes; k++) {
-                mass += pair_probability[k];
-                if (u < mass) { chosen = k; fired = 1; break; }
-            }
-        }
-        if (!fired) continue;  /* residual mass = null transition */
-        long long r_out = receiver_out[(receiver * size + sender) * kmax + chosen];
-        long long s_out = sender_out[(receiver * size + sender) * kmax + chosen];
-        counts[receiver] -= 1;
-        counts[sender] -= 1;
-        counts[r_out] += 1;
-        counts[s_out] += 1;
-        seen[r_out] = 1;
-        seen[s_out] = 1;
+/* numpy's pairwise float64 sum, which ndarray.sum runs on a contiguous
+ * array: sequential below 8 terms, 8 accumulators up to 128, halved above. */
+double repro_pairwise_sum(const double *a, int64_t n) {
+    if (n < 8) {
+        double res = -0.0;
+        for (int64_t i = 0; i < n; i++) res += a[i];
+        return res;
     }
-    return 0;
+    if (n <= 128) {
+        double r[8];
+        int64_t i;
+        for (i = 0; i < 8; i++) r[i] = a[i];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int k = 0; k < 8; k++) r[k] += a[i + k];
+        double res = ((r[0] + r[1]) + (r[2] + r[3]))
+                   + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return repro_pairwise_sum(a, half) + repro_pairwise_sum(a + half, n - half);
 }
 
-/* Whether some reactive pair exists among present states while no state
- * touching one reaches the small-count threshold. */
-static int counts_small(
-    const long long *counts, long long size,
-    const long long *outcome_count, long long small_threshold)
-{
+/* Whether a reactive pair of present states exists and every state in one
+ * has fewer than small_threshold agents (_reactive_counts_small). */
+static int counts_small(const repro_batched *k, const int64_t *counts) {
     int any_reactive = 0;
-    for (long long i = 0; i < size; i++) {
+    for (int64_t i = 0; i < k->size; i++) {
         if (counts[i] <= 0) continue;
-        for (long long j = 0; j < size; j++) {
-            if (counts[j] <= 0 || outcome_count[i * size + j] == 0) continue;
+        for (int64_t j = 0; j < k->size; j++) {
+            if (counts[j] <= 0 || k->outcome_count[i * k->size + j] == 0) continue;
             any_reactive = 1;
-            if (counts[i] >= small_threshold || counts[j] >= small_threshold)
+            if (counts[i] >= k->small_threshold || counts[j] >= k->small_threshold)
                 return 0;
         }
     }
     return any_reactive;
 }
 
-long long repro_batched_advance(
-    long long *counts, long long size, long long kmax,
-    const long long *receiver_out, const long long *sender_out,
-    const double *probability, const long long *outcome_count,
-    const double *null_probability, const double *rates, int uniform,
-    long long population, long long total_interactions, long long batch_size,
-    long long small_threshold, unsigned long long *rng_state,
-    unsigned char *seen, long long *stats)
-{
-    uint64_t *rng = (uint64_t *)rng_state;
-    long long pairs = size * size;
-    double *cumulative = (double *)malloc((size_t)pairs * sizeof(double));
-    long long *pair_counts = (long long *)malloc((size_t)pairs * sizeof(long long));
-    long long *per_state = (long long *)malloc((size_t)size * 2 * sizeof(long long));
-    if (!cumulative || !pair_counts || !per_state) {
-        free(cumulative); free(pair_counts); free(per_state);
-        return 3;  /* allocation failure */
+/* One exact interaction of the ordered pair (receiver, sender), drawing its
+ * outcome as _run_exact does.  Returns whether an outcome fired. */
+static int interact(repro_batched *k, int64_t *counts, int64_t receiver,
+                    int64_t sender) {
+    int64_t pair = receiver * k->size + sender;
+    int64_t outcomes = k->outcome_count[pair], chosen = 0;
+    if (outcomes == 0) return 0;
+    const double *probability = k->probability + pair * k->kmax;
+    if (outcomes > 1 || k->null_probability[pair] > 0.0) {
+        double u = random_standard_uniform(k->bitgen), mass = 0.0;
+        for (; chosen < outcomes; chosen++) {
+            mass += probability[chosen];
+            if (u < mass) break;
+        }
+        if (chosen == outcomes) return 0;  /* residual mass = null transition */
     }
-    long long *consumed = per_state;
-    long long *delta = per_state + size;
-    long long code = 0;
-    long long done = 0;
-    while (done < total_interactions) {
-        long long batch = total_interactions - done;
-        if (batch > batch_size) batch = batch_size;
-        if (small_threshold > 0 &&
-            counts_small(counts, size, outcome_count, small_threshold)) {
-            code = exact_interactions(counts, size, kmax, receiver_out,
-                sender_out, probability, outcome_count, null_probability,
-                rates, uniform, population, batch, rng, seen);
-            if (code != 0) goto out;
-            stats[1] += 1;
-            done += batch;
-            continue;
-        }
-        /* Frozen pair weights at the batch's starting counts, cumulated for
-         * inverse-CDF sampling. */
-        double mass = 0.0;
-        for (long long i = 0; i < size; i++) {
-            double scaled_i = uniform ? (double)counts[i]
-                                      : rates[i] * (double)counts[i];
-            for (long long j = 0; j < size; j++) {
-                double weight;
-                if (i == j) {
-                    weight = uniform
-                        ? (double)counts[i] * ((double)counts[i] - 1.0)
-                        : scaled_i * rates[i] * ((double)counts[i] - 1.0);
-                } else {
-                    double scaled_j = uniform ? (double)counts[j]
-                                              : rates[j] * (double)counts[j];
-                    weight = scaled_i * scaled_j;
-                }
-                mass += weight;
-                cumulative[i * size + j] = mass;
-            }
-        }
-        if (mass <= 0.0) { code = 1; goto out; }
-        /* Tally the batch: iid categorical pair draws by binary search. */
-        for (long long p = 0; p < pairs; p++) pair_counts[p] = 0;
-        for (long long step = 0; step < batch; step++) {
-            double u = xo_double(rng) * mass;
-            long long lo = 0, hi = pairs - 1;
-            while (lo < hi) {
-                long long mid = (lo + hi) / 2;
-                if (u < cumulative[mid]) hi = mid; else lo = mid + 1;
-            }
-            pair_counts[lo] += 1;
-        }
-        /* Consumption guard over reactive pairs only. */
-        for (long long i = 0; i < size; i++) consumed[i] = 0;
-        for (long long i = 0; i < size; i++)
-            for (long long j = 0; j < size; j++) {
-                if (outcome_count[i * size + j] == 0) continue;
-                long long occurrences = pair_counts[i * size + j];
-                consumed[i] += occurrences;
-                consumed[j] += occurrences;
-            }
-        int guard_tripped = 0;
-        for (long long i = 0; i < size; i++)
-            if (consumed[i] > counts[i]) { guard_tripped = 1; break; }
-        if (guard_tripped) {
-            code = exact_interactions(counts, size, kmax, receiver_out,
-                sender_out, probability, outcome_count, null_probability,
-                rates, uniform, population, batch, rng, seen);
-            if (code != 0) goto out;
-            stats[1] += 1;
-            done += batch;
-            continue;
-        }
-        /* Split each reactive pair's occurrences among its outcomes and
-         * apply all deltas at once. */
-        for (long long i = 0; i < size; i++) delta[i] = 0;
-        for (long long i = 0; i < size; i++)
-            for (long long j = 0; j < size; j++) {
-                long long pair_outcomes = outcome_count[i * size + j];
-                if (pair_outcomes == 0) continue;
-                long long occurrences = pair_counts[i * size + j];
-                if (occurrences == 0) continue;
-                const double *pair_probability =
-                    probability + (i * size + j) * kmax;
-                if (pair_outcomes == 1 &&
-                    null_probability[i * size + j] <= 0.0) {
-                    /* Certain single outcome: no draws, apply in bulk. */
-                    long long r_out = receiver_out[(i * size + j) * kmax];
-                    long long s_out = sender_out[(i * size + j) * kmax];
-                    delta[i] -= occurrences;
-                    delta[j] -= occurrences;
-                    delta[r_out] += occurrences;
-                    delta[s_out] += occurrences;
-                    seen[r_out] = 1;
-                    seen[s_out] = 1;
-                    continue;
-                }
-                for (long long e = 0; e < occurrences; e++) {
-                    long long chosen = 0;
-                    int fired = 0;
-                    double u = xo_double(rng), outcome_mass = 0.0;
-                    for (long long k = 0; k < pair_outcomes; k++) {
-                        outcome_mass += pair_probability[k];
-                        if (u < outcome_mass) { chosen = k; fired = 1; break; }
-                    }
-                    if (!fired) continue;
-                    long long r_out =
-                        receiver_out[(i * size + j) * kmax + chosen];
-                    long long s_out =
-                        sender_out[(i * size + j) * kmax + chosen];
-                    delta[i] -= 1;
-                    delta[j] -= 1;
-                    delta[r_out] += 1;
-                    delta[s_out] += 1;
-                    seen[r_out] = 1;
-                    seen[s_out] = 1;
-                }
-            }
-        for (long long i = 0; i < size; i++) counts[i] += delta[i];
-        stats[0] += 1;
-        done += batch;
+    int64_t r_out = k->receiver_out[pair * k->kmax + chosen];
+    int64_t s_out = k->sender_out[pair * k->kmax + chosen];
+    counts[receiver]--;
+    counts[sender]--;
+    counts[r_out]++;
+    counts[s_out]++;
+    k->seen[r_out] = k->seen[s_out] = 1;
+    return 1;
+}
+
+/* _run_exact: all receivers drawn with integers(0, n), then all senders
+ * with integers(0, n - 1), then one uniform per randomized interaction. */
+static void exact_uniform(repro_batched *k, int64_t *counts, int64_t batch) {
+    uint64_t *receivers = k->draws, *senders = k->draws + batch;
+    uint64_t n = (uint64_t)k->population;
+    random_bounded_uint64_fill(k->bitgen, 0, n - 1, batch, false, receivers);
+    random_bounded_uint64_fill(k->bitgen, 0, n - 2, batch, false, senders);
+    for (int64_t step = 0; step < batch; step++) {
+        int64_t threshold = (int64_t)receivers[step];
+        int64_t co_threshold = (int64_t)senders[step];
+        int64_t receiver = 0, sender = 0, cumulative = counts[0];
+        while (threshold >= cumulative) cumulative += counts[++receiver];
+        if (co_threshold >= cumulative - 1) co_threshold++;
+        cumulative = counts[0];
+        while (co_threshold >= cumulative) cumulative += counts[++sender];
+        interact(k, counts, receiver, sender);
     }
-out:
-    free(cumulative);
-    free(pair_counts);
-    free(per_state);
+}
+
+/* The rate-weighted cumulative masses, summed in state order; returns the
+ * total and counts the agents whose rate is positive. */
+static double weighted_masses(repro_batched *k, const int64_t *counts,
+                              int64_t *positive_agents) {
+    double total = 0.0;
+    *positive_agents = 0;
+    for (int64_t i = 0; i < k->size; i++) {
+        total += k->rates[i] * (double)counts[i];
+        k->masses[i] = total;
+        if (k->rates[i] > 0.0) *positive_agents += counts[i];
+    }
+    return total;
+}
+
+/* bisect_right over the cumulative masses, clamped to the last state. */
+static int64_t draw_state(repro_batched *k, double total) {
+    double u = random_standard_uniform(k->bitgen) * total;
+    int64_t i = 0;
+    while (i < k->size - 1 && !(u < k->masses[i])) i++;
+    return i;
+}
+
+/* _run_exact_weighted: two rate-weighted state draws with same-agent
+ * rejection per interaction.  Returns 2, with the counts as the batch
+ * found them, when fewer than two agents have a positive rate. */
+static int exact_weighted(repro_batched *k, int64_t *counts, int64_t batch) {
+    int64_t positive_agents;
+    double total = weighted_masses(k, counts, &positive_agents);
+    int64_t *start = k->tally;
+    for (int64_t i = 0; i < k->size; i++) start[i] = counts[i];
+    for (int64_t step = 0; step < batch; step++) {
+        if (total <= 0.0 || positive_agents < 2) {
+            for (int64_t i = 0; i < k->size; i++) counts[i] = start[i];
+            return 2;
+        }
+        int64_t receiver, sender;
+        for (;;) {
+            receiver = draw_state(k, total);
+            sender = draw_state(k, total);
+            if (receiver != sender) break;
+            if (counts[receiver] >= 2 &&
+                random_standard_uniform(k->bitgen) * (double)counts[receiver] >= 1.0)
+                break;
+        }
+        if (interact(k, counts, receiver, sender))
+            total = weighted_masses(k, counts, &positive_agents);
+    }
+    return 0;
+}
+
+/* The batch's pair multinomial over the frozen pair weights (_pair_pvals):
+ * 0, or 1 for zero total weight, or 3 for pvals numpy's multinomial
+ * rejects. */
+static int draw_pairs(repro_batched *k, const int64_t *counts, int64_t batch,
+                      binomial_t *binomial) {
+    int64_t size = k->size, pairs = size * size;
+    double *weights = k->weights, *scaled = k->masses;
+    for (int64_t i = 0; i < size; i++) {
+        double count = (double)counts[i];
+        scaled[i] = k->rates ? k->rates[i] * count : count;
+    }
+    for (int64_t i = 0; i < size; i++) {
+        double count = (double)counts[i];
+        for (int64_t j = 0; j < size; j++)
+            weights[i * size + j] = scaled[i] * scaled[j];
+        weights[i * size + i] = k->rates
+            ? scaled[i] * k->rates[i] * (count - 1.0) : count * (count - 1.0);
+    }
+    double total = repro_pairwise_sum(weights, pairs);
+    if (total <= 0.0) return 1;
+    int valid = 1;
+    for (int64_t p = 0; p < pairs; p++) {
+        weights[p] /= total;
+        valid &= weights[p] >= 0.0 && weights[p] <= 1.0;
+        k->pair_counts[p] = 0;
+    }
+    if (!valid) return 3;
+    random_multinomial(k->bitgen, batch, k->pair_counts, weights, pairs, binomial);
+    return 0;
+}
+
+/* Split each reactive pair's interactions among its outcomes, row by row,
+ * and apply them. */
+static void apply_pairs(repro_batched *k, int64_t *counts, binomial_t *binomial) {
+    int64_t size = k->size, width = k->kmax + 1;
+    for (int64_t pair = 0; pair < size * size; pair++) {
+        int64_t occurrences = k->pair_counts[pair];
+        int64_t outcomes = k->outcome_count[pair];
+        if (occurrences == 0 || outcomes == 0) continue;
+        int64_t *split = k->split;
+        if (outcomes > 1 || k->null_probability[pair] > 0.0) {
+            for (int64_t q = 0; q <= outcomes; q++) split[q] = 0;
+            random_multinomial(k->bitgen, occurrences, split,
+                               (double *)k->split_pvals + pair * width,
+                               outcomes + 1, binomial);
+        } else {
+            split[0] = occurrences;
+        }
+        for (int64_t q = 0; q < outcomes; q++) {
+            int64_t events = split[q];
+            if (events == 0) continue;
+            int64_t r_out = k->receiver_out[pair * k->kmax + q];
+            int64_t s_out = k->sender_out[pair * k->kmax + q];
+            counts[pair / size] -= events;
+            counts[pair % size] -= events;
+            counts[r_out] += events;
+            counts[s_out] += events;
+            k->seen[r_out] = k->seen[s_out] = 1;
+        }
+    }
+}
+
+/* Run `interactions` interactions in batches of `batch_size`, adding the
+ * interactions, batched batches and fallback batches it completes to
+ * progress[0..2].  Returns 0; or the code of the batch that failed (1, 2
+ * and 3 as above), which leaves the counts as that batch found them; or 4
+ * when its work space cannot be allocated. */
+int repro_batched_advance(repro_batched *k, int64_t *counts,
+                          int64_t interactions, int64_t batch_size,
+                          int64_t *progress) {
+    int64_t size = k->size, pairs = size * size;
+    int64_t batch = interactions < batch_size ? interactions : batch_size;
+    void *work = malloc(sizeof(double) * (size_t)(pairs + size)
+        + sizeof(int64_t) * (size_t)(pairs + size + k->kmax + 1)
+        + sizeof(uint64_t) * (size_t)(2 * batch));
+    if (!work) return 4;
+    k->weights = (double *)work;
+    k->masses = k->weights + pairs;
+    k->pair_counts = (int64_t *)(k->masses + size);
+    k->tally = k->pair_counts + pairs;
+    k->split = k->tally + size;
+    k->draws = (uint64_t *)(k->split + k->kmax + 1);
+    binomial_t binomial = {0};
+    int code = 0;
+    for (int64_t done = 0; done < interactions; done += batch) {
+        if (batch > interactions - done) batch = interactions - done;
+        int fallback = k->small_threshold > 0 && counts_small(k, counts);
+        if (!fallback) {
+            code = draw_pairs(k, counts, batch, &binomial);
+            if (code) break;
+            /* The consumption guard, over reactive pairs only. */
+            int64_t *consumed = k->tally;
+            for (int64_t i = 0; i < size; i++) consumed[i] = 0;
+            for (int64_t pair = 0; pair < pairs; pair++) {
+                if (k->outcome_count[pair] == 0) continue;
+                consumed[pair / size] += k->pair_counts[pair];
+                consumed[pair % size] += k->pair_counts[pair];
+            }
+            for (int64_t i = 0; i < size; i++) fallback |= consumed[i] > counts[i];
+            if (!fallback) apply_pairs(k, counts, &binomial);
+        }
+        if (fallback && k->rates) {
+            code = exact_weighted(k, counts, batch);
+            if (code) break;
+        } else if (fallback) {
+            exact_uniform(k, counts, batch);
+        }
+        progress[0] += batch;
+        progress[1 + fallback] += 1;
+    }
+    free(work);
     return code;
 }
 
@@ -598,6 +598,10 @@ int64_t repro_log_size_run(
 }
 """
 
+#: Optimise, but never fuse a multiply and an add: numpy's float64 loops
+#: round each product before the sum.
+_COMPILE_ARGS = ["-O3", "-ffp-contract=off"]
+
 # Compilation state: None = not yet attempted, else (lib, ffi) or the cached
 # failure reason string.
 _COMPILED: "tuple | None" = None
@@ -618,7 +622,7 @@ def _module_name() -> str:
     # The module links numpy's distribution functions in statically: a build
     # must never outlive the numpy whose draws it reproduces.
     digest = hashlib.sha256(
-        (_CDEF + _SOURCE + np.__version__).encode()
+        (_CDEF + _SOURCE + " ".join(_COMPILE_ARGS) + np.__version__).encode()
     ).hexdigest()[:12]
     return f"_repro_native_{digest}"
 
@@ -652,7 +656,7 @@ def _load_compiled():
                     os.path.join(os.path.dirname(np.__file__), "random", "lib")
                 ],
                 libraries=["npyrandom"] + (["m"] if os.name == "posix" else []),
-                extra_compile_args=["-O3"],
+                extra_compile_args=_COMPILE_ARGS,
             )
             ffi_builder.compile(tmpdir=cache, verbose=False)
             module = _find_built_module(cache, name)
@@ -683,7 +687,15 @@ def _find_built_module(cache: str, name: str):
 
 
 class NativeBatchedKernel:
-    """Batched-engine kernel dispatching into the compiled C routine."""
+    """:class:`~repro.backend.numpy_backend.NumpyBatchedKernel` in C, bitwise.
+
+    One :meth:`advance` runs every batch of a ``run_interactions`` call in a
+    single C call that makes the reference's draws, in its order, on the
+    generator it is given.  A batch that fails leaves the counts as it found
+    them, as the reference's does; the batches before it are returned first
+    and the next call raises, so the engine's clock and batch counters stop
+    where the reference's stop.
+    """
 
     def __init__(
         self,
@@ -691,29 +703,37 @@ class NativeBatchedKernel:
         state_rates: np.ndarray | None,
         population_size: int,
         small_count_threshold: int,
-        rng: np.random.Generator,
     ) -> None:
         self._lib, self._ffi = _load_compiled()
-        self.table = table
-        self.population_size = population_size
-        self.small_count_threshold = small_count_threshold
-        self.seen = np.zeros(table.num_states, dtype=bool)
-        self._seen_bytes = np.zeros(table.num_states, dtype=np.uint8)
-        self._stats = np.zeros(2, dtype=np.int64)
-        self._uniform = state_rates is None
-        self._rates = (
-            np.ones(table.num_states, dtype=np.float64)
-            if state_rates is None
-            else np.ascontiguousarray(state_rates, dtype=np.float64)
-        )
-        # xoshiro state seeded from the engine generator; >= 1 keeps the
-        # state away from the all-zero fixed point.
-        self._rng_state = rng.integers(
-            1, 2**63, size=4, dtype=np.uint64
-        )
-
-    def _pointer(self, ctype: str, array: np.ndarray):
-        return self._ffi.cast(ctype, array.ctypes.data)
+        size, width = table.num_states, table.max_outcomes
+        self.seen = np.zeros(size, dtype=bool)
+        split = np.zeros((size, size, width + 1), dtype=np.float64)
+        for i, j in zip(*np.nonzero(~table.is_null)):
+            pvals = outcome_split_pvals(table, i, j)
+            if pvals is not None:
+                split[i, j, : pvals.size] = pvals
+        state = self._state = self._ffi.new("repro_batched *")
+        state.size, state.kmax = size, width
+        state.population = population_size
+        state.small_threshold = small_count_threshold
+        # The C side keeps raw pointers: hold every array for as long as the
+        # kernel lives.
+        self._arrays = {
+            "outcome_count": table.outcome_count,
+            "receiver_out": table.outcome_receiver,
+            "sender_out": table.outcome_sender,
+            "probability": table.outcome_probability,
+            "null_probability": table.null_probability,
+            "split_pvals": split,
+            "rates": None if state_rates is None
+            else np.ascontiguousarray(state_rates, dtype=np.float64),
+            "seen": self.seen,
+        }
+        for name, array in self._arrays.items():
+            if array is not None:
+                setattr(state, name, self._ffi.cast("void *", array.ctypes.data))
+        self._progress = np.zeros(3, dtype=np.int64)
+        self._error: Exception | None = None
 
     def advance(
         self,
@@ -722,45 +742,47 @@ class NativeBatchedKernel:
         batch_size: int,
         rng: np.random.Generator,
     ) -> tuple[int, int, int]:
-        table = self.table
-        before_batched = int(self._stats[0])
-        before_fallback = int(self._stats[1])
+        if self._error is not None:
+            error, self._error = self._error, None
+            raise error
+        if not (_is_index_array(counts) and counts.size == self._state.size):
+            raise SimulationError(
+                f"counts must be a contiguous int64 array of {self._state.size} states"
+            )
+        if batch_size < 1:
+            raise SimulationError(f"batch size must be positive, got {batch_size}")
+        self._state.bitgen = _bitgen(self._ffi, rng)
+        progress = self._progress
+        progress[:] = 0
         code = self._lib.repro_batched_advance(
-            self._pointer("long long *", counts),
-            table.num_states,
-            table.max_outcomes,
-            self._pointer("const long long *", table.outcome_receiver),
-            self._pointer("const long long *", table.outcome_sender),
-            self._pointer("const double *", table.outcome_probability),
-            self._pointer("const long long *", table.outcome_count),
-            self._pointer("const double *", table.null_probability),
-            self._pointer("const double *", self._rates),
-            0 if not self._uniform else 1,
-            self.population_size,
+            self._state,
+            self._ffi.cast("int64_t *", counts.ctypes.data),
             max_interactions,
             batch_size,
-            self.small_count_threshold,
-            self._pointer("unsigned long long *", self._rng_state),
-            self._pointer("unsigned char *", self._seen_bytes),
-            self._pointer("long long *", self._stats),
+            self._ffi.cast("int64_t *", progress.ctypes.data),
         )
-        if code == 1:
-            raise SimulationError(
-                "scheduler assigns zero total weight to the current configuration"
-            )
-        if code == 2:
-            raise SimulationError(
-                "state-weighted scheduler: fewer than two agents have a "
-                "positive rate; no ordered pair can be selected"
-            )
-        if code != 0:
-            raise SimulationError(f"native batched kernel failed (code {code})")
-        np.logical_or(self.seen, self._seen_bytes.view(bool), out=self.seen)
-        return (
-            max_interactions,
-            int(self._stats[0]) - before_batched,
-            int(self._stats[1]) - before_fallback,
+        if code:
+            error = _batch_error(code)
+            if progress[0] == 0:
+                raise error
+            self._error = error
+        return int(progress[0]), int(progress[1]), int(progress[2])
+
+
+def _batch_error(code: int) -> Exception:
+    """The reference's exception for a failed batch's return code."""
+    if code == 1:
+        return SimulationError(
+            "scheduler assigns zero total weight to the current configuration"
         )
+    if code == 2:
+        return SimulationError(
+            "state-weighted scheduler: fewer than two agents have a "
+            "positive rate; no ordered pair can be selected"
+        )
+    if code == 3:
+        return ValueError("pvals < 0, pvals > 1 or pvals contains NaNs")
+    return MemoryError("native batched kernel: no memory for its work space")
 
 
 def _is_index_array(array) -> bool:
@@ -892,10 +914,9 @@ class NativeBackend(ArrayBackend):
         state_rates: np.ndarray | None,
         population_size: int,
         small_count_threshold: int,
-        rng: np.random.Generator,
     ) -> NativeBatchedKernel:
         return NativeBatchedKernel(
-            table, state_rates, population_size, small_count_threshold, rng
+            table, state_rates, population_size, small_count_threshold
         )
 
     def draw_matching_arrays(
@@ -926,6 +947,6 @@ class NativeBackend(ArrayBackend):
 
     def describe(self) -> str:
         if self.available():
-            return ("cffi-compiled C kernels (batched: distribution-identical "
-                    "to numpy; vector rounds: bitwise numpy)")
+            return ("cffi-compiled C kernels (batched advance, vector "
+                    "matching and rounds), bitwise the numpy runs")
         return f"cffi-compiled C kernels (unavailable: {_FAILURE or 'no toolchain'})"

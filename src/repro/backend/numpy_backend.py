@@ -39,6 +39,7 @@ if TYPE_CHECKING:  # pragma: no cover
 __all__ = [
     "NumpyBackend",
     "NumpyBatchedKernel",
+    "outcome_split_pvals",
     "pair_weight_matrix",
 ]
 
@@ -62,6 +63,25 @@ def pair_weight_matrix(
         weights = np.outer(scaled, scaled)
         np.fill_diagonal(weights, scaled * rates * (counts - 1.0))
     return weights
+
+
+def outcome_split_pvals(
+    table: "CompiledTransitionTable", i: int, j: int
+) -> np.ndarray | None:
+    """The multinomial ``pvals`` splitting a batch's ``(i, j)`` interactions.
+
+    Normalised over the pair's explicit outcomes plus the null bucket;
+    ``None`` when its single outcome is certain and no draw is needed.
+    Normalising once per protocol is bitwise-identical to the historical
+    per-batch ``pvals / pvals.sum()``: the inputs and operations are the
+    same.
+    """
+    count = int(table.outcome_count[i, j])
+    null_mass = float(table.null_probability[i, j])
+    if null_mass > 0.0 or count > 1:
+        pvals = np.append(table.outcome_probability[i, j, :count], null_mass)
+        return pvals / pvals.sum()
+    return None
 
 
 class NumpyBatchedKernel:
@@ -108,12 +128,8 @@ class NumpyBatchedKernel:
         """Per-pair outcome-splitting invariants.
 
         ``[i][j]`` is ``None`` for null pairs, else ``(pvals, outputs)``:
-        ``pvals`` is the normalised multinomial argument over explicit
-        outcomes plus the null bucket (``None`` when the single outcome is
-        certain and no draw is needed), ``outputs`` the list of
-        ``(receiver_out, sender_out)`` index pairs.  Normalising once here is
-        bitwise-identical to the historical per-batch ``pvals / pvals.sum()``
-        because the inputs and the operations are the same.
+        ``pvals`` is :func:`outcome_split_pvals`, ``outputs`` the list of
+        ``(receiver_out, sender_out)`` index pairs.
         """
         table = self.table
         size = table.num_states
@@ -124,22 +140,14 @@ class NumpyBatchedKernel:
                 if table.is_null[i, j]:
                     row.append(None)
                     continue
-                count = int(table.outcome_count[i, j])
-                probabilities = table.outcome_probability[i, j, :count]
-                null_mass = float(table.null_probability[i, j])
-                if null_mass > 0.0 or count > 1:
-                    pvals = np.append(probabilities, null_mass)
-                    pvals = pvals / pvals.sum()
-                else:
-                    pvals = None
                 outputs = [
                     (
                         int(table.outcome_receiver[i, j, k]),
                         int(table.outcome_sender[i, j, k]),
                     )
-                    for k in range(count)
+                    for k in range(int(table.outcome_count[i, j]))
                 ]
-                row.append((pvals, outputs))
+                row.append((outcome_split_pvals(table, i, j), outputs))
             splits.append(row)
         return splits
 

@@ -31,8 +31,9 @@ The draw→apply loop itself lives behind the array-backend seam
 (:mod:`repro.backend`): the engine owns the counts, the accounting and the
 run interface, while a *fused kernel* built by the selected backend executes
 the interactions.  The default numpy backend reproduces the historical RNG
-stream bitwise; the native backend runs the whole loop in compiled C code,
-an order of magnitude faster again (select with
+stream bitwise; the native backend runs every batch of a call in compiled C
+code that makes the same draws, so its runs are the numpy runs bit for bit,
+about two orders of magnitude faster (select with
 ``BatchedCountSimulator(..., backend="native")``, ``build_engine(...,
 backend=...)``, ``--backend`` on the CLI or ``REPRO_BACKEND``).  See
 ``DESIGN.md`` (Array backends) for the kernel contract and per-backend RNG
@@ -187,7 +188,6 @@ class BatchedCountSimulator(CountArrayEngine):
             self._state_rates,
             population_size,
             small_count_threshold,
-            self._rng,
         )
 
     # -- inspection -----------------------------------------------------------
@@ -217,8 +217,8 @@ class BatchedCountSimulator(CountArrayEngine):
         The fused draw→apply work happens in the backend kernel; this loop
         only does the accounting, and records one telemetry block per call
         (never per batch).  The numpy reference kernel advances one batch
-        per call (preserving the historical per-batch RNG stream), the
-        native kernel advances everything in a single call.
+        per call, the native kernel advances everything in a single call;
+        both make the same draws.
         """
         if count < 0:
             raise SimulationError(f"interaction count must be non-negative, got {count}")

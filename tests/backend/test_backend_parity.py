@@ -1,17 +1,18 @@
 """Cross-backend parity: every backend runs the same stochastic process.
 
 The numpy backend is the stream-preserving reference (pinned bitwise by
-``test_numpy_golden``).  The native backend's batched kernel draws from its
-own RNG, so it is held to the *distribution*: trajectory statistics over
-many seeds must agree with the numpy reference within sampling noise — the
-batched multinomial draw→apply (uniform and state-weighted), the
-small-count and consumption-guard exact fallbacks, and the CRN lowerings
-(checked against the exact Gillespie SSA).  Its vector kernels draw on the
-engine's generator in the numpy order (``test_native_vector`` compares them
-round by round) and the multiscale engine has no kernel on the seam (it
-runs numpy on every backend), so vector and multiscale runs must agree
-bitwise.  Every parity case needs the native backend (cffi and a C
-toolchain) and is skipped without it.
+``test_numpy_golden``).  Every native kernel draws on the engine's
+generator in the numpy order: the batched advance through numpy's
+multinomial, bounded-integer and uniform draws, the vector kernels through
+its interval, uniform and geometric draws (``test_native_vector`` compares
+them round by round), and the multiscale engine has no kernel on the seam
+(it runs numpy on every backend).  So a seeded native run must *be* the
+numpy run: count trajectories, batch counters and the generator's final
+state, on the batched multinomial draw→apply (uniform and state-weighted),
+the small-count and consumption-guard exact fallbacks, the 34-state
+termination protocol and both CRN lowerings.  The CRN lowerings are also
+checked against the exact Gillespie SSA.  Every parity case needs the
+native backend (cffi and a C toolchain) and is skipped without it.
 """
 
 from __future__ import annotations
@@ -19,10 +20,12 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
 import pytest
 
-from repro.backend import ArrayBackend, get_backend
+from repro.backend import ArrayBackend, get_backend, native_backend
 from repro.backend.native_backend import NativeBackend
+from repro.backend.numpy_backend import pair_weight_matrix
 from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.parameters import ProtocolParameters
 from repro.core.vector_leader import LeaderTerminatingVectorProtocol
@@ -34,7 +37,11 @@ from repro.protocols.epidemic import (
     EpidemicProtocol,
     epidemic_completion_predicate,
 )
-from repro.protocols.leader_election import FiniteStatePairwiseElimination
+from repro.protocols.leader_election import (
+    FiniteStateCounterTermination,
+    FiniteStatePairwiseElimination,
+    termination_signal_predicate,
+)
 from repro.protocols.majority import (
     ApproximateMajorityProtocol,
     majority_consensus_predicate,
@@ -65,49 +72,87 @@ EPIDEMIC_N = 256
 RUNS = 24
 
 
-def _epidemic_times(backend: "ArrayBackend | None", **engine_options):
-    times = []
-    for run_index in range(RUNS):
-        simulator = build_engine(
-            "batched",
-            EpidemicProtocol(),
-            EPIDEMIC_N,
-            seed=1_000 + run_index,
-            backend=backend,
-            **engine_options,
+def _batched_run(simulator, predicate, max_parallel_time, check_interval):
+    """A batched run to ``predicate``: its completion time, the configuration
+    at every check, the batch counters and the generator's final state."""
+    trajectory = []
+
+    def checked(sim):
+        trajectory.append(dict(sim.configuration().items()))
+        return predicate(sim)
+
+    elapsed = simulator.run_until(
+        checked, max_parallel_time=max_parallel_time, check_interval=check_interval
+    )
+    return (
+        elapsed,
+        trajectory,
+        simulator.batched_batches,
+        simulator.fallback_batches,
+        simulator._rng.bit_generator.state,
+    )
+
+
+def _epidemic_runs(backend: "ArrayBackend | str | None", **engine_options):
+    return [
+        _batched_run(
+            build_engine(
+                "batched",
+                EpidemicProtocol(),
+                EPIDEMIC_N,
+                seed=1_000 + run_index,
+                backend=backend,
+                **engine_options,
+            ),
+            epidemic_completion_predicate,
+            60 * math.log(EPIDEMIC_N),
+            max(EPIDEMIC_N // 8, 16),
         )
-        times.append(
-            simulator.run_until(
-                epidemic_completion_predicate,
-                max_parallel_time=60 * math.log(EPIDEMIC_N),
-                check_interval=max(EPIDEMIC_N // 8, 16),
+        for run_index in range(RUNS)
+    ]
+
+
+@pytest.mark.skipif(
+    not NativeBackend.available(), reason="native backend unavailable"
+)
+def test_pair_weights_are_summed_as_numpy_sums_them():
+    """The native batched kernel normalises the pair weights by numpy's
+    pairwise sum, which ``ndarray.sum`` runs but numpy does not export.
+    Integer weights sum exactly in any order, so the golden streams cannot
+    see the order; rate-scaled weights can, and a numpy release that changes
+    it fails here."""
+    lib, ffi = native_backend._load_compiled()
+    rng = np.random.default_rng(11)
+    for size in [*range(1, 40), 64, 91, 150]:
+        for _ in range(5):
+            counts = rng.integers(0, 10 ** rng.integers(1, 7), size=size)
+            weights = pair_weight_matrix(counts, rng.random(size))
+            native = lib.repro_pairwise_sum(
+                ffi.from_buffer("double[]", weights), weights.size
             )
-        )
-    return times
+            assert native == weights.sum(), size
 
 
 class TestBatchedDistributionParity:
+    """The native batched kernel is the numpy kernel, run for run: a check
+    strictly stronger than agreement in distribution."""
+
     @pytest.mark.parametrize("backend", _parity_backends())
     def test_epidemic_completion_time_matches_numpy(self, backend):
-        reference = _epidemic_times(None)
-        observed = _epidemic_times(backend)
-        z = _z_score(observed, reference)
-        assert abs(z) < 4.0, (backend.name, z)
+        assert _epidemic_runs(backend) == _epidemic_runs("numpy")
 
     @pytest.mark.parametrize("backend", _parity_backends())
     def test_state_weighted_parity_and_slowdown(self, backend):
-        """The rate-scaled pair distribution agrees across backends, and
-        throttling the infected state slows the epidemic on every backend."""
+        """The rate-scaled pair distribution is the numpy one, and
+        throttling the infected state slows the epidemic."""
         options = {
             "scheduler": "state-weighted",
             "scheduler_options": {"rates": (("I", 0.3),)},
         }
-        reference = _epidemic_times(None, **options)
-        observed = _epidemic_times(backend, **options)
-        z = _z_score(observed, reference)
-        assert abs(z) < 4.0, (backend.name, z)
-        uniform = statistics.fmean(_epidemic_times(backend))
-        assert statistics.fmean(observed) > 1.2 * uniform, backend.name
+        observed = _epidemic_runs(backend, **options)
+        assert observed == _epidemic_runs("numpy", **options)
+        uniform = statistics.fmean(run[0] for run in _epidemic_runs(backend))
+        assert statistics.fmean(run[0] for run in observed) > 1.2 * uniform
 
     @pytest.mark.parametrize("backend", _parity_backends())
     def test_population_conserved_and_states_tracked(self, backend):
@@ -122,43 +167,96 @@ class TestBatchedDistributionParity:
     @pytest.mark.parametrize("backend", _parity_backends())
     def test_small_count_exact_fallback_still_converges(self, backend):
         """Leader election drives every count to the fallback threshold; the
-        run must finish with exactly one leader on every backend."""
+        run finishes with exactly one leader, as the numpy run does."""
         for run_index in range(8):
-            simulator = build_engine(
-                "batched",
-                FiniteStatePairwiseElimination(),
-                48,
-                seed=4_000 + run_index,
-                backend=backend,
-            )
-            simulator.run_until(
-                lambda sim: sim.count(FiniteStatePairwiseElimination.LEADER)
-                == 1,
-                max_parallel_time=10_000.0,
-                check_interval=48,
-            )
-            assert simulator.count(FiniteStatePairwiseElimination.LEADER) == 1
-            assert simulator.fallback_batches > 0, backend.name
+            runs = [
+                _batched_run(
+                    build_engine(
+                        "batched",
+                        FiniteStatePairwiseElimination(),
+                        48,
+                        seed=4_000 + run_index,
+                        backend=name,
+                    ),
+                    lambda sim: sim.count(FiniteStatePairwiseElimination.LEADER)
+                    == 1,
+                    10_000.0,
+                    48,
+                )
+                for name in (backend, "numpy")
+            ]
+            assert runs[0] == runs[1], run_index
+            assert runs[0][1][-1][FiniteStatePairwiseElimination.LEADER] == 1
+            assert runs[0][3] > 0, backend.name
 
     @pytest.mark.parametrize("backend", _parity_backends())
     def test_majority_correctness_is_backend_independent(self, backend):
         correct = 0
         for run_index in range(16):
-            simulator = build_engine(
-                "batched",
-                ApproximateMajorityProtocol(x_fraction=0.7),
-                300,
-                seed=6_000 + run_index,
-                backend=backend,
-            )
-            simulator.run_until(
-                majority_consensus_predicate,
-                max_parallel_time=500,
-                check_interval=64,
-            )
-            if simulator.count(ApproximateMajorityProtocol.OPINION_Y) == 0:
+            runs = [
+                _batched_run(
+                    build_engine(
+                        "batched",
+                        ApproximateMajorityProtocol(x_fraction=0.7),
+                        300,
+                        seed=6_000 + run_index,
+                        backend=name,
+                    ),
+                    majority_consensus_predicate,
+                    500,
+                    64,
+                )
+                for name in (backend, "numpy")
+            ]
+            assert runs[0] == runs[1], run_index
+            final = runs[0][1][-1]
+            if final.get(ApproximateMajorityProtocol.OPINION_Y, 0) == 0:
                 correct += 1
         assert correct >= 14, (backend.name, correct)
+
+    @pytest.mark.parametrize("backend", _parity_backends())
+    def test_termination_protocol_is_the_numpy_stream(self, backend):
+        """34 states: the S^2 = 1,156 pair weights take numpy's halving and
+        8-accumulator pairwise-sum branches (the 2-state epidemic takes its
+        sequential one)."""
+        for seed in (8_001, 8_002, 8_003):
+            runs = [
+                _batched_run(
+                    build_engine(
+                        "batched",
+                        FiniteStateCounterTermination(counter_threshold=8),
+                        2_000,
+                        seed=seed,
+                        backend=name,
+                    ),
+                    termination_signal_predicate,
+                    200.0,
+                    500,
+                )
+                for name in (backend, "numpy")
+            ]
+            assert runs[0] == runs[1], seed
+            assert len(runs[0][1][-1]) > 8, seed
+
+    @pytest.mark.parametrize("mode", ["uniform", "thinned"])
+    @pytest.mark.parametrize("backend", _parity_backends())
+    def test_crn_lowerings_are_the_numpy_stream(self, backend, mode):
+        """The SIR lowerings split pairs over randomized outcomes, and the
+        thinned one runs the state-weighted scheduler."""
+        compiled = compile_crn(SIR, mode=mode)
+        for run in range(6):
+            runs = [
+                _batched_run(
+                    compiled.build(
+                        "batched", CRN_POPULATION, seed=9_000 + run, backend=name
+                    ),
+                    epidemic_extinct_predicate,
+                    10_000.0,
+                    CRN_POPULATION,
+                )
+                for name in (backend, "numpy")
+            ]
+            assert runs[0] == runs[1], (mode, run)
 
 
 def _finite_state_run(engine, backend, seed):

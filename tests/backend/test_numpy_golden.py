@@ -6,7 +6,8 @@ configuration, the interaction/batch counters and the states seen, plus the
 *next draw* of the engine generator after the run — a direct probe of the
 RNG stream position.  The numpy backend contracts to reproduce all of it
 bitwise; any refactor of the reference kernels that reorders, adds or drops
-a single draw fails here.
+a single draw fails here.  The batched cases replay on the native backend
+too, whose C kernel makes the same draws.
 
 The cases deliberately cover every kernel code path: pure batched runs, the
 small-count exact fallback, the consumption-guard fallback, disabled
@@ -25,6 +26,7 @@ import pathlib
 
 import pytest
 
+from repro.backend.native_backend import NativeBackend
 from repro.crn.multiscale import MultiscaleSimulator
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.scheduler import SchedulerSpec
@@ -92,11 +94,28 @@ def _snapshot(simulator) -> dict:
     }
 
 
-@pytest.mark.parametrize("case", sorted(BATCHED_CASES))
-def test_batched_engine_reproduces_golden_stream(case, golden):
+#: Every batched case on numpy (ids as captured) and on native, whose
+#: kernel makes the numpy kernel's draws in C.
+BATCHED_RUNS = [
+    pytest.param(case, "numpy", id=case) for case in sorted(BATCHED_CASES)
+] + [
+    pytest.param(
+        case,
+        "native",
+        id=f"native-{case}",
+        marks=pytest.mark.skipif(
+            not NativeBackend.available(), reason="native backend unavailable"
+        ),
+    )
+    for case in sorted(BATCHED_CASES)
+]
+
+
+@pytest.mark.parametrize("case,backend", BATCHED_RUNS)
+def test_batched_engine_reproduces_golden_stream(case, backend, golden):
     protocol_cls, n, seed, kwargs = BATCHED_CASES[case]
     simulator = BatchedCountSimulator(
-        protocol_cls(), n, seed=seed, backend="numpy", **kwargs
+        protocol_cls(), n, seed=seed, backend=backend, **kwargs
     )
     for checkpoint in golden[case]["checkpoints"]:
         simulator.run_interactions(checkpoint["interactions"] - simulator.interactions)

@@ -159,7 +159,6 @@ class TestPartialBackendComposition:
             None,
             32,
             8,
-            np.random.default_rng(0),
         )
         assert isinstance(kernel, NumpyBatchedKernel)
         receivers, senders = backend.draw_matching_arrays(

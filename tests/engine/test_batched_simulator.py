@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro.backend.native_backend import NativeBackend
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.configuration import Configuration
 from repro.engine.selection import build_engine
@@ -229,7 +230,63 @@ class TestTracing:
             simulator.run_with_trace(total_parallel_time=1, samples=0)
 
 
+_NATIVE = pytest.param(
+    "native",
+    marks=pytest.mark.skipif(
+        not NativeBackend.available(), reason="native backend unavailable"
+    ),
+)
+
+
 class TestBatchedSchedulerPolicies:
+    @pytest.mark.parametrize(
+        "n,options,error,expected",
+        [
+            # The last pair of positive-rate agents goes inside the
+            # consumption-guard fallback of batch 20 (of 20 interactions).
+            (400, {}, "fewer than two agents", (20, 380, 19, 0, 117596298)),
+            # One-interaction batches reach a single leader; the next
+            # batch's pair weights sum to zero.
+            (
+                10,
+                {"batch_size": 1, "small_count_threshold": 0},
+                "zero total weight",
+                (1, 9, 9, 0, 140394751),
+            ),
+        ],
+        ids=["exact-fallback", "zero-weight"],
+    )
+    @pytest.mark.parametrize("backend", ["numpy", _NATIVE])
+    def test_a_failing_batch_stops_the_clock_before_it(
+        self, backend, n, options, error, expected
+    ):
+        """With the follower rate at zero the election runs out of
+        positive-rate pairs.  The run raises, the counts stay as the failing
+        batch found them, only the batches before it count, and the
+        generator is where that batch's draws left it, on every backend."""
+        simulator = build_engine(
+            "batched",
+            FiniteStatePairwiseElimination(),
+            n,
+            seed=3,
+            scheduler="state-weighted",
+            scheduler_options={"rates": (("F", 0.0),)},
+            backend=backend,
+            **options,
+        )
+        with pytest.raises(SimulationError, match=error):
+            simulator.run_interactions(10**6)
+        leaders = simulator.count(FiniteStatePairwiseElimination.LEADER)
+        assert (
+            leaders,
+            simulator.interactions,
+            simulator.batched_batches,
+            simulator.fallback_batches,
+            int(simulator._rng.integers(0, 2**32)),
+        ) == expected
+        assert simulator.configuration().size == n
+        assert simulator.states_seen() == {"L", "F"}
+
     def test_per_agent_scheduler_rejected(self):
         from repro.protocols.epidemic import EpidemicProtocol
 

@@ -18,8 +18,8 @@ once:
 ``array-figure2.jsonl`` holds the records of the retired ``kind="array"``
 trials; the ``figure2`` vector workload must reproduce them, differing only
 in ``extra["engine"]`` and the added ``extra["protocol"]``.  Both figure2
-fixtures are reproduced on the native backend too, whose vector kernels
-are bitwise the numpy ones.
+fixtures and both batched fixtures are reproduced on the native backend
+too, whose vector and batched kernels are bitwise the numpy ones.
 """
 
 from __future__ import annotations
@@ -50,8 +50,9 @@ GOLDEN = Path(__file__).parent / "golden"
 FAST = ProtocolParameters.fast_test()
 
 
-def golden_sweep(name: str):
-    """The specs behind ``golden/<name>.jsonl``, built exactly as captured."""
+def golden_sweep(name: str, backend: str = "numpy"):
+    """The specs behind ``golden/<name>.jsonl``, built exactly as captured;
+    ``backend`` rebuilds the two batched sweeps on another backend."""
     if name == "finite-state-count":
         return build_finite_state_trials(
             [40, 70], 2, base_seed=11, engine="count", protocol="epidemic",
@@ -66,12 +67,12 @@ def golden_sweep(name: str):
     if name == "finite-state-batched-numpy":
         return build_finite_state_trials(
             [300, 600], 2, base_seed=12, engine="batched", protocol="majority",
-            backend="numpy",
+            backend=backend,
         )
     if name == "finite-state-termination-batched-numpy":
         return build_finite_state_trials(
             [200, 500], 2, base_seed=17, engine="batched", protocol="termination",
-            backend="numpy",
+            backend=backend,
         )
     if name == "finite-state-leader-count":
         return build_finite_state_trials(
@@ -181,9 +182,28 @@ class TestFigure2OnTheVectorWorkload:
     not NativeBackend.available(), reason="native backend unavailable"
 )
 class TestNativeReproducesTheFigure2Records:
-    """The native backend's vector kernels are bitwise the numpy ones, so its
-    runs reproduce the golden records.  Only the keys differ: the backend is
+    """The native backend's vector kernels and batched kernel are bitwise the
+    numpy ones, so its runs reproduce the golden records of both figure2
+    sweeps and both batched sweeps.  Only the keys differ: the backend is
     part of the key."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["finite-state-batched-numpy", "finite-state-termination-batched-numpy"],
+    )
+    def test_batched_sweeps(self, name):
+        golden = read_golden(name)
+        specs = golden_sweep(name, backend="native")
+        assert all(
+            spec.cache_key() != line["key"] for spec, line in zip(specs, golden)
+        )
+        outcome = run_trials(specs)
+        assert len(outcome.records) == len(golden)
+        for record, line in zip(outcome.records, golden):
+            payload = record_to_dict(record)
+            assert payload.keys() == line["record"].keys()
+            for field_name, expected in line["record"].items():
+                assert payload[field_name] == expected, (name, field_name)
 
     def test_vector_figure2(self):
         golden = read_golden("vector-figure2")
