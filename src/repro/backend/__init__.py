@@ -5,11 +5,15 @@ draw→apply, and the vector engine's matching draw and
 ``Log-Size-Estimation`` round.  BENCH_engines.json showed their inline numpy
 forms saturating near 10^7 interactions/s, dominated by per-batch Python
 dispatch rather than by the arithmetic.  This package makes the
-implementation of those three kernels a *backend* chosen at engine
-construction time (``build_engine(..., backend=...)``, ``--backend`` on the
-CLI, or the ``REPRO_BACKEND`` environment variable), so an engine is never
+implementation of those three kernels a *backend*, so an engine is never
 forked to go faster.  A hot loop with only a numpy version lives in the
 engine that runs it.
+
+The backend is a setting of the process: ``REPRO_BACKEND``, which
+``--backend`` sets for one CLI invocation.  Only the batched and vector
+engines resolve one, at construction (their ``backend=`` pins one).  Every
+backend makes the numpy draws, so no trial spec or cache key names one
+(staticcheck rule K407).
 
 Backends
 --------

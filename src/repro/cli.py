@@ -36,9 +36,10 @@ Subcommands
     the engine × scheduler compatibility matrix and ``DESIGN.md``,
     Schedulers, for the scenario semantics).
 ``repro simulate/sweep ... --backend native``
-    Run the hot loops through a pluggable array backend (numpy reference
-    or cffi-compiled C); an unavailable backend warns and falls back to
-    numpy (see ``DESIGN.md``, Array backends).
+    Run this invocation's hot loops through a pluggable array backend
+    (numpy reference or cffi-compiled C; sets ``REPRO_BACKEND`` for the
+    call).  It changes no record or cache key; an unavailable backend warns
+    and falls back to numpy (see ``DESIGN.md``, Array backends).
 ``repro engines``
     Print the engine × scheduler compatibility matrix, one-line
     descriptions of every registered scheduler, and the array-backend
@@ -324,7 +325,7 @@ _KIND_FLAGS = {
 
 def _engine_options(args: argparse.Namespace) -> dict:
     """The given flags that reach the engine (for vector workloads, the kernel)."""
-    names = ("batch_size", "backend", "phase_count", "leap_eps", "regime_thresholds")
+    names = ("batch_size", "phase_count", "leap_eps", "regime_thresholds")
     return {
         name: getattr(args, name) for name in names if getattr(args, name) is not None
     }
@@ -1065,10 +1066,10 @@ def _add_workload_arguments(parser: argparse.ArgumentParser, sweep: bool) -> Non
     )
     parser.add_argument(
         "--backend", choices=list(BACKEND_NAMES), default=None,
-        help="array backend for the hot-loop kernels (default: "
-        "$REPRO_BACKEND or numpy; unavailable backends fall back to numpy "
-        "with a warning — see `repro engines`; participates in the trial "
-        "cache keys)",
+        help="array backend for this invocation's hot-loop kernels (sets "
+        "$REPRO_BACKEND for the call; default: $REPRO_BACKEND or numpy); it "
+        "never changes a record or cache key; unavailable backends fall "
+        "back to numpy with a warning — see `repro engines`",
     )
     parser.add_argument(
         "--fast", action="store_true",
@@ -1431,6 +1432,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --backend is REPRO_BACKEND for this call: the engines and every pool
+    # worker read the process's backend, and no trial spec names one.
+    prior = os.environ.get(ENV_BACKEND)
+    if getattr(args, "backend", None):
+        os.environ[ENV_BACKEND] = args.backend
     try:
         return args.handler(args)
     except ReproError as error:
@@ -1441,6 +1447,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(f"repro {verb}: error: {error}", file=sys.stderr)
         return 2
+    finally:
+        os.environ.pop(ENV_BACKEND, None)
+        if prior is not None:
+            os.environ[ENV_BACKEND] = prior
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,7 +51,8 @@ a count-level mean-field treatment cannot express (see ``DESIGN.md``,
 Multiscale CRN engine).
 
 Determinism is per ``(seed, leap_eps, regime_thresholds)``: a run is exactly
-reproducible from its seed on any backend (every regime runs in numpy), but
+reproducible from its seed (every regime runs in numpy; the engine has no
+kernel on the array-backend seam and resolves no backend), but
 trajectories are *not* bitwise comparable across engines (the approximation
 changes the sampled process, not just the stream).  Validation is
 distributional — tau-leap moments must match the SSA reference
@@ -64,7 +65,6 @@ from typing import Hashable
 
 import numpy as np
 
-from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
     CountArrayEngine,
@@ -406,11 +406,6 @@ class MultiscaleSimulator(CountArrayEngine):
     regime_thresholds:
         ``(critical, ode)`` count thresholds of the
         :class:`RegimeController`.  ``None`` uses the defaults.
-    backend:
-        Array backend: resolved like every engine's (an unavailable one
-        warns and falls back to numpy) and reported in the run manifest.
-        No backend has a kernel for this engine, so every regime runs the
-        same numpy code whatever it names.
     scheduler:
         Accepted for interface parity; only the uniform ``"sequential"``
         policy is valid — the propensity model *is* uniform mixing (see the
@@ -424,7 +419,6 @@ class MultiscaleSimulator(CountArrayEngine):
         seed: int | None = None,
         initial_configuration: Configuration | None = None,
         scheduler: SchedulerSpec | str | None = None,
-        backend: "ArrayBackend | str | None" = None,
         leap_eps: float = DEFAULT_LEAP_EPS,
         regime_thresholds: tuple[float, float] | None = None,
     ) -> None:
@@ -463,7 +457,6 @@ class MultiscaleSimulator(CountArrayEngine):
         self.controller = RegimeController(
             self.system.num_channels, critical=critical, ode=ode
         )
-        self.backend = resolve_backend(backend)
         self._rng = np.random.default_rng(seed)
 
         self._counts = np.zeros(self.system.num_species, dtype=np.float64)

@@ -33,9 +33,11 @@ run interface, while a *fused kernel* built by the selected backend executes
 the interactions.  The default numpy backend reproduces the historical RNG
 stream bitwise; the native backend runs every batch of a call in compiled C
 code that makes the same draws, so its runs are the numpy runs bit for bit,
-about two orders of magnitude faster (select with
-``BatchedCountSimulator(..., backend="native")``, ``build_engine(...,
-backend=...)``, ``--backend`` on the CLI or ``REPRO_BACKEND``).  See
+about two orders of magnitude faster.  The backend is the process's
+(``REPRO_BACKEND``, which ``--backend`` on the CLI sets for one
+invocation); ``BatchedCountSimulator(..., backend=...)`` and
+``build_engine(..., backend=...)`` pin one, as the tests and benchmarks do
+for the numpy reference.  It reaches no record or cache key.  See
 ``DESIGN.md`` (Array backends) for the kernel contract and per-backend RNG
 guarantees.
 
@@ -130,7 +132,7 @@ class BatchedCountSimulator(CountArrayEngine):
         Array backend executing the hot loop: a registered name
         (``"numpy"``, ``"native"``), an
         :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
-        process default (``REPRO_BACKEND`` or numpy).  An unavailable
+        process's backend (``REPRO_BACKEND`` or numpy).  An unavailable
         backend warns and falls back to numpy.
     """
 

@@ -68,6 +68,7 @@ seed yields the identical matching sequence through either path.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -827,9 +828,10 @@ class QuiescingPolicy(SchedulerPolicy):
         self.duration = float(self.options.get("duration", 16.0))
         if not 0.0 <= self.fraction < 1.0:
             raise SimulationError(f"fraction must be in [0, 1), got {self.fraction}")
-        if self.start < 0 or self.duration < 0:
+        if not (0 <= self.start < math.inf and 0 <= self.duration < math.inf):
             raise SimulationError(
-                "starvation window must have non-negative start/duration"
+                f"starvation window must have finite non-negative start/duration, "
+                f"got start={self.start}, duration={self.duration}"
             )
 
     def make_pair_scheduler(self, n: int, rng: RandomSource) -> InteractionScheduler:
@@ -882,8 +884,11 @@ class StateWeightedPolicy(SchedulerPolicy):
                 raise SimulationError(
                     f"state rate for {state!r} must be a number, got {rate!r}"
                 ) from None
-            if rate < 0:
-                raise SimulationError(f"state rate must be non-negative, got {rate}")
+            if not 0 <= rate < math.inf:
+                raise SimulationError(
+                    f"state rate for {state!r} must be finite and non-negative, "
+                    f"got {rate}"
+                )
             self.rates[state] = rate
         try:
             self.default_rate = float(self.options.get("default_rate", 1.0))
@@ -892,9 +897,10 @@ class StateWeightedPolicy(SchedulerPolicy):
                 f"default_rate must be a number, got "
                 f"{self.options.get('default_rate')!r}"
             ) from None
-        if self.default_rate < 0:
+        if not 0 <= self.default_rate < math.inf:
             raise SimulationError(
-                f"default_rate must be non-negative, got {self.default_rate}"
+                f"default_rate must be finite and non-negative, got "
+                f"{self.default_rate}"
             )
 
     @staticmethod

@@ -29,11 +29,10 @@ engines``).
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Iterable, Mapping
 
-from repro.backend import ArrayBackend, resolve_backend
+from repro.backend import ENV_BACKEND, ArrayBackend
 from repro.crn.multiscale import MultiscaleSimulator
 from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.configuration import Configuration
@@ -59,6 +58,7 @@ __all__ = [
     "CountingSimulationAdapter",
     "EngineEntry",
     "build_engine",
+    "check_engine_options",
     "engine_scheduler_matrix",
     "resolve_scheduler_spec",
     "schedulers_for_engine",
@@ -150,7 +150,7 @@ ENGINES: dict[str, EngineEntry] = {
         VectorFiniteStateSimulator, "rounds", "matching", array_backend=True
     ),
     "multiscale": EngineEntry(
-        MultiscaleSimulator, "mean-field", "sequential", array_backend=True,
+        MultiscaleSimulator, "mean-field", "sequential",
         options=("leap_eps", "regime_thresholds"),
     ),
 }
@@ -174,7 +174,8 @@ SEQUENTIAL_ENGINE_NAMES = tuple(
     engine for engine in ENGINE_NAMES if DEFAULT_SCHEDULERS[engine] == "sequential"
 )
 
-#: The engines that run on an array backend (:mod:`repro.backend`).
+#: The engines that run a kernel from the array-backend seam
+#: (:mod:`repro.backend`); only they resolve a backend.
 ARRAY_ENGINE_NAMES = tuple(name for name, row in ENGINES.items() if row.array_backend)
 
 
@@ -224,6 +225,29 @@ def resolve_scheduler_spec(
     return spec.coerced()
 
 
+def check_engine_options(engine: str, names: Iterable[str]) -> None:
+    """Reject an unknown engine, or option names its constructor does not
+    take: the check :func:`build_engine` runs, and trial specs run when they
+    are built.  ``backend`` is never a trial option: the array backend is a
+    setting of the process, so it reaches no record or cache key."""
+    entry = ENGINES.get(engine)
+    if entry is None:
+        raise SimulationError(
+            f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_NAMES)}"
+        )
+    unknown = set(names) - set(entry.options)
+    if "backend" in unknown:
+        raise SimulationError(
+            f"the array backend is a setting of the process, not an engine "
+            f"option: pass --backend NAME or set {ENV_BACKEND}"
+        )
+    if unknown:
+        raise SimulationError(
+            f"the {engine} engine does not accept options {sorted(unknown)}; "
+            f"allowed: {sorted(entry.options) or 'none'}"
+        )
+
+
 def build_engine(
     engine: str,
     protocol: FiniteStateProtocol,
@@ -251,15 +275,15 @@ def build_engine(
     scheduler_options:
         Options for a scheduler given by name (e.g. ``{"intra": 0.95}``).
     backend:
-        Array backend for the hot kernels (:mod:`repro.backend`): a
-        registered name (``"numpy"``, ``"native"``), an
-        :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
-        process default (``REPRO_BACKEND`` or numpy).  The batched engine
-        takes its count advance from it, and the vector engine its matching
-        draw and ``Log-Size-Estimation`` round; the multiscale engine
-        resolves it but has no kernel on it.  The per-interaction reference
-        engines (agent, count) always run plain Python/numpy and warn if a
-        non-default backend is requested for them.
+        Array backend for the engines that run a kernel from the seam
+        (:data:`ARRAY_ENGINE_NAMES`): a registered name (``"numpy"``,
+        ``"native"``), an :class:`~repro.backend.ArrayBackend` instance, or
+        ``None`` for the process's backend (``REPRO_BACKEND`` or numpy).
+        The batched engine takes its count advance from it, and the vector
+        engine its matching draw and ``Log-Size-Estimation`` round.  Every
+        backend makes the same draws, so the choice never changes a
+        trajectory.  The agent, count and multiscale engines have no kernel
+        on the seam and reject an explicit backend.
     engine_options:
         Extra keyword arguments forwarded to the engine constructor (the
         batched engine takes ``batch_size`` / ``small_count_threshold``, the
@@ -269,32 +293,19 @@ def build_engine(
     ------
     SimulationError
         For an unknown engine name, an incompatible (engine, scheduler)
-        combination, or options the engine does not accept.
+        combination, options the engine does not accept, or a backend for
+        an engine that runs no kernel from the seam.
     """
-    entry = ENGINES.get(engine)
-    if entry is None:
-        raise SimulationError(
-            f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_NAMES)}"
-        )
+    check_engine_options(engine, engine_options)
     spec = resolve_scheduler_spec(engine, scheduler, scheduler_options)
-    unknown = set(engine_options) - set(entry.options)
-    if unknown:
-        raise SimulationError(
-            f"the {engine} engine does not accept options {sorted(unknown)}; "
-            f"allowed: {sorted(entry.options) or 'none'}"
-        )
+    entry = ENGINES[engine]
     if entry.array_backend:
         engine_options["backend"] = backend
     elif backend is not None:
-        resolved = resolve_backend(backend)
-        if resolved.name != "numpy":
-            warnings.warn(
-                f"the {engine} engine is a per-interaction reference "
-                f"implementation and always runs the numpy code path; "
-                f"ignoring backend {resolved.name!r}",
-                UserWarning,
-                stacklevel=2,
-            )
+        raise SimulationError(
+            f"the {engine} engine runs no kernel from the array-backend seam "
+            f"and takes no backend"
+        )
     return entry.cls(
         protocol, population_size, seed=seed,
         initial_configuration=initial_configuration,

@@ -198,11 +198,9 @@ class KernelWorkload(Workload):
     def run(self, spec: TrialSpec) -> RunRecord:
         from repro.engine.vector import VectorSimulator
 
-        options = dict(spec.engine_options)
-        backend = options.pop("backend", None)
         simulator = VectorSimulator(
-            self.factory(spec.params, **options), spec.population_size,
-            seed=spec.seed, scheduler=spec.scheduler_spec(), backend=backend,
+            self.factory(spec.params, **dict(spec.engine_options)),
+            spec.population_size, seed=spec.seed, scheduler=spec.scheduler_spec(),
         )
         converged, convergence_time = self._run_until(
             simulator, VectorSimulator.all_done, spec
@@ -500,7 +498,10 @@ class TrialSpec:
         rule pickle applies for ``workers > 1``).
     engine_options:
         Canonicalised ``(key, value)`` pairs forwarded to
-        :func:`repro.engine.selection.build_engine`.
+        :func:`repro.engine.selection.build_engine` (to the kernel factory
+        for the vector kind), checked when the spec is built.  Never the
+        array backend: that is a setting of the process, so it keys no
+        trial.
     scheduler / scheduler_options:
         Scheduling policy name and canonicalised option pairs.  ``None``
         selects the engine's default policy (sequential, or matching on the
@@ -819,24 +820,19 @@ def build_vector_trials(
     ``scheduler`` selects the round scheduler (default: uniform matching).
     """
     workload = _workload(protocol, KIND_VECTOR)
-    # "backend" addresses the VectorSimulator, not the protocol kernel: it
-    # must not reach the kernel factory or the budget computation.
-    kernel_options = {
-        key: value for key, value in engine_options.items() if key != "backend"
-    }
     # Probe the kernel factory once so unsupported engine_options fail here,
     # at build time, instead of as a TypeError inside a worker process mid-
     # sweep.  Kernel construction is cheap (arrays are allocated later, in
     # init_fields); parameter-validation errors (ProtocolError) propagate.
     try:
-        workload.factory(params, **kernel_options)
+        workload.factory(params, **engine_options)
     except TypeError as error:
         raise SimulationError(
             f"vector workload {protocol!r} does not accept options "
-            f"{sorted(kernel_options)}: {error}"
+            f"{sorted(engine_options)}: {error}"
         ) from None
     if max_parallel_time is None:
-        budget = lambda n: workload.default_budget(n, params, **kernel_options)
+        budget = lambda n: workload.default_budget(n, params, **engine_options)
     else:
         budget = _as_budget(max_parallel_time)
     return _expand(

@@ -48,26 +48,6 @@ MANIFEST_FIELDS = (
 )
 
 
-def _resolved_backend_name(spec: "TrialSpec") -> str | None:
-    """The array-backend name this spec resolves to, or None for a trial
-    that never touches the backend seam: a sequential reference trial, or
-    one on an engine the engine table does not list in
-    ``ARRAY_ENGINE_NAMES`` (the per-interaction agent and count engines)."""
-    from repro.engine.selection import ARRAY_ENGINE_NAMES
-
-    if spec.kind == "sequential" or spec.engine not in ARRAY_ENGINE_NAMES:
-        return None
-    requested = dict(spec.engine_options).get("backend")
-    try:
-        from repro.backend import resolve_backend
-
-        return resolve_backend(requested).name
-    except Exception:
-        # An unresolvable backend fails loudly at trial run time; the
-        # manifest only reports, so fall back to the raw request here.
-        return str(requested) if requested is not None else None
-
-
 def trial_manifest(spec: "TrialSpec", delta: dict) -> dict:
     """Build the run manifest for one executed trial.
 
@@ -79,6 +59,9 @@ def trial_manifest(spec: "TrialSpec", delta: dict) -> dict:
         ``Recorder.since(mark)`` output for the trial's execution window —
         ``{"counters": ..., "timing": ...}`` with timing in seconds.
     """
+    from repro.backend import resolve_backend
+    from repro.engine.selection import ARRAY_ENGINE_NAMES
+
     scheduler_spec = spec.scheduler_spec()
     return {
         "schema": MANIFEST_SCHEMA_VERSION,
@@ -92,7 +75,11 @@ def trial_manifest(spec: "TrialSpec", delta: dict) -> dict:
         "resolution": {
             "kind": spec.kind,
             "engine": spec.engine,
-            "backend": _resolved_backend_name(spec),
+            # The process's backend, which the engines that run a kernel
+            # from the seam resolved; the others resolve none.
+            "backend": (
+                resolve_backend().name if spec.engine in ARRAY_ENGINE_NAMES else None
+            ),
             "scheduler": scheduler_spec.name if scheduler_spec is not None else None,
         },
         "counters": dict(delta.get("counters", {})),

@@ -23,15 +23,19 @@ Store-field key exclusion (``K404``/``K405``)
     without auditing it fails CI), and no excluded name may appear among
     ``TrialSpec``'s fields or in its canonical key payload (``K405``).
 
-Telemetry key exclusion (``K406``)
-    Same inverse contract for the observability layer: run manifests ride
-    on records under ``RunRecord.extra["telemetry"]`` and describe *how* a
-    trial ran, never *what* it is — so no manifest field name may collide
-    with a ``TrialSpec`` field or cache-payload key, and flipping the
-    process-global recorder on must leave every spec's ``cache_key()``
-    byte-identical (proved by perturbation: the key is computed with
-    telemetry off and on and compared).  Otherwise enabling ``--telemetry``
-    would fork a sweep's cache.
+Process-state key exclusion (``K406``/``K407``)
+    Same inverse contract for state of the process that runs a trial.
+    Both rules flip that state and require every spec the ``K401`` audit
+    builds to keep a byte-identical ``cache_key()``.  ``K406`` flips the
+    telemetry recorder off and on: run manifests ride on records under
+    ``RunRecord.extra["telemetry"]`` and describe *how* a trial ran, never
+    *what* it is, so no manifest field name may collide with a
+    ``TrialSpec`` field or cache-payload key either; otherwise enabling
+    ``--telemetry`` would fork a sweep's cache.  ``K407`` flips
+    ``REPRO_BACKEND`` (unset, then each registered backend): every backend
+    makes the same draws, so ``--backend`` must not fork a cache, and no
+    backend name (nor ``backend`` itself) may be a ``TrialSpec`` field or
+    payload key.
 
 Capability-matrix coverage (``M501``/``M502``/``M503``)
     ``ENGINE_SCHEDULER_CAPABILITY`` plus the registered policies' declared
@@ -48,16 +52,20 @@ Capability-matrix coverage (``M501``/``M502``/``M503``)
 from __future__ import annotations
 
 import ast
+import contextlib
 import dataclasses
 import json
+import os
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
+from repro.exceptions import ReproError
 from repro.staticcheck.diagnostics import ERROR, Diagnostic
 
 __all__ = [
     "FieldPerturbation",
     "audit_cache_key",
+    "backend_exclusion_diagnostics",
     "capability_matrix_diagnostics",
     "contract_diagnostics",
     "declared_backend_cells",
@@ -237,7 +245,9 @@ def trial_spec_perturbations() -> tuple[Mapping[str, object], list[FieldPerturba
         FieldPerturbation("protocol", "majority"),
         FieldPerturbation("protocol_factory", EpidemicProtocol),
         FieldPerturbation("predicate", epidemic_completion_predicate),
-        FieldPerturbation("engine_options", (("batch_size", 32),)),
+        FieldPerturbation(
+            "engine_options", (("batch_size", 32),), base={"engine": "batched"}
+        ),
         FieldPerturbation("scheduler", "state-weighted"),
         FieldPerturbation(
             "scheduler_options",
@@ -317,7 +327,6 @@ def store_exclusion_diagnostics() -> list[Diagnostic]:
         the canonical key payload — store selection would leak into the
         key, splitting identical trials across stores.
     """
-    from repro.harness.parallel import TrialSpec
     from repro.store.base import STORE_KEY_EXCLUDED_FIELDS, StoreSpec
 
     diagnostics: list[Diagnostic] = []
@@ -355,36 +364,104 @@ def store_exclusion_diagnostics() -> list[Diagnostic]:
                 hint="the audit list and StoreSpec drifted; update one of them",
             )
         )
+    return diagnostics + _identity_collisions(
+        excluded,
+        "K405",
+        "store-selection",
+        "rename one side; trial identity and result placement must stay "
+        "orthogonal",
+    )
+
+
+# ---------------------------------------------------------------------------
+# Process-state key exclusion
+# ---------------------------------------------------------------------------
+
+
+def _audited_specs() -> list:
+    """Every spec the ``K401`` audit builds: the shared baseline and each
+    perturbation's baseline and variant (an unbuildable one is K403's)."""
+    from repro.harness.parallel import TrialSpec
+
+    baseline, perturbations = trial_spec_perturbations()
+    specs = []
+    for perturbation in perturbations:
+        kwargs = {**baseline, **perturbation.base}
+        for value in (kwargs[perturbation.field], perturbation.variant):
+            try:
+                specs.append(TrialSpec(**{**kwargs, perturbation.field: value}))
+            except (ReproError, TypeError):
+                continue
+    return [TrialSpec(**baseline), *specs]
+
+
+def _keys_move(state: Callable, values: Sequence[object]) -> bool:
+    """Whether any audited spec's ``cache_key()`` changes as the context
+    manager ``state(value)`` sets one piece of process state to each value
+    in turn."""
+    specs = _audited_specs()
+    keys = set()
+    for value in values:
+        with state(value):
+            keys.add(tuple(spec.cache_key() for spec in specs))
+    return len(keys) > 1
+
+
+def _identity_collisions(names, rule: str, what: str, hint: str) -> list[Diagnostic]:
+    """One diagnostic per name that is a ``TrialSpec`` field or a key of
+    the baseline spec's cache payload."""
+    from repro.harness.parallel import TrialSpec
+
     baseline, _ = trial_spec_perturbations()
     payload_keys = set(TrialSpec(**baseline).cache_payload())
     trial_fields = {
         field.name for field in dataclasses.fields(TrialSpec) if field.init
     }
-    for name in sorted(excluded):
+    diagnostics = []
+    for name in sorted(set(names)):
         if name in trial_fields or name in payload_keys:
             where = "field set" if name in trial_fields else "key payload"
             diagnostics.append(
                 Diagnostic(
-                    rule="K405",
+                    rule=rule,
                     severity=ERROR,
                     location=f"spec:TrialSpec.{name}",
                     message=(
-                        f"store-selection name {name!r} appears in TrialSpec's "
-                        f"{where}: store choice would leak into the cache key "
-                        f"and split identical trials across stores"
+                        f"{what} name {name!r} appears in TrialSpec's {where}: "
+                        f"it would leak into the cache key and split "
+                        f"identical trials"
                     ),
-                    hint=(
-                        "rename one side; trial identity and result placement "
-                        "must stay orthogonal"
-                    ),
+                    hint=hint,
                 )
             )
     return diagnostics
 
 
-# ---------------------------------------------------------------------------
-# Telemetry key exclusion
-# ---------------------------------------------------------------------------
+@contextlib.contextmanager
+def _recorder(enabled: bool):
+    from repro.obs.recorder import RECORDER
+
+    prior = RECORDER.enabled
+    RECORDER.enabled = enabled
+    try:
+        yield
+    finally:
+        RECORDER.enabled = prior
+
+
+@contextlib.contextmanager
+def _backend_variable(value: str | None):
+    from repro.backend import ENV_BACKEND
+
+    prior = os.environ.pop(ENV_BACKEND, None)
+    if value is not None:
+        os.environ[ENV_BACKEND] = value
+    try:
+        yield
+    finally:
+        os.environ.pop(ENV_BACKEND, None)
+        if prior is not None:
+            os.environ[ENV_BACKEND] = prior
 
 
 def telemetry_exclusion_diagnostics(
@@ -393,43 +470,24 @@ def telemetry_exclusion_diagnostics(
 ) -> list[Diagnostic]:
     """Prove telemetry can never participate in trial identity (``K406``).
 
-    Three sub-checks, all under one rule:
-
-    1. Flipping the process-global recorder on must leave every audited
-       spec's ``cache_key()`` byte-identical (perturbation over the K401
-       baselines).
-    2. The ``extra`` key manifests ride under (``"telemetry"``) must not be
-       a ``TrialSpec`` field or cache-payload key.
-    3. No top-level manifest field name may collide with a ``TrialSpec``
-       field or payload key — a collision is how a future refactor would
-       silently promote telemetry into identity.
+    Flipping the process-global recorder on must leave every audited
+    spec's ``cache_key()`` byte-identical, and neither the ``extra`` key
+    manifests ride under (``"telemetry"``) nor any top-level manifest field
+    may be a ``TrialSpec`` field or cache-payload key — a collision is how
+    a future refactor would silently promote telemetry into identity.
 
     ``manifest_fields`` / ``telemetry_key`` default to the real constants
     from :mod:`repro.obs.manifest`; tests inject drifted values to prove
     the rule actually fires.
     """
-    from repro.harness.parallel import TrialSpec
     from repro.obs.manifest import MANIFEST_FIELDS, TELEMETRY_KEY
-    from repro.obs.recorder import RECORDER
 
     if manifest_fields is None:
         manifest_fields = MANIFEST_FIELDS
     if telemetry_key is None:
         telemetry_key = TELEMETRY_KEY
-
     diagnostics: list[Diagnostic] = []
-    baseline, _ = trial_spec_perturbations()
-    spec = TrialSpec(**baseline)
-
-    prior = RECORDER.enabled
-    try:
-        RECORDER.enabled = False
-        key_off = spec.cache_key()
-        RECORDER.enabled = True
-        key_on = spec.cache_key()
-    finally:
-        RECORDER.enabled = prior
-    if key_off != key_on:
+    if _keys_move(_recorder, [False, True]):
         diagnostics.append(
             Diagnostic(
                 rule="K406",
@@ -447,32 +505,57 @@ def telemetry_exclusion_diagnostics(
                 ),
             )
         )
+    diagnostics += _identity_collisions(
+        [telemetry_key, *manifest_fields],
+        "K406",
+        "telemetry/manifest",
+        "rename the manifest field (repro.obs.manifest.MANIFEST_FIELDS) or "
+        "the spec field; trial identity and observation must stay orthogonal",
+    )
+    return diagnostics
 
-    payload_keys = set(spec.cache_payload())
-    trial_fields = {
-        field.name for field in dataclasses.fields(TrialSpec) if field.init
-    }
-    for name in sorted({telemetry_key, *manifest_fields}):
-        if name in trial_fields or name in payload_keys:
-            where = "field set" if name in trial_fields else "key payload"
-            diagnostics.append(
-                Diagnostic(
-                    rule="K406",
-                    severity=ERROR,
-                    location=f"spec:TrialSpec.{name}",
-                    message=(
-                        f"telemetry/manifest name {name!r} appears in "
-                        f"TrialSpec's {where}: manifest content would leak "
-                        f"into the cache key and split identical trials by "
-                        f"how they were observed"
-                    ),
-                    hint=(
-                        "rename the manifest field (repro.obs.manifest."
-                        "MANIFEST_FIELDS) or the spec field; trial identity "
-                        "and observation must stay orthogonal"
-                    ),
-                )
+
+def backend_exclusion_diagnostics(
+    backend_names: Sequence[str] | None = None,
+) -> list[Diagnostic]:
+    """Prove the array backend can never participate in trial identity
+    (``K407``).
+
+    Every audited spec's ``cache_key()`` must be byte-identical with
+    ``REPRO_BACKEND`` unset and set to each registered backend, and no
+    backend name, nor ``backend`` itself, may be a ``TrialSpec`` field or
+    cache-payload key.  ``backend_names`` defaults to the registered names;
+    tests inject drifted values to prove the rule fires.
+    """
+    from repro.backend import ENV_BACKEND, backend_names as registered
+
+    names = tuple(registered() if backend_names is None else backend_names)
+    diagnostics: list[Diagnostic] = []
+    if _keys_move(_backend_variable, [None, *names]):
+        diagnostics.append(
+            Diagnostic(
+                rule="K407",
+                severity=ERROR,
+                location="spec:TrialSpec.cache_key",
+                message=(
+                    f"setting {ENV_BACKEND} changes cache_key(): the process's "
+                    f"backend leaks into trial identity, so one trial run on "
+                    f"two backends would get two keys although every backend "
+                    f"makes the same draws"
+                ),
+                hint=(
+                    "cache_payload() must not read the backend; it is a "
+                    "setting of the process (--backend or REPRO_BACKEND)"
+                ),
             )
+        )
+    diagnostics += _identity_collisions(
+        ["backend", *names],
+        "K407",
+        "array-backend",
+        "the backend is a setting of the process, never a trial field; "
+        "rename the spec field",
+    )
     return diagnostics
 
 
@@ -595,10 +678,12 @@ def capability_matrix_diagnostics(root: str | Path = ".") -> list[Diagnostic]:
 
 
 def contract_diagnostics(root: str | Path = ".") -> list[Diagnostic]:
-    """All contract checks: cache keys, store/telemetry exclusion, coverage."""
+    """All contract checks: cache keys, store/telemetry/backend exclusion,
+    coverage."""
     return (
         cache_key_diagnostics()
         + store_exclusion_diagnostics()
         + telemetry_exclusion_diagnostics()
+        + backend_exclusion_diagnostics()
         + capability_matrix_diagnostics(root)
     )

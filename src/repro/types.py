@@ -218,13 +218,11 @@ class Workload:
 
     @staticmethod
     def _check_engine(spec) -> None:
-        from repro.engine.selection import ENGINE_NAMES
+        """The engine name and options, checked as ``build_engine`` checks
+        them."""
+        from repro.engine.selection import check_engine_options
 
-        if spec.engine not in ENGINE_NAMES:
-            raise SimulationError(
-                f"unknown engine {spec.engine!r}; expected one of "
-                f"{', '.join(ENGINE_NAMES)}"
-            )
+        check_engine_options(spec.engine, spec.engine_option_dict())
 
     def run(self, spec) -> RunRecord:
         """Build, run and record one trial; an exhausted budget is recorded

@@ -6,7 +6,7 @@ generator in the numpy order: the batched advance through numpy's
 multinomial, bounded-integer and uniform draws, the vector kernels through
 its interval, uniform and geometric draws (``test_native_vector`` compares
 them round by round), and the multiscale engine has no kernel on the seam
-(it runs numpy on every backend).  So a seeded native run must *be* the
+(it resolves no backend and runs numpy whatever the process's backend).  So a seeded native run must *be* the
 numpy run: count trajectories, batch counters and the generator's final
 state, on the batched multinomial draw→apply (uniform and state-weighted),
 the small-count and consumption-guard exact fallbacks, the 34-state
@@ -23,7 +23,7 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.backend import ArrayBackend, get_backend, native_backend
+from repro.backend import ENV_BACKEND, ArrayBackend, get_backend, native_backend
 from repro.backend.native_backend import NativeBackend
 from repro.backend.numpy_backend import pair_weight_matrix
 from repro.core.array_simulator import LogSizeVectorProtocol
@@ -282,6 +282,13 @@ def _finite_state_run(engine, backend, seed):
     return runs
 
 
+def _process_backend_run(engine, backend, seed):
+    """``_finite_state_run`` with ``backend`` as the process's backend."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_BACKEND, backend)
+        return _finite_state_run(engine, None, seed)
+
+
 def _kernel_run(kernel, backend, seed):
     """A paper kernel run to all-done: its fields and generator position."""
     simulator = VectorSimulator(kernel, 96, seed=seed, backend=backend)
@@ -298,7 +305,7 @@ def _kernel_run(kernel, backend, seed):
 FAST = ProtocolParameters.fast_test()
 BITWISE_RUNS = {
     "vector": lambda backend, seed: _finite_state_run("vector", backend, seed),
-    "multiscale": lambda backend, seed: _finite_state_run(
+    "multiscale": lambda backend, seed: _process_backend_run(
         "multiscale", backend, seed
     ),
     "figure2": lambda backend, seed: _kernel_run(
@@ -315,11 +322,11 @@ BITWISE_RUNS = {
 )
 @pytest.mark.parametrize("workload", list(BITWISE_RUNS))
 def test_vector_and_multiscale_runs_are_the_numpy_stream_bitwise(workload):
-    """Only the batched kernel draws from its own stream.  A seeded vector or
-    multiscale run on native is the numpy run, snapshot for snapshot: the
-    finite-state kernels on the native matching, Figure 2's
-    Log-Size-Estimation round in C, the Theorem 3.13 kernel that inherits
-    it, and the multiscale engine's numpy tau-leap."""
+    """A seeded vector or multiscale run on native is the numpy run,
+    snapshot for snapshot: the finite-state kernels on the native matching,
+    Figure 2's Log-Size-Estimation round in C, the Theorem 3.13 kernel that
+    inherits it, and the multiscale engine's numpy tau-leap, which ignores
+    the process's backend."""
     run = BITWISE_RUNS[workload]
     for seed in (2_001, 2_002, 2_003):
         assert run("native", seed) == run("numpy", seed), (workload, seed)

@@ -149,7 +149,7 @@ def test_vector_engine_reproduces_golden_stream(case, golden):
 @pytest.mark.parametrize("case", sorted(MULTISCALE_CASES))
 def test_multiscale_engine_reproduces_golden_stream(case, golden):
     protocol_cls, n, seed = MULTISCALE_CASES[case]
-    simulator = MultiscaleSimulator(protocol_cls(), n, seed=seed, backend="numpy")
+    simulator = MultiscaleSimulator(protocol_cls(), n, seed=seed)
     for checkpoint in golden[case]["checkpoints"]:
         simulator.run_interactions(checkpoint["interactions"] - simulator.interactions)
         snapshot = _snapshot(simulator)

@@ -190,19 +190,22 @@ class TestPartialBackendComposition:
 
 
 class TestEngineBackendThreading:
-    @pytest.mark.parametrize("engine", ["agent", "count"])
-    def test_reference_engines_warn_and_ignore_non_numpy_backends(self, engine):
-        with pytest.warns(UserWarning, match="per-interaction reference"):
-            simulator = build_engine(
-                engine, EpidemicProtocol(), 64, seed=0, backend="native"
-            )
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    @pytest.mark.parametrize("engine", ["agent", "count", "multiscale"])
+    def test_reference_engines_reject_an_explicit_backend(self, engine, backend):
+        # Only the batched and vector engines run a kernel from the seam;
+        # naming a backend for any other engine is an error, not ignored.
+        with pytest.raises(SimulationError, match="takes no backend"):
+            build_engine(engine, EpidemicProtocol(), 64, seed=0, backend=backend)
+
+    @pytest.mark.parametrize("engine", ["agent", "count", "multiscale"])
+    def test_reference_engines_ignore_the_process_backend(self, engine, monkeypatch):
+        # They never resolve a backend: not even an unknown name in the
+        # environment, which any resolution would reject, reaches them.
+        monkeypatch.setenv(ENV_BACKEND, "warp")
+        simulator = build_engine(engine, EpidemicProtocol(), 64, seed=0)
         simulator.run_interactions(64)
         assert simulator.interactions == 64
-
-    @pytest.mark.parametrize("engine", ["agent", "count"])
-    def test_reference_engines_accept_numpy_silently(self, engine, recwarn):
-        build_engine(engine, EpidemicProtocol(), 64, seed=0, backend="numpy")
-        assert not [w for w in recwarn if issubclass(w.category, UserWarning)]
 
     def test_batched_and_vector_record_their_backend(self):
         batched = build_engine(

@@ -370,8 +370,6 @@ EXERCISED_BACKEND_CELLS = (
     ("batched", "native"),
     ("vector", "numpy"),
     ("vector", "native"),
-    ("multiscale", "numpy"),
-    ("multiscale", "native"),
 )
 
 #: Valid options for the policies that require (or deserve) non-defaults.

@@ -289,6 +289,24 @@ class TestSchedulerSpecAndRegistry:
         with pytest.raises(SimulationError):
             SchedulerSpec("weighted", (("lazy_rate", 0.0),)).build_policy()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "name,option",
+        [
+            ("state-weighted", "rates"),
+            ("state-weighted", "default_rate"),
+            ("quiescing", "start"),
+            ("quiescing", "duration"),
+        ],
+    )
+    def test_non_finite_option_values_rejected(self, name, option, value):
+        # NaN passes a `< 0` check; a NaN or infinite rate or window must
+        # fail in the constructor, not as a numpy error mid-run (or, for a
+        # window, as a starvation that never starts).
+        raw = f"I:{value}" if option == "rates" else value
+        with pytest.raises(SimulationError, match="finite"):
+            SchedulerSpec(name, ((option, raw),)).build_policy()
+
     def test_coerce_forms(self):
         assert SchedulerSpec.coerce(None, default="matching").name == "matching"
         assert SchedulerSpec.coerce("weighted").name == "weighted"

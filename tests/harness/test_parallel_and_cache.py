@@ -15,6 +15,7 @@ from repro.harness.parallel import (
     KIND_FINITE_STATE,
     ReferenceWorkload,
     TrialSpec,
+    build_crn_trials,
     build_finite_state_trials,
     build_vector_trials,
     get_workload,
@@ -146,6 +147,34 @@ class TestTrialSpecValidation:
     def test_unknown_engine_rejected(self):
         with pytest.raises(SimulationError):
             epidemic_trials(engine="warp")
+
+    def test_unknown_engine_option_rejected_before_any_key(self):
+        # The spec runs build_engine's own option check when it is built, so
+        # a typo fails here, not in a worker after the store claim.
+        with pytest.raises(SimulationError, match="'batch_sise'"):
+            build_finite_state_trials(
+                [1000], 1, engine="count", protocol="epidemic", batch_sise=10
+            )
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            functools.partial(
+                build_finite_state_trials, [1000], 1, engine="batched",
+                protocol="epidemic",
+            ),
+            functools.partial(
+                build_vector_trials, [1000], 1, protocol="figure2", params=FAST
+            ),
+            functools.partial(build_crn_trials, [1000], 1, "sir", engine="batched"),
+        ],
+        ids=["finite-state", "vector", "crn"],
+    )
+    def test_backend_is_not_a_trial_option(self, build):
+        # The backend is a setting of the process (--backend, REPRO_BACKEND):
+        # every backend makes the same draws, so no spec names one.
+        with pytest.raises(SimulationError, match="backend"):
+            build(backend="native")
 
     def test_missing_workload_rejected(self):
         with pytest.raises(SimulationError):
@@ -446,7 +475,7 @@ class TestCacheKeys:
             {"size_index": 7},
             {"run_index": 7},
             {"base_seed": 99},
-            {"engine": "batched"},
+            {"engine": "count"},
             {"max_parallel_time": 123.0},
             {"check_interval": 32},
             {"protocol": "epidemic", "protocol_factory": None, "predicate": None},
@@ -454,7 +483,8 @@ class TestCacheKeys:
         ],
     )
     def test_key_changes_when_any_field_changes(self, change):
-        base = epidemic_trials()[0]
+        # Batched, so that batch_size is an option its engine takes.
+        base = epidemic_trials(engine="batched")[0]
         changed = dataclasses.replace(base, **change)
         assert changed.cache_key() != base.cache_key()
 

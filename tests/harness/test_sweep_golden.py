@@ -20,6 +20,12 @@ trials; the ``figure2`` vector workload must reproduce them, differing only
 in ``extra["engine"]`` and the added ``extra["protocol"]``.  Both figure2
 fixtures and both batched fixtures are reproduced on the native backend
 too, whose vector and batched kernels are bitwise the numpy ones.
+
+The three ``*-numpy`` fixtures and ``crn-multiscale`` were captured with the
+backend named in the spec.  When the backend left the spec (it is a setting
+of the process), their ``key`` fields were rewritten once to the keys of the
+same sweeps built without it; their records and every other byte are as
+captured.
 """
 
 from __future__ import annotations
@@ -30,6 +36,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.backend import ENV_BACKEND
 from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.harness import parallel
@@ -50,9 +57,9 @@ GOLDEN = Path(__file__).parent / "golden"
 FAST = ProtocolParameters.fast_test()
 
 
-def golden_sweep(name: str, backend: str = "numpy"):
-    """The specs behind ``golden/<name>.jsonl``, built exactly as captured;
-    ``backend`` rebuilds the two batched sweeps on another backend."""
+def golden_sweep(name: str):
+    """The specs behind ``golden/<name>.jsonl``, built as captured (less the
+    backend, which no spec names)."""
     if name == "finite-state-count":
         return build_finite_state_trials(
             [40, 70], 2, base_seed=11, engine="count", protocol="epidemic",
@@ -67,12 +74,10 @@ def golden_sweep(name: str, backend: str = "numpy"):
     if name == "finite-state-batched-numpy":
         return build_finite_state_trials(
             [300, 600], 2, base_seed=12, engine="batched", protocol="majority",
-            backend=backend,
         )
     if name == "finite-state-termination-batched-numpy":
         return build_finite_state_trials(
             [200, 500], 2, base_seed=17, engine="batched", protocol="termination",
-            backend=backend,
         )
     if name == "finite-state-leader-count":
         return build_finite_state_trials(
@@ -81,7 +86,6 @@ def golden_sweep(name: str, backend: str = "numpy"):
     if name == "finite-state-epidemic-multiscale-numpy":
         return build_finite_state_trials(
             [400, 3000], 2, base_seed=19, engine="multiscale", protocol="epidemic",
-            backend="numpy",
         )
     if name == "vector-figure2":
         return build_vector_trials(
@@ -90,7 +94,6 @@ def golden_sweep(name: str, backend: str = "numpy"):
     if name == "crn-multiscale":
         return build_crn_trials(
             [3000], 2, crn="sir", engine="multiscale", base_seed=14,
-            backend="numpy",
         )
     assert name == "sequential"
     return ReferenceWorkload(name=None).trials(
@@ -183,9 +186,13 @@ class TestFigure2OnTheVectorWorkload:
 )
 class TestNativeReproducesTheFigure2Records:
     """The native backend's vector kernels and batched kernel are bitwise the
-    numpy ones, so its runs reproduce the golden records of both figure2
-    sweeps and both batched sweeps.  Only the keys differ: the backend is
-    part of the key."""
+    numpy ones, so with native as the process's backend the golden sweeps
+    of both figure2 kinds and both batched sweeps reproduce their records
+    under their golden keys: the backend reaches no key."""
+
+    @pytest.fixture(autouse=True)
+    def native_process(self, monkeypatch):
+        monkeypatch.setenv(ENV_BACKEND, "native")
 
     @pytest.mark.parametrize(
         "name",
@@ -193,10 +200,10 @@ class TestNativeReproducesTheFigure2Records:
     )
     def test_batched_sweeps(self, name):
         golden = read_golden(name)
-        specs = golden_sweep(name, backend="native")
-        assert all(
-            spec.cache_key() != line["key"] for spec, line in zip(specs, golden)
-        )
+        specs = golden_sweep(name)
+        assert [spec.cache_key() for spec in specs] == [
+            line["key"] for line in golden
+        ]
         outcome = run_trials(specs)
         assert len(outcome.records) == len(golden)
         for record, line in zip(outcome.records, golden):
@@ -207,20 +214,17 @@ class TestNativeReproducesTheFigure2Records:
 
     def test_vector_figure2(self):
         golden = read_golden("vector-figure2")
-        specs = build_vector_trials(
-            [48, 80], 2, protocol="figure2", params=FAST, base_seed=13,
-            backend="native",
-        )
-        assert all(
-            spec.cache_key() != line["key"] for spec, line in zip(specs, golden)
-        )
+        specs = golden_sweep("vector-figure2")
+        assert [spec.cache_key() for spec in specs] == [
+            line["key"] for line in golden
+        ]
         outcome = run_trials(specs)
         assert [record_to_dict(record) for record in outcome.records] == [
             line["record"] for line in golden
         ]
 
     def test_array_figure2(self):
-        outcome = run_trials(array_figure2_sweep(backend="native"))
+        outcome = run_trials(array_figure2_sweep())
         golden = read_golden("array-figure2")
         assert len(outcome.records) == len(golden)
         for record, line in zip(outcome.records, golden):

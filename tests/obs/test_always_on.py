@@ -15,6 +15,7 @@ import functools
 
 import pytest
 
+from repro.backend import ENV_BACKEND
 from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.crn.library import CRN_WORKLOADS
@@ -81,7 +82,9 @@ def _agent_predicate_chunks():
 
 def _vector_predicate_chunks(backend="numpy"):
     # The vector engine runs the same predicate loop: one check per round.
-    record = run_trial(_figure2_spec(backend))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv(ENV_BACKEND, backend)
+        record = run_trial(_figure2_spec())
     return {"engine.convergence_checks": record.extra["interactions"] // (48 // 2)}, (
         "engine.step",
         "engine.convergence_check",
@@ -179,16 +182,17 @@ def test_disabled_recorder_emits_no_manifest_spans_or_spool(tmp_path):
     assert RECORDER.counters["engine.interactions"] == record.extra["interactions"]
 
 
-def _figure2_spec(backend):
+def _figure2_spec():
     (spec,) = build_vector_trials(
-        [48], 1, protocol="figure2", params=FAST, base_seed=9, backend=backend
+        [48], 1, protocol="figure2", params=FAST, base_seed=9
     )
     return spec
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_vector_round_is_silent_with_telemetry_off(backend):
-    run_trial(_figure2_spec(backend))
+def test_vector_round_is_silent_with_telemetry_off(backend, monkeypatch):
+    monkeypatch.setenv(ENV_BACKEND, backend)
+    run_trial(_figure2_spec())
     # The shared run loop's chunk blocks record (see above); the round's
     # draw/apply split does not.
     recorded = set(RECORDER.counters) | set(RECORDER.timers_ns)
@@ -197,9 +201,10 @@ def test_vector_round_is_silent_with_telemetry_off(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_vector_round_times_itself_with_telemetry_on(backend):
+def test_vector_round_times_itself_with_telemetry_on(backend, monkeypatch):
+    monkeypatch.setenv(ENV_BACKEND, backend)
     with recording():
-        record = run_trial(_figure2_spec(backend))
+        record = run_trial(_figure2_spec())
     counters = record.extra[TELEMETRY_KEY]["counters"]
     timing = record.extra[TELEMETRY_KEY]["timing"]
     # The matching scheduler emits floor(n/2) pairs every round, and the

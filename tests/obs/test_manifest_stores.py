@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import sys
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
 
-from repro.backend import resolve_backend
+from repro.backend import ENV_BACKEND, resolve_backend
+from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.harness.parallel import (
     ReferenceWorkload,
     build_crn_trials,
     build_finite_state_trials,
+    build_vector_trials,
     run_trial,
     run_trials,
 )
@@ -24,6 +29,7 @@ from repro.obs.manifest import (
 )
 from repro.obs.recorder import RECORDER, recording
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.store.base import record_to_dict
 from repro.store.jsonl import JsonlStore
 from repro.store.server import StoreServer
 from repro.store.sqlite import SqliteStore
@@ -78,27 +84,29 @@ class TestTrialManifest:
         "engine", ["agent", "count", "batched", "vector", "multiscale"]
     )
     def test_manifest_names_a_backend_only_for_engines_that_use_one(
-        self, engine
+        self, engine, monkeypatch
     ):
-        # The agent and count engines ignore a backend request (with a
-        # warning) and run the per-interaction Python path.
-        (spec,) = epidemic_specs(engine=engine, backend="native")
+        # Only the batched and vector engines run a kernel from the seam; the
+        # others run their numpy path whatever the process's backend.
+        monkeypatch.setenv(ENV_BACKEND, "native")
+        (spec,) = epidemic_specs(engine=engine)
         backend = trial_manifest(spec, {})["resolution"]["backend"]
-        if engine in ("agent", "count"):
-            assert backend is None
-        else:
+        if engine in ("batched", "vector"):
             assert backend == resolve_backend("native").name
+        else:
+            assert backend is None
 
-    @pytest.mark.parametrize("engine", ["count", "multiscale"])
-    def test_crn_manifest_names_a_backend_only_for_array_engines(self, engine):
-        (spec,) = build_crn_trials(
-            [300], 1, "epidemic", engine=engine, base_seed=5, backend="native"
-        )
+    @pytest.mark.parametrize("engine", ["count", "batched", "multiscale"])
+    def test_crn_manifest_names_a_backend_only_for_array_engines(
+        self, engine, monkeypatch
+    ):
+        monkeypatch.setenv(ENV_BACKEND, "native")
+        (spec,) = build_crn_trials([300], 1, "epidemic", engine=engine, base_seed=5)
         backend = trial_manifest(spec, {})["resolution"]["backend"]
-        if engine == "count":
-            assert backend is None
-        else:
+        if engine == "batched":
             assert backend == resolve_backend("native").name
+        else:
+            assert backend is None
 
     def test_cache_key_is_identical_with_telemetry_on_and_off(self):
         (spec,) = epidemic_specs()
@@ -208,3 +216,67 @@ class TestStoreCounters:
         assert counters["store.appends"] == 1
         assert counters["store.claims"] >= 1
         assert counters["store.claims_acquired"] == 1
+
+
+@pytest.mark.skipif(not NativeBackend.available(), reason="native backend unavailable")
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the resolve_backend spy reaches pool workers only through fork",
+)
+class TestPoolWorkersRunTheDriversBackend:
+    """No spec names a backend: pool workers run the driver's process backend,
+    and only the batched and vector engines resolve one."""
+
+    @staticmethod
+    def specs():
+        return (
+            build_finite_state_trials(
+                [2000], 2, engine="batched", protocol="epidemic", base_seed=3
+            )
+            + build_vector_trials(
+                [48], 2, protocol="figure2",
+                params=ProtocolParameters.fast_test(), base_seed=3,
+            )
+            + build_finite_state_trials(
+                [2000], 2, engine="multiscale", protocol="epidemic", base_seed=3
+            )
+        )
+
+    def test_native_workers_return_the_numpy_records(self, monkeypatch, tmp_path):
+        specs = self.specs()
+        monkeypatch.setenv(ENV_BACKEND, "numpy")
+        reference = [record_to_dict(record) for record in run_trials(specs).records]
+
+        # Every module that imported resolve_backend gets a spy that logs
+        # its caller's module; forked workers inherit it.
+        calls = tmp_path / "resolve_backend.calls"
+        real = resolve_backend
+
+        def spy(backend=None):
+            with open(calls, "a", encoding="utf-8") as log:
+                log.write(sys._getframe(1).f_globals["__name__"] + "\n")
+            return real(backend)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "resolve_backend", None) is real:
+                monkeypatch.setattr(module, "resolve_backend", spy)
+        monkeypatch.setenv(ENV_BACKEND, "native")
+        with recording():
+            pooled = run_trials(specs, workers=2)
+
+        assert pooled.executed == len(specs)
+        backends = []
+        for spec, record, expected in zip(specs, pooled.records, reference):
+            backends.append(
+                record.extra.pop(TELEMETRY_KEY)["resolution"]["backend"]
+            )
+            assert record_to_dict(record) == expected, spec.engine
+        assert backends == ["native"] * 4 + [None] * 2
+        callers = Counter(calls.read_text(encoding="utf-8").split())
+        # One engine resolution and one manifest line per batched and vector
+        # trial; none at all for the multiscale trials.
+        assert callers == {
+            "repro.engine.batched_simulator": 2,
+            "repro.engine.vector": 2,
+            "repro.obs.manifest": 4,
+        }

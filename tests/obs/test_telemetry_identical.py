@@ -17,6 +17,7 @@ import json
 
 import pytest
 
+from repro.backend import ENV_BACKEND
 from repro.backend.native_backend import NativeBackend
 from repro.core.parameters import ProtocolParameters
 from repro.harness.parallel import (
@@ -85,12 +86,11 @@ def test_enabling_telemetry_leaves_the_trajectory_bit_identical(spec):
 
 
 @pytest.mark.skipif(not NativeBackend.available(), reason="native backend unavailable")
-def test_native_vector_record_is_byte_identical_with_telemetry():
+def test_native_vector_record_is_byte_identical_with_telemetry(monkeypatch):
     # The native backend runs these rounds in its C run loop, which times its
     # draw and apply only while telemetry is on.
-    (spec,) = build_vector_trials(
-        [48], 1, protocol="figure2", params=FAST, base_seed=9, backend="native"
-    )
+    monkeypatch.setenv(ENV_BACKEND, "native")
+    (spec,) = build_vector_trials([48], 1, protocol="figure2", params=FAST, base_seed=9)
     baseline = run_trial(spec)
     with recording():
         observed = run_trial(spec)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import textwrap
 
+import pytest
+
+from repro.backend import ENV_BACKEND
 from repro.staticcheck.contracts import (
     FieldPerturbation,
     audit_cache_key,
+    backend_exclusion_diagnostics,
     cache_key_diagnostics,
     capability_matrix_diagnostics,
     declared_backend_cells,
@@ -177,14 +182,54 @@ class TestTelemetryExclusion:
         assert all(d.severity == "error" for d in diagnostics)
 
 
+class TestBackendExclusion:
+    def test_real_specs_keep_one_key_on_every_backend(self):
+        # K407 on the live tree: no audited spec's key moves with
+        # REPRO_BACKEND, and no backend name shadows spec identity.
+        assert backend_exclusion_diagnostics() == []
+
+    def test_k407_on_a_key_that_reads_the_backend(self, monkeypatch):
+        # Inject the drift the rule guards against: a payload that reads
+        # the process's backend, so native and numpy runs of one trial
+        # would get two keys.
+        from repro.harness.parallel import TrialSpec
+
+        payload = TrialSpec.cache_payload
+        monkeypatch.setattr(
+            TrialSpec,
+            "cache_payload",
+            lambda self: {**payload(self), "stream": os.environ.get(ENV_BACKEND)},
+        )
+        diagnostics = backend_exclusion_diagnostics()
+        assert _rules(diagnostics) == {"K407"}
+        (diag,) = diagnostics
+        assert diag.location == "spec:TrialSpec.cache_key"
+        assert diag.severity == "error"
+
+    def test_k407_on_backend_name_colliding_with_spec_field(self):
+        diagnostics = backend_exclusion_diagnostics(backend_names=("numpy", "engine"))
+        assert _rules(diagnostics) == {"K407"}
+        (diag,) = diagnostics
+        assert "'engine'" in diag.message and diag.location == "spec:TrialSpec.engine"
+
+    @pytest.mark.parametrize("prior", [None, "native"])
+    def test_backend_variable_is_restored_after_the_audit(self, prior, monkeypatch):
+        if prior is None:
+            monkeypatch.delenv(ENV_BACKEND, raising=False)
+        else:
+            monkeypatch.setenv(ENV_BACKEND, prior)
+        backend_exclusion_diagnostics()
+        assert os.environ.get(ENV_BACKEND) == prior
+
+
 class TestCapabilityMatrix:
     def test_real_grid_is_consistent(self):
         assert capability_matrix_diagnostics(root=".") == []
 
     def test_declared_cells_are_nonempty(self):
         assert len(declared_scheduler_cells()) >= 13
-        # batched/vector/multiscale x numpy/native
-        assert len(declared_backend_cells()) == 6
+        # batched/vector x numpy/native
+        assert len(declared_backend_cells()) == 4
 
     def test_m501_on_missing_cell(self, tmp_path):
         self._write_grid(

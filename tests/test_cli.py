@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import re
 
 import pytest
@@ -703,6 +704,30 @@ class TestSchedulerOptionValidation:
         assert code == 2
         assert "does not accept option 'bogus'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "engine,scheduler,option",
+        [
+            ("batched", "state-weighted", "rates=I:nan"),
+            ("count", "state-weighted", "default_rate=nan"),
+            ("agent", "quiescing", "start=nan"),
+        ],
+    )
+    def test_non_finite_option_value_exits_cleanly(
+        self, capsys, engine, scheduler, option
+    ):
+        # NaN passes a `< 0` check: these died with a numpy traceback, blamed
+        # the wrong option, or ran a starvation window that never opens.
+        code = main(
+            [
+                "simulate", "--protocol", "epidemic", "--n", "1000",
+                "--engine", engine, "--scheduler", scheduler,
+                "--scheduler-opt", option,
+            ]
+        )
+        assert code == 2
+        error = capsys.readouterr().err
+        assert error.count("error:") == 1 and "finite" in error
+
 
 class TestCRNCommands:
     def test_crn_requires_a_subcommand(self):
@@ -1007,6 +1032,75 @@ class TestBackendFlag:
         )
         assert code == 0
         assert "converged" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("prior", [None, "numpy"])
+    def test_backend_flag_sets_the_variable_for_the_call_only(
+        self, prior, monkeypatch, capsys
+    ):
+        import repro.cli as cli
+
+        if prior is None:
+            monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_BACKEND", prior)
+        seen = []
+        run_trial = cli.run_trial
+
+        def spy(spec):
+            seen.append(os.environ.get("REPRO_BACKEND"))
+            return run_trial(spec)
+
+        monkeypatch.setattr(cli, "run_trial", spy)
+        argv = ["simulate", "--protocol", "epidemic", "--n", "500",
+                "--backend", "native"]
+        assert main(argv) == 0
+        assert seen == ["native"]
+        assert os.environ.get("REPRO_BACKEND") == prior
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--protocol", "epidemic", "--engine", "agent"],
+            ["--protocol", "epidemic", "--engine", "count"],
+            ["--protocol", "epidemic", "--engine", "vector"],
+            ["--protocol", "epidemic", "--engine", "batched", "--batch-size", "40"],
+            ["--protocol", "epidemic", "--engine", "multiscale"],
+            ["--protocol", "figure2", "--fast"],
+            ["--protocol", "leader-terminating", "--fast", "--phase-count", "8"],
+            ["--crn", "sir"],
+        ],
+        ids=["agent", "count", "vector", "batched", "multiscale", "figure2",
+             "leader-terminating", "crn-sir"],
+    )
+    def test_one_key_per_trial_on_every_backend(self, argv, monkeypatch):
+        # `--backend NAME` is REPRO_BACKEND for one call: neither the flag
+        # nor the variable reaches a spec, so every backend shares keys.
+        import repro.cli as cli
+
+        keys = set()
+        for backend in (None, "numpy", "native"):
+            flag = [] if backend is None else ["--backend", backend]
+            if backend is None:
+                monkeypatch.delenv("REPRO_BACKEND", raising=False)
+            else:
+                monkeypatch.setenv("REPRO_BACKEND", backend)
+            args = build_parser().parse_args(["sweep", *argv, *flag])
+            specs = cli._specs_from_args(
+                args, cli._workload_from_args(args), [1000], 2
+            )
+            keys.add(tuple(spec.cache_key() for spec in specs))
+        assert len(keys) == 1
+
+    def test_one_store_serves_both_backends(self, capsys, tmp_path):
+        args = ["sweep", "--protocol", "epidemic", "--sizes", "2000",
+                "--runs", "2", "--engine", "batched",
+                "--store", f"sqlite:{tmp_path / 'one-key.db'}"]
+        assert main([*args, "--backend", "native"]) == 0
+        assert "2 executed, 0 from cache" in capsys.readouterr().out
+        assert main([*args, "--backend", "numpy"]) == 0
+        assert "0 executed, 2 from cache" in capsys.readouterr().out
+        assert main(args) == 0
+        assert "0 executed, 2 from cache" in capsys.readouterr().out
 
 
 class TestStoreCli:
