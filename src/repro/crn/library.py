@@ -121,7 +121,7 @@ class NetworkWorkload(Workload):
         compiled = compile_crn(spec.crn, mode=spec.crn_mode)
         simulator = compiled.build(
             spec.engine, spec.population_size, seed=spec.seed,
-            **spec.engine_option_dict(),
+            **dict(spec.engine_options),
         )
         converged, convergence_time = self._run_until(
             simulator, spec.predicate or self.predicate, spec

@@ -61,6 +61,7 @@ distributional — tau-leap moments must match the SSA reference
 
 from __future__ import annotations
 
+import numbers
 from typing import Hashable
 
 import numpy as np
@@ -307,6 +308,23 @@ class ReactionSystem:
         return bool((new_counts >= 0.0).all()), new_counts
 
 
+def _regime_thresholds(value) -> tuple[float, float]:
+    """``(critical, ode)`` as floats, checked: ``0 < critical < ode``."""
+    try:
+        critical, ode = (float(number) for number in value)
+    except (TypeError, ValueError):
+        raise SimulationError(
+            f"regime_thresholds must be a (critical, ode) pair of numbers, "
+            f"got {value!r}"
+        ) from None
+    if not 0.0 < critical < ode:
+        raise SimulationError(
+            f"regime_thresholds must satisfy 0 < critical < ode, "
+            f"got ({critical}, {ode})"
+        )
+    return critical, ode
+
+
 class RegimeController:
     """Stateful exact / tau-leap / ODE partition with hysteresis.
 
@@ -325,19 +343,11 @@ class RegimeController:
         ode: float = DEFAULT_ODE_THRESHOLD,
         hysteresis: float = HYSTERESIS,
     ) -> None:
-        if not critical > 0:
-            raise SimulationError(
-                f"critical regime threshold must be positive, got {critical}"
-            )
-        if not ode > critical:
-            raise SimulationError(
-                f"ODE regime threshold ({ode}) must exceed the critical "
-                f"threshold ({critical})"
-            )
+        self.critical_threshold, self.ode_threshold = _regime_thresholds(
+            (critical, ode)
+        )
         if not hysteresis >= 1.0:
             raise SimulationError(f"hysteresis must be >= 1, got {hysteresis}")
-        self.critical_threshold = float(critical)
-        self.ode_threshold = float(ode)
         self.hysteresis = float(hysteresis)
         self._critical = np.ones(num_channels, dtype=bool)
         self._initialised = False
@@ -401,11 +411,13 @@ class MultiscaleSimulator(CountArrayEngine):
     ----------
     leap_eps:
         Cao–Gillespie tolerance: bound on the expected relative propensity
-        change per leap, in ``(0, 0.5]``.  Smaller is more accurate and
-        slower.
+        change per leap, in ``(0, 0.5]``; ``None`` uses
+        ``DEFAULT_LEAP_EPS``.  Smaller is more accurate and slower.
     regime_thresholds:
         ``(critical, ode)`` count thresholds of the
-        :class:`RegimeController`.  ``None`` uses the defaults.
+        :class:`RegimeController`.  ``None`` uses the defaults.  A trial
+        passes both in ``TrialSpec.engine_options``, checked by
+        :meth:`check_options`; they join its key at the top level.
     scheduler:
         Accepted for interface parity; only the uniform ``"sequential"``
         policy is valid — the propensity model *is* uniform mixing (see the
@@ -419,14 +431,13 @@ class MultiscaleSimulator(CountArrayEngine):
         seed: int | None = None,
         initial_configuration: Configuration | None = None,
         scheduler: SchedulerSpec | str | None = None,
-        leap_eps: float = DEFAULT_LEAP_EPS,
+        leap_eps: float | None = None,
         regime_thresholds: tuple[float, float] | None = None,
     ) -> None:
         check_population_size(population_size)
-        if not 0.0 < leap_eps <= 0.5:
-            raise SimulationError(
-                f"leap_eps must be in (0, 0.5], got {leap_eps}"
-            )
+        options = self.check_options(
+            leap_eps=leap_eps, regime_thresholds=regime_thresholds
+        )
         spec = SchedulerSpec.coerce(scheduler, default="sequential")
         if spec.name != "sequential":
             raise SimulationError(
@@ -438,24 +449,16 @@ class MultiscaleSimulator(CountArrayEngine):
         self.scheduler_spec = spec
         self.protocol = protocol
         self.population_size = population_size
-        self.leap_eps = float(leap_eps)
-        if regime_thresholds is None:
-            critical, ode = DEFAULT_CRITICAL_THRESHOLD, DEFAULT_ODE_THRESHOLD
-        else:
-            try:
-                critical, ode = (float(value) for value in regime_thresholds)
-            except (TypeError, ValueError):
-                raise SimulationError(
-                    f"regime_thresholds must be a (critical, ode) pair of "
-                    f"numbers, got {regime_thresholds!r}"
-                ) from None
-        self.regime_thresholds = (critical, ode)
+        self.leap_eps = options["leap_eps"] or DEFAULT_LEAP_EPS
+        self.regime_thresholds = options["regime_thresholds"] or (
+            DEFAULT_CRITICAL_THRESHOLD, DEFAULT_ODE_THRESHOLD
+        )
 
         self.system = ReactionSystem(protocol, population_size)
         self._states = self.system.states
         self._state_index = self.system.index
         self.controller = RegimeController(
-            self.system.num_channels, critical=critical, ode=ode
+            self.system.num_channels, *self.regime_thresholds
         )
         self._rng = np.random.default_rng(seed)
 
@@ -472,6 +475,23 @@ class MultiscaleSimulator(CountArrayEngine):
         self.exact_events = 0
         self.leaps = 0
         self.ode_steps = 0
+
+    @staticmethod
+    def check_options(**options) -> dict:
+        """The options given, checked and as floats (``None`` keeps a
+        default): the one check the constructor and trial specs run, so
+        ``(10, 10000)`` and ``(10.0, 1e4)`` are one key."""
+        checked = dict(options)
+        eps = options.get("leap_eps")
+        if eps is not None:
+            if not (isinstance(eps, numbers.Real) and 0.0 < eps <= 0.5):
+                raise SimulationError(f"leap_eps must be in (0, 0.5], got {eps!r}")
+            checked["leap_eps"] = float(eps)
+        if options.get("regime_thresholds") is not None:
+            checked["regime_thresholds"] = _regime_thresholds(
+                options["regime_thresholds"]
+            )
+        return checked
 
     # -- inspection -----------------------------------------------------------
 

@@ -75,6 +75,7 @@ engines agree in distribution, not draw-for-draw).
 from __future__ import annotations
 
 import math
+import numbers
 from typing import Hashable
 
 import numpy as np
@@ -121,6 +122,8 @@ class BatchedCountSimulator(CountArrayEngine):
         this threshold, the engine steps exactly instead of batching.
         Defaults to ``8``; set to ``0`` to disable the small-count fallback
         (the consumption guard still protects against negative counts).
+        A trial passes both in ``TrialSpec.engine_options``, checked by
+        :meth:`check_options`.
     scheduler:
         Count-level scheduling policy (a registered name or a
         :class:`~repro.engine.scheduler.SchedulerSpec`).  The policy must
@@ -148,6 +151,9 @@ class BatchedCountSimulator(CountArrayEngine):
         backend: "ArrayBackend | str | None" = None,
     ) -> None:
         check_population_size(population_size)
+        options = self.check_options(
+            batch_size=batch_size, small_count_threshold=small_count_threshold
+        )
         self.protocol = protocol
         self.population_size = population_size
         self.table: CompiledTransitionTable = compile_transition_table(protocol)
@@ -160,16 +166,10 @@ class BatchedCountSimulator(CountArrayEngine):
             protocol, population_size, initial_configuration, self.table.index
         ).items():
             self._counts[self.table.index[state]] = count
-        if batch_size is None:
-            batch_size = max(1, round(math.sqrt(population_size)))
-        elif batch_size < 1:
-            raise SimulationError(f"batch size must be positive, got {batch_size}")
-        self.batch_size = batch_size
-        if small_count_threshold < 0:
-            raise SimulationError(
-                f"small_count_threshold must be non-negative, got {small_count_threshold}"
-            )
-        self.small_count_threshold = small_count_threshold
+        self.batch_size = options["batch_size"] or max(
+            1, round(math.sqrt(population_size))
+        )
+        self.small_count_threshold = options["small_count_threshold"]
         self.scheduler_spec = SchedulerSpec.coerce(scheduler)
         # None = uniform rates (the historical code path, draw-for-draw
         # stream-preserving); else one activity rate per compiled state.
@@ -189,8 +189,24 @@ class BatchedCountSimulator(CountArrayEngine):
             self.table,
             self._state_rates,
             population_size,
-            small_count_threshold,
+            self.small_count_threshold,
         )
+
+    @staticmethod
+    def check_options(**options) -> dict:
+        """The options given, checked and as ints (``batch_size=None`` keeps
+        the default): the one check the constructor and trial specs run."""
+        checked = dict(options)
+        for name, least in (("batch_size", 1), ("small_count_threshold", 0)):
+            value = options.get(name)
+            if name not in options or (value is None and name == "batch_size"):
+                continue
+            if not (isinstance(value, numbers.Integral) and value >= least):
+                raise SimulationError(
+                    f"{name} must be an integer >= {least}, got {value!r}"
+                )
+            checked[name] = int(value)
+        return checked
 
     # -- inspection -----------------------------------------------------------
 

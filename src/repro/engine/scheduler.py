@@ -307,6 +307,7 @@ class WeightedPairScheduler(_StaticRatePairScheduler):
         lazy_fraction: float = 0.5,
         lazy_rate: float = 0.1,
     ) -> None:
+        WeightedPolicy.check(lazy_fraction, lazy_rate)
         lazy_count = int(lazy_fraction * n)
         rates = [lazy_rate] * lazy_count + [1.0] * (n - lazy_count)
         super().__init__(n, rng, rates)
@@ -333,10 +334,7 @@ class TwoBlockPairScheduler(InteractionScheduler):
         split: float = 0.5,
     ) -> None:
         super().__init__(n, rng)
-        if not 0.0 <= intra <= 1.0:
-            raise SimulationError(f"intra-block probability must be in [0, 1], got {intra}")
-        if not 0.0 < split < 1.0:
-            raise SimulationError(f"block split must be in (0, 1), got {split}")
+        TwoBlockPolicy.check(intra, split)
         self.block_boundary = min(max(1, int(split * n)), n - 1)
         self.intra = intra
 
@@ -381,16 +379,8 @@ class QuiescingPairScheduler(InteractionScheduler):
         duration: float = 16.0,
     ) -> None:
         super().__init__(n, rng)
-        if not 0.0 <= fraction < 1.0:
-            raise SimulationError(f"starved fraction must be in [0, 1), got {fraction}")
-        if start < 0 or duration < 0:
-            raise SimulationError("starvation window must have non-negative start/duration")
-        self.starved_count = int(fraction * n)
-        if n - self.starved_count < 2:
-            raise SimulationError(
-                f"starving {self.starved_count} of {n} agents leaves fewer than "
-                f"2 active agents"
-            )
+        QuiescingPolicy.check(fraction, start, duration)
+        self.starved_count = QuiescingPolicy.starved_count(n, fraction)
         self.start = start
         self.duration = duration
 
@@ -470,12 +460,7 @@ class WeightedMatchingRoundScheduler(RoundScheduler):
         self, n: int, lazy_fraction: float = 0.5, lazy_rate: float = 0.1
     ) -> None:
         super().__init__(n)
-        if not 0.0 <= lazy_fraction <= 1.0:
-            raise SimulationError(
-                f"lazy_fraction must be in [0, 1], got {lazy_fraction}"
-            )
-        if not 0.0 < lazy_rate <= 1.0:
-            raise SimulationError(f"lazy_rate must be in (0, 1], got {lazy_rate}")
+        WeightedPolicy.check(lazy_fraction, lazy_rate)
         self.lazy_count = int(lazy_fraction * n)
         self.rates = np.ones(n)
         self.rates[: self.lazy_count] = lazy_rate
@@ -502,10 +487,7 @@ class TwoBlockRoundScheduler(RoundScheduler):
 
     def __init__(self, n: int, intra: float = 0.9, split: float = 0.5) -> None:
         super().__init__(n)
-        if not 0.0 <= intra <= 1.0:
-            raise SimulationError(f"intra-block probability must be in [0, 1], got {intra}")
-        if not 0.0 < split < 1.0:
-            raise SimulationError(f"block split must be in (0, 1), got {split}")
+        TwoBlockPolicy.check(intra, split)
         boundary = min(max(1, int(split * n)), n - 1)
         self.block_a = np.arange(0, boundary)
         self.block_b = np.arange(boundary, n)
@@ -538,16 +520,8 @@ class QuiescingRoundScheduler(RoundScheduler):
         duration: float = 16.0,
     ) -> None:
         super().__init__(n)
-        if not 0.0 <= fraction < 1.0:
-            raise SimulationError(f"starved fraction must be in [0, 1), got {fraction}")
-        if start < 0 or duration < 0:
-            raise SimulationError("starvation window must have non-negative start/duration")
-        self.starved_count = int(fraction * n)
-        if n - self.starved_count < 2:
-            raise SimulationError(
-                f"starving {self.starved_count} of {n} agents leaves fewer than "
-                f"2 active agents"
-            )
+        QuiescingPolicy.check(fraction, start, duration)
+        self.starved_count = QuiescingPolicy.starved_count(n, fraction)
         self.active = np.arange(self.starved_count, n)
         self.start = start
         self.duration = duration
@@ -606,6 +580,10 @@ class SchedulerPolicy(ABC):
                 f"{sorted(unknown)}; allowed: {sorted(self.option_names)}"
             )
         self.options = dict(options)
+
+    def check_population(self, n: int) -> None:
+        """Reject a population of ``n`` agents the policy cannot schedule;
+        trial specs run it when they are built."""
 
     # -- capability constructors (override the supported ones) ---------------
 
@@ -757,12 +735,17 @@ class WeightedPolicy(SchedulerPolicy):
         super().__init__(**options)
         self.lazy_fraction = float(self.options.get("lazy_fraction", 0.5))
         self.lazy_rate = float(self.options.get("lazy_rate", 0.1))
-        if not 0.0 <= self.lazy_fraction <= 1.0:
+        self.check(self.lazy_fraction, self.lazy_rate)
+
+    @staticmethod
+    def check(lazy_fraction: float, lazy_rate: float) -> None:
+        """The option ranges, checked by the policy and both its forms."""
+        if not 0.0 <= lazy_fraction <= 1.0:
             raise SimulationError(
-                f"lazy_fraction must be in [0, 1], got {self.lazy_fraction}"
+                f"lazy_fraction must be in [0, 1], got {lazy_fraction}"
             )
-        if not 0.0 < self.lazy_rate <= 1.0:
-            raise SimulationError(f"lazy_rate must be in (0, 1], got {self.lazy_rate}")
+        if not 0.0 < lazy_rate <= 1.0:
+            raise SimulationError(f"lazy_rate must be in (0, 1], got {lazy_rate}")
 
     def make_pair_scheduler(self, n: int, rng: RandomSource) -> InteractionScheduler:
         return WeightedPairScheduler(
@@ -794,10 +777,15 @@ class TwoBlockPolicy(SchedulerPolicy):
         super().__init__(**options)
         self.intra = float(self.options.get("intra", 0.9))
         self.split = float(self.options.get("split", 0.5))
-        if not 0.0 <= self.intra <= 1.0:
-            raise SimulationError(f"intra must be in [0, 1], got {self.intra}")
-        if not 0.0 < self.split < 1.0:
-            raise SimulationError(f"split must be in (0, 1), got {self.split}")
+        self.check(self.intra, self.split)
+
+    @staticmethod
+    def check(intra: float, split: float) -> None:
+        """The option ranges, checked by the policy and both its forms."""
+        if not 0.0 <= intra <= 1.0:
+            raise SimulationError(f"intra must be in [0, 1], got {intra}")
+        if not 0.0 < split < 1.0:
+            raise SimulationError(f"split must be in (0, 1), got {split}")
 
     def make_pair_scheduler(self, n: int, rng: RandomSource) -> InteractionScheduler:
         return TwoBlockPairScheduler(n, rng, intra=self.intra, split=self.split)
@@ -826,13 +814,31 @@ class QuiescingPolicy(SchedulerPolicy):
         self.fraction = float(self.options.get("fraction", 0.5))
         self.start = float(self.options.get("start", 0.0))
         self.duration = float(self.options.get("duration", 16.0))
-        if not 0.0 <= self.fraction < 1.0:
-            raise SimulationError(f"fraction must be in [0, 1), got {self.fraction}")
-        if not (0 <= self.start < math.inf and 0 <= self.duration < math.inf):
+        self.check(self.fraction, self.start, self.duration)
+
+    @staticmethod
+    def check(fraction: float, start: float, duration: float) -> None:
+        """The option ranges, checked by the policy and both its forms."""
+        if not 0.0 <= fraction < 1.0:
+            raise SimulationError(f"fraction must be in [0, 1), got {fraction}")
+        if not (0 <= start < math.inf and 0 <= duration < math.inf):
             raise SimulationError(
                 f"starvation window must have finite non-negative start/duration, "
-                f"got start={self.start}, duration={self.duration}"
+                f"got start={start}, duration={duration}"
             )
+
+    @staticmethod
+    def starved_count(n: int, fraction: float) -> int:
+        """Agents starved inside the window; at least two must stay active."""
+        starved = int(fraction * n)
+        if n - starved < 2:
+            raise SimulationError(
+                f"starving {starved} of {n} agents leaves fewer than 2 active agents"
+            )
+        return starved
+
+    def check_population(self, n: int) -> None:
+        self.starved_count(n, self.fraction)
 
     def make_pair_scheduler(self, n: int, rng: RandomSource) -> InteractionScheduler:
         return QuiescingPairScheduler(

@@ -30,7 +30,7 @@ engines``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
 from repro.backend import ENV_BACKEND, ArrayBackend
 from repro.crn.multiscale import MultiscaleSimulator
@@ -225,17 +225,21 @@ def resolve_scheduler_spec(
     return spec.coerced()
 
 
-def check_engine_options(engine: str, names: Iterable[str]) -> None:
-    """Reject an unknown engine, or option names its constructor does not
-    take: the check :func:`build_engine` runs, and trial specs run when they
-    are built.  ``backend`` is never a trial option: the array backend is a
-    setting of the process, so it reaches no record or cache key."""
+def check_engine_options(engine: str, options: Mapping[str, object]) -> dict:
+    """``options`` checked for ``engine``, in canonical form.
+
+    Rejects an unknown engine, option names its constructor does not take
+    and values its ``check_options``, which the constructor also runs,
+    rejects.  :func:`build_engine` runs it, and a trial spec when it is
+    built, keeping the canonical values.  ``backend`` is never a trial
+    option: the array backend is a setting of the process, so it reaches
+    no record or cache key."""
     entry = ENGINES.get(engine)
     if entry is None:
         raise SimulationError(
             f"unknown engine {engine!r}; expected one of {', '.join(ENGINE_NAMES)}"
         )
-    unknown = set(names) - set(entry.options)
+    unknown = set(options) - set(entry.options)
     if "backend" in unknown:
         raise SimulationError(
             f"the array backend is a setting of the process, not an engine "
@@ -246,6 +250,7 @@ def check_engine_options(engine: str, names: Iterable[str]) -> None:
             f"the {engine} engine does not accept options {sorted(unknown)}; "
             f"allowed: {sorted(entry.options) or 'none'}"
         )
+    return entry.cls.check_options(**options) if entry.options else {}
 
 
 def build_engine(
@@ -293,10 +298,10 @@ def build_engine(
     ------
     SimulationError
         For an unknown engine name, an incompatible (engine, scheduler)
-        combination, options the engine does not accept, or a backend for
-        an engine that runs no kernel from the seam.
+        combination, options or option values the engine does not accept,
+        or a backend for an engine that runs no kernel from the seam.
     """
-    check_engine_options(engine, engine_options)
+    engine_options = check_engine_options(engine, engine_options)
     spec = resolve_scheduler_spec(engine, scheduler, scheduler_options)
     entry = ENGINES[engine]
     if entry.array_backend:

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
+import inspect
 import json
 import math
 import multiprocessing
@@ -142,7 +143,7 @@ class ProtocolWorkload(Workload):
         simulator = build_engine(
             spec.engine, (spec.protocol_factory or self.factory)(),
             spec.population_size, seed=spec.seed,
-            scheduler=spec.scheduler_spec(), **spec.engine_option_dict(),
+            scheduler=spec.scheduler_spec(), **dict(spec.engine_options),
         )
         converged, convergence_time = self._run_until(
             simulator, spec.predicate or self.predicate, spec
@@ -163,7 +164,9 @@ class KernelWorkload(Workload):
 
     ``factory(params, **options)`` builds the kernel, which carries its own
     convergence condition; ``default_budget(n, params, **options)`` is the
-    parallel-time budget for those constants and options.
+    parallel-time budget for those constants and options.  A spec's
+    ``engine_options`` are the kernel's: :meth:`check` builds the kernel
+    with them, so a bad option fails before the trial has a key.
     """
 
     kind: ClassVar[str] = KIND_VECTOR
@@ -186,6 +189,18 @@ class KernelWorkload(Workload):
             params=params or ProtocolParameters.paper(), **options,
         )
 
+    def kernel(self, params: ProtocolParameters, **options):
+        """The kernel for ``params`` and ``options``; an option the factory
+        does not take is a :class:`SimulationError`."""
+        try:
+            inspect.signature(self.factory).bind(params, **options)
+        except TypeError as error:
+            raise SimulationError(
+                f"vector workload {self.name!r} does not accept options "
+                f"{sorted(options)}: {error}"
+            ) from None
+        return self.factory(params, **options)
+
     def check(self, spec: TrialSpec) -> None:
         _check_params(spec)
         if spec.engine != "vector":
@@ -193,13 +208,14 @@ class KernelWorkload(Workload):
                 f"workload {self.name!r} runs on the vector engine; its trials "
                 f"need engine='vector', got {spec.engine!r}"
             )
+        self.kernel(spec.params, **dict(spec.engine_options))
         super().check(spec)
 
     def run(self, spec: TrialSpec) -> RunRecord:
         from repro.engine.vector import VectorSimulator
 
         simulator = VectorSimulator(
-            self.factory(spec.params, **dict(spec.engine_options)),
+            self.kernel(spec.params, **dict(spec.engine_options)),
             spec.population_size, seed=spec.seed, scheduler=spec.scheduler_spec(),
         )
         converged, convergence_time = self._run_until(
@@ -230,7 +246,7 @@ class ReferenceWorkload(Workload):
     def trials(self, population_sizes, runs_per_size, *, params=None,
                max_parallel_time=None, **spec_fields) -> list[TrialSpec]:
         """``spec_fields`` are further :class:`TrialSpec` fields
-        (``base_seed``, ``track_states``, ...); the default budget is the
+        (``base_seed``, ``scheduler``, ...); the default budget is the
         ``figure2`` workload's."""
         params = params or ProtocolParameters.paper()
         if max_parallel_time is None:
@@ -248,6 +264,12 @@ class ReferenceWorkload(Workload):
 
     def check(self, spec: TrialSpec) -> None:
         _check_params(spec)
+        if spec.engine_options or spec.protocol_factory or spec.predicate:
+            raise SimulationError(
+                "a sequential trial runs agent-level Log-Size-Estimation to "
+                "all-done; it reads no engine_options, protocol_factory or "
+                "predicate"
+            )
         super().check(spec)
 
     def run(self, spec: TrialSpec) -> RunRecord:
@@ -261,7 +283,7 @@ class ReferenceWorkload(Workload):
         simulator = Simulation(
             protocol=LogSizeEstimationProtocol(spec.params),
             population_size=spec.population_size, seed=spec.seed,
-            scheduler=spec.scheduler_spec(), track_states=spec.track_states,
+            scheduler=spec.scheduler_spec(),
         )
         converged, convergence_time = self._run_until(
             simulator, all_agents_done, spec
@@ -497,11 +519,13 @@ class TrialSpec:
         so it must import back to the callable (checked here; the same
         rule pickle applies for ``workers > 1``).
     engine_options:
-        Canonicalised ``(key, value)`` pairs forwarded to
+        ``(key, value)`` pairs forwarded to
         :func:`repro.engine.selection.build_engine` (to the kernel factory
-        for the vector kind), checked when the spec is built.  Never the
-        array backend: that is a setting of the process, so it keys no
-        trial.
+        for the vector kind), checked, values included, when the spec is
+        built and kept in the engine's canonical form.  The multiscale
+        engine's ``leap_eps`` and ``regime_thresholds`` join the key at its
+        top level.  Never the array backend: that is a setting of the
+        process, so it keys no trial.
     scheduler / scheduler_options:
         Scheduling policy name and canonicalised option pairs.  ``None``
         selects the engine's default policy (sequential, or matching on the
@@ -511,8 +535,6 @@ class TrialSpec:
         is never replayed for a non-uniform run.
     params:
         :class:`ProtocolParameters` for the estimation kinds.
-    track_states:
-        Sequential kind only: enable per-agent state tracking.
     crn / crn_mode:
         CRN kind only: the embedded :class:`~repro.crn.model.CRN` (the full
         network travels in the spec, so its canonical form — every rate
@@ -520,12 +542,6 @@ class TrialSpec:
         in the cache key; a cached trial is never replayed for a modified
         network) and the lowering mode (``"uniform"`` or ``"thinned"``; the
         thinned lowering runs only on the count and batched engines).
-    leap_eps / regime_thresholds:
-        Multiscale engine only: the tau-leap relative-propensity tolerance
-        (Cao's epsilon) and the ``(critical, ode)`` per-species count
-        thresholds of the regime controller.  Both change the sampled
-        trajectory, so they participate in the cache key (joining only when
-        set, like the scheduler); ``None`` uses the engine defaults.
     """
 
     kind: str
@@ -543,31 +559,10 @@ class TrialSpec:
     scheduler: str | None = None
     scheduler_options: tuple[tuple[str, object], ...] = ()
     params: ProtocolParameters | None = None
-    track_states: bool = False
     crn: "object | None" = None
     crn_mode: str = "uniform"
-    leap_eps: float | None = None
-    regime_thresholds: "tuple[float, float] | None" = None
 
     def __post_init__(self) -> None:
-        # leap_eps / regime_thresholds may arrive through **engine_options
-        # (the builders take them as keyword options); hoist them into the
-        # dedicated fields so every spelling hashes to one cache key.
-        options = dict(self.engine_options)
-        hoisted = False
-        for name in ("leap_eps", "regime_thresholds"):
-            if name in options:
-                if getattr(self, name) is not None:
-                    raise SimulationError(
-                        f"{name} was given both as a TrialSpec field and in "
-                        f"engine_options; set it once"
-                    )
-                object.__setattr__(self, name, options.pop(name))
-                hoisted = True
-        if hoisted:
-            object.__setattr__(
-                self, "engine_options", tuple(sorted(options.items()))
-            )
         if self.population_size < 2:
             raise SimulationError(
                 f"population_size must be >= 2, got {self.population_size}"
@@ -588,44 +583,9 @@ class TrialSpec:
                 "scheduler_options were given without a scheduler; they would "
                 "be silently ignored (set scheduler=... as well)"
             )
-        self._validate_multiscale_knobs()
         # An unknown or wrong-kind name, or a spec its entry cannot run,
         # fails here, not inside a worker.
         self.workload().check(self)
-
-    def _validate_multiscale_knobs(self) -> None:
-        """Fail fast on tau-leap/regime knobs (build time, not mid-sweep)."""
-        if self.leap_eps is None and self.regime_thresholds is None:
-            return
-        if self.engine != "multiscale":
-            raise SimulationError(
-                f"leap_eps/regime_thresholds tune the multiscale engine's "
-                f"tau-leap error control and regime switching; the "
-                f"{self.engine} engine does not read them"
-            )
-        if self.leap_eps is not None:
-            eps = float(self.leap_eps)
-            if not 0.0 < eps <= 0.5:
-                raise SimulationError(
-                    f"leap_eps must be in (0, 0.5], got {eps}"
-                )
-            object.__setattr__(self, "leap_eps", eps)
-        if self.regime_thresholds is not None:
-            try:
-                critical, ode = (
-                    float(value) for value in self.regime_thresholds
-                )
-            except (TypeError, ValueError):
-                raise SimulationError(
-                    f"regime_thresholds must be a (critical, ode) pair of "
-                    f"numbers, got {self.regime_thresholds!r}"
-                ) from None
-            if not 0.0 < critical < ode:
-                raise SimulationError(
-                    f"regime_thresholds must satisfy 0 < critical < ode, "
-                    f"got ({critical}, {ode})"
-                )
-            object.__setattr__(self, "regime_thresholds", (critical, ode))
 
     def scheduler_spec(self):
         """The trial's scheduler as a :class:`SchedulerSpec` (or ``None``).
@@ -656,6 +616,10 @@ class TrialSpec:
         describes the trial — what to simulate, with which seed and budget —
         and deliberately says nothing about where its record is persisted.
         """
+        options = dict(self.engine_options)
+        knobs = {
+            name: options.pop(name, None) for name in ("leap_eps", "regime_thresholds")
+        }
         payload = {
             "kind": self.kind,
             "population_size": self.population_size,
@@ -669,12 +633,14 @@ class TrialSpec:
             "protocol_factory": _callable_ref(self.protocol_factory),
             "predicate": _callable_ref(self.predicate),
             "engine_options": sorted(
-                (str(key), repr(value)) for key, value in self.engine_options
+                (str(key), repr(value)) for key, value in options.items()
             ),
             "params": None if self.params is None else {
                 f.name: getattr(self.params, f.name) for f in fields(self.params)
             },
-            "track_states": self.track_states,
+            # A field of the sequential kind that nothing set; the constant
+            # keeps every key written while it existed.
+            "track_states": False,
         }
         # The scheduler joins the payload only when one is explicitly
         # chosen: default-scheduler specs keep hashing exactly as they did
@@ -695,29 +661,18 @@ class TrialSpec:
                 "network": self.crn.canonical(),
                 "mode": self.crn_mode,
             }
-        # Multiscale error-control knobs join only when set: they change the
-        # simulated distribution (leap tolerance) or the trajectory (regime
-        # thresholds), so a cached trial is never replayed under different
-        # tolerances — while non-multiscale specs keep their historical keys.
-        if self.leap_eps is not None:
-            payload["leap_eps"] = self.leap_eps
-        if self.regime_thresholds is not None:
-            payload["regime_thresholds"] = list(self.regime_thresholds)
+        # The multiscale engine's error-control options join at the top
+        # level, only when set, as they did when they were fields of their
+        # own: every key written then stays valid.
+        payload.update(
+            (name, value) for name, value in knobs.items() if value is not None
+        )
         return payload
 
     def cache_key(self) -> str:
         """Stable content hash of the spec, used as the result-store key."""
         canonical = json.dumps(self.cache_payload(), sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-    def engine_option_dict(self) -> dict:
-        """``engine_options`` plus any multiscale knobs, ready for builders."""
-        options = dict(self.engine_options)
-        if self.leap_eps is not None:
-            options["leap_eps"] = self.leap_eps
-        if self.regime_thresholds is not None:
-            options["regime_thresholds"] = self.regime_thresholds
-        return options
 
     def workload(self) -> Workload:
         """The entry that runs this trial.
@@ -820,17 +775,8 @@ def build_vector_trials(
     ``scheduler`` selects the round scheduler (default: uniform matching).
     """
     workload = _workload(protocol, KIND_VECTOR)
-    # Probe the kernel factory once so unsupported engine_options fail here,
-    # at build time, instead of as a TypeError inside a worker process mid-
-    # sweep.  Kernel construction is cheap (arrays are allocated later, in
-    # init_fields); parameter-validation errors (ProtocolError) propagate.
-    try:
-        workload.factory(params, **engine_options)
-    except TypeError as error:
-        raise SimulationError(
-            f"vector workload {protocol!r} does not accept options "
-            f"{sorted(engine_options)}: {error}"
-        ) from None
+    # The options must suit the kernel before the default budget reads them.
+    workload.kernel(params, **engine_options)
     if max_parallel_time is None:
         budget = lambda n: workload.default_budget(n, params, **engine_options)
     else:
@@ -860,8 +806,6 @@ def build_crn_trials(
     max_chemical_time: float | Callable[[int], float] | None = None,
     predicate: Callable[..., bool] | None = None,
     check_interval: int | None = None,
-    leap_eps: float | None = None,
-    regime_thresholds: "tuple[float, float] | None" = None,
     **engine_options,
 ) -> list[TrialSpec]:
     """Expand a CRN sweep into one :class:`TrialSpec` per trial.
@@ -873,8 +817,10 @@ def build_crn_trials(
     default: the workload's budget) and converted to the engines'
     parallel-time budgets through the compiled rate scale; for the thinned
     lowering the same scale is a generous event-clock heuristic (see
-    ``DESIGN.md``, CRN front-end).  ``leap_eps`` and ``regime_thresholds``
-    tune the multiscale engine (see :class:`TrialSpec`).
+    ``DESIGN.md``, CRN front-end).  ``engine_options`` are the engine's
+    options, checked when the specs are built: ``batch_size`` and
+    ``small_count_threshold`` on the batched engine, ``leap_eps`` and
+    ``regime_thresholds`` on the multiscale engine.
     """
     from repro.crn.compile import compile_crn
     from repro.crn.model import CRN
@@ -924,8 +870,6 @@ def build_crn_trials(
         engine_options=tuple(sorted(engine_options.items())),
         crn=network,
         crn_mode=mode,
-        leap_eps=leap_eps,
-        regime_thresholds=regime_thresholds,
     )
 
 

@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import copy
 import dataclasses
 import json
 import os
@@ -88,11 +89,26 @@ class FieldPerturbation:
     ``base`` overrides the shared baseline kwargs (to activate conditional
     fields); ``variant`` is the value substituted for ``field`` in the
     perturbed copy.  The two instances must produce different keys.
+    ``checked=False`` copies the built baseline and sets only ``field``,
+    without the spec's checks: for a field such as ``TrialSpec.kind`` that
+    decides which other fields a spec may carry, so that no checked spec
+    with the variant value shares the baseline's other fields.
     """
 
     field: str
     variant: object
     base: Mapping[str, object] = dataclasses.field(default_factory=dict)
+    checked: bool = True
+
+    def build(self, cls, baseline: Mapping[str, object]) -> tuple[object, object]:
+        """The baseline and perturbed instances of ``cls``."""
+        kwargs = {**baseline, **self.base}
+        base = cls(**kwargs)
+        if self.checked:
+            return base, cls(**{**kwargs, self.field: self.variant})
+        variant = copy.copy(base)
+        object.__setattr__(variant, self.field, self.variant)
+        return base, variant
 
 
 def audit_cache_key(
@@ -127,13 +143,9 @@ def audit_cache_key(
             )
     for perturbation in perturbations:
         field_location = f"{location}.{perturbation.field}"
-        kwargs = dict(baseline)
-        kwargs.update(perturbation.base)
+        kwargs = {**baseline, **perturbation.base}
         try:
-            base_spec = cls(**kwargs)
-            variant_kwargs = dict(kwargs)
-            variant_kwargs[perturbation.field] = perturbation.variant
-            variant_spec = cls(**variant_kwargs)
+            base_spec, variant_spec = perturbation.build(cls, baseline)
         except Exception as error:
             diagnostics.append(
                 Diagnostic(
@@ -209,11 +221,8 @@ def trial_spec_perturbations() -> tuple[Mapping[str, object], list[FieldPerturba
         "scheduler": None,
         "scheduler_options": (),
         "params": None,
-        "track_states": False,
         "crn": None,
         "crn_mode": "uniform",
-        "leap_eps": None,
-        "regime_thresholds": None,
     }
     crn_base = {
         "kind": "crn",
@@ -221,20 +230,15 @@ def trial_spec_perturbations() -> tuple[Mapping[str, object], list[FieldPerturba
         "crn": _epidemic_crn(),
         "crn_mode": "uniform",
     }
-    # The multiscale knobs are conditional fields (they join the payload only
-    # when set, and only the multiscale engine accepts them), so their
-    # perturbations run on a multiscale CRN baseline.
+    # The multiscale engine's options join the payload at its top level
+    # (only when set), so their perturbations run on a multiscale CRN
+    # baseline.
     multiscale_base = dict(crn_base, engine="multiscale")
-    # A sequential spec names no workload, so the kind flips on a spec that
-    # carries its own callables.
-    sequential_base = {
-        "params": ProtocolParameters(),
-        "protocol": None,
-        "protocol_factory": EpidemicProtocol,
-        "predicate": epidemic_completion_predicate,
-    }
     perturbations = [
-        FieldPerturbation("kind", "sequential", base=sequential_base),
+        # Each kind requires or forbids a field the others do not (a
+        # sequential spec names no workload and carries no callables), so no
+        # checked spec of another kind shares the baseline's other fields.
+        FieldPerturbation("kind", "sequential", checked=False),
         FieldPerturbation("population_size", 65),
         FieldPerturbation("size_index", 1),
         FieldPerturbation("run_index", 1),
@@ -257,14 +261,16 @@ def trial_spec_perturbations() -> tuple[Mapping[str, object], list[FieldPerturba
                 "scheduler_options": (("default_rate", 1.0),),
             },
         ),
+        FieldPerturbation(
+            "engine_options", (("leap_eps", 0.01),), base=multiscale_base
+        ),
+        FieldPerturbation(
+            "engine_options", (("regime_thresholds", (10.0, 1e4)),),
+            base=multiscale_base,
+        ),
         FieldPerturbation("params", ProtocolParameters(epochs_factor=6)),
-        FieldPerturbation("track_states", True),
         FieldPerturbation("crn", _sir_crn(), base=crn_base),
         FieldPerturbation("crn_mode", "thinned", base=crn_base),
-        FieldPerturbation("leap_eps", 0.01, base=multiscale_base),
-        FieldPerturbation(
-            "regime_thresholds", (10.0, 1e4), base=multiscale_base
-        ),
     ]
     return baseline, perturbations
 

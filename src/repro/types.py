@@ -196,7 +196,8 @@ class Workload:
     def check(self, spec) -> None:
         """Fail fast on a spec this entry cannot run (build time, not inside
         a worker mid-sweep).  The base rejects a network and checks an
-        explicit scheduler against :meth:`scheduler_capability`."""
+        explicit scheduler against :meth:`scheduler_capability`, its
+        options, and the spec's population against it."""
         if spec.crn is not None:
             raise SimulationError(
                 f"{spec.kind} trials do not take a CRN (crn=...); use kind='crn'"
@@ -213,16 +214,19 @@ class Workload:
                 f"{spec.kind} trials on the {spec.engine} engine "
                 f"(needs the {capability!r} capability; see `repro engines`)"
             )
-        # Instantiate once so malformed options surface now as well.
-        spec.scheduler_spec().build_policy()
+        # Instantiate once so malformed options, or a population the policy
+        # cannot schedule, surface now as well.
+        spec.scheduler_spec().build_policy().check_population(spec.population_size)
 
     @staticmethod
     def _check_engine(spec) -> None:
-        """The engine name and options, checked as ``build_engine`` checks
-        them."""
+        """The engine name and options, names and values, checked as
+        ``build_engine`` checks them; the spec keeps the options'
+        canonical values, so every spelling of one option has one key."""
         from repro.engine.selection import check_engine_options
 
-        check_engine_options(spec.engine, spec.engine_option_dict())
+        options = check_engine_options(spec.engine, dict(spec.engine_options))
+        object.__setattr__(spec, "engine_options", tuple(sorted(options.items())))
 
     def run(self, spec) -> RunRecord:
         """Build, run and record one trial; an exhausted budget is recorded

@@ -253,6 +253,22 @@ class TestRoundSchedulers:
                 saw_intra = True
         assert saw_intra and saw_cross
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("option", ["start", "duration"])
+    @pytest.mark.parametrize(
+        "form",
+        [
+            lambda n, **options: QuiescingPairScheduler(n, RandomSource(0), **options),
+            QuiescingRoundScheduler,
+        ],
+        ids=["pair", "round"],
+    )
+    def test_quiescing_forms_reject_non_finite_windows(self, form, option, value):
+        # Both forms run their policy's check; they used to test only
+        # `< 0`, which NaN passes, and accept an endless window.
+        with pytest.raises(SimulationError, match="finite"):
+            form(20, **{option: value})
+
     def test_quiescing_round_respects_window(self):
         scheduler = QuiescingRoundScheduler(20, fraction=0.25, start=1.0, duration=5.0)
         rng = np.random.default_rng(17)

@@ -176,6 +176,71 @@ class TestTrialSpecValidation:
         with pytest.raises(SimulationError, match="backend"):
             build(backend="native")
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            functools.partial(
+                build_finite_state_trials, [1000], 1, engine="batched",
+                protocol="epidemic", batch_size=0,
+            ),
+            functools.partial(
+                build_finite_state_trials, [1000], 1, engine="batched",
+                protocol="epidemic", small_count_threshold=-1,
+            ),
+            functools.partial(
+                build_crn_trials, [3000], 1, "sir", engine="multiscale",
+                leap_eps=0.7,
+            ),
+            functools.partial(
+                build_crn_trials, [3000], 1, "sir", engine="multiscale",
+                regime_thresholds=(5, 1),
+            ),
+            functools.partial(
+                build_finite_state_trials, [1000], 1, engine="batched",
+                protocol="epidemic", leap_eps=0.02,
+            ),
+            functools.partial(
+                TrialSpec, kind="vector", population_size=64, size_index=0,
+                run_index=0, engine="vector", protocol="figure2", params=FAST,
+                engine_options=(("phase_cont", 8),),
+            ),
+        ],
+        ids=[
+            "batched-batch_size=0",
+            "batched-small_count_threshold=-1",
+            "multiscale-leap_eps=0.7",
+            "multiscale-regime_thresholds=(5,1)",
+            "batched-leap_eps",
+            "vector-phase_cont",
+        ],
+    )
+    def test_bad_engine_option_fails_before_the_trial_has_a_key(self, build):
+        # Each engine's own option check runs when the spec is built; these
+        # used to get keys and fail only inside a worker, mid-sweep.
+        with pytest.raises(SimulationError):
+            build()
+
+    @pytest.mark.parametrize(
+        "unread",
+        [
+            {"engine_options": (("batch_size", 3),)},
+            {
+                "protocol_factory": EpidemicProtocol,
+                "predicate": epidemic_completion_predicate,
+            },
+        ],
+        ids=["engine_options", "callables"],
+    )
+    def test_sequential_spec_takes_no_field_its_run_ignores(self, unread):
+        # The reference run reads neither, so each used to key an equal
+        # record under a key of its own.
+        with pytest.raises(SimulationError, match="a sequential trial"):
+            TrialSpec(
+                kind="sequential", population_size=12, size_index=0,
+                run_index=0, engine="sequential", params=FAST,
+                max_parallel_time=2000.0, **unread,
+            )
+
     def test_missing_workload_rejected(self):
         with pytest.raises(SimulationError):
             TrialSpec(
@@ -737,6 +802,16 @@ class TestSchedulerInSpecsAndCacheKeys:
                 scheduler_options={"lazy_rate": 0.0},
             )
 
+    @pytest.mark.parametrize("engine", ["agent", "vector"])
+    def test_starvation_of_all_but_one_agent_rejected_at_build_time(self, engine):
+        # The policy's population check runs on the spec's n; it used to
+        # raise only when the trial ran.
+        with pytest.raises(SimulationError, match="fewer than 2 active agents"):
+            build_finite_state_trials(
+                [10], 1, engine=engine, protocol="epidemic",
+                scheduler="quiescing", scheduler_options={"fraction": 0.9},
+            )
+
     def test_vector_trials_accept_round_schedulers(self):
         specs = build_vector_trials(
             [64],
@@ -765,6 +840,49 @@ class TestSchedulerOptionPlumbing:
                 protocol="epidemic",
                 scheduler_options=(("intra", 0.95),),
             )
+
+
+class TestMultiscaleOptionKeys:
+    """The multiscale engine's ``leap_eps`` and ``regime_thresholds`` are
+    engine options that join the key at its top level, where they joined as
+    ``TrialSpec`` fields; no golden fixture sets either, so these keys,
+    computed while they were fields, pin the bytes."""
+
+    @pytest.mark.parametrize("thresholds", [(10, 10000), (10.0, 1e4)])
+    def test_crn_key_with_both_options(self, thresholds):
+        (spec,) = build_crn_trials(
+            [3000], 1, crn="sir", engine="multiscale", base_seed=14,
+            leap_eps=0.02, regime_thresholds=thresholds,
+        )
+        assert spec.cache_key() == (
+            "a27c525ced97bf77509eab63ac6285cdaeac8dd36f69234dbc2dd77bcc457f56"
+        )
+
+    def test_spec_keeps_the_canonical_values(self):
+        (spec,) = build_crn_trials(
+            [3000], 1, crn="sir", engine="multiscale",
+            leap_eps=0.02, regime_thresholds=[10, 10000],
+        )
+        assert spec.engine_options == (
+            ("leap_eps", 0.02), ("regime_thresholds", (10.0, 10000.0))
+        )
+
+    def test_finite_state_key_with_leap_eps(self):
+        (spec,) = build_finite_state_trials(
+            [400], 1, engine="multiscale", protocol="epidemic", base_seed=19,
+            leap_eps=0.1,
+        )
+        assert spec.cache_key() == (
+            "35a542677eda948e4ddc9929f75575b6f8d7ac84a128f8e91532b3064a7e13a1"
+        )
+
+    def test_crn_key_without_options(self):
+        (spec,) = build_crn_trials(
+            [3000], 1, crn="sir", engine="multiscale", base_seed=14
+        )
+        assert spec.cache_key() == (
+            "36c1168f050f03bec1938716a086dbe653eb064b749174778526da3f7934ab30"
+        )
 
 
 class TestCacheKeyBackwardCompatibility:
@@ -930,12 +1048,7 @@ class TestCacheKeySensitivity:
     )
     def test_field_participates_in_cache_key(self, perturbation):
         baseline, _ = trial_spec_perturbations()
-        kwargs = dict(baseline)
-        kwargs.update(perturbation.base)
-        base_spec = TrialSpec(**kwargs)
-        variant_kwargs = dict(kwargs)
-        variant_kwargs[perturbation.field] = perturbation.variant
-        variant_spec = TrialSpec(**variant_kwargs)
+        base_spec, variant_spec = perturbation.build(TrialSpec, baseline)
         assert base_spec.cache_key() != variant_spec.cache_key(), (
             f"field {perturbation.field!r} does not affect the cache key"
         )

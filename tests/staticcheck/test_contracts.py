@@ -43,6 +43,41 @@ class TestCacheKeyAudit:
     def test_real_specs_are_complete(self):
         assert cache_key_diagnostics() == []
 
+    @pytest.mark.parametrize("option", ["leap_eps", "regime_thresholds"])
+    def test_k401_proves_each_multiscale_option_moves_the_key(
+        self, option, monkeypatch
+    ):
+        # Both options are engine_options perturbations on a multiscale
+        # baseline; a payload that drops one must fail the audit there.
+        from repro.harness.parallel import TrialSpec
+
+        payload = TrialSpec.cache_payload
+
+        def without_option(spec):
+            trimmed = payload(spec)
+            trimmed.pop(option, None)
+            return trimmed
+
+        monkeypatch.setattr(TrialSpec, "cache_payload", without_option)
+        (diagnostic,) = cache_key_diagnostics()
+        assert diagnostic.rule == "K401"
+        assert diagnostic.location == "spec:TrialSpec.engine_options"
+
+    def test_unchecked_perturbation_sets_only_its_field(self):
+        # The kind decides which other fields a spec may carry, so its
+        # variant is the built baseline with the kind alone changed.
+        diagnostics = audit_cache_key(
+            FakeSpec,
+            baseline={"alpha": 1, "extra": 0},
+            perturbations=[
+                FieldPerturbation("alpha", 2, checked=False),
+                FieldPerturbation("extra", 5, checked=False),
+            ],
+            key=lambda spec: spec.cache_key(),
+            location="spec:FakeSpec",
+        )
+        assert [d.location for d in diagnostics] == ["spec:FakeSpec.extra"]
+
     def test_k401_detects_omitted_field(self):
         diagnostics = audit_cache_key(
             FakeSpec,
