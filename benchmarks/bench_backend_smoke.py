@@ -20,6 +20,10 @@ fails if any available backend falls below what the seam guarantees for it:
   numpy's (measured 4.7–9.5x in three runs on a 2-vCPU VM): a vector kernel that silently
   stopped being bound runs at numpy speed, which the 0.7x batched floor
   would pass;
+* the native backend's multiscale SIR (n = 10^9, eight seeds, 100 units of
+  parallel time each) must run at least 33x numpy's effective interactions
+  per second, half the 66–73x measured in three runs on a 2-vCPU VM: a
+  regime loop that silently stopped being bound runs at numpy speed;
 * the numpy backend itself must stay at or above ``(1 - 0.3) x`` a recorded
   per-interaction floor, scaled by a calibration loop so the gate tracks
   machine speed instead of hard-coding wall-clock numbers.
@@ -50,6 +54,8 @@ import numpy as np
 from repro.backend import backend_availability
 from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.parameters import ProtocolParameters
+from repro.crn import compile_crn
+from repro.crn.library import get_crn_workload
 from repro.engine.selection import build_engine
 from repro.engine.vector import VectorSimulator
 from repro.protocols.epidemic import EpidemicProtocol
@@ -69,6 +75,11 @@ FIGURE2_N = 1000
 NATIVE_FIGURE2_MIN_SPEEDUP = 1.5
 #: Batched-epidemic throughput the native backend must keep over numpy.
 NATIVE_BATCHED_MIN_SPEEDUP = 40.0
+#: Population and seeds of the multiscale SIR trials, and the effective
+#: throughput the native backend must keep over numpy on them.
+MULTISCALE_N = 10**9
+MULTISCALE_SEEDS = range(1, 9)
+NATIVE_MULTISCALE_MIN_SPEEDUP = 33.0
 
 
 def _calibration_rate() -> float:
@@ -126,6 +137,26 @@ def measure_figure2_round(backend: str, seed: int = 1) -> dict:
     }
 
 
+def measure_multiscale(backend: str) -> dict:
+    """Effective interactions/s of multiscale SIR trials at n=10^9, each run
+    for 100 units of parallel time in chunks of ``n`` interactions."""
+    compiled = compile_crn(get_crn_workload("sir").crn)
+    seconds = interactions = 0
+    for seed in MULTISCALE_SEEDS:
+        simulator = compiled.build(
+            "multiscale", MULTISCALE_N, seed=seed, backend=backend
+        )
+        started = time.perf_counter()
+        for _ in range(100):
+            simulator.run_interactions(MULTISCALE_N)
+        seconds += time.perf_counter() - started
+        interactions += simulator.interactions
+    return {
+        "seconds": seconds,
+        "interactions_per_second": interactions / max(seconds, 1e-9),
+    }
+
+
 def run_smoke() -> tuple[list[dict], list[str]]:
     """Measure every available backend; return (records, gate failures)."""
     failures: list[str] = []
@@ -136,6 +167,7 @@ def run_smoke() -> tuple[list[dict], list[str]]:
     by_name = {record["backend"]: record for record in records}
     for name in available:
         by_name[name]["figure2"] = measure_figure2_round(name)
+        by_name[name]["multiscale"] = measure_multiscale(name)
 
     numpy_rate = by_name["numpy"]["interactions_per_second"]
     floor = NUMPY_FLOOR_PER_CALIBRATION * _calibration_rate() * (
@@ -177,6 +209,16 @@ def run_smoke() -> tuple[list[dict], list[str]]:
                 f"(required: >= {NATIVE_FIGURE2_MIN_SPEEDUP:.1f}x); its vector "
                 f"kernels regressed or silently stopped being bound"
             )
+        multiscale = (
+            by_name["native"]["multiscale"]["interactions_per_second"]
+            / by_name["numpy"]["multiscale"]["interactions_per_second"]
+        )
+        if multiscale < NATIVE_MULTISCALE_MIN_SPEEDUP:
+            failures.append(
+                f"native multiscale SIR runs at {multiscale:.1f}x numpy's "
+                f"(required: >= {NATIVE_MULTISCALE_MIN_SPEEDUP:.0f}x); its "
+                f"regime loop regressed or silently stopped being bound"
+            )
     return records, failures
 
 
@@ -197,13 +239,15 @@ def main() -> int:
     )
     records, failures = run_smoke()
     for record in records:
-        figure2 = record["figure2"]
+        figure2, multiscale = record["figure2"], record["multiscale"]
         print(
             f"  {record['backend']:>7}: {record['seconds']:7.3f}s "
             f"({record['interactions_per_second']:,.0f} interactions/s); "
             f"figure2 n={figure2['population_size']}: "
             f"{figure2['seconds_per_round'] * 1e6:,.0f} us/round over "
-            f"{figure2['rounds']} rounds"
+            f"{figure2['rounds']} rounds; multiscale SIR n={MULTISCALE_N:.0e}: "
+            f"{multiscale['interactions_per_second']:.3e} effective "
+            f"interactions/s"
         )
     for name, reason in backend_availability().items():
         if reason is not None:
@@ -214,8 +258,9 @@ def main() -> int:
         return 1
     print(
         "gate: ok (no backend regressed by more than 30%; native batched "
-        f">= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x and figure2 rounds >= "
-        f"{NATIVE_FIGURE2_MIN_SPEEDUP}x numpy where available)"
+        f">= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x, figure2 rounds >= "
+        f"{NATIVE_FIGURE2_MIN_SPEEDUP}x and multiscale SIR >= "
+        f"{NATIVE_MULTISCALE_MIN_SPEEDUP:.0f}x numpy where available)"
     )
     return 0
 

@@ -1,19 +1,20 @@
 """Pluggable array backends: one seam, several implementations of the hot loops.
 
-Three hot loops have a compiled version: the batched engine's multinomial
-draw→apply, and the vector engine's matching draw and
-``Log-Size-Estimation`` round.  BENCH_engines.json showed their inline numpy
-forms saturating near 10^7 interactions/s, dominated by per-batch Python
-dispatch rather than by the arithmetic.  This package makes the
-implementation of those three kernels a *backend*, so an engine is never
-forked to go faster.  A hot loop with only a numpy version lives in the
-engine that runs it.
+Four hot loops have a compiled version: the batched engine's multinomial
+draw→apply, the vector engine's matching draw and ``Log-Size-Estimation``
+round, and the multiscale engine's regime loop.  Their numpy forms are
+dominated by per-step Python dispatch rather than by the arithmetic
+(BENCH_engines.json: the batched one saturated near 10^7 interactions/s; a
+multiscale regime step costs 60–85 µs on 3-species SIR).  This package
+makes the implementation of those four kernels a *backend*, so an engine is
+never forked to go faster.  A hot loop with only a numpy version lives in
+the engine that runs it.
 
 The backend is a setting of the process: ``REPRO_BACKEND``, which
-``--backend`` sets for one CLI invocation.  Only the batched and vector
-engines resolve one, at construction (their ``backend=`` pins one).  Every
-backend makes the numpy draws, so no trial spec or cache key names one
-(staticcheck rule K407).
+``--backend`` sets for one CLI invocation.  Only the batched, vector and
+multiscale engines resolve one, at construction (their ``backend=`` pins
+one).  Every backend makes the numpy draws, so no trial spec or cache key
+names one (staticcheck rule K407).
 
 Backends
 --------
@@ -31,8 +32,9 @@ Backends
     through ``cffi`` and the system C compiler.  Each makes the numpy
     kernel's draws, in its order, on the engine's generator, so native runs
     are the numpy runs bit for bit: the batched advance (one C call per
-    ``run_interactions``, about two orders of magnitude faster than numpy)
-    and the vector engine's matching and ``Log-Size-Estimation`` round.
+    ``run_interactions``, about two orders of magnitude faster than numpy),
+    the vector engine's matching and ``Log-Size-Estimation`` round, and
+    the multiscale regime loop (one C call per advance).
 
 Selecting an unavailable backend is never an error: :func:`resolve_backend`
 warns and falls back to numpy, so numpy-only installs stay fully functional
@@ -55,6 +57,7 @@ from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.array_simulator import LogSizeVectorProtocol
+    from repro.crn.multiscale import MultiscaleSimulator
     from repro.protocols.compiled import CompiledTransitionTable
 
 __all__ = [
@@ -103,6 +106,11 @@ class ArrayBackend:
     ``log_size_round_kernel(protocol)``
         A callable ``(rec, sen)`` applying one ``Log-Size-Estimation`` round
         to the protocol's fields, or ``None`` for its numpy sub-steps.
+    ``multiscale_kernel(simulator)``
+        A callable ``(target)`` running the multiscale engine's regime loop
+        until its clock reaches ``target``, in place on the engine's counts,
+        ``seen`` marks and critical flags, or ``None`` for the engine's
+        numpy loop.
     """
 
     #: Registry key (``--backend <name>``).
@@ -145,6 +153,11 @@ class ArrayBackend:
     def log_size_round_kernel(self, protocol: "LogSizeVectorProtocol"):
         """Build the vector engine's ``Log-Size-Estimation`` round, or ``None``
         to keep the protocol's numpy sub-steps."""
+        return None
+
+    def multiscale_kernel(self, simulator: "MultiscaleSimulator"):
+        """Build the multiscale engine's regime loop, or ``None`` to keep the
+        engine's numpy loop."""
         return None
 
     def describe(self) -> str:

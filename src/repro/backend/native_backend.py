@@ -1,4 +1,5 @@
-"""Native C backend: the batched and vector hot loops compiled with cffi + cc.
+"""Native C backend: the batched, vector and multiscale hot loops compiled
+with cffi + cc.
 
 This backend needs only what most dev boxes and CI images already carry:
 ``cffi`` and a C compiler.  Its one C module holds the batched engine's
@@ -6,12 +7,14 @@ advance (:class:`NativeBatchedKernel`: the pair multinomial, consumption
 guard, outcome splits and exact fallbacks of
 :class:`~repro.backend.numpy_backend.NumpyBatchedKernel`, every batch of a
 ``run_interactions`` call in one C call, so a batch costs O(S^2) binomial
-draws and no Python dispatch) and the vector-engine kernels: the matching
+draws and no Python dispatch), the vector-engine kernels: the matching
 draw (:meth:`NativeBackend.draw_matching_arrays`), the
 ``Log-Size-Estimation`` round (:class:`NativeLogSizeRound`), and a run loop
 that repeats the two under the uniform matching scheduler
 (:meth:`NativeLogSizeRound.run`), so a Figure 2 run to all-done makes one
-C call per 64 rounds instead of two per round.
+C call per 64 rounds instead of two per round; and the multiscale engine's
+regime loop (:class:`NativeMultiscaleLoop`: exact bursts, Cao tau-leaps,
+the Dormand–Prince stretch and the hand-back, one C call per advance).
 
 The extension module is compiled on first use and cached on disk keyed by a
 hash of the C source, the compiler flags and ``numpy.__version__``
@@ -24,15 +27,17 @@ back to numpy, so nothing ever hard-fails.
 RNG-stream contract: every kernel draws on the engine generator's own
 ``bitgen_t`` through numpy's distribution functions
 (``random_multinomial``, ``random_bounded_uint64_fill``,
-``random_interval``, ``random_standard_uniform``, ``random_geometric``, from
-the ``libnpyrandom`` static library numpy ships, linked in: hence the numpy
+``random_interval``, ``random_standard_uniform``, ``random_geometric``,
+``random_exponential``, ``random_binomial``, ``random_poisson``, from the
+``libnpyrandom`` static library numpy ships, linked in: hence the numpy
 version in the cache name), in the numpy reference's order and on its
 float64 arithmetic (``-ffp-contract=off`` keeps products and sums unfused),
-so batched and vector runs on ``native`` are the numpy runs bit for bit.
-Two things they repeat are numpy-internal, not exported API: the pairwise
-summation order of ``ndarray.sum``, which normalises the pair weights, and
-``Generator.permutation``'s shuffle loop, which the matching repeats;
-``tests/backend`` pins both.
+so batched, vector and multiscale runs on ``native`` are the numpy runs bit
+for bit.  Some of what they repeat is numpy-internal, not exported API: the
+pairwise summation order of ``ndarray.sum`` (the pair weights, the
+multiscale rate totals), ``Generator.permutation``'s shuffle loop, which the
+matching repeats, and ``maximum``/``minimum``'s NaN and signed-zero rules;
+``tests/backend`` pins them.
 """
 
 from __future__ import annotations
@@ -53,10 +58,12 @@ from repro.exceptions import SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.array_simulator import LogSizeVectorProtocol
+    from repro.crn.multiscale import MultiscaleSimulator
     from repro.protocols.compiled import CompiledTransitionTable
 
 __all__ = [
     "ENV_NATIVE_CACHE", "NativeBackend", "NativeBatchedKernel", "NativeLogSizeRound",
+    "NativeMultiscaleLoop",
 ]
 
 #: Environment variable overriding where compiled kernels are cached.
@@ -96,7 +103,34 @@ typedef struct {
 } repro_batched;
 """
 
-_CDEF = _LOG_SIZE_STRUCT + _BATCHED_STRUCT + """
+#: One multiscale engine: its reaction system, regime thresholds and
+#: Dormand–Prince tableau, the engine's counts, ``seen`` marks and critical
+#: flags (written in place), its clock, counters and regime flags (read and
+#: written back around a call), and the generator's ``bitgen_t``.
+_MULTISCALE_STRUCT = """
+typedef struct {
+    int64_t species, channels, population, exact_burst, max_leap_retries;
+    const int64_t *reactant_a, *reactant_b, *stoich;
+    const uint8_t *is_diagonal, *is_reactant, *needs_two;
+    const double *rate_coeff, *stoich_f, *stoich_f2, *consumption;
+    const double *dp_a, *dp_b5, *dp_b4;
+    double leap_eps, critical_threshold, ode_threshold, hysteresis, exact_multiple;
+    double *counts;
+    uint8_t *seen, *critical;
+    double parallel_time;
+    int64_t exact_events, leaps, ode_steps, switches;
+    int initialised, in_ode, ode_fractional;
+    void *bitgen;
+    /* Work space, allocated per call: per-channel rates, running sums,
+     * leap means and headrooms; per-species sums and ODE vectors, the seven
+     * Dormand-Prince stages; leap draws and a sort order; channel masks. */
+    double *lam, *cumulative, *means, *heads, *sums, *next, *y, *y5, *y4, *stages;
+    int64_t *draws, *order;
+    uint8_t *active, *noncritical, *critical_active, *kind, *relevant;
+} repro_multiscale;
+"""
+
+_CDEF = _LOG_SIZE_STRUCT + _BATCHED_STRUCT + _MULTISCALE_STRUCT + """
 double repro_pairwise_sum(const double *a, int64_t n);
 int repro_batched_advance(
     repro_batched *k, int64_t *counts, int64_t interactions,
@@ -108,6 +142,7 @@ int repro_log_size_round(
 int64_t repro_log_size_run(
     repro_log_size *s, int64_t *order, int64_t max_rounds, int stop_when_done,
     int64_t *tallies);
+int repro_multiscale_advance(repro_multiscale *m, double target);
 """
 
 _SOURCE = r"""
@@ -116,7 +151,7 @@ _SOURCE = r"""
 #include <stdlib.h>
 #include <time.h>
 #include "numpy/random/distributions.h"
-""" + _LOG_SIZE_STRUCT + _BATCHED_STRUCT + r"""
+""" + _LOG_SIZE_STRUCT + _BATCHED_STRUCT + _MULTISCALE_STRUCT + r"""
 
 /* ---- Batched engine: NumpyBatchedKernel.advance in C.  It draws on the
  * engine generator's bitgen_t through numpy's random_multinomial,
@@ -596,6 +631,433 @@ int64_t repro_log_size_run(
     }
     return rounds;
 }
+
+/* ---- Multiscale engine: MultiscaleSimulator._run_regimes in C.  It draws
+ * on the engine generator's bitgen_t through numpy's random_exponential,
+ * random_standard_uniform, random_binomial and random_poisson, in the
+ * reference's order, and repeats its float64 operations one for one, so its
+ * runs are the numpy runs bit for bit.  Each helper names the reference
+ * method it repeats. */
+
+/* np.maximum and np.minimum: a NaN wins, and of two equal values (0.0 and
+ * -0.0) the second. */
+static inline double np_max(double a, double b) {
+    return isnan(a) ? a : isnan(b) ? b : a > b ? a : b;
+}
+static inline double np_min(double a, double b) {
+    return isnan(a) ? a : isnan(b) ? b : a < b ? a : b;
+}
+
+/* Python's min and max of two floats: the first unless the second is
+ * strictly smaller (larger). */
+static inline double py_min(double a, double b) { return b < a ? b : a; }
+static inline double py_max(double a, double b) { return b > a ? b : a; }
+
+/* ndarray.sum: the identity 0.0 plus the pairwise sum. */
+static inline double np_sum(const double *a, int64_t n) {
+    return 0.0 + repro_pairwise_sum(a, n);
+}
+
+/* ReactionSystem.propensities. */
+static void propensities(const repro_multiscale *m, const double *counts,
+                         double *lam) {
+    for (int64_t e = 0; e < m->channels; e++) {
+        double ca = counts[m->reactant_a[e]];
+        double cb = m->is_diagonal[e] ? ca - 1.0 : counts[m->reactant_b[e]];
+        lam[e] = m->rate_coeff[e] * np_max(ca, 0.0) * np_max(cb, 0.0);
+    }
+}
+
+/* ReactionSystem.min_reactant of channel e. */
+static inline double min_reactant(const repro_multiscale *m,
+                                  const double *counts, int64_t e) {
+    return np_min(counts[m->reactant_a[e]], counts[m->reactant_b[e]]);
+}
+
+/* ReactionSystem.channel_sum: each row of `matrix` times `rates`, summed in
+ * channel order as np.add.accumulate does. */
+static void channel_sum(const repro_multiscale *m, const double *matrix,
+                        const double *rates, double *out) {
+    int64_t channels = m->channels;
+    for (int64_t i = 0; i < m->species; i++) {
+        const double *row = matrix + i * channels;
+        double sum = channels ? row[0] * rates[0] : 0.0;
+        for (int64_t e = 1; e < channels; e++) sum += row[e] * rates[e];
+        out[i] = sum;
+    }
+}
+
+/* ReactionSystem.derivative, with m->cumulative as its rate buffer. */
+static void derivative(repro_multiscale *m, const double *counts, double *out) {
+    propensities(m, counts, m->cumulative);
+    channel_sum(m, m->stoich_f, m->cumulative, out);
+}
+
+/* np.cumsum of lam over the masked channels (all with mask NULL). */
+static void cumulate(repro_multiscale *m, const uint8_t *mask) {
+    double sum = 0.0;
+    for (int64_t e = 0; e < m->channels; e++) {
+        double rate = !mask || mask[e] ? m->lam[e] : 0.0;
+        sum = e ? sum + rate : rate;
+        m->cumulative[e] = sum;
+    }
+}
+
+/* np.searchsorted(m->cumulative, value, side="right"), clamped to the last
+ * channel: the channel an exact event fires. */
+static int64_t pick_channel(const repro_multiscale *m, double value) {
+    int64_t e = 0;
+    while (e < m->channels && !(value < m->cumulative[e])) e++;
+    return e < m->channels - 1 ? e : m->channels - 1;
+}
+
+static void fire(repro_multiscale *m, double *counts, int64_t channel) {
+    for (int64_t i = 0; i < m->species; i++)
+        counts[i] = counts[i] + (double)m->stoich[i * m->channels + channel];
+}
+
+static int non_negative(const repro_multiscale *m, const double *counts) {
+    int ok = 1;
+    for (int64_t i = 0; i < m->species; i++) ok &= counts[i] >= 0.0;
+    return ok;
+}
+
+/* MultiscaleSimulator._note_seen. */
+static void note_seen(repro_multiscale *m) {
+    for (int64_t i = 0; i < m->species; i++) m->seen[i] |= m->counts[i] > 0.0;
+}
+
+/* The rates at the counts, and which channels can fire; returns whether
+ * any can. */
+static int active_propensities(repro_multiscale *m) {
+    int any = 0;
+    propensities(m, m->counts, m->lam);
+    for (int64_t e = 0; e < m->channels; e++) {
+        m->active[e] = m->lam[e] > 0.0;
+        any |= m->active[e];
+    }
+    return any;
+}
+
+/* RegimeController.classify; returns whether the system is in the ODE
+ * regime. */
+static int classify(repro_multiscale *m) {
+    double recover = m->critical_threshold * m->hysteresis, floor = INFINITY;
+    int critical_active = 0;
+    for (int64_t e = 0; e < m->channels; e++) {
+        double low = min_reactant(m, m->counts, e);
+        if (low < m->critical_threshold) m->critical[e] = 1;
+        else if (!m->initialised || low >= recover) m->critical[e] = 0;
+        if (m->active[e]) {
+            floor = np_min(floor, low);
+            critical_active |= m->critical[e];
+        }
+    }
+    m->initialised = 1;
+    if (m->in_ode ? floor < m->ode_threshold / m->hysteresis
+                  : floor >= m->ode_threshold && !critical_active) {
+        m->in_ode = !m->in_ode;
+        m->switches++;
+    }
+    return m->in_ode;
+}
+
+/* The module's integer_counts, in place on m->counts: largest-remainder
+ * rounding with numpy's stable argsort (an insertion sort, NaN last). */
+static inline int np_less(double a, double b) {
+    return a < b || (b != b && a == a);
+}
+
+static void integer_counts(repro_multiscale *m) {
+    int64_t species = m->species, *order = m->order;
+    double *clipped = m->y, *floors = m->y5, *keys = m->y4;
+    for (int64_t i = 0; i < species; i++) {
+        clipped[i] = np_max(m->counts[i], 0.0);
+        floors[i] = floor(clipped[i]);
+    }
+    int64_t deficit = m->population - (int64_t)np_sum(floors, species);
+    for (int64_t i = 0; i < species; i++) {
+        keys[i] = deficit > 0 ? -(clipped[i] - floors[i]) : clipped[i] - floors[i];
+        int64_t j = i;
+        for (; j > 0 && np_less(keys[i], keys[order[j - 1]]); j--)
+            order[j] = order[j - 1];
+        order[j] = i;
+    }
+    for (int64_t k = 0, taken = 0; k < species && deficit; k++) {
+        int64_t i = order[k];
+        if (deficit > 0) {
+            if (k == deficit) break;
+            floors[i] += 1.0;
+        } else {
+            if (taken == -deficit) break;
+            if (floors[i] > 0) { floors[i] -= 1.0; taken++; }
+        }
+    }
+    for (int64_t i = 0; i < species; i++) m->counts[i] = floors[i];
+}
+
+/* MultiscaleSimulator._cao_tau over the `mask` channels. */
+static double cao_tau(repro_multiscale *m, const uint8_t *mask,
+                      double remaining) {
+    int64_t species = m->species;
+    double *masked = m->cumulative, *mu = m->sums, *sigma2 = m->sums + species;
+    for (int64_t i = 0; i < species; i++) m->relevant[i] = 0;
+    for (int64_t e = 0; e < m->channels; e++) {
+        masked[e] = mask[e] ? m->lam[e] : 0.0;
+        if (mask[e]) m->relevant[m->reactant_a[e]] = m->relevant[m->reactant_b[e]] = 1;
+    }
+    channel_sum(m, m->stoich_f, masked, mu);
+    channel_sum(m, m->stoich_f2, masked, sigma2);
+    double tau = INFINITY;
+    int any = 0;
+    for (int64_t i = 0; i < species; i++) {
+        if (!m->relevant[i]) continue;
+        double count = m->counts[i], g = m->is_reactant[i] ? 2.0 : 1.0;
+        if (m->needs_two[i] && count > 1.0)
+            g = g + 1.0 / np_max(count - 1.0, 1.0);
+        double bound = np_max(m->leap_eps * count / g, 1.0);
+        double by_mean = mu[i] != 0.0 ? bound / fabs(mu[i]) : INFINITY;
+        double by_var = sigma2[i] > 0.0 ? bound * bound / sigma2[i] : INFINITY;
+        double candidate = np_min(by_mean, by_var);
+        tau = any ? np_min(tau, candidate) : candidate;
+        any = 1;
+    }
+    return py_min(tau, remaining);
+}
+
+/* MultiscaleSimulator._exact_burst. */
+static void exact_burst(repro_multiscale *m, double target) {
+    bitgen_t *bitgen = (bitgen_t *)m->bitgen;
+    for (int64_t burst = 0; burst < m->exact_burst; burst++) {
+        propensities(m, m->counts, m->lam);
+        double total = np_sum(m->lam, m->channels);
+        if (total <= 0.0) { m->parallel_time = target; return; }
+        double wait = random_exponential(bitgen, 1.0 / total);
+        if (m->parallel_time + wait >= target) {
+            m->parallel_time = target;
+            return;
+        }
+        m->parallel_time += wait;
+        cumulate(m, NULL);
+        fire(m, m->counts,
+             pick_channel(m, random_standard_uniform(bitgen) * total));
+        m->exact_events++;
+        note_seen(m);
+    }
+}
+
+/* Generator.poisson's largest mean. */
+#define POISSON_LAM_MAX (9223372036854775807.0 - sqrt(9223372036854775807.0) * 10.0)
+
+/* ReactionSystem.leap at the rates in m->lam, into m->next: binomial draws
+ * for the clamped channels, then Poisson draws for the others, each in
+ * channel order.  Returns whether every count stays non-negative; or, before
+ * its draws, the code of the argument check numpy's binomial (3) or
+ * Poisson (4: too large or NaN, 5: negative) fails. */
+static int leap_draws(repro_multiscale *m, const uint8_t *mask, double tau,
+                      binomial_t *binomial) {
+    int64_t species = m->species, channels = m->channels;
+    bitgen_t *bitgen = (bitgen_t *)m->bitgen;
+    for (int64_t e = 0; e < channels; e++) {
+        m->draws[e] = 0;
+        m->kind[e] = 0;
+        if (!(mask[e] && m->lam[e] > 0.0)) continue;
+        double head = INFINITY;
+        for (int64_t i = 0; i < species; i++) {
+            double consumed = m->consumption[i * channels + e];
+            if (consumed > 0.0) head = np_min(head, floor(m->counts[i] / consumed));
+        }
+        m->means[e] = m->lam[e] * tau;
+        m->heads[e] = head;
+        m->kind[e] = m->means[e] > 0.1 * head ? 1 : 2;
+    }
+    int invalid = 0;
+    for (int64_t e = 0; e < channels; e++)
+        if (m->kind[e] == 1) {
+            m->means[e] = np_min(m->means[e] / m->heads[e], 1.0);
+            invalid |= !(m->means[e] >= 0.0 && m->means[e] <= 1.0);
+        }
+    if (invalid) return 3;
+    for (int64_t e = 0; e < channels; e++)
+        if (m->kind[e] == 1)
+            m->draws[e] = random_binomial(
+                bitgen, m->means[e], (int64_t)m->heads[e], binomial);
+    int large = 0, negative = 0;
+    for (int64_t e = 0; e < channels; e++)
+        if (m->kind[e] == 2) {
+            large |= !(m->means[e] <= POISSON_LAM_MAX);
+            negative |= !(m->means[e] >= 0.0);
+        }
+    if (large || negative) return large ? 4 : 5;
+    for (int64_t e = 0; e < channels; e++)
+        if (m->kind[e] == 2) m->draws[e] = random_poisson(bitgen, m->means[e]);
+    for (int64_t i = 0; i < species; i++) {
+        int64_t change = 0;
+        for (int64_t e = 0; e < channels; e++)
+            change += m->stoich[i * channels + e] * m->draws[e];
+        m->next[i] = m->counts[i] + (double)change;
+    }
+    return non_negative(m, m->next);
+}
+
+/* MultiscaleSimulator._leap at the rates in m->lam; returns 0, or the
+ * code of a failed draw-argument check. */
+static int leap(repro_multiscale *m, double tau1, double target,
+                binomial_t *binomial) {
+    bitgen_t *bitgen = (bitgen_t *)m->bitgen;
+    double remaining = target - m->parallel_time;
+    int64_t critical = 0;
+    for (int64_t e = 0; e < m->channels; e++)
+        if (m->critical_active[e]) m->cumulative[critical++] = m->lam[e];
+    double a_critical = np_sum(m->cumulative, critical);
+    double tau2 = a_critical > 0.0
+        ? random_exponential(bitgen, 1.0 / a_critical) : INFINITY;
+    double tau = py_min(py_min(tau1, tau2), remaining);
+    for (int64_t attempt = 0; attempt < m->max_leap_retries; attempt++) {
+        int ok = leap_draws(m, m->noncritical, tau, binomial);
+        if (ok > 1) return ok;
+        if (ok && tau2 <= tau && a_critical > 0.0) {
+            cumulate(m, m->critical_active);
+            fire(m, m->next,
+                 pick_channel(m, random_standard_uniform(bitgen) * a_critical));
+            ok = non_negative(m, m->next);
+        }
+        if (ok) {
+            for (int64_t i = 0; i < m->species; i++) m->counts[i] = m->next[i];
+            m->parallel_time += tau;
+            m->leaps++;
+            note_seen(m);
+            return 0;
+        }
+        tau /= 2.0;
+    }
+    exact_burst(m, target);
+    return 0;
+}
+
+/* MultiscaleSimulator._ode_advance; returns 1, with the counts and clock
+ * as it found them, when the step size stalls. */
+static int ode_advance(repro_multiscale *m, double target) {
+    int64_t species = m->species;
+    double *y = m->y, *y5 = m->y5, *y4 = m->y4, *next = m->next;
+    double *stages = m->stages;
+    double exit_threshold = m->ode_threshold / m->hysteresis;
+    for (int64_t i = 0; i < species; i++) y[i] = m->counts[i];
+    double t = m->parallel_time, rtol = 1e-6;
+    double atol = 1e-9 * (double)m->population;
+    double h = py_min(1.0, target - t);
+    derivative(m, y, stages);
+    int64_t stalls = 0;
+    while (t < target) {
+        h = py_min(h, target - t);
+        for (int row = 1; row < 7; row++) {
+            const double *a = m->dp_a + 7 * row;
+            for (int64_t i = 0; i < species; i++) {
+                double increment = 0.0;
+                for (int j = 0; j < row; j++)
+                    increment += a[j] * stages[j * species + i];
+                next[i] = y[i] + h * increment;
+            }
+            derivative(m, next, stages + row * species);
+        }
+        for (int64_t i = 0; i < species; i++) {
+            double sum5 = 0.0, sum4 = 0.0;
+            for (int j = 0; j < 7; j++) sum5 += m->dp_b5[j] * stages[j * species + i];
+            for (int j = 0; j < 7; j++) sum4 += m->dp_b4[j] * stages[j * species + i];
+            y5[i] = y[i] + h * sum5;
+            y4[i] = y[i] + h * sum4;
+            double scale = atol + rtol * np_max(fabs(y[i]), fabs(y5[i]));
+            double scaled = (y5[i] - y4[i]) / scale;
+            next[i] = scaled * scaled;
+        }
+        double error = sqrt(np_sum(next, species) / (double)species);
+        if (error <= 1.0) {
+            t += h;
+            for (int64_t i = 0; i < species; i++) y[i] = np_max(y5[i], 0.0);
+            derivative(m, y, stages);
+            m->ode_steps++;
+            stalls = 0;
+            propensities(m, y, m->lam);
+            double floor = INFINITY;
+            int any = 0;
+            for (int64_t e = 0; e < m->channels; e++)
+                if (m->lam[e] > 0.0) {
+                    floor = np_min(floor, min_reactant(m, y, e));
+                    any = 1;
+                }
+            if (any && floor < exit_threshold) break;
+        } else if (++stalls > 60) {
+            return 1;
+        }
+        double factor = error > 0.0 ? 0.9 * pow(error, -0.2) : 5.0;
+        h *= py_min(5.0, py_max(0.2, factor));
+        h = py_max(h, 1e-14 * py_max(1.0, fabs(target)));
+    }
+    for (int64_t i = 0; i < species; i++) m->counts[i] = y[i];
+    m->ode_fractional = 1;
+    note_seen(m);
+    m->parallel_time = py_min(t, target);
+    return 0;
+}
+
+/* The regime loop until the clock reaches `target`.  Returns 0; 1 when the
+ * ODE integrator stalls (the clock stays where the stalled stretch began);
+ * 2 when its work space cannot be allocated; or 3 to 5 when a leap's draw
+ * arguments fail numpy's checks (leap_draws).  A failed call leaves the
+ * clock where the failing step began. */
+int repro_multiscale_advance(repro_multiscale *m, double target) {
+    int64_t species = m->species, channels = m->channels;
+    void *work = malloc(sizeof(double) * (size_t)(4 * channels + 13 * species)
+        + sizeof(int64_t) * (size_t)(channels + species)
+        + (size_t)(4 * channels + species));
+    if (!work) return 2;
+    m->lam = (double *)work;
+    m->cumulative = m->lam + channels;
+    m->means = m->cumulative + channels;
+    m->heads = m->means + channels;
+    m->sums = m->heads + channels;
+    m->next = m->sums + 2 * species;
+    m->y = m->next + species;
+    m->y5 = m->y + species;
+    m->y4 = m->y5 + species;
+    m->stages = m->y4 + species;
+    m->draws = (int64_t *)(m->stages + 7 * species);
+    m->order = m->draws + channels;
+    m->active = (uint8_t *)(m->order + species);
+    m->noncritical = m->active + channels;
+    m->critical_active = m->noncritical + channels;
+    m->kind = m->critical_active + channels;
+    m->relevant = m->kind + channels;
+    binomial_t binomial = {0};
+    double guard = 1e-12 * py_max(1.0, fabs(target));
+    int code = 0;
+    while (m->parallel_time < target - guard) {
+        if (!active_propensities(m)) break;  /* absorbed */
+        if (classify(m)) {
+            if ((code = ode_advance(m, target))) break;
+            continue;
+        }
+        if (m->ode_fractional) {
+            integer_counts(m);
+            m->ode_fractional = 0;
+            if (!active_propensities(m)) break;
+        }
+        int any_noncritical = 0;
+        for (int64_t e = 0; e < channels; e++) {
+            m->noncritical[e] = m->active[e] && !m->critical[e];
+            m->critical_active[e] = m->active[e] && m->critical[e];
+            any_noncritical |= m->noncritical[e];
+        }
+        if (!any_noncritical) { exact_burst(m, target); continue; }
+        double total = np_sum(m->lam, channels);
+        double tau1 = cao_tau(m, m->noncritical, target - m->parallel_time);
+        if (tau1 < m->exact_multiple / total) { exact_burst(m, target); continue; }
+        if ((code = leap(m, tau1, target, &binomial))) break;
+    }
+    if (!code) m->parallel_time = target;
+    free(work);
+    return code;
+}
 """
 
 #: Optimise, but never fuse a multiply and an add: numpy's float64 loops
@@ -888,6 +1350,113 @@ class NativeLogSizeRound:
         return self._state.done_count == self._state.n
 
 
+class NativeMultiscaleLoop:
+    """The multiscale engine's regime loop in C, bitwise the numpy loop.
+
+    Bound to one :class:`~repro.crn.multiscale.MultiscaleSimulator`, a call
+    ``(target)`` does what the engine's ``_run_regimes(target)`` does, in
+    one C call: propensities, the hysteresis classification, the Cao tau,
+    clamped binomial and Poisson leaps with their halving retries, exact
+    bursts, the Dormand–Prince stretch and the largest-remainder hand-back.
+    It writes the engine's counts, ``seen`` marks and critical flags in
+    place, so it owns them: nothing else may replace those arrays after
+    binding.  The clock, the regime counters and the regime flags are read
+    before each call and written back after it.
+    """
+
+    def __init__(self, simulator: "MultiscaleSimulator") -> None:
+        from repro.crn import multiscale
+
+        self._lib, self._ffi = _load_compiled()
+        self._simulator = simulator
+        system, controller = simulator.system, simulator.controller
+        state = self._state = self._ffi.new("repro_multiscale *")
+        state.species, state.channels = system.num_species, system.num_channels
+        state.population = simulator.population_size
+        state.exact_burst = multiscale._EXACT_BURST
+        state.max_leap_retries = multiscale._MAX_LEAP_RETRIES
+        state.exact_multiple = multiscale._EXACT_MULTIPLE
+        state.leap_eps = simulator.leap_eps
+        state.critical_threshold = controller.critical_threshold
+        state.ode_threshold = controller.ode_threshold
+        state.hysteresis = controller.hysteresis
+        tableau = np.zeros((7, 7))
+        for row, coefficients in enumerate(multiscale._DP_A):
+            tableau[row, : len(coefficients)] = coefficients
+        constants = {
+            name: (getattr(system, name), np.int64)
+            for name in ("reactant_a", "reactant_b", "stoich")
+        } | {
+            name: (getattr(system, name), np.bool_)
+            for name in ("is_diagonal", "is_reactant", "needs_two")
+        } | {
+            name: (getattr(system, name), np.float64)
+            for name in ("rate_coeff", "stoich_f", "stoich_f2", "consumption")
+        } | {
+            "dp_a": (tableau, np.float64),
+            "dp_b5": (multiscale._DP_B5, np.float64),
+            "dp_b4": (multiscale._DP_B4, np.float64),
+        }
+        # The C side keeps raw pointers: hold every array for as long as the
+        # kernel lives.
+        self._arrays = [
+            np.ascontiguousarray(array, dtype=dtype)
+            for array, dtype in constants.values()
+        ]
+        for name, array in zip(constants, self._arrays):
+            setattr(state, name, self._ffi.cast("void *", array.ctypes.data))
+        for name, array, dtype in (
+            ("counts", simulator._counts, np.float64),
+            ("seen", simulator._seen, np.bool_),
+            ("critical", controller._critical, np.bool_),
+        ):
+            if not (array.dtype == dtype and array.ndim == 1
+                    and array.flags.c_contiguous and array.flags.writeable):
+                raise SimulationError(
+                    f"the multiscale {name} must be a writable contiguous "
+                    f"{np.dtype(dtype)} array"
+                )
+            self._arrays.append(array)
+            setattr(state, name, self._ffi.cast("void *", array.ctypes.data))
+        state.bitgen = _bitgen(self._ffi, simulator._rng)
+        self._stalled = multiscale._ODE_STALLED
+
+    def __call__(self, target: float) -> None:
+        simulator, state = self._simulator, self._state
+        controller = simulator.controller
+        state.parallel_time = simulator.parallel_time
+        state.exact_events = simulator.exact_events
+        state.leaps = simulator.leaps
+        state.ode_steps = simulator.ode_steps
+        state.switches = controller.switches
+        state.initialised = controller._initialised
+        state.in_ode = controller._ode
+        state.ode_fractional = simulator._ode_fractional
+        code = self._lib.repro_multiscale_advance(state, target)
+        simulator.parallel_time = state.parallel_time
+        simulator.exact_events = state.exact_events
+        simulator.leaps = state.leaps
+        simulator.ode_steps = state.ode_steps
+        controller.switches = state.switches
+        controller._initialised = bool(state.initialised)
+        controller._ode = bool(state.in_ode)
+        simulator._ode_fractional = bool(state.ode_fractional)
+        if code == 1:
+            raise SimulationError(self._stalled)
+        if code == 2:
+            raise MemoryError("native multiscale loop: no memory for its work space")
+        if code:
+            raise ValueError(_LEAP_ARGUMENT_ERRORS[code])
+
+
+#: numpy's messages for the leap draw arguments its checks reject.
+_LEAP_ARGUMENT_ERRORS = {
+    3: "p < 0, p > 1 or p contains NaNs",
+    4: "lam value too large",
+    5: "lam < 0 or lam contains NaNs",
+}
+
+
 @register_backend
 class NativeBackend(ArrayBackend):
     """C backend: available when cffi plus a working C compiler are found."""
@@ -945,8 +1514,14 @@ class NativeBackend(ArrayBackend):
     ) -> NativeLogSizeRound:
         return NativeLogSizeRound(protocol)
 
+    def multiscale_kernel(
+        self, simulator: "MultiscaleSimulator"
+    ) -> NativeMultiscaleLoop:
+        return NativeMultiscaleLoop(simulator)
+
     def describe(self) -> str:
         if self.available():
             return ("cffi-compiled C kernels (batched advance, vector "
-                    "matching and rounds), bitwise the numpy runs")
+                    "matching and rounds, multiscale regime loop), bitwise "
+                    "the numpy runs")
         return f"cffi-compiled C kernels (unavailable: {_FAILURE or 'no toolchain'})"

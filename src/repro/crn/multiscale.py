@@ -51,12 +51,17 @@ a count-level mean-field treatment cannot express (see ``DESIGN.md``,
 Multiscale CRN engine).
 
 Determinism is per ``(seed, leap_eps, regime_thresholds)``: a run is exactly
-reproducible from its seed (every regime runs in numpy; the engine has no
-kernel on the array-backend seam and resolves no backend), but
-trajectories are *not* bitwise comparable across engines (the approximation
-changes the sampled process, not just the stream).  Validation is
-distributional — tau-leap moments must match the SSA reference
-(``benchmarks/bench_multiscale.py``).
+reproducible from its seed, on every machine and backend.  The float
+matrix-vector products sum in channel order
+(:meth:`ReactionSystem.channel_sum`), not through BLAS, whose order depends
+on the CPU kernel.
+The engine resolves an array backend: the numpy loop below is the
+reference, and the native backend runs the same loop in C, one call per
+advance, making its draws in its order on its float64 arithmetic, so both
+produce the same runs bit for bit.  Trajectories are *not* bitwise
+comparable across engines (the approximation changes the sampled process,
+not just the stream).  Validation is distributional — tau-leap moments
+must match the SSA reference (``benchmarks/bench_multiscale.py``).
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ from typing import Hashable
 
 import numpy as np
 
+from repro.backend import ArrayBackend, resolve_backend
 from repro.engine.configuration import Configuration
 from repro.engine.running import (
     CountArrayEngine,
@@ -108,6 +114,12 @@ _EXACT_MULTIPLE = 10.0
 _EXACT_BURST = 64
 #: Halve-and-redraw attempts before a failing leap falls back to exact.
 _MAX_LEAP_RETRIES = 8
+#: The error a stalled ODE stretch raises, on every backend.
+_ODE_STALLED = (
+    "the mean-field ODE integrator stalled (step size underflow); the system "
+    "may be too stiff for the ODE regime — raise the ODE threshold via "
+    "regime_thresholds"
+)
 
 #: RK45 (Dormand–Prince) Butcher tableau.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
@@ -214,6 +226,9 @@ class ReactionSystem:
             else np.zeros((size, 0), dtype=np.int64)
         )
         self.is_diagonal = self.reactant_a == self.reactant_b
+        #: The stoichiometry as floats, and squared, for :meth:`channel_sum`.
+        self.stoich_f = self.stoich.astype(np.float64)
+        self.stoich_f2 = self.stoich_f**2
         #: Per-channel consumption coefficients (``max(-stoich, 0)``).
         self.consumption = np.maximum(-self.stoich, 0).astype(np.float64)
         self._consumes = self.consumption > 0.0
@@ -231,6 +246,8 @@ class ReactionSystem:
             self.reactant_b,
             self.rate_coeff,
             self.stoich,
+            self.stoich_f,
+            self.stoich_f2,
             self.is_diagonal,
             self.consumption,
             self._consumes,
@@ -257,9 +274,20 @@ class ReactionSystem:
             g = g + np.where(doubled, 1.0 / np.maximum(counts - 1.0, 1.0), 0.0)
         return g
 
+    def channel_sum(self, matrix: np.ndarray, rates: np.ndarray) -> np.ndarray:
+        """``matrix @ rates``, each species' terms summed in channel order.
+
+        ``@`` hands float products to BLAS, whose summation order depends on
+        the CPU kernel; a fixed order keeps a seeded run the same on every
+        machine, and lets the native regime loop repeat it bit for bit.
+        """
+        if not self.num_channels:
+            return np.zeros(self.num_species)
+        return np.add.accumulate(matrix * rates, axis=1)[:, -1]
+
     def derivative(self, counts: np.ndarray) -> np.ndarray:
         """Mean-field ODE right-hand side (counts per unit parallel time)."""
-        return self.stoich @ self.propensities(counts)
+        return self.channel_sum(self.stoich_f, self.propensities(counts))
 
     def _headroom(self, counts: np.ndarray) -> np.ndarray:
         """Largest number of firings each channel's consumed species allow."""
@@ -418,6 +446,11 @@ class MultiscaleSimulator(CountArrayEngine):
         :class:`RegimeController`.  ``None`` uses the defaults.  A trial
         passes both in ``TrialSpec.engine_options``, checked by
         :meth:`check_options`; they join its key at the top level.
+    backend:
+        Array backend for the regime loop (a registered name, an
+        :class:`~repro.backend.ArrayBackend` instance, or ``None`` for the
+        process's backend).  The native backend runs the loop in C and
+        makes the numpy loop's draws, so the choice never changes a run.
     scheduler:
         Accepted for interface parity; only the uniform ``"sequential"``
         policy is valid — the propensity model *is* uniform mixing (see the
@@ -433,6 +466,7 @@ class MultiscaleSimulator(CountArrayEngine):
         scheduler: SchedulerSpec | str | None = None,
         leap_eps: float | None = None,
         regime_thresholds: tuple[float, float] | None = None,
+        backend: "ArrayBackend | str | None" = None,
     ) -> None:
         check_population_size(population_size)
         options = self.check_options(
@@ -475,6 +509,8 @@ class MultiscaleSimulator(CountArrayEngine):
         self.exact_events = 0
         self.leaps = 0
         self.ode_steps = 0
+        self.backend = resolve_backend(backend)
+        self._kernel = self.backend.multiscale_kernel(self)
 
     @staticmethod
     def check_options(**options) -> dict:
@@ -555,6 +591,16 @@ class MultiscaleSimulator(CountArrayEngine):
         # depend only on counts and the RNG stream, never on telemetry).
         t0 = _REC.now_ns()
         before = self.regime_stats()
+        if self._kernel is not None:
+            self._kernel(target)
+        else:
+            self._run_regimes(target)
+        _REC.add_time("multiscale.advance", _REC.now_ns() - t0)
+        for name, value in self.regime_stats().items():
+            _REC.count(f"multiscale.{name}", value - before[name])
+
+    def _run_regimes(self, target: float) -> None:
+        """The reference regime loop, to ``target``."""
         guard = 1e-12 * max(1.0, abs(target))
         while self.parallel_time < target - guard:
             lam = self.system.propensities(self._counts)
@@ -586,9 +632,6 @@ class MultiscaleSimulator(CountArrayEngine):
                 continue
             self._leap(lam, noncritical, critical & active, tau1, target)
         self.parallel_time = target
-        _REC.add_time("multiscale.advance", _REC.now_ns() - t0)
-        for name, value in self.regime_stats().items():
-            _REC.count(f"multiscale.{name}", value - before[name])
 
     def _leave_ode_counts(self) -> None:
         """Round the state back to integers when leaving the ODE regime."""
@@ -605,8 +648,8 @@ class MultiscaleSimulator(CountArrayEngine):
         """The Cao–Gillespie leap length over the non-critical channels."""
         system = self.system
         lam_masked = np.where(mask, lam, 0.0)
-        mu = system.stoich @ lam_masked
-        sigma2 = (system.stoich.astype(np.float64) ** 2) @ lam_masked
+        mu = system.channel_sum(system.stoich_f, lam_masked)
+        sigma2 = system.channel_sum(system.stoich_f2, lam_masked)
         relevant = np.zeros(system.num_species, dtype=bool)
         relevant[system.reactant_a[mask]] = True
         relevant[system.reactant_b[mask]] = True
@@ -719,11 +762,7 @@ class MultiscaleSimulator(CountArrayEngine):
             else:
                 stalls += 1
                 if stalls > 60:
-                    raise SimulationError(
-                        "the mean-field ODE integrator stalled (step size "
-                        "underflow); the system may be too stiff for the ODE "
-                        "regime — raise the ODE threshold via regime_thresholds"
-                    )
+                    raise SimulationError(_ODE_STALLED)
             factor = 0.9 * error ** -0.2 if error > 0.0 else 5.0
             h *= min(5.0, max(0.2, factor))
             h = max(h, 1e-14 * max(1.0, abs(target)))

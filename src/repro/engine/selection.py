@@ -150,7 +150,7 @@ ENGINES: dict[str, EngineEntry] = {
         VectorFiniteStateSimulator, "rounds", "matching", array_backend=True
     ),
     "multiscale": EngineEntry(
-        MultiscaleSimulator, "mean-field", "sequential",
+        MultiscaleSimulator, "mean-field", "sequential", array_backend=True,
         options=("leap_eps", "regime_thresholds"),
     ),
 }
@@ -284,11 +284,12 @@ def build_engine(
         (:data:`ARRAY_ENGINE_NAMES`): a registered name (``"numpy"``,
         ``"native"``), an :class:`~repro.backend.ArrayBackend` instance, or
         ``None`` for the process's backend (``REPRO_BACKEND`` or numpy).
-        The batched engine takes its count advance from it, and the vector
-        engine its matching draw and ``Log-Size-Estimation`` round.  Every
-        backend makes the same draws, so the choice never changes a
-        trajectory.  The agent, count and multiscale engines have no kernel
-        on the seam and reject an explicit backend.
+        The batched engine takes its count advance from it, the vector
+        engine its matching draw and ``Log-Size-Estimation`` round, and the
+        multiscale engine its regime loop.  Every backend makes the same
+        draws, so the choice never changes a trajectory.  The agent and
+        count engines have no kernel on the seam and reject an explicit
+        backend.
     engine_options:
         Extra keyword arguments forwarded to the engine constructor (the
         batched engine takes ``batch_size`` / ``small_count_threshold``, the

@@ -264,6 +264,13 @@ class ReferenceWorkload(Workload):
 
     def check(self, spec: TrialSpec) -> None:
         _check_params(spec)
+        if spec.engine != "sequential":
+            # The engine joins the key: any other name would key this one
+            # trial a second way.
+            raise SimulationError(
+                f"a sequential trial runs on the agent-level engine its "
+                f"workload names (engine='sequential'), got {spec.engine!r}"
+            )
         if spec.engine_options or spec.protocol_factory or spec.predicate:
             raise SimulationError(
                 "a sequential trial runs agent-level Log-Size-Estimation to "

@@ -25,8 +25,16 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
+import numpy as np
+
+from repro.engine.configuration import Configuration
 from repro.exceptions import ProtocolError
 from repro.protocols.base import FiniteStateProtocol, RandomizedTransition
+
+#: The golden-ratio stride of the deterministic opinion striping.
+_STRIDE = 0.6180339887498949
+#: Agent ids per vectorised block of :meth:`initial_configuration`.
+_CHUNK = 1 << 16
 
 
 class ApproximateMajorityProtocol(FiniteStateProtocol):
@@ -57,8 +65,27 @@ class ApproximateMajorityProtocol(FiniteStateProtocol):
     def initial_state(self, agent_id: int) -> Hashable:
         # Deterministic striping: agent ids are assigned X at rate x_fraction.
         # Using the fractional part keeps the margin stable for any n.
-        position = (agent_id * 0.6180339887498949) % 1.0
+        position = (agent_id * _STRIDE) % 1.0
         return self.OPINION_X if position < self.x_fraction else self.OPINION_Y
+
+    def initial_configuration(self, population_size: int) -> Configuration:
+        # initial_state's float64 operations, run on blocks of agent ids: the
+        # same X count with no per-agent call.  Agent 0 sits at position 0,
+        # so X appears first whenever x_fraction > 0.
+        ids = np.arange(min(_CHUNK, population_size), dtype=np.float64)
+        positions = np.empty_like(ids)
+        x_count = 0
+        for start in range(0, population_size, _CHUNK):
+            block = positions[: min(_CHUNK, population_size - start)]
+            np.add(ids[: block.size], start, out=block)
+            np.multiply(block, _STRIDE, out=block)
+            np.remainder(block, 1.0, out=block)
+            x_count += int(np.count_nonzero(block < self.x_fraction))
+        counts = {self.OPINION_X: x_count, self.OPINION_Y: population_size - x_count}
+        order = (self.OPINION_X, self.OPINION_Y)
+        if not 0.0 < self.x_fraction:
+            order = order[::-1]
+        return Configuration({state: counts[state] for state in order if counts[state]})
 
     def transitions(
         self, receiver: Hashable, sender: Hashable

@@ -5,12 +5,14 @@ The numpy backend is the stream-preserving reference (pinned bitwise by
 generator in the numpy order: the batched advance through numpy's
 multinomial, bounded-integer and uniform draws, the vector kernels through
 its interval, uniform and geometric draws (``test_native_vector`` compares
-them round by round), and the multiscale engine has no kernel on the seam
-(it resolves no backend and runs numpy whatever the process's backend).  So a seeded native run must *be* the
-numpy run: count trajectories, batch counters and the generator's final
-state, on the batched multinomial draw→apply (uniform and state-weighted),
-the small-count and consumption-guard exact fallbacks, the 34-state
-termination protocol and both CRN lowerings.  The CRN lowerings are also
+them round by round), and the multiscale regime loop through its
+exponential, uniform, binomial and Poisson draws (compared after every
+``run_interactions`` chunk).  So a seeded native run must *be* the numpy
+run: count trajectories, batch and regime counters and the generator's
+final state, on the batched multinomial draw→apply (uniform and
+state-weighted), the small-count and consumption-guard exact fallbacks, the
+34-state termination protocol, both CRN lowerings, and every multiscale
+regime and hand-over.  The CRN lowerings are also
 checked against the exact Gillespie SSA.  Every parity case needs the
 native backend (cffi and a C toolchain) and is skipped without it.
 """
@@ -23,16 +25,17 @@ import statistics
 import numpy as np
 import pytest
 
-from repro.backend import ENV_BACKEND, ArrayBackend, get_backend, native_backend
+from repro.backend import ArrayBackend, get_backend, native_backend
 from repro.backend.native_backend import NativeBackend
 from repro.backend.numpy_backend import pair_weight_matrix
 from repro.core.array_simulator import LogSizeVectorProtocol
 from repro.core.parameters import ProtocolParameters
 from repro.core.vector_leader import LeaderTerminatingVectorProtocol
-from repro.crn import CRN, compile_crn, simulate_ssa
-from repro.crn.library import epidemic_extinct_predicate
+from repro.crn import CRN, compile_crn, multiscale, simulate_ssa
+from repro.crn.library import epidemic_extinct_predicate, get_crn_workload
 from repro.engine.selection import build_engine
 from repro.engine.vector import VectorSimulator
+from repro.exceptions import SimulationError
 from repro.protocols.epidemic import (
     EpidemicProtocol,
     epidemic_completion_predicate,
@@ -282,13 +285,6 @@ def _finite_state_run(engine, backend, seed):
     return runs
 
 
-def _process_backend_run(engine, backend, seed):
-    """``_finite_state_run`` with ``backend`` as the process's backend."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setenv(ENV_BACKEND, backend)
-        return _finite_state_run(engine, None, seed)
-
-
 def _kernel_run(kernel, backend, seed):
     """A paper kernel run to all-done: its fields and generator position."""
     simulator = VectorSimulator(kernel, 96, seed=seed, backend=backend)
@@ -302,12 +298,73 @@ def _kernel_run(kernel, backend, seed):
     )
 
 
+#: Leap retries need channels competing for a scarce species: two channels
+#: drain A, and a critical threshold below one agent keeps them leaping
+#: down to A's last agent, so two binomial draws can overdraw it together.
+COMPETE = CRN.from_spec(
+    ["A + B -> B + B", "A + C -> C + C", "B + C -> C + C", "C + B -> B + B"],
+    name="compete",
+    seeds={"A": 40},
+    fractions={"B": 0.5, "C": 0.5},
+)
+#: Regimes forced to switch both ways at small n, with clamped leaps.
+FORCED = {"regime_thresholds": (5, 2000), "leap_eps": 0.3}
+LIBRARY_NETWORKS = ("sir", "epidemic", "approximate-majority", "predator-prey", "leader")
+#: ``(network or protocol, n, engine options)``: SIR across every regime
+#: mix, the other library networks, the finite-state protocols, forced
+#: regimes, and the competing network's leap retries.
+MULTISCALE_CASES = (
+    *(("sir", n, {}) for n in (10**3, 10**5, 10**9, 10**11)),
+    *((name, 10**7, {}) for name in LIBRARY_NETWORKS[1:]),
+    (EpidemicProtocol, 10**6, {}),
+    (ApproximateMajorityProtocol, 10**6, {}),
+    *((name, n, FORCED) for name in LIBRARY_NETWORKS for n in (10**3, 10**5)),
+    (EpidemicProtocol, 10**5, FORCED),
+    (ApproximateMajorityProtocol, 10**5, FORCED),
+    *(
+        (COMPETE, n, {"regime_thresholds": (0.5, 2000), "leap_eps": 0.5})
+        for n in (1_000, 2_000)
+    ),
+)
+
+
+def _build_multiscale(case, backend, seed):
+    network, n, options = case
+    if isinstance(network, type):
+        return build_engine(
+            "multiscale", network(), n, seed=seed, backend=backend, **options
+        )
+    if isinstance(network, str):
+        network = get_crn_workload(network).crn
+    return compile_crn(network).build(
+        "multiscale", n, seed=seed, backend=backend, **options
+    )
+
+
+def _multiscale_run(backend, seed):
+    """Every multiscale case, 40 chunks of ``n`` interactions each: after
+    every chunk the count bytes, clock, regime counters, ODE flag and states
+    seen, and the generator's final state."""
+    snapshots = []
+    for case in MULTISCALE_CASES:
+        simulator = _build_multiscale(case, backend, seed)
+        for _ in range(40):
+            simulator.run_interactions(simulator.population_size)
+            snapshots.append((
+                simulator._counts.tobytes(),
+                simulator.parallel_time,
+                simulator.regime_stats(),
+                simulator._ode_fractional,
+                simulator.states_seen(),
+            ))
+        snapshots.append(simulator._rng.bit_generator.state)
+    return snapshots
+
+
 FAST = ProtocolParameters.fast_test()
 BITWISE_RUNS = {
     "vector": lambda backend, seed: _finite_state_run("vector", backend, seed),
-    "multiscale": lambda backend, seed: _process_backend_run(
-        "multiscale", backend, seed
-    ),
+    "multiscale": _multiscale_run,
     "figure2": lambda backend, seed: _kernel_run(
         LogSizeVectorProtocol(FAST), backend, seed
     ),
@@ -325,11 +382,104 @@ def test_vector_and_multiscale_runs_are_the_numpy_stream_bitwise(workload):
     """A seeded vector or multiscale run on native is the numpy run,
     snapshot for snapshot: the finite-state kernels on the native matching,
     Figure 2's Log-Size-Estimation round in C, the Theorem 3.13 kernel that
-    inherits it, and the multiscale engine's numpy tau-leap, which ignores
-    the process's backend."""
+    inherits it, and the multiscale regime loop in C."""
     run = BITWISE_RUNS[workload]
     for seed in (2_001, 2_002, 2_003):
         assert run("native", seed) == run("numpy", seed), (workload, seed)
+
+
+def test_multiscale_cases_reach_every_branch(monkeypatch):
+    """The multiscale cases leave and re-enter the ODE regime, clamp leaps
+    to a binomial, and halve and redraw leaps that overdraw a species, so
+    the bitwise comparison covers all three."""
+    reached = {"clamped": 0, "retried": 0}
+    leap = multiscale.ReactionSystem.leap
+
+    def counting_leap(system, counts, mask, tau, rng):
+        rates = system.propensities(counts)
+        active = mask & (rates > 0.0)
+        headroom = system._headroom(counts)[active]
+        reached["clamped"] += int((rates[active] * tau > 0.1 * headroom).sum())
+        ok, new_counts = leap(system, counts, mask, tau, rng)
+        reached["retried"] += not ok
+        return ok, new_counts
+
+    monkeypatch.setattr(multiscale.ReactionSystem, "leap", counting_leap)
+    switches = [
+        snapshot[2]["regime_switches"]
+        for snapshot in _multiscale_run("numpy", 2_002)
+        if isinstance(snapshot, tuple)
+    ]
+    assert max(switches) >= 2
+    assert reached["clamped"] > 0 and reached["retried"] > 0, reached
+
+
+def _multiscale_state(simulator):
+    return (
+        simulator._counts.tobytes(),
+        simulator.parallel_time,
+        simulator.regime_stats(),
+        simulator._ode_fractional,
+        simulator.controller.in_ode,
+        simulator._rng.bit_generator.state,
+    )
+
+
+@pytest.mark.parametrize("backend", _parity_backends())
+@pytest.mark.parametrize(
+    "fractional",
+    [(600.3, 399.7), (600.4, 399.4), (601.2, 399.3), (600.5, 400.5)],
+    ids=["deficit-0", "deficit+1", "deficit-1", "tie"],
+)
+def test_ode_hand_back_is_the_numpy_rounding(backend, fractional):
+    """Leaving the ODE regime rounds the float counts back to integers: the
+    native loop hands out or reclaims the missing agents as the numpy
+    ``integer_counts`` does, ties included."""
+    states = []
+    for name in (backend, "numpy"):
+        simulator = build_engine(
+            "multiscale", EpidemicProtocol(), 1_000, seed=3, backend=name
+        )
+        simulator._counts[:] = fractional
+        simulator._ode_fractional = True
+        simulator.run_interactions(500)
+        states.append(_multiscale_state(simulator))
+    assert states[0] == states[1]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("backend", _parity_backends())
+def test_ode_stall_raises_where_numpy_raises(backend):
+    """A state the integrator cannot step (here an infinite count) stalls
+    the ODE stretch: both loops raise, leaving the counts and clock where
+    the stretch began."""
+    states = []
+    for name in (backend, "numpy"):
+        simulator = build_engine(
+            "multiscale", EpidemicProtocol(), 1_000, seed=3, backend=name,
+            regime_thresholds=(5, 100),
+        )
+        simulator._counts[:] = (np.inf, 1_000.0)
+        with pytest.raises(SimulationError, match="stalled"):
+            simulator.run_interactions(1_000)
+        states.append(_multiscale_state(simulator))
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("backend", _parity_backends())
+def test_invalid_leap_mean_raises_numpys_error(backend):
+    """An infinite count outside the ODE regime makes an infinite Poisson
+    mean: the native loop rejects it with numpy's error, before drawing."""
+    states = []
+    for name in (backend, "numpy"):
+        simulator = build_engine(
+            "multiscale", EpidemicProtocol(), 1_000, seed=3, backend=name
+        )
+        simulator._counts[:] = (np.inf, 1_000.0)
+        with pytest.raises(ValueError, match="lam value too large"):
+            simulator.run_interactions(1_000)
+        states.append(_multiscale_state(simulator))
+    assert states[0] == states[1]
 
 
 # ---------------------------------------------------------------------------

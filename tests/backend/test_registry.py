@@ -168,6 +168,9 @@ class TestPartialBackendComposition:
         assert backend.log_size_round_kernel(
             LogSizeVectorProtocol(ProtocolParameters.fast_test())
         ) is None
+        assert backend.multiscale_kernel(
+            build_engine("multiscale", EpidemicProtocol(), 32, backend="numpy")
+        ) is None
 
     def test_pair_weights_reference(self):
         counts = np.array([3, 2, 0])
@@ -191,14 +194,15 @@ class TestPartialBackendComposition:
 
 class TestEngineBackendThreading:
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    @pytest.mark.parametrize("engine", ["agent", "count", "multiscale"])
+    @pytest.mark.parametrize("engine", ["agent", "count"])
     def test_reference_engines_reject_an_explicit_backend(self, engine, backend):
-        # Only the batched and vector engines run a kernel from the seam;
-        # naming a backend for any other engine is an error, not ignored.
+        # Only the batched, vector and multiscale engines run a kernel from
+        # the seam; naming a backend for any other engine is an error, not
+        # ignored.
         with pytest.raises(SimulationError, match="takes no backend"):
             build_engine(engine, EpidemicProtocol(), 64, seed=0, backend=backend)
 
-    @pytest.mark.parametrize("engine", ["agent", "count", "multiscale"])
+    @pytest.mark.parametrize("engine", ["agent", "count"])
     def test_reference_engines_ignore_the_process_backend(self, engine, monkeypatch):
         # They never resolve a backend: not even an unknown name in the
         # environment, which any resolution would reject, reaches them.
@@ -216,3 +220,13 @@ class TestEngineBackendThreading:
         )
         assert batched.backend.name == "numpy"
         assert vector.backend.name == "numpy"
+
+    def test_multiscale_takes_its_loop_from_the_backend(self, monkeypatch):
+        numpy_run = build_engine(
+            "multiscale", EpidemicProtocol(), 64, seed=0, backend="numpy"
+        )
+        assert numpy_run.backend.name == "numpy"
+        assert numpy_run._kernel is None
+        monkeypatch.setenv(ENV_BACKEND, "warp")
+        with pytest.raises(SimulationError, match="unknown backend"):
+            build_engine("multiscale", EpidemicProtocol(), 64, seed=0)

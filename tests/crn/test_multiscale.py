@@ -200,6 +200,81 @@ class TestDeterminism:
         assert leaps[1] > leaps[0]
 
 
+def _channel_order_sums(matrix: np.ndarray, rates: np.ndarray) -> list[float]:
+    """Each row of ``matrix`` times ``rates``, summed channel by channel."""
+    sums = []
+    for row in matrix.tolist():
+        total = row[0] * rates[0]
+        for coefficient, rate in zip(row[1:], rates[1:]):
+            total += coefficient * rate
+        sums.append(total)
+    return sums
+
+
+def _multiscale_engines():
+    """A multiscale engine per library network and finite-state protocol,
+    as zero-argument factories."""
+    from repro.crn.library import get_crn_workload
+    from repro.protocols.majority import ApproximateMajorityProtocol
+
+    def network(name):
+        compiled = compile_crn(get_crn_workload(name).crn)
+        return lambda: compiled.build("multiscale", 1_000, seed=1)
+
+    def protocol(factory):
+        return lambda: build_engine("multiscale", factory(), 1_000, seed=1)
+
+    networks = ("sir", "approximate-majority", "predator-prey", "epidemic", "leader")
+    return [pytest.param(network(name), id=name) for name in networks] + [
+        pytest.param(protocol(EpidemicProtocol), id="protocol-epidemic"),
+        pytest.param(protocol(ApproximateMajorityProtocol), id="protocol-majority"),
+    ]
+
+
+class TestChannelOrderSums:
+    """The reference's float matrix-vector products sum in channel order, not
+    through BLAS, whose order depends on the CPU kernel; the native loop
+    repeats that order, so both are the same on every machine."""
+
+    @pytest.mark.parametrize("build", _multiscale_engines())
+    def test_derivative_and_cao_sums_are_channel_order_loops(
+        self, build, monkeypatch
+    ):
+        engine = build()
+        system = engine.system
+        captured = []
+        channel_sum = type(system).channel_sum
+
+        def recording(self, matrix, rates):
+            captured.append((matrix, rates.tolist()))
+            return channel_sum(self, matrix, rates)
+
+        monkeypatch.setattr(type(system), "channel_sum", recording, raising=False)
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            counts = rng.random(system.num_species) * 10.0 ** rng.integers(0, 12)
+            if rng.random() < 0.5:
+                counts = np.floor(counts)
+            rates = system.propensities(counts)
+            assert system.derivative(counts).tolist() == _channel_order_sums(
+                system.stoich_f, rates.tolist()
+            )
+            engine._counts = counts
+            mask = rng.random(system.num_channels) < 0.7
+            captured.clear()
+            engine._cao_tau(rates, mask, 1.0)
+            (mu_matrix, mu_rates), (var_matrix, var_rates) = captured
+            assert mu_matrix is system.stoich_f and var_matrix is system.stoich_f2
+            masked = np.where(mask, rates, 0.0).tolist()
+            assert mu_rates == var_rates == masked
+            assert channel_sum(system, system.stoich_f, rates).tolist() == (
+                _channel_order_sums(system.stoich_f, rates.tolist())
+            )
+            assert channel_sum(system, system.stoich_f2, rates).tolist() == (
+                _channel_order_sums(system.stoich**2, rates.tolist())
+            )
+
+
 class TestStiffClamping:
     """Counts must never go negative when leaps press against headroom."""
 

@@ -370,6 +370,8 @@ EXERCISED_BACKEND_CELLS = (
     ("batched", "native"),
     ("vector", "numpy"),
     ("vector", "native"),
+    ("multiscale", "numpy"),
+    ("multiscale", "native"),
 )
 
 #: Valid options for the policies that require (or deserve) non-defaults.

@@ -296,6 +296,25 @@ class TestTrialSpecValidation:
                 params=FAST,
             )
 
+    @pytest.mark.parametrize("engine", [None, "agent", "warp"])
+    def test_sequential_spec_names_its_engine(self, engine):
+        # The engine joins the key, so any name but the one
+        # ReferenceWorkload.trials writes would key its one trial a second
+        # way (None: the spec's default engine).
+        fields = {} if engine is None else {"engine": engine}
+        spec = functools.partial(
+            TrialSpec,
+            kind="sequential",
+            population_size=12,
+            size_index=0,
+            run_index=0,
+            params=ProtocolParameters.fast_test(),
+            max_parallel_time=2000.0,
+        )
+        with pytest.raises(SimulationError, match="engine='sequential'"):
+            spec(**fields)
+        assert spec(engine="sequential").cache_key().startswith("4f1c6770")
+
     @pytest.mark.parametrize("kind", SWEEP_BUILDERS)
     def test_empty_sweep_rejected(self, kind):
         with pytest.raises(SimulationError, match="non-empty"):

@@ -86,12 +86,13 @@ class TestTrialManifest:
     def test_manifest_names_a_backend_only_for_engines_that_use_one(
         self, engine, monkeypatch
     ):
-        # Only the batched and vector engines run a kernel from the seam; the
-        # others run their numpy path whatever the process's backend.
+        # Only the batched, vector and multiscale engines run a kernel from
+        # the seam; the others run their numpy path whatever the process's
+        # backend.
         monkeypatch.setenv(ENV_BACKEND, "native")
         (spec,) = epidemic_specs(engine=engine)
         backend = trial_manifest(spec, {})["resolution"]["backend"]
-        if engine in ("batched", "vector"):
+        if engine in ("batched", "vector", "multiscale"):
             assert backend == resolve_backend("native").name
         else:
             assert backend is None
@@ -103,7 +104,7 @@ class TestTrialManifest:
         monkeypatch.setenv(ENV_BACKEND, "native")
         (spec,) = build_crn_trials([300], 1, "epidemic", engine=engine, base_seed=5)
         backend = trial_manifest(spec, {})["resolution"]["backend"]
-        if engine == "batched":
+        if engine in ("batched", "multiscale"):
             assert backend == resolve_backend("native").name
         else:
             assert backend is None
@@ -225,7 +226,7 @@ class TestStoreCounters:
 )
 class TestPoolWorkersRunTheDriversBackend:
     """No spec names a backend: pool workers run the driver's process backend,
-    and only the batched and vector engines resolve one."""
+    and only the batched, vector and multiscale engines resolve one."""
 
     @staticmethod
     def specs():
@@ -271,12 +272,12 @@ class TestPoolWorkersRunTheDriversBackend:
                 record.extra.pop(TELEMETRY_KEY)["resolution"]["backend"]
             )
             assert record_to_dict(record) == expected, spec.engine
-        assert backends == ["native"] * 4 + [None] * 2
+        assert backends == ["native"] * 6
         callers = Counter(calls.read_text(encoding="utf-8").split())
-        # One engine resolution and one manifest line per batched and vector
-        # trial; none at all for the multiscale trials.
+        # One engine resolution and one manifest line per trial.
         assert callers == {
             "repro.engine.batched_simulator": 2,
             "repro.engine.vector": 2,
-            "repro.obs.manifest": 4,
+            "repro.crn.multiscale": 2,
+            "repro.obs.manifest": 6,
         }

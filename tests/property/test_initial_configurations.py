@@ -2,7 +2,7 @@
 
 The count-level engines start from ``protocol.initial_configuration(n)``.
 The default folds ``initial_state(0..n-1)`` in first-appearance order; the
-overrides must build the same configuration in ``O(|states|)``, with the
+overrides must build the same configuration with no per-agent call, with the
 same key order, because the count engine samples states in that order.
 """
 
@@ -17,6 +17,7 @@ from repro.protocols.leader_election import (
     FiniteStateCounterTermination,
     FiniteStatePairwiseElimination,
 )
+from repro.protocols.majority import ApproximateMajorityProtocol
 
 sizes = st.integers(min_value=2, max_value=10_000)
 
@@ -68,6 +69,23 @@ def test_counter_termination(population_size, counter_threshold, eliminate_on_me
         counter_threshold=counter_threshold,
         eliminate_on_meeting=eliminate_on_meeting,
     )
+    assert_equals_default(protocol, population_size)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    population_size=st.one_of(sizes, st.integers(min_value=65_000, max_value=140_000)),
+    x_fraction=st.one_of(
+        st.sampled_from([0.0, 0.3, 0.6, 0.999, 1.0]),
+        st.floats(min_value=0.0, max_value=1.0),
+    ),
+)
+@example(population_size=2, x_fraction=0.0)
+@example(population_size=2, x_fraction=1.0)
+@example(population_size=1 << 16, x_fraction=0.6)
+@example(population_size=(1 << 16) + 1, x_fraction=0.999)
+def test_majority(population_size, x_fraction):
+    protocol = ApproximateMajorityProtocol(x_fraction=x_fraction)
     assert_equals_default(protocol, population_size)
 
 

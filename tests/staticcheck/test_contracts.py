@@ -263,8 +263,8 @@ class TestCapabilityMatrix:
 
     def test_declared_cells_are_nonempty(self):
         assert len(declared_scheduler_cells()) >= 13
-        # batched/vector x numpy/native
-        assert len(declared_backend_cells()) == 4
+        # batched/vector/multiscale x numpy/native
+        assert len(declared_backend_cells()) == 6
 
     def test_m501_on_missing_cell(self, tmp_path):
         self._write_grid(
