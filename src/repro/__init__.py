@@ -23,28 +23,19 @@ Quickstart
 >>> outputs = simulation.outputs()   # per-agent estimates of log2(64) = 6
 """
 
-from repro._version import __version__
-from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
-from repro.core.log_size_estimation import LogSizeEstimationProtocol
-from repro.core.parameters import ProtocolParameters
-from repro.core.probability_one import ProbabilityOneUpperBoundProtocol
-from repro.core.synthetic_coin import SyntheticCoinLogSizeEstimation
-from repro.engine.count_simulator import CountSimulator
-from repro.engine.simulator import Simulation
-from repro.exceptions import ReproError
-from repro.harness.figures import reproduce_figure2
-from repro.rng import RandomSource
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "__version__",
-    "LeaderTerminatingSizeEstimation",
-    "LogSizeEstimationProtocol",
-    "ProtocolParameters",
-    "ProbabilityOneUpperBoundProtocol",
-    "SyntheticCoinLogSizeEstimation",
-    "CountSimulator",
-    "Simulation",
-    "ReproError",
-    "reproduce_figure2",
-    "RandomSource",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "_version": ["__version__"],
+    "core.leader_terminating": ["LeaderTerminatingSizeEstimation"],
+    "core.log_size_estimation": ["LogSizeEstimationProtocol"],
+    "core.parameters": ["ProtocolParameters"],
+    "core.probability_one": ["ProbabilityOneUpperBoundProtocol"],
+    "core.synthetic_coin": ["SyntheticCoinLogSizeEstimation"],
+    "engine.count_simulator": ["CountSimulator"],
+    "engine.simulator": ["Simulation"],
+    "exceptions": ["ReproError"],
+    "harness.figures": ["reproduce_figure2"],
+    "rng": ["RandomSource"],
+})

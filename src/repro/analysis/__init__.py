@@ -26,77 +26,49 @@ Every function is validated against Monte-Carlo simulation in the test suite,
 so the library doubles as an executable check of the paper's constants.
 """
 
-from repro.analysis.harmonic import euler_mascheroni, harmonic_number
-from repro.analysis.geometric import (
-    expected_maximum_of_geometrics,
-    exact_expected_maximum,
-    geometric_pmf,
-    maximum_cdf,
-    maximum_lower_tail,
-    maximum_upper_tail,
-    maximum_two_sided_tail,
-    maximum_in_range_probability,
-)
-from repro.analysis.subexponential import (
-    sub_exponential_mgf_bound,
-    sum_of_maxima_tail,
-    average_additive_error_probability,
-    required_sample_count,
-)
-from repro.analysis.epidemic_theory import (
-    expected_epidemic_time,
-    epidemic_upper_tail,
-    subpopulation_epidemic_upper_tail,
-    epidemic_time_bound,
-)
-from repro.analysis.interaction_bounds import (
-    expected_interactions,
-    interaction_count_upper_tail,
-    interactions_upper_bound,
-    phase_clock_threshold,
-)
-from repro.analysis.balls_and_bins import (
-    empty_bins_bound,
-    state_depletion_bound,
-    count_survival_bound,
-)
-from repro.analysis.error_bounds import (
-    partition_deviation_probability,
-    log_size2_range,
-    log_size2_range_probability,
-    final_error_probability,
-    theorem_3_1_summary,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "euler_mascheroni",
-    "harmonic_number",
-    "expected_maximum_of_geometrics",
-    "exact_expected_maximum",
-    "geometric_pmf",
-    "maximum_cdf",
-    "maximum_lower_tail",
-    "maximum_upper_tail",
-    "maximum_two_sided_tail",
-    "maximum_in_range_probability",
-    "sub_exponential_mgf_bound",
-    "sum_of_maxima_tail",
-    "average_additive_error_probability",
-    "required_sample_count",
-    "expected_epidemic_time",
-    "epidemic_upper_tail",
-    "subpopulation_epidemic_upper_tail",
-    "epidemic_time_bound",
-    "expected_interactions",
-    "interaction_count_upper_tail",
-    "interactions_upper_bound",
-    "phase_clock_threshold",
-    "empty_bins_bound",
-    "state_depletion_bound",
-    "count_survival_bound",
-    "partition_deviation_probability",
-    "log_size2_range",
-    "log_size2_range_probability",
-    "final_error_probability",
-    "theorem_3_1_summary",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "harmonic": ["euler_mascheroni", "harmonic_number"],
+    "geometric": [
+        "expected_maximum_of_geometrics",
+        "exact_expected_maximum",
+        "geometric_pmf",
+        "maximum_cdf",
+        "maximum_lower_tail",
+        "maximum_upper_tail",
+        "maximum_two_sided_tail",
+        "maximum_in_range_probability",
+    ],
+    "subexponential": [
+        "sub_exponential_mgf_bound",
+        "sum_of_maxima_tail",
+        "average_additive_error_probability",
+        "required_sample_count",
+    ],
+    "epidemic_theory": [
+        "expected_epidemic_time",
+        "epidemic_upper_tail",
+        "subpopulation_epidemic_upper_tail",
+        "epidemic_time_bound",
+    ],
+    "interaction_bounds": [
+        "expected_interactions",
+        "interaction_count_upper_tail",
+        "interactions_upper_bound",
+        "phase_clock_threshold",
+    ],
+    "balls_and_bins": [
+        "empty_bins_bound",
+        "state_depletion_bound",
+        "count_survival_bound",
+    ],
+    "error_bounds": [
+        "partition_deviation_probability",
+        "log_size2_range",
+        "log_size2_range_probability",
+        "final_error_probability",
+        "theorem_3_1_summary",
+    ],
+})

@@ -59,17 +59,20 @@ import argparse
 import json
 import os
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+# At top level: the modules the parser and `main` need, and the two small
+# helpers most verbs format and parse with.  A verb imports the rest of
+# what it runs, so `repro sweep --protocol epidemic` loads no CRN, analysis
+# or termination module.  `run_trials` and `run_trial` stay module globals
+# read at call time: the benchmark's probes rebind them.
 from repro._version import __version__
-from repro.analysis.error_bounds import theorem_3_1_summary
 from repro.backend import (
     BACKEND_NAMES,
     ENV_BACKEND,
     backend_availability,
     get_backend,
 )
-from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
 from repro.core.parameters import ProtocolParameters
 from repro.engine.scheduler import SCHEDULER_NAMES, get_scheduler_policy
 from repro.engine.selection import (
@@ -78,14 +81,6 @@ from repro.engine.selection import (
     engine_scheduler_matrix,
 )
 from repro.exceptions import ReproError, SimulationError
-from repro.crn import (
-    CRN,
-    CRN_MODES,
-    CRN_WORKLOADS,
-    compile_crn,
-    get_crn_workload,
-)
-from repro.harness.figures import reproduce_figure2
 from repro.harness.parallel import (
     KIND_CRN,
     KIND_FINITE_STATE,
@@ -100,13 +95,17 @@ from repro.harness.reporting import format_key_values, format_table
 from repro.harness.results import SweepResult
 from repro.store import DEFAULT_LEASE_SECONDS, StoreError, open_store, parse_store_url
 from repro.store.base import record_to_dict
-from repro.store.jsonl import JsonlStore
-from repro.harness.tables import accuracy_table, state_complexity_table
-from repro.protocols.leader_election import NonuniformCounterLeaderElection
-from repro.termination.definitions import TerminationSpec
-from repro.termination.impossibility import termination_time_sweep
 from repro.types import Workload
 from repro.workloads.populations import parse_size_list
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.crn.model import CRN
+
+#: The ``--crn`` and ``--mode`` choices: ``sorted(CRN_WORKLOADS)`` and
+#: ``CRN_MODES`` spelled out, so building the parser loads no CRN module
+#: (``tests/test_cli.py`` holds them equal).
+CRN_NAMES = ("approximate-majority", "epidemic", "leader", "predator-prey", "sir")
+CRN_MODE_NAMES = ("uniform", "thinned")
 
 
 def _parameters_from_args(args: argparse.Namespace) -> ProtocolParameters:
@@ -130,6 +129,8 @@ def _sweep_store_from_args(args: argparse.Namespace, name: str):
         return open_store(args.store, lease_seconds=lease, name=name)
     if not args.cache_dir:
         return None
+    from repro.store.jsonl import JsonlStore
+
     store = JsonlStore(args.cache_dir, name=name)
     if not args.resume:
         store.clear()
@@ -199,6 +200,8 @@ def _parse_scheduler_options(pairs: Sequence[str] | None) -> dict:
 
 
 def _cmd_figure2(args: argparse.Namespace) -> int:
+    from repro.harness.figures import reproduce_figure2
+
     params = _parameters_from_args(args)
     sizes = parse_size_list(args.sizes)
     result = reproduce_figure2(
@@ -225,6 +228,8 @@ def _cmd_figure2(args: argparse.Namespace) -> int:
 
 
 def _cmd_accuracy(args: argparse.Namespace) -> int:
+    from repro.harness.tables import accuracy_table
+
     params = _parameters_from_args(args)
     table = accuracy_table(
         population_sizes=parse_size_list(args.sizes),
@@ -238,6 +243,8 @@ def _cmd_accuracy(args: argparse.Namespace) -> int:
 
 
 def _cmd_states(args: argparse.Namespace) -> int:
+    from repro.harness.tables import state_complexity_table
+
     params = _parameters_from_args(args)
     table = state_complexity_table(
         population_sizes=parse_size_list(args.sizes),
@@ -250,6 +257,11 @@ def _cmd_states(args: argparse.Namespace) -> int:
 
 
 def _cmd_termination(args: argparse.Namespace) -> int:
+    from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
+    from repro.protocols.leader_election import NonuniformCounterLeaderElection
+    from repro.termination.definitions import TerminationSpec
+    from repro.termination.impossibility import termination_time_sweep
+
     sizes = parse_size_list(args.sizes)
 
     print("Theorem 4.1 experiment: time until the first terminated agent")
@@ -316,8 +328,8 @@ _KIND_FLAGS = {
     "scheduler_opt": (KIND_FINITE_STATE, KIND_VECTOR),
     "batch_size": (KIND_FINITE_STATE, KIND_CRN),
     "check_interval": (KIND_FINITE_STATE, KIND_CRN),
-    "leap_eps": (KIND_CRN,),
-    "regime_thresholds": (KIND_CRN,),
+    "leap_eps": (KIND_FINITE_STATE, KIND_CRN),
+    "regime_thresholds": (KIND_FINITE_STATE, KIND_CRN),
     "chem_time": (KIND_CRN,),
     "mode": (KIND_CRN,),
 }
@@ -350,6 +362,8 @@ def _workload_from_args(args: argparse.Namespace) -> Workload:
         return get_workload(args.protocol or "epidemic")
     if args.protocol is not None:
         raise SimulationError("pass either --protocol or --crn, not both")
+    from repro.crn.library import get_crn_workload
+
     return get_crn_workload(args.crn)
 
 
@@ -440,6 +454,8 @@ def _simulate_adhoc(args: argparse.Namespace) -> int:
             "an ad-hoc network needs --chem-time (the chemical duration "
             "to simulate); registered workloads carry a default budget"
         )
+    from repro.crn.compile import compile_crn
+
     compiled = compile_crn(crn)
     engine = args.engine or "batched"
     population_size = 10_000 if args.n is None else args.n
@@ -656,6 +672,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 def _cmd_protocols(args: argparse.Namespace) -> int:
     """List every registered workload with its engine compatibility."""
+    from repro.crn.library import CRN_WORKLOADS
+
     rows = [
         [
             workload.name,
@@ -706,6 +724,9 @@ def _crn_from_args(args: argparse.Namespace) -> tuple[CRN, bool]:
 
     Returns ``(crn, registered)``.
     """
+    from repro.crn.library import get_crn_workload
+    from repro.crn.model import CRN
+
     reactions = list(args.reaction or [])
     if args.crn is not None:
         if reactions or args.init or args.seed_init:
@@ -744,6 +765,9 @@ def _regime_thresholds_arg(text: str) -> tuple[float, float]:
 
 
 def _cmd_crn_info(args: argparse.Namespace) -> int:
+    from repro.crn.compile import compile_crn
+    from repro.crn.library import CRN_WORKLOADS, get_crn_workload
+
     if args.crn is None and not args.reaction:
         print("registered CRN workloads (see also `repro protocols`):")
         rows = [
@@ -863,6 +887,8 @@ def _open_status_store(url: str):
     if spec.scheme in ("jsonl", "sqlite") and not os.path.exists(spec.location):
         raise StoreError(f"no {spec.scheme} store at {spec.location}")
     if spec.scheme == "jsonl":
+        from repro.store.jsonl import JsonlStore
+
         return JsonlStore.read_shards(spec.location)
     return open_store(spec)
 
@@ -963,6 +989,8 @@ def _cmd_trace_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> int:
+    from repro.analysis.error_bounds import theorem_3_1_summary
+
     summary = theorem_3_1_summary(args.n)
     if args.json:
         print(json.dumps(summary, default=str, indent=2))
@@ -976,7 +1004,7 @@ def _add_network_flags(parser: argparse.ArgumentParser, adhoc: bool) -> None:
     """``--crn NAME`` and, with ``adhoc``, the ad-hoc network flags."""
     parser.add_argument(
         "--crn",
-        choices=sorted(CRN_WORKLOADS),
+        choices=CRN_NAMES,
         default=None,
         help="registered CRN workload (see `repro crn info`)",
     )
@@ -1094,7 +1122,7 @@ def _add_workload_arguments(parser: argparse.ArgumentParser, sweep: bool) -> Non
         "--scheduler-opt intra=0.95)",
     )
     parser.add_argument(
-        "--mode", choices=list(CRN_MODES), default=None,
+        "--mode", choices=CRN_MODE_NAMES, default=None,
         help="CRN lowering: uniform (default; exact kinetics and times, any "
         "engine) or thinned (exact reaction sequence via state-weighted "
         "rates, fewer null interactions; count or batched engine)",

@@ -36,41 +36,23 @@ Modules
     kernel, scaling that experiment to ``n >= 10^6``.
 """
 
-from repro.core.parameters import ProtocolParameters
-from repro.core.fields import LogSizeAgentState, Role
-from repro.core.log_size_estimation import (
-    LogSizeEstimationProtocol,
-    all_agents_done,
-    estimate_error,
-    estimation_within_tolerance,
-)
-from repro.core.synthetic_coin import SyntheticCoinLogSizeEstimation
-from repro.core.leader_terminating import LeaderTerminatingSizeEstimation
-from repro.core.probability_one import ProbabilityOneUpperBoundProtocol
-from repro.core.phase_clock import LeaderDrivenPhaseClock, LeaderlessPhaseClock
-from repro.core.composition import RestartComposition, StagedComposition
-from repro.core.array_simulator import LogSizeVectorProtocol
-from repro.core.vector_leader import (
-    LeaderTerminatingVectorProtocol,
-    expected_termination_time,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ProtocolParameters",
-    "LogSizeAgentState",
-    "Role",
-    "LogSizeEstimationProtocol",
-    "all_agents_done",
-    "estimate_error",
-    "estimation_within_tolerance",
-    "SyntheticCoinLogSizeEstimation",
-    "LeaderTerminatingSizeEstimation",
-    "ProbabilityOneUpperBoundProtocol",
-    "LeaderDrivenPhaseClock",
-    "LeaderlessPhaseClock",
-    "RestartComposition",
-    "StagedComposition",
-    "LogSizeVectorProtocol",
-    "LeaderTerminatingVectorProtocol",
-    "expected_termination_time",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "parameters": ["ProtocolParameters"],
+    "fields": ["LogSizeAgentState", "Role"],
+    "log_size_estimation": [
+        "LogSizeEstimationProtocol",
+        "all_agents_done",
+        "estimate_error",
+        "estimation_within_tolerance",
+    ],
+    "synthetic_coin": ["SyntheticCoinLogSizeEstimation"],
+    "leader_terminating": ["LeaderTerminatingSizeEstimation"],
+    "probability_one": ["ProbabilityOneUpperBoundProtocol"],
+    "phase_clock": ["LeaderDrivenPhaseClock", "LeaderlessPhaseClock"],
+    "composition": ["RestartComposition", "StagedComposition"],
+    "array_simulator": ["LogSizeVectorProtocol"],
+    "vector_leader": ["LeaderTerminatingVectorProtocol", "expected_termination_time"],
+})

@@ -16,29 +16,17 @@ reference, and :mod:`repro.crn.library` for the shipped networks
 (``CRN_WORKLOADS``).
 """
 
-from repro.crn.compile import CRN_MODES, CompiledCRN, CRNProtocol, compile_crn
-from repro.crn.library import (
-    CRN_WORKLOADS,
-    NetworkWorkload,
-    get_crn_workload,
-    register_crn_workload,
-)
-from repro.crn.model import CRN, Reaction, parse_reaction, parse_reactions
-from repro.crn.ssa import SSAResult, simulate_ssa
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CRN",
-    "CRN_MODES",
-    "CRN_WORKLOADS",
-    "CRNProtocol",
-    "CompiledCRN",
-    "NetworkWorkload",
-    "Reaction",
-    "SSAResult",
-    "compile_crn",
-    "get_crn_workload",
-    "parse_reaction",
-    "parse_reactions",
-    "register_crn_workload",
-    "simulate_ssa",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "compile": ["CRN_MODES", "CompiledCRN", "CRNProtocol", "compile_crn"],
+    "library": [
+        "CRN_WORKLOADS",
+        "NetworkWorkload",
+        "get_crn_workload",
+        "register_crn_workload",
+    ],
+    "model": ["CRN", "Reaction", "parse_reaction", "parse_reactions"],
+    "ssa": ["SSAResult", "simulate_ssa"],
+})

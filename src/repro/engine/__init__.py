@@ -49,65 +49,39 @@ Supporting pieces: the interaction schedulers
 (:mod:`repro.engine.metrics`).
 """
 
-from repro.engine.batched_simulator import BatchedCountSimulator
-from repro.engine.configuration import Configuration
-from repro.engine.count_simulator import CountSimulator
-from repro.engine.running import CountArrayEngine, CountTracePoint, Engine
-from repro.engine.selection import (
-    ENGINE_NAMES,
-    CountingSimulationAdapter,
-    build_engine,
-    engine_scheduler_matrix,
-    schedulers_for_engine,
-)
-from repro.engine.metrics import SimulationMetrics, StateUsageTracker
-from repro.engine.scheduler import (
-    InteractionScheduler,
-    MatchingRoundScheduler,
-    RandomMatchingScheduler,
-    RoundScheduler,
-    SchedulerPolicy,
-    SchedulerSpec,
-    SequentialScheduler,
-    draw_matching_arrays,
-    scheduler_names,
-)
-from repro.engine.simulator import Simulation
-from repro.engine.vector import (
-    FiniteStateVectorProtocol,
-    VectorFields,
-    VectorFiniteStateSimulator,
-    VectorProtocol,
-    VectorSimulator,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "BatchedCountSimulator",
-    "Configuration",
-    "CountArrayEngine",
-    "CountTracePoint",
-    "CountingSimulationAdapter",
-    "ENGINE_NAMES",
-    "Engine",
-    "build_engine",
-    "CountSimulator",
-    "SimulationMetrics",
-    "StateUsageTracker",
-    "InteractionScheduler",
-    "MatchingRoundScheduler",
-    "RandomMatchingScheduler",
-    "RoundScheduler",
-    "SchedulerPolicy",
-    "SchedulerSpec",
-    "SequentialScheduler",
-    "draw_matching_arrays",
-    "engine_scheduler_matrix",
-    "scheduler_names",
-    "schedulers_for_engine",
-    "Simulation",
-    "FiniteStateVectorProtocol",
-    "VectorFields",
-    "VectorFiniteStateSimulator",
-    "VectorProtocol",
-    "VectorSimulator",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "batched_simulator": ["BatchedCountSimulator"],
+    "configuration": ["Configuration"],
+    "count_simulator": ["CountSimulator"],
+    "running": ["CountArrayEngine", "CountTracePoint", "Engine"],
+    "selection": [
+        "ENGINE_NAMES",
+        "CountingSimulationAdapter",
+        "build_engine",
+        "engine_scheduler_matrix",
+        "schedulers_for_engine",
+    ],
+    "metrics": ["SimulationMetrics", "StateUsageTracker"],
+    "scheduler": [
+        "InteractionScheduler",
+        "MatchingRoundScheduler",
+        "RandomMatchingScheduler",
+        "RoundScheduler",
+        "SchedulerPolicy",
+        "SchedulerSpec",
+        "SequentialScheduler",
+        "draw_matching_arrays",
+        "scheduler_names",
+    ],
+    "simulator": ["Simulation"],
+    "vector": [
+        "FiniteStateVectorProtocol",
+        "VectorFields",
+        "VectorFiniteStateSimulator",
+        "VectorProtocol",
+        "VectorSimulator",
+    ],
+})

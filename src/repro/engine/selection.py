@@ -32,19 +32,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Hashable, Mapping
 
+from repro._lazy import Reference
 from repro.backend import ENV_BACKEND, ArrayBackend
-from repro.crn.multiscale import MultiscaleSimulator
-from repro.engine.batched_simulator import BatchedCountSimulator
 from repro.engine.configuration import Configuration
-from repro.engine.count_simulator import CountSimulator
 from repro.engine.running import Engine, initial_states_for
 from repro.engine.scheduler import (
     SchedulerSpec,
     get_scheduler_policy,
     scheduler_names,
 )
-from repro.engine.simulator import Simulation
-from repro.engine.vector import VectorFiniteStateSimulator
 from repro.exceptions import SimulationError
 from repro.protocols.base import FiniteStateProtocol
 
@@ -84,6 +80,8 @@ class CountingSimulationAdapter(Engine):
         initial_configuration: Configuration | None = None,
         scheduler: SchedulerSpec | str | None = None,
     ) -> None:
+        from repro.engine.simulator import Simulation
+
         self.protocol = protocol
         self.population_size = population_size
         self.simulation = Simulation(
@@ -122,9 +120,12 @@ class EngineEntry:
     """One row of the engine table: the engine class :func:`build_engine`
     constructs, the scheduler capability it consumes, the scheduler used
     when a caller does not choose one, whether it runs its hot loop on an
-    array backend, and the extra keyword options its constructor accepts."""
+    array backend, and the extra keyword options its constructor accepts.
 
-    cls: type[Engine]
+    The class may be given by its ``module:qualname``; it is imported when
+    ``cls`` is first read, so the table loads no engine module."""
+
+    cls: type[Engine] | str = Reference()
     capability: str
     default_scheduler: str
     array_backend: bool = False
@@ -141,17 +142,21 @@ class EngineEntry:
 #: matching substitution on the round-based vector engine.
 ENGINES: dict[str, EngineEntry] = {
     "agent": EngineEntry(CountingSimulationAdapter, "pair", "sequential"),
-    "count": EngineEntry(CountSimulator, "counts", "sequential"),
+    "count": EngineEntry(
+        "repro.engine.count_simulator:CountSimulator", "counts", "sequential"
+    ),
     "batched": EngineEntry(
-        BatchedCountSimulator, "counts", "sequential", array_backend=True,
+        "repro.engine.batched_simulator:BatchedCountSimulator", "counts",
+        "sequential", array_backend=True,
         options=("batch_size", "small_count_threshold"),
     ),
     "vector": EngineEntry(
-        VectorFiniteStateSimulator, "rounds", "matching", array_backend=True
+        "repro.engine.vector:VectorFiniteStateSimulator", "rounds", "matching",
+        array_backend=True,
     ),
     "multiscale": EngineEntry(
-        MultiscaleSimulator, "mean-field", "sequential", array_backend=True,
-        options=("leap_eps", "regime_thresholds"),
+        "repro.crn.multiscale:MultiscaleSimulator", "mean-field", "sequential",
+        array_backend=True, options=("leap_eps", "regime_thresholds"),
     ),
 }
 

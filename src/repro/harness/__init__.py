@@ -18,47 +18,30 @@ The harness turns the simulators into the artefacts the paper reports:
   CLI and the benchmarks.
 """
 
-from repro.harness.results import (
-    RunRecord,
-    SeriesSummary,
-    SweepResult,
-    records_equal,
-    summarize,
-)
-from repro.harness.parallel import (
-    TrialSpec,
-    build_finite_state_trials,
-    build_vector_trials,
-    get_workload,
-    run_trial,
-    run_trials,
-)
-from repro.harness.figures import Figure2Point, Figure2Result, reproduce_figure2
-from repro.harness.tables import (
-    accuracy_table,
-    baseline_comparison_table,
-    state_complexity_table,
-)
-from repro.harness.reporting import format_table, render_ascii_series
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RunRecord",
-    "SeriesSummary",
-    "SweepResult",
-    "records_equal",
-    "summarize",
-    "TrialSpec",
-    "build_finite_state_trials",
-    "build_vector_trials",
-    "get_workload",
-    "run_trial",
-    "run_trials",
-    "Figure2Point",
-    "Figure2Result",
-    "reproduce_figure2",
-    "accuracy_table",
-    "baseline_comparison_table",
-    "state_complexity_table",
-    "format_table",
-    "render_ascii_series",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "results": [
+        "RunRecord",
+        "SeriesSummary",
+        "SweepResult",
+        "records_equal",
+        "summarize",
+    ],
+    "parallel": [
+        "TrialSpec",
+        "build_finite_state_trials",
+        "build_vector_trials",
+        "get_workload",
+        "run_trial",
+        "run_trials",
+    ],
+    "figures": ["Figure2Point", "Figure2Result", "reproduce_figure2"],
+    "tables": [
+        "accuracy_table",
+        "baseline_comparison_table",
+        "state_complexity_table",
+    ],
+    "reporting": ["format_table", "render_ascii_series"],
+})

@@ -49,17 +49,16 @@ applies when ``workers > 1`` sends them to worker processes.
 from __future__ import annotations
 
 import hashlib
-import importlib
 import inspect
 import json
 import math
-import multiprocessing
 import time
 from collections import deque
 from queue import Empty, SimpleQueue
 from dataclasses import dataclass, fields
 from typing import Callable, ClassVar, Mapping, Sequence
 
+from repro._lazy import Reference, resolve
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import SimulationError
 from repro.harness.results import RunRecord, SweepResult
@@ -106,15 +105,16 @@ class ProtocolWorkload(Workload):
     """A finite-state protocol, runnable on every engine.
 
     ``factory`` builds a fresh protocol per trial and ``predicate`` (over
-    the count-level engine interface) says when it has converged; both must
-    be module-level callables so parallel sweeps can pickle them.
-    ``default_budget`` maps ``n`` to a parallel-time budget.  A spec's own
-    ``protocol_factory`` and ``predicate`` take the place of the entry's.
+    the count-level engine interface) says when it has converged; either
+    may be given as the callable or as its ``module:qualname``, imported
+    when first read.  ``default_budget`` maps ``n`` to a parallel-time
+    budget.  A spec's own ``protocol_factory`` and ``predicate`` take the
+    place of the entry's.
     """
 
     kind: ClassVar[str] = KIND_FINITE_STATE
-    factory: Callable[[], FiniteStateProtocol] | None = None
-    predicate: Callable[..., bool] | None = None
+    factory: Callable[[], FiniteStateProtocol] | str | None = Reference(None)
+    predicate: Callable[..., bool] | str | None = Reference(None)
     default_budget: Callable[[int], float] | None = None
 
     def trials(self, population_sizes, runs_per_size, *, engine="batched",
@@ -163,14 +163,15 @@ class KernelWorkload(Workload):
     """A paper protocol that is not finite-state, as a vector-engine kernel.
 
     ``factory(params, **options)`` builds the kernel, which carries its own
-    convergence condition; ``default_budget(n, params, **options)`` is the
+    convergence condition (the callable or its ``module:qualname``, imported
+    when first read); ``default_budget(n, params, **options)`` is the
     parallel-time budget for those constants and options.  A spec's
     ``engine_options`` are the kernel's: :meth:`check` builds the kernel
     with them, so a bad option fails before the trial has a key.
     """
 
     kind: ClassVar[str] = KIND_VECTOR
-    factory: Callable[..., object] | None = None
+    factory: Callable[..., object] | str | None = Reference(None)
     default_budget: Callable[..., float] | None = None
 
     @property
@@ -360,60 +361,52 @@ def _check_params(spec: TrialSpec) -> None:
         )
 
 
+def _counter_termination() -> FiniteStateProtocol:
+    """The ``termination`` workload's protocol: the Figure-1 counter with
+    threshold 8."""
+    from repro.protocols.leader_election import FiniteStateCounterTermination
+
+    return FiniteStateCounterTermination(counter_threshold=8)
+
+
+def _figure2_budget(population_size, params, **_options):
+    from repro.core.array_simulator import expected_convergence_time
+
+    return 4.0 * expected_convergence_time(population_size, params)
+
+
+def _leader_budget(population_size, params, **options):
+    from repro.core.vector_leader import expected_termination_time
+
+    return 4.0 * expected_termination_time(population_size, params, **options)
+
+
 def _register_builtin_workloads() -> None:
-    # Imported lazily so importing the harness does not pull every protocol
-    # module at module-import time in a fixed order; the worker side re-runs
-    # this at import, so name lookups succeed in any start method.
-    from repro.core.array_simulator import (
-        LogSizeVectorProtocol,
-        expected_convergence_time,
-    )
-    from repro.core.vector_leader import (
-        LeaderTerminatingVectorProtocol,
-        expected_termination_time,
-    )
-    from repro.protocols.epidemic import (
-        EpidemicProtocol,
-        epidemic_completion_predicate,
-    )
-    from repro.protocols.leader_election import (
-        FiniteStateCounterTermination,
-        FiniteStatePairwiseElimination,
-        termination_signal_predicate,
-        unique_leader_predicate,
-    )
-    from repro.protocols.majority import (
-        ApproximateMajorityProtocol,
-        majority_consensus_predicate,
-    )
-
-    def _figure2_budget(population_size, params, **_options):
-        return 4.0 * expected_convergence_time(population_size, params)
-
-    def _leader_budget(population_size, params, **options):
-        return 4.0 * expected_termination_time(population_size, params, **options)
-
+    # Entries name their protocols by module:qualname, imported when a trial
+    # first reads them (the functions above import when called), so
+    # importing the harness loads no protocol module; a worker re-runs this
+    # at import, so name lookups succeed in any start method.
     for workload in (
         ProtocolWorkload(
             name="epidemic",
-            factory=EpidemicProtocol,
-            predicate=epidemic_completion_predicate,
+            factory="repro.protocols.epidemic:EpidemicProtocol",
+            predicate="repro.protocols.epidemic:epidemic_completion_predicate",
             description="one-way epidemic until the whole population is infected",
             default_population=100_000,
             default_budget=lambda n: 200.0,
         ),
         ProtocolWorkload(
             name="majority",
-            factory=ApproximateMajorityProtocol,
-            predicate=majority_consensus_predicate,
+            factory="repro.protocols.majority:ApproximateMajorityProtocol",
+            predicate="repro.protocols.majority:majority_consensus_predicate",
             description="3-state approximate majority until consensus",
             default_population=100_000,
             default_budget=lambda n: 200.0,
         ),
         ProtocolWorkload(
             name="leader",
-            factory=FiniteStatePairwiseElimination,
-            predicate=unique_leader_predicate,
+            factory="repro.protocols.leader_election:FiniteStatePairwiseElimination",
+            predicate="repro.protocols.leader_election:unique_leader_predicate",
             description="pairwise-elimination leader election until one leader remains",
             default_population=2_000,
             # The election needs Theta(n) parallel time (Theta(n^2) interactions).
@@ -421,15 +414,15 @@ def _register_builtin_workloads() -> None:
         ),
         ProtocolWorkload(
             name="termination",
-            factory=lambda: FiniteStateCounterTermination(counter_threshold=8),
-            predicate=termination_signal_predicate,
+            factory=_counter_termination,
+            predicate="repro.protocols.leader_election:termination_signal_predicate",
             description="Figure-1 counter protocol until the first termination signal",
             default_population=100_000,
             default_budget=lambda n: 200.0,
         ),
         KernelWorkload(
             name="figure2",
-            factory=LogSizeVectorProtocol,
+            factory="repro.core.array_simulator:LogSizeVectorProtocol",
             description=(
                 "Log-Size-Estimation until every agent is done (the Figure 2 "
                 "convergence sweep)"
@@ -439,7 +432,7 @@ def _register_builtin_workloads() -> None:
         ),
         KernelWorkload(
             name="leader-terminating",
-            factory=LeaderTerminatingVectorProtocol,
+            factory="repro.core.vector_leader:LeaderTerminatingVectorProtocol",
             description=(
                 "Theorem 3.13 leader-driven terminating size estimation until "
                 "the termination signal reaches every agent"
@@ -472,9 +465,7 @@ def _callable_ref(value: Callable | None) -> str | None:
     module = getattr(value, "__module__", None)
     qualname = getattr(value, "__qualname__", None)
     try:
-        target = importlib.import_module(module)
-        for part in qualname.split("."):
-            target = getattr(target, part)
+        target = resolve(f"{module}:{qualname}")
     except (AttributeError, ImportError, TypeError, ValueError):
         target = None
     if target is not value:
@@ -1069,6 +1060,8 @@ def run_trials(
     pool = None
     try:
         if workers > 1 and len(queue) > 1:
+            import multiprocessing
+
             # Workers start with telemetry disabled; when the driver
             # records, the initializer mirrors its state into each worker.
             telemetry = (

@@ -11,48 +11,33 @@ monotonic clocks only, D302-waivered, K406-audited out of every cache
 key).
 """
 
-from repro.obs.manifest import (
-    MANIFEST_FIELDS,
-    MANIFEST_SCHEMA_VERSION,
-    TELEMETRY_KEY,
-    trial_manifest,
-)
-from repro.obs.progress import (
-    ProgressView,
-    StatusWatcher,
-    SweepProgress,
-    render_progress_line,
-)
-from repro.obs.recorder import (
-    RECORDER,
-    Recorder,
-    RecorderMark,
-    recording,
-    set_telemetry,
-)
-from repro.obs.trace import (
-    collect_spool_events,
-    export_spool,
-    validate_trace,
-    write_chrome_trace,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RECORDER",
-    "Recorder",
-    "RecorderMark",
-    "recording",
-    "set_telemetry",
-    "TELEMETRY_KEY",
-    "MANIFEST_FIELDS",
-    "MANIFEST_SCHEMA_VERSION",
-    "trial_manifest",
-    "SweepProgress",
-    "ProgressView",
-    "StatusWatcher",
-    "render_progress_line",
-    "collect_spool_events",
-    "export_spool",
-    "validate_trace",
-    "write_chrome_trace",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "recorder": [
+        "RECORDER",
+        "Recorder",
+        "RecorderMark",
+        "recording",
+        "set_telemetry",
+    ],
+    "manifest": [
+        "TELEMETRY_KEY",
+        "MANIFEST_FIELDS",
+        "MANIFEST_SCHEMA_VERSION",
+        "trial_manifest",
+    ],
+    "progress": [
+        "SweepProgress",
+        "ProgressView",
+        "StatusWatcher",
+        "render_progress_line",
+    ],
+    "trace": [
+        "collect_spool_events",
+        "export_spool",
+        "validate_trace",
+        "write_chrome_trace",
+    ],
+})

@@ -15,42 +15,27 @@ This package contains:
   (:mod:`repro.protocols.exact_backup`).
 """
 
-from repro.protocols.base import (
-    AgentProtocol,
-    FiniteStateProtocol,
-    ProtocolOutput,
-    RandomizedTransition,
-)
-from repro.protocols.compiled import CompiledTransitionTable, compile_transition_table
-from repro.protocols.epidemic import EpidemicProtocol, EpidemicState
-from repro.protocols.max_propagation import MaxPropagationProtocol
-from repro.protocols.leader_election import (
-    FiniteStateCounterTermination,
-    FiniteStatePairwiseElimination,
-    NonuniformCounterLeaderElection,
-    PairwiseEliminationLeaderElection,
-)
-from repro.protocols.majority import ApproximateMajorityProtocol
-from repro.protocols.approximate_counting import AlistarhApproximateCounting
-from repro.protocols.exact_counting_leader import LeaderExactCounting
-from repro.protocols.exact_backup import ExactUpperBoundBackup
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AgentProtocol",
-    "FiniteStateProtocol",
-    "ProtocolOutput",
-    "RandomizedTransition",
-    "CompiledTransitionTable",
-    "compile_transition_table",
-    "EpidemicProtocol",
-    "EpidemicState",
-    "MaxPropagationProtocol",
-    "FiniteStateCounterTermination",
-    "FiniteStatePairwiseElimination",
-    "NonuniformCounterLeaderElection",
-    "PairwiseEliminationLeaderElection",
-    "ApproximateMajorityProtocol",
-    "AlistarhApproximateCounting",
-    "LeaderExactCounting",
-    "ExactUpperBoundBackup",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": [
+        "AgentProtocol",
+        "FiniteStateProtocol",
+        "ProtocolOutput",
+        "RandomizedTransition",
+    ],
+    "compiled": ["CompiledTransitionTable", "compile_transition_table"],
+    "epidemic": ["EpidemicProtocol", "EpidemicState"],
+    "max_propagation": ["MaxPropagationProtocol"],
+    "leader_election": [
+        "FiniteStateCounterTermination",
+        "FiniteStatePairwiseElimination",
+        "NonuniformCounterLeaderElection",
+        "PairwiseEliminationLeaderElection",
+    ],
+    "majority": ["ApproximateMajorityProtocol"],
+    "approximate_counting": ["AlistarhApproximateCounting"],
+    "exact_counting_leader": ["LeaderExactCounting"],
+    "exact_backup": ["ExactUpperBoundBackup"],
+})

@@ -24,38 +24,25 @@ This package makes the proof's ingredients executable:
   nonuniform protocols delay it.
 """
 
-from repro.termination.definitions import (
-    DenseInitialFamily,
-    TerminationSpec,
-    is_alpha_dense,
-    is_terminated_configuration,
-)
-from repro.termination.producibility import (
-    ProducibilityAnalysis,
-    producible_states,
-)
-from repro.termination.density import (
-    DensityObservation,
-    DensityExperiment,
-    density_trajectory,
-)
-from repro.termination.impossibility import (
-    TerminationTimeObservation,
-    measure_termination_time,
-    termination_time_sweep,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "DenseInitialFamily",
-    "TerminationSpec",
-    "is_alpha_dense",
-    "is_terminated_configuration",
-    "ProducibilityAnalysis",
-    "producible_states",
-    "DensityObservation",
-    "DensityExperiment",
-    "density_trajectory",
-    "TerminationTimeObservation",
-    "measure_termination_time",
-    "termination_time_sweep",
-]
+# Each name imports its module on first access (see repro._lazy).
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "definitions": [
+        "DenseInitialFamily",
+        "TerminationSpec",
+        "is_alpha_dense",
+        "is_terminated_configuration",
+    ],
+    "producibility": ["ProducibilityAnalysis", "producible_states"],
+    "density": [
+        "DensityObservation",
+        "DensityExperiment",
+        "density_trajectory",
+    ],
+    "impossibility": [
+        "TerminationTimeObservation",
+        "measure_termination_time",
+        "termination_time_sweep",
+    ],
+})

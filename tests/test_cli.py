@@ -8,10 +8,13 @@ import re
 
 import pytest
 
-from repro.cli import build_parser, main
+import repro.cli
+import repro.harness.parallel
+from repro.cli import CRN_MODE_NAMES, CRN_NAMES, build_parser, main
+from repro.crn.compile import CRN_MODES
 from repro.crn.library import CRN_WORKLOADS
 from repro.engine.selection import ENGINE_NAMES
-from repro.harness.parallel import KIND_VECTOR, WORKLOADS
+from repro.harness.parallel import KIND_VECTOR, WORKLOADS, get_workload
 
 
 def printed_record(output: str) -> dict:
@@ -48,6 +51,44 @@ class TestParser:
     def test_simulate_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["simulate", "--engine", "warp"])
+
+    def test_crn_choices_are_the_library(self):
+        # The parser spells the choices out so that it loads no CRN module.
+        assert CRN_NAMES == tuple(sorted(CRN_WORKLOADS))
+        assert CRN_MODE_NAMES == CRN_MODES
+
+
+class TestBenchmarkProbeSeams:
+    """The benchmark reads a sweep's records by rebinding
+    ``repro.cli.run_trials`` and marks the first trial of each process by
+    rebinding ``repro.harness.parallel.run_trial``: both must stay module
+    globals that the sweep reads at call time."""
+
+    @pytest.mark.parametrize(
+        "argv, trials",
+        [
+            ("sweep --protocol epidemic --sizes 200 --runs 2 --engine batched", 2),
+            ("sweep --engine vector --protocol figure2 --fast --sizes 64 --runs 1", 1),
+        ],
+    )
+    def test_rebound_names_see_every_sweep_and_trial(
+        self, argv, trials, monkeypatch, capsys
+    ):
+        calls = {"run_trials": 0, "run_trial": 0}
+
+        def count_calls(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count_calls(repro.cli, "run_trials")
+        count_calls(repro.harness.parallel, "run_trial")
+        assert main(argv.split()) == 0
+        assert calls == {"run_trials": 1, "run_trial": trials}
 
 
 class TestBadInput:
@@ -498,7 +539,7 @@ class TestOneWorkloadModel:
             ("--protocol epidemic --phase-count 0",
              "--phase-count does not apply to finite-state workloads"),
             ("--protocol epidemic --leap-eps 0",
-             "--leap-eps does not apply to finite-state workloads"),
+             "the batched engine does not accept options ['leap_eps']"),
             ("--crn sir --max-time 0", "--max-time does not apply to crn workloads"),
         ],
         ids=["scheduler-crn", "chem-time-finite-state", "check-interval-0-vector",
@@ -509,15 +550,36 @@ class TestOneWorkloadModel:
         assert main(["simulate", "--n", "100", *argv.split()]) == 2
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag", ["--leap-eps 0.02", "--regime-thresholds 10,1000"])
-    @pytest.mark.parametrize("verb", ["simulate", "sweep"])
-    def test_multiscale_knobs_are_crn_only(self, verb, flag, capsys):
-        sizes = ["--n", "100"] if verb == "simulate" else ["--sizes", "100", "--runs", "1"]
-        code = main([verb, "--protocol", "epidemic", "--engine", "multiscale",
-                     *sizes, *flag.split()])
-        assert code == 2
+    @pytest.mark.parametrize(
+        "flag, option, key",
+        [
+            ("--leap-eps 0.1", {"leap_eps": 0.1}, "b9ae53e9fced"),
+            ("--regime-thresholds 10,1000",
+             {"regime_thresholds": (10.0, 1000.0)}, None),
+        ],
+    )
+    def test_multiscale_knobs_reach_finite_state_trials(
+        self, flag, option, key, capsys, tmp_path
+    ):
+        # The flag keys the trial the library builds from the same option.
+        argv = ["sweep", "--protocol", "epidemic", "--sizes", "100000",
+                "--runs", "1", "--seed", "1", *flag.split()]
+        assert main([*argv, "--engine", "multiscale",
+                     "--cache-dir", str(tmp_path)]) == 0
+        (line,) = (tmp_path / "epidemic-multiscale.jsonl").read_text(
+            encoding="utf-8"
+        ).splitlines()
+        (spec,) = get_workload("epidemic").trials(
+            [100000], 1, engine="multiscale", base_seed=1, **option
+        )
+        assert json.loads(line)["key"] == spec.cache_key()
+        assert key is None or spec.cache_key().startswith(key)
+        # Any other engine rejects the option, in one error line.
+        capsys.readouterr()
+        assert main([*argv, "--engine", "batched"]) == 2
         error = capsys.readouterr().err
-        assert f"{flag.split()[0]} does not apply to finite-state workloads" in error
+        assert error.count("\n") == 1
+        assert f"the batched engine does not accept options {sorted(option)}" in error
 
     @pytest.mark.parametrize("selector", ["--crn sir", "--protocol epidemic"])
     @pytest.mark.parametrize(
