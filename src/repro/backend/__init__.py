@@ -105,7 +105,8 @@ class ArrayBackend:
         with uniformly oriented pairs, shared by every round scheduler.
     ``log_size_round_kernel(protocol)``
         A callable ``(rec, sen)`` applying one ``Log-Size-Estimation`` round
-        to the protocol's fields, or ``None`` for its numpy sub-steps.
+        of disjoint pairs to the protocol's fields, or ``None`` for its
+        numpy sub-steps.
     ``multiscale_kernel(simulator)``
         A callable ``(target)`` running the multiscale engine's regime loop
         until its clock reaches ``target``, in place on the engine's counts,

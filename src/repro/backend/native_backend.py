@@ -27,17 +27,24 @@ back to numpy, so nothing ever hard-fails.
 RNG-stream contract: every kernel draws on the engine generator's own
 ``bitgen_t`` through numpy's distribution functions
 (``random_multinomial``, ``random_bounded_uint64_fill``,
-``random_interval``, ``random_standard_uniform``, ``random_geometric``,
-``random_exponential``, ``random_binomial``, ``random_poisson``, from the
-``libnpyrandom`` static library numpy ships, linked in: hence the numpy
-version in the cache name), in the numpy reference's order and on its
-float64 arithmetic (``-ffp-contract=off`` keeps products and sums unfused),
-so batched, vector and multiscale runs on ``native`` are the numpy runs bit
-for bit.  Some of what they repeat is numpy-internal, not exported API: the
-pairwise summation order of ``ndarray.sum`` (the pair weights, the
-multiscale rate totals), ``Generator.permutation``'s shuffle loop, which the
-matching repeats, and ``maximum``/``minimum``'s NaN and signed-zero rules;
-``tests/backend`` pins them.
+``random_standard_uniform``, ``random_geometric``, ``random_exponential``,
+``random_binomial``, ``random_poisson``, from the ``libnpyrandom`` static
+library numpy ships, linked in: hence the numpy version in the cache name),
+in the numpy reference's order and on its float64 arithmetic
+(``-ffp-contract=off`` keeps products and sums unfused), so batched, vector
+and multiscale runs on ``native`` are the numpy runs bit for bit.  Some of
+what they repeat is numpy-internal, not exported API: the pairwise
+summation order of ``ndarray.sum`` (the pair weights, the multiscale rate
+totals), ``Generator.permutation``'s shuffle loop and ``random_interval``'s
+rejection, which the matching repeats, ``maximum``/``minimum``'s NaN and
+signed-zero rules, and ``PCG64``'s state behind ``bitgen_t.state``, which
+the matching reads, steps and writes back in place instead of calling the
+generator once per draw.  ``tests/backend`` pins them; the state's layout is
+also checked once per process when the module loads (one matching drawn in C
+and by the reference, on fresh generators), and a mismatch leaves the
+backend unavailable, so :func:`repro.backend.resolve_backend` warns and
+falls back to numpy.  Generators on any other bit generator take the numpy
+reference for the matching and the round.
 """
 
 from __future__ import annotations
@@ -70,7 +77,10 @@ __all__ = [
 ENV_NATIVE_CACHE = "REPRO_NATIVE_CACHE"
 
 #: State of one Log-Size-Estimation round kernel: the nine field arrays, the
-#: constants, the counts the kernel keeps, and the generator's ``bitgen_t``.
+#: constants, the counts the kernel keeps, the generator's ``bitgen_t``, the
+#: marks of the disjointness check (all zero between calls) and the queue of
+#: a round's ``gr`` draws (grown by the kernel, freed by
+#: ``repro_log_size_release``).
 _LOG_SIZE_STRUCT = """
 typedef struct {
     int8_t *role;
@@ -80,6 +90,9 @@ typedef struct {
     int64_t n, unassigned, done_count, log_size2_offset;
     double clock_threshold_factor, epochs_factor, output_offset, p;
     void *bitgen;
+    uint8_t *marks;
+    int64_t *queue;
+    int64_t queued, capacity;
 } repro_log_size;
 """
 
@@ -142,6 +155,7 @@ int repro_log_size_round(
 int64_t repro_log_size_run(
     repro_log_size *s, int64_t *order, int64_t max_rounds, int stop_when_done,
     int64_t *tallies);
+void repro_log_size_release(repro_log_size *s);
 int repro_multiscale_advance(repro_multiscale *m, double target);
 """
 
@@ -408,38 +422,105 @@ int repro_batched_advance(repro_batched *k, int64_t *counts,
     return code;
 }
 
-/* ---- Vector engine: both kernels draw on the engine generator's bitgen_t
- * through numpy's own distribution functions, in the numpy reference's
- * order, so their runs are the numpy runs bit for bit. */
+/* ---- Vector engine: the matching draw, the Log-Size-Estimation round and
+ * the run loop that repeats them, bitwise the numpy reference.  The round
+ * draws through numpy's random_geometric on the engine generator's
+ * bitgen_t; the matching steps that generator's PCG64 in place. */
+
+/* numpy's PCG64 state behind bitgen_t.state (pcg64.h in numpy's source):
+ * the 128-bit LCG state and increment, then the buffered upper half of the
+ * last 64-bit output that next_uint32 split.  It is not numpy API, so the
+ * module checks it when it loads, by drawing one matching here and one
+ * with the numpy reference. */
+#ifndef __SIZEOF_INT128__
+#error "the inline PCG64 needs a 128-bit integer type"
+#endif
+typedef struct { __uint128_t state, inc; } pcg64_random_t;
+typedef struct {
+    pcg64_random_t *pcg_state;
+    int has_uint32;
+    uint32_t uinteger;
+} pcg64_state;
+
+#define PCG64_MULTIPLIER \
+    (((__uint128_t)2549297995355413924ULL << 64) + 4865540595714422341ULL)
+
+/* One 64-bit output: an LCG step, then the XSL-RR output function. */
+static inline uint64_t pcg64_next(__uint128_t *state, __uint128_t inc) {
+    *state = *state * PCG64_MULTIPLIER + inc;
+    uint64_t folded = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
+    unsigned rotation = (unsigned)(*state >> 122);
+    return (folded >> rotation) | (folded << ((-rotation) & 63));
+}
+
+/* One try of random_interval(i) for order[i], on the masked draw j.  A
+ * rejected draw (j > i) swaps order[i] with itself and keeps i, so the next
+ * draw retries it, without a branch: rejections come at random. */
+static inline void shuffle_step(int64_t *order, int64_t *i, uint64_t *mask,
+                                uint64_t draw) {
+    uint64_t j = draw & *mask, top = (uint64_t)*i;
+    uint64_t accept = j <= top;
+    j ^= (j ^ top) & (accept - 1);
+    int64_t swap = order[top];
+    order[top] = order[j];
+    order[j] = swap;
+    *i -= (int64_t)accept;
+    *mask >>= (uint64_t)*i <= *mask >> 1;
+}
 
 /* repro.engine.scheduler.draw_matching_arrays: Generator.permutation's
- * Fisher-Yates from the top over `members` (NULL: 0..m-1), then one uniform
- * per pair; u >= 0.5 swaps receiver order[k] and sender order[half + k].
- * The swap goes through a mask, not a branch: the coin would mispredict
- * half the time. */
+ * Fisher-Yates from the top over `members` (NULL: 0..m-1), each j drawn by
+ * random_interval, then one random_standard_uniform coin per pair; u >= 0.5,
+ * the top bit of the coin's 64-bit output, swaps receiver order[k] and
+ * sender order[half + k].  The PCG64 state is read once, stepped in
+ * registers and written back, buffered half included, before anything else
+ * draws. */
 void repro_draw_matching(
     const int64_t *members, int64_t m, int64_t *order, void *bitgen)
 {
-    bitgen_t *state = (bitgen_t *)bitgen;
-    int64_t half = m / 2, swap;
-    for (int64_t i = 0; i < m; i++) order[i] = members ? members[i] : i;
-    for (int64_t i = m - 1; i > 0; i--) {
-        int64_t j = (int64_t)random_interval(state, (uint64_t)i);
-        swap = order[i]; order[i] = order[j]; order[j] = swap;
+    pcg64_state *rng = (pcg64_state *)((bitgen_t *)bitgen)->state;
+    __uint128_t state = rng->pcg_state->state, inc = rng->pcg_state->inc;
+    int64_t half = m / 2, i = m - 1;
+    uint64_t mask = i > 0 ? (uint64_t)i : 0;
+    for (int shift = 1; shift < 64; shift <<= 1) mask |= mask >> shift;
+    for (int64_t k = 0; k < m; k++) order[k] = members ? members[k] : k;
+    /* Above 2^32 - 1, random_interval draws whole outputs (next_uint64),
+     * which leave the buffered half alone. */
+    while (i > 0xffffffffLL) shuffle_step(order, &i, &mask, pcg64_next(&state, inc));
+    /* next_uint32 hands out the lower half of an output, then the upper;
+     * it keeps the upper half in `uinteger` even once handed out. */
+    int buffered = rng->has_uint32;
+    uint32_t upper = rng->uinteger;
+    if (i > 0 && buffered) {
+        buffered = 0;
+        shuffle_step(order, &i, &mask, upper);
     }
+    while (i > 0) {
+        uint64_t draw = pcg64_next(&state, inc);
+        upper = (uint32_t)(draw >> 32);
+        shuffle_step(order, &i, &mask, draw & 0xffffffffu);
+        if (i == 0) {
+            buffered = 1;
+            break;
+        }
+        shuffle_step(order, &i, &mask, upper);
+    }
+    rng->has_uint32 = buffered;
+    rng->uinteger = upper;
     for (int64_t k = 0; k < half; k++) {
-        int64_t mask = -(int64_t)!(random_standard_uniform(state) < 0.5);
-        swap = (order[k] ^ order[half + k]) & mask;
+        int64_t flip = -(int64_t)(pcg64_next(&state, inc) >> 63);
+        int64_t swap = (order[k] ^ order[half + k]) & flip;
         order[k] ^= swap;
         order[half + k] ^= swap;
     }
+    rng->pcg_state->state = state;
 }
 
-/* One round of repro.core.array_simulator.LogSizeVectorProtocol, a pass per
- * numpy sub-step in its order.  Matched pairs are disjoint, so a pass
- * touches each pair's own two agents only; drawing passes visit receivers,
- * then senders, in pair order, as the numpy fancy-index draws do.  Role
- * tests are branch-free; only rare events (draws, deposits) branch. */
+/* One round of repro.core.array_simulator.LogSizeVectorProtocol, bitwise its
+ * numpy sub-steps.  Matched pairs are disjoint, so a sub-step touches each
+ * pair's own two agents only and the sub-steps can run pair by pair; only
+ * the order of the draws is the reference's to keep.  Role tests are
+ * branch-free; only rare events (draws, deposits) branch. */
 enum { UNASSIGNED = 0, WORKER = 1, STORAGE = 2 };
 
 static inline int64_t geometric(repro_log_size *s) {
@@ -465,38 +546,59 @@ static void assign(repro_log_size *s, int64_t a, int role) {
     s->unassigned--;
 }
 
+/* The six drawing sub-steps below write gr and never read it, so each
+ * queues the agent whose gr it redraws, tagged with the sub-step, and the
+ * round draws the queue after them in the reference's order. */
+static inline void queue_draw(repro_log_size *s, int64_t a, int step) {
+    s->queue[s->queued++] = a << 3 | step;
+}
+
+/* Room for one pair's queued draws: at most its two ticks, one restart and
+ * one catch-up.  Returns 1 when the queue cannot grow. */
+static int reserve_queue(repro_log_size *s) {
+    if (s->queued + 4 <= s->capacity) return 0;
+    int64_t capacity = s->capacity ? 2 * s->capacity : 1024;
+    int64_t *queue = realloc(s->queue, sizeof(int64_t) * (size_t)capacity);
+    if (!queue) return 1;
+    s->queue = queue;
+    s->capacity = capacity;
+    return 0;
+}
+
 /* Move-to-Next-G.R.V, then the done test of a worker that advanced. */
-static void next_epoch(repro_log_size *s, int64_t a, int64_t epoch) {
+static void next_epoch(repro_log_size *s, int64_t a, int64_t epoch, int step) {
     s->epoch[a] = epoch;
     s->time[a] = 0;
-    s->gr[a] = geometric(s);
+    queue_draw(s, a, step);
     s->updated[a] = 0;
     if (epochs_finished(s, a)) mark_done(s, a);
 }
 
 /* Phase-clock tick plus Check-if-Timer-Done-and-Increment-Epoch. */
-static inline void tick(repro_log_size *s, int64_t a) {
+static inline void tick(repro_log_size *s, int64_t a, int step) {
     int worker = s->role[a] == WORKER;
     s->time[a] += worker;
     if (worker & !s->done[a] & s->updated[a] & timer_done(s, a))
-        next_epoch(s, a, s->epoch[a] + 1);
+        next_epoch(s, a, s->epoch[a] + 1, step);
 }
 
 /* logSize2 max-propagation with Restart. */
-static inline void adopt_log_size2(repro_log_size *s, int64_t a, int64_t from) {
+static inline void adopt_log_size2(repro_log_size *s, int64_t a, int64_t from,
+                                   int step) {
     if (s->log_size2[a] >= s->log_size2[from]) return;
     s->log_size2[a] = s->log_size2[from];
     s->time[a] = s->total[a] = s->epoch[a] = 0;
-    s->gr[a] = geometric(s);
+    queue_draw(s, a, step);
     if (s->done[a]) { s->done[a] = 0; s->done_count--; }
     s->updated[a] = 0;
     s->output[a] = NAN;
 }
 
-static inline void worker_catch_up(repro_log_size *s, int64_t a, int64_t from) {
+static inline void worker_catch_up(repro_log_size *s, int64_t a, int64_t from,
+                                   int step) {
     if ((s->role[a] == WORKER) & (s->role[from] == WORKER)
         & (s->epoch[a] < s->epoch[from]))
-        next_epoch(s, a, s->epoch[from]);
+        next_epoch(s, a, s->epoch[from], step);
 }
 
 /* Mark a storage agent done and (re)compute its announced estimate. */
@@ -541,10 +643,54 @@ static inline void propagate_output(repro_log_size *s, int64_t r, int64_t q) {
     s->output[q] = (!!isnan(new_s) & !isnan(out_r)) ? out_r : new_s;
 }
 
-static void log_size_round(
+/* The list of a pair, by its kinds 3 * role[r] + role[q]: 0 storage-storage,
+ * 1 worker-storage, 2 worker-worker, 3 neither (an unassigned agent); and
+ * whether the worker of a worker-storage pair is the sender. */
+static const int8_t pair_list[9] = {3, 3, 3, 3, 2, 1, 3, 1, 0};
+static const int8_t worker_sends[9] = {0, 0, 0, 0, 0, 0, 0, 1, 0};
+
+enum { PAIR_CHUNK = 256 };
+
+/* Storage catch-up, Update-Sum and the gr max: each applies to one kind of
+ * pair and draws nothing, so each chunk of pairs is sorted into its kinds'
+ * lists, worker first, and each list runs in a loop of its own. */
+static void settle_pairs(repro_log_size *s, const int64_t *rec,
+                         const int64_t *sen, int64_t pairs)
+{
+    int64_t lists[4][PAIR_CHUNK][2];
+    for (int64_t start = 0; start < pairs; start += PAIR_CHUNK) {
+        int64_t end = pairs - start < PAIR_CHUNK ? pairs : start + PAIR_CHUNK;
+        int64_t count[4] = {0, 0, 0, 0};
+        for (int64_t k = start; k < end; k++) {
+            int64_t r = rec[k], q = sen[k];
+            int kinds = 3 * s->role[r] + s->role[q], list = pair_list[kinds];
+            int64_t flip = (r ^ q) & -(int64_t)worker_sends[kinds];
+            lists[list][count[list]][0] = r ^ flip;
+            lists[list][count[list]][1] = q ^ flip;
+            count[list]++;
+        }
+        for (int64_t e = 0; e < count[0]; e++)
+            storage_catch_up(s, lists[0][e][0], lists[0][e][1]);
+        for (int64_t e = 0; e < count[1]; e++)
+            update_sum(s, lists[1][e][0], lists[1][e][1]);
+        for (int64_t e = 0; e < count[2]; e++) {
+            int64_t r = lists[2][e][0], q = lists[2][e][1];
+            int64_t gr = s->gr[r] > s->gr[q] ? s->gr[r] : s->gr[q];
+            int same_epoch = s->epoch[r] == s->epoch[q];
+            s->gr[r] = same_epoch ? gr : s->gr[r];
+            s->gr[q] = same_epoch ? gr : s->gr[q];
+        }
+    }
+}
+
+/* Returns 1, with the round partly applied, when the draw queue cannot
+ * grow. */
+static int log_size_round(
     repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs)
 {
     const int8_t *role = s->role;
+    /* The partition draws in place: a new worker's logSize2 is read at
+     * once. */
     if (s->unassigned > 0) {
         for (int64_t k = 0; k < pairs; k++)
             if (role[rec[k]] == UNASSIGNED && role[sen[k]] == UNASSIGNED) {
@@ -558,32 +704,34 @@ static void log_size_round(
             if (role[sen[k]] == UNASSIGNED && role[rec[k]] != UNASSIGNED)
                 assign(s, sen[k], role[rec[k]] == WORKER ? STORAGE : WORKER);
     }
-    for (int64_t k = 0; k < pairs; k++) tick(s, rec[k]);
-    for (int64_t k = 0; k < pairs; k++) tick(s, sen[k]);
-    for (int64_t k = 0; k < pairs; k++) adopt_log_size2(s, rec[k], sen[k]);
-    for (int64_t k = 0; k < pairs; k++) adopt_log_size2(s, sen[k], rec[k]);
-    for (int64_t k = 0; k < pairs; k++) worker_catch_up(s, rec[k], sen[k]);
-    for (int64_t k = 0; k < pairs; k++) worker_catch_up(s, sen[k], rec[k]);
-    /* Storage catch-up, Update-Sum and gr draw nothing and each applies to
-     * one kind of pair, so one pass does all three. */
+    /* The ticks, restarts and worker catch-ups, receiver then sender, pair
+     * by pair; then their draws: the ticks', the restarts' and the
+     * catch-ups', receivers' then senders', in pair order within each. */
     for (int64_t k = 0; k < pairs; k++) {
         int64_t r = rec[k], q = sen[k];
-        int kinds = role[r] << 2 | role[q];
-        if (kinds == (STORAGE << 2 | STORAGE)) storage_catch_up(s, r, q);
-        else if (kinds == (WORKER << 2 | STORAGE)) update_sum(s, r, q);
-        else if (kinds == (STORAGE << 2 | WORKER)) update_sum(s, q, r);
-        else if (kinds == (WORKER << 2 | WORKER)) {
-            int64_t gr = s->gr[r] > s->gr[q] ? s->gr[r] : s->gr[q];
-            int same_epoch = s->epoch[r] == s->epoch[q];
-            s->gr[r] = same_epoch ? gr : s->gr[r];
-            s->gr[q] = same_epoch ? gr : s->gr[q];
+        if (reserve_queue(s)) {
+            s->queued = 0;
+            return 1;
         }
+        tick(s, r, 0);
+        tick(s, q, 1);
+        adopt_log_size2(s, r, q, 2);
+        adopt_log_size2(s, q, r, 3);
+        worker_catch_up(s, r, q, 4);
+        worker_catch_up(s, q, r, 5);
     }
+    for (int step = 0; step < 6; step++)
+        for (int64_t e = 0; e < s->queued; e++)
+            if ((s->queue[e] & 7) == step) s->gr[s->queue[e] >> 3] = geometric(s);
+    s->queued = 0;
+    settle_pairs(s, rec, sen, pairs);
     if (s->done_count > 0)
         for (int64_t k = 0; k < pairs; k++) propagate_output(s, rec[k], sen[k]);
+    return 0;
 }
 
-/* Returns 1, before touching any field, if an index is outside [0, n). */
+/* Returns, before touching any field, 1 if an index is outside [0, n) and
+ * 2 if an agent is named twice; 3 when the draw queue cannot grow. */
 int repro_log_size_round(
     repro_log_size *s, const int64_t *rec, const int64_t *sen, int64_t pairs)
 {
@@ -591,8 +739,23 @@ int repro_log_size_round(
     for (int64_t k = 0; k < pairs; k++)
         outside |= ((uint64_t)rec[k] >= n) | ((uint64_t)sen[k] >= n);
     if (outside) return 1;
-    log_size_round(s, rec, sen, pairs);
-    return 0;
+    uint8_t repeated = 0, *marks = s->marks;
+    for (int64_t k = 0; k < pairs; k++) {
+        repeated |= marks[rec[k]];
+        marks[rec[k]] = 1;
+        repeated |= marks[sen[k]];
+        marks[sen[k]] = 1;
+    }
+    for (int64_t k = 0; k < pairs; k++) marks[rec[k]] = marks[sen[k]] = 0;
+    if (repeated) return 2;
+    return log_size_round(s, rec, sen, pairs) ? 3 : 0;
+}
+
+/* Frees the draw queue. */
+void repro_log_size_release(repro_log_size *s) {
+    free(s->queue);
+    s->queue = NULL;
+    s->capacity = s->queued = 0;
 }
 
 /* time.perf_counter_ns's clock (0 where the platform lacks it). */
@@ -611,7 +774,8 @@ static inline int64_t now_ns(void) {
  * the round to its pairs, and stop after `max_rounds` rounds or, with
  * `stop_when_done`, after the first round that leaves every agent done.
  * With `tallies`, adds the nanoseconds spent drawing and applying to
- * tallies[0] and tallies[1].  Returns the rounds run. */
+ * tallies[0] and tallies[1].  Returns the rounds run, or -1 when the draw
+ * queue cannot grow. */
 int64_t repro_log_size_run(
     repro_log_size *s, int64_t *order, int64_t max_rounds, int stop_when_done,
     int64_t *tallies)
@@ -621,7 +785,7 @@ int64_t repro_log_size_run(
         int64_t t0 = tallies ? now_ns() : 0;
         repro_draw_matching(NULL, s->n, order, s->bitgen);
         int64_t t1 = tallies ? now_ns() : 0;
-        log_size_round(s, order, order + half, half);
+        if (log_size_round(s, order, order + half, half)) return -1;
         if (tallies) {
             tallies[0] += t1 - t0;
             tallies[1] += now_ns() - t1;
@@ -1124,11 +1288,35 @@ def _load_compiled():
             module = _find_built_module(cache, name)
             if module is None:
                 raise RuntimeError("compiled extension not found after build")
+        _check_pcg64_layout(module.lib, module.ffi)
         _COMPILED = (module.lib, module.ffi)
         return _COMPILED
     except Exception as error:  # noqa: BLE001 - any failure = unavailable
         _FAILURE = f"{type(error).__name__}: {error}"
         raise RuntimeError(_FAILURE) from error
+
+
+def _check_pcg64_layout(lib, ffi) -> None:
+    """Raise unless the C matching draw, which reads and writes numpy's
+    private PCG64 state in place, is the reference's: one matching on a
+    fresh generator that enters with a buffered 32-bit half."""
+    from repro.engine.scheduler import draw_matching_arrays
+
+    members = 1001
+    reference, native = np.random.default_rng(0), np.random.default_rng(0)
+    for rng in (reference, native):
+        rng.integers(2**32, dtype=np.uint32)
+    expected = np.concatenate(draw_matching_arrays(members, reference))
+    order = np.empty(members, dtype=np.int64)
+    lib.repro_draw_matching(
+        ffi.NULL, members, ffi.from_buffer("int64_t[]", order), _bitgen(ffi, native)
+    )
+    if not np.array_equal(order[: expected.size], expected):
+        raise RuntimeError("the C matching draw is not numpy's: PCG64 state layout check")
+    if native.bit_generator.state != reference.bit_generator.state:
+        raise RuntimeError(
+            "the C matching draw leaves numpy's PCG64 elsewhere: state layout check"
+        )
 
 
 def _find_built_module(cache: str, name: str):
@@ -1256,6 +1444,15 @@ def _is_index_array(array) -> bool:
     )
 
 
+def _is_pcg64(rng) -> bool:
+    """Whether the C matching can step ``rng`` in place: a ``Generator`` on
+    ``PCG64``, as every engine's ``default_rng`` is."""
+    return (
+        isinstance(rng, np.random.Generator)
+        and type(rng.bit_generator) is np.random.PCG64
+    )
+
+
 def _bitgen(ffi, rng: np.random.Generator):
     """The ``bitgen_t *`` of ``rng``'s bit generator."""
     return ffi.cast("void *", rng.bit_generator.ctypes.bit_generator.value)
@@ -1272,12 +1469,16 @@ _LOG_SIZE_FIELDS = {
 class NativeLogSizeRound:
     """One ``Log-Size-Estimation`` round in C, bitwise the numpy sub-steps.
 
-    Bound to one protocol's nine field arrays and generator, a call with a
-    round's ``(rec, sen)`` pairs does what the numpy sub-steps of
-    :class:`~repro.core.array_simulator.LogSizeVectorProtocol` do, drawing
-    through numpy's ``random_geometric`` on the same ``bitgen_t`` in the
-    same order.  :meth:`run` repeats the uniform matching draw and the round
-    in one call.  The kernel counts the unassigned and the done agents, so a
+    Bound to one protocol's nine field arrays and ``PCG64`` generator, a
+    call with a round's ``(rec, sen)`` pairs does what the numpy sub-steps
+    of :class:`~repro.core.array_simulator.LogSizeVectorProtocol` do,
+    drawing through numpy's ``random_geometric`` on the same ``bitgen_t`` in
+    the same order.  It runs a pair's sub-steps together, which is the
+    numpy round only for disjoint pairs, as every round scheduler's are: a
+    call that names an agent twice, or one outside the population, raises
+    :class:`~repro.exceptions.SimulationError` before it writes anything.
+    :meth:`run` repeats the uniform matching draw and the round in one
+    call.  The kernel counts the unassigned and the done agents, so a
     round costs O(pairs) once the partition is complete and :meth:`all_done`
     costs O(1); it therefore owns ``role`` and ``done``, which nothing else
     may write after binding.  It draws without ``Generator.lock``: a
@@ -1286,7 +1487,9 @@ class NativeLogSizeRound:
 
     def __init__(self, protocol: "LogSizeVectorProtocol") -> None:
         self._lib, self._ffi = _load_compiled()
-        state = self._state = self._ffi.new("repro_log_size *")
+        state = self._state = self._ffi.gc(
+            self._ffi.new("repro_log_size *"), self._lib.repro_log_size_release
+        )
         state.n = n = protocol.role.size
         # The C side keeps raw pointers: hold every field's buffer, and the
         # generator, for as long as the kernel lives.
@@ -1310,6 +1513,8 @@ class NativeLogSizeRound:
         state.p = params.geometric_success_probability
         self._rng = protocol.rng
         state.bitgen = _bitgen(self._ffi, self._rng)
+        self._marks = self._ffi.new("uint8_t[]", n)
+        state.marks = self._marks
         self._order = self._ffi.new("int64_t[]", n)
 
     def __call__(self, rec: np.ndarray, sen: np.ndarray) -> None:
@@ -1317,14 +1522,20 @@ class NativeLogSizeRound:
             raise SimulationError(
                 "matched pairs must be contiguous int64 arrays of equal length"
             )
-        rec_buffer = self._ffi.from_buffer("int64_t[]", rec)
-        sen_buffer = self._ffi.from_buffer("int64_t[]", sen)
-        if self._lib.repro_log_size_round(
-            self._state, rec_buffer, sen_buffer, rec.size
-        ):
+        code = self._lib.repro_log_size_round(
+            self._state,
+            self._ffi.from_buffer("int64_t[]", rec),
+            self._ffi.from_buffer("int64_t[]", sen),
+            rec.size,
+        )
+        if code == 1:
             raise SimulationError(
                 f"a matched pair names an agent outside [0, {self._state.n})"
             )
+        if code == 2:
+            raise SimulationError("the matched pairs name an agent twice")
+        if code:
+            raise MemoryError(_QUEUE_EXHAUSTED)
 
     def run(
         self, rounds: int, stop_when_done: bool, tallies: np.ndarray | None = None
@@ -1341,13 +1552,22 @@ class NativeLogSizeRound:
             if not (_is_index_array(tallies) and tallies.size >= 2):
                 raise SimulationError("tallies must be a contiguous int64 array of 2")
             counters = self._ffi.from_buffer("int64_t[]", tallies, require_writable=True)
-        return self._lib.repro_log_size_run(
+        ran = self._lib.repro_log_size_run(
             self._state, self._order, rounds, stop_when_done, counters
         )
+        if ran < 0:
+            raise MemoryError(_QUEUE_EXHAUSTED)
+        return ran
 
     def all_done(self) -> bool:
         """Whether every agent is done, from the kernel's count."""
         return self._state.done_count == self._state.n
+
+
+_QUEUE_EXHAUSTED = (
+    "native Log-Size-Estimation round: no memory for its draw queue; the "
+    "round's fields are left partly updated"
+)
 
 
 class NativeMultiscaleLoop:
@@ -1500,7 +1720,7 @@ class NativeBackend(ArrayBackend):
             source, count = ffi.from_buffer("int64_t[]", members), members.size
         else:
             count = None
-        if count is None or not isinstance(rng, np.random.Generator):
+        if count is None or not _is_pcg64(rng):
             return super().draw_matching_arrays(members, rng)
         order = np.empty(count, dtype=np.int64)
         lib.repro_draw_matching(
@@ -1511,8 +1731,8 @@ class NativeBackend(ArrayBackend):
 
     def log_size_round_kernel(
         self, protocol: "LogSizeVectorProtocol"
-    ) -> NativeLogSizeRound:
-        return NativeLogSizeRound(protocol)
+    ) -> NativeLogSizeRound | None:
+        return NativeLogSizeRound(protocol) if _is_pcg64(protocol.rng) else None
 
     def multiscale_kernel(
         self, simulator: "MultiscaleSimulator"

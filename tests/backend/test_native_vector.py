@@ -16,19 +16,28 @@ native backend.
 from __future__ import annotations
 
 import importlib.machinery
+import json
+import math
 import os
 import shutil
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.backend import get_backend
+from repro.backend import get_backend, resolve_backend
 from repro.backend import native_backend
 from repro.backend.native_backend import NativeBackend
-from repro.core.array_simulator import LogSizeVectorProtocol
+from repro.core.array_simulator import (
+    ROLE_STORAGE,
+    ROLE_WORKER,
+    LogSizeVectorProtocol,
+)
 from repro.core.parameters import ProtocolParameters
 from repro.core.vector_leader import LeaderTerminatingVectorProtocol
+from repro.engine import scheduler
 from repro.engine.configuration import Configuration
 from repro.engine.scheduler import draw_matching_arrays
 from repro.engine.vector import VectorFields, VectorSimulator
@@ -134,6 +143,114 @@ class TestLogSizeRoundIsBitwise:
             return {name: fields[name].tobytes() for name in fields.names()}
 
         assert one_round("native") == one_round("numpy")
+
+
+def _one_round(backend, params, agents, rec, sen, seed):
+    """One round from the given field values: every field and the generator
+    state after it."""
+    protocol = LogSizeVectorProtocol(params)
+    fields = VectorFields(len(agents))
+    protocol.init_fields(fields, np.random.default_rng(seed))
+    for name in fields.names():
+        fields[name][:] = [agent[name] for agent in agents]
+    protocol.bind_backend(get_backend(backend))
+    assert (protocol._compiled_round is None) == (backend == "numpy")
+    protocol.apply_round(
+        fields, np.array(rec, dtype=np.int64), np.array(sen, dtype=np.int64),
+        protocol.rng,
+    )
+    return (
+        {name: fields[name].tobytes() for name in fields.names()},
+        protocol.rng.bit_generator.state,
+    )
+
+
+def _agent(role, log_size2, time, epoch, *, total=0, gr=1, done=False,
+           updated=False, output=math.nan):
+    return {"role": role, "log_size2": log_size2, "time": time, "epoch": epoch,
+            "total": total, "gr": gr, "done": done, "updated": updated,
+            "output": output}
+
+
+@st.composite
+def _agents(draw, params):
+    log_size2 = draw(st.integers(1, 6))
+    threshold = params.clock_threshold_factor * log_size2
+    epochs = params.epochs_factor * log_size2
+    return _agent(
+        role=draw(st.sampled_from([0, 1, 2])),
+        log_size2=log_size2,
+        time=draw(st.one_of(
+            st.integers(max(threshold - 2, 0), threshold + 1),
+            st.integers(0, threshold),
+        )),
+        epoch=draw(st.one_of(
+            st.integers(max(epochs - 2, 0), epochs), st.integers(0, epochs)
+        )),
+        total=draw(st.integers(0, 40)),
+        gr=draw(st.integers(1, 12)),
+        done=draw(st.booleans()),
+        updated=draw(st.booleans()),
+        output=draw(st.one_of(st.just(math.nan), st.floats(0.0, 20.0))),
+    )
+
+
+@st.composite
+def _rounds(draw):
+    """Field values, disjoint pairs (some agents idle) and a seed."""
+    params = draw(st.sampled_from([PAPER, FAST, INVERSION]))
+    n = draw(st.integers(2, 24))
+    agents = draw(st.lists(_agents(params), min_size=n, max_size=n))
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(1, n // 2))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return params, agents, order[:pairs], order[pairs : 2 * pairs], seed
+
+
+W, S = ROLE_WORKER, ROLE_STORAGE
+
+#: Agent 0 draws in its tick, its restart and its catch-up, and agent 2
+#: draws in its tick between them: the three queues' order shows.
+_THREE_QUEUES = (FAST, [
+    _agent(W, 2, 15, 0, updated=True),
+    _agent(W, 3, 0, 2),
+    _agent(W, 3, 23, 0, updated=True),
+    _agent(S, 3, 0, 0),
+], [0, 2], [1, 3], 5)
+
+#: Agent 0's deposit finishes storage 1's last epoch: the done count goes
+#: from 0 to 1 within the round, whose output pass then runs (agent 2
+#: idles, n odd).
+_FIRST_DONE = (FAST, [
+    _agent(W, 2, 15, 3, gr=3),
+    _agent(S, 2, 0, 3, total=5),
+    _agent(W, 2, 0, 0),
+], [0], [1], 6)
+
+
+@needs_native
+class TestGeneratedRoundsAreBitwise:
+    """The native round equals the numpy sub-steps from any field values,
+    including the ones a run rarely reaches: unassigned agents, times at
+    and beside the epoch threshold, unequal ``logSize2``, done flags and set
+    outputs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(case=_rounds())
+    @example(case=_THREE_QUEUES)
+    @example(case=_FIRST_DONE)
+    def test_a_round_equals_numpy(self, case):
+        assert _one_round("native", *case) == _one_round("numpy", *case)
+
+    def test_the_examples_reach_what_they_name(self):
+        fields, state = _one_round("numpy", *_THREE_QUEUES)
+        assert np.frombuffer(fields["epoch"], dtype=np.int64).tolist() == [2, 2, 1, 0]
+        draws = np.random.default_rng(_THREE_QUEUES[-1])
+        draws.geometric(FAST.geometric_success_probability, size=4)
+        assert state == draws.bit_generator.state
+        fields, _ = _one_round("numpy", *_FIRST_DONE)
+        assert np.frombuffer(fields["done"], dtype=bool).tolist() == [False, True, False]
+        assert np.frombuffer(fields["output"])[:2].tolist() == [8 / 4 + 1] * 2
 
 
 class _Traced(VectorSimulator):
@@ -284,18 +401,31 @@ class TestFusedRunIsBitwise:
         assert len(calls) == 10
 
 
+#: Matching sizes at every mask boundary of numpy's random_interval up to
+#: 2^17: 2^k - 1, 2^k and 2^k + 1.
+_MASK_BOUNDARIES = sorted({2**k + d for k in range(18) for d in (-1, 0, 1)})
+
+
 @needs_native
 class TestMatchingDrawIsBitwise:
     @staticmethod
-    def _assert_draw_matches(members, seed):
-        reference_rng = np.random.default_rng(seed)
-        native_rng = np.random.default_rng(seed)
+    def _assert_draw_matches(members, seed, buffered=False, bit_generator=np.random.PCG64):
+        reference_rng = np.random.Generator(bit_generator(seed))
+        native_rng = np.random.Generator(bit_generator(seed))
+        if buffered:
+            # A full-range uint32 splits one 64-bit output and buffers its
+            # upper half, which the matching's first draw takes.
+            for rng in (reference_rng, native_rng):
+                rng.integers(2**32, dtype=np.uint32)
         expected = draw_matching_arrays(members, reference_rng)
         observed = NativeBackend().draw_matching_arrays(members, native_rng)
         for want, got in zip(expected, observed):
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
-        assert native_rng.bit_generator.state == reference_rng.bit_generator.state
+        # Philox and MT19937 keep arrays in their state.
+        assert json.dumps(native_rng.bit_generator.state, default=np.ndarray.tolist) == (
+            json.dumps(reference_rng.bit_generator.state, default=np.ndarray.tolist)
+        )
 
     @pytest.mark.parametrize("m", list(range(1, 40)) + [101, 1000, 4097, 10**5])
     def test_integer_members(self, m):
@@ -305,6 +435,29 @@ class TestMatchingDrawIsBitwise:
     def test_array_members(self, m):
         members = np.random.default_rng(m).permutation(3 * m + 5)[:m]
         self._assert_draw_matches(members, seed=m + 1)
+
+    @pytest.mark.parametrize("m", _MASK_BOUNDARIES)
+    def test_every_mask_boundary(self, m):
+        self._assert_draw_matches(m, seed=m)
+        self._assert_draw_matches(m, seed=m, buffered=True)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 1000, 1001])
+    def test_a_generator_with_a_buffered_half(self, m):
+        self._assert_draw_matches(m, seed=m + 7, buffered=True)
+        members = np.random.default_rng(m).permutation(3 * m + 5)[:m]
+        self._assert_draw_matches(members, seed=m + 8, buffered=True)
+
+    @pytest.mark.parametrize(
+        "bit_generator",
+        [np.random.Philox, np.random.MT19937, np.random.SFC64, np.random.PCG64DXSM],
+    )
+    def test_other_bit_generators_run_the_reference(self, bit_generator):
+        for m in (7, 1000):
+            self._assert_draw_matches(m, seed=3, bit_generator=bit_generator)
+            self._assert_draw_matches(m, seed=4, buffered=True, bit_generator=bit_generator)
+        protocol = LogSizeVectorProtocol(FAST)
+        protocol.init_fields(VectorFields(10), np.random.Generator(bit_generator(1)))
+        assert NativeBackend().log_size_round_kernel(protocol) is None
 
     def test_members_are_not_shuffled_in_place(self):
         members = np.arange(10, 30)
@@ -354,6 +507,36 @@ class TestNativeRoundGuards:
         assert _snapshot(simulator) == before
 
     @pytest.mark.parametrize(
+        "rec, sen",
+        [([0, 1, 0], [2, 3, 4]), ([0, 1], [2, 0]), ([3], [3]), ([0, 5], [1, 5])],
+        ids=["receiver-twice", "receiver-and-sender", "self-pair", "sender-twice"],
+    )
+    def test_rejects_an_agent_named_twice_untouched(self, rec, sen):
+        """The native round runs a pair's sub-steps together, which is the
+        numpy round only for disjoint pairs."""
+        simulator = VectorSimulator(
+            LogSizeVectorProtocol(FAST), 6, seed=0, backend="native"
+        )
+        reference = VectorSimulator(
+            LogSizeVectorProtocol(FAST), 6, seed=0, backend="numpy"
+        )
+        before = _snapshot(simulator)
+        with pytest.raises(SimulationError, match="twice"):
+            simulator.protocol.apply_round(
+                simulator.fields,
+                np.array(rec, dtype=np.int64),
+                np.array(sen, dtype=np.int64),
+                simulator.rng,
+            )
+        assert _snapshot(simulator) == before
+        # The check leaves no mark behind: the next valid round is numpy's.
+        for engine in (simulator, reference):
+            engine.protocol.apply_round(
+                engine.fields, np.array([0, 1, 2]), np.array([3, 4, 5]), engine.rng
+            )
+        assert _snapshot(simulator) == _snapshot(reference)
+
+    @pytest.mark.parametrize(
         "tallies",
         [np.zeros(1, dtype=np.int64), np.zeros(2, dtype=np.int32),
          np.zeros(4, dtype=np.int64)[::2]],
@@ -391,6 +574,32 @@ def test_native_cache_loads_only_this_interpreters_build(tmp_path):
     assert module is not None
     assert os.path.basename(module.__file__) == f"{name}{suffix}"
     assert native_backend._find_built_module(str(tmp_path), name + "x") is None
+
+
+@needs_native
+@pytest.mark.parametrize("fault", ["order", "state"])
+def test_a_failed_layout_check_leaves_the_backend_unavailable(monkeypatch, fault):
+    """The C matching reads numpy's private PCG64 state in place; a numpy
+    whose matching it no longer repeats leaves the backend unavailable, and
+    resolution falls back to numpy with a warning."""
+    reference = scheduler.draw_matching_arrays
+
+    def changed(members, rng):
+        receivers, senders = reference(members, rng)
+        if fault == "order":
+            return senders, receivers
+        rng.random()
+        return receivers, senders
+
+    monkeypatch.setattr(scheduler, "draw_matching_arrays", changed)
+    monkeypatch.setattr(native_backend, "_COMPILED", None)
+    monkeypatch.setattr(native_backend, "_FAILURE", None)
+    assert not NativeBackend.available()
+    reason = NativeBackend.unavailable_reason()
+    assert "layout check" in reason
+    with pytest.warns(UserWarning, match="falling back") as caught:
+        assert resolve_backend("native").name == "numpy"
+    assert reason in str(caught[0].message)
 
 
 def test_module_name_follows_numpy_version(monkeypatch):
