@@ -16,10 +16,16 @@ fails if any available backend falls below what the seam guarantees for it:
   O(S^2) work, whereas a kernel that draws once per interaction, like the
   one it replaced (1.4–1.6e8/s, 16–18x numpy, same VM), stays far below
   the floor;
-* the native backend's Figure 2 round must be at least 4.5x faster than
-  numpy's, half the 9.0–16.8x measured in three runs on a 2-vCPU VM: a
+* the native backend's Figure 2 round must be at least
+  ``NATIVE_FIGURE2_MIN_SPEEDUP`` times faster than numpy's, in the median
+  over seeds 1–5 of the per-seed ratio (one trial per seed and backend,
+  the backends alternating; 3.2–3.6 s in all).  One trial's ratio swung
+  from 9.0x to 16.8x over three runs on a 2-vCPU VM, and one seed read
+  5.9x among 11.5–15.6x, while the median of five read 13.4x, 14.2x and
+  13.2x in three runs there: the floor is half the smallest median.  A
   vector kernel that silently stopped being bound runs at numpy speed,
-  which the 0.7x batched floor would pass;
+  which the 0.7x batched floor would pass, and one 2.5x slower than
+  today's fails;
 * the native backend's multiscale SIR (n = 10^9, eight seeds, 100 units of
   parallel time each) must run at least 33x numpy's effective interactions
   per second, half the 66–73x measured in three runs on a 2-vCPU VM: a
@@ -40,6 +46,7 @@ this is what the CI optional-deps job runs.  ``REPRO_SMOKE_N`` /
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import time
 from pathlib import Path
@@ -69,10 +76,11 @@ REGRESSION_TOLERANCE = 0.30
 #: ~0.027x calibration at the default smoke scale; 0.008 leaves >3x slack
 #: for runner noise while still catching an order-of-magnitude regression.
 NUMPY_FLOOR_PER_CALIBRATION = 0.008
-#: Population of the Figure 2 trial, and the per-round speedup the native
-#: backend must keep over numpy on it.
+#: Population and seeds of the Figure 2 trials, and the median per-round
+#: speedup over those seeds the native backend must keep over numpy.
 FIGURE2_N = 1000
-NATIVE_FIGURE2_MIN_SPEEDUP = 4.5
+FIGURE2_SEEDS = range(1, 6)
+NATIVE_FIGURE2_MIN_SPEEDUP = 6.5
 #: Batched-epidemic throughput the native backend must keep over numpy.
 NATIVE_BATCHED_MIN_SPEEDUP = 40.0
 #: Population and seeds of the multiscale SIR trials, and the effective
@@ -116,7 +124,7 @@ def measure_backend(backend: str, seed: int = 1) -> dict:
     }
 
 
-def measure_figure2_round(backend: str, seed: int = 1) -> dict:
+def measure_figure2_round(backend: str, seed: int) -> float:
     """Seconds per round of a fast Figure 2 trial at n=1000 on one backend."""
     simulator = VectorSimulator(
         LogSizeVectorProtocol(ProtocolParameters.fast_test()),
@@ -127,14 +135,18 @@ def measure_figure2_round(backend: str, seed: int = 1) -> dict:
     # The native module loaded when the simulator resolved its backend.
     started = time.perf_counter()
     simulator.run_until(VectorSimulator.all_done, max_parallel_time=10_000.0)
-    elapsed = time.perf_counter() - started
-    return {
-        "backend": backend,
-        "population_size": FIGURE2_N,
-        "rounds": simulator.rounds,
-        "seconds": elapsed,
-        "seconds_per_round": elapsed / simulator.rounds,
-    }
+    return (time.perf_counter() - started) / simulator.rounds
+
+
+def measure_figure2_rounds(backends: list[str]) -> dict[str, list[float]]:
+    """Seconds per round of one Figure 2 trial per seed of
+    ``FIGURE2_SEEDS`` on each backend, the backends alternating seed by
+    seed so a slow stretch of the machine hits both alike."""
+    per_round: dict[str, list[float]] = {backend: [] for backend in backends}
+    for seed in FIGURE2_SEEDS:
+        for backend in backends:
+            per_round[backend].append(measure_figure2_round(backend, seed))
+    return per_round
 
 
 def measure_multiscale(backend: str) -> dict:
@@ -165,8 +177,9 @@ def run_smoke() -> tuple[list[dict], list[str]]:
     ]
     records = [measure_backend(name) for name in available]
     by_name = {record["backend"]: record for record in records}
+    figure2 = measure_figure2_rounds(available)
     for name in available:
-        by_name[name]["figure2"] = measure_figure2_round(name)
+        by_name[name]["figure2"] = figure2[name]
         by_name[name]["multiscale"] = measure_multiscale(name)
 
     numpy_rate = by_name["numpy"]["interactions_per_second"]
@@ -199,15 +212,18 @@ def run_smoke() -> tuple[list[dict], list[str]]:
                 f"(required: >= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x); its kernel "
                 f"costs more than one multinomial per batch"
             )
-        speedup = (
-            by_name["numpy"]["figure2"]["seconds_per_round"]
-            / by_name["native"]["figure2"]["seconds_per_round"]
+        speedup = statistics.median(
+            numpy_round / native_round
+            for numpy_round, native_round in zip(
+                by_name["numpy"]["figure2"], by_name["native"]["figure2"]
+            )
         )
         if speedup < NATIVE_FIGURE2_MIN_SPEEDUP:
             failures.append(
-                f"native Figure 2 rounds run at {speedup:.2f}x numpy's "
-                f"(required: >= {NATIVE_FIGURE2_MIN_SPEEDUP:.1f}x); its vector "
-                f"kernels regressed or silently stopped being bound"
+                f"native Figure 2 rounds run at {speedup:.2f}x numpy's in the "
+                f"median over seeds (required: >= "
+                f"{NATIVE_FIGURE2_MIN_SPEEDUP:.1f}x); its vector kernels "
+                f"regressed or silently stopped being bound"
             )
         multiscale = (
             by_name["native"]["multiscale"]["interactions_per_second"]
@@ -243,9 +259,9 @@ def main() -> int:
         print(
             f"  {record['backend']:>7}: {record['seconds']:7.3f}s "
             f"({record['interactions_per_second']:,.0f} interactions/s); "
-            f"figure2 n={figure2['population_size']}: "
-            f"{figure2['seconds_per_round'] * 1e6:,.0f} us/round over "
-            f"{figure2['rounds']} rounds; multiscale SIR n={MULTISCALE_N:.0e}: "
+            f"figure2 n={FIGURE2_N}: "
+            f"{statistics.median(figure2) * 1e6:,.0f} us/round (median of "
+            f"{len(figure2)} seeds); multiscale SIR n={MULTISCALE_N:.0e}: "
             f"{multiscale['interactions_per_second']:.3e} effective "
             f"interactions/s"
         )
@@ -258,7 +274,7 @@ def main() -> int:
         return 1
     print(
         "gate: ok (no backend regressed by more than 30%; native batched "
-        f">= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x, figure2 rounds >= "
+        f">= {NATIVE_BATCHED_MIN_SPEEDUP:.0f}x, median figure2 rounds >= "
         f"{NATIVE_FIGURE2_MIN_SPEEDUP}x and multiscale SIR >= "
         f"{NATIVE_MULTISCALE_MIN_SPEEDUP:.0f}x numpy where available)"
     )

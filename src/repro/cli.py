@@ -27,10 +27,11 @@ Subcommands
 ``repro sweep --protocol majority --sizes 10000,100000 --runs 10 --workers 4 --cache-dir .repro-cache --resume``
     Multi-size, multi-seed sweep of any registered workload through the
     parallel sweep driver: trials fan out over a worker pool, finished
-    trials are appended to an on-disk JSON-lines cache, and ``--resume``
-    replays cached trials so interrupted or repeated sweeps only execute
-    what is missing (see ``DESIGN.md``, Sweep driver).  With ``--crn NAME``
-    the full network (every rate constant) participates in the cache key.
+    trials are appended to a SQLite cache in the directory, and
+    ``--resume`` replays cached trials so interrupted or repeated sweeps
+    only execute what is missing (see ``DESIGN.md``, Sweep driver).  With
+    ``--crn NAME`` the full network (every rate constant) participates in
+    the cache key.
 ``repro simulate/sweep ... --scheduler two-block --scheduler-opt intra=0.95``
     Run under a non-uniform interaction scheduler (see ``repro engines`` for
     the engine × scheduler compatibility matrix and ``DESIGN.md``,
@@ -58,6 +59,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import signal
 import sys
 from typing import TYPE_CHECKING, Sequence
 
@@ -93,7 +95,13 @@ from repro.harness.parallel import (
 )
 from repro.harness.reporting import format_key_values, format_table
 from repro.harness.results import SweepResult
-from repro.store import DEFAULT_LEASE_SECONDS, StoreError, open_store, parse_store_url
+from repro.store import (
+    DEFAULT_LEASE_SECONDS,
+    StoreError,
+    open_cache_dir,
+    open_store,
+    parse_store_url,
+)
 from repro.store.base import record_to_dict
 from repro.types import Workload
 from repro.workloads.populations import parse_size_list
@@ -119,22 +127,20 @@ def _sweep_store_from_args(args: argparse.Namespace, name: str):
 
     ``--store`` opens a shared result store (always resuming — shared
     stores are never cleared, since other drivers may own records in
-    them); ``--cache-dir`` opens the local JSONL store ``<DIR>/<name>.jsonl``
-    and clears it unless ``--resume`` is given.
+    them); ``--cache-dir`` opens the local SQLite cache
+    ``<DIR>/<name>.sqlite`` (:func:`~repro.store.open_cache_dir`), cleared
+    first unless ``--resume`` is given.
     """
+    lease = getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS
     if getattr(args, "store", None):
         if args.cache_dir:
             raise SimulationError("pass either --store or --cache-dir, not both")
-        lease = getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS
-        return open_store(args.store, lease_seconds=lease, name=name)
+        return open_store(args.store, lease_seconds=lease)
     if not args.cache_dir:
         return None
-    from repro.store.jsonl import JsonlStore
-
-    store = JsonlStore(args.cache_dir, name=name)
-    if not args.resume:
-        store.clear()
-    return store
+    return open_cache_dir(
+        args.cache_dir, name, resume=args.resume, lease_seconds=lease
+    )
 
 
 def _telemetry_from_args(args: argparse.Namespace):
@@ -559,6 +565,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     finally:
         if progress_view is not None:
             progress_view.close()
+        if store is not None:
+            store.close()
 
     print(
         f"sweep of {workload.kind} workload {workload.name!r} on the "
@@ -879,17 +887,12 @@ def _watch_store_status(store, interval: float, iterations: int | None) -> int:
 def _open_status_store(url: str):
     """Open the store ``repro store status`` reports on, creating nothing.
 
-    A local store (``jsonl:DIR``, ``sqlite:PATH``) must already exist: a
-    mistyped path is an error, not an empty store left behind.
-    ``jsonl:DIR`` reads every shard in the directory.
+    A ``sqlite:PATH`` store must already exist: a mistyped path is an
+    error, not an empty store left behind.
     """
     spec = parse_store_url(url)
-    if spec.scheme in ("jsonl", "sqlite") and not os.path.exists(spec.location):
-        raise StoreError(f"no {spec.scheme} store at {spec.location}")
-    if spec.scheme == "jsonl":
-        from repro.store.jsonl import JsonlStore
-
-        return JsonlStore.read_shards(spec.location)
+    if spec.scheme == "sqlite" and not os.path.exists(spec.location):
+        raise StoreError(f"no sqlite store at {spec.location}")
     return open_store(spec)
 
 
@@ -1156,25 +1159,29 @@ def _add_workload_arguments(parser: argparse.ArgumentParser, sweep: bool) -> Non
     )
     parser.add_argument(
         "--cache-dir", default="",
-        help="directory of the JSON-lines result cache (empty: no cache)",
+        help="directory of the local result cache, one SQLite file "
+        "DIR/<workload>-<engine>.sqlite per sweep, which concurrent drivers "
+        "may share (empty: no cache)",
     )
     parser.add_argument(
         "--resume", action="store_true",
         help="replay trials already in the cache instead of recomputing "
-        "them (without this flag an existing cache file is cleared first)",
+        "them, importing the DIR/<workload>-<engine>.jsonl shard an earlier "
+        "version wrote (without this flag the cache and that shard are "
+        "removed first)",
     )
     parser.add_argument(
         "--store", default="",
-        help="shared result store URL: jsonl:DIR, sqlite:PATH or "
-        "http://HOST:PORT (a `repro store serve` daemon).  Many concurrent "
-        "drivers may point at one sqlite/http store and cooperate on the "
-        "sweep; always resumes, mutually exclusive with --cache-dir",
+        help="shared result store URL: sqlite:PATH or http://HOST:PORT (a "
+        "`repro store serve` daemon).  Many concurrent drivers may point at "
+        "one store and cooperate on the sweep; always resumes, mutually "
+        "exclusive with --cache-dir",
     )
     parser.add_argument(
         "--lease", type=float, default=DEFAULT_LEASE_SECONDS,
-        help="store claims only: seconds a claimed trial stays owned before "
-        "a crashed driver's claim is reclaimed (size it above the slowest "
-        f"single trial; default {DEFAULT_LEASE_SECONDS:g})",
+        help="--cache-dir and --store: seconds a claimed trial stays owned "
+        "before a killed driver's claim is reclaimed (size it above the "
+        f"slowest single trial; default {DEFAULT_LEASE_SECONDS:g})",
     )
     parser.add_argument(
         "--trace-spool", default="", metavar="DIR",
@@ -1364,8 +1371,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_status.add_argument(
         "--store", required=True,
-        help="store URL: jsonl:DIR (every *.jsonl shard in DIR), "
-        "sqlite:PATH or http://HOST:PORT; a local store must already exist",
+        help="store URL: sqlite:PATH (a --cache-dir cache is "
+        "DIR/<workload>-<engine>.sqlite) or http://HOST:PORT; a sqlite "
+        "store must already exist",
     )
     store_status.add_argument(
         "--watch", action="store_true",
@@ -1438,9 +1446,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "through the parallel sweep driver.  Trials are independent "
                 "and deterministically seeded, so --workers N produces "
                 "record-for-record identical results to --workers 1.  With "
-                "--cache-dir, finished trials are appended to a JSON-lines "
-                "cache keyed by a hash of each trial spec (for a CRN, the "
-                "full network, every rate constant); --resume replays cached "
+                "--cache-dir, finished trials are appended to a SQLite cache "
+                "keyed by a hash of each trial spec (for a CRN, the full "
+                "network, every rate constant); --resume replays cached "
                 "trials so an interrupted or repeated sweep executes only the "
                 "missing ones."
             ),
@@ -1451,12 +1459,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised in the main thread while a verb runs (see :func:`main`)."""
+
+
+def _raise_terminated(signum, frame) -> None:
+    raise _Terminated
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point.
 
     A library error (:class:`~repro.exceptions.ReproError`) raised by any
     verb is bad input: it prints one ``repro <verb>: error: ...`` line on
-    stderr and exits 2, distinct from exit 1 ("not converged").
+    stderr and exits 2, distinct from exit 1 ("not converged").  While a
+    verb runs, SIGTERM raises in it as Ctrl-C does, so a sweep hands back
+    the leases of its unfinished trials and stops its pool; ``main`` then
+    returns 143 (128 + SIGTERM) and restores the previous handler.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1465,6 +1484,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     prior = os.environ.get(ENV_BACKEND)
     if getattr(args, "backend", None):
         os.environ[ENV_BACKEND] = args.backend
+    try:
+        previous_handler = signal.signal(signal.SIGTERM, _raise_terminated)
+        handles_sigterm = True
+    except ValueError:  # not the main thread, which alone handles signals
+        handles_sigterm = False
     try:
         return args.handler(args)
     except ReproError as error:
@@ -1475,7 +1499,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         print(f"repro {verb}: error: {error}", file=sys.stderr)
         return 2
+    except _Terminated:
+        return 128 + signal.SIGTERM
     finally:
+        if handles_sigterm:
+            # None: the previous handler was not set from Python.
+            signal.signal(signal.SIGTERM, previous_handler or signal.SIG_DFL)
         os.environ.pop(ENV_BACKEND, None)
         if prior is not None:
             os.environ[ENV_BACKEND] = prior

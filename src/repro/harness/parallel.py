@@ -52,11 +52,13 @@ import hashlib
 import inspect
 import json
 import math
+import signal
 import time
+import warnings
 from collections import deque
 from queue import Empty, SimpleQueue
 from dataclasses import dataclass, fields
-from typing import Callable, ClassVar, Mapping, Sequence
+from typing import TYPE_CHECKING, Callable, ClassVar, Mapping, Sequence
 
 from repro._lazy import Reference, resolve
 from repro.core.parameters import ProtocolParameters
@@ -75,6 +77,9 @@ from repro.types import (
     Workload,
     lookup_workload,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.store.base import Claim
 
 __all__ = [
     "KIND_CRN",
@@ -912,12 +917,34 @@ def run_trial(spec: TrialSpec) -> RunRecord:
     return record
 
 
-def _enable_worker_telemetry(spool_dir: str | None) -> None:
-    """``multiprocessing.Pool`` initializer: mirror the driver's telemetry
-    state into the worker process (fresh processes start disabled)."""
-    from repro.obs.recorder import set_telemetry
+def _init_worker(telemetry: bool, spool_dir: str | None) -> None:
+    """``multiprocessing.Pool`` initializer.
 
-    set_telemetry(True, spool_dir)
+    A forked worker inherits the driver's signal handlers; it takes back
+    the default SIGTERM disposition, which ``Pool.terminate()`` relies on
+    to end it.  When the driver records telemetry, the worker mirrors that
+    state (fresh processes start disabled).
+    """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    if telemetry:
+        from repro.obs.recorder import set_telemetry
+
+        set_telemetry(True, spool_dir)
+
+
+def _warn_waiting(claims: Mapping[str, Claim]) -> None:
+    """Say that another driver holds the lease of every remaining trial."""
+    owners = ", ".join(sorted({claim.owner for claim in claims.values()}))
+    first = min(claim.expires for claim in claims.values())
+    count = len(claims)
+    warnings.warn(
+        f"waiting on {count} trial{'s' if count != 1 else ''} leased by "
+        f"{owners} until each is appended or its lease expires (the first "
+        f"lease expires at {time.strftime('%H:%M:%S', time.localtime(first))}"
+        f", unix time {first:.0f})",
+        UserWarning,
+        stacklevel=3,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -961,9 +988,12 @@ def run_trials(
     store:
         A :class:`~repro.store.base.ResultStore`, a parsed
         :class:`~repro.store.base.StoreSpec`, or a store URL
-        (``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``).  ``None``
-        claims from an in-memory :class:`~repro.store.jsonl.JsonlStore`
-        that writes no file.
+        (``sqlite:PATH`` / ``http://HOST:PORT``); a local cache directory
+        opens with :func:`~repro.store.open_cache_dir`.  ``None`` claims
+        from an in-memory :class:`~repro.store.sqlite.SqliteStore` that
+        writes no file.  A store the driver opens itself (from ``None``, a
+        URL or a spec) is closed when the sweep ends; a store passed in
+        open stays open.
     lease_seconds:
         Lease duration for each claim; ``None`` uses the store's default.
         Size it to comfortably exceed the slowest single trial.
@@ -971,8 +1001,10 @@ def run_trials(
         Lease-owner identity; defaults to ``hostname:pid``.
     poll_interval:
         Seconds to wait between claim passes while other drivers hold the
-        leases of every remaining trial.  While this driver's own trials
-        are in flight it wakes on their completion instead.
+        leases of every remaining trial (the first such wait warns once,
+        naming the trials' owners and the earliest expiry).  While this
+        driver's own trials are in flight it wakes on their completion
+        instead.
     progress:
         Optional callback invoked with a
         :class:`~repro.obs.progress.SweepProgress` after every resolved
@@ -987,14 +1019,12 @@ def run_trials(
         Records depend only on the specs — identical regardless of
         ``workers``, driver count, or which store served them.
     """
-    from repro.store import open_store
+    from repro.store import ResultStore, open_store
     from repro.store.base import default_owner
-    from repro.store.jsonl import JsonlStore
 
     specs = list(specs)
     if workers < 1:
         raise SimulationError(f"workers must be >= 1, got {workers}")
-    resolved = JsonlStore() if store is None else open_store(store)
     if owner is None:
         owner = default_owner()
     records: list[RunRecord | None] = [None] * len(specs)
@@ -1041,36 +1071,37 @@ def run_trials(
         executed_keys.append(key)
         _resolve(key, record)
 
-    # Replay everything already finished (batch query), then claim-loop
-    # over the remainder.
-    unique_keys = list(indices_by_key)
-    missing = set(resolved.pending(unique_keys))
-    for key in unique_keys:
-        if key in missing:
-            continue
-        record = resolved.get(key)
-        if record is None:  # vanished between the two queries; claim it
-            missing.add(key)
-        else:
-            _replay(key, record)
-
-    queue = deque(key for key in unique_keys if key in missing)
-    deferred: list[str] = []  # leased by another live driver; retry later
-    completed: SimpleQueue[str] = SimpleQueue()  # pool completions, by key
+    owns_store = not isinstance(store, ResultStore)
+    resolved = open_store("sqlite::memory:" if store is None else store)
     pool = None
     try:
+        # Replay everything already finished (batch query), then claim-loop
+        # over the remainder.
+        unique_keys = list(indices_by_key)
+        missing = set(resolved.pending(unique_keys))
+        for key in unique_keys:
+            if key in missing:
+                continue
+            record = resolved.get(key)
+            if record is None:  # vanished between the two queries; claim it
+                missing.add(key)
+            else:
+                _replay(key, record)
+
+        queue = deque(key for key in unique_keys if key in missing)
+        # Leased by another live driver, with that claim; retried later.
+        deferred: dict[str, Claim] = {}
+        waited = False
+        completed: SimpleQueue[str] = SimpleQueue()  # pool completions, by key
         if workers > 1 and len(queue) > 1:
             import multiprocessing
 
-            # Workers start with telemetry disabled; when the driver
-            # records, the initializer mirrors its state into each worker.
-            telemetry = (
-                {"initializer": _enable_worker_telemetry, "initargs": (_REC.spool_dir,)}
-                if _REC.enabled
-                else {}
-            )
+            # Workers start with telemetry disabled; the initializer
+            # mirrors the driver's state into each of them.
             pool = multiprocessing.get_context().Pool(
-                processes=min(workers, len(queue)), **telemetry
+                processes=min(workers, len(queue)),
+                initializer=_init_worker,
+                initargs=(_REC.enabled, _REC.spool_dir),
             )
         while queue or deferred or in_flight:
             # 1. Claim and dispatch up to ``workers`` trials in flight.
@@ -1085,7 +1116,7 @@ def run_trials(
                 if claim.done:
                     _replay(key, claim.record)
                 elif not claim.acquired:
-                    deferred.append(key)
+                    deferred[key] = claim
                 elif pool is None:
                     in_flight[key] = None
                     _finish(key, run_trial(specs[indices_by_key[key][0]]))
@@ -1109,6 +1140,9 @@ def run_trials(
                 else:
                     _finish(key, in_flight[key].get())
             elif deferred:
+                if not waited:
+                    waited = True
+                    _warn_waiting(deferred)
                 time.sleep(poll_interval)
             if not queue:
                 queue.extend(deferred)
@@ -1126,6 +1160,8 @@ def run_trials(
                 pool.join()
             if _REC.enabled:
                 _REC.flush_spool()
+            if owns_store:
+                resolved.close()
 
     return SweepResult(
         records=records,

@@ -16,7 +16,8 @@ Cache-key completeness (``K401``/``K402``/``K403``)
 Store-field key exclusion (``K404``/``K405``)
     The inverse contract of ``K401``: *store selection* must stay **out** of
     the trial cache key — the same spec has to hit the same record whether a
-    local JSONL shard, a SQLite database or an HTTP store serves it, or
+    local cache directory, a shared SQLite database or an HTTP store serves
+    it (or an imported JSONL cache of an earlier version), or
     moving a sweep between stores would silently re-execute (or worse,
     fork) its results.  Every ``StoreSpec`` field must be explicitly listed
     in ``STORE_KEY_EXCLUDED_FIELDS`` (``K404`` — adding a store field

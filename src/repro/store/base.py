@@ -1,11 +1,10 @@
 """The result-store abstraction: claim-based, resume-anywhere sweep storage.
 
-A single driver can persist finished trials in one local JSONL file.
-Distributed sweeps need the storage layer to do more: *many*
-drivers on many hosts share one store, each repeatedly claiming the next
-unowned trial, running it, and appending the record — so duplicated work is
-structurally impossible rather than merely unlikely, and a sweep resumes
-from any mix of completed/leased/failed trials on any host.
+Every sweep claims its trials from a store: *many* drivers, on one host or
+many, share one store, each repeatedly claiming the next unowned trial,
+running it, and appending the record — so duplicated work is structurally
+impossible rather than merely unlikely, and a sweep resumes from any mix of
+completed/leased/failed trials on any host.
 
 :class:`ResultStore` is that contract.  Keys are the existing SHA-256 spec
 hashes (:meth:`TrialSpec.cache_key`), so identical submissions deduplicate
@@ -26,11 +25,10 @@ core operations:
     Point lookup and batch which-of-these-are-missing, used by drivers to
     replay finished trials without claiming them.
 
-Three implementations ship: :class:`~repro.store.jsonl.JsonlStore` (one
-JSONL file per sweep, or memory alone, for a single driver),
-:class:`~repro.store.sqlite.SqliteStore` (WAL-mode SQLite, safe for many
-processes on one host) and :class:`~repro.store.http.HttpStore` (thin
-client of ``repro store serve``, for many hosts).
+Two implementations ship: :class:`~repro.store.sqlite.SqliteStore`
+(WAL-mode SQLite, safe for many processes on one host; in memory for a
+sweep with no store of its own) and :class:`~repro.store.http.HttpStore`
+(thin client of ``repro store serve``, for many hosts).
 
 Store selection is deliberately *outside* the trial cache key: the same
 spec must hit regardless of which store serves it, so every
@@ -87,7 +85,7 @@ CLAIM_DONE = "done"
 CLAIM_LEASED = "leased"
 
 #: URL schemes understood by :func:`parse_store_url`.
-STORE_SCHEMES = ("jsonl", "sqlite", "http", "https")
+STORE_SCHEMES = ("sqlite", "http", "https")
 
 
 @dataclass(frozen=True)
@@ -104,8 +102,7 @@ class Claim:
         The finished record when ``status == "done"``.
     owner / expires:
         Lease holder and expiry (unix seconds) when ``status == "leased"``
-        or ``"acquired"``; ``None`` where the store tracks no expiry (the
-        single-driver JSONL store).
+        or ``"acquired"``.
     """
 
     status: str
@@ -252,7 +249,7 @@ class StoreSpec:
 
     Every field here is deliberately excluded from the trial cache key —
     the same :class:`TrialSpec` must hit the same record no matter which
-    store serves it (``jsonl`` today, ``http`` tomorrow).  The exclusion is
+    store serves it (``sqlite`` today, ``http`` tomorrow).  The exclusion is
     machine-checked: each field must be listed in
     :data:`STORE_KEY_EXCLUDED_FIELDS` (rule ``K404``) and must not leak
     into the trial key payload (rule ``K405``), so adding a field without
@@ -263,20 +260,23 @@ class StoreSpec:
     scheme:
         One of :data:`STORE_SCHEMES`.
     location:
-        Scheme-specific address: a cache directory (``jsonl``), a database
-        path (``sqlite``) or a base URL (``http``/``https``).
+        Scheme-specific address: a database path (``sqlite``; ``:memory:``
+        for a store that writes no file) or a base URL (``http``/``https``).
     lease_seconds:
         Driver-side default lease duration for claims through this store.
-    name:
-        JSONL only: stem of the cache file inside the directory.
     """
 
     scheme: str
     location: str
     lease_seconds: float = DEFAULT_LEASE_SECONDS
-    name: str = "sweep"
 
     def __post_init__(self) -> None:
+        if self.scheme == "jsonl":
+            raise StoreError(
+                "jsonl: is not a store URL; a JSONL cache directory resumes "
+                "through --cache-dir DIR, which imports its shards, and a "
+                "shared store is sqlite:PATH or http://HOST:PORT"
+            )
         if self.scheme not in STORE_SCHEMES:
             raise StoreError(
                 f"unknown store scheme {self.scheme!r}; expected one of "
@@ -297,30 +297,23 @@ class StoreSpec:
 
 
 def parse_store_url(
-    url: str,
-    lease_seconds: float = DEFAULT_LEASE_SECONDS,
-    name: str = "sweep",
+    url: str, lease_seconds: float = DEFAULT_LEASE_SECONDS
 ) -> StoreSpec:
-    """Parse ``jsonl:DIR`` / ``sqlite:PATH`` / ``http://HOST:PORT``.
+    """Parse ``sqlite:PATH`` / ``http://HOST:PORT``.
 
     The ``http`` scheme keeps the whole URL as the location (so
-    ``http://host:8512`` round-trips); the on-disk schemes split on the
-    first colon, so Windows-style or relative paths after the scheme are
+    ``http://host:8512`` round-trips); ``sqlite`` splits on the first
+    colon, so Windows-style or relative paths after the scheme are
     preserved verbatim.
     """
     scheme, separator, rest = url.partition(":")
     if not separator or not scheme:
         raise StoreError(
-            f"malformed store URL {url!r}; expected jsonl:DIR, sqlite:PATH "
-            f"or http://HOST:PORT"
+            f"malformed store URL {url!r}; expected sqlite:PATH or "
+            f"http://HOST:PORT"
         )
-    if scheme in ("http", "https"):
-        return StoreSpec(
-            scheme=scheme, location=url, lease_seconds=lease_seconds, name=name
-        )
-    return StoreSpec(
-        scheme=scheme, location=rest, lease_seconds=lease_seconds, name=name
-    )
+    location = url if scheme in ("http", "https") else rest
+    return StoreSpec(scheme=scheme, location=location, lease_seconds=lease_seconds)
 
 
 #: Every :class:`StoreSpec` field, by name, audited as excluded from the
@@ -328,7 +321,7 @@ def parse_store_url(
 #: field is missing here — adding a store field forces an explicit decision
 #: — and rule ``K405`` fails if any of these names ever appears in the
 #: :meth:`TrialSpec.cache_payload` key set or among TrialSpec's fields.
-STORE_KEY_EXCLUDED_FIELDS = ("scheme", "location", "lease_seconds", "name")
+STORE_KEY_EXCLUDED_FIELDS = ("scheme", "location", "lease_seconds")
 
 
 class ResultStore(abc.ABC):

@@ -18,7 +18,14 @@ One database file, two tables:
 Claims run inside ``BEGIN IMMEDIATE`` transactions, so the read-check-write
 is a single critical section serialised by SQLite's write lock: two drivers
 can never both observe "vacant" and both acquire.  WAL mode keeps readers
-(status, pending) from blocking claimers.
+(status, pending) from blocking claimers.  The path ``:memory:`` opens a
+store that writes no file: a sweep with no store of its own claims from
+one.
+
+Earlier versions kept a ``--cache-dir`` cache as JSON lines
+(``{"key": ..., "record": ...}`` per finished trial);
+:meth:`SqliteStore.import_jsonl` loads such a shard, so an old cache
+resumes.
 
 Wall-clock reads (``time.time``) are confined to this layer by design —
 lease expiry is *about* wall time — and carry a committed D302 waiver; the
@@ -68,6 +75,41 @@ CREATE TABLE IF NOT EXISTS leases (
     expires_at  REAL NOT NULL
 );
 """
+
+
+_INSERT_RESULT = (
+    "INSERT OR IGNORE INTO results "
+    "(key, record, workload, interactions, wall_seconds, appended_at) "
+    "VALUES (?, ?, ?, ?, ?, ?)"
+)
+
+
+def _result_row(
+    key: str, record: RunRecord, wall_seconds: float | None, now: float
+) -> tuple:
+    """The ``results`` row of one finished trial."""
+    return (
+        key,
+        json.dumps(record_to_dict(record), sort_keys=True, allow_nan=False),
+        workload_label(record),
+        int((record.extra or {}).get("interactions", 0) or 0),
+        float(wall_seconds or 0.0),
+        now,
+    )
+
+
+def _jsonl_records(path: str | Path):
+    """``(key, record)`` of each line of a JSONL shard that parses.
+
+    A line that does not (the torn last line of a killed sweep) is skipped.
+    """
+    with open(path, encoding="utf-8") as handle:
+        for line in handle:
+            try:
+                payload = json.loads(line)
+                yield payload["key"], record_from_dict(payload["record"])
+            except (json.JSONDecodeError, KeyError, TypeError):
+                continue
 
 
 class SqliteStore(ResultStore):
@@ -138,11 +180,6 @@ class SqliteStore(ResultStore):
     def append(
         self, key: str, record: RunRecord, wall_seconds: float | None = None
     ) -> None:
-        payload = json.dumps(
-            record_to_dict(record), sort_keys=True, allow_nan=False
-        )
-        extra = record.extra or {}
-        interactions = int(extra.get("interactions", 0) or 0)
         now = time.time()
         with self._lock:
             self._connection.execute("BEGIN IMMEDIATE")
@@ -157,17 +194,7 @@ class SqliteStore(ResultStore):
                     if lease_row is not None:
                         wall_seconds = max(0.0, now - lease_row[0])
                 self._connection.execute(
-                    "INSERT OR IGNORE INTO results "
-                    "(key, record, workload, interactions, wall_seconds,"
-                    " appended_at) VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        key,
-                        payload,
-                        workload_label(record),
-                        interactions,
-                        float(wall_seconds or 0.0),
-                        now,
-                    ),
+                    _INSERT_RESULT, _result_row(key, record, wall_seconds, now)
                 )
                 self._connection.execute(
                     "DELETE FROM leases WHERE key = ?", (key,)
@@ -176,6 +203,37 @@ class SqliteStore(ResultStore):
             except BaseException:
                 self._connection.rollback()
                 raise
+
+    def import_jsonl(self, path: str | Path) -> int:
+        """Load a JSONL cache shard of an earlier version into an empty store.
+
+        Each line of the shard holds ``{"key": ..., "record": ...}``; a line
+        that does not parse, such as the torn last line of a killed sweep,
+        is skipped.  The records go in one transaction, in file order, and
+        only while the store holds no result, so drivers that open one cache
+        together import it once.  Returns the number of records imported.
+        """
+        now = time.time()
+        with self._lock:
+            self._connection.execute("BEGIN IMMEDIATE")
+            try:
+                if self._connection.execute(
+                    "SELECT 1 FROM results LIMIT 1"
+                ).fetchone() is not None:
+                    self._connection.commit()
+                    return 0
+                imported = self._connection.executemany(
+                    _INSERT_RESULT,
+                    (
+                        _result_row(key, record, None, now)
+                        for key, record in _jsonl_records(path)
+                    ),
+                ).rowcount
+                self._connection.commit()
+            except BaseException:
+                self._connection.rollback()
+                raise
+        return imported
 
     def claim(
         self, key: str, lease: float | None = None, owner: str | None = None

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import sqlite3
+
 import pytest
 
 from repro.core.parameters import ProtocolParameters
@@ -52,3 +55,26 @@ def run_to_done():
         }
 
     return run
+
+
+@pytest.fixture(scope="session")
+def stored_lines():
+    """``stored_lines(path)``: the results of the SQLite store at ``path``
+    as JSON lines, in append order, each ``{"key": ..., "record": ...}``
+    formatted as the JSONL caches of earlier versions (and the golden
+    fixtures) hold them."""
+
+    def lines(path) -> list[str]:
+        connection = sqlite3.connect(path)
+        try:
+            rows = connection.execute(
+                "SELECT key, record FROM results ORDER BY rowid"
+            ).fetchall()
+        finally:
+            connection.close()
+        return [
+            f'{{"key": {json.dumps(key)}, "record": {record}}}'
+            for key, record in rows
+        ]
+
+    return lines

@@ -30,8 +30,8 @@ from repro.protocols.leader_election import (
 )
 from repro.rng import spawn_seed
 from repro.staticcheck.contracts import trial_spec_perturbations
+from repro.store import open_cache_dir
 from repro.store.base import record_from_dict, record_to_dict
-from repro.store.jsonl import JsonlStore
 
 FAST = ProtocolParameters.fast_test()
 
@@ -392,7 +392,7 @@ class TestCallableKeys:
                 predicate=termination_signal_predicate,
             )
 
-        store = JsonlStore(tmp_path)
+        store = f"sqlite:{tmp_path / 'cache.sqlite'}"
         low = run_trials(sweep(counter_threshold_2), store=store)
         high = run_trials(sweep(counter_threshold_12), store=store)
         alone = run_trials(sweep(counter_threshold_12))
@@ -465,14 +465,14 @@ class TestParallelMatchesSerial:
             run_trials(epidemic_trials(), workers=0)
 
 
-class TestJsonlResume:
+class TestCacheDirResume:
     def test_round_trip_preserves_records(self, tmp_path):
         specs = epidemic_trials()
-        first = run_trials(specs, store=JsonlStore(tmp_path))
+        first = run_trials(specs, store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         assert first.executed == len(specs)
         assert first.from_cache == 0
 
-        second = run_trials(specs, store=JsonlStore(tmp_path))
+        second = run_trials(specs, store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         assert second.executed == 0
         assert second.from_cache == len(specs)
         assert all(
@@ -480,22 +480,21 @@ class TestJsonlResume:
             for left, right in zip(first.records, second.records)
         )
 
-    def test_killed_sweep_resumes_from_cache(self, tmp_path):
+    def test_killed_sweep_resumes_from_cache(self, tmp_path, stored_lines):
         specs = epidemic_trials()
-        store = JsonlStore(tmp_path)
-        full = run_trials(specs, store=store)
+        full = run_trials(specs, store=f"sqlite:{tmp_path / 'full.sqlite'}")
 
-        # Simulate a sweep killed after two finished trials: keep only the
-        # first two store lines (plus a torn partial third line).
-        lines = store.path.read_text(encoding="utf-8").splitlines()
-        store.path.write_text(
+        # A JSONL cache of an earlier version, from a sweep killed after two
+        # finished trials: two lines and a torn partial third line.
+        lines = stored_lines(tmp_path / "full.sqlite")
+        (tmp_path / "sweep.jsonl").write_text(
             "\n".join(lines[:2]) + "\n" + lines[2][: len(lines[2]) // 2],
             encoding="utf-8",
         )
 
-        resumed_store = JsonlStore(tmp_path)
-        assert resumed_store.status().completed == 2
-        resumed = run_trials(specs, store=resumed_store)
+        with open_cache_dir(tmp_path, "sweep") as resumed_store:
+            assert resumed_store.status().completed == 2
+            resumed = run_trials(specs, store=resumed_store)
         assert resumed.from_cache == 2
         assert resumed.executed == len(specs) - 2
         assert all(
@@ -505,8 +504,10 @@ class TestJsonlResume:
 
     def test_parallel_resume_matches_serial(self, tmp_path):
         specs = epidemic_trials()
-        run_trials(specs[:1], store=JsonlStore(tmp_path))
-        outcome = run_trials(specs, workers=4, store=JsonlStore(tmp_path))
+        run_trials(specs[:1], store=f"sqlite:{tmp_path / 'cache.sqlite'}")
+        outcome = run_trials(
+            specs, workers=4, store=f"sqlite:{tmp_path / 'cache.sqlite'}"
+        )
         assert outcome.from_cache == 1
         assert outcome.executed == len(specs) - 1
         baseline = run_trials(specs)
@@ -530,20 +531,21 @@ class TestJsonlResume:
         assert records_equal(record, clone)
 
     def test_caches_are_shareable_across_sweeps(self, tmp_path):
-        store = JsonlStore(tmp_path)
+        store = f"sqlite:{tmp_path / 'cache.sqlite'}"
         run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
         other = run_trials(
             epidemic_trials(sizes=[64], runs=1, engine="batched"), store=store
         )
         assert other.executed == 1  # different engine -> different key
 
-    def test_clear_empties_store_and_file(self, tmp_path):
-        store = JsonlStore(tmp_path)
-        run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
-        assert store.status().completed == 1
-        store.clear()
-        assert store.status().completed == 0
-        assert not store.path.exists()
+    def test_a_cache_opened_without_resume_starts_empty(self, tmp_path):
+        with open_cache_dir(tmp_path, "sweep") as store:
+            run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
+            assert store.status().completed == 1
+        with open_cache_dir(tmp_path, "sweep", resume=False) as store:
+            assert store.status().completed == 0
+            outcome = run_trials(epidemic_trials(sizes=[64], runs=1), store=store)
+        assert outcome.executed == 1
 
 
 class TestCacheKeys:
@@ -614,7 +616,9 @@ class TestNonFiniteSerialisation:
         assert payload["extra"]["ok"] == 3
         json.dumps(payload, allow_nan=False)  # must not raise
 
-    def test_non_converged_figure2_trial_round_trips_strict_json(self, tmp_path):
+    def test_non_converged_figure2_trial_round_trips_strict_json(
+        self, tmp_path, stored_lines
+    ):
         (spec,) = build_vector_trials(
             [64],
             1,
@@ -631,15 +635,15 @@ class TestNonFiniteSerialisation:
         assert math.isinf(record.max_additive_error)
         assert math.isnan(record.extra["final_estimate_mean"])
 
-        store = JsonlStore(tmp_path, name="nonfinite")
-        store.append(spec.cache_key(), record)
-        text = store.path.read_text(encoding="utf-8")
-        assert "Infinity" not in text
-        assert "NaN" not in text
-        for line in text.splitlines():
-            json.loads(line, parse_constant=_reject_constant)  # strict parse
+        with open_cache_dir(tmp_path, "nonfinite") as store:
+            store.append(spec.cache_key(), record)
+        (line,) = stored_lines(tmp_path / "nonfinite.sqlite")
+        assert "Infinity" not in line
+        assert "NaN" not in line
+        json.loads(line, parse_constant=_reject_constant)  # strict parse
 
-        reloaded = JsonlStore(tmp_path, name="nonfinite").get(spec.cache_key())
+        with open_cache_dir(tmp_path, "nonfinite") as store:
+            reloaded = store.get(spec.cache_key())
         assert reloaded is not None
         assert reloaded.converged is False
         assert math.isnan(reloaded.max_additive_error)
@@ -651,10 +655,10 @@ class TestVectorSweeps:
         specs = build_vector_trials(
             [64], 2, protocol="figure2", params=FAST, base_seed=9
         )
-        first = run_trials(specs, store=JsonlStore(tmp_path, name="vec"))
+        first = run_trials(specs, store=f"sqlite:{tmp_path / 'vec.sqlite'}")
         assert first.executed == 2
         assert all(record.converged for record in first.records)
-        second = run_trials(specs, store=JsonlStore(tmp_path, name="vec"))
+        second = run_trials(specs, store=f"sqlite:{tmp_path / 'vec.sqlite'}")
         assert second.executed == 0
         assert second.from_cache == 2
         for live, cached in zip(first.records, second.records):
@@ -782,7 +786,7 @@ class TestSchedulerInSpecsAndCacheKeys:
         """A cache warmed by a uniform-scheduler sweep must execute (not
         replay) every trial of the same sweep under a non-uniform scheduler."""
         uniform = epidemic_trials(sizes=[64], runs=2, engine="agent")
-        first = run_trials(uniform, store=JsonlStore(tmp_path))
+        first = run_trials(uniform, store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         assert first.executed == 2
 
         weighted = build_finite_state_trials(
@@ -796,11 +800,11 @@ class TestSchedulerInSpecsAndCacheKeys:
             scheduler="weighted",
             scheduler_options={"lazy_fraction": 0.5, "lazy_rate": 0.2},
         )
-        outcome = run_trials(weighted, store=JsonlStore(tmp_path))
+        outcome = run_trials(weighted, store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         assert outcome.from_cache == 0
         assert outcome.executed == 2
         # And the non-uniform results themselves replay on a second pass.
-        replay = run_trials(weighted, store=JsonlStore(tmp_path))
+        replay = run_trials(weighted, store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         assert replay.from_cache == 2
         for live, cached in zip(outcome.records, replay.records):
             assert records_equal(live, cached)
@@ -1022,7 +1026,7 @@ class TestCRNCacheKeys:
                 max_chemical_time=500.0,
             )
 
-        store = JsonlStore(tmp_path, name="crn-rates")
+        store = f"sqlite:{tmp_path / 'crn-rates.sqlite'}"
         first = run_trials(trials(1.0), store=store)
         assert (first.executed, first.from_cache) == (2, 0)
         replay = run_trials(trials(1.0), store=store)
@@ -1039,12 +1043,12 @@ class TestCRNCacheKeys:
             )
 
     def test_crn_records_round_trip_through_the_cache_file(self, tmp_path):
-        store = JsonlStore(tmp_path, name="crn-roundtrip")
         spec = self._leader_spec()
         record = run_trial(spec)
-        store.append(spec.cache_key(), record)
-        reloaded = JsonlStore(tmp_path, name="crn-roundtrip")
-        cached = reloaded.get(spec.cache_key())
+        with open_cache_dir(tmp_path, "crn-roundtrip") as store:
+            store.append(spec.cache_key(), record)
+        with open_cache_dir(tmp_path, "crn-roundtrip") as reloaded:
+            cached = reloaded.get(spec.cache_key())
         assert records_equal(cached, record)
         assert cached.extra["counts"] == {"F": 59, "L": 1}
 

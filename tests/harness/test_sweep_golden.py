@@ -1,8 +1,7 @@
-"""Golden records that pin the sweep driver, the trial runners and the JSONL store.
+"""Golden records that pin the sweep driver, the trial runners and the store.
 
 The ``golden/*.jsonl`` fixtures were written at commit d8b7c96 by the JSONL
-cache class that :class:`~repro.store.jsonl.JsonlStore` absorbed, one small
-sweep per trial kind.  The three ``finite-state-{termination-batched-numpy,
+cache of the time, one small sweep per trial kind.  The three ``finite-state-{termination-batched-numpy,
 leader-count,epidemic-multiscale-numpy}`` fixtures were written at commit
 f004624, while those engines still built their initial configuration from
 per-agent ``initial_state`` calls; they pin the closed-form
@@ -11,9 +10,10 @@ spec's cache key and its record, so the fixtures pin three contracts at
 once:
 
 * records do not change (compared field by field);
-* cache keys do not change, so a store written by that code replays with
-  zero trials executed;
-* the store writes the same bytes.
+* cache keys do not change, so a cache directory written by that code
+  replays with zero trials executed once its shard is imported;
+* the store writes the same bytes: the keys and record texts a SQLite store
+  holds, in append order, format to the fixture's lines.
 
 ``array-figure2.jsonl`` holds the records of the retired ``kind="array"``
 trials; the ``figure2`` vector workload must reproduce them, differing only
@@ -50,8 +50,8 @@ from repro.harness.parallel import (
     run_trials,
 )
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.store import open_cache_dir
 from repro.store.base import record_to_dict
-from repro.store.jsonl import JsonlStore
 
 GOLDEN = Path(__file__).parent / "golden"
 FAST = ProtocolParameters.fast_test()
@@ -125,22 +125,24 @@ class TestGoldenSweeps:
         keys = [spec.cache_key() for spec in golden_sweep(name)]
         assert keys == [line["key"] for line in read_golden(name)]
 
-    def test_records_match_field_by_field(self, name, tmp_path):
+    def test_records_match_field_by_field(self, name, tmp_path, stored_lines):
         golden = read_golden(name)
-        outcome = run_trials(golden_sweep(name), store=JsonlStore(tmp_path, name=name))
+        path = tmp_path / f"{name}.sqlite"
+        outcome = run_trials(golden_sweep(name), store=f"sqlite:{path}")
         assert outcome.executed == len(golden)
         for record, line in zip(outcome.records, golden):
             payload = record_to_dict(record)
             assert payload.keys() == line["record"].keys()
             for field_name, expected in line["record"].items():
                 assert payload[field_name] == expected, field_name
-        written = (tmp_path / f"{name}.jsonl").read_bytes()
-        assert written == (GOLDEN / f"{name}.jsonl").read_bytes()
+        written = "".join(line + "\n" for line in stored_lines(path))
+        assert written == (GOLDEN / f"{name}.jsonl").read_text(encoding="utf-8")
 
     def test_store_written_before_the_fold_replays(self, name, tmp_path):
         shutil.copy(GOLDEN / f"{name}.jsonl", tmp_path)
         specs = golden_sweep(name)
-        outcome = run_trials(specs, store=JsonlStore(tmp_path, name=name))
+        with open_cache_dir(tmp_path, name) as store:
+            outcome = run_trials(specs, store=store)
         assert (outcome.executed, outcome.from_cache) == (0, len(specs))
         for record, line in zip(outcome.records, read_golden(name)):
             assert record_to_dict(record) == line["record"]
@@ -251,7 +253,7 @@ class TestDuplicateSpecs:
             return run_trial(spec)
 
         monkeypatch.setattr(parallel, "run_trial", counting_run_trial)
-        store = JsonlStore(tmp_path) if with_store else None
+        store = f"sqlite:{tmp_path / 'cache.sqlite'}" if with_store else None
         outcome = run_trials(doubled, store=store)
         assert sorted(calls) == sorted({spec.cache_key() for spec in specs[:3]})
         assert outcome.executed == 3
@@ -264,7 +266,7 @@ class TestDuplicateSpecs:
     def test_pooled_sweep_fills_every_index(self, with_store, tmp_path):
         specs = golden_sweep("finite-state-count")
         doubled = [specs[0], specs[1], specs[0], specs[3], specs[1]]
-        store = JsonlStore(tmp_path) if with_store else None
+        store = f"sqlite:{tmp_path / 'cache.sqlite'}" if with_store else None
         outcome = run_trials(doubled, workers=2, store=store)
         assert outcome.executed == 3
         assert sorted(outcome.executed_keys) == sorted(

@@ -36,6 +36,7 @@ from repro.protocols.epidemic import (
     EpidemicState,
     epidemic_completion_predicate,
 )
+from repro.store import open_cache_dir
 from repro.store.server import StoreServer
 
 FAST = ProtocolParameters.fast_test()
@@ -147,7 +148,7 @@ def _epidemic_specs():
     )
 
 
-@pytest.mark.parametrize("backend", ["jsonl", "sqlite", "http"])
+@pytest.mark.parametrize("backend", ["cache-dir", "sqlite", "http"])
 def test_store_calls_record_with_telemetry_off(backend, tmp_path):
     def sweep_twice(store):
         run_trials(_epidemic_specs(), store=store)
@@ -159,7 +160,8 @@ def test_store_calls_record_with_telemetry_off(backend, tmp_path):
     elif backend == "sqlite":
         sweep_twice(f"sqlite:{tmp_path / 'db.sqlite'}")
     else:
-        sweep_twice(f"jsonl:{tmp_path / 'cache'}")
+        with open_cache_dir(tmp_path / "cache", "sweep") as store:
+            sweep_twice(store)
     counters = RECORDER.counters
     assert counters["store.appends"] == 1
     assert counters["store.claims"] >= 1
@@ -173,7 +175,7 @@ def test_store_calls_record_with_telemetry_off(backend, tmp_path):
 
 def test_disabled_recorder_emits_no_manifest_spans_or_spool(tmp_path):
     RECORDER.spool_dir = str(tmp_path / "spool")
-    outcome = run_trials(_epidemic_specs(), store=f"jsonl:{tmp_path / 'cache'}")
+    outcome = run_trials(_epidemic_specs(), store=f"sqlite:{tmp_path / 'db.sqlite'}")
     (record,) = outcome.records
     assert TELEMETRY_KEY not in record.extra
     assert RECORDER.events == []

@@ -29,8 +29,8 @@ from repro.obs.manifest import (
 )
 from repro.obs.recorder import RECORDER, recording
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
+from repro.store import open_cache_dir
 from repro.store.base import record_to_dict
-from repro.store.jsonl import JsonlStore
 from repro.store.server import StoreServer
 from repro.store.sqlite import SqliteStore
 
@@ -154,7 +154,8 @@ class RoundTripContract:
     """Shared assertions: manifests survive append -> fetch bit-for-bit."""
 
     def open_store(self, tmp_path):
-        """Yield ``(fetch, url)``: a fresh-read ``fetch(key)`` and a store URL."""
+        """Yield ``(fetch, url)``: a fresh-read ``fetch(key)`` and a store URL
+        (or an open store)."""
         raise NotImplementedError
 
     def test_manifest_round_trip(self, tmp_path):
@@ -177,13 +178,15 @@ class RoundTripContract:
                 assert a.extra[TELEMETRY_KEY] == b.extra[TELEMETRY_KEY]
 
 
-class TestJsonlRoundTrip(RoundTripContract):
+class TestCacheDirRoundTrip(RoundTripContract):
     @contextmanager
     def open_store(self, tmp_path):
-        yield (
-            lambda key: JsonlStore(tmp_path / "cache").get(key),
-            f"jsonl:{tmp_path / 'cache'}",
-        )
+        def fetch(key):
+            with open_cache_dir(tmp_path / "cache", "sweep") as store:
+                return store.get(key)
+
+        with open_cache_dir(tmp_path / "cache", "sweep") as store:
+            yield fetch, store
 
 
 class TestSqliteRoundTrip(RoundTripContract):

@@ -140,7 +140,7 @@ class TestStoreExclusion:
         import repro.store.base as base
 
         monkeypatch.setattr(
-            base, "STORE_KEY_EXCLUDED_FIELDS", ("scheme", "location", "name")
+            base, "STORE_KEY_EXCLUDED_FIELDS", ("scheme", "location")
         )
         diagnostics = store_exclusion_diagnostics()
         assert {d.rule for d in diagnostics} == {"K404"}

@@ -10,20 +10,28 @@ store and assert the layer's headline guarantees:
 * a killed worker's leased trials are reclaimed after lease expiry and
   completed by a surviving driver;
 * a sweep resumed after a mid-sweep kill executes only the remaining
-  trials;
+  trials, and says once that it waits on another driver's leases;
 * the HTTP store behaves identically end-to-end against a live
-  ``repro store serve`` daemon on localhost.
+  ``repro store serve`` daemon on localhost;
+* two ``repro sweep`` drivers on one ``--cache-dir`` run each trial once,
+  and a SIGTERMed driver leaves no lease behind.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import re
 import signal
+import sqlite3
+import subprocess
+import sys
 import time
+import warnings
 
 import pytest
 
+import repro
 from repro.harness.parallel import build_finite_state_trials, run_trials
 from repro.harness.results import records_equal
 from repro.protocols.epidemic import (
@@ -268,3 +276,87 @@ class TestRaisingTrialReleasesLeases:
         with SqliteStore(db_path) as store:
             status = store.status()
         assert status.leased == 0
+
+
+class TestWaitingOnForeignLeases:
+    def test_one_warning_then_the_trial_runs(self, tmp_path):
+        (spec,) = build_finite_state_trials(
+            [40], 1, protocol="epidemic", engine="count", base_seed=3
+        )
+        db_path = tmp_path / "db.sqlite"
+        with SqliteStore(db_path) as store:
+            claim = store.claim(spec.cache_key(), lease=1.0, owner="dead-driver")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            outcome = run_trials(
+                [spec], store=f"sqlite:{db_path}", poll_interval=0.02
+            )
+        (waiting,) = [str(entry.message) for entry in caught]
+        assert "waiting on 1 trial leased by dead-driver" in waiting
+        assert f"unix time {claim.expires:.0f}" in waiting
+        assert outcome.executed_keys == [spec.cache_key()]
+
+
+#: The sweep two CLI drivers share: three count-engine trials of about a
+#: second each, so drivers started together overlap.
+CLI_SWEEP = ("sweep", "--protocol", "epidemic", "--engine", "count",
+             "--sizes", "20000", "--runs", "3", "--seed", "5")
+
+
+def start_cli(*argv: str) -> subprocess.Popen:
+    """``python -m repro.cli ARGV`` in a fresh process."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *argv],
+        env=dict(os.environ, PYTHONPATH=path),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+    )
+
+
+def lease_rows(db_path) -> int:
+    """Rows of the ``leases`` table; 0 before the store has its schema."""
+    if not os.path.exists(db_path):
+        return 0
+    connection = sqlite3.connect(db_path)
+    try:
+        return connection.execute("SELECT COUNT(*) FROM leases").fetchone()[0]
+    except sqlite3.OperationalError:  # no table yet
+        return 0
+    finally:
+        connection.close()
+
+
+class TestCliDrivers:
+    def test_two_drivers_on_one_cache_dir_run_each_trial_once(self, tmp_path):
+        drivers = [
+            start_cli(*CLI_SWEEP, "--cache-dir", str(tmp_path), "--resume")
+            for _ in range(2)
+        ]
+        outputs = [driver.communicate(timeout=120) for driver in drivers]
+        assert [driver.returncode for driver in drivers] == [0, 0], outputs
+        executed = [
+            int(re.search(r"3 total, (\d) executed", out).group(1))
+            for out, _ in outputs
+        ]
+        assert sum(executed) == 3
+        with SqliteStore(tmp_path / "epidemic-count.sqlite") as store:
+            status = store.status()
+        assert (status.completed, status.leases) == (3, ())
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_sigterm_mid_trial_leaves_no_lease(self, tmp_path, workers):
+        db_path = tmp_path / "db.sqlite"
+        driver = start_cli(
+            *CLI_SWEEP, "--workers", workers, "--store", f"sqlite:{db_path}"
+        )
+        deadline = time.monotonic() + 60
+        while lease_rows(db_path) == 0:
+            assert driver.poll() is None, driver.communicate()
+            assert time.monotonic() < deadline, "the sweep never claimed"
+            time.sleep(0.02)
+        driver.send_signal(signal.SIGTERM)
+        _, err = driver.communicate(timeout=60)
+        assert driver.returncode == 143, err
+        assert "Traceback" not in err
+        assert lease_rows(db_path) == 0

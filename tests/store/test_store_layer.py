@@ -1,11 +1,13 @@
-"""Unit tests for the result-store layer (URL parsing, JSONL, SQLite)."""
+"""Unit tests for the result-store layer (URL parsing, SQLite, cache dirs)."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import pytest
 
+from repro.harness.parallel import build_finite_state_trials, run_trials
 from repro.harness.results import RunRecord, records_equal
 from repro.store import (
     CLAIM_ACQUIRED,
@@ -14,10 +16,11 @@ from repro.store import (
     STORE_KEY_EXCLUDED_FIELDS,
     StoreError,
     StoreSpec,
+    open_cache_dir,
     open_store,
     parse_store_url,
 )
-from repro.store.jsonl import JsonlStore
+from repro.store.base import record_to_dict
 from repro.store.sqlite import SqliteStore
 
 
@@ -31,10 +34,17 @@ def make_record(seed: int = 7, interactions: int = 120) -> RunRecord:
     )
 
 
+def legacy_line(key: str, record: RunRecord) -> str:
+    """One line of a JSONL cache shard, as earlier versions wrote it."""
+    return json.dumps(
+        {"key": key, "record": record_to_dict(record)}, sort_keys=True
+    )
+
+
 class TestStoreUrls:
-    def test_jsonl_and_sqlite_split_on_first_colon(self):
-        spec = parse_store_url("jsonl:/data/cache:dir")
-        assert (spec.scheme, spec.location) == ("jsonl", "/data/cache:dir")
+    def test_sqlite_splits_on_the_first_colon(self):
+        spec = parse_store_url("sqlite:/data/cache:dir/db.sqlite")
+        assert (spec.scheme, spec.location) == ("sqlite", "/data/cache:dir/db.sqlite")
         spec = parse_store_url("sqlite:results.sqlite")
         assert (spec.scheme, spec.location) == ("sqlite", "results.sqlite")
 
@@ -44,19 +54,23 @@ class TestStoreUrls:
         assert spec.location == "http://host:8512"
         assert spec.url() == "http://host:8512"
 
-    @pytest.mark.parametrize("url", ["", "no-scheme", "ftp:/x", "jsonl:"])
+    @pytest.mark.parametrize("url", ["", "no-scheme", "ftp:/x", "sqlite:"])
     def test_malformed_urls_are_rejected(self, url):
         with pytest.raises(StoreError):
             parse_store_url(url)
+
+    def test_jsonl_urls_point_at_the_cache_dir_and_sqlite(self):
+        with pytest.raises(StoreError) as caught:
+            parse_store_url("jsonl:/data/cache")
+        assert "--cache-dir" in str(caught.value)
+        assert "sqlite:" in str(caught.value)
 
     def test_non_positive_lease_is_rejected(self):
         with pytest.raises(StoreError):
             StoreSpec(scheme="sqlite", location="x", lease_seconds=0.0)
 
     def test_open_store_dispatches_by_scheme(self, tmp_path):
-        jsonl = open_store(f"jsonl:{tmp_path / 'cache'}")
         sqlite = open_store(f"sqlite:{tmp_path / 'db.sqlite'}")
-        assert isinstance(jsonl, JsonlStore)
         assert isinstance(sqlite, SqliteStore)
         # An already-open store passes through untouched.
         assert open_store(sqlite) is sqlite
@@ -70,50 +84,76 @@ class TestStoreUrls:
         )
 
 
-class TestJsonlStore:
-    def test_reopens_its_own_files(self, tmp_path):
-        # Records appended through one store instance are visible to the
-        # next one opened on the same directory — same file, same format.
-        JsonlStore(tmp_path, name="sweep").append("k1", make_record(seed=1))
-        store = JsonlStore(tmp_path, name="sweep")
-        assert records_equal(store.get("k1"), make_record(seed=1))
-        store.append("k2", make_record(seed=2))
-        reloaded = JsonlStore(tmp_path, name="sweep")
-        assert records_equal(reloaded.get("k2"), make_record(seed=2))
-
-    def test_in_memory_store_writes_no_file(self, tmp_path, monkeypatch):
+class TestInMemoryStore:
+    def test_writes_no_file(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        store = JsonlStore()
+        store = open_store("sqlite::memory:")
         store.append("k", make_record())
         assert records_equal(store.get("k"), make_record())
-        assert store.path is None
-        assert store.describe() == "jsonl:(memory)"
+        assert store.describe() == "sqlite::memory:"
+        store.close()
         assert list(tmp_path.iterdir()) == []
 
-    def test_claim_cycle(self, tmp_path):
-        store = JsonlStore(tmp_path)
-        claim = store.claim("k", owner="a")
-        assert claim.status == CLAIM_ACQUIRED
-        assert store.claim("k", owner="b").status == CLAIM_LEASED
-        store.append("k", make_record())
-        done = store.claim("k", owner="b")
-        assert done.status == CLAIM_DONE
-        assert records_equal(done.record, make_record())
+    def test_a_storeless_sweep_writes_no_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        specs = build_finite_state_trials(
+            [40], 2, protocol="epidemic", engine="count", base_seed=3
+        )
+        assert run_trials(specs).executed == 2
+        assert list(tmp_path.iterdir()) == []
 
-    def test_release_frees_the_key(self, tmp_path):
-        store = JsonlStore(tmp_path)
-        store.claim("k", owner="a")
-        store.release("k", owner="a")
-        assert store.claim("k", owner="b").status == CLAIM_ACQUIRED
 
-    def test_status_counts(self, tmp_path):
-        store = JsonlStore(tmp_path)
-        store.append("k1", make_record(seed=1))
-        store.claim("k2", owner="a")
-        status = store.status()
-        assert (status.completed, status.leased, status.stale) == (1, 1, 0)
-        assert status.workloads[0].workload == "count"
-        assert status.workloads[0].interactions == 120
+class TestCacheDir:
+    def test_reopens_its_own_file(self, tmp_path):
+        # Records appended through one store are visible to the next one
+        # opened on the same directory and name.
+        with open_cache_dir(tmp_path, "sweep") as store:
+            store.append("k1", make_record(seed=1))
+        assert [path.name for path in tmp_path.iterdir()] == ["sweep.sqlite"]
+        with open_cache_dir(tmp_path, "sweep") as store:
+            assert records_equal(store.get("k1"), make_record(seed=1))
+            store.append("k2", make_record(seed=2))
+        with open_cache_dir(tmp_path, "sweep") as store:
+            assert records_equal(store.get("k2"), make_record(seed=2))
+        with open_cache_dir(tmp_path, "other") as store:
+            assert store.get("k1") is None
+
+    def test_imports_a_legacy_shard_less_its_torn_last_line(self, tmp_path):
+        lines = [legacy_line(f"k{seed}", make_record(seed=seed)) for seed in (1, 2, 3)]
+        (tmp_path / "sweep.jsonl").write_text(
+            lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2],
+            encoding="utf-8",
+        )
+        with open_cache_dir(tmp_path, "sweep") as store:
+            assert store.status().completed == 2
+            assert records_equal(store.get("k2"), make_record(seed=2))
+            assert store.get("k3") is None
+        # The shard stays, and is imported only into an empty cache.
+        assert (tmp_path / "sweep.jsonl").exists()
+        with open_cache_dir(tmp_path, "sweep") as store:
+            assert store.import_jsonl(tmp_path / "sweep.jsonl") == 0
+            assert store.status().completed == 2
+
+    def test_without_resume_the_cache_and_the_shard_go(self, tmp_path):
+        with open_cache_dir(tmp_path, "sweep") as store:
+            store.append("k1", make_record(seed=1))
+        (tmp_path / "sweep.jsonl").write_text(
+            legacy_line("k2", make_record(seed=2)) + "\n", encoding="utf-8"
+        )
+        with open_cache_dir(tmp_path, "sweep", resume=False) as store:
+            assert store.status().completed == 0
+        assert [path.name for path in tmp_path.iterdir()] == ["sweep.sqlite"]
+
+    def test_claims_serialise_across_stores_on_one_cache(self, tmp_path):
+        with open_cache_dir(tmp_path, "sweep") as first, open_cache_dir(
+            tmp_path, "sweep"
+        ) as second:
+            assert first.claim("k", owner="a").status == CLAIM_ACQUIRED
+            assert second.claim("k", owner="b").status == CLAIM_LEASED
+            first.append("k", make_record())
+            done = second.claim("k", owner="b")
+            assert done.status == CLAIM_DONE
+            assert records_equal(done.record, make_record())
 
 
 class TestSqliteStore:
@@ -129,7 +169,7 @@ class TestSqliteStore:
         )
         store.append("k", record)
         loaded = store.get("k")
-        # Same canonicalisation as the JSONL cache: non-finite floats load
+        # The canonicalisation of record_to_dict: non-finite floats load
         # as NaN (max_additive_error) / None (inside extra).
         assert math.isnan(loaded.max_additive_error)
         assert loaded.extra["final_estimate_mean"] is None

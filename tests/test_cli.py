@@ -287,7 +287,7 @@ class TestCommands:
         assert main(args) == 0
         second = capsys.readouterr().out
         assert "0 executed, 4 from cache" in second
-        assert (tmp_path / "epidemic-count.jsonl").exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["epidemic-count.sqlite"]
 
     def test_sweep_without_resume_clears_cache(self, capsys, tmp_path):
         args = [
@@ -347,7 +347,7 @@ class TestCommands:
         assert "'figure2' on the vector engine" in output
         assert "4 total, 4 executed, 0 from cache" in output
         assert "non-conv" in output
-        assert (tmp_path / "figure2-vector.jsonl").exists()
+        assert (tmp_path / "figure2-vector.sqlite").exists()
         # Re-running the identical sweep replays every trial from the cache.
         assert main(args) == 0
         assert "0 executed, 4 from cache" in capsys.readouterr().out
@@ -492,25 +492,28 @@ class TestOneWorkloadModel:
         ],
     )
     def test_simulate_prints_the_record_a_one_run_sweep_stores(
-        self, workload, capsys, tmp_path
+        self, workload, capsys, tmp_path, stored_lines
     ):
         assert main(["simulate", *workload, "--n", "200", "--seed", "5"]) == 0
         printed = printed_record(capsys.readouterr().out)
         sweep = ["sweep", *workload, "--sizes", "200", "--runs", "1", "--seed", "5"]
         assert main([*sweep, "--cache-dir", str(tmp_path)]) == 0
-        (store_file,) = tmp_path.glob("*.jsonl")
-        (line,) = store_file.read_text(encoding="utf-8").splitlines()
+        (store_file,) = tmp_path.glob("*.sqlite")
+        (line,) = stored_lines(store_file)
         assert json.loads(line)["record"] == printed
 
-    def test_crn_sweep_and_sweep_write_the_same_store(self, capsys, tmp_path):
+    def test_crn_sweep_and_sweep_write_the_same_store(
+        self, capsys, tmp_path, stored_lines
+    ):
         argv = ["--crn", "sir", "--sizes", "300", "--runs", "2", "--engine",
                 "multiscale"]
         assert main(["crn", "sweep", *argv, "--cache-dir", str(tmp_path / "a")]) == 0
         assert main(["sweep", *argv, "--cache-dir", str(tmp_path / "b")]) == 0
         written = [
-            (tmp_path / side / "crn-sir-multiscale.jsonl").read_bytes()
+            stored_lines(tmp_path / side / "crn-sir-multiscale.sqlite")
             for side in ("a", "b")
         ]
+        assert len(written[0]) == 2
         assert written[0] == written[1]
 
     def test_crn_verbs_are_the_top_level_verbs(self):
@@ -559,16 +562,14 @@ class TestOneWorkloadModel:
         ],
     )
     def test_multiscale_knobs_reach_finite_state_trials(
-        self, flag, option, key, capsys, tmp_path
+        self, flag, option, key, capsys, tmp_path, stored_lines
     ):
         # The flag keys the trial the library builds from the same option.
         argv = ["sweep", "--protocol", "epidemic", "--sizes", "100000",
                 "--runs", "1", "--seed", "1", *flag.split()]
         assert main([*argv, "--engine", "multiscale",
                      "--cache-dir", str(tmp_path)]) == 0
-        (line,) = (tmp_path / "epidemic-multiscale.jsonl").read_text(
-            encoding="utf-8"
-        ).splitlines()
+        (line,) = stored_lines(tmp_path / "epidemic-multiscale.sqlite")
         (spec,) = get_workload("epidemic").trials(
             [100000], 1, engine="multiscale", base_seed=1, **option
         )
@@ -1294,23 +1295,32 @@ class TestStoreCli:
         # degrades to the engine name.
         assert "count" in output
 
-    def test_store_status_reads_every_jsonl_shard(self, capsys, tmp_path):
-        # A sweep writes the shard <workload>-<engine>.jsonl, through
-        # --cache-dir and --store jsonl: alike; status reads all of them.
+    def test_store_status_reads_a_cache_dir_cache(self, capsys, tmp_path):
+        # A --cache-dir sweep writes the cache <workload>-<engine>.sqlite,
+        # which status reads as any sqlite store.
         cache = tmp_path / "cache"
-        assert main([
-            "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs", "1",
-            "--engine", "count", "--cache-dir", str(cache),
-        ]) == 0
-        assert main([
-            "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs", "2",
-            "--engine", "batched", "--store", f"jsonl:{cache}",
-        ]) == 0
+        for runs, engine in (("1", "count"), ("2", "batched")):
+            assert main([
+                "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs",
+                runs, "--engine", engine, "--cache-dir", str(cache),
+            ]) == 0
         capsys.readouterr()
-        assert main(["store", "status", "--store", f"jsonl:{cache}"]) == 0
+        url = f"sqlite:{cache / 'epidemic-batched.sqlite'}"
+        assert main(["store", "status", "--store", url]) == 0
         output = capsys.readouterr().out
-        assert re.search(r"completed trials +: 3\n", output)
-        assert "batched" in output and "count" in output
+        assert re.search(r"completed trials +: 2\n", output)
+        assert "batched" in output
+
+    def test_sweep_rejects_a_jsonl_store_url(self, capsys, tmp_path):
+        code = main([
+            "sweep", "--protocol", "epidemic", "--sizes", "200", "--runs", "1",
+            "--store", f"jsonl:{tmp_path / 'cache'}",
+        ])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("repro sweep: error: ")
+        assert "--cache-dir" in line and "sqlite:" in line
+        assert not (tmp_path / "cache").exists()
 
     @pytest.mark.parametrize(
         "url", ["sqlite:{root}/missing/none.sqlite", "jsonl:{root}/missing/cache"]
