@@ -9,8 +9,9 @@ The package provides:
   ``Log-Size-Estimation`` protocol — and its variants (:mod:`repro.core`),
 * the Section 4 termination theory made executable (:mod:`repro.termination`),
 * the probability-theory substrate of the appendices (:mod:`repro.analysis`),
-* experiment workloads and the harness that regenerates the paper's Figure 2
-  and the theorem-level tables (:mod:`repro.workloads`, :mod:`repro.harness`),
+* the harness that regenerates the paper's Figure 2 and the theorem-level
+  tables, and the size lists its sweeps read (:mod:`repro.harness`,
+  :mod:`repro.workloads`),
 * a command-line interface (:mod:`repro.cli`).
 
 Quickstart

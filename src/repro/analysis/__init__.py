@@ -22,8 +22,12 @@ paper's analysis manipulates:
   (Lemma 3.2, 3.8, 3.11, 3.12) assembled from the pieces above, yielding the
   paper's headline numbers (additive error 5.7 with probability ``>= 1-9/n``).
 
-Every function is validated against Monte-Carlo simulation in the test suite,
-so the library doubles as an executable check of the paper's constants.
+The tests in ``tests/analysis/`` check most functions against their own
+formulas.  Five compare a bound with Monte-Carlo samples: Lemma D.4's
+expectation, the tails of Corollary D.6 and Lemma D.7, Corollary D.10's
+averaging bound, and Corollary E.3.  Checking each prediction against the
+engines at a stated power is the ROADMAP's claims-registry item ("The
+appendix lemmas as powered checks").
 """
 
 from repro._lazy import lazy_exports

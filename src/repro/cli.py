@@ -131,7 +131,7 @@ def _sweep_store_from_args(args: argparse.Namespace, name: str):
     ``<DIR>/<name>.sqlite`` (:func:`~repro.store.open_cache_dir`), cleared
     first unless ``--resume`` is given.
     """
-    lease = getattr(args, "lease", None) or DEFAULT_LEASE_SECONDS
+    lease = getattr(args, "lease", DEFAULT_LEASE_SECONDS)
     if getattr(args, "store", None):
         if args.cache_dir:
             raise SimulationError("pass either --store or --cache-dir, not both")
@@ -270,9 +270,6 @@ def _cmd_termination(args: argparse.Namespace) -> int:
 
     sizes = parse_size_list(args.sizes)
 
-    print("Theorem 4.1 experiment: time until the first terminated agent")
-    print()
-    print(f"(a) uniform dense protocol (counter threshold {args.threshold}):")
     uniform_spec = TerminationSpec(
         terminated_predicate=lambda state: state.terminated,
         description="uniform counter protocol",
@@ -287,6 +284,11 @@ def _cmd_termination(args: argparse.Namespace) -> int:
         max_parallel_time=args.budget,
         seed=args.seed,
     )
+    # The first sweep has checked --runs and --budget: a bad value is one
+    # error line, with no header before it.
+    print("Theorem 4.1 experiment: time until the first terminated agent")
+    print()
+    print(f"(a) uniform dense protocol (counter threshold {args.threshold}):")
     rows = [
         [obs.population_size, obs.mean_time, obs.max_time, obs.termination_probability]
         for obs in uniform

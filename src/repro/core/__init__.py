@@ -24,7 +24,7 @@ Modules
     Section 3.3 — probability-1 upper bound on ``log2 n`` via the slow exact
     backup protocol.
 ``phase_clock``
-    Leaderless and leader-driven phase clocks as reusable components.
+    The leader-driven phase clock of Theorem 3.13 as a reusable component.
 ``composition``
     The restart-based composition scheme of Section 1.1 for running
     downstream (possibly nonuniform) protocols on top of the size estimate.
@@ -46,12 +46,11 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "LogSizeEstimationProtocol",
         "all_agents_done",
         "estimate_error",
-        "estimation_within_tolerance",
     ],
     "synthetic_coin": ["SyntheticCoinLogSizeEstimation"],
     "leader_terminating": ["LeaderTerminatingSizeEstimation"],
     "probability_one": ["ProbabilityOneUpperBoundProtocol"],
-    "phase_clock": ["LeaderDrivenPhaseClock", "LeaderlessPhaseClock"],
+    "phase_clock": ["LeaderDrivenPhaseClock"],
     "composition": ["RestartComposition", "StagedComposition"],
     "array_simulator": ["LogSizeVectorProtocol"],
     "vector_leader": ["LeaderTerminatingVectorProtocol", "expected_termination_time"],

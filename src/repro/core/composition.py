@@ -34,7 +34,7 @@ only place the estimate enters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Hashable, Sequence
+from typing import Any, Hashable, Sequence
 
 from repro.core.parameters import ProtocolParameters
 from repro.exceptions import CompositionError
@@ -284,18 +284,3 @@ class RestartComposition(StagedComposition):
 def stage_signal_reached(simulation) -> bool:
     """Predicate: every agent has received the "stage complete" signal."""
     return all(state.stage >= 1 for state in simulation.states)
-
-
-def make_estimate_hook(protocol: AgentProtocol, setter: Callable[[Any, int], None]):
-    """Attach a ``configure_estimate`` hook to an existing protocol object.
-
-    Convenience for uniformising third-party nonuniform protocols in examples
-    and tests: ``setter(protocol, estimate)`` is invoked with the current weak
-    size estimate whenever a stage (re)starts.
-    """
-
-    def configure_estimate(estimate: int) -> None:
-        setter(protocol, estimate)
-
-    protocol.configure_estimate = configure_estimate  # type: ignore[attr-defined]
-    return protocol

@@ -184,11 +184,6 @@ class LeaderTerminatingSizeEstimation(AgentProtocol[LeaderTerminatingState]):
 # -- predicates --------------------------------------------------------------------------
 
 
-def any_agent_terminated(simulation) -> bool:
-    """Whether the termination signal has been produced by some agent."""
-    return any(state.terminated for state in simulation.states)
-
-
 def all_agents_terminated(simulation) -> bool:
     """Whether the termination signal has reached every agent."""
     return all(state.terminated for state in simulation.states)

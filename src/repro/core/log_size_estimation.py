@@ -123,36 +123,6 @@ def all_agents_done(simulation) -> bool:
     return all(state.protocol_done for state in simulation.states)
 
 
-def all_agents_have_output(simulation) -> bool:
-    """Every agent currently reports a (non-``None``) estimate."""
-    return all(
-        simulation.protocol.output(state) is not None for state in simulation.states
-    )
-
-
-def estimation_within_tolerance(tolerance: float):
-    """Predicate factory: every agent is done and within ``tolerance`` of ``log2 n``.
-
-    This is the paper's correctness notion (Section 2.1) with the additive
-    tolerance made explicit: Theorem 3.1 proves 5.7; the Figure 2 experiment
-    observes 2 in practice.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be non-negative, got {tolerance}")
-
-    def predicate(simulation) -> bool:
-        if not all_agents_done(simulation):
-            return False
-        target = math.log2(simulation.population_size)
-        for state in simulation.states:
-            value = simulation.protocol.output(state)
-            if value is None or abs(value - target) > tolerance:
-                return False
-        return True
-
-    return predicate
-
-
 def estimate_error(simulation) -> dict[str, float]:
     """Summary of the estimation error over the population.
 
@@ -188,8 +158,3 @@ def estimate_error(simulation) -> dict[str, float]:
 def worker_count(simulation) -> int:
     """Number of agents currently in role ``A`` (used to check Lemma 3.2)."""
     return simulation.count_where(lambda state: state.role is Role.WORKER)
-
-
-def storage_count(simulation) -> int:
-    """Number of agents currently in role ``S``."""
-    return simulation.count_where(lambda state: state.role is Role.STORAGE)

@@ -1,18 +1,11 @@
-"""Phase clocks: leaderless (this paper) and leader-driven (Angluin et al.).
+"""The leader-driven phase clock (Angluin et al.).
 
 A *phase clock* lets a population synchronise epochs of ``Theta(log n)``
-parallel time.  Two flavours appear in the paper:
-
-:class:`LeaderlessPhaseClock`
-    The paper's clock (Section 3.1): every agent simply counts its own
-    interactions and compares the count against a threshold
-    ``clock_factor * s`` where ``s`` is the weak size estimate (``logSize2``).
-    Lemma 3.6 / Corollary 3.7 show that in the ``~24 ln n`` time an epidemic
-    needs, no agent has more than ``~94 log n`` interactions w.h.p., so a
-    threshold of ``95 * logSize2`` guarantees (w.h.p.) that no agent finishes
-    an epoch before the epoch's epidemic has completed.  This object is the
-    reusable form of that counter, used by the composition scheme of
-    Section 1.1 (count to ``f(s)``, signal the next stage).
+parallel time.  Two flavours appear in the paper.  The paper's own
+leaderless clock (Section 3.1) needs no object: every agent counts its own
+interactions against ``clock_threshold_factor * logSize2``
+(:class:`~repro.core.parameters.ProtocolParameters`), and the composition
+scheme of Section 1.1 counts to ``stage_length_factor * s`` the same way.
 
 :class:`LeaderDrivenPhaseClock`
     The classic phase clock of Angluin, Aspnes and Eisenstat [9], needed for
@@ -22,8 +15,8 @@ parallel time.  Two flavours appear in the paper:
     an agent that has caught up with it.  Each wrap of the clock takes
     ``Theta(log n)`` time w.h.p.
 
-Both classes are plain state machines over per-agent values, so they can be
-embedded in any agent-level protocol (they carry no randomness of their own).
+It is a plain state machine over per-agent values, so it can be embedded in
+any agent-level protocol (it carries no randomness of its own).
 """
 
 from __future__ import annotations
@@ -31,47 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.exceptions import ProtocolError
-
-
-@dataclass(frozen=True, slots=True)
-class LeaderlessPhaseClock:
-    """Interaction-counting phase clock parameterised by a size estimate.
-
-    Parameters
-    ----------
-    clock_factor:
-        The threshold is ``clock_factor * size_estimate`` interactions
-        (the paper uses 95 for its own epochs; the composition scheme picks
-        the factor from the downstream protocol's convergence time).
-    size_estimate:
-        The weak estimate ``s`` of ``log2 n`` (``logSize2``), at least 1.
-    """
-
-    clock_factor: int
-    size_estimate: int
-
-    def __post_init__(self) -> None:
-        if self.clock_factor < 1:
-            raise ProtocolError(f"clock_factor must be >= 1, got {self.clock_factor}")
-        if self.size_estimate < 1:
-            raise ProtocolError(
-                f"size_estimate must be >= 1, got {self.size_estimate}"
-            )
-
-    @property
-    def threshold(self) -> int:
-        """Number of interactions after which the clock fires."""
-        return self.clock_factor * self.size_estimate
-
-    def expired(self, interaction_count: int) -> bool:
-        """Whether a counter value means the current epoch has ended."""
-        return interaction_count >= self.threshold
-
-    def with_estimate(self, size_estimate: int) -> "LeaderlessPhaseClock":
-        """Return a clock with an updated size estimate (after a restart)."""
-        return LeaderlessPhaseClock(
-            clock_factor=self.clock_factor, size_estimate=size_estimate
-        )
 
 
 @dataclass(frozen=True, slots=True)

@@ -130,8 +130,9 @@ def upper_bound_holds(simulation) -> bool:
     """Predicate: every agent's reported value is ``>= log2 n``.
 
     With probability 1 this eventually holds forever (once the backup
-    stabilises); the benchmarks measure how often it already holds at fast
-    convergence.
+    stabilises).  A test checks it on one stabilised run; no benchmark yet
+    measures how often it already holds at fast convergence (the ROADMAP's
+    claims-registry item).
     """
     import math
 

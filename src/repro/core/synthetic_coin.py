@@ -297,8 +297,3 @@ def all_workers_done(simulation) -> bool:
     """Every worker agent has finished all its epochs."""
     workers = [state for state in simulation.states if state.is_worker]
     return bool(workers) and all(state.protocol_done for state in workers)
-
-
-def all_agents_report(simulation) -> bool:
-    """Every agent (including coin flippers) reports an estimate."""
-    return all(state.output is not None for state in simulation.states)

@@ -66,6 +66,7 @@ must match the SSA reference (``benchmarks/bench_multiscale.py``).
 
 from __future__ import annotations
 
+import math
 import numbers
 from typing import Hashable
 
@@ -579,8 +580,10 @@ class MultiscaleSimulator(CountArrayEngine):
         continuous, and an ad-hoc ``--reaction`` run reports the chemical
         time it reached.
         """
-        if time < 0:
-            raise SimulationError(f"parallel time must be non-negative, got {time}")
+        if not 0 <= time < math.inf:
+            raise SimulationError(
+                f"parallel time must be non-negative and finite, got {time}"
+            )
         self._advance_to(self.parallel_time + time)
 
     # -- the regime loop ------------------------------------------------------

@@ -18,6 +18,7 @@ construction checks the engines share live here too.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from collections import Counter
 from dataclasses import dataclass
@@ -76,8 +77,10 @@ class Engine(ABC):
 
     def run_parallel_time(self, time: float) -> None:
         """Execute (at least) ``time`` additional units of parallel time."""
-        if time < 0:
-            raise SimulationError(f"parallel time must be non-negative, got {time}")
+        if not 0 <= time < math.inf:
+            raise SimulationError(
+                f"parallel time must be non-negative and finite, got {time}"
+            )
         self.run_interactions(interactions_for_time(time, self.population_size))
 
     def run_until(

@@ -13,7 +13,7 @@ The harness turns the simulators into the artefacts the paper reports:
 * :mod:`repro.harness.figures` — the Figure 2 reproduction (convergence time
   vs population size) as data series plus an ASCII rendering and CSV export;
 * :mod:`repro.harness.tables` — the theorem-level tables (accuracy, state
-  complexity, baseline comparison);
+  complexity);
 * :mod:`repro.harness.reporting` — plain-text table formatting used by the
   CLI and the benchmarks.
 """
@@ -22,13 +22,7 @@ from repro._lazy import lazy_exports
 
 # Each name imports its module on first access (see repro._lazy).
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
-    "results": [
-        "RunRecord",
-        "SeriesSummary",
-        "SweepResult",
-        "records_equal",
-        "summarize",
-    ],
+    "results": ["RunRecord", "SeriesSummary", "SweepResult"],
     "parallel": [
         "TrialSpec",
         "build_finite_state_trials",
@@ -38,10 +32,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "run_trials",
     ],
     "figures": ["Figure2Point", "Figure2Result", "reproduce_figure2"],
-    "tables": [
-        "accuracy_table",
-        "baseline_comparison_table",
-        "state_complexity_table",
-    ],
+    "tables": ["accuracy_table", "state_complexity_table"],
     "reporting": ["format_table", "render_ascii_series"],
 })

@@ -577,9 +577,10 @@ class TrialSpec:
                 f"size_index and run_index must be >= 0, got "
                 f"({self.size_index}, {self.run_index})"
             )
-        if self.max_parallel_time <= 0:
+        if not 0 < self.max_parallel_time < math.inf:
             raise SimulationError(
-                f"max_parallel_time must be positive, got {self.max_parallel_time}"
+                f"max_parallel_time must be positive and finite, got "
+                f"{self.max_parallel_time}"
             )
         if self.scheduler is None and self.scheduler_options:
             raise SimulationError(

@@ -48,22 +48,6 @@ def phase_breakdown(timing) -> dict[str, float]:
     return breakdown
 
 
-def mean_phase_breakdown(timings) -> dict[str, float]:
-    """Per-phase means over many timing dicts (phases missing everywhere
-    are omitted; a phase present in only some dicts averages over those)."""
-    sums: dict[str, float] = {}
-    counts: dict[str, int] = {}
-    for timing in timings:
-        for phase, value in phase_breakdown(timing).items():
-            sums[phase] = sums.get(phase, 0.0) + value
-            counts[phase] = counts.get(phase, 0) + 1
-    return {
-        phase: sums[phase] / counts[phase]
-        for phase in PHASE_ORDER
-        if phase in sums
-    }
-
-
 def format_cell(value) -> str:
     """Render one table cell."""
     if value is None:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 @dataclass(frozen=True)
@@ -137,41 +137,3 @@ class SweepResult:
         if not records:
             return 0.0
         return sum(record.converged for record in records) / len(records)
-
-
-def summarize(values: Iterable[float]) -> SeriesSummary:
-    """Summarise any iterable of numbers (convenience wrapper)."""
-    return SeriesSummary.from_values(list(values))
-
-
-def _values_equal(left, right) -> bool:
-    if isinstance(left, float) and isinstance(right, float):
-        if math.isnan(left) and math.isnan(right):
-            return True
-    if isinstance(left, dict) and isinstance(right, dict):
-        return left.keys() == right.keys() and all(
-            _values_equal(left[key], right[key]) for key in left
-        )
-    return left == right
-
-
-def records_equal(left: RunRecord, right: RunRecord) -> bool:
-    """Field-wise :class:`RunRecord` equality that treats ``NaN == NaN``.
-
-    Plain ``==`` on records is unreliable across process or serialisation
-    boundaries: ``NaN`` compares unequal to itself once the two sides stop
-    being the *same object* (records returned by pool workers are unpickled
-    copies; records replayed from the result cache are rebuilt from JSON).
-    Sweep-equivalence tests should use this instead.
-    """
-    return all(
-        _values_equal(getattr(left, field_name), getattr(right, field_name))
-        for field_name in (
-            "population_size",
-            "seed",
-            "converged",
-            "convergence_time",
-            "max_additive_error",
-            "extra",
-        )
-    )

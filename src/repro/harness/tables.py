@@ -10,9 +10,9 @@ text form) for the CLI and the benchmarks:
   paper's empirical 2).
 * :func:`state_complexity_table` — Lemma 3.9: realised per-field ranges and
   the implied state-count bound against ``O(log^4 n)``.
-* :func:`baseline_comparison_table` — the Alistarh et al. baseline's
-  multiplicative-factor estimate against this paper's additive-error
-  estimate.
+
+The comparison with the Alistarh et al. baseline is the T-BASE benchmark
+(``benchmarks/bench_baseline_comparison.py``).
 """
 
 from __future__ import annotations
@@ -24,15 +24,10 @@ from typing import Sequence
 from repro.analysis.error_bounds import final_error_probability
 from repro.core.array_simulator import LogSizeVectorProtocol, expected_convergence_time
 from repro.core.parameters import ProtocolParameters
-from repro.engine.simulator import Simulation
 from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError
 from repro.harness.parallel import get_workload, run_trials
 from repro.harness.reporting import format_table
-from repro.protocols.approximate_counting import (
-    AlistarhApproximateCounting,
-    approximate_counting_converged,
-)
 from repro.rng import spawn_seed
 
 
@@ -145,77 +140,6 @@ def state_complexity_table(
                 simulator.fields.max_observed("gr"),
                 simulator.protocol.distinct_state_bound(simulator.fields),
                 math.log2(population_size) ** 4,
-            )
-        )
-    return TableResult(headers=headers, rows=tuple(rows), text=format_table(headers, rows))
-
-
-def baseline_comparison_table(
-    population_sizes: Sequence[int],
-    runs_per_size: int = 3,
-    params: ProtocolParameters | None = None,
-    base_seed: int = 13,
-    time_budget_factor: float = 4.0,
-    baseline_budget: float = 200.0,
-) -> TableResult:
-    """Alistarh et al. multiplicative baseline vs this paper's additive estimate.
-
-    For the baseline the reported quantity is the converged maximum ``k`` of
-    per-agent geometric variables (its guarantee is only
-    ``0.5 log2 n <= k <= 2 log2 n``); for the paper's protocol it is the final
-    averaged estimate.  Both errors are reported as ``|value - log2 n|``.
-    """
-    params = params or ProtocolParameters.paper()
-    headers = (
-        "n",
-        "baseline max |err|",
-        "baseline err bound (log2 n)",
-        "paper protocol max |err|",
-        "paper bound",
-    )
-    rows = []
-    for size_index, population_size in enumerate(population_sizes):
-        target = math.log2(population_size)
-
-        baseline_errors = []
-        for run_index in range(runs_per_size):
-            protocol = AlistarhApproximateCounting()
-            simulation = Simulation(
-                protocol=protocol,
-                population_size=population_size,
-                seed=spawn_seed(base_seed, size_index, run_index, 0),
-            )
-            try:
-                simulation.run_until(
-                    approximate_counting_converged, max_parallel_time=baseline_budget
-                )
-            except ConvergenceError:
-                continue
-            value = simulation.protocol.output(simulation.states[0])
-            baseline_errors.append(abs(float(value) - target))
-
-        paper_errors = []
-        for run_index in range(runs_per_size):
-            # Arm 1 of the comparison; the 4-part spawn key keeps the
-            # baseline (arm 0) and paper-protocol streams disjoint.
-            simulator = _run_log_size(
-                population_size,
-                params,
-                spawn_seed(base_seed, size_index, run_index, 1),
-                time_budget_factor,
-            )
-            if simulator.all_done():
-                paper_errors.append(
-                    simulator.protocol.max_additive_error(population_size)
-                )
-
-        rows.append(
-            (
-                population_size,
-                max(baseline_errors) if baseline_errors else math.nan,
-                target,  # the baseline's error can be as large as log2 n (factor 2)
-                max(paper_errors) if paper_errors else math.nan,
-                5.7,
             )
         )
     return TableResult(headers=headers, rows=tuple(rows), text=format_table(headers, rows))

@@ -4,13 +4,12 @@ This package contains:
 
 * the abstract interfaces every protocol implements
   (:mod:`repro.protocols.base`),
-* classic building blocks the paper relies on (one-way epidemic,
-  max-propagation by epidemic),
+* the one-way epidemic, the building block the paper relies on,
 * baseline protocols from the related-work the paper positions itself
-  against: the nonuniform counter protocol of Figure 1, pairwise-elimination
-  leader election, 3-state approximate majority, the approximate counting
-  protocol of Alistarh et al. [2], Michail's leader-driven exact counting
-  [32], and
+  against: the nonuniform counter protocol of Figure 1, finite-state
+  pairwise-elimination leader election, 3-state approximate majority, the
+  approximate counting protocol of Alistarh et al. [2], Michail's
+  leader-driven exact counting [32], and
 * the slow probability-1 exact upper-bound protocol of Section 3.3
   (:mod:`repro.protocols.exact_backup`).
 """
@@ -27,12 +26,10 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     ],
     "compiled": ["CompiledTransitionTable", "compile_transition_table"],
     "epidemic": ["EpidemicProtocol", "EpidemicState"],
-    "max_propagation": ["MaxPropagationProtocol"],
     "leader_election": [
         "FiniteStateCounterTermination",
         "FiniteStatePairwiseElimination",
         "NonuniformCounterLeaderElection",
-        "PairwiseEliminationLeaderElection",
     ],
     "majority": ["ApproximateMajorityProtocol"],
     "approximate_counting": ["AlistarhApproximateCounting"],

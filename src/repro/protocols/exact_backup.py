@@ -111,24 +111,3 @@ class ExactUpperBoundBackup(AgentProtocol[BackupState]):
 
     def describe(self) -> str:
         return "ExactUpperBoundBackup"
-
-
-def backup_stabilized(simulation) -> bool:
-    """Predicate: merging has finished and every agent reports the same value.
-
-    Merging has finished when no two active tokens share a level (the active
-    levels then spell the binary representation of ``n``, so the maximum
-    level is ``floor(log2 n)``); the run has stabilised once, additionally,
-    every agent's ``best`` equals that maximum.
-    """
-    active_levels: set[int] = set()
-    best_values: set[int] = set()
-    max_level = 0
-    for state in simulation.states:
-        best_values.add(state.best)
-        max_level = max(max_level, state.level, state.best)
-        if state.kind == ACTIVE:
-            if state.level in active_levels:
-                return False
-            active_levels.add(state.level)
-    return best_values == {max_level}

@@ -149,8 +149,3 @@ class LeaderExactCounting(AgentProtocol[LeaderCountingState]):
 
     def describe(self) -> str:
         return f"LeaderExactCounting(patience={self.patience})"
-
-
-def exact_counting_terminated(simulation) -> bool:
-    """Predicate: every agent has observed the termination signal."""
-    return all(state.terminated for state in simulation.states)

@@ -2,12 +2,14 @@
 
 Two protocols are provided:
 
-:class:`PairwiseEliminationLeaderElection`
+:class:`FiniteStatePairwiseElimination`
     The classic uniform two-state protocol ``L, L -> L, F``: all agents start
     as leader candidates and a candidate is demoted whenever two candidates
     meet.  It stabilises to exactly one leader with probability 1 but needs
     ``Theta(n)`` parallel time — the slow baseline that motivates the
-    polylog-time literature discussed in the paper's introduction.
+    polylog-time literature discussed in the paper's introduction.  It is a
+    :class:`FiniteStateProtocol`, so every engine runs it; the agent engine
+    runs its :meth:`~FiniteStateProtocol.as_agent_protocol` lift.
 
 :class:`NonuniformCounterLeaderElection`
     The Figure-1 style *nonuniform* protocol: candidates increment a counter
@@ -43,41 +45,14 @@ from repro.protocols.base import (
 from repro.rng import RandomSource
 
 
-class PairwiseEliminationLeaderElection(AgentProtocol[str]):
+class FiniteStatePairwiseElimination(FiniteStateProtocol):
     """Uniform two-state leader election ``L, L -> L, F``.
 
     Every agent starts in state ``"L"``; when two leaders meet the sender is
     demoted to follower ``"F"``.  Exactly one leader remains after
-    ``Theta(n)`` parallel time.
-    """
-
-    is_uniform = True
-    LEADER = "L"
-    FOLLOWER = "F"
-
-    def initial_state(self, agent_id: int) -> str:
-        return self.LEADER
-
-    def transition(self, receiver: str, sender: str, rng: RandomSource) -> tuple[str, str]:
-        if receiver == self.LEADER and sender == self.LEADER:
-            return self.LEADER, self.FOLLOWER
-        return receiver, sender
-
-    def output(self, state: str) -> bool:
-        """``True`` iff the agent currently believes it is the leader."""
-        return state == self.LEADER
-
-    def describe(self) -> str:
-        return "PairwiseEliminationLeaderElection"
-
-
-class FiniteStatePairwiseElimination(FiniteStateProtocol):
-    """Configuration-level view of pairwise-elimination leader election.
-
-    The same ``L, L -> L, F`` dynamics as
-    :class:`PairwiseEliminationLeaderElection`, expressed as a two-state
-    :class:`FiniteStateProtocol` so the count-based and batched engines can
-    run it at populations far beyond the agent engine's reach.
+    ``Theta(n)`` parallel time.  As a :class:`FiniteStateProtocol` the
+    count-based and batched engines run it at populations far beyond the
+    agent engine's reach.
     """
 
     is_uniform = True

@@ -26,7 +26,7 @@ determinism lint (rule D301) enforces that no module reintroduces one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol, Sequence
+from typing import Protocol
 
 import numpy as np
 
@@ -205,32 +205,3 @@ class RandomSource:
     def raw(self) -> np.random.Generator:
         """Expose the underlying generator (escape hatch for numpy bridging)."""
         return self._rng
-
-
-def stream_of_geometrics(
-    seed: int | None, count: int, p: float = 0.5
-) -> Iterator[int]:
-    """Yield ``count`` i.i.d. ``p``-geometric samples from a fresh generator.
-
-    Convenience used by analysis validation tests and by workload generators
-    that need a reproducible stream without constructing a full
-    :class:`RandomSource`.
-    """
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        yield geometric(rng, p)
-
-
-def empirical_maximum_distribution(
-    seed: int | None, population: int, trials: int, p: float = 0.5
-) -> Sequence[int]:
-    """Monte-Carlo sample of ``max`` of ``population`` geometric variables.
-
-    Returns ``trials`` independent samples of ``M = max_{i<population} G_i``.
-    Used by the analysis tests to validate the closed-form expectation and the
-    tail bounds of Appendix D against simulation.
-    """
-    if population <= 0 or trials <= 0:
-        raise ValueError("population and trials must be positive")
-    rng = np.random.default_rng(seed)
-    return [max_of_geometrics(rng, population, p) for _ in range(trials)]

@@ -24,6 +24,7 @@ from repro.store.base import (
     StoreSpec,
     StoreStatus,
     WorkloadStats,
+    checked_lease,
     default_owner,
     parse_store_url,
     workload_label,
@@ -94,6 +95,7 @@ def open_cache_dir(
     """
     from repro.store.sqlite import SqliteStore
 
+    checked_lease(lease_seconds)
     path = Path(directory) / f"{name}.sqlite"
     legacy = Path(directory) / f"{name}.jsonl"
     if not resume:

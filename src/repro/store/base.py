@@ -62,6 +62,7 @@ __all__ = [
     "StoreSpec",
     "StoreStatus",
     "WorkloadStats",
+    "checked_lease",
     "default_owner",
     "parse_store_url",
     "record_from_dict",
@@ -78,6 +79,18 @@ class StoreError(SimulationError):
 #: claims become reclaimable.  Generous relative to any small-n trial; large
 #: sweeps pass an explicit ``--lease`` sized to their slowest trial.
 DEFAULT_LEASE_SECONDS = 300.0
+
+
+def checked_lease(seconds: float) -> float:
+    """``seconds`` as a lease duration, which must be positive and finite.
+
+    An infinite lease would never let a killed driver's trial be reclaimed,
+    and a NaN one expires at no comparable time.
+    """
+    if not 0 < seconds < math.inf:
+        raise StoreError(f"a lease must be positive and finite, got {seconds}")
+    return float(seconds)
+
 
 #: Outcomes of :meth:`ResultStore.claim`.
 CLAIM_ACQUIRED = "acquired"
@@ -284,10 +297,7 @@ class StoreSpec:
             )
         if not self.location:
             raise StoreError(f"store URL {self.scheme}: needs a location")
-        if self.lease_seconds <= 0:
-            raise StoreError(
-                f"lease_seconds must be positive, got {self.lease_seconds}"
-            )
+        checked_lease(self.lease_seconds)
 
     def url(self) -> str:
         """The canonical URL form (``scheme:location``)."""

@@ -51,6 +51,7 @@ from repro.store.base import (
     ResultStore,
     StoreError,
     StoreStatus,
+    checked_lease,
     default_owner,
     record_from_dict,
     record_to_dict,
@@ -128,19 +129,26 @@ class SqliteStore(ResultStore):
         timeout: float = 30.0,
     ) -> None:
         self.path = Path(path)
+        self.lease_seconds = checked_lease(lease_seconds)
         if self.path.parent and not self.path.parent.exists():
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.lease_seconds = float(lease_seconds)
         self._lock = threading.Lock()
         self._connection = sqlite3.connect(
             str(self.path), timeout=timeout, check_same_thread=False
         )
-        self._connection.execute("PRAGMA journal_mode=WAL")
-        self._connection.execute("PRAGMA synchronous=NORMAL")
-        self._connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
-        with self._lock:
-            self._connection.executescript(_SCHEMA)
-            self._connection.commit()
+        try:
+            self._connection.execute("PRAGMA journal_mode=WAL")
+            self._connection.execute("PRAGMA synchronous=NORMAL")
+            self._connection.execute(f"PRAGMA busy_timeout={int(timeout * 1000)}")
+            with self._lock:
+                self._connection.executescript(_SCHEMA)
+                self._connection.commit()
+        except sqlite3.DatabaseError as error:
+            # A truncated or foreign file is bad input, named by its path.
+            self._connection.close()
+            raise StoreError(
+                f"cannot open {self.path} as a SQLite store: {error}"
+            ) from error
 
     def describe(self) -> str:
         return f"sqlite:{self.path}"
@@ -239,9 +247,7 @@ class SqliteStore(ResultStore):
         self, key: str, lease: float | None = None, owner: str | None = None
     ) -> Claim:
         owner = owner or default_owner()
-        duration = self.lease_seconds if lease is None else float(lease)
-        if duration <= 0:
-            raise StoreError(f"lease must be positive, got {duration}")
+        duration = self.lease_seconds if lease is None else checked_lease(lease)
         now = time.time()
         with self._lock:
             self._connection.execute("BEGIN IMMEDIATE")

@@ -34,12 +34,8 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "is_alpha_dense",
         "is_terminated_configuration",
     ],
-    "producibility": ["ProducibilityAnalysis", "producible_states"],
-    "density": [
-        "DensityObservation",
-        "DensityExperiment",
-        "density_trajectory",
-    ],
+    "producibility": ["ProducibilityAnalysis"],
+    "density": ["DensityObservation", "density_trajectory"],
     "impossibility": [
         "TerminationTimeObservation",
         "measure_termination_time",

@@ -18,7 +18,7 @@ in ``n`` — which benchmark ``T-DENSE`` tabulates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Sequence
+from typing import Hashable
 
 from repro.engine.count_simulator import CountSimulator
 from repro.exceptions import TerminationSpecError
@@ -133,60 +133,3 @@ def density_trajectory(
         first_reach_times=first_reach,
         threshold_fraction=threshold_fraction,
     )
-
-
-@dataclass
-class DensityExperiment:
-    """Sweep the density experiment over growing population sizes.
-
-    Parameters
-    ----------
-    protocol:
-        The finite-state protocol under test.
-    family:
-        The dense initial family.
-    threshold_fraction:
-        ``delta`` for the first-reach times.
-    observation_time:
-        Parallel-time horizon of each run (Lemma 4.2: 1).
-    """
-
-    protocol: FiniteStateProtocol
-    family: DenseInitialFamily
-    threshold_fraction: float = 0.01
-    observation_time: float = 1.0
-
-    def run(
-        self,
-        population_sizes: Sequence[int],
-        seed: int | None = None,
-        samples: int = 20,
-    ) -> list[DensityObservation]:
-        """Run the experiment at each population size and return the observations."""
-        observations = []
-        for index, population_size in enumerate(population_sizes):
-            observations.append(
-                density_trajectory(
-                    self.protocol,
-                    self.family,
-                    population_size,
-                    observation_time=self.observation_time,
-                    threshold_fraction=self.threshold_fraction,
-                    samples=samples,
-                    seed=None if seed is None else seed + index,
-                )
-            )
-        return observations
-
-    def minimum_fractions(
-        self, observations: Sequence[DensityObservation]
-    ) -> dict[int, float]:
-        """The empirical ``delta`` (min producible-state fraction) per population size.
-
-        Lemma 4.2 predicts these values stay bounded away from zero as ``n``
-        grows; the benchmark prints them as a table.
-        """
-        return {
-            observation.population_size: observation.min_fraction
-            for observation in observations
-        }

@@ -25,6 +25,7 @@ this over population sizes and seeds, producing the series benchmark
 
 from __future__ import annotations
 
+import math
 import statistics
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -138,6 +139,10 @@ def termination_time_sweep(
     """
     if runs_per_size < 1:
         raise TerminationSpecError(f"runs_per_size must be >= 1, got {runs_per_size}")
+    if not 0 < max_parallel_time < math.inf:
+        raise TerminationSpecError(
+            f"max_parallel_time must be positive and finite, got {max_parallel_time}"
+        )
     observations = []
     for size_index, population_size in enumerate(population_sizes):
         times: list[float] = []

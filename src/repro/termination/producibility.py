@@ -160,14 +160,3 @@ class ProducibilityAnalysis:
         """
         result = self.closure(initial_states, rho=rho)
         return frozenset(state for state in result.closure if terminated(state))
-
-
-def producible_states(
-    protocol: FiniteStateProtocol,
-    initial_states: Iterable[Hashable],
-    rho: float = 1e-9,
-    max_depth: int | None = None,
-) -> frozenset[Hashable]:
-    """Convenience wrapper returning just the producible-state closure."""
-    analysis = ProducibilityAnalysis(protocol)
-    return analysis.closure(initial_states, rho=rho, max_depth=max_depth).closure

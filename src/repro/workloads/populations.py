@@ -1,10 +1,5 @@
-"""Population-size grids for sweeps.
-
-Figure 2 of the paper samples ``n in {10^2, 10^3, 10^4, 10^5}``; our
-benchmarks default to a geometric grid capped at a size a pure-Python
-reproduction can afford, overridable from the environment (see
-``benchmarks/``).
-"""
+"""Population-size lists for sweeps: parsed from the CLI's ``--sizes`` and
+from the environment variables the benchmarks read (see ``benchmarks/``)."""
 
 from __future__ import annotations
 
@@ -12,47 +7,6 @@ import os
 from typing import Sequence
 
 from repro.exceptions import ConfigurationError
-
-
-def geometric_sizes(start: int, stop: int, factor: float = 2.0) -> list[int]:
-    """Geometrically spaced population sizes from ``start`` up to ``stop`` (inclusive).
-
-    Parameters
-    ----------
-    start, stop:
-        First and maximum size, ``2 <= start <= stop``.
-    factor:
-        Multiplicative step (> 1).  Sizes are rounded to integers and
-        deduplicated.
-    """
-    if start < 2:
-        raise ConfigurationError(f"start must be at least 2, got {start}")
-    if stop < start:
-        raise ConfigurationError("stop must be at least start")
-    if factor <= 1.0:
-        raise ConfigurationError(f"factor must exceed 1, got {factor}")
-    sizes = []
-    size = float(start)
-    while size <= stop + 1e-9:
-        rounded = int(round(size))
-        if not sizes or rounded != sizes[-1]:
-            sizes.append(rounded)
-        size *= factor
-    return sizes
-
-
-def figure2_sizes(max_size: int | None = None) -> list[int]:
-    """The Figure 2 grid ``{10^2, 10^3, 10^4, 10^5}``, truncated to ``max_size``.
-
-    The paper sweeps decades from 100 to 100 000; callers truncate to what
-    their engine/time budget affords.
-    """
-    sizes = [100, 1_000, 10_000, 100_000]
-    if max_size is None:
-        return sizes
-    if max_size < sizes[0]:
-        raise ConfigurationError(f"max_size must be at least {sizes[0]}, got {max_size}")
-    return [size for size in sizes if size <= max_size]
 
 
 def parse_size_list(raw: str) -> list[int]:

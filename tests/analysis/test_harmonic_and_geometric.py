@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
 import pytest
 
 from repro.analysis.geometric import (
@@ -21,7 +22,17 @@ from repro.analysis.geometric import (
 )
 from repro.analysis.harmonic import euler_mascheroni, harmonic_number
 from repro.exceptions import AnalysisError
-from repro.rng import empirical_maximum_distribution
+from repro.rng import max_of_geometrics
+
+
+def empirical_maximum_distribution(
+    seed: int, population: int, trials: int
+) -> list[int]:
+    """``trials`` Monte-Carlo samples of ``M = max_{i<population} G_i`` for
+    fair-coin geometric ``G_i``: the oracle the closed forms of Appendix D
+    are checked against."""
+    rng = np.random.default_rng(seed)
+    return [max_of_geometrics(rng, population) for _ in range(trials)]
 
 
 class TestHarmonic:

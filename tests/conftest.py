@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import sqlite3
 
 import pytest
@@ -10,6 +11,7 @@ import pytest
 from repro.core.parameters import ProtocolParameters
 from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError
+from repro.harness.results import RunRecord
 from repro.rng import RandomSource
 
 
@@ -78,3 +80,41 @@ def stored_lines():
         ]
 
     return lines
+
+
+def _values_equal(left, right) -> bool:
+    if isinstance(left, float) and isinstance(right, float):
+        if math.isnan(left) and math.isnan(right):
+            return True
+    if isinstance(left, dict) and isinstance(right, dict):
+        return left.keys() == right.keys() and all(
+            _values_equal(left[key], right[key]) for key in left
+        )
+    return left == right
+
+
+@pytest.fixture(scope="session")
+def records_equal():
+    """``records_equal(left, right)``: field-wise :class:`RunRecord`
+    equality that treats ``NaN == NaN``.
+
+    Plain ``==`` on records is unreliable across process or serialisation
+    boundaries: ``NaN`` compares unequal to itself once the two sides stop
+    being the *same object* (records returned by pool workers are unpickled
+    copies; records replayed from a store are rebuilt from JSON).
+    """
+
+    def equal(left: RunRecord, right: RunRecord) -> bool:
+        return all(
+            _values_equal(getattr(left, name), getattr(right, name))
+            for name in (
+                "population_size",
+                "seed",
+                "converged",
+                "convergence_time",
+                "max_additive_error",
+                "extra",
+            )
+        )
+
+    return equal

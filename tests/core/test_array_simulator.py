@@ -22,7 +22,6 @@ from repro.engine.simulator import Simulation
 from repro.engine.vector import VectorSimulator
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.harness.parallel import build_vector_trials, run_trial
-from repro.harness.results import records_equal
 from repro.store.base import record_from_dict, record_to_dict
 
 
@@ -56,7 +55,7 @@ class TestBasics:
                 VectorSimulator.all_done, max_parallel_time=1.0
             )
 
-    def test_result_dictionary_round_trip(self, fast_params):
+    def test_result_dictionary_round_trip(self, fast_params, records_equal):
         # The kernel's result fields reach the trial record, and the record
         # survives the stores' JSON form unchanged.
         (spec,) = build_vector_trials(

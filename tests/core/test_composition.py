@@ -7,7 +7,6 @@ import pytest
 from repro.core.composition import (
     RestartComposition,
     StagedComposition,
-    make_estimate_hook,
     stage_signal_reached,
 )
 from repro.core.parameters import ProtocolParameters
@@ -15,8 +14,8 @@ from repro.engine.simulator import Simulation
 from repro.exceptions import CompositionError
 from repro.protocols.approximate_counting import AlistarhApproximateCounting
 from repro.protocols.leader_election import (
+    FiniteStatePairwiseElimination,
     NonuniformCounterLeaderElection,
-    PairwiseEliminationLeaderElection,
 )
 
 
@@ -28,7 +27,8 @@ class TestValidation:
     def test_requires_positive_stage_length(self):
         with pytest.raises(CompositionError):
             StagedComposition(
-                stages=[PairwiseEliminationLeaderElection()], stage_length_factor=0
+                stages=[FiniteStatePairwiseElimination().as_agent_protocol()],
+                stage_length_factor=0,
             )
 
 
@@ -72,7 +72,10 @@ class TestRestartComposition:
 
 class TestStagedComposition:
     def test_two_stages_run_in_sequence(self):
-        stages = [AlistarhApproximateCounting(), PairwiseEliminationLeaderElection()]
+        stages = [
+            AlistarhApproximateCounting(),
+            FiniteStatePairwiseElimination().as_agent_protocol(),
+        ]
         composition = StagedComposition(stages=stages, stage_length_factor=25)
         simulation = Simulation(composition, 48, seed=4)
         simulation.run_until(
@@ -87,7 +90,10 @@ class TestStagedComposition:
         assert 1 <= leaders <= 48
 
     def test_stage_index_never_exceeds_last_stage(self):
-        stages = [AlistarhApproximateCounting(), PairwiseEliminationLeaderElection()]
+        stages = [
+            AlistarhApproximateCounting(),
+            FiniteStatePairwiseElimination().as_agent_protocol(),
+        ]
         composition = StagedComposition(stages=stages, stage_length_factor=10)
         simulation = Simulation(composition, 32, seed=5)
         simulation.run_parallel_time(1_000)
@@ -99,11 +105,11 @@ class TestStagedComposition:
         downstream = NonuniformCounterLeaderElection(counter_threshold=1)
         observed = []
 
-        def setter(protocol, estimate):
-            protocol.counter_threshold = 10 * estimate
+        def configure_estimate(estimate: int) -> None:
+            downstream.counter_threshold = 10 * estimate
             observed.append(estimate)
 
-        make_estimate_hook(downstream, setter)
+        downstream.configure_estimate = configure_estimate
         composition = RestartComposition(downstream, stage_length_factor=40)
         simulation = Simulation(composition, 48, seed=6)
         simulation.run_parallel_time(50)

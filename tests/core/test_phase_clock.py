@@ -1,38 +1,14 @@
-"""Tests for the leaderless and leader-driven phase clocks."""
+"""Tests for the leader-driven phase clock."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.phase_clock import (
-    LeaderDrivenPhaseClock,
-    LeaderlessPhaseClock,
-    PhaseClockAgent,
-)
+from repro.core.phase_clock import LeaderDrivenPhaseClock, PhaseClockAgent
 from repro.engine.simulator import Simulation
 from repro.exceptions import ProtocolError
 from repro.protocols.base import AgentProtocol
 from repro.rng import RandomSource
-
-
-class TestLeaderlessPhaseClock:
-    def test_threshold(self):
-        clock = LeaderlessPhaseClock(clock_factor=95, size_estimate=10)
-        assert clock.threshold == 950
-        assert not clock.expired(949)
-        assert clock.expired(950)
-
-    def test_with_estimate_returns_updated_clock(self):
-        clock = LeaderlessPhaseClock(clock_factor=8, size_estimate=3)
-        updated = clock.with_estimate(7)
-        assert updated.threshold == 56
-        assert clock.threshold == 24  # original unchanged
-
-    def test_validation(self):
-        with pytest.raises(ProtocolError):
-            LeaderlessPhaseClock(clock_factor=0, size_estimate=3)
-        with pytest.raises(ProtocolError):
-            LeaderlessPhaseClock(clock_factor=5, size_estimate=0)
 
 
 class _PhaseClockOnlyProtocol(AgentProtocol):

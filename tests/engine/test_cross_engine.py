@@ -411,14 +411,15 @@ class TestDeclaredCellCoverage:
         )
         assert elapsed > 0
         # The shared interface: outputs() is the configuration's histogram
-        # through the protocol's output, and a negative run length is a
-        # library error that leaves the clock where it was.
+        # through the protocol's output, and a negative, NaN or infinite
+        # run length is a library error that leaves the clock where it was.
         expected: Counter = Counter()
         for state, count in simulator.configuration().items():
             expected[protocol.output(state)] += count
         assert simulator.outputs() == expected
-        with pytest.raises(SimulationError):
-            simulator.run_parallel_time(-1)
+        for time in (-1, math.nan, math.inf):
+            with pytest.raises(SimulationError):
+                simulator.run_parallel_time(time)
         assert simulator.parallel_time == elapsed
 
     @pytest.mark.parametrize("engine,backend_name", EXERCISED_BACKEND_CELLS)

@@ -17,7 +17,6 @@ from repro.engine.simulator import Simulation
 from repro.exceptions import ConvergenceError, SimulationError
 from repro.protocols.base import AgentProtocol
 from repro.protocols.epidemic import EpidemicProtocol, EpidemicState
-from repro.protocols.max_propagation import MaxPropagationProtocol
 from repro.rng import RandomSource
 from repro.types import InteractionPair, snapshot_boundaries
 
@@ -34,6 +33,20 @@ class TouchCounting(AgentProtocol[int]):
 
     def transition(self, receiver: int, sender: int, rng: RandomSource):
         return receiver + 1, sender + 1
+
+
+class MaxPropagation(AgentProtocol[int]):
+    """Max-propagation by epidemic: both agents take the larger value."""
+
+    def __init__(self, initial_value) -> None:
+        self._initial_value = initial_value
+
+    def initial_state(self, agent_id: int) -> int:
+        return self._initial_value(agent_id)
+
+    def transition(self, receiver: int, sender: int, rng: RandomSource):
+        maximum = max(receiver, sender)
+        return maximum, maximum
 
 
 class ReceiverAdds(AgentProtocol[int]):
@@ -234,7 +247,7 @@ class TestStepping:
 
 class TestMaxPropagation:
     def test_maximum_spreads_to_everyone(self):
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: agent_id)
+        protocol = MaxPropagation(initial_value=lambda agent_id: agent_id)
         simulation = Simulation(protocol, 40, seed=5)
         simulation.run_until(
             lambda sim: all(state == 39 for state in sim.states),
@@ -243,7 +256,7 @@ class TestMaxPropagation:
         assert set(simulation.states) == {39}
 
     def test_count_where(self):
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: agent_id % 2)
+        protocol = MaxPropagation(initial_value=lambda agent_id: agent_id % 2)
         simulation = Simulation(protocol, 10, seed=6)
         assert simulation.count_where(lambda value: value == 1) == 5
 
@@ -262,14 +275,14 @@ class TestInspection:
         assert outputs.count(False) == 3
 
     def test_state_tracking_counts_distinct_states(self):
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: agent_id)
+        protocol = MaxPropagation(initial_value=lambda agent_id: agent_id)
         simulation = Simulation(protocol, 10, seed=10, track_states=True)
         simulation.run_parallel_time(20)
         assert simulation.metrics.distinct_states is not None
         assert 1 <= simulation.metrics.distinct_states <= 10
 
     def test_state_tracking_starts_from_the_initial_population(self):
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: agent_id)
+        protocol = MaxPropagation(initial_value=lambda agent_id: agent_id)
         tracked = Simulation(protocol, 10, seed=10, track_states=True)
         assert tracked.metrics.distinct_states == 10
         untracked = Simulation(protocol, 10, seed=10)
@@ -293,7 +306,7 @@ class TestTrace:
     def test_run_with_trace_on_an_agent_protocol(self):
         """The shared snapshot loop runs on a plain Simulation of a
         non-finite-state protocol: samples + 1 points at the boundaries."""
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: agent_id)
+        protocol = MaxPropagation(initial_value=lambda agent_id: agent_id)
         simulation = Simulation(protocol, 20, seed=2)
         trace = run_with_trace(simulation, total_parallel_time=5.0, samples=4)
         expected = [0, *snapshot_boundaries(100, 4)]  # 5 time units x 20 agents

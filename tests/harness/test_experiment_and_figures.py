@@ -16,11 +16,7 @@ from repro.harness.parallel import (
 )
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
 from repro.harness.figures import figure2_from_sweep, reproduce_figure2
-from repro.harness.tables import (
-    accuracy_table,
-    baseline_comparison_table,
-    state_complexity_table,
-)
+from repro.harness.tables import accuracy_table, state_complexity_table
 
 
 FAST = ProtocolParameters.fast_test()
@@ -231,15 +227,6 @@ class TestTables:
         # The realised state bound should be monotone-ish and positive.
         assert all(row[5] > 0 for row in table.rows)
 
-    def test_baseline_comparison_table(self):
-        table = baseline_comparison_table(
-            [64], runs_per_size=1, params=FAST, base_seed=6, baseline_budget=100.0
-        )
-        assert len(table.rows) == 1
-        row = table.rows[0]
-        assert row[0] == 64
-        assert row[4] == 5.7
-
 
 class TestTimingBreakdown:
     """Satellite of the telemetry PR: per-phase time in tables and CSV."""
@@ -259,7 +246,7 @@ class TestTimingBreakdown:
         ]
 
     def test_phase_breakdown_maps_recorder_timers(self):
-        from repro.harness.reporting import mean_phase_breakdown, phase_breakdown
+        from repro.harness.reporting import phase_breakdown
 
         assert phase_breakdown(
             {"scheduler.draw_round": 0.4, "engine.convergence_check": 0.1, "total": 1.0}
@@ -270,10 +257,6 @@ class TestTimingBreakdown:
             "total": 0.8,
         }
         assert phase_breakdown(None) == {}
-        means = mean_phase_breakdown(
-            [{"engine.step": 0.6, "total": 1.0}, {"engine.step": 0.2, "total": 2.0}]
-        )
-        assert means == {"apply": 0.4, "total": 1.5}
 
     def test_csv_without_telemetry_keeps_the_historical_header(self):
         from repro.harness.figures import Figure2Point, Figure2Result

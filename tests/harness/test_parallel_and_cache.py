@@ -22,7 +22,7 @@ from repro.harness.parallel import (
     run_trial,
     run_trials,
 )
-from repro.harness.results import RunRecord, records_equal
+from repro.harness.results import RunRecord
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
 from repro.protocols.leader_election import (
     FiniteStateCounterTermination,
@@ -129,7 +129,7 @@ class TestTrialSpecValidation:
             SWEEP_BUILDERS[kind](sizes=sizes)
 
     @pytest.mark.parametrize("kind", SWEEP_BUILDERS)
-    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.nan, math.inf])
     def test_nonpositive_budget_rejected(self, kind, budget):
         with pytest.raises(SimulationError, match="max_parallel_time must be positive"):
             SWEEP_BUILDERS[kind](max_parallel_time=budget)
@@ -380,7 +380,9 @@ class TestCallableKeys:
                 predicate=local_predicate,
             )
 
-    def test_named_factories_do_not_share_records_through_a_store(self, tmp_path):
+    def test_named_factories_do_not_share_records_through_a_store(
+        self, tmp_path, records_equal
+    ):
         def sweep(factory):
             return build_finite_state_trials(
                 [64],
@@ -402,7 +404,7 @@ class TestCallableKeys:
 
 
 class TestParallelMatchesSerial:
-    def test_record_for_record_identical(self):
+    def test_record_for_record_identical(self, records_equal):
         specs = epidemic_trials()
         serial = run_trials(specs, workers=1)
         parallel = run_trials(specs, workers=4)
@@ -414,7 +416,7 @@ class TestParallelMatchesSerial:
             assert records_equal(left, right)
 
     @pytest.mark.parametrize("engine", ["agent", "count", "batched"])
-    def test_runner_parallel_equals_serial_per_engine(self, engine):
+    def test_runner_parallel_equals_serial_per_engine(self, engine, records_equal):
         common = dict(
             protocol_factory=EpidemicProtocol,
             predicate=epidemic_completion_predicate,
@@ -442,7 +444,7 @@ class TestParallelMatchesSerial:
         assert len(sweep.records) == 2
         assert all(record.converged for record in sweep.records)
 
-    def test_figure2_parallel(self):
+    def test_figure2_parallel(self, records_equal):
         specs = figure2_trials(sizes=[48, 64], runs=2, base_seed=1)
         serial = run_trials(specs)
         parallel = run_trials(specs, workers=3)
@@ -451,7 +453,7 @@ class TestParallelMatchesSerial:
             for left, right in zip(serial.records, parallel.records)
         )
 
-    def test_sequential_parallel(self):
+    def test_sequential_parallel(self, records_equal):
         specs = sequential_trials(sizes=[48], runs=2, base_seed=2)
         serial = run_trials(specs)
         parallel = run_trials(specs, workers=2)
@@ -466,7 +468,7 @@ class TestParallelMatchesSerial:
 
 
 class TestCacheDirResume:
-    def test_round_trip_preserves_records(self, tmp_path):
+    def test_round_trip_preserves_records(self, tmp_path, records_equal):
         specs = epidemic_trials()
         first = run_trials(specs, store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         assert first.executed == len(specs)
@@ -480,7 +482,9 @@ class TestCacheDirResume:
             for left, right in zip(first.records, second.records)
         )
 
-    def test_killed_sweep_resumes_from_cache(self, tmp_path, stored_lines):
+    def test_killed_sweep_resumes_from_cache(
+        self, tmp_path, stored_lines, records_equal
+    ):
         specs = epidemic_trials()
         full = run_trials(specs, store=f"sqlite:{tmp_path / 'full.sqlite'}")
 
@@ -502,7 +506,7 @@ class TestCacheDirResume:
             for left, right in zip(full.records, resumed.records)
         )
 
-    def test_parallel_resume_matches_serial(self, tmp_path):
+    def test_parallel_resume_matches_serial(self, tmp_path, records_equal):
         specs = epidemic_trials()
         run_trials(specs[:1], store=f"sqlite:{tmp_path / 'cache.sqlite'}")
         outcome = run_trials(
@@ -516,7 +520,7 @@ class TestCacheDirResume:
             for left, right in zip(baseline.records, outcome.records)
         )
 
-    def test_record_serialisation_round_trip(self):
+    def test_record_serialisation_round_trip(self, records_equal):
         import math
 
         record = RunRecord(
@@ -651,7 +655,7 @@ class TestNonFiniteSerialisation:
 
 
 class TestVectorSweeps:
-    def test_vector_trials_cache_and_resume(self, tmp_path):
+    def test_vector_trials_cache_and_resume(self, tmp_path, records_equal):
         specs = build_vector_trials(
             [64], 2, protocol="figure2", params=FAST, base_seed=9
         )
@@ -664,7 +668,7 @@ class TestVectorSweeps:
         for live, cached in zip(first.records, second.records):
             assert records_equal(live, cached)
 
-    def test_vector_parallel_matches_serial(self):
+    def test_vector_parallel_matches_serial(self, records_equal):
         specs = build_vector_trials(
             [64, 96], 1, protocol="figure2", params=FAST, base_seed=4
         )
@@ -782,7 +786,9 @@ class TestSchedulerInSpecsAndCacheKeys:
         harsh = dataclasses.replace(mild, scheduler_options=(("lazy_rate", 0.1),))
         assert mild.cache_key() != harsh.cache_key()
 
-    def test_cached_uniform_trial_not_served_for_nonuniform_sweep(self, tmp_path):
+    def test_cached_uniform_trial_not_served_for_nonuniform_sweep(
+        self, tmp_path, records_equal
+    ):
         """A cache warmed by a uniform-scheduler sweep must execute (not
         replay) every trial of the same sweep under a non-uniform scheduler."""
         uniform = epidemic_trials(sizes=[64], runs=2, engine="agent")
@@ -1042,7 +1048,9 @@ class TestCRNCacheKeys:
                 slow.extra["chemical_time"] / 2.0
             )
 
-    def test_crn_records_round_trip_through_the_cache_file(self, tmp_path):
+    def test_crn_records_round_trip_through_the_cache_file(
+        self, tmp_path, records_equal
+    ):
         spec = self._leader_spec()
         record = run_trial(spec)
         with open_cache_dir(tmp_path, "crn-roundtrip") as store:

@@ -12,7 +12,7 @@ from repro.harness.reporting import (
     format_table,
     render_ascii_series,
 )
-from repro.harness.results import RunRecord, SeriesSummary, SweepResult, summarize
+from repro.harness.results import RunRecord, SeriesSummary, SweepResult
 
 
 def _record(n: int, seed: int, time: float | None, error: float = 1.0) -> RunRecord:
@@ -39,9 +39,6 @@ class TestSeriesSummary:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             SeriesSummary.from_values([])
-
-    def test_summarize_wrapper(self):
-        assert summarize([2.0, 4.0]).mean == pytest.approx(3.0)
 
 
 class TestSweepResult:

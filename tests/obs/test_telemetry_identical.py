@@ -26,7 +26,6 @@ from repro.harness.parallel import (
     build_vector_trials,
     run_trial,
 )
-from repro.harness.results import records_equal
 from repro.obs.manifest import TELEMETRY_KEY
 from repro.obs.recorder import recording
 from repro.protocols.epidemic import EpidemicProtocol, epidemic_completion_predicate
@@ -73,7 +72,7 @@ def strip_telemetry(record):
 @pytest.mark.parametrize(
     "spec", specs_under_test(), ids=lambda spec: f"{spec.kind}-{spec.engine}"
 )
-def test_enabling_telemetry_leaves_the_trajectory_bit_identical(spec):
+def test_enabling_telemetry_leaves_the_trajectory_bit_identical(spec, records_equal):
     baseline = run_trial(spec)
     with recording():
         observed = run_trial(spec)

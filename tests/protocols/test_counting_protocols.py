@@ -13,16 +13,8 @@ from repro.protocols.approximate_counting import (
     ApproximateCountingState,
     approximate_counting_converged,
 )
-from repro.protocols.exact_backup import (
-    ACTIVE,
-    BackupState,
-    ExactUpperBoundBackup,
-    backup_stabilized,
-)
-from repro.protocols.exact_counting_leader import (
-    LeaderExactCounting,
-    exact_counting_terminated,
-)
+from repro.protocols.exact_backup import ACTIVE, BackupState, ExactUpperBoundBackup
+from repro.protocols.exact_counting_leader import LeaderExactCounting
 
 
 class TestAlistarhApproximateCounting:
@@ -77,7 +69,10 @@ class TestLeaderExactCounting:
         n = 30
         protocol = LeaderExactCounting(patience=3)
         simulation = Simulation(protocol, n, seed=3)
-        simulation.run_until(exact_counting_terminated, max_parallel_time=5_000)
+        simulation.run_until(
+            lambda sim: all(state.terminated for state in sim.states),
+            max_parallel_time=5_000,
+        )
         announced = {protocol.output(state) for state in simulation.states}
         assert announced == {n}
 
@@ -104,9 +99,24 @@ class TestExactUpperBoundBackup:
     def test_stabilizes_to_floor_log2(self, n):
         protocol = ExactUpperBoundBackup()
         simulation = Simulation(protocol, n, seed=5)
-        simulation.run_until(backup_stabilized, max_parallel_time=50 * n)
+
+        def stabilized(sim):
+            # Merging has finished when no two active tokens share a level;
+            # the run has stabilised once every ``best`` is the top level.
+            levels = [state.level for state in sim.states if state.kind == ACTIVE]
+            top = max(max(state.level, state.best) for state in sim.states)
+            return len(levels) == len(set(levels)) and all(
+                state.best == top for state in sim.states
+            )
+
+        simulation.run_until(stabilized, max_parallel_time=50 * n)
         values = {protocol.output(state) for state in simulation.states}
         assert values == {math.floor(math.log2(n))}
+        # The active levels spell the binary representation of n.
+        levels = sorted(
+            state.level for state in simulation.states if state.kind == ACTIVE
+        )
+        assert levels == [bit for bit in range(n.bit_length()) if n >> bit & 1]
 
     def test_best_value_never_exceeds_floor_log2(self):
         n = 48

@@ -1,24 +1,18 @@
-"""Tests for the epidemic and max-propagation substrates."""
+"""Tests for the one-way epidemic substrate."""
 
 from __future__ import annotations
 
-import math
 import statistics
 
 import pytest
 
 from repro.analysis.epidemic_theory import expected_epidemic_time
 from repro.engine.count_simulator import CountSimulator
-from repro.engine.simulator import Simulation
 from repro.exceptions import ProtocolError
 from repro.protocols.epidemic import (
     EpidemicProtocol,
     EpidemicState,
     epidemic_completion_predicate,
-)
-from repro.protocols.max_propagation import (
-    MaxPropagationProtocol,
-    geometric_max_initializer,
 )
 
 
@@ -82,39 +76,3 @@ class TestEpidemicProtocol:
             current = simulator.count(EpidemicState.INFECTED)
             assert current >= previous
             previous = current
-
-
-class TestMaxPropagation:
-    def test_max_value_wins(self):
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: agent_id % 7)
-        simulation = Simulation(protocol, 50, seed=1)
-        simulation.run_until(
-            lambda sim: all(state == 6 for state in sim.states), max_parallel_time=200
-        )
-        assert set(simulation.states) == {6}
-
-    def test_transition_is_symmetric_max(self, rng):
-        protocol = MaxPropagationProtocol(initial_value=lambda agent_id: 0)
-        assert protocol.transition(3, 9, rng) == (9, 9)
-        assert protocol.transition(9, 3, rng) == (9, 9)
-        assert protocol.transition(4, 4, rng) == (4, 4)
-
-    def test_geometric_initializer_is_independent_of_population(self):
-        initializer = geometric_max_initializer(seed=11)
-        first_values = [initializer(agent_id) for agent_id in range(50)]
-        second_values = [initializer(agent_id) for agent_id in range(50)]
-        assert first_values == second_values
-        assert all(value >= 1 for value in first_values)
-
-    def test_propagated_maximum_estimates_log_n(self):
-        """The converged maximum should be a (weak) estimate of log2 n (Lemma D.7)."""
-        n = 512
-        initializer = geometric_max_initializer(seed=5)
-        protocol = MaxPropagationProtocol(initial_value=initializer)
-        simulation = Simulation(protocol, n, seed=6)
-        simulation.run_until(
-            lambda sim: len(set(sim.states)) == 1, max_parallel_time=400
-        )
-        maximum = simulation.states[0]
-        assert maximum >= math.log2(n) - math.log2(math.log(n)) - 2
-        assert maximum <= 3 * math.log2(n)

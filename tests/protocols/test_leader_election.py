@@ -9,33 +9,7 @@ from repro.exceptions import ProtocolError
 from repro.protocols.leader_election import (
     CounterLeaderState,
     NonuniformCounterLeaderElection,
-    PairwiseEliminationLeaderElection,
 )
-
-
-class TestPairwiseElimination:
-    def test_stabilizes_to_single_leader(self):
-        protocol = PairwiseEliminationLeaderElection()
-        simulation = Simulation(protocol, 60, seed=1)
-        simulation.run_until(
-            lambda sim: sim.count_where(lambda s: s == protocol.LEADER) == 1,
-            max_parallel_time=2_000,
-        )
-        assert simulation.count_where(lambda s: s == protocol.LEADER) == 1
-
-    def test_leader_count_never_increases(self):
-        protocol = PairwiseEliminationLeaderElection()
-        simulation = Simulation(protocol, 40, seed=2)
-        previous = 40
-        for _ in range(30):
-            simulation.run_parallel_time(1)
-            current = simulation.count_where(lambda s: s == protocol.LEADER)
-            assert current <= previous
-            assert current >= 1
-            previous = current
-
-    def test_is_uniform(self):
-        assert PairwiseEliminationLeaderElection.is_uniform is True
 
 
 class TestNonuniformCounterProtocol:

@@ -33,7 +33,6 @@ import pytest
 
 import repro
 from repro.harness.parallel import build_finite_state_trials, run_trials
-from repro.harness.results import records_equal
 from repro.protocols.epidemic import (
     EpidemicProtocol,
     epidemic_completion_predicate,
@@ -169,7 +168,9 @@ def _doomed_worker(store_url: str, keys, ready) -> None:
 
 
 class TestLeaseExpiryReclaim:
-    def test_killed_workers_trials_are_reclaimed_and_completed(self, tmp_path):
+    def test_killed_workers_trials_are_reclaimed_and_completed(
+        self, tmp_path, records_equal
+    ):
         specs = probed_specs()
         db_path = str(tmp_path / "db.sqlite")
         victim_keys = [spec.cache_key() for spec in specs[:2]]
@@ -206,7 +207,9 @@ class TestLeaseExpiryReclaim:
 
 
 class TestResumeAfterKill:
-    def test_resumed_sweep_executes_only_remaining_trials(self, tmp_path):
+    def test_resumed_sweep_executes_only_remaining_trials(
+        self, tmp_path, records_equal
+    ):
         # Emulate a mid-sweep kill: the first "driver" completes part of the
         # sweep and dies holding a lease on its in-flight trial.
         specs = probed_specs()
@@ -236,7 +239,9 @@ class TestResumeAfterKill:
 
 class TestPoolDriversShareStores:
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_worker_pool_matches_serial_through_a_store(self, tmp_path, workers):
+    def test_worker_pool_matches_serial_through_a_store(
+        self, tmp_path, workers, records_equal
+    ):
         specs = probed_specs()
         serial = run_trials(specs)
         outcome = run_trials(

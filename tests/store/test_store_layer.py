@@ -8,7 +8,7 @@ import math
 import pytest
 
 from repro.harness.parallel import build_finite_state_trials, run_trials
-from repro.harness.results import RunRecord, records_equal
+from repro.harness.results import RunRecord
 from repro.store import (
     CLAIM_ACQUIRED,
     CLAIM_DONE,
@@ -69,6 +69,18 @@ class TestStoreUrls:
         with pytest.raises(StoreError):
             StoreSpec(scheme="sqlite", location="x", lease_seconds=0.0)
 
+    @pytest.mark.parametrize("lease", [math.nan, math.inf])
+    def test_a_lease_that_is_not_finite_is_rejected_before_any_file(
+        self, lease, tmp_path
+    ):
+        with pytest.raises(StoreError, match="positive and finite"):
+            parse_store_url(f"sqlite:{tmp_path / 'db.sqlite'}", lease_seconds=lease)
+        (tmp_path / "sweep.sqlite").write_text("kept")
+        with pytest.raises(StoreError, match="positive and finite"):
+            open_cache_dir(tmp_path, "sweep", resume=False, lease_seconds=lease)
+        assert [path.name for path in tmp_path.iterdir()] == ["sweep.sqlite"]
+        assert (tmp_path / "sweep.sqlite").read_text() == "kept"
+
     def test_open_store_dispatches_by_scheme(self, tmp_path):
         sqlite = open_store(f"sqlite:{tmp_path / 'db.sqlite'}")
         assert isinstance(sqlite, SqliteStore)
@@ -85,7 +97,7 @@ class TestStoreUrls:
 
 
 class TestInMemoryStore:
-    def test_writes_no_file(self, tmp_path, monkeypatch):
+    def test_writes_no_file(self, tmp_path, monkeypatch, records_equal):
         monkeypatch.chdir(tmp_path)
         store = open_store("sqlite::memory:")
         store.append("k", make_record())
@@ -104,7 +116,7 @@ class TestInMemoryStore:
 
 
 class TestCacheDir:
-    def test_reopens_its_own_file(self, tmp_path):
+    def test_reopens_its_own_file(self, tmp_path, records_equal):
         # Records appended through one store are visible to the next one
         # opened on the same directory and name.
         with open_cache_dir(tmp_path, "sweep") as store:
@@ -118,7 +130,9 @@ class TestCacheDir:
         with open_cache_dir(tmp_path, "other") as store:
             assert store.get("k1") is None
 
-    def test_imports_a_legacy_shard_less_its_torn_last_line(self, tmp_path):
+    def test_imports_a_legacy_shard_less_its_torn_last_line(
+        self, tmp_path, records_equal
+    ):
         lines = [legacy_line(f"k{seed}", make_record(seed=seed)) for seed in (1, 2, 3)]
         (tmp_path / "sweep.jsonl").write_text(
             lines[0] + "\n" + lines[1] + "\n" + lines[2][: len(lines[2]) // 2],
@@ -144,7 +158,7 @@ class TestCacheDir:
             assert store.status().completed == 0
         assert [path.name for path in tmp_path.iterdir()] == ["sweep.sqlite"]
 
-    def test_claims_serialise_across_stores_on_one_cache(self, tmp_path):
+    def test_claims_serialise_across_stores_on_one_cache(self, tmp_path, records_equal):
         with open_cache_dir(tmp_path, "sweep") as first, open_cache_dir(
             tmp_path, "sweep"
         ) as second:
@@ -187,6 +201,26 @@ class TestSqliteStore:
         store.append("k", make_record())
         assert store.claim("k", owner="b").status == CLAIM_DONE
         store.close()
+
+    @pytest.mark.parametrize("lease", [0.0, -1.0, math.nan, math.inf])
+    def test_a_claim_needs_a_positive_finite_lease(self, lease, tmp_path):
+        # The HTTP server's /claim reaches this check too.
+        store = SqliteStore(tmp_path / "db.sqlite")
+        with pytest.raises(StoreError, match="positive and finite"):
+            store.claim("k", lease=lease, owner="a")
+        assert store.status().leases == ()
+        assert store.claim("k", lease=60.0, owner="a").status == CLAIM_ACQUIRED
+        store.close()
+
+    @pytest.mark.parametrize("content", [b"not a database\n", b"SQLite format 3\x00"])
+    def test_a_file_that_is_not_a_database_is_a_store_error(self, content, tmp_path):
+        path = tmp_path / "db.sqlite"
+        path.write_bytes(content)
+        with pytest.raises(StoreError) as caught:
+            SqliteStore(path)
+        assert f"cannot open {path} as a SQLite store" in str(caught.value)
+        assert path.read_bytes() == content
+        assert [entry.name for entry in tmp_path.iterdir()] == ["db.sqlite"]
 
     def test_expired_lease_is_reclaimed(self, tmp_path):
         import time

@@ -10,7 +10,7 @@ from repro.protocols.epidemic import EpidemicProtocol, EpidemicState
 from repro.protocols.leader_election import NonuniformCounterLeaderElection
 from repro.protocols.majority import ApproximateMajorityProtocol
 from repro.termination.definitions import DenseInitialFamily, TerminationSpec
-from repro.termination.density import DensityExperiment, density_trajectory
+from repro.termination.density import density_trajectory
 from repro.termination.impossibility import (
     growth_ratio,
     measure_termination_time,
@@ -44,15 +44,19 @@ class TestDensityTrajectory:
     def test_minimum_fraction_stable_across_population_sizes(self):
         """The empirical delta of Lemma 4.2 does not vanish as n grows."""
         family = DenseInitialFamily(base_fractions={"X": 0.5, "Y": 0.5})
-        experiment = DensityExperiment(
-            ApproximateMajorityProtocol(), family, threshold_fraction=0.02
-        )
-        observations = experiment.run([500, 2_000, 8_000], seed=3)
-        fractions = experiment.minimum_fractions(observations)
-        assert all(fraction > 0.02 for fraction in fractions.values())
+        fractions = [
+            density_trajectory(
+                ApproximateMajorityProtocol(),
+                family,
+                population_size,
+                threshold_fraction=0.02,
+                seed=3 + index,
+            ).min_fraction
+            for index, population_size in enumerate([500, 2_000, 8_000])
+        ]
+        assert all(fraction > 0.02 for fraction in fractions)
         # The smallest fraction should not collapse as n grows 16-fold.
-        values = list(fractions.values())
-        assert max(values) < 10 * min(values)
+        assert max(fractions) < 10 * min(fractions)
 
     def test_survival_bound_consistent_with_simulation(self):
         """Corollary E.3: a dense state's count should not collapse within time 1."""

@@ -8,7 +8,7 @@ from repro.exceptions import TerminationSpecError
 from repro.protocols.base import FunctionalFiniteStateProtocol
 from repro.protocols.epidemic import EpidemicProtocol, EpidemicState
 from repro.protocols.majority import ApproximateMajorityProtocol
-from repro.termination.producibility import ProducibilityAnalysis, producible_states
+from repro.termination.producibility import ProducibilityAnalysis
 
 
 def _chain_protocol(length: int = 4) -> FunctionalFiniteStateProtocol:
@@ -91,13 +91,9 @@ class TestClosure:
 
 
 class TestHelpers:
-    def test_producible_states_wrapper(self):
-        closure = producible_states(ApproximateMajorityProtocol(), {"X", "Y"})
-        assert closure == frozenset({"X", "Y", "B"})
-
     def test_blank_not_producible_from_single_opinion(self):
-        closure = producible_states(ApproximateMajorityProtocol(), {"X"})
-        assert closure == frozenset({"X"})
+        result = ProducibilityAnalysis(ApproximateMajorityProtocol()).closure({"X"})
+        assert result.closure == frozenset({"X"})
 
     def test_terminated_states_producible(self):
         protocol = FunctionalFiniteStateProtocol(

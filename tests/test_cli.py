@@ -91,6 +91,19 @@ class TestBenchmarkProbeSeams:
         assert calls == {"run_trials": 1, "run_trial": trials}
 
 
+def assert_bad_input(words: list[str], capsys) -> str:
+    """``main(words)`` exits 2 and prints one error line naming the verb
+    path, subcommand included, and nothing on stdout; returns the line."""
+    verb = " ".join(words[:2] if words[0] in ("crn", "store") else words[:1])
+    assert main(words) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"repro {verb}: error: ")
+    assert captured.out == ""
+    return line
+
+
 class TestBadInput:
     @pytest.mark.parametrize(
         "argv",
@@ -106,23 +119,94 @@ class TestBadInput:
             "crn simulate --crn epidemic --n 1",
             "crn sweep --crn epidemic --sizes 1 --runs 1",
             "store status --store warp://x",
-            # A negative run length, on every engine.
+            # A negative, NaN or infinite run length, on every engine.
             *(
                 "simulate --reaction A+B->B+B --init A:0.5,B:0.5 "
-                f"--chem-time -1 --n 100 --engine {engine}"
+                f"--chem-time {time} --n 100 --engine {engine}"
                 for engine in ENGINE_NAMES
+                for time in ("-1", "nan", "inf")
             ),
         ],
     )
     def test_library_error_exits_2_with_one_error_line(self, argv, capsys):
-        words = argv.split()
-        # The message names the verb path, subcommand included.
-        verb = " ".join(words[:2] if words[0] in ("crn", "store") else words[:1])
-        assert main(words) == 2
-        error = capsys.readouterr().err
-        assert "Traceback" not in error
-        (line,) = error.splitlines()
-        assert line.startswith(f"repro {verb}: error: ")
+        assert_bad_input(argv.split(), capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # A budget or a lease must be positive and finite.
+            *(
+                f"{command} --max-time {value}"
+                for command in (
+                    "sweep --protocol epidemic --sizes 100 --runs 1",
+                    "simulate --protocol epidemic --n 100",
+                    "sweep --protocol figure2 --engine vector --fast --sizes 100 "
+                    "--runs 1",
+                    "simulate --protocol figure2 --engine vector --fast --n 100",
+                )
+                for value in ("nan", "inf")
+            ),
+            "sweep --protocol epidemic --sizes 100 --runs 1 --max-time nan "
+            "--store sqlite:bad-budget.db",
+            "crn sweep --crn sir --sizes 1000 --runs 1 --chem-time nan",
+            "crn sweep --crn sir --sizes 1000 --runs 1 --chem-time inf",
+            "simulate --reaction A+B->B+B --init A:0.5,B:0.5 --chem-time nan",
+            *(
+                f"sweep --protocol epidemic --sizes 100 --runs 1 --lease {lease}{store}"
+                for lease in ("nan", "inf")
+                for store in (
+                    "",
+                    " --store sqlite:bad-lease.db",
+                    " --cache-dir cache",
+                    " --cache-dir cache --resume",
+                )
+            ),
+            *(
+                f"termination --sizes 64 --runs 1 --budget {budget}"
+                for budget in ("-1", "0", "nan", "inf")
+            ),
+            # Checked before the experiment prints its header.
+            "termination --sizes 16 --runs 0",
+        ],
+    )
+    def test_bad_budget_or_lease_touches_no_store(
+        self, argv, capsys, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        cache = "sweep --protocol epidemic --sizes 100 --runs 1 --cache-dir cache"
+        assert main(cache.split()) == 0
+        capsys.readouterr()
+
+        def files():
+            return {
+                path: path.read_bytes()
+                for path in tmp_path.rglob("*")
+                if path.is_file()
+            }
+
+        before = files()
+        assert_bad_input(argv.split(), capsys)
+        assert files() == before
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "store status --store sqlite:{root}/epidemic-count.sqlite",
+            "sweep --protocol epidemic --sizes 100 --runs 1 "
+            "--store sqlite:{root}/epidemic-count.sqlite",
+            "sweep --protocol epidemic --engine count --sizes 100 --runs 1 "
+            "--cache-dir {root} --resume",
+        ],
+    )
+    def test_a_store_file_that_is_not_sqlite_is_bad_input(
+        self, argv, capsys, tmp_path
+    ):
+        path = tmp_path / "epidemic-count.sqlite"
+        path.write_text("not a database")
+        line = assert_bad_input(argv.format(root=tmp_path).split(), capsys)
+        assert str(path) in line
+        assert path.read_text() == "not a database"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestCommands:
@@ -904,6 +988,21 @@ class TestCRNCommands:
         assert "count[F]        : 299" in output
         # No predicate was evaluated, so no convergence claim is reported.
         assert "converged" not in output
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_simulate_adhoc_zero_chemical_duration(self, engine, capsys):
+        argv = (
+            "simulate --reaction A+B->B+B --init A:0.5,B:0.5 --n 100 "
+            f"--chem-time 0 --engine {engine}"
+        )
+        assert main(argv.split()) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        summary = dict(
+            (key.strip(), value.strip())
+            for key, value in (line.split(":", 1) for line in lines)
+        )
+        assert summary["interactions"] == "0"
+        assert (summary["count[A]"], summary["count[B]"]) == ("50", "50")
 
     def test_simulate_adhoc_thinned_rejected(self, capsys):
         code = main(

@@ -5,15 +5,10 @@ from __future__ import annotations
 import math
 import statistics
 
+import numpy as np
 import pytest
 
-from repro.rng import (
-    RandomSource,
-    empirical_maximum_distribution,
-    geometric,
-    max_of_geometrics,
-    stream_of_geometrics,
-)
+from repro.rng import RandomSource, max_of_geometrics
 
 
 class TestGeometric:
@@ -44,7 +39,8 @@ class TestGeometric:
 
 class TestMaxOfGeometrics:
     def test_expectation_near_log2_n(self):
-        samples = empirical_maximum_distribution(seed=1, population=1024, trials=400)
+        source = np.random.default_rng(1)
+        samples = [max_of_geometrics(source, 1024) for _ in range(400)]
         mean = statistics.fmean(samples)
         # Lemma D.4: log2(N) + 1 < E[M] < log2(N) + 3/2 for N >= 50.
         assert math.log2(1024) + 0.5 < mean < math.log2(1024) + 2.0
@@ -104,17 +100,3 @@ class TestRandomSource:
         parent = RandomSource(seed=10)
         child = parent.spawn()
         assert child.seed != parent.seed
-
-
-class TestStreams:
-    def test_stream_of_geometrics_length_and_reproducibility(self):
-        first = list(stream_of_geometrics(seed=1, count=100))
-        second = list(stream_of_geometrics(seed=1, count=100))
-        assert len(first) == 100
-        assert first == second
-
-    def test_empirical_maximum_distribution_validation(self):
-        with pytest.raises(ValueError):
-            empirical_maximum_distribution(seed=1, population=0, trials=10)
-        with pytest.raises(ValueError):
-            empirical_maximum_distribution(seed=1, population=10, trials=0)

@@ -1,4 +1,4 @@
-"""Tests for workload generators (initial configurations and size grids)."""
+"""Tests for the population-size lists."""
 
 from __future__ import annotations
 
@@ -8,81 +8,10 @@ from unittest import mock
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.workloads.initial_configurations import (
-    all_identical_configuration,
-    alpha_dense_random_configuration,
-    leader_configuration,
-    two_state_split_configuration,
-)
-from repro.workloads.populations import (
-    figure2_sizes,
-    geometric_sizes,
-    parse_size_list,
-    sizes_from_env,
-)
-
-
-class TestInitialConfigurations:
-    def test_all_identical(self):
-        config = all_identical_configuration("x", 50)
-        assert config.count("x") == 50
-        assert config.is_alpha_dense(1.0)
-
-    def test_leader_configuration_not_dense(self):
-        config = leader_configuration("L", "F", 100)
-        assert config.count("L") == 1
-        assert config.size == 100
-        assert not config.is_alpha_dense(0.05)
-
-    def test_leader_configuration_needs_two_agents(self):
-        with pytest.raises(ConfigurationError):
-            leader_configuration("L", "F", 1)
-
-    def test_two_state_split(self):
-        config = two_state_split_configuration("X", "Y", 100, first_fraction=0.7)
-        assert config.count("X") == 70
-        assert config.count("Y") == 30
-
-    def test_two_state_split_never_empties_either_state(self):
-        config = two_state_split_configuration("X", "Y", 10, first_fraction=0.99)
-        assert config.count("Y") >= 1
-
-    def test_two_state_split_validation(self):
-        with pytest.raises(ConfigurationError):
-            two_state_split_configuration("X", "Y", 100, first_fraction=0.0)
-
-    def test_alpha_dense_random_configuration(self):
-        config = alpha_dense_random_configuration(["a", "b", "c"], 300, alpha=0.1, seed=1)
-        assert config.size == 300
-        assert config.is_alpha_dense(0.1)
-
-    def test_alpha_dense_random_configuration_infeasible(self):
-        with pytest.raises(ConfigurationError):
-            alpha_dense_random_configuration(["a", "b", "c"], 10, alpha=0.5)
+from repro.workloads.populations import parse_size_list, sizes_from_env
 
 
 class TestPopulationGrids:
-    def test_geometric_sizes(self):
-        assert geometric_sizes(100, 1600, factor=2) == [100, 200, 400, 800, 1600]
-
-    def test_geometric_sizes_dedupes(self):
-        sizes = geometric_sizes(2, 5, factor=1.3)
-        assert sizes == sorted(set(sizes))
-
-    def test_geometric_sizes_validation(self):
-        with pytest.raises(ConfigurationError):
-            geometric_sizes(1, 100)
-        with pytest.raises(ConfigurationError):
-            geometric_sizes(100, 10)
-        with pytest.raises(ConfigurationError):
-            geometric_sizes(10, 100, factor=1.0)
-
-    def test_figure2_sizes_full_and_truncated(self):
-        assert figure2_sizes() == [100, 1_000, 10_000, 100_000]
-        assert figure2_sizes(max_size=5_000) == [100, 1_000]
-        with pytest.raises(ConfigurationError):
-            figure2_sizes(max_size=50)
-
     def test_parse_size_list(self):
         assert parse_size_list("100, 200,300") == [100, 200, 300]
 
